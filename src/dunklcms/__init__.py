@@ -1,14 +1,15 @@
 """Exact symbolic checks for quantum CMS integrability.
 
-The package verifies, with exact rational-function coefficients in the
-deformation parameters, the algebraic identities behind the quantum
-Calogero-Moser-Sutherland systems of all four families (rational and
-trigonometric A, rational B, trigonometric BC): Dunkl operators in infinitely
-many variables, their finite-dimensional reductions, the deformed quantum
-integrals, and the quantum Moser matrices with their Lax identity.
+The package verifies, with exact coefficients in the deformation parameters
+(Laurent polynomials in k, polynomials in the others), the algebraic
+identities behind the quantum Calogero-Moser-Sutherland systems of all four
+families (rational and trigonometric A, rational B, trigonometric BC): Dunkl
+operators in infinitely many variables, their finite-dimensional reductions,
+the deformed quantum integrals, and the quantum Moser matrices with their Lax
+identity.
 """
 
-from .coeffs import ParamPoly, ParamRatio, poly_gcd
+from .coeffs import ParamPoly, ParamRatio
 from .powersums import Family, LambdaElem, LambdaXElem
 from .dunkl_infinity import (
     InfDunkl,
@@ -71,7 +72,6 @@ __all__ = [
     "moser_L",
     "moser_M",
     "moser_integral",
-    "poly_gcd",
 ]
 
 __version__ = "0.1.0"

@@ -65,6 +65,14 @@ LIMITS = {
     "r": 6,
 }
 
+#: The smallest values inside the domain of a request; --unsafe keeps them.
+MINIMUM = {
+    "deg": 0,
+    "N": 1,
+    "nm": 1,
+    "r": 1,
+}
+
 
 class InvalidRequest(ValueError):
     """Request fails validation; reported with exit code 2."""
@@ -169,14 +177,24 @@ def _bindings(args, family: Family):
 
 
 def _guard(args, **vals):
-    if getattr(args, "unsafe", False):
-        return
     for key, v in vals.items():
-        if v is not None and v > LIMITS[key]:
+        if v is None:
+            continue
+        if v < MINIMUM[key]:
+            raise InvalidRequest("%s=%d is below the minimum %d" % (key, v, MINIMUM[key]))
+        if v > LIMITS[key] and not getattr(args, "unsafe", False):
             raise InvalidRequest(
                 "%s=%d exceeds the desk-scale cap %d (pass --unsafe to override)"
                 % (key, v, LIMITS[key])
             )
+
+
+def _parity(args) -> ParityData:
+    """The particle numbers --n and --m: both at least 0, together at least 1."""
+    if args.n < 0 or args.m < 0 or args.n + args.m < 1:
+        raise InvalidRequest(
+            "n=%d, m=%d: need n, m >= 0 and at least one particle" % (args.n, args.m))
+    return ParityData(args.n, args.m)
 
 
 def _maybe_sub(obj, bindings):
@@ -202,6 +220,9 @@ def _verify_closed_form(args, report):
 def _verify_commute_infinity(args, report):
     family = _family(args.family)
     _guard(args, deg=args.deg, r=max(args.r, args.s))
+    _guard(args, r=min(args.r, args.s))
+    if args.pwindow is not None and args.pwindow < 1:
+        raise InvalidRequest("pwindow=%d is below the minimum 1" % args.pwindow)
     bindings = _bindings(args, family)
     if bindings:
         op = InfDunkl(family)
@@ -218,21 +239,23 @@ def _verify_commute_infinity(args, report):
 
 def _verify_diagram(args, report):
     family = _family(args.family)
-    _guard(args, N=args.N, nm=(args.n or 0) + (args.m or 0), r=args.r)
+    _guard(args, N=args.N, r=args.r)
     kind = args.kind
     kwargs = {}
     if kind in ("dcomm", "heckdiag"):
         if args.N is None:
             raise InvalidRequest("--N is required for kind %s" % kind)
-        kwargs["N"] = args.N
-        if kind == "dcomm":
-            kwargs["i"] = args.i - 1
+        kwargs["N"] = size = args.N
     else:
         if args.n is None or args.m is None:
             raise InvalidRequest("--n and --m are required for kind %s" % kind)
-        kwargs["parity"] = ParityData(args.n, args.m)
-        if kind == "propcomm":
-            kwargs["i"] = args.i - 1
+        _guard(args, nm=args.n + args.m)
+        kwargs["parity"] = _parity(args)
+        size = args.n + args.m
+    if kind in ("dcomm", "propcomm"):
+        if not 1 <= args.i <= size:
+            raise InvalidRequest("--i %d is not an index in 1..%d" % (args.i, size))
+        kwargs["i"] = args.i - 1
     testset = standard_testset(family, with_x=(kind == "dcomm"))
     rep = diagram_check(kind, family, testset, r=args.r, **kwargs)
     report.notes.append(rep.detail)
@@ -243,7 +266,7 @@ def _verify_diagram(args, report):
 def _verify_deformed(args, report):
     # rational A deformed recursion: diagram consistency plus commutativity
     _guard(args, nm=args.n + args.m, r=args.r)
-    parity = ParityData(args.n, args.m)
+    parity = _parity(args)
     family = Family.RAT_A
     testset = standard_testset(family, with_x=False)
     for r in range(1, args.r + 1):
@@ -265,7 +288,7 @@ def _verify_lax(args, report):
     nm = args.n + args.m
     if not getattr(args, "unsafe", False) and args.mode == "symbolic" and nm > LIMITS["nm"]:
         raise InvalidRequest("n+m=%d exceeds the symbolic cap %d" % (nm, LIMITS["nm"]))
-    parity = ParityData(args.n, args.m)
+    parity = _parity(args)
     bindings = _bindings(args, family)
     if bindings:
         report.notes.append("numeric bindings %s" % {k: v.text() for k, v in sorted(bindings.items())})
@@ -290,8 +313,8 @@ def _verify_lax(args, report):
 
 def _verify_moser_integrals(args, report):
     family = _family(args.family)
-    _guard(args, nm=args.n + args.m, r=args.r)
-    parity = ParityData(args.n, args.m)
+    _guard(args, nm=args.n + args.m, r=args.r, deg=args.basis_deg)
+    parity = _parity(args)
     bindings = _bindings(args, family)
     H = hamiltonian(family, parity, gauged=False)
     if bindings:
@@ -300,8 +323,8 @@ def _verify_moser_integrals(args, report):
         I = moser_integral(family, parity, r)
         if bindings:
             I = I.substitute(bindings)
-        if family.even_integrals or args.basis_deg:
-            deg = args.basis_deg or 4
+        if family.even_integrals or args.basis_deg is not None:
+            deg = 4 if args.basis_deg is None else args.basis_deg
             rep = commute_check(I, H, "basis", deg=deg)
             report.record(rep.ok, "[e*L^%de, H] basis deg %d" % (r, deg),
                           rep.counterexamples[0][1] if rep.counterexamples else "", "0")
@@ -323,7 +346,7 @@ def _is_scalar(f: RatFun) -> bool:
 
 def _verify_degenerate_k1(args, report):
     _guard(args, nm=args.n + args.m, r=args.r)
-    parity = ParityData(args.n, args.m)
+    parity = _parity(args)
     N = parity.size
     one = {"k": const(1)}
     hom = Hom(Family.RAT_A, "phi_nm", parity=parity)
@@ -468,6 +491,8 @@ def run(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         handler(args, report)
+        if not report.checks:
+            raise InvalidRequest("the request leaves nothing to check")
     except InvalidRequest as exc:
         report.status = "error"
         report.notes.append(str(exc))

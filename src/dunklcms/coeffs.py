@@ -1,11 +1,26 @@
-"""Exact arithmetic in the field of deformation-parameter rational functions.
+"""Exact arithmetic in the Laurent coefficient ring Q[k, 1/k, p, q, r, s].
 
-Every coefficient in the library is an element of Q(k, p, q, r, s): a ratio of
-sparse multivariate polynomials in the five deformation symbols, over
-arbitrary-precision rationals.  Values are kept in a unique canonical form
-(gcd-reduced, denominator primitive with positive leading coefficient in
-graded-lex order with k < p < q < r < s), so that structural equality decides
-mathematical equality and ``is_zero`` is exact.  All values are immutable.
+Every coefficient the library builds lies in this ring: the only denominators
+that occur are those of the constraint values r = p/k and s = (2q+1-k)/(2k)
+and of the weights k^-1.  A ``ParamRatio`` is an integer polynomial ``num``
+over ``den_int * k^den_k``, with ``den_int`` a positive integer, kept in a
+unique canonical form:
+
+* the content of ``num`` (the gcd of its coefficients) is coprime to ``den_int``;
+* when ``den_k > 0``, ``num`` is not divisible by k;
+
+so structural equality decides mathematical equality and ``is_zero`` is
+exact.  Dividing by anything other than a nonzero constant times a power of k
+would leave the ring and raises ``UnsupportedDenominator``.  All values are
+immutable.
+
+Monomials are packed into one int (Kronecker substitution; Monagan and Pearce,
+J. Symb. Comp. 46, 2011): the exponent of SYMBOLS[i] occupies bits
+[10 i, 10 i + 10).  The top bit of each field is a guard, so exponents are at
+most MAX_DEGREE; adding two valid exponents never carries into the next
+field, and a product that sets a guard bit raises ``ExponentOverflow``.
+Coefficients are plain ints, so all arithmetic is int arithmetic and
+``math.gcd``.
 
 The symbol set is fixed globally; each operator family uses a subset ({k} for
 the A families, {k, q} for rational B, {k, p, q} for trigonometric BC, the
@@ -15,7 +30,9 @@ remaining symbols being eliminated through ``ParamRatio.substitute``).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from functools import reduce
+from math import gcd
+from operator import or_
 
 try:  # gmpy2 is optional but considerably faster on big rationals
     from gmpy2 import mpq as Rat
@@ -25,10 +42,15 @@ except ImportError:  # pragma: no cover
 SYMBOLS = ("k", "p", "q", "r", "s")
 NSYM = len(SYMBOLS)
 _SYMBOL_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
-_ZERO_EXP = (0,) * NSYM
+
+_BITS = 10
+_FIELD = (1 << _BITS) - 1
+MAX_DEGREE = (1 << (_BITS - 1)) - 1
+_GUARD = sum(1 << (_BITS * i + _BITS - 1) for i in range(NSYM))
+_NOT_K = sum(_FIELD << (_BITS * i) for i in range(1, NSYM))
+_k_exponent = _FIELD.__and__
 
 RAT_ZERO = Rat(0)
-RAT_ONE = Rat(1)
 
 
 class CoeffError(ArithmeticError):
@@ -40,48 +62,107 @@ class DivisionByZero(CoeffError):
 
 
 class DenominatorVanishes(CoeffError):
-    """A substitution turned a denominator into the zero polynomial."""
+    """A substitution turned a denominator into zero."""
 
 
 class PoleAtPoint(CoeffError):
     """Numeric evaluation hit a zero of the denominator."""
 
 
-def _grlex_key(exps):
-    # graded lexicographic, k < p < q < r < s: compare total degree first,
-    # then exponents of the largest symbol (s) down to the smallest (k)
-    return (sum(exps), tuple(reversed(exps)))
+class UnsupportedDenominator(CoeffError):
+    """Division by a parameter polynomial that is not a constant times a power
+    of k: the quotient lies outside the coefficient ring."""
+
+
+class ExponentOverflow(CoeffError):
+    """An exponent left the packed range 0..MAX_DEGREE."""
+
+
+def _pack(exps) -> int:
+    e = 0
+    for i, d in enumerate(exps):
+        if not 0 <= d <= MAX_DEGREE:
+            raise ExponentOverflow("exponent %d of %s outside 0..%d" % (d, SYMBOLS[i], MAX_DEGREE))
+        e |= d << (_BITS * i)
+    return e
+
+
+def _unpack(e: int) -> list:
+    return [(e >> (_BITS * i)) & _FIELD for i in range(NSYM)]
+
+
+def _checked(terms: dict) -> dict:
+    """``terms`` after checking that no exponent field reached its guard bit."""
+    if reduce(or_, terms, 0) & _GUARD:
+        raise ExponentOverflow("an exponent exceeds %d" % MAX_DEGREE)
+    return terms
+
+
+def _grlex(e: int):
+    # graded lexicographic, k < p < q < r < s: total degree first, then the
+    # packed int, whose highest field is s
+    return (sum(_unpack(e)), e)
+
+
+def _terms_text(terms: dict, den: int) -> str:
+    """Text of the polynomial ``terms / den``, rational coefficients reduced."""
+    if not terms:
+        return "0"
+    parts = []
+    for e in sorted(terms, key=_grlex, reverse=True):
+        n, d = terms[e], den
+        if d != 1:
+            g = gcd(n, d)
+            n, d = n // g, d // g
+        factors = []
+        if n != 1 or d != 1 or not e:
+            factors.append(str(n) if d == 1 else "(%d/%d)" % (n, d))
+        for i, pw in enumerate(_unpack(e)):
+            if pw == 1:
+                factors.append(SYMBOLS[i])
+            elif pw > 1:
+                factors.append("%s^%d" % (SYMBOLS[i], pw))
+        parts.append("*".join(factors))
+    return "+".join(parts).replace("+-", "-")
+
+
+_new = object.__new__
+
+
+def _poly(terms: dict) -> "ParamPoly":
+    """A ParamPoly over ``terms``, which hold no zero coefficient."""
+    p = _new(ParamPoly)
+    p.terms = terms
+    return p
 
 
 class ParamPoly:
-    """Sparse polynomial in the deformation symbols over Q.
+    """Sparse polynomial in the deformation symbols over Z.
 
-    ``terms`` maps exponent tuples (one entry per symbol in SYMBOLS order) to
-    nonzero rational coefficients.  The zero polynomial has no terms.
+    ``terms`` maps packed exponents to nonzero int coefficients.  The zero
+    polynomial has no terms.
     """
 
-    __slots__ = ("terms", "_key")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        self.terms = {e: c for e, c in terms.items() if c != 0}
-        self._key = None
+        self.terms = {e: c for e, c in terms.items() if c}
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def zero() -> "ParamPoly":
-        return ParamPoly({})
+        return _POLY_ZERO
 
     @staticmethod
-    def const(value) -> "ParamPoly":
-        value = Rat(value)
-        return ParamPoly({_ZERO_EXP: value}) if value != 0 else ParamPoly({})
+    def const(value: int) -> "ParamPoly":
+        return _poly({0: value}) if value else _POLY_ZERO
 
     @staticmethod
     def symbol(name: str, power: int = 1) -> "ParamPoly":
         e = [0] * NSYM
         e[_SYMBOL_INDEX[name]] = power
-        return ParamPoly({tuple(e): RAT_ONE})
+        return _poly({_pack(e): 1})
 
     # -- basic queries ---------------------------------------------------
 
@@ -89,39 +170,16 @@ class ParamPoly:
         return not self.terms
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
-    def const_value(self):
-        if not self.terms:
-            return RAT_ZERO
-        return self.terms[_ZERO_EXP]
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def leading(self):
-        """(exponent, coefficient) of the graded-lex leading term."""
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+    def const_value(self) -> int:
+        return self.terms.get(0, 0)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, var: int) -> int:
-        return max((e[var] for e in self.terms), default=0)
-
-    def variables(self):
-        used = [False] * NSYM
-        for e in self.terms:
-            for i, p in enumerate(e):
-                if p:
-                    used[i] = True
-        return [i for i in range(NSYM) if used[i]]
+        return max((sum(_unpack(e)) for e in self.terms), default=0)
 
     def key(self):
-        if self._key is None:
-            self._key = tuple(sorted(self.terms.items(), key=lambda t: _grlex_key(t[0])))
-        return self._key
+        return tuple(sorted(self.terms.items()))
 
     def __eq__(self, other):
         return isinstance(other, ParamPoly) and self.terms == other.terms
@@ -132,152 +190,98 @@ class ParamPoly:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            if v is None:
-                out[e] = c
-            else:
-                v = v + c
-                if v == 0:
-                    del out[e]
-                else:
-                    out[e] = v
-        return ParamPoly(out)
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        get = out.get
+        for e, c in b.items():
+            out[e] = get(e, 0) + c
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return _poly(out)
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly({e: -c for e, c in self.terms.items()})
+        return _poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "ParamPoly") -> "ParamPoly":
         return self + (-other)
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
-        if not self.terms or not other.terms:
-            return ParamPoly({})
-        if len(other.terms) == 1:
-            (e2, c2), = other.terms.items()
-            if not any(e2):
-                return self.scale(c2)
-            k0, p0, q0, r0, s0 = e2
-            return ParamPoly({
-                (e1[0] + k0, e1[1] + p0, e1[2] + q0, e1[3] + r0, e1[4] + s0): c1 * c2
-                for e1, c1 in self.terms.items()
-            })
-        if len(self.terms) == 1:
-            return other * self
-        out: dict = {}
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return _POLY_ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            (e2, c2), = b.items()
+            if c2 == 1:
+                out = {e + e2: c for e, c in a.items()}
+            else:
+                out = {e + e2: c * c2 for e, c in a.items()}
+            return _poly(_checked(out) if e2 else out)
+        out = {}
         get = out.get
-        for e1, c1 in self.terms.items():
-            a0, a1, a2, a3, a4 = e1
-            for e2, c2 in other.terms.items():
-                e = (a0 + e2[0], a1 + e2[1], a2 + e2[2], a3 + e2[3], a4 + e2[4])
+        for e2, c2 in b.items():
+            for e1, c1 in a.items():
+                e = e1 + e2
                 v = get(e)
                 out[e] = c1 * c2 if v is None else v + c1 * c2
-        return ParamPoly(out)
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return _poly(_checked(out))
 
-    def scale(self, c) -> "ParamPoly":
-        if c == 0:
-            return ParamPoly({})
-        return ParamPoly({e: v * c for e, v in self.terms.items()})
+    def scale(self, c: int) -> "ParamPoly":
+        if c == 1:
+            return self
+        if not c:
+            return _POLY_ZERO
+        return _poly({e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "ParamPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = ParamPoly.const(1)
+        result = _POLY_ONE
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
-    # -- normalization and gcd --------------------------------------------
+    def _scale_shift(self, c: int, j: int) -> "ParamPoly":
+        """c * k^j * self, for 0 <= j <= MAX_DEGREE."""
+        if not j:
+            return self.scale(c)
+        return _poly(_checked({e + j: v * c for e, v in self.terms.items()}))
 
-    def content_unit(self):
-        """Rational c such that self / c is primitive with positive leading
-        coefficient (integer coprime coefficients)."""
-        if not self.terms:
-            return RAT_ONE
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = _int_gcd(num_gcd, abs(int(c.numerator)))
-            d = int(c.denominator)
-            den_lcm = den_lcm // _int_gcd(den_lcm, d) * d
-        c = Rat(num_gcd, den_lcm)
-        _, lead = self.leading()
-        if lead < 0:
-            c = -c
-        return c
+    def _k_valuation(self) -> int:
+        """The largest j with k^j dividing self (self nonzero)."""
+        return min(map(_k_exponent, self.terms))
 
-    def primitive(self) -> "ParamPoly":
-        c = self.content_unit()
-        if c == RAT_ONE:
-            return self
-        return ParamPoly({e: v / c for e, v in self.terms.items()})
-
-    def exact_div(self, other: "ParamPoly") -> "ParamPoly":
-        """Exact quotient self / other; raises ValueError on a remainder."""
-        q = self.div_or_none(other)
-        if q is None:
-            raise ValueError("inexact polynomial division")
-        return q
-
-    def div_or_none(self, other):
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        if self.is_zero():
-            return ParamPoly({})
-        if other.is_const():
-            return self.scale(RAT_ONE / other.const_value())
-        if len(other.terms) == 1:
-            (oe, oc), = other.terms.items()
-            out = {}
-            for e, c in self.terms.items():
-                d = (e[0] - oe[0], e[1] - oe[1], e[2] - oe[2], e[3] - oe[3], e[4] - oe[4])
-                if d[0] < 0 or d[1] < 0 or d[2] < 0 or d[3] < 0 or d[4] < 0:
-                    return None
-                out[d] = c / oc
-            return ParamPoly(out)
-        rem = dict(self.terms)
-        quo: dict = {}
-        le, lc = other.leading()
-        while rem:
-            re = max(rem, key=_grlex_key)
-            diff = tuple(a - b for a, b in zip(re, le))
-            if any(d < 0 for d in diff):
-                return None
-            c = rem[re] / lc
-            quo[diff] = quo.get(diff, RAT_ZERO) + c
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(diff, e2))
-                v = rem.get(e, RAT_ZERO) - c * c2
-                if v == 0:
-                    rem.pop(e, None)
-                else:
-                    rem[e] = v
-        return ParamPoly(quo)
+    # -- substitution and evaluation -------------------------------------
 
     def substitute(self, bindings: dict) -> "ParamRatio":
         """Replace symbols by ParamRatio values; returns a ParamRatio."""
         images = {}
         for name, val in bindings.items():
             images[_SYMBOL_INDEX[name]] = val if isinstance(val, ParamRatio) else ParamRatio.const(val)
-        out = ParamRatio.zero()
+        powers = {}
+        out = _RATIO_ZERO
         for e, c in self.terms.items():
-            term = ParamRatio.const(c)
-            mono = [0] * NSYM
-            for i, pw in enumerate(e):
-                if not pw:
-                    continue
-                if i in images:
-                    term = term * images[i] ** pw
-                else:
-                    mono[i] = pw
-            if any(mono):
-                term = term * ParamRatio.from_poly(ParamPoly({tuple(mono): RAT_ONE}))
-            out = out + term
+            term = None
+            for i, image in images.items():
+                pw = (e >> (_BITS * i)) & _FIELD
+                if pw:
+                    e -= pw << (_BITS * i)
+                    f = powers.get((i, pw))
+                    if f is None:
+                        f = powers[(i, pw)] = image ** pw
+                    term = f if term is None else term * f
+            mono = _raw(_poly({e: c}), 1, 0)
+            out = out + (mono if term is None else mono * term)
         return out
 
     def eval(self, point: dict):
@@ -285,8 +289,8 @@ class ParamPoly:
         vals = [Rat(point.get(name, 0)) for name in SYMBOLS]
         total = RAT_ZERO
         for e, c in self.terms.items():
-            term = c
-            for i, pw in enumerate(e):
+            term = Rat(c)
+            for i, pw in enumerate(_unpack(e)):
                 if pw:
                     term = term * vals[i] ** pw
             total = total + term
@@ -295,279 +299,75 @@ class ParamPoly:
     # -- display -----------------------------------------------------------
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
-            factors = []
-            if c != 1 or not any(e):
-                factors.append(str(c) if c.denominator == 1 else "(%s)" % c)
-            for i, pw in enumerate(e):
-                if pw == 1:
-                    factors.append(SYMBOLS[i])
-                elif pw > 1:
-                    factors.append("%s^%d" % (SYMBOLS[i], pw))
-            parts.append("*".join(factors))
-        return "+".join(parts).replace("+-", "-")
+        return _terms_text(self.terms, 1)
 
     def __repr__(self):
         return "ParamPoly(%s)" % self.text()
 
 
-_POLY_ZERO = ParamPoly.zero()
-_POLY_ONE = ParamPoly.const(1)
+_POLY_ZERO = _poly({})
+_POLY_ONE = _poly({0: 1})
 
 
-def _to_univ(f: ParamPoly, var: int) -> dict:
-    """View f as a univariate polynomial in SYMBOLS[var] with ParamPoly coefficients."""
-    out: dict = {}
-    for e, c in f.terms.items():
-        d = e[var]
-        rest = list(e)
-        rest[var] = 0
-        coeff = out.setdefault(d, {})
-        coeff[tuple(rest)] = c
-    return {d: ParamPoly(t) for d, t in out.items()}
+def _raw(num: ParamPoly, den_int: int, den_k: int) -> "ParamRatio":
+    """A ParamRatio from fields already in canonical form."""
+    r = _new(ParamRatio)
+    r.num = num
+    r.den_int = den_int
+    r.den_k = den_k
+    return r
 
 
-def _from_univ(coeffs: dict, var: int) -> ParamPoly:
-    out: dict = {}
-    for d, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            ee = list(e)
-            ee[var] += d
-            out[tuple(ee)] = c
-    return ParamPoly(out)
+def _content_free(num: ParamPoly, den_int: int):
+    """(num, den_int) divided by the gcd of den_int and the content of num."""
+    if den_int != 1:
+        g = gcd(den_int, *num.terms.values())
+        if g != 1:
+            return _poly({e: c // g for e, c in num.terms.items()}), den_int // g
+    return num, den_int
 
 
-def _univ_mul_poly(coeffs: dict, g: ParamPoly) -> dict:
-    return {d: c * g for d, c in coeffs.items() if not (c * g).is_zero()}
+def _canonical(num: ParamPoly, den_int: int, den_k: int) -> "ParamRatio":
+    """num / (den_int * k^den_k) in canonical form, for den_int > 0."""
+    if not num.terms:
+        return _RATIO_ZERO
+    num, den_int = _content_free(num, den_int)
+    if den_k:
+        j = min(den_k, num._k_valuation())
+        if j:
+            num = _poly({e - j: c for e, c in num.terms.items()})
+            den_k -= j
+    return _raw(num, den_int, den_k)
 
 
-def _univ_deg(coeffs: dict) -> int:
-    return max(coeffs, default=-1)
-
-
-def _univ_prem(a: dict, b: dict, var: int) -> dict:
-    """Pseudo-remainder of a by b (both univariate views in var)."""
-    da, db = _univ_deg(a), _univ_deg(b)
-    lb = b[db]
-    rem = dict(a)
-    while True:
-        dr = _univ_deg(rem)
-        if dr < db or dr < 0:
-            return rem
-        lr = rem[dr]
-        # rem := lb*rem - lr * x^(dr-db) * b
-        new: dict = {}
-        for d, c in rem.items():
-            v = c * lb
-            if not v.is_zero():
-                new[d] = v
-        for d, c in b.items():
-            dd = d + dr - db
-            v = new.get(d + dr - db, _POLY_ZERO) - lr * c
-            if v.is_zero():
-                new.pop(dd, None)
-            else:
-                new[dd] = v
-        rem = new
-
-
-def _cont_prim(coeffs: dict):
-    """(content, primitive part) of a univariate view; content is a ParamPoly gcd."""
-    cont = _POLY_ZERO
-    for c in coeffs.values():
-        cont = poly_gcd(cont, c)
-        if cont == _POLY_ONE:
-            break
-    if cont.is_zero() or cont == _POLY_ONE:
-        return _POLY_ONE, coeffs
-    prim = {d: c.exact_div(cont) for d, c in coeffs.items()}
-    return cont, prim
-
-
-def _specialize_univ(f: ParamPoly, var: int, point) -> list:
-    """Coefficient list of f in powers of SYMBOLS[var], other symbols evaluated
-    at integer values (point[i] for symbol i)."""
-    out: dict = {}
-    for e, c in f.terms.items():
-        val = c
-        for i, pw in enumerate(e):
-            if i == var or not pw:
-                continue
-            val = val * point[i] ** pw
-        out[e[var]] = out.get(e[var], RAT_ZERO) + val
-    deg = max(out, default=0)
-    return [out.get(d, RAT_ZERO) for d in range(deg + 1)]
-
-
-def _univ_fraction_gcd_is_const(A: list, B: list) -> bool:
-    """Monic Euclid over Q on coefficient lists; True when the gcd is constant."""
-
-    def trim(C):
-        while C and C[-1] == 0:
-            C.pop()
-        return C
-
-    A, B = trim(list(A)), trim(list(B))
-    while B:
-        if len(B) == 1:
-            return True
-        lb = B[-1]
-        # A mod B
-        A = list(A)
-        while len(A) >= len(B):
-            f = A[-1] / lb
-            off = len(A) - len(B)
-            for i, c in enumerate(B):
-                A[i + off] = A[i + off] - f * c
-            trim(A)
-        A, B = B, A
-    return len(A) <= 1
-
-
-def _surely_coprime(a: ParamPoly, b: ParamPoly, variables) -> bool:
-    """Sound specialization test: certifies gcd(a, b) is constant, or gives up.
-
-    For each shared variable v, the other symbols are evaluated at fixed
-    integers; if the specialization preserves deg_v of one operand (so the
-    gcd's leading coefficient in v cannot vanish) and the univariate gcd is
-    constant, the true gcd is free of v.  Free of every variable means
-    constant.  Only certificates are trusted; any doubt falls through to the
-    exact pseudo-remainder computation.
-    """
-    for v in variables:
-        dva, dvb = a.degree_in(v), b.degree_in(v)
-        if dva == 0 or dvb == 0:
-            continue
-        certified = False
-        for offset in (271, 5477, 104651):
-            point = [offset + 13 * i + 1 for i in range(NSYM)]
-            A = _specialize_univ(a, v, point)
-            B = _specialize_univ(b, v, point)
-            if len(A) - 1 != dva and len(B) - 1 != dvb:
-                continue  # both leading coefficients vanished; retry
-            if _univ_fraction_gcd_is_const(A, B):
-                certified = True
-                break
-            return False  # plausible common factor in v
-        if not certified:
-            return False
-    return True
-
-
-def _univ_scale(coeffs: dict, c: ParamPoly) -> dict:
-    return {d: v * c for d, v in coeffs.items()}
-
-
-def _gcd_univ_subresultant(A: dict, B: dict, var: int):
-    """Subresultant PRS on content-free univariate views; returns the primitive
-    gcd view, or None when the inputs are coprime in var."""
-    g = _POLY_ONE
-    h = _POLY_ONE
-    while True:
-        da, db = _univ_deg(A), _univ_deg(B)
-        delta = da - db
-        R = _univ_prem(A, B, var)
-        if not R:
-            _, prim = _cont_prim(B)
-            return prim
-        if _univ_deg(R) == 0:
-            return None
-        divisor = g * h ** delta
-        A = B
-        B = {d: c.exact_div(divisor) for d, c in R.items()}
-        g = A[_univ_deg(A)]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = (g ** delta).exact_div(h ** (delta - 1))
-
-
-_GCD_CACHE: dict = {}
-_GCD_CACHE_MAX = 200_000
-
-
-def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Canonical gcd in Q[k,p,q,r,s]: primitive, positive leading coefficient.
-
-    Uses a primitive pseudo-remainder sequence, recursing on the coefficient
-    ring; monomial inputs take a fast path (the dominant case in practice,
-    where denominators are powers of k).  Results are memoized: the same
-    small coefficient polynomials recur throughout a computation.
-    """
-    if a.is_zero():
-        return b.primitive()
-    if b.is_zero():
-        return a.primitive()
-    if a.is_const() or b.is_const():
-        return _POLY_ONE
-    if a.terms == b.terms:
-        return a.primitive()
-    if a.is_monomial() or b.is_monomial():
-        mins = None
-        for f in (a, b):
-            for e in f.terms:
-                if mins is None:
-                    mins = list(e)
-                else:
-                    for i in range(NSYM):
-                        if e[i] < mins[i]:
-                            mins[i] = e[i]
-                if not (mins[0] or mins[1] or mins[2] or mins[3] or mins[4]):
-                    return _POLY_ONE
-        return ParamPoly({tuple(mins): RAT_ONE})
-    cache_key = (a.key(), b.key())
-    hit = _GCD_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    g = _poly_gcd_prs(a, b)
-    if len(_GCD_CACHE) < _GCD_CACHE_MAX:
-        _GCD_CACHE[cache_key] = g
-    return g
-
-
-def _poly_gcd_prs(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    variables = sorted(set(a.variables()) | set(b.variables()))
-    if _surely_coprime(a, b, variables):
-        return _POLY_ONE
-    var = variables[-1]
-    ua, ub = _to_univ(a, var), _to_univ(b, var)
-    ca, ua = _cont_prim(ua)
-    cb, ub = _cont_prim(ub)
-    c = poly_gcd(ca, cb)
-    if _univ_deg(ua) < _univ_deg(ub):
-        ua, ub = ub, ua
-    prim = _gcd_univ_subresultant(ua, ub, var)
-    g = _from_univ(prim, var) if prim is not None else _POLY_ONE
-    return (c * g).primitive()
+def _check_den_k(den_k: int) -> int:
+    if den_k > MAX_DEGREE:
+        raise ExponentOverflow("denominator k^%d exceeds k^%d" % (den_k, MAX_DEGREE))
+    return den_k
 
 
 class ParamRatio:
-    """Element of Q(k, p, q, r, s) in canonical reduced form."""
+    """Element of Q[k, 1/k, p, q, r, s]: ``num / (den_int * k^den_k)`` in
+    canonical form.
 
-    __slots__ = ("num", "den", "_key")
+    ``ParamRatio(num, den)`` takes ParamPoly operands; ``den`` must be a
+    nonzero constant times a power of k.
+    """
 
-    def __init__(self, num: ParamPoly, den: ParamPoly, reduce: bool = True):
-        if den.is_zero():
+    __slots__ = ("num", "den_int", "den_k")
+
+    def __init__(self, num: ParamPoly, den: ParamPoly = _POLY_ONE):
+        terms = den.terms
+        if not terms:
             raise DivisionByZero("zero denominator")
-        if reduce:
-            if num.is_zero():
-                den = _POLY_ONE
-            else:
-                g = poly_gcd(num, den)
-                if not g.is_const():
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-                c = den.content_unit()
-                if c != RAT_ONE:
-                    den = ParamPoly({e: v / c for e, v in den.terms.items()})
-                    num = num.scale(RAT_ONE / c)
-        self.num = num
-        self.den = den
-        self._key = None
+        if len(terms) != 1 or next(iter(terms)) & _NOT_K:
+            raise UnsupportedDenominator(
+                "denominator %s is not a constant times a power of k" % den.text())
+        (e, c), = terms.items()
+        if c < 0:
+            num, c = -num, -c
+        r = _canonical(num, c, e)
+        self.num, self.den_int, self.den_k = r.num, r.den_int, r.den_k
 
     # -- constructors ------------------------------------------------------
 
@@ -581,45 +381,56 @@ class ParamRatio:
 
     @staticmethod
     def const(value) -> "ParamRatio":
-        return ParamRatio(ParamPoly.const(value), _POLY_ONE, reduce=False)
+        if type(value) is int:
+            n, d = value, 1
+        else:
+            value = Rat(value)
+            n, d = int(value.numerator), int(value.denominator)
+        return _raw(_poly({0: n}), d, 0) if n else _RATIO_ZERO
 
     @staticmethod
     def from_poly(p: ParamPoly) -> "ParamRatio":
-        return ParamRatio(p, _POLY_ONE, reduce=False)
+        return _raw(p, 1, 0)
 
     @staticmethod
     def symbol(name: str, power: int = 1) -> "ParamRatio":
-        """Symbol to an integer power; negative powers land in the denominator."""
+        """Symbol to an integer power; only k may have a negative power."""
         if power >= 0:
-            return ParamRatio(ParamPoly.symbol(name, power), _POLY_ONE, reduce=False)
-        return ParamRatio(_POLY_ONE, ParamPoly.symbol(name, -power), reduce=False)
+            return _raw(ParamPoly.symbol(name, power), 1, 0)
+        if name != "k":
+            raise UnsupportedDenominator("%s^%d is outside the coefficient ring" % (name, power))
+        return _raw(_POLY_ONE, 1, _check_den_k(-power))
 
     @staticmethod
     def fraction(num, den) -> "ParamRatio":
-        return ParamRatio(ParamPoly.const(num), ParamPoly.const(den))
+        return ParamRatio.const(Rat(num, den))
 
     # -- queries -------------------------------------------------------------
 
+    @property
+    def den(self) -> ParamPoly:
+        """The denominator den_int * k^den_k as a ParamPoly."""
+        return _poly({self.den_k: self.den_int})
+
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_const(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
+        return not self.den_k and self.num.is_const()
 
     def const_value(self):
         if not self.is_const():
             raise ValueError("not a constant: %s" % self.text())
-        return self.num.const_value() / self.den.const_value()
+        return Rat(self.num.const_value(), self.den_int)
 
     def key(self):
-        if self._key is None:
-            self._key = (self.num.key(), self.den.key())
-        return self._key
+        return (self.num.key(), self.den_int, self.den_k)
 
     def __eq__(self, other):
         if not isinstance(other, ParamRatio):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.den_k == other.den_k and self.den_int == other.den_int
+                and self.num.terms == other.num.terms)
 
     def __hash__(self):
         return hash(self.key())
@@ -627,95 +438,113 @@ class ParamRatio:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "ParamRatio") -> "ParamRatio":
-        if self.num.is_zero():
+        n1, n2 = self.num, other.num
+        if not n1.terms:
             return other
-        if other.num.is_zero():
+        if not n2.terms:
             return self
-        if self.den.is_const() and other.den.is_const():
-            # dens are the canonical constant 1
-            return ParamRatio(self.num + other.num, _POLY_ONE, reduce=False)
-        if self.den == other.den:
-            return ParamRatio(self.num + other.num, self.den)
-        g0 = poly_gcd(self.den, other.den)
-        if g0.is_const():
-            return ParamRatio(
-                self.num * other.den + other.num * self.den, self.den * other.den, reduce=False
-            )._normalized_unit()
-        db = other.den.exact_div(g0)
-        da = self.den.exact_div(g0)
-        t = self.num * db + other.num * da
-        g1 = poly_gcd(t, g0)
-        if g1.is_const():
-            return ParamRatio(t, da * other.den, reduce=False)._normalized_unit()
-        return ParamRatio(t.exact_div(g1), da * other.den.exact_div(g1), reduce=False)._normalized_unit()
-
-    def _normalized_unit(self) -> "ParamRatio":
-        """Rescale so the denominator is primitive with positive leading term."""
-        den = self.den
-        c = den.content_unit()
-        if c == RAT_ONE:
-            return self
-        num = self.num.scale(RAT_ONE / c)
-        den = ParamPoly({e: v / c for e, v in den.terms.items()})
-        out = ParamRatio(num, den, reduce=False)
-        return out
+        d1, d2, a1, a2 = self.den_int, other.den_int, self.den_k, other.den_k
+        if a1 == a2:
+            if d1 == d2:
+                num = n1 + n2
+                if d1 == 1 and not a1:
+                    return _raw(num, 1, 0)
+                return _canonical(num, d1, a1)
+            g = gcd(d1, d2)
+            return _canonical(n1.scale(d2 // g) + n2.scale(d1 // g), d1 // g * d2, a1)
+        # One numerator is not divisible by k and the other gets shifted by a
+        # positive power of k, so the sum is nonzero and not divisible by k.
+        g = gcd(d1, d2)
+        a = max(a1, a2)
+        num = n1._scale_shift(d2 // g, a - a1) + n2._scale_shift(d1 // g, a - a2)
+        return _raw(*_content_free(num, d1 // g * d2), a)
 
     def __neg__(self) -> "ParamRatio":
-        return ParamRatio(-self.num, self.den, reduce=False)
+        return _raw(-self.num, self.den_int, self.den_k)
 
     def __sub__(self, other: "ParamRatio") -> "ParamRatio":
         return self + (-other)
 
     def __mul__(self, other: "ParamRatio") -> "ParamRatio":
-        if self.num.is_zero() or other.num.is_zero():
+        n1, n2 = self.num, other.num
+        if not n1.terms or not n2.terms:
             return _RATIO_ZERO
-        if self.den.is_const() and other.den.is_const():
-            return ParamRatio(self.num * other.num, _POLY_ONE, reduce=False)
-        # cross-cancel; each operand is already reduced
-        n1, d2 = self.num, other.den
-        g1 = poly_gcd(n1, d2)
-        if not g1.is_const():
-            n1 = n1.exact_div(g1)
-            d2 = d2.exact_div(g1)
-        n2, d1 = other.num, self.den
-        g2 = poly_gcd(n2, d1)
-        if not g2.is_const():
-            n2 = n2.exact_div(g2)
-            d1 = d1.exact_div(g2)
-        return ParamRatio(n1 * n2, d1 * d2, reduce=False)._normalized_unit()
-
-    def __truediv__(self, other: "ParamRatio") -> "ParamRatio":
-        if other.num.is_zero():
-            raise DivisionByZero("division by the zero rational function")
-        inv = ParamRatio(other.den, other.num, reduce=False)._normalized_unit()
-        return self * inv
+        d1, d2, a1, a2 = self.den_int, other.den_int, self.den_k, other.den_k
+        if a1 and a2:
+            j = 0  # neither numerator is divisible by k
+        elif a1:
+            j = min(a1, n2._k_valuation())
+        elif a2:
+            j = min(a2, n1._k_valuation())
+        elif d1 == 1 and d2 == 1:
+            return _raw(n1 * n2, 1, 0)
+        else:
+            j = 0
+        num, den_int = _content_free(n1 * n2, d1 * d2)
+        if j:
+            num = _poly({e - j: c for e, c in num.terms.items()})
+        return _raw(num, den_int, _check_den_k(a1 + a2 - j))
 
     def inverse(self) -> "ParamRatio":
-        return _RATIO_ONE / self
+        terms = self.num.terms
+        if not terms:
+            raise DivisionByZero("division by the zero rational function")
+        if len(terms) != 1 or next(iter(terms)) & _NOT_K:
+            raise UnsupportedDenominator(
+                "division by %s, which is not a constant times a power of k" % self.text())
+        (e, c), = terms.items()
+        g = gcd(self.den_int, c)
+        top, bottom = self.den_int // g, c // g
+        if bottom < 0:
+            top, bottom = -top, -bottom
+        if self.den_k >= e:
+            return _raw(_poly({self.den_k - e: top}), bottom, 0)
+        return _raw(_poly({0: top}), bottom, e - self.den_k)
+
+    def __truediv__(self, other: "ParamRatio") -> "ParamRatio":
+        return self * other.inverse()
 
     def __pow__(self, n: int) -> "ParamRatio":
+        if n < 0:
+            return self.inverse() ** (-n)
         if n == 0:
             return _RATIO_ONE
-        if n < 0:
-            return (_RATIO_ONE / self) ** (-n)
-        return ParamRatio(self.num ** n, self.den ** n)
+        return _raw(self.num ** n, self.den_int ** n, _check_den_k(self.den_k * n))
 
     def scale(self, c) -> "ParamRatio":
-        return ParamRatio(self.num.scale(Rat(c)), self.den)
+        if type(c) is int:
+            m, d = c, 1
+        else:
+            c = Rat(c)
+            m, d = int(c.numerator), int(c.denominator)
+        if not m or not self.num.terms:
+            return _RATIO_ZERO
+        if d == 1:
+            # the content of num is coprime to den_int, so only m can cancel
+            g = gcd(m, self.den_int)
+            return _raw(self.num.scale(m // g), self.den_int // g, self.den_k)
+        return _raw(*_content_free(self.num.scale(m), self.den_int * d), self.den_k)
 
     # -- substitution and evaluation ------------------------------------------
 
     def substitute(self, bindings: dict) -> "ParamRatio":
         """Substitute symbols by ParamRatio values (exact)."""
-        num = self.num.substitute(bindings)
-        den = self.den.substitute(bindings)
-        if den.is_zero():
+        out = self.num.substitute(bindings)
+        if self.den_int != 1:
+            out = out.scale(Rat(1, self.den_int))
+        if not self.den_k:
+            return out
+        k = bindings.get("k")
+        if k is None:
+            return out * _raw(_POLY_ONE, 1, self.den_k)
+        k = k if isinstance(k, ParamRatio) else ParamRatio.const(k)
+        if k.is_zero():
             raise DenominatorVanishes("denominator vanishes under substitution")
-        return num / den
+        return out * k.inverse() ** self.den_k
 
     def eval_at(self, point: dict):
         """Exact rational value at {symbol: rational}; raises PoleAtPoint."""
-        d = self.den.eval(point)
+        d = self.den_int * Rat(point.get("k", 0)) ** self.den_k
         if d == 0:
             raise PoleAtPoint("denominator vanishes at %r" % (point,))
         return self.num.eval(point) / d
@@ -723,20 +552,18 @@ class ParamRatio:
     # -- display ------------------------------------------------------------------
 
     def text(self) -> str:
-        num = self.num.text()
+        num = _terms_text(self.num.terms, self.den_int)
         if len(self.num.terms) > 1:
             num = "(%s)" % num
-        den = self.den.text()
-        if len(self.den.terms) > 1:
-            den = "(%s)" % den
-        return "%s/%s" % (num, den)
+        a = self.den_k
+        return "%s/%s" % (num, "1" if not a else "k" if a == 1 else "k^%d" % a)
 
     def __repr__(self):
         return "ParamRatio(%s)" % self.text()
 
 
-_RATIO_ZERO = ParamRatio(_POLY_ZERO, _POLY_ONE, reduce=False)
-_RATIO_ONE = ParamRatio(_POLY_ONE, _POLY_ONE, reduce=False)
+_RATIO_ZERO = _raw(_POLY_ZERO, 1, 0)
+_RATIO_ONE = _raw(_POLY_ONE, 1, 0)
 
 ZERO = _RATIO_ZERO
 ONE = _RATIO_ONE

@@ -2,24 +2,24 @@ import random
 
 import pytest
 
-from dunklcms.coeffs import ParamPoly, ParamRatio, Rat
+from dunklcms.coeffs import SYMBOLS, ParamPoly, ParamRatio
 
 
 def random_param_poly(rng: random.Random, symbols=(0, 1, 2), max_terms=4, max_exp=3) -> ParamPoly:
-    terms = {}
+    out = ParamPoly.zero()
     for _ in range(rng.randint(1, max_terms)):
-        e = [0] * 5
+        term = ParamPoly.const(rng.randint(-9, 9))
         for s in symbols:
-            e[s] = rng.randint(0, max_exp)
-        terms[tuple(e)] = Rat(rng.randint(-9, 9))
-    return ParamPoly(terms)
+            term = term * ParamPoly.symbol(SYMBOLS[s], rng.randint(0, max_exp))
+        out = out + term
+    return out
 
 
 def random_param_ratio(rng: random.Random, symbols=(0,)) -> ParamRatio:
+    """A random Laurent element: a polynomial over a positive integer times a
+    power of k, the only denominators the coefficient ring admits."""
     num = random_param_poly(rng, symbols)
-    den = random_param_poly(rng, symbols, max_terms=2, max_exp=2)
-    while den.is_zero():
-        den = random_param_poly(rng, symbols, max_terms=2, max_exp=2)
+    den = ParamPoly.const(rng.randint(1, 12)) * ParamPoly.symbol("k", rng.randint(0, 2))
     return ParamRatio(num, den)
 
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from dunklcms import _parallel
 from dunklcms.cli import Report, build_parser, report_emit, run
 
 
@@ -103,6 +106,67 @@ class TestErrorsAndGuards:
         code, out = run_cli(capsys, "generate", "integral", "--family", "rat-b", "--r", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "lax", "--family", "rat-a", "--n", "0", "--m", "0"),
+        ("verify", "lax", "--family", "rat-a", "--n", "0", "--m", "0", "--mode", "sampled"),
+        ("verify", "deformed", "--n", "-1", "--m", "1", "--r", "1"),
+        ("verify", "moser-integrals", "--family", "rat-a", "--n", "1", "--m", "1", "--r", "0"),
+        ("verify", "moser-integrals", "--family", "rat-a", "--n", "1", "--m", "1", "--r", "1",
+         "--basis-deg", "-1"),
+        ("verify", "degenerate-k1", "--n", "1", "--m", "-1", "--r", "1"),
+        ("generate", "integral", "--family", "rat-a", "--r", "-2"),
+        ("generate", "integral", "--family", "rat-b", "--r", "0"),
+        ("verify", "closed-form", "--family", "rat-a", "--deg", "-1"),
+        ("verify", "commute-infinity", "--family", "rat-a", "--r", "2", "--s", "3", "--deg", "-1"),
+        ("verify", "commute-infinity", "--family", "rat-a", "--r", "0", "--s", "3"),
+        ("verify", "commute-infinity", "--family", "rat-a", "--r", "2", "--s", "3", "--pwindow", "-1"),
+        ("verify", "diagram", "--family", "rat-a", "--kind", "dcomm", "--N", "0", "--r", "1"),
+        ("verify", "diagram", "--family", "rat-a", "--kind", "heckdiag", "--N", "0", "--r", "1"),
+        ("verify", "diagram", "--family", "rat-a", "--kind", "dcomm", "--N", "2", "--i", "5"),
+        ("verify", "diagram", "--family", "rat-a", "--kind", "dcomm", "--N", "2", "--i", "0"),
+        ("verify", "diagram", "--family", "rat-a", "--kind", "propcomm", "--n", "1", "--m", "1",
+         "--i", "3"),
+        ("verify", "diagram", "--family", "rat-a", "--kind", "intrat", "--n", "0", "--m", "0"),
+    ])
+    def test_out_of_domain_requests_are_errors(self, capsys, argv):
+        code, out = run_cli(capsys, *argv, "--format", "json", "--no-timing")
+        payload = json.loads(out)
+        assert (code, payload["status"]) == (2, "error"), payload
+        assert not any(note.startswith(("IndexError", "ValueError")) for note in payload["notes"])
+
+    def test_smallest_requests_still_verify(self, capsys):
+        for argv in (
+            ("verify", "lax", "--family", "rat-a", "--n", "1", "--m", "0"),
+            ("verify", "closed-form", "--family", "rat-a", "--deg", "0"),
+            ("verify", "diagram", "--family", "rat-a", "--kind", "dcomm", "--N", "2", "--i", "2"),
+        ):
+            code, out = run_cli(capsys, *argv)
+            assert code == 0, out
+
+    def test_report_without_checks_is_an_error(self, capsys, monkeypatch):
+        from dunklcms import cli
+
+        monkeypatch.setitem(cli._HANDLERS, ("verify", "lax"), lambda args, report: None)
+        code, out = run_cli(capsys, "verify", "lax", "--family", "rat-a", "--n", "1", "--m", "1")
+        assert code == 2
+        assert "error (0 checks)" in out and "nothing to check" in out
+
+    def test_basis_degree_zero_is_honoured(self, capsys, monkeypatch):
+        from dunklcms import cli
+
+        calls = []
+        real = cli.commute_check
+
+        def spy(A, B, mode="symbolic", deg=4):
+            calls.append((mode, deg))
+            return real(A, B, mode, deg)
+
+        monkeypatch.setattr(cli, "commute_check", spy)
+        code, out = run_cli(capsys, "verify", "moser-integrals", "--family", "rat-a", "--n", "1",
+                            "--m", "1", "--r", "1", "--basis-deg", "0")
+        assert code == 0
+        assert calls == [("basis", 0)]
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
@@ -132,6 +196,40 @@ class TestWorkerPool:
         monkeypatch.setenv("DUNKLCMS_WORKERS", "2")
         _, parallel = run_cli(capsys, *args)
         assert serial == parallel
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 3)
+        for value, expected in (("100000", 3), ("2", 2), ("0", 1), ("-5", 1), ("lots", 1)):
+            monkeypatch.setenv("DUNKLCMS_WORKERS", value)
+            assert _parallel.worker_count() == expected
+        monkeypatch.delenv("DUNKLCMS_WORKERS")
+        assert _parallel.worker_count() == 1
+        monkeypatch.undo()
+        monkeypatch.setenv("DUNKLCMS_WORKERS", "100000")
+        assert 1 <= _parallel.worker_count() <= _parallel._usable_cpus()
+
+    def test_pool_is_no_larger_than_the_items(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 64)
+        monkeypatch.setenv("DUNKLCMS_WORKERS", "100000")
+        assert _parallel.ordered_map(abs, [-1, 2, -3]) == [1, 2, 3]
+        assert _parallel.ordered_map(abs, [-4]) == [4]
+        assert sizes == [3]
 
 
 class TestReportShape:
