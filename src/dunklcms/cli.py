@@ -333,15 +333,9 @@ def _verify_moser_integrals(args, report):
             report.record(rep.ok, "[e*L^%de, H] symbolic" % r,
                           rep.counterexamples[0][1] if rep.counterexamples else "", "0")
     factor, cst, residual = integral_vs_hamiltonian(family, parity)
-    ok = residual.is_zero() and _is_scalar(cst)
+    ok = residual.is_zero() and cst.is_scalar()
     report.record(ok, "e*L^2e = %s*H + const" % factor.text(), cst.text(), "scalar")
     report.notes.append("hamiltonian factor %s, additive constant %s" % (factor.text(), cst.text()))
-
-
-def _is_scalar(f: RatFun) -> bool:
-    return (not f.den) and (len(f.num.terms) <= 1) and all(
-        not any(e) for e in f.num.terms
-    )
 
 
 def _verify_degenerate_k1(args, report):

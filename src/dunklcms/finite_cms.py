@@ -28,6 +28,7 @@ _K = ParamRatio.symbol("k")
 _P = ParamRatio.symbol("p")
 _Q = ParamRatio.symbol("q")
 _HALF = ParamRatio.fraction(1, 2)
+_MINUS_ONE = ParamRatio.const(-1)
 
 
 class NotInvariant(ValueError):
@@ -211,7 +212,13 @@ class MultiPoly:
     # -- division --------------------------------------------------------------
 
     def div_or_none(self, other: "MultiPoly"):
-        """Exact quotient self / other, or None when a remainder survives."""
+        """Exact quotient self / other, or None when a remainder survives.
+
+        A divisor with a root in closed form is tried at that root first (see
+        ``_nonzero_at_root``): a nonzero value proves that no quotient exists,
+        so most failing cancellations never reach the long division.  Only a
+        dividend that vanishes there is divided, which yields the quotient.
+        """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
@@ -223,6 +230,8 @@ class MultiPoly:
                 self.nvars,
                 {tuple(a - b for a, b in zip(e, oe)): c * inv for e, c in self.terms.items()},
             )
+        if _nonzero_at_root(self.terms, other.terms):
+            return None
         # shift a Laurent dividend into the polynomial ring; valid because all
         # non-monomial divisors used here have, in each variable, a term of
         # exponent zero, so Laurent divisibility equals shifted divisibility
@@ -236,6 +245,7 @@ class MultiPoly:
         }
         quo: dict = {}
         le, lc = other.leading()
+        unit = lc == ONE or lc == _MINUS_ONE  # then 1 / lc = lc
         # max-heap with lazy deletion tracks the leading remainder term
         heap = [(-sum(e), tuple(-x for x in e)) for e in rem]
         heapq.heapify(heap)
@@ -252,13 +262,13 @@ class MultiPoly:
                 return None
             heapq.heappop(heap)
             in_heap.discard(re)
-            c = rem.pop(re) / lc
+            c = _times(rem.pop(re), lc) if unit else rem.pop(re) / lc
             quo[diff] = quo.get(diff, ZERO) + c
             for e2, c2 in other.terms.items():
                 if e2 == le:
                     continue
                 e = tuple(a + b for a, b in zip(diff, e2))
-                v = rem.get(e, ZERO) - c * c2
+                v = rem.get(e, ZERO) - _times(c, c2)
                 if v.is_zero():
                     rem.pop(e, None)
                 else:
@@ -302,27 +312,89 @@ class MultiPoly:
         return "MultiPoly(%s)" % self.text()
 
 
-def _binomial(nvars: int, i: int, j: int, sign: int) -> MultiPoly:
-    """x_i + sign * x_j."""
-    ei = [0] * nvars
-    ei[i] = 1
-    ej = [0] * nvars
-    ej[j] = 1
-    return MultiPoly(nvars, {tuple(ei): ONE, tuple(ej): ParamRatio.const(sign)})
+def _times(c: ParamRatio, u: ParamRatio) -> ParamRatio:
+    """c * u; the structural factors have coefficients +-1, which need no product."""
+    if u == ONE:
+        return c
+    if u == _MINUS_ONE:
+        return -c
+    return c * u
 
 
-def _xx_minus_1(nvars: int, i: int, j: int) -> MultiPoly:
-    e = [0] * nvars
-    e[i] += 1
-    e[j] += 1
-    return MultiPoly(nvars, {tuple(e): ONE, (0,) * nvars: ParamRatio.const(-1)})
+def _nonzero_at_root(terms: dict, divisor: dict) -> bool:
+    """True when the divisor provably does not divide the dividend ``terms``.
+
+    Applies to a divisor s*x^e1 + t*x^e2 with s, t = +-1 and a variable x_a of
+    exponent 1 in e1 and 0 in e2.  Over the Laurent ring it is the unit
+    s*x^(e1-x_a) times x_a - r with r = -s*t * x^(e2-e1+x_a), and r is free
+    of x_a, so by the factor theorem it divides g iff g vanishes at x_a = r.
+    That substitution sends x^e to (-s*t)^(e_a) x^(e + e_a*(e2-e1)).  A term
+    alone in its image monomial makes the image nonzero without coefficient
+    arithmetic; otherwise the coefficients of each image monomial are summed.
+    False means either that the image vanishes or that the test does not apply.
+    """
+    (e1, s), (e2, t) = divisor.items()
+    if not (s == ONE or s == _MINUS_ONE) or not (t == ONE or t == _MINUS_ONE):
+        return False
+    for a, (p1, p2) in enumerate(zip(e1, e2)):
+        if p1 == 1 and not p2:
+            break
+        if p2 == 1 and not p1:
+            e1, e2 = e2, e1
+            break
+    else:
+        return False
+    shift = tuple(b - c for b, c in zip(e2, e1))
+    groups: dict = {}
+    for e in terms:
+        ea = e[a]
+        image = tuple([b + ea * c for b, c in zip(e, shift)]) if ea else e
+        groups.setdefault(image, []).append(e)
+    if any(len(group) == 1 for group in groups.values()):
+        return True
+    flip = s == t  # the root carries the sign -s*t = -1
+    for group in groups.values():
+        total = ZERO
+        for e in group:
+            c = terms[e]
+            total = total - c if flip and e[a] % 2 else total + c
+        if not total.is_zero():
+            return True
+    return False
 
 
-def _x_shift(nvars: int, i: int, const: int, power: int = 1) -> MultiPoly:
-    """x_i^power + const."""
-    e = [0] * nvars
-    e[i] = power
-    return MultiPoly(nvars, {tuple(e): ONE, (0,) * nvars: ParamRatio.const(const)})
+# -- structural factors of the Dunkl operators and of the Moser matrices ------
+
+
+def _structural(nvars: int, lead, tail, c: int) -> MultiPoly:
+    """x^lead + c * x^tail, where lead and tail list variables with multiplicity."""
+    def exps(variables):
+        e = [0] * nvars
+        for v in variables:
+            e[v] += 1
+        return tuple(e)
+
+    return MultiPoly(nvars, {exps(lead): ONE, exps(tail): ParamRatio.const(c)})
+
+
+def _fac_diff(nvars: int, i: int, j: int) -> MultiPoly:
+    """x_i - x_j."""
+    return _structural(nvars, (i,), (j,), -1)
+
+
+def _fac_sum(nvars: int, i: int, j: int) -> MultiPoly:
+    """x_i + x_j."""
+    return _structural(nvars, (i,), (j,), 1)
+
+
+def _fac_prod_minus_1(nvars: int, i: int, j: int) -> MultiPoly:
+    """x_i x_j - 1."""
+    return _structural(nvars, (i, j), (), -1)
+
+
+def _fac_shift(nvars: int, i: int, c: int, power: int = 1) -> MultiPoly:
+    """x_i^power + c."""
+    return _structural(nvars, (i,) * power, (), c)
 
 
 # -- finite Dunkl operators -------------------------------------------------
@@ -338,7 +410,7 @@ def finite_dunkl(family: Family, N: int, i: int, f: MultiPoly) -> MultiPoly:
         for j in range(n):
             if j == i:
                 continue
-            g = (f - f.act_swap(i, j)).exact_div(_binomial(n, i, j, -1))
+            g = (f - f.act_swap(i, j)).exact_div(_fac_diff(n, i, j))
             out = out - g.scale(_K)
         return out
     if family is Family.TRIG_A:
@@ -346,16 +418,16 @@ def finite_dunkl(family: Family, N: int, i: int, f: MultiPoly) -> MultiPoly:
         for j in range(n):
             if j == i:
                 continue
-            g = (f - f.act_swap(i, j)).exact_div(_binomial(n, i, j, -1))
-            out = out - (_binomial(n, i, j, 1) * g).scale(_K * _HALF)
+            g = (f - f.act_swap(i, j)).exact_div(_fac_diff(n, i, j))
+            out = out - (_fac_sum(n, i, j) * g).scale(_K * _HALF)
         return out
     if family is Family.RAT_B:
         out = f.diff(i)
         for j in range(n):
             if j == i:
                 continue
-            g1 = (f - f.act_swap(i, j)).exact_div(_binomial(n, i, j, -1))
-            g2 = (f - f.act_signed_swap(i, j)).exact_div(_binomial(n, i, j, 1))
+            g1 = (f - f.act_swap(i, j)).exact_div(_fac_diff(n, i, j))
+            g2 = (f - f.act_signed_swap(i, j)).exact_div(_fac_sum(n, i, j))
             out = out - (g1 + g2).scale(_K)
         xi = MultiPoly.var(n, i)
         g3 = (f - f.act_flip(i)).exact_div(xi)
@@ -365,16 +437,16 @@ def finite_dunkl(family: Family, N: int, i: int, f: MultiPoly) -> MultiPoly:
     for j in range(n):
         if j == i:
             continue
-        g1 = (f - f.act_swap(i, j)).exact_div(_binomial(n, i, j, -1))
-        out = out - (_binomial(n, i, j, 1) * g1).scale(_K * _HALF)
-        g2 = (f - f.act_invert_swap(i, j)).exact_div(_xx_minus_1(n, i, j))
-        xx1 = _xx_minus_1(n, i, j) + MultiPoly.const(n, 2)  # x_i x_j + 1
+        g1 = (f - f.act_swap(i, j)).exact_div(_fac_diff(n, i, j))
+        out = out - (_fac_sum(n, i, j) * g1).scale(_K * _HALF)
+        g2 = (f - f.act_invert_swap(i, j)).exact_div(_fac_prod_minus_1(n, i, j))
+        xx1 = _fac_prod_minus_1(n, i, j) + MultiPoly.const(n, 2)  # x_i x_j + 1
         out = out - (xx1 * g2).scale(_K * _HALF)
     ti = f - f.act_invert(i)
-    g3 = ti.exact_div(_x_shift(n, i, -1))
-    out = out - (_x_shift(n, i, 1) * g3).scale(_P * _HALF)
-    g4 = ti.exact_div(_x_shift(n, i, -1, power=2))
-    out = out - (_x_shift(n, i, 1, power=2) * g4).scale(_Q)
+    g3 = ti.exact_div(_fac_shift(n, i, -1))
+    out = out - (_fac_shift(n, i, 1) * g3).scale(_P * _HALF)
+    g4 = ti.exact_div(_fac_shift(n, i, -1, 2))
+    out = out - (_fac_shift(n, i, 1, 2) * g4).scale(_Q)
     return out
 
 
@@ -549,7 +621,7 @@ def deformed_partials(parity: ParityData, r: int, f: MultiPoly) -> list:
             for j in range(N):
                 if j == i:
                     continue
-                h = (level[i] - level[j]).exact_div(_binomial(N, i, j, -1))
+                h = (level[i] - level[j]).exact_div(_fac_diff(N, i, j))
                 g = g - h.scale(parity.cross_weight(i, j))
             nxt.append(g)
         level = nxt

@@ -5,9 +5,11 @@ rational-function coefficients, kept in normal order (coefficients left of all
 derivatives); composition re-normalizes through the Leibniz rule.
 ``RatFun`` keeps its denominator in factored form: every denominator arising
 here is a product of the irreducible structural factors x_i, x_i - x_j,
-x_i + x_j, x_i x_j - 1, x_i - 1, x_i + 1, so cancellation reduces to
-exact-division tests and zero-testing stays decisive (a rational function
-vanishes iff its numerator does).
+x_i + x_j, x_i x_j - 1, x_i - 1, x_i + 1 (built in ``finite_cms``), so
+cancellation reduces to exact-division tests and zero-testing stays decisive
+(a rational function vanishes iff its numerator does).  Each of these factors
+except x_i is linear in some variable, so a failing cancellation is mostly
+decided by evaluating the numerator at the factor's root, without dividing.
 
 On top of this the module builds, for each family, the quantum Moser matrix L
 (block form [[A, B], [-B, -A]] for the B families), the companion matrix M of
@@ -21,7 +23,14 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .coeffs import B_CONSTRAINT, BC_CONSTRAINT, ONE, ParamRatio, k_power
-from .finite_cms import MultiPoly, ParityData
+from .finite_cms import (
+    MultiPoly,
+    ParityData,
+    _fac_diff,
+    _fac_prod_minus_1,
+    _fac_shift,
+    _fac_sum,
+)
 from .powersums import Family, UnsupportedFamily
 
 _K = ParamRatio.symbol("k")
@@ -96,6 +105,10 @@ class RatFun:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def is_scalar(self) -> bool:
+        """True for a constant: no denominator and no x in the numerator."""
+        return not self.den and all(not any(e) for e in self.num.terms)
 
     def den_poly(self) -> MultiPoly:
         out = MultiPoly.const(self.nvars, 1)
@@ -434,39 +447,6 @@ class OpMatrix:
 # -- structural denominators -------------------------------------------------
 
 
-def _fac_diff(nvars, i, j) -> MultiPoly:
-    e1 = [0] * nvars
-    e1[i] = 1
-    e2 = [0] * nvars
-    e2[j] = 1
-    return MultiPoly(nvars, {tuple(e1): ONE, tuple(e2): ParamRatio.const(-1)})
-
-
-def _fac_sum(nvars, i, j) -> MultiPoly:
-    e1 = [0] * nvars
-    e1[i] = 1
-    e2 = [0] * nvars
-    e2[j] = 1
-    return MultiPoly(nvars, {tuple(e1): ONE, tuple(e2): ONE})
-
-
-def _fac_var(nvars, i, power=1) -> MultiPoly:
-    return MultiPoly.var(nvars, i, power)
-
-
-def _fac_prod_minus_1(nvars, i, j) -> MultiPoly:
-    e = [0] * nvars
-    e[i] += 1
-    e[j] += 1
-    return MultiPoly(nvars, {tuple(e): ONE, (0,) * nvars: ParamRatio.const(-1)})
-
-
-def _fac_shift(nvars, i, c, power=1) -> MultiPoly:
-    e = [0] * nvars
-    e[i] = power
-    return MultiPoly(nvars, {tuple(e): ONE, (0,) * nvars: ParamRatio.const(c)})
-
-
 def _den_shift2(nvars, i, e: int) -> list:
     """(x_i^2 - 1)^e as irreducible denominator factors."""
     return [(_fac_shift(nvars, i, -1), e), (_fac_shift(nvars, i, 1), e)]
@@ -520,7 +500,7 @@ def moser_L(family: Family, parity: ParityData) -> OpMatrix:
                     arow.append(WeylOp.partial(nm, i, RatFun.const(nm, parity.k_weight(i))))
                     mi = _species_multiplicity(family, parity, i)
                     brow.append(WeylOp.mul_by(
-                        _rf(MultiPoly.const(nm, parity.k_weight(i) * mi), (_fac_var(nm, i), 1))
+                        _rf(MultiPoly.const(nm, parity.k_weight(i) * mi), (MultiPoly.var(nm, i), 1))
                     ))
                 else:
                     w = parity.cross_weight(i, j)
@@ -575,7 +555,7 @@ def moser_M(family: Family, parity: ParityData) -> OpMatrix:
             if family is Family.RAT_A:
                 f = _rf(MultiPoly.const(nm, w), (_fac_diff(nm, i, j), 2))
             else:
-                num = _fac_var(nm, i) * _fac_var(nm, j)
+                num = MultiPoly.var(nm, i) * MultiPoly.var(nm, j)
                 f = _rf(num.scale(w), (_fac_diff(nm, i, j), 2))
             row.append(WeylOp.mul_by(f))
             diag = diag - f
@@ -660,7 +640,7 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
                         (1, 1): (k_power(-1) + ONE),
                         (0, 1): _K + ONE,
                     }[(pi, pj)].scale(2)
-                    num = (_fac_var(nm, i) * _fac_var(nm, j)).scale(c)
+                    num = (MultiPoly.var(nm, i) * MultiPoly.var(nm, j)).scale(c)
                     H = H - WeylOp.mul_by(_rf(num, (_fac_diff(nm, i, j), 2)))
         return H
     if family is Family.RAT_B:
@@ -677,7 +657,7 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
                     H = H - WeylOp.mul_by(_rf(MultiPoly.const(nm, _K.scale(2)), (_fac_diff(nm, i, j), 1))).compose(minus)
                     H = H - WeylOp.mul_by(_rf(MultiPoly.const(nm, _K.scale(2)), (_fac_sum(nm, i, j), 1))).compose(plus)
             for i in range(nm):
-                H = H - WeylOp.mul_by(_rf(MultiPoly.const(nm, _Q.scale(2)), (_fac_var(nm, i), 1))).compose(WeylOp.partial(nm, i))
+                H = H - WeylOp.mul_by(_rf(MultiPoly.const(nm, _Q.scale(2)), (MultiPoly.var(nm, i), 1))).compose(WeylOp.partial(nm, i))
             return H
         # ungauged deformed rational B: negative kinetic part
         for i in range(nm):
@@ -698,7 +678,7 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
                 c = _Q * (_Q + ONE)
             else:
                 c = _K * _S_VALUE * (_S_VALUE + ONE)
-            H = H + WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (_fac_var(nm, i), 2)))
+            H = H + WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (MultiPoly.var(nm, i), 2)))
         return H
     # TRIG_BC
     if gauged:
@@ -734,7 +714,7 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
                 (1, 1): (k_power(-1) + ONE),
                 (0, 1): _K + ONE,
             }[(pi, pj)].scale(2)
-            num = (_fac_var(nm, i) * _fac_var(nm, j)).scale(c)
+            num = (MultiPoly.var(nm, i) * MultiPoly.var(nm, j)).scale(c)
             H = H - WeylOp.mul_by(_rf(num, (_fac_diff(nm, i, j), 2)))
             H = H - WeylOp.mul_by(_rf(num, (_fac_prod_minus_1(nm, i, j), 2)))
     for i in range(nm):
@@ -742,8 +722,8 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
         kw = parity.k_weight(i)
         c1 = kw * mu * (mu + nu.scale(2) + ONE)
         c2 = (kw * nu * (nu + ONE)).scale(4)
-        H = H - WeylOp.mul_by(_rf(_fac_var(nm, i).scale(c1), (_fac_shift(nm, i, -1), 2)))
-        H = H - WeylOp.mul_by(_rf(_fac_var(nm, i, 2).scale(c2), *_den_shift2(nm, i, 2)))
+        H = H - WeylOp.mul_by(_rf(MultiPoly.var(nm, i).scale(c1), (_fac_shift(nm, i, -1), 2)))
+        H = H - WeylOp.mul_by(_rf(MultiPoly.var(nm, i, 2).scale(c2), *_den_shift2(nm, i, 2)))
     return H
 
 
@@ -844,8 +824,8 @@ class CommuteReport:
 
 def _commutator_on_x_monomial(A: WeylOp, B: WeylOp, exps) -> tuple:
     mono = MultiPoly(A.nvars, {exps: ONE})
-    v1 = _apply_to_ratfun(A, B.apply(mono))
-    v2 = _apply_to_ratfun(B, A.apply(mono))
+    v1 = apply_weyl_to_ratfun(A, B.apply(mono))
+    v2 = apply_weyl_to_ratfun(B, A.apply(mono))
     return exps, v1 - v2
 
 
@@ -880,7 +860,8 @@ def commute_check(A: WeylOp, B: WeylOp, mode: str = "symbolic", deg: int = 4) ->
     return CommuteReport("basis(deg=%d)" % deg, not bad, bad)
 
 
-def _apply_to_ratfun(op: WeylOp, f: RatFun) -> RatFun:
+def apply_weyl_to_ratfun(op: WeylOp, f: RatFun) -> RatFun:
+    """op applied to a rational function: each term's derivatives times its coefficient."""
     parts = []
     for dexps, c in op.terms.items():
         g = f
@@ -889,10 +870,6 @@ def _apply_to_ratfun(op: WeylOp, f: RatFun) -> RatFun:
                 g = g.diff(i)
         parts.append(c * g)
     return RatFun.sum(op.nvars, parts)
-
-
-def apply_weyl_to_ratfun(op: WeylOp, f: RatFun) -> RatFun:
-    return _apply_to_ratfun(op, f)
 
 
 # -- gauge transformations ----------------------------------------------------------
@@ -936,7 +913,7 @@ def psi0_logderivs(family: Family, parity: ParityData):
             if family is Family.RAT_A:
                 w = w + _rf(MultiPoly.const(nm, c), (_fac_diff(nm, i, j), 1))
             elif family is Family.TRIG_A:
-                w = w + _rf(MultiPoly.const(nm, c * _HALF), (_fac_var(nm, i), 1))
+                w = w + _rf(MultiPoly.const(nm, c * _HALF), (MultiPoly.var(nm, i), 1))
                 w = w - _rf(MultiPoly.const(nm, c), (_fac_diff(nm, i, j), 1))
             else:
                 raise UnsupportedFamily(family.value)

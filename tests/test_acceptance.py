@@ -45,10 +45,6 @@ def _report(number: int, title: str, ok: bool):
     assert ok, line
 
 
-def _is_scalar(f: RatFun) -> bool:
-    return (not f.den) and (len(f.num.terms) <= 1) and all(not any(e) for e in f.num.terms)
-
-
 def test_criterion_1_closed_form_agreement():
     ok = True
     for family, deg in (
@@ -147,7 +143,7 @@ def test_criterion_5_deformed_integrals():
     ):
         for nm in ((1, 1), (2, 1)):
             factor, cst, residual = integral_vs_hamiltonian(family, ParityData(*nm))
-            ok = ok and residual.is_zero() and _is_scalar(cst)
+            ok = ok and residual.is_zero() and cst.is_scalar()
             if exact:
                 ok = ok and cst.is_zero()
     # the rational block family also commutes fully symbolically

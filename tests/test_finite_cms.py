@@ -1,6 +1,10 @@
-import pytest
+import random
 
-from dunklcms.coeffs import ONE, const, symbol
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dunklcms.coeffs import ONE, ParamRatio, const, k_power, symbol
 from dunklcms.finite_cms import (
     Hom,
     MultiPoly,
@@ -12,6 +16,11 @@ from dunklcms.finite_cms import (
     finite_dunkl,
     heckman_integral,
     is_invariant,
+    _fac_diff,
+    _fac_prod_minus_1,
+    _fac_shift,
+    _fac_sum,
+    _nonzero_at_root,
     standard_testset,
 )
 from dunklcms.powersums import Family, InexactDivision, LambdaElem, LambdaXElem
@@ -58,6 +67,117 @@ class TestMultiPoly:
             lhs = getattr(f * g, act)(1)
             rhs = getattr(f, act)(1) * getattr(g, act)(1)
             assert lhs == rhs
+
+
+#: Every structural factor shape the root test covers, in both index orders:
+#: x1 - x0 has the grlex leading term -x0.
+ROOT_FACTORS = [
+    ("x0 - x1", _fac_diff(3, 0, 1)),
+    ("x1 - x0", _fac_diff(3, 1, 0)),
+    ("x0 + x2", _fac_sum(3, 0, 2)),
+    ("x2 + x0", _fac_sum(3, 2, 0)),
+    ("x0 x1 - 1", _fac_prod_minus_1(3, 0, 1)),
+    ("1 - x1 x2", -_fac_prod_minus_1(3, 1, 2)),
+    ("x1 - 1", _fac_shift(3, 1, -1)),
+    ("1 - x1", -_fac_shift(3, 1, -1)),
+    ("x2 + 1", _fac_shift(3, 2, 1)),
+    ("-x2 - 1", -_fac_shift(3, 2, 1)),
+]
+
+
+def random_laurent(rng: random.Random, nterms: int) -> MultiPoly:
+    """A Laurent polynomial in x0, x1, x2 with coefficients c*k^j, as trig BC has."""
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(rng.randint(-2, 3) for _ in range(3))
+        terms[e] = ParamRatio.fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2])) \
+            * k_power(rng.randint(-1, 2))
+    return MultiPoly(3, terms)
+
+
+class TestRootTest:
+    """The root test in ``div_or_none`` against sympy and against its cost bound."""
+
+    sp = pytest.importorskip("sympy")
+
+    def divisible_by_sympy(self, g: MultiPoly, f: MultiPoly) -> bool:
+        sp = self.sp
+        xs = sp.symbols("x0 x1 x2")
+        k = sp.Symbol("k")
+
+        def expr(p, shift):
+            return sp.Add(*[
+                sp.sympify(c.text()) * sp.Mul(*[x ** (a - s) for x, a, s in zip(xs, e, shift)])
+                for e, c in p.terms.items()
+            ])
+
+        # shift the Laurent dividend into the polynomial ring and clear the
+        # powers of 1/k; neither changes divisibility by a factor free of
+        # monomial factors and of k
+        shift = [min([0] + [e[v] for e in g.terms]) for v in range(3)]
+        dividend = sp.expand(expr(g, shift) * k ** 2)
+        _, remainder = sp.reduced(dividend, [expr(f, (0, 0, 0))], *xs, k)
+        return remainder == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10 ** 9),
+        factor=st.sampled_from(ROOT_FACTORS),
+        nterms=st.integers(min_value=1, max_value=6),
+        perturb=st.booleans(),
+    )
+    def test_agrees_with_sympy(self, seed, factor, nterms, perturb):
+        rng = random.Random(seed)
+        _, f = factor
+        g = f * random_laurent(rng, nterms)
+        if perturb:
+            e = tuple(rng.randint(-2, 3) for _ in range(3))
+            g = g + MultiPoly(3, {e: ParamRatio.const(rng.choice([-2, -1, 1, 3]))})
+        if g.is_zero():
+            return
+        divisible = self.divisible_by_sympy(g, f)
+        assert _nonzero_at_root(g.terms, f.terms) == (not divisible)
+        q = g.div_or_none(f)
+        assert (q is None) == (not divisible)
+        if q is not None:
+            assert q * f == g
+
+    def test_does_not_apply_to_other_divisors(self):
+        x = V(3, 0) * V(3, 0) - C(3, 1)
+        two_x = V(3, 0).scale(const(2)) - V(3, 1)
+        g = V(3, 2) + C(3, 1)
+        assert not _nonzero_at_root(g.terms, x.terms)
+        assert not _nonzero_at_root(g.terms, two_x.terms)
+        assert g.div_or_none(x) is None and g.div_or_none(two_x) is None
+
+    def test_rejection_does_no_coefficient_arithmetic(self, monkeypatch):
+        # all 120 monomials of degree <= 7 in three variables; at the root
+        # x0 = x1 each pure power of x2 is alone in its image monomial, which
+        # proves that x0 - x1 does not divide g without any coefficient
+        # operation, so a change that loses the shortcut fails here
+        n = 3
+        terms = {}
+        for a in range(8):
+            for b in range(8 - a):
+                for c in range(8 - a - b):
+                    terms[(a, b, c)] = const(1 + a + 2 * b + 3 * c) * K
+        g = MultiPoly(n, terms)
+        f = _fac_diff(n, 0, 1)
+        assert len(g.terms) >= 100
+        calls = []
+
+        def counting(name):
+            original = getattr(ParamRatio, name)
+
+            def wrapper(self, *other):
+                calls.append(name)
+                return original(self, *other)
+            return wrapper
+
+        for name in ("__mul__", "__truediv__", "__add__", "__sub__", "__neg__"):
+            monkeypatch.setattr(ParamRatio, name, counting(name))
+        assert g.div_or_none(f) is None
+        assert calls == []
 
 
 class TestFiniteDunkl:
