@@ -245,7 +245,7 @@ class MultiPoly:
         }
         quo: dict = {}
         le, lc = other.leading()
-        unit = lc == ONE or lc == _MINUS_ONE  # then 1 / lc = lc
+        inv = ONE / lc
         # max-heap with lazy deletion tracks the leading remainder term
         heap = [(-sum(e), tuple(-x for x in e)) for e in rem]
         heapq.heapify(heap)
@@ -262,7 +262,7 @@ class MultiPoly:
                 return None
             heapq.heappop(heap)
             in_heap.discard(re)
-            c = _times(rem.pop(re), lc) if unit else rem.pop(re) / lc
+            c = _times(rem.pop(re), inv)
             quo[diff] = quo.get(diff, ZERO) + c
             for e2, c2 in other.terms.items():
                 if e2 == le:
@@ -333,6 +333,8 @@ def _nonzero_at_root(terms: dict, divisor: dict) -> bool:
     arithmetic; otherwise the coefficients of each image monomial are summed.
     False means either that the image vanishes or that the test does not apply.
     """
+    if len(divisor) != 2:
+        return False
     (e1, s), (e2, t) = divisor.items()
     if not (s == ONE or s == _MINUS_ONE) or not (t == ONE or t == _MINUS_ONE):
         return False

@@ -26,3 +26,10 @@ def random_param_ratio(rng: random.Random, symbols=(0,)) -> ParamRatio:
 @pytest.fixture
 def rng():
     return random.Random(20240615)
+
+
+@pytest.fixture(scope="session")
+def sp():
+    """sympy, the oracle of the ring and root tests; only a test that asks for
+    it is skipped when sympy is missing."""
+    return pytest.importorskip("sympy")

@@ -256,7 +256,9 @@ class TestFieldAxioms:
 class TestSympyOracle:
     """The ring against sympy on random Laurent elements in k, p, q."""
 
-    sp = pytest.importorskip("sympy")
+    @pytest.fixture(autouse=True)
+    def _oracle(self, sp):
+        self.sp = sp
 
     def sym(self, a: ParamRatio):
         return self.sp.sympify(a.text())

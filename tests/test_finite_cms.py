@@ -24,6 +24,7 @@ from dunklcms.finite_cms import (
     standard_testset,
 )
 from dunklcms.powersums import Family, InexactDivision, LambdaElem, LambdaXElem
+from dunklcms.weyl import RatFun
 
 K = symbol("k")
 
@@ -98,10 +99,8 @@ def random_laurent(rng: random.Random, nterms: int) -> MultiPoly:
 class TestRootTest:
     """The root test in ``div_or_none`` against sympy and against its cost bound."""
 
-    sp = pytest.importorskip("sympy")
-
-    def divisible_by_sympy(self, g: MultiPoly, f: MultiPoly) -> bool:
-        sp = self.sp
+    @staticmethod
+    def divisible_by_sympy(sp, g: MultiPoly, f: MultiPoly) -> bool:
         xs = sp.symbols("x0 x1 x2")
         k = sp.Symbol("k")
 
@@ -126,7 +125,7 @@ class TestRootTest:
         nterms=st.integers(min_value=1, max_value=6),
         perturb=st.booleans(),
     )
-    def test_agrees_with_sympy(self, seed, factor, nterms, perturb):
+    def test_agrees_with_sympy(self, sp, seed, factor, nterms, perturb):
         rng = random.Random(seed)
         _, f = factor
         g = f * random_laurent(rng, nterms)
@@ -135,7 +134,7 @@ class TestRootTest:
             g = g + MultiPoly(3, {e: ParamRatio.const(rng.choice([-2, -1, 1, 3]))})
         if g.is_zero():
             return
-        divisible = self.divisible_by_sympy(g, f)
+        divisible = self.divisible_by_sympy(sp, g, f)
         assert _nonzero_at_root(g.terms, f.terms) == (not divisible)
         q = g.div_or_none(f)
         assert (q is None) == (not divisible)
@@ -149,6 +148,22 @@ class TestRootTest:
         assert not _nonzero_at_root(g.terms, x.terms)
         assert not _nonzero_at_root(g.terms, two_x.terms)
         assert g.div_or_none(x) is None and g.div_or_none(two_x) is None
+
+    def test_divisor_with_three_terms(self):
+        # the root test stays out of the way, and the long division decides
+        f = V(3, 0) + V(3, 1) + C(3, 1)
+        g = f * f * V(3, 2)
+        miss = g + C(3, 1)
+        assert not _nonzero_at_root(g.terms, f.terms)
+        assert not _nonzero_at_root(miss.terms, f.terms)
+        assert g.div_or_none(f) == f * V(3, 2)
+        assert miss.div_or_none(f) is None
+        with pytest.raises(InexactDivision):
+            miss.exact_div(f)
+        r = RatFun(g, {f: 3})
+        assert r.num == C(3, 1) * V(3, 2) and r.den == {f: 1}
+        r = RatFun(miss, {f: 1})
+        assert r.num == miss and r.den == {f: 1}
 
     def test_rejection_does_no_coefficient_arithmetic(self, monkeypatch):
         # all 120 monomials of degree <= 7 in three variables; at the root

@@ -28,10 +28,6 @@ def V(n, i, p=1):
     return MultiPoly.var(n, i, p)
 
 
-def is_scalar(f: RatFun) -> bool:
-    return (not f.den) and (len(f.num.terms) <= 1) and all(not any(e) for e in f.num.terms)
-
-
 def rf(num, den_pairs=()):
     return RatFun(num, dict(den_pairs))
 
@@ -215,7 +211,7 @@ class TestIntegrals:
             f, c, res = integral_vs_hamiltonian(fam, ParityData(1, 1))
             assert f == factor
             assert res.is_zero()
-            assert is_scalar(c)
+            assert c.is_scalar()
             assert c.is_zero() == const_zero
 
     def test_self_commutator(self):
@@ -297,7 +293,7 @@ class TestGauge:
         w = psi0_logderivs(Family.TRIG_A, par)
         diff = gauge_conjugate(Hu, w) - Hg
         c = diff.constant_part()
-        assert (diff - WeylOp.mul_by(c)).is_zero() and is_scalar(c)
+        assert (diff - WeylOp.mul_by(c)).is_zero() and c.is_scalar()
         # the ground-state shift (k+1)/4
         assert c == RatFun(MultiPoly.const(2, (K + ONE) * ParamRatio.fraction(1, 4)))
 
