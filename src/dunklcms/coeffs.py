@@ -568,6 +568,9 @@ _RATIO_ONE = _raw(_POLY_ONE, 1, 0)
 ZERO = _RATIO_ZERO
 ONE = _RATIO_ONE
 K = ParamRatio.symbol("k")
+P = ParamRatio.symbol("p")
+Q = ParamRatio.symbol("q")
+HALF = ParamRatio.fraction(1, 2)
 
 
 def const(value) -> ParamRatio:

@@ -24,7 +24,7 @@ appears only in coefficients.
 
 from __future__ import annotations
 
-from .coeffs import ONE, ParamRatio
+from .coeffs import HALF, K, ONE, P, Q, ParamRatio
 from .powersums import (
     Family,
     LambdaElem,
@@ -40,12 +40,8 @@ from .powersums import (
     reflect,
 )
 
-_K = ParamRatio.symbol("k")
-_P = ParamRatio.symbol("p")
-_Q = ParamRatio.symbol("q")
-_HALF = ParamRatio.fraction(1, 2)
-_K_HALF = _K * _HALF
-_P_HALF = _P * _HALF
+_K_HALF = K * HALF
+_P_HALF = P * HALF
 
 _X_MINUS_1 = {1: 1, 0: -1}
 _X2_MINUS_1 = {2: 1, 0: -1}
@@ -76,14 +72,14 @@ class InfDunkl:
         fam = self.family
         out = partial(f, fam)
         if fam is Family.RAT_A:
-            return out - delta(f, fam).scale(_K)
+            return out - delta(f, fam).scale(K)
         if fam is Family.TRIG_A:
             return out - delta(f, fam).scale(_K_HALF)
         if fam is Family.RAT_B:
-            out = out - delta(f, fam).scale(_K.scale(2))
+            out = out - delta(f, fam).scale(K.scale(2))
             g = f - reflect(f, fam)
             if not g.is_zero():
-                out = out - divide_by_x_poly(g, _X).scale(_Q)
+                out = out - divide_by_x_poly(g, _X).scale(Q)
             return out
         # TRIG_BC
         out = out - delta(f, fam).scale(_K_HALF)
@@ -94,7 +90,7 @@ class InfDunkl:
             out = out - h1.scale(_P_HALF)
             h2 = divide_by_x_poly(g, _X2_MINUS_1)
             h2 = h2.mul_x(2) + h2  # multiply by (x^2 + 1)
-            out = out - h2.scale(_Q)
+            out = out - h2.scale(Q)
         return out
 
     def integral(self, r: int, f: LambdaElem) -> LambdaElem:
@@ -227,19 +223,19 @@ def closed_form_L2(family: Family, max_index: int) -> LambdaDiffOp:
                 add(one, _p((a + b - 2, 1)), (a, b))
         for a in range(0, W + 1):
             for b in range(0, W - a - 1):
-                add(-_K, _p((a, 1), (b, 1)), (a + b + 2,))
+                add(-K, _p((a, 1), (b, 1)), (a + b + 2,))
         for a in range(2, W + 1):
-            add((ONE + _K).scale(a - 1), _p((a - 2, 1)), (a,))
+            add((ONE + K).scale(a - 1), _p((a - 2, 1)), (a,))
     elif family is Family.TRIG_A:
         for a in range(1, W + 1):
             for b in range(1, W + 1):
                 add(one, _p((a + b, 1)), (a, b))
         for a in range(1, W + 1):
             for b in range(1, W - a + 1):
-                add(-_K, _p((a, 1), (b, 1)), (a + b,))
+                add(-K, _p((a, 1), (b, 1)), (a + b,))
         for a in range(1, W + 1):
-            add((ONE + _K).scale(a), _p((a, 1)), (a,))
-            add(-_K, _p((0, 1), (a, 1)), (a,))
+            add((ONE + K).scale(a), _p((a, 1)), (a,))
+            add(-K, _p((0, 1), (a, 1)), (a,))
     elif family is Family.RAT_B:
         # Leading coefficient 4 on ordered pairs: fixed against E . D^2, which
         # also matches the two-derivative helper identities for this family.
@@ -248,9 +244,9 @@ def closed_form_L2(family: Family, max_index: int) -> LambdaDiffOp:
                 add(ParamRatio.const(4), _p((a + b - 1, 1)), (a, b))
         for a in range(0, W + 1):
             for b in range(0, W - a):
-                add(-_K.scale(4), _p((a, 1), (b, 1)), (a + b + 1,))
+                add(-K.scale(4), _p((a, 1), (b, 1)), (a + b + 1,))
         for a in range(0, W):
-            coeff = _K.scale(4 * (a + 1)) + ParamRatio.const(2 * (2 * a + 1)) - _Q.scale(4)
+            coeff = K.scale(4 * (a + 1)) + ParamRatio.const(2 * (2 * a + 1)) - Q.scale(4)
             add(coeff, _p((a, 1)), (a + 1,))
     elif family is Family.TRIG_BC:
         # Derived independently from E . D^2; indices p_{a-b}, p_{a-2j}, p_{a-j}
@@ -262,14 +258,14 @@ def closed_form_L2(family: Family, max_index: int) -> LambdaDiffOp:
                 add(-two, _p((abs(a - b), 1)), (a, b))
         for a in range(1, W + 1):
             # 2(ak + a + k + h') p_a with h' = -k p_0 - p - 2q
-            add((_K.scale(a + 1) + ParamRatio.const(a) - _P - _Q.scale(2)).scale(2), _p((a, 1)), (a,))
-            add(-_K.scale(2), _p((0, 1), (a, 1)), (a,))
+            add((K.scale(a + 1) + ParamRatio.const(a) - P - Q.scale(2)).scale(2), _p((a, 1)), (a,))
+            add(-K.scale(2), _p((0, 1), (a, 1)), (a,))
             for j in range(1, 2 * a):
-                add(-_P.scale(2), _p((abs(a - j), 1)), (a,))
+                add(-P.scale(2), _p((abs(a - j), 1)), (a,))
         for a in range(2, W + 1):
             for j in range(1, a):
-                add(_K.scale(2) - _Q.scale(4), _p((abs(a - 2 * j), 1)), (a,))
-                add(-_K.scale(2), _p((j, 1), (a - j, 1)), (a,))
+                add(K.scale(2) - Q.scale(4), _p((abs(a - 2 * j), 1)), (a,))
+                add(-K.scale(2), _p((j, 1), (a - j, 1)), (a,))
     else:  # pragma: no cover
         raise ValueError(family)
     return LambdaDiffOp(terms)

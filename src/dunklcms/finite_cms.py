@@ -9,14 +9,42 @@ and the commutative-diagram checks compare both routes term by term.
 
 Variables are indexed 0..N-1 internally.  Laurent exponents are allowed where
 the trigonometric BC family needs them.
+
+``MultiPoly`` is fraction-free, like the coefficient ring below it: one dict
+from a packed int (x-exponents above the parameter monomial) to an int
+coefficient, over a single denominator c * k^a for the whole polynomial.
+Products, sums, derivatives, the group actions and exact division are loops
+over int dicts; a ``ParamRatio`` is built only for display, for the leading
+coefficient, for substitution and for the ``terms`` view.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import reduce
+from math import gcd, lcm
+from operator import and_, or_
 
-from .coeffs import ONE, ParamRatio, ZERO, k_power
+from .coeffs import (
+    _BITS,
+    _FIELD,
+    _GUARD,
+    NSYM,
+    ONE,
+    ExponentOverflow,
+    HALF,
+    K,
+    P,
+    Q,
+    ParamRatio,
+    ZERO,
+    _canonical,
+    _check_den_k,
+    _k_exponent,
+    _poly,
+    k_power,
+)
 from .powersums import (
     Family,
     InexactDivision,
@@ -24,190 +52,436 @@ from .powersums import (
     LambdaXElem,
 )
 
-_K = ParamRatio.symbol("k")
-_P = ParamRatio.symbol("p")
-_Q = ParamRatio.symbol("q")
-_HALF = ParamRatio.fraction(1, 2)
-_MINUS_ONE = ParamRatio.const(-1)
-
 
 class NotInvariant(ValueError):
     """Input fails the required group-invariance check."""
 
 
-def _grlex(e):
-    return (sum(e), e)
+# -- packed keys ----------------------------------------------------------------
+
+_PARAM_BITS = _BITS * NSYM  # the parameter monomial, packed as in coeffs
+_PARAM_MASK = (1 << _PARAM_BITS) - 1
+_XBITS = 12
+_XFIELD = (1 << _XBITS) - 1
+_XBIAS = 1 << (_XBITS - 2)
+MIN_X_EXPONENT = -_XBIAS
+MAX_X_EXPONENT = _XBIAS - 1
+
+
+class _Layout:
+    """Field positions of the packed keys of polynomials in nvars variables.
+
+    From the top: the total degree, then x_0, x_1, ..., x_{nvars-1}, each in a
+    12-bit field holding the exponent plus 1024 (so 0..2047 when valid, with
+    the top bit as a guard), then the parameter monomial in the low 50 bits.
+    Adding two keys and subtracting ``bias`` multiplies the monomials.  Each
+    field then holds a value in -1024..3071 before the borrows and carries
+    between fields, so distinct monomials never share a key, and the lowest
+    field that left 0..2047 has its guard bit set: ``guard`` detects every
+    overflow, whichever way it carries.
+    """
+
+    __slots__ = ("nvars", "offsets", "units", "deg_off", "deg_unit", "top", "bias", "zero_x",
+                 "guard", "x_guard", "x_mask")
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.offsets = [_PARAM_BITS + _XBITS * (nvars - 1 - v) for v in range(nvars)]
+        self.units = [1 << off for off in self.offsets]
+        self.deg_off = _PARAM_BITS + _XBITS * nvars
+        self.deg_unit = 1 << self.deg_off
+        self.top = self.deg_off + _XBITS
+        self.bias = sum(_XBIAS << off for off in self.offsets + [self.deg_off])
+        self.zero_x = self.bias >> _PARAM_BITS  # the x-part of a constant
+        self.x_guard = sum(1 << (off + _XBITS - 1) for off in self.offsets)
+        self.x_mask = sum(_XFIELD << off for off in self.offsets)
+        self.guard = _GUARD | self.x_guard | 1 << (self.deg_off + _XBITS - 1)
+
+    def pack(self, exps) -> int:
+        """The key of x^exps with parameter monomial 1."""
+        if len(exps) != self.nvars:
+            raise ValueError("%d exponents for %d variables" % (len(exps), self.nvars))
+        for p in (*exps, sum(exps)):
+            if not MIN_X_EXPONENT <= p <= MAX_X_EXPONENT:
+                raise ExponentOverflow("x-exponent or degree %d outside %d..%d"
+                                       % (p, MIN_X_EXPONENT, MAX_X_EXPONENT))
+        return self.bias + sum(p * u for p, u in zip(exps, self.units)) + sum(exps) * self.deg_unit
+
+    def unpack(self, key: int) -> tuple:
+        """The x-exponents of a key."""
+        return tuple(((key >> off) & _XFIELD) - _XBIAS for off in self.offsets)
+
+    def checked(self, packed: dict) -> dict:
+        """``packed`` after checking that no field reached its guard bit."""
+        bits = reduce(or_, packed, 0)
+        if bits & self.guard or bits >> self.top:
+            raise ExponentOverflow("an x-exponent or total degree outside %d..%d, "
+                                   "or a parameter exponent above its limit"
+                                   % (MIN_X_EXPONENT, MAX_X_EXPONENT))
+        return packed
+
+
+_LAYOUTS: dict = {}
+
+
+def _layout(nvars: int) -> _Layout:
+    lay = _LAYOUTS.get(nvars)
+    if lay is None:
+        lay = _LAYOUTS[nvars] = _Layout(nvars)
+    return lay
+
+
+def _coefficient(group: dict, den_int: int, den_k: int) -> ParamRatio:
+    """The ParamRatio group / (den_int * k^den_k); group maps parameter
+    monomials to ints."""
+    return _canonical(_poly(group), den_int, den_k)
+
+
+_new = object.__new__
+
+
+def _mp(lay: _Layout, packed: dict, den_int: int, den_k: int) -> "MultiPoly":
+    """A MultiPoly from fields already in canonical form."""
+    f = _new(MultiPoly)
+    f.nvars = lay.nvars
+    f._lay = lay
+    f.packed = packed
+    f.den_int = den_int
+    f.den_k = den_k
+    f._hash = None
+    return f
+
+
+def _content_free(packed: dict, den_int: int):
+    """(packed, den_int) divided by the gcd of den_int and the coefficients."""
+    if den_int != 1:
+        g = gcd(den_int, *packed.values())
+        if g != 1:
+            return {e: c // g for e, c in packed.items()}, den_int // g
+    return packed, den_int
+
+
+def _canonical_mp(lay: _Layout, packed: dict, den_int: int, den_k: int) -> "MultiPoly":
+    """packed / (den_int * k^den_k) in canonical form, for den_int > 0."""
+    if not packed:
+        return _mp(lay, packed, 1, 0)
+    packed, den_int = _content_free(packed, den_int)
+    if den_k:
+        j = min(den_k, min(map(_k_exponent, packed)))
+        if j:
+            packed = {e - j: c for e, c in packed.items()}
+            den_k -= j
+    return _mp(lay, packed, den_int, den_k)
+
+
+def _product(a: dict, b: dict, shift: int) -> dict:
+    """The packed product of a and b, where shift is subtracted from every key
+    of b (the layout's bias for two x-polynomials, 0 for a parameter
+    polynomial); zero coefficients removed, overflow not yet checked."""
+    if len(b) == 1:
+        (e2, c2), = b.items()
+        e2 -= shift
+        if c2 == 1:
+            return {e + e2: c for e, c in a.items()}
+        return {e + e2: c * c2 for e, c in a.items()}
+    out: dict = {}
+    get = out.get
+    for e2, c2 in b.items():
+        e2 -= shift
+        for e1, c1 in a.items():
+            e = e1 + e2
+            v = get(e)
+            out[e] = c1 * c2 if v is None else v + c1 * c2
+    if 0 in out.values():
+        out = {e: c for e, c in out.items() if c}
+    return out
+
+
+def _over_product_den(lay: _Layout, out: dict, d1: int, a1: int, t1: dict,
+                      d2: int, a2: int, t2: dict) -> "MultiPoly":
+    """out / (d1 d2 k^(a1+a2)) in canonical form, where out = t1 * t2 and each
+    t_i / (d_i k^a_i) is canonical: as in ParamRatio.__mul__, k can cancel
+    only against a numerator whose own denominator has no k."""
+    if a1 and a2:
+        j = 0  # neither numerator is divisible by k
+    elif a1:
+        j = min(a1, min(map(_k_exponent, t2)))
+    elif a2:
+        j = min(a2, min(map(_k_exponent, t1)))
+    elif d1 == 1 and d2 == 1:
+        return _mp(lay, out, 1, 0)
+    else:
+        j = 0
+    out, den_int = _content_free(out, d1 * d2)
+    if j:
+        out = {e - j: c for e, c in out.items()}
+    return _mp(lay, out, den_int, _check_den_k(a1 + a2 - j))
+
+
+# -- x-polynomials ----------------------------------------------------------------
 
 
 class MultiPoly:
-    """Sparse (Laurent) polynomial in x_0..x_{nvars-1} over the parameter field."""
+    """Sparse Laurent polynomial in x_0..x_{nvars-1} over the coefficient ring.
 
-    __slots__ = ("nvars", "terms", "_key")
+    ``MultiPoly(nvars, {exponent tuple: ParamRatio})`` builds one.  Inside, it
+    is ``packed / (den_int * k^den_k)``:
+
+    * ``packed`` maps a packed int key to a nonzero int coefficient.  The low
+      50 bits of a key hold the parameter monomial exactly as ``coeffs``
+      packs it; above them lie 12-bit fields for x_{nvars-1}, ..., x_1, x_0
+      and, topmost, the total degree.  Each holds its value plus 1024, so
+      every x-exponent and every term's total degree lies in
+      MIN_X_EXPONENT..MAX_X_EXPONENT (-1024..1023); a result outside raises
+      ``ExponentOverflow`` (see ``_Layout``).  Keys compare as ints in the
+      graded lexicographic order of their x-monomials (total degree, then
+      x_0, x_1, ...), ties broken by the parameter monomial.
+    * One denominator serves the whole polynomial, in the canonical form of
+      ``ParamRatio``: den_int > 0, the gcd of the coefficients is coprime to
+      den_int, and when den_k > 0 some key has no factor k.  The parameter
+      exponents of the shared numerator stay within ``coeffs.MAX_DEGREE``.
+
+    So equal polynomials have equal fields.  ``terms`` is the read-only view
+    {exponent tuple: ParamRatio}, built on each access.
+    """
+
+    __slots__ = ("nvars", "_lay", "packed", "den_int", "den_k", "_hash")
 
     def __init__(self, nvars: int, terms: dict):
-        self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
-        self._key = None
+        lay = _layout(nvars)
+        items = [(e, c) for e, c in terms.items() if not c.is_zero()]
+        den_int = lcm(1, *(c.den_int for _, c in items))
+        den_k = max((c.den_k for _, c in items), default=0)
+        packed = {}
+        for e, c in items:
+            base = lay.pack(e) + den_k - c.den_k
+            m = den_int // c.den_int
+            for pe, v in c.num.terms.items():
+                packed[base + pe] = v * m
+        f = _canonical_mp(lay, lay.checked(packed), den_int, den_k)
+        self.nvars, self._lay, self.packed = nvars, lay, f.packed
+        self.den_int, self.den_k, self._hash = f.den_int, f.den_k, None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(nvars: int) -> "MultiPoly":
-        return MultiPoly(nvars, {})
+        return _mp(_layout(nvars), {}, 1, 0)
 
     @staticmethod
     def const(nvars: int, c) -> "MultiPoly":
         c = c if isinstance(c, ParamRatio) else ParamRatio.const(c)
-        return MultiPoly(nvars, {(0,) * nvars: c})
+        lay = _layout(nvars)
+        return _mp(lay, {lay.bias + e: v for e, v in c.num.terms.items()}, c.den_int, c.den_k)
 
     @staticmethod
     def var(nvars: int, i: int, power: int = 1) -> "MultiPoly":
         e = [0] * nvars
         e[i] = power
-        return MultiPoly(nvars, {tuple(e): ONE})
+        lay = _layout(nvars)
+        return _mp(lay, {lay.pack(e): 1}, 1, 0)
 
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
+
+    def is_const(self) -> bool:
+        """True when no term carries an x (the zero polynomial included)."""
+        zero_x = self._lay.zero_x
+        return all(e >> _PARAM_BITS == zero_x for e in self.packed)
 
     def is_laurent(self) -> bool:
-        return any(p < 0 for e in self.terms for p in e)
+        unpack = self._lay.unpack
+        return any(p < 0 for e in self.packed for p in unpack(e))
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: ParamRatio}, built from the packed form."""
+        groups: dict = {}
+        for e, c in self.packed.items():
+            groups.setdefault(e >> _PARAM_BITS, {})[e & _PARAM_MASK] = c
+        unpack = self._lay.unpack
+        return {unpack(x << _PARAM_BITS): _coefficient(g, self.den_int, self.den_k)
+                for x, g in groups.items()}
 
     def key(self):
-        if self._key is None:
-            self._key = tuple(
-                sorted(((e, c.key()) for e, c in self.terms.items()), key=lambda t: t[0])
-            )
-        return self._key
+        return (tuple(sorted(self.packed.items())), self.den_int, self.den_k)
 
     def __eq__(self, other):
         return (
             isinstance(other, MultiPoly)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.den_int == other.den_int
+            and self.den_k == other.den_k
+            and self.packed == other.packed
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.key()))
+        if self._hash is None:
+            self._hash = hash((self.nvars, self.key()))
+        return self._hash
 
     def leading(self):
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
+        """The grlex-leading exponent tuple and its ParamRatio coefficient."""
+        x = max(self.packed) >> _PARAM_BITS
+        group = {e & _PARAM_MASK: c for e, c in self.packed.items() if e >> _PARAM_BITS == x}
+        return self._lay.unpack(x << _PARAM_BITS), _coefficient(group, self.den_int, self.den_k)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        off = self._lay.deg_off
+        return max((((e >> off) & _XFIELD) - _XBIAS for e in self.packed), default=0)
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            out[e] = c if v is None else v + c
-        return MultiPoly(self.nvars, out)
+    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign * other."""
+        a, b = self.packed, other.packed
+        if not b:
+            return self
+        if not a:
+            return other if sign == 1 else -other
+        lay = self._lay
+        d1, d2, a1, a2 = self.den_int, other.den_int, self.den_k, other.den_k
+        if d1 == d2 and a1 == a2:
+            out = dict(a)
+            m2, den_int, den_k = sign, d1, a1
+        else:
+            g = gcd(d1, d2)
+            den_int, den_k = d1 // g * d2, max(a1, a2)
+            m1, m2 = d2 // g, sign * (d1 // g)
+            j = den_k - a1
+            out = {e + j: c * m1 for e, c in a.items()}
+            b = {e + den_k - a2: c for e, c in b.items()}
+        get = out.get
+        if m2 == 1:
+            for e, c in b.items():
+                out[e] = get(e, 0) + c
+        else:
+            for e, c in b.items():
+                out[e] = get(e, 0) + c * m2
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        if a1 != a2:
+            # one numerator is free of k and the other is shifted by a
+            # positive power of k, so k does not divide the sum
+            out, den_int = _content_free(lay.checked(out), den_int)
+            return _mp(lay, out, den_int, den_k)
+        if den_int == 1 and not den_k:
+            return _mp(lay, out, 1, 0)
+        return _canonical_mp(lay, out, den_int, den_k)
 
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "MultiPoly":
+        return _mp(self._lay, {e: -c for e, c in self.packed.items()}, self.den_int, self.den_k)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        if not self.terms or not other.terms:
-            return MultiPoly(self.nvars, {})
-        if len(other.terms) == 1:
-            (e2, c2), = other.terms.items()
-            return self.mul_monomial(e2, c2)
-        if len(self.terms) == 1:
-            (e1, c1), = self.terms.items()
-            return other.mul_monomial(e1, c1)
-        out: dict = {}
-        get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple([a + b for a, b in zip(e1, e2)])
-                c = c1 * c2
-                v = get(e)
-                out[e] = c if v is None else v + c
-        return MultiPoly(self.nvars, out)
+        a, b = self.packed, other.packed
+        lay = self._lay
+        if not a or not b:
+            return _mp(lay, {}, 1, 0)
+        if len(a) < len(b):
+            a, b = b, a
+        out = lay.checked(_product(a, b, lay.bias))
+        return _over_product_den(lay, out, self.den_int, self.den_k, self.packed,
+                                 other.den_int, other.den_k, other.packed)
 
     def scale(self, c: ParamRatio) -> "MultiPoly":
-        if c.is_zero():
-            return MultiPoly(self.nvars, {})
-        return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
+        lay = self._lay
+        if c.is_zero() or not self.packed:
+            return _mp(lay, {}, 1, 0)
+        t = c.num.terms
+        out = _product(self.packed, t, 0)
+        if len(t) > 1 or next(iter(t)):
+            out = lay.checked(out)  # a parameter monomial can overflow
+        return _over_product_den(lay, out, self.den_int, self.den_k, self.packed,
+                                 c.den_int, c.den_k, t)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative polynomial power; use mul_monomial")
-        result = MultiPoly.const(self.nvars, 1)
+        if n == 0:
+            return MultiPoly.const(self.nvars, 1)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def mul_monomial(self, exps, coeff: ParamRatio = ONE) -> "MultiPoly":
-        return MultiPoly(
-            self.nvars,
-            {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in self.terms.items()},
-        )
+        lay = self._lay
+        shift = lay.pack(exps) - lay.bias
+        out = {e + shift: c for e, c in self.packed.items()}
+        f = _mp(lay, lay.checked(out) if shift else out, self.den_int, self.den_k)
+        return f if coeff == ONE else f.scale(coeff)
 
     def diff(self, i: int) -> "MultiPoly":
+        lay = self._lay
+        off = lay.offsets[i]
+        step = lay.units[i] + lay.deg_unit
         out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ee = list(e)
-            ee[i] -= 1
-            out[tuple(ee)] = c.scale(e[i])
-        return MultiPoly(self.nvars, out)
+        for e, c in self.packed.items():
+            p = ((e >> off) & _XFIELD) - _XBIAS
+            if p:
+                out[e - step] = c * p
+        return _canonical_mp(lay, lay.checked(out), self.den_int, self.den_k)
 
     # -- group actions ------------------------------------------------------
+    # The actions permute the terms and change signs, so the content and the
+    # k-valuation of the numerator, and hence the canonical form, stay.
+
+    def _remap(self, out: dict) -> "MultiPoly":
+        return _mp(self._lay, out, self.den_int, self.den_k)
 
     def act_swap(self, i: int, j: int) -> "MultiPoly":
-        out = {}
-        for e, c in self.terms.items():
-            ee = list(e)
-            ee[i], ee[j] = ee[j], ee[i]
-            out[tuple(ee)] = c
-        return MultiPoly(self.nvars, out)
+        lay = self._lay
+        oi, oj = lay.offsets[i], lay.offsets[j]
+        move = lay.units[i] - lay.units[j]
+        return self._remap({e + (((e >> oj) & _XFIELD) - ((e >> oi) & _XFIELD)) * move: c
+                            for e, c in self.packed.items()})
 
     def act_signed_swap(self, i: int, j: int) -> "MultiPoly":
         """(x_i, x_j) -> (-x_j, -x_i)."""
+        lay = self._lay
+        oi, oj = lay.offsets[i], lay.offsets[j]
+        move = lay.units[i] - lay.units[j]
         out = {}
-        for e, c in self.terms.items():
-            ee = list(e)
-            ee[i], ee[j] = ee[j], ee[i]
-            out[tuple(ee)] = -c if (e[i] + e[j]) % 2 else c
-        return MultiPoly(self.nvars, out)
+        for e, c in self.packed.items():
+            vi, vj = (e >> oi) & _XFIELD, (e >> oj) & _XFIELD
+            out[e + (vj - vi) * move] = -c if (vi + vj) & 1 else c
+        return self._remap(out)
 
     def act_flip(self, i: int) -> "MultiPoly":
         """x_i -> -x_i."""
-        return MultiPoly(
-            self.nvars,
-            {e: (-c if e[i] % 2 else c) for e, c in self.terms.items()},
-        )
+        off = self._lay.offsets[i]
+        return self._remap({e: -c if (e >> off) & 1 else c for e, c in self.packed.items()})
 
     def act_invert(self, i: int) -> "MultiPoly":
         """x_i -> 1/x_i."""
-        out = {}
-        for e, c in self.terms.items():
-            ee = list(e)
-            ee[i] = -ee[i]
-            out[tuple(ee)] = c
-        return MultiPoly(self.nvars, out)
+        lay = self._lay
+        off = lay.offsets[i]
+        move = lay.units[i] + lay.deg_unit
+        out = {e + (2 * _XBIAS - 2 * ((e >> off) & _XFIELD)) * move: c
+               for e, c in self.packed.items()}
+        return self._remap(lay.checked(out))
 
     def act_invert_swap(self, i: int, j: int) -> "MultiPoly":
         """(x_i, x_j) -> (1/x_j, 1/x_i)."""
-        out = {}
-        for e, c in self.terms.items():
-            ee = list(e)
-            ee[i], ee[j] = -e[j], -e[i]
-            out[tuple(ee)] = c
-        return MultiPoly(self.nvars, out)
+        lay = self._lay
+        oi, oj = lay.offsets[i], lay.offsets[j]
+        move = lay.units[i] + lay.units[j] + 2 * lay.deg_unit
+        out = {e + (2 * _XBIAS - ((e >> oi) & _XFIELD) - ((e >> oj) & _XFIELD)) * move: c
+               for e, c in self.packed.items()}
+        return self._remap(lay.checked(out))
 
     # -- division --------------------------------------------------------------
 
@@ -218,68 +492,33 @@ class MultiPoly:
         ``_nonzero_at_root``): a nonzero value proves that no quotient exists,
         so most failing cancellations never reach the long division.  Only a
         dividend that vanishes there is divided, which yields the quotient.
+        The leading coefficient of the divisor must be a unit c * k^a of the
+        coefficient ring, else ``UnsupportedDenominator`` is raised.
         """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        lay = self._lay
         if self.is_zero():
-            return MultiPoly(self.nvars, {})
-        if len(other.terms) == 1:
-            (oe, oc), = other.terms.items()
-            inv = ONE / oc
-            return MultiPoly(
-                self.nvars,
-                {tuple(a - b for a, b in zip(e, oe)): c * inv for e, c in self.terms.items()},
-            )
-        if _nonzero_at_root(self.terms, other.terms):
+            return _mp(lay, {}, 1, 0)
+        fp = other.packed
+        lead = max(fp)
+        lead_x = lead >> _PARAM_BITS
+        unit_lead = not lead & _PARAM_MASK & ~_FIELD and not any(
+            e >> _PARAM_BITS == lead_x for e in fp if e != lead)
+        if len(fp) == 1 and unit_lead:
+            # self * den_int k^den_k / (c k^a x^le), for the divisor's fields
+            c, a = fp[lead], lead & _FIELD
+            shift = lay.bias - lead + a + other.den_k
+            m = other.den_int if c > 0 else -other.den_int
+            out = lay.checked({e + shift: v * m for e, v in self.packed.items()})
+            q = _canonical_mp(lay, out, self.den_int * abs(c), self.den_k + a)
+            _check_den_k(q.den_k)
+            return q
+        if not unit_lead:
+            ONE / other.leading()[1]  # raises UnsupportedDenominator
+        if _nonzero_at_root(self, other):
             return None
-        # shift a Laurent dividend into the polynomial ring; valid because all
-        # non-monomial divisors used here have, in each variable, a term of
-        # exponent zero, so Laurent divisibility equals shifted divisibility
-        shift = [0] * self.nvars
-        for e in self.terms:
-            for v, pw in enumerate(e):
-                if pw < shift[v]:
-                    shift[v] = pw
-        rem = {
-            tuple(a - b for a, b in zip(e, shift)): c for e, c in self.terms.items()
-        }
-        quo: dict = {}
-        le, lc = other.leading()
-        inv = ONE / lc
-        # max-heap with lazy deletion tracks the leading remainder term
-        heap = [(-sum(e), tuple(-x for x in e)) for e in rem]
-        heapq.heapify(heap)
-        in_heap = set(rem)
-        while rem:
-            while heap:
-                _, ne = heap[0]
-                re = tuple(-x for x in ne)
-                if re in rem:
-                    break
-                heapq.heappop(heap)
-            diff = tuple(a - b for a, b in zip(re, le))
-            if any(d < 0 for d in diff):
-                return None
-            heapq.heappop(heap)
-            in_heap.discard(re)
-            c = _times(rem.pop(re), inv)
-            quo[diff] = quo.get(diff, ZERO) + c
-            for e2, c2 in other.terms.items():
-                if e2 == le:
-                    continue
-                e = tuple(a + b for a, b in zip(diff, e2))
-                v = rem.get(e, ZERO) - _times(c, c2)
-                if v.is_zero():
-                    rem.pop(e, None)
-                else:
-                    rem[e] = v
-                    if e not in in_heap:
-                        in_heap.add(e)
-                        heapq.heappush(heap, (-sum(e), tuple(-x for x in e)))
-        return MultiPoly(
-            self.nvars,
-            {tuple(a + b for a, b in zip(e, shift)): c for e, c in quo.items()},
-        )
+        return _long_division(self, other)
 
     def exact_div(self, other: "MultiPoly") -> "MultiPoly":
         q = self.div_or_none(other)
@@ -295,11 +534,11 @@ class MultiPoly:
     # -- display --------------------------------------------------------------------
 
     def text(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_grlex, reverse=True):
-            factors = [self.terms[e].text()]
+        for e, c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+            factors = [c.text()]
             for i, pw in enumerate(e):
                 if pw == 1:
                     factors.append("x%d" % (i + 1))
@@ -312,57 +551,131 @@ class MultiPoly:
         return "MultiPoly(%s)" % self.text()
 
 
-def _times(c: ParamRatio, u: ParamRatio) -> ParamRatio:
-    """c * u; the structural factors have coefficients +-1, which need no product."""
-    if u == ONE:
-        return c
-    if u == _MINUS_ONE:
-        return -c
-    return c * u
+def _long_division(g: MultiPoly, f: MultiPoly):
+    """g / f by long division in grlex order, or None when a remainder survives.
+
+    f's leading term is c * k^a * x^le.  The numerator of f is first divided by
+    its content and its power of k; by Gauss's lemma, and because k is prime,
+    a quotient of g's numerator by what is left has int coefficients and no
+    negative power of k, so a leading remainder term whose coefficient c does
+    not divide, or whose power of k is below a, proves that none exists.
+
+    A Laurent dividend is divided as if shifted into the polynomial ring:
+    every divisor used here has, in each variable, a term of exponent zero, so
+    Laurent divisibility equals shifted divisibility.  The shift only moves
+    the test that the leading remainder monomial is a multiple of x^le.
+    """
+    lay = g._lay
+    fp = f.packed
+    content = gcd(*fp.values())
+    val = min(map(_k_exponent, fp))
+    if content != 1 or val:
+        fp = {e - val: c // content for e, c in fp.items()}
+    lead = max(fp)
+    lc, la = fp[lead], lead & _FIELD
+    others = [(e - lead, c) for e, c in fp.items() if e != lead]
+    # x^r is a multiple of x^le after the shift iff r_v >= le_v + min_v for
+    # every v, min_v being the least exponent of x_v in g (at most 0); the
+    # test runs on all fields at once: each field of (r + x_guard - floor)
+    # keeps its guard bit iff r_v reaches the floor
+    floor = lead & lay.x_mask
+    nonneg = reduce(and_, g.packed)
+    for off in lay.offsets:
+        if not nonneg >> off & _XBIAS:  # bit 10 is clear for a negative exponent
+            low = min(((e >> off) & _XFIELD) for e in g.packed) - _XBIAS
+            floor -= min(-low, (lead >> off) & _XFIELD) << off
+    x_mask, x_guard, guard = lay.x_mask, lay.x_guard, lay.guard
+    above = x_guard - floor
+    rem = dict(g.packed)
+    heap = [-e for e in rem]
+    heapq.heapify(heap)
+    quo = {}
+    q_shift = lay.bias - lead
+    while rem:
+        r = -heap[0]
+        while r not in rem:
+            heapq.heappop(heap)
+            r = -heap[0]
+        if ((r & x_mask) + above) & x_guard != x_guard or r & _FIELD < la:
+            return None
+        heapq.heappop(heap)
+        qc, m = divmod(rem.pop(r), lc)
+        if m:
+            return None
+        quo[r + q_shift] = qc
+        for d, c in others:
+            e = r + d
+            v = rem.get(e)
+            if v is None:
+                if e & guard:
+                    raise ExponentOverflow("an exponent left its range in the long division")
+                rem[e] = -qc * c
+                heapq.heappush(heap, -e)
+            else:
+                v -= qc * c
+                if v:
+                    rem[e] = v
+                else:
+                    del rem[e]
+    # g / f = (quo / (content * k^val)) * (f.den / g.den)
+    if content == 1 and not val and f.den_int == 1 and not f.den_k:
+        # the quotient of a canonical numerator by a primitive, k-free one
+        # is canonical over the same denominator
+        return _mp(lay, lay.checked(quo), g.den_int, g.den_k)
+    den_k = g.den_k + val - f.den_k
+    if den_k < 0:
+        quo, den_k = {e - den_k: c for e, c in quo.items()}, 0
+    if f.den_int != 1:
+        quo = {e: c * f.den_int for e, c in quo.items()}
+    q = _canonical_mp(lay, lay.checked(quo), g.den_int * content, den_k)
+    _check_den_k(q.den_k)
+    return q
 
 
-def _nonzero_at_root(terms: dict, divisor: dict) -> bool:
-    """True when the divisor provably does not divide the dividend ``terms``.
+def _nonzero_at_root(g: MultiPoly, f: MultiPoly) -> bool:
+    """True when the divisor f provably does not divide the dividend g.
 
-    Applies to a divisor s*x^e1 + t*x^e2 with s, t = +-1 and a variable x_a of
-    exponent 1 in e1 and 0 in e2.  Over the Laurent ring it is the unit
-    s*x^(e1-x_a) times x_a - r with r = -s*t * x^(e2-e1+x_a), and r is free
-    of x_a, so by the factor theorem it divides g iff g vanishes at x_a = r.
-    That substitution sends x^e to (-s*t)^(e_a) x^(e + e_a*(e2-e1)).  A term
-    alone in its image monomial makes the image nonzero without coefficient
-    arithmetic; otherwise the coefficients of each image monomial are summed.
+    Applies to f = s*x^e1 + t*x^e2 with s, t = +-1, e1 and e2 differing by at
+    most 1 in each exponent, and a variable x_a of exponent 1 in e1 and 0 in
+    e2.  Over the Laurent ring f is the unit s*x^(e1-x_a) times x_a - r with
+    r = -s*t * x^(e2-e1+x_a), and r is free of x_a, so by the factor theorem
+    f divides g iff g vanishes at x_a = r.  That substitution sends x^e to
+    (-s*t)^(e_a) x^(e + e_a*(e2-e1)), and the int coefficients of each image
+    monomial are summed.  Each x field of an image moves by at most
+    |e_a| <= 1024 and the total degree is the topmost field, so distinct image
+    monomials keep distinct keys (see ``_Layout``).
     False means either that the image vanishes or that the test does not apply.
     """
-    if len(divisor) != 2:
+    fp = f.packed
+    if len(fp) != 2 or f.den_int != 1 or f.den_k:
         return False
-    (e1, s), (e2, t) = divisor.items()
-    if not (s == ONE or s == _MINUS_ONE) or not (t == ONE or t == _MINUS_ONE):
+    (k1, s), (k2, t) = fp.items()
+    if s not in (1, -1) or t not in (1, -1) or (k1 | k2) & _PARAM_MASK:
+        return False
+    lay = g._lay
+    e1, e2 = lay.unpack(k1), lay.unpack(k2)
+    if any(abs(p1 - p2) > 1 for p1, p2 in zip(e1, e2)):
         return False
     for a, (p1, p2) in enumerate(zip(e1, e2)):
         if p1 == 1 and not p2:
             break
         if p2 == 1 and not p1:
-            e1, e2 = e2, e1
+            k1, k2 = k2, k1
             break
     else:
         return False
-    shift = tuple(b - c for b, c in zip(e2, e1))
-    groups: dict = {}
-    for e in terms:
-        ea = e[a]
-        image = tuple([b + ea * c for b, c in zip(e, shift)]) if ea else e
-        groups.setdefault(image, []).append(e)
-    if any(len(group) == 1 for group in groups.values()):
-        return True
+    # adding e_a * (k2 - k1) moves every field, the total degree included, to
+    # that of the image; v_a = e_a + 1024 shifts all images alike
+    delta = k2 - k1
+    off, field = lay.offsets[a], _XFIELD
     flip = s == t  # the root carries the sign -s*t = -1
-    for group in groups.values():
-        total = ZERO
-        for e in group:
-            c = terms[e]
-            total = total - c if flip and e[a] % 2 else total + c
-        if not total.is_zero():
-            return True
-    return False
+    sums: dict = {}
+    get = sums.get
+    for e, c in g.packed.items():
+        va = (e >> off) & field
+        image = e + va * delta
+        sums[image] = get(image, 0) + (-c if flip and va & 1 else c)
+    return any(sums.values())
 
 
 # -- structural factors of the Dunkl operators and of the Moser matrices ------
@@ -399,6 +712,8 @@ def _fac_shift(nvars: int, i: int, c: int, power: int = 1) -> MultiPoly:
     return _structural(nvars, (i,) * power, (), c)
 
 
+
+
 # -- finite Dunkl operators -------------------------------------------------
 
 
@@ -413,7 +728,7 @@ def finite_dunkl(family: Family, N: int, i: int, f: MultiPoly) -> MultiPoly:
             if j == i:
                 continue
             g = (f - f.act_swap(i, j)).exact_div(_fac_diff(n, i, j))
-            out = out - g.scale(_K)
+            out = out - g.scale(K)
         return out
     if family is Family.TRIG_A:
         out = f.diff(i).mul_monomial(tuple(1 if v == i else 0 for v in range(n)))
@@ -421,7 +736,7 @@ def finite_dunkl(family: Family, N: int, i: int, f: MultiPoly) -> MultiPoly:
             if j == i:
                 continue
             g = (f - f.act_swap(i, j)).exact_div(_fac_diff(n, i, j))
-            out = out - (_fac_sum(n, i, j) * g).scale(_K * _HALF)
+            out = out - (_fac_sum(n, i, j) * g).scale(K * HALF)
         return out
     if family is Family.RAT_B:
         out = f.diff(i)
@@ -430,25 +745,25 @@ def finite_dunkl(family: Family, N: int, i: int, f: MultiPoly) -> MultiPoly:
                 continue
             g1 = (f - f.act_swap(i, j)).exact_div(_fac_diff(n, i, j))
             g2 = (f - f.act_signed_swap(i, j)).exact_div(_fac_sum(n, i, j))
-            out = out - (g1 + g2).scale(_K)
+            out = out - (g1 + g2).scale(K)
         xi = MultiPoly.var(n, i)
         g3 = (f - f.act_flip(i)).exact_div(xi)
-        return out - g3.scale(_Q)
+        return out - g3.scale(Q)
     # TRIG_BC
     out = f.diff(i).mul_monomial(tuple(1 if v == i else 0 for v in range(n)))
     for j in range(n):
         if j == i:
             continue
         g1 = (f - f.act_swap(i, j)).exact_div(_fac_diff(n, i, j))
-        out = out - (_fac_sum(n, i, j) * g1).scale(_K * _HALF)
+        out = out - (_fac_sum(n, i, j) * g1).scale(K * HALF)
         g2 = (f - f.act_invert_swap(i, j)).exact_div(_fac_prod_minus_1(n, i, j))
         xx1 = _fac_prod_minus_1(n, i, j) + MultiPoly.const(n, 2)  # x_i x_j + 1
-        out = out - (xx1 * g2).scale(_K * _HALF)
+        out = out - (xx1 * g2).scale(K * HALF)
     ti = f - f.act_invert(i)
     g3 = ti.exact_div(_fac_shift(n, i, -1))
-    out = out - (_fac_shift(n, i, 1) * g3).scale(_P * _HALF)
+    out = out - (_fac_shift(n, i, 1) * g3).scale(P * HALF)
     g4 = ti.exact_div(_fac_shift(n, i, -1, 2))
-    out = out - (_fac_shift(n, i, 1, 2) * g4).scale(_Q)
+    out = out - (_fac_shift(n, i, 1, 2) * g4).scale(Q)
     return out
 
 

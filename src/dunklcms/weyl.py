@@ -10,6 +10,11 @@ cancellation reduces to exact-division tests and zero-testing stays decisive
 (a rational function vanishes iff its numerator does).  Each of these factors
 except x_i is linear in some variable, so a failing cancellation is mostly
 decided by evaluating the numerator at the factor's root, without dividing.
+Numerators and factors are fraction-free ``MultiPoly`` values (int
+coefficients over one denominator c * k^a), so bringing terms over a common
+denominator, and every cancellation test, is int arithmetic; the
+coefficient ring appears as ``ParamRatio`` only in leading coefficients, in
+substitution and in the report texts.
 
 On top of this the module builds, for each family, the quantum Moser matrix L
 (block form [[A, B], [-B, -A]] for the B families), the companion matrix M of
@@ -22,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .coeffs import B_CONSTRAINT, BC_CONSTRAINT, ONE, ParamRatio, k_power
+from .coeffs import B_CONSTRAINT, BC_CONSTRAINT, HALF, K, ONE, P, Q, ParamRatio, k_power
 from .finite_cms import (
     MultiPoly,
     ParityData,
@@ -32,11 +37,6 @@ from .finite_cms import (
     _fac_sum,
 )
 from .powersums import Family, UnsupportedFamily
-
-_K = ParamRatio.symbol("k")
-_P = ParamRatio.symbol("p")
-_Q = ParamRatio.symbol("q")
-_HALF = ParamRatio.fraction(1, 2)
 
 #: Multiplicity of the one-particle reflection term, per species, after the
 #: family constraints eliminate s (and r): rational B uses (q, s) and trig BC
@@ -60,13 +60,13 @@ class RatFun:
                 continue
             if e < 0:
                 raise ValueError("negative denominator exponent")
-            if len(f.terms) == 0:
+            if f.is_zero():
                 raise ZeroDivisionError("zero denominator factor")
             _, lc = f.leading()
             if not (lc == ONE):
                 f = f.scale(ONE / lc)
                 num = num.scale((ONE / lc) ** e)
-            if len(f.terms) == 1 and not any(next(iter(f.terms))):
+            if f.is_const():
                 continue  # constant factor folded away
             clean[f] = clean.get(f, 0) + e
         if num.is_zero():
@@ -108,7 +108,7 @@ class RatFun:
 
     def is_scalar(self) -> bool:
         """True for a constant: no denominator and no x in the numerator."""
-        return not self.den and all(not any(e) for e in self.num.terms)
+        return not self.den and self.num.is_const()
 
     def den_poly(self) -> MultiPoly:
         out = MultiPoly.const(self.nvars, 1)
@@ -460,9 +460,9 @@ def _species_multiplicity(family: Family, parity: ParityData, i: int):
     """Reflection multiplicities after the constraints: rational B returns
     m(i) in {q, s}; trig BC returns (mu(i), nu(i)) in {(p, q), (r, s)}."""
     if family is Family.RAT_B:
-        return _Q if parity.p(i) == 0 else _S_VALUE
+        return Q if parity.p(i) == 0 else _S_VALUE
     if family is Family.TRIG_BC:
-        return (_P, _Q) if parity.p(i) == 0 else (_R_VALUE, _S_VALUE)
+        return (P, Q) if parity.p(i) == 0 else (_R_VALUE, _S_VALUE)
     raise UnsupportedFamily(family.value)
 
 
@@ -487,7 +487,7 @@ def moser_L(family: Family, parity: ParityData) -> OpMatrix:
                     if family is Family.RAT_A:
                         f = _rf(MultiPoly.const(nm, w), (_fac_diff(nm, i, j), 1))
                     else:
-                        f = _rf(_fac_sum(nm, i, j).scale(w * _HALF), (_fac_diff(nm, i, j), 1))
+                        f = _rf(_fac_sum(nm, i, j).scale(w * HALF), (_fac_diff(nm, i, j), 1))
                     row.append(WeylOp.mul_by(f))
             entries.append(row)
         return OpMatrix(entries)
@@ -517,17 +517,17 @@ def moser_L(family: Family, parity: ParityData) -> OpMatrix:
                     arow.append(WeylOp.euler(nm, i, parity.k_weight(i)))
                     mu, nu = _species_multiplicity(family, parity, i)
                     kw = parity.k_weight(i)
-                    t1 = _rf(_fac_shift(nm, i, 1).scale(kw * mu * _HALF), (_fac_shift(nm, i, -1), 1))
+                    t1 = _rf(_fac_shift(nm, i, 1).scale(kw * mu * HALF), (_fac_shift(nm, i, -1), 1))
                     t2 = _rf(_fac_shift(nm, i, 1, 2).scale(kw * nu), *_den_shift2(nm, i, 1))
                     brow.append(WeylOp.mul_by(t1 + t2))
                 else:
                     w = parity.cross_weight(i, j)
                     arow.append(WeylOp.mul_by(
-                        _rf(_fac_sum(nm, i, j).scale(w * _HALF), (_fac_diff(nm, i, j), 1))
+                        _rf(_fac_sum(nm, i, j).scale(w * HALF), (_fac_diff(nm, i, j), 1))
                     ))
                     prod1 = _fac_prod_minus_1(nm, i, j) + MultiPoly.const(nm, 2)  # x_i x_j + 1
                     brow.append(WeylOp.mul_by(
-                        _rf(prod1.scale(w * _HALF), (_fac_prod_minus_1(nm, i, j), 1))
+                        _rf(prod1.scale(w * HALF), (_fac_prod_minus_1(nm, i, j), 1))
                     ))
             A.append(arow)
             B.append(brow)
@@ -576,13 +576,23 @@ def moser_L_gauged_trig(parity: ParityData) -> OpMatrix:
             if j == i:
                 continue
             w = parity.cross_weight(i, j)
-            f = _rf(_fac_sum(nm, i, j).scale(w * _HALF), (_fac_diff(nm, i, j), 1))
+            f = _rf(_fac_sum(nm, i, j).scale(w * HALF), (_fac_diff(nm, i, j), 1))
             diag = diag - WeylOp.mul_by(f)
         entries[i][i] = diag
     return OpMatrix(entries)
 
 
 # -- Hamiltonians ------------------------------------------------------------------
+
+
+def _pair_coefficient(parity: ParityData, i: int, j: int) -> ParamRatio:
+    """2 k(k+1), 2 (1/k + 1) or 2 (k + 1): the ungauged pair coupling of
+    particles i < j of species (0, 0), (1, 1) or (0, 1)."""
+    return {
+        (0, 0): K * (K + ONE),
+        (1, 1): k_power(-1) + ONE,
+        (0, 1): K + ONE,
+    }[(parity.p(i), parity.p(j))].scale(2)
 
 
 def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> WeylOp:
@@ -602,8 +612,8 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
             for i in range(nm):
                 for j in range(i + 1, nm):
                     pi, pj = parity.p(i), parity.p(j)
-                    front = {(0, 0): _K.scale(2), (1, 1): ParamRatio.const(2), (0, 1): ParamRatio.const(2)}[(pi, pj)]
-                    wj = _K if (pi, pj) == (0, 1) else ONE
+                    front = {(0, 0): K.scale(2), (1, 1): ParamRatio.const(2), (0, 1): ParamRatio.const(2)}[(pi, pj)]
+                    wj = K if (pi, pj) == (0, 1) else ONE
                     cross = WeylOp.partial(nm, i) - WeylOp.partial(nm, j).scale(wj)
                     f = _rf(MultiPoly.const(nm, front), (_fac_diff(nm, i, j), 1))
                     H = H - WeylOp.mul_by(f).compose(cross)
@@ -613,12 +623,7 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
             H = H + di.compose(di).scale(parity.k_weight(i))
         for i in range(nm):
             for j in range(i + 1, nm):
-                pi, pj = parity.p(i), parity.p(j)
-                c = {
-                    (0, 0): _K * (_K + ONE),
-                    (1, 1): (k_power(-1) + ONE),
-                    (0, 1): _K + ONE,
-                }[(pi, pj)].scale(2)
+                c = _pair_coefficient(parity, i, j)
                 H = H - WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (_fac_diff(nm, i, j), 2)))
         return H
     if family is Family.TRIG_A:
@@ -629,17 +634,13 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
             for j in range(i + 1, nm):
                 pi, pj = parity.p(i), parity.p(j)
                 if gauged:
-                    front = {(0, 0): _K, (1, 1): ONE, (0, 1): ONE}[(pi, pj)]
-                    wj = _K if (pi, pj) == (0, 1) else ONE
+                    front = {(0, 0): K, (1, 1): ONE, (0, 1): ONE}[(pi, pj)]
+                    wj = K if (pi, pj) == (0, 1) else ONE
                     cross = WeylOp.euler(nm, i) - WeylOp.euler(nm, j, wj)
                     f = _rf(_fac_sum(nm, i, j).scale(front), (_fac_diff(nm, i, j), 1))
                     H = H - WeylOp.mul_by(f).compose(cross)
                 else:
-                    c = {
-                        (0, 0): _K * (_K + ONE),
-                        (1, 1): (k_power(-1) + ONE),
-                        (0, 1): _K + ONE,
-                    }[(pi, pj)].scale(2)
+                    c = _pair_coefficient(parity, i, j)
                     num = (MultiPoly.var(nm, i) * MultiPoly.var(nm, j)).scale(c)
                     H = H - WeylOp.mul_by(_rf(num, (_fac_diff(nm, i, j), 2)))
         return H
@@ -654,10 +655,10 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
                 for j in range(i + 1, nm):
                     minus = WeylOp.partial(nm, i) - WeylOp.partial(nm, j)
                     plus = WeylOp.partial(nm, i) + WeylOp.partial(nm, j)
-                    H = H - WeylOp.mul_by(_rf(MultiPoly.const(nm, _K.scale(2)), (_fac_diff(nm, i, j), 1))).compose(minus)
-                    H = H - WeylOp.mul_by(_rf(MultiPoly.const(nm, _K.scale(2)), (_fac_sum(nm, i, j), 1))).compose(plus)
+                    H = H - WeylOp.mul_by(_rf(MultiPoly.const(nm, K.scale(2)), (_fac_diff(nm, i, j), 1))).compose(minus)
+                    H = H - WeylOp.mul_by(_rf(MultiPoly.const(nm, K.scale(2)), (_fac_sum(nm, i, j), 1))).compose(plus)
             for i in range(nm):
-                H = H - WeylOp.mul_by(_rf(MultiPoly.const(nm, _Q.scale(2)), (MultiPoly.var(nm, i), 1))).compose(WeylOp.partial(nm, i))
+                H = H - WeylOp.mul_by(_rf(MultiPoly.const(nm, Q.scale(2)), (MultiPoly.var(nm, i), 1))).compose(WeylOp.partial(nm, i))
             return H
         # ungauged deformed rational B: negative kinetic part
         for i in range(nm):
@@ -665,19 +666,14 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
             H = H - di.compose(di).scale(parity.k_weight(i))
         for i in range(nm):
             for j in range(i + 1, nm):
-                pi, pj = parity.p(i), parity.p(j)
-                c = {
-                    (0, 0): _K * (_K + ONE),
-                    (1, 1): (k_power(-1) + ONE),
-                    (0, 1): _K + ONE,
-                }[(pi, pj)].scale(2)
+                c = _pair_coefficient(parity, i, j)
                 H = H + WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (_fac_diff(nm, i, j), 2)))
                 H = H + WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (_fac_sum(nm, i, j), 2)))
         for i in range(nm):
             if parity.p(i) == 0:
-                c = _Q * (_Q + ONE)
+                c = Q * (Q + ONE)
             else:
-                c = _K * _S_VALUE * (_S_VALUE + ONE)
+                c = K * _S_VALUE * (_S_VALUE + ONE)
             H = H + WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (MultiPoly.var(nm, i), 2)))
         return H
     # TRIG_BC
@@ -691,12 +687,12 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
             for j in range(i + 1, nm):
                 minus = WeylOp.euler(nm, i) - WeylOp.euler(nm, j)
                 plus = WeylOp.euler(nm, i) + WeylOp.euler(nm, j)
-                H = H - WeylOp.mul_by(_rf(_fac_sum(nm, i, j).scale(_K), (_fac_diff(nm, i, j), 1))).compose(minus)
+                H = H - WeylOp.mul_by(_rf(_fac_sum(nm, i, j).scale(K), (_fac_diff(nm, i, j), 1))).compose(minus)
                 prod1 = _fac_prod_minus_1(nm, i, j) + MultiPoly.const(nm, 2)
-                H = H - WeylOp.mul_by(_rf(prod1.scale(_K), (_fac_prod_minus_1(nm, i, j), 1))).compose(plus)
+                H = H - WeylOp.mul_by(_rf(prod1.scale(K), (_fac_prod_minus_1(nm, i, j), 1))).compose(plus)
         for i in range(nm):
-            t1 = _rf(_fac_shift(nm, i, 1).scale(_P), (_fac_shift(nm, i, -1), 1))
-            t2 = _rf(_fac_shift(nm, i, 1, 2).scale(_Q.scale(2)), *_den_shift2(nm, i, 1))
+            t1 = _rf(_fac_shift(nm, i, 1).scale(P), (_fac_shift(nm, i, -1), 1))
+            t2 = _rf(_fac_shift(nm, i, 1, 2).scale(Q.scale(2)), *_den_shift2(nm, i, 1))
             H = H - WeylOp.mul_by(t1 + t2).compose(WeylOp.euler(nm, i))
         return H
     # Ungauged deformed trig BC.  The coefficients are pinned by the Moser
@@ -708,12 +704,7 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
         H = H + ei.compose(ei).scale(parity.k_weight(i))
     for i in range(nm):
         for j in range(i + 1, nm):
-            pi, pj = parity.p(i), parity.p(j)
-            c = {
-                (0, 0): _K * (_K + ONE),
-                (1, 1): (k_power(-1) + ONE),
-                (0, 1): _K + ONE,
-            }[(pi, pj)].scale(2)
+            c = _pair_coefficient(parity, i, j)
             num = (MultiPoly.var(nm, i) * MultiPoly.var(nm, j)).scale(c)
             H = H - WeylOp.mul_by(_rf(num, (_fac_diff(nm, i, j), 2)))
             H = H - WeylOp.mul_by(_rf(num, (_fac_prod_minus_1(nm, i, j), 2)))
@@ -913,7 +904,7 @@ def psi0_logderivs(family: Family, parity: ParityData):
             if family is Family.RAT_A:
                 w = w + _rf(MultiPoly.const(nm, c), (_fac_diff(nm, i, j), 1))
             elif family is Family.TRIG_A:
-                w = w + _rf(MultiPoly.const(nm, c * _HALF), (MultiPoly.var(nm, i), 1))
+                w = w + _rf(MultiPoly.const(nm, c * HALF), (MultiPoly.var(nm, i), 1))
                 w = w - _rf(MultiPoly.const(nm, c), (_fac_diff(nm, i, j), 1))
             else:
                 raise UnsupportedFamily(family.value)

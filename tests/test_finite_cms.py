@@ -4,8 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunklcms.coeffs import ONE, ParamRatio, const, k_power, symbol
+from dunklcms.coeffs import (
+    ONE,
+    ExponentOverflow,
+    ParamRatio,
+    UnsupportedDenominator,
+    const,
+    k_power,
+    symbol,
+)
 from dunklcms.finite_cms import (
+    MAX_X_EXPONENT,
+    MIN_X_EXPONENT,
     Hom,
     MultiPoly,
     NotInvariant,
@@ -96,6 +106,24 @@ def random_laurent(rng: random.Random, nterms: int) -> MultiPoly:
     return MultiPoly(3, terms)
 
 
+def count_ratio_operations(monkeypatch) -> list:
+    """Record every ParamRatio product, sum, difference, negation and
+    quotient from now on; returns the list the names are appended to."""
+    calls = []
+
+    def counting(name):
+        original = getattr(ParamRatio, name)
+
+        def wrapper(self, *other):
+            calls.append(name)
+            return original(self, *other)
+        return wrapper
+
+    for name in ("__mul__", "__truediv__", "__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(ParamRatio, name, counting(name))
+    return calls
+
+
 class TestRootTest:
     """The root test in ``div_or_none`` against sympy and against its cost bound."""
 
@@ -135,7 +163,7 @@ class TestRootTest:
         if g.is_zero():
             return
         divisible = self.divisible_by_sympy(sp, g, f)
-        assert _nonzero_at_root(g.terms, f.terms) == (not divisible)
+        assert _nonzero_at_root(g, f) == (not divisible)
         q = g.div_or_none(f)
         assert (q is None) == (not divisible)
         if q is not None:
@@ -145,8 +173,8 @@ class TestRootTest:
         x = V(3, 0) * V(3, 0) - C(3, 1)
         two_x = V(3, 0).scale(const(2)) - V(3, 1)
         g = V(3, 2) + C(3, 1)
-        assert not _nonzero_at_root(g.terms, x.terms)
-        assert not _nonzero_at_root(g.terms, two_x.terms)
+        assert not _nonzero_at_root(g, x)
+        assert not _nonzero_at_root(g, two_x)
         assert g.div_or_none(x) is None and g.div_or_none(two_x) is None
 
     def test_divisor_with_three_terms(self):
@@ -154,8 +182,8 @@ class TestRootTest:
         f = V(3, 0) + V(3, 1) + C(3, 1)
         g = f * f * V(3, 2)
         miss = g + C(3, 1)
-        assert not _nonzero_at_root(g.terms, f.terms)
-        assert not _nonzero_at_root(miss.terms, f.terms)
+        assert not _nonzero_at_root(g, f)
+        assert not _nonzero_at_root(miss, f)
         assert g.div_or_none(f) == f * V(3, 2)
         assert miss.div_or_none(f) is None
         with pytest.raises(InexactDivision):
@@ -166,10 +194,8 @@ class TestRootTest:
         assert r.num == miss and r.den == {f: 1}
 
     def test_rejection_does_no_coefficient_arithmetic(self, monkeypatch):
-        # all 120 monomials of degree <= 7 in three variables; at the root
-        # x0 = x1 each pure power of x2 is alone in its image monomial, which
-        # proves that x0 - x1 does not divide g without any coefficient
-        # operation, so a change that loses the shortcut fails here
+        # all 120 monomials of degree <= 7 in three variables; the root test
+        # at x0 = x1 rejects x0 - x1 by summing int coefficients only
         n = 3
         terms = {}
         for a in range(8):
@@ -179,20 +205,205 @@ class TestRootTest:
         g = MultiPoly(n, terms)
         f = _fac_diff(n, 0, 1)
         assert len(g.terms) >= 100
-        calls = []
-
-        def counting(name):
-            original = getattr(ParamRatio, name)
-
-            def wrapper(self, *other):
-                calls.append(name)
-                return original(self, *other)
-            return wrapper
-
-        for name in ("__mul__", "__truediv__", "__add__", "__sub__", "__neg__"):
-            monkeypatch.setattr(ParamRatio, name, counting(name))
+        calls = count_ratio_operations(monkeypatch)
         assert g.div_or_none(f) is None
         assert calls == []
+
+
+P_ = symbol("p")
+Q_ = symbol("q")
+#: Coefficients of the random polynomials: 1/2, 1/k, p and q among them.
+RANDOM_COEFFS = [
+    ParamRatio.fraction(1, 2), k_power(-1), P_, Q_, const(-3), symbol("k", 2),
+    Q_ * ParamRatio.fraction(-2, 3) + k_power(-1), P_ * k_power(-2) + ONE,
+]
+#: Units of the coefficient ring, c * k^a.
+RANDOM_UNITS = [ONE, const(-1), ParamRatio.fraction(1, 2), k_power(-1), K.scale(3),
+                k_power(-2) * ParamRatio.fraction(-2, 5)]
+
+
+def random_poly(rng: random.Random, nterms: int, low: int = -2, high: int = 3) -> MultiPoly:
+    terms = {}
+    for _ in range(nterms):
+        terms[tuple(rng.randint(low, high) for _ in range(3))] = rng.choice(RANDOM_COEFFS)
+    return MultiPoly(3, terms)
+
+
+def random_divisor(rng: random.Random) -> MultiPoly:
+    """A polynomial with a constant term (so each variable has a term of
+    exponent zero, as every divisor in the library does) whose other
+    coefficients are units, so that its leading coefficient is one."""
+    terms = {(0, 0, 0): rng.choice(RANDOM_COEFFS)}
+    for _ in range(rng.randint(1, 2)):
+        e = tuple(rng.randint(0, 2) for _ in range(3))
+        terms[e if any(e) else (1, 0, 0)] = rng.choice(RANDOM_UNITS)
+    return MultiPoly(3, terms)
+
+
+class TestPackedMultiPoly:
+    """The packed, fraction-free MultiPoly against sympy 1.14, at its exponent
+    limits, and against its work bound."""
+
+    @pytest.fixture(autouse=True)
+    def _oracle(self, sp):
+        self.sp = sp
+        self.xs = sp.symbols("x0 x1 x2")
+
+    def expr(self, f: MultiPoly):
+        sp = self.sp
+        return sp.Add(*[sp.sympify(c.text()) * sp.Mul(*[x ** a for x, a in zip(self.xs, e)])
+                        for e, c in f.terms.items()])
+
+    def same(self, f: MultiPoly, expr) -> bool:
+        return self.sp.cancel(self.expr(f) - expr) == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10 ** 9))
+    def test_ring_operations_agree_with_sympy(self, seed):
+        rng = random.Random(seed)
+        f, g = random_poly(rng, rng.randint(1, 5)), random_poly(rng, rng.randint(1, 5))
+        c = rng.choice(RANDOM_COEFFS + RANDOM_UNITS)
+        F, G = self.expr(f), self.expr(g)
+        assert self.same(f * g, F * G)
+        assert self.same(f + g, F + G)
+        assert self.same(f - g, F - G)
+        assert self.same(-f, -F)
+        assert self.same(f.scale(c), F * self.sp.sympify(c.text()))
+        assert self.same(f ** 2, F ** 2)
+        for i, x in enumerate(self.xs):
+            assert self.same(f.diff(i), self.sp.diff(F, x))
+        assert (f == g) == (self.sp.cancel(F - G) == 0)
+        assert (f - f).is_zero() and f - g + g == f
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10 ** 9))
+    def test_actions_agree_with_sympy(self, seed):
+        f = random_poly(random.Random(seed), 5)
+        F = self.expr(f)
+        x0, x1, x2 = self.xs
+
+        def image(subs):
+            return F.subs(subs, simultaneous=True)
+
+        assert self.same(f.act_swap(0, 2), image({x0: x2, x2: x0}))
+        assert self.same(f.act_signed_swap(1, 2), image({x1: -x2, x2: -x1}))
+        assert self.same(f.act_flip(1), image({x1: -x1}))
+        assert self.same(f.act_invert(0), image({x0: 1 / x0}))
+        assert self.same(f.act_invert_swap(0, 1), image({x0: 1 / x1, x1: 1 / x0}))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10 ** 9), perturb=st.booleans())
+    def test_division_agrees_with_sympy(self, seed, perturb):
+        sp = self.sp
+        rng = random.Random(seed)
+        f = random_divisor(rng)
+        g = f * random_poly(rng, rng.randint(1, 4))
+        if perturb:
+            g = g + random_poly(rng, 1)
+        if g.is_zero():
+            return
+        ratio = sp.cancel(self.expr(g) / self.expr(f))
+        _, den = sp.fraction(ratio)
+        divisible = sp.Poly(den, *self.xs, *sp.symbols("k p q")).is_monomial
+        q = g.div_or_none(f)
+        assert (q is None) == (not divisible)
+        if q is None:
+            with pytest.raises(InexactDivision):
+                g.exact_div(f)
+        else:
+            assert self.same(q, ratio)
+            assert g.exact_div(f) == q and q * f == g
+
+    def test_substitute_and_text_agree_with_sympy(self, rng):
+        sp = self.sp
+        k, p, q = sp.symbols("k p q")
+        names = {"x%d" % (i + 1): x for i, x in enumerate(self.xs)}
+        for _ in range(20):
+            f = random_poly(rng, rng.randint(1, 5))
+            F = self.expr(f)
+            assert sp.cancel(sp.sympify(f.text(), locals=names) - F) == 0
+            assert self.same(f.substitute({"k": ParamRatio.fraction(3, 2)}), F.subs(k, sp.Rational(3, 2)))
+            bound = f.substitute({"p": K + ONE, "q": ParamRatio.fraction(1, 2)})
+            assert self.same(bound, F.subs({p: k + 1, q: sp.Rational(1, 2)}, simultaneous=True))
+
+    def test_division_by_a_unit_leading_coefficient(self):
+        # the leading coefficients 3, k and 2k are units of the ring but not
+        # of the int coefficients, so a leading remainder term can fail to
+        # divide, by its coefficient or by its power of k
+        for f in (V(3, 0).scale(const(3)) + C(3, 1), V(3, 0).scale(K) - V(3, 1),
+                  V(3, 0).scale(K.scale(2)) - V(3, 1)):
+            h = V(3, 1) + C(3, ParamRatio.fraction(1, 2)) + V(3, 0).scale(k_power(-1) + P_)
+            assert (f * h).div_or_none(f) == h
+            for g in (V(3, 0), V(3, 0) * V(3, 1), f * h + C(3, 1), f * V(3, 0) + V(3, 0) * V(3, 0)):
+                assert g.div_or_none(f) is None
+
+    def test_division_by_a_non_unit_leading_coefficient_is_unsupported(self):
+        g = V(3, 0) * V(3, 1)
+        for f in (V(3, 0).scale(K + ONE), V(3, 0).scale(P_) + C(3, 1),
+                  V(3, 0).scale(K) + V(3, 0) - V(3, 1)):
+            with pytest.raises(UnsupportedDenominator):
+                g.div_or_none(f)
+
+    def test_exponent_limits_are_exact(self):
+        assert (V(2, 0, MAX_X_EXPONENT - 1) * V(2, 0)).terms == {(MAX_X_EXPONENT, 0): ONE}
+        assert (V(2, 1, MIN_X_EXPONENT + 1) * V(2, 1, -1)).terms == {(0, MIN_X_EXPONENT): ONE}
+        near = V(2, 0, 5) * V(2, 1, MAX_X_EXPONENT - 6) * V(2, 1)
+        assert near.terms == {(5, MAX_X_EXPONENT - 5): ONE}
+        low = V(2, 0, 3) * V(2, 1, MIN_X_EXPONENT + 4) * V(2, 1, -1)
+        assert low.terms == {(3, MIN_X_EXPONENT + 3): ONE}
+
+    @pytest.mark.parametrize("make", [
+        lambda: V(2, 0, MAX_X_EXPONENT) * V(2, 0),
+        lambda: V(2, 1, MAX_X_EXPONENT) * V(2, 1),
+        lambda: V(2, 0, MIN_X_EXPONENT) * V(2, 0, -1),
+        lambda: V(2, 1, MIN_X_EXPONENT) * V(2, 1, -1),
+        lambda: (V(2, 0) + V(2, 1, MAX_X_EXPONENT)) * (V(2, 1) + C(2, 1)),
+        lambda: V(3, 0, 600) * V(3, 1, 600),
+        lambda: V(3, 0, -600) * V(3, 2, -600),
+        lambda: V(2, 1, MIN_X_EXPONENT).diff(1),
+        lambda: V(2, 0, MIN_X_EXPONENT).act_invert(0),
+        lambda: V(2, 1, MIN_X_EXPONENT).act_invert_swap(0, 1),
+        lambda: V(2, 1).mul_monomial((0, MAX_X_EXPONENT)),
+        lambda: MultiPoly(2, {(MAX_X_EXPONENT + 1, 0): ONE}),
+        lambda: V(2, 0).scale(symbol("k", 511)).scale(K),
+        lambda: V(2, 0, 2).div_or_none(V(2, 0, MIN_X_EXPONENT)),
+    ])
+    def test_exponent_overflow_raises(self, make):
+        # an overflow never aliases into the next field: it raises
+        with pytest.raises(ExponentOverflow):
+            make()
+
+    def test_product_and_division_do_no_coefficient_arithmetic(self, monkeypatch):
+        n = 3
+        f = MultiPoly(n, {(2, 1, 0): K, (0, -1, 1): k_power(-1), (1, 0, 0): ParamRatio.fraction(1, 2),
+                          (0, 0, 0): P_})
+        g = MultiPoly(n, {(1, 1, 1): const(3), (0, 2, -1): Q_ * k_power(-2), (0, 0, 1): ONE})
+        factors = [_fac_diff(n, 0, 1), _fac_diff(n, 2, 0), _fac_sum(n, 1, 2), _fac_prod_minus_1(n, 0, 2),
+                   _fac_shift(n, 1, -1), _fac_shift(n, 2, 1), _fac_shift(n, 0, -1, 2), V(n, 1)]
+        calls = count_ratio_operations(monkeypatch)
+        h = f * g
+        assert len(h.packed) > 4
+        for s in factors:
+            assert (h * s).div_or_none(s) == h
+        assert calls == []
+
+    @pytest.mark.parametrize("n, products", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+    def test_power_makes_no_spare_products(self, monkeypatch, n, products):
+        f = V(2, 0) + V(2, 1).scale(K) + C(2, 1)
+        expected = f
+        for _ in range(n - 1):
+            expected = expected * f
+        count = []
+        original = MultiPoly.__mul__
+
+        def counting(self, other):
+            count.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting)
+        assert f ** n == expected
+        assert len(count) == products
+
 
 
 class TestFiniteDunkl:
