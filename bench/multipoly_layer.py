@@ -1,11 +1,11 @@
 """Layer benchmark of the x-polynomial layer: ``MultiPoly`` products and divisions.
 
-    python3 bench/multipoly_layer.py --label NAME --out BENCH_4.json [--src DIR] [--repeats N]
+    python3 bench/multipoly_layer.py --label NAME --out BENCH_4.json [--src DIR]
 
 Runs ``verify lax --family trig-a --n 2 --m 2`` once in-process with
 ``MultiPoly.__mul__`` and ``MultiPoly.div_or_none`` wrapped to capture their
-operands, then replays the captured calls ``--repeats`` times, unwrapped, and
-records the minimum and the median time of a full replay of each method.  It
+operands, then replays the captured calls ``REPEATS`` (7) times, unwrapped,
+and records the minimum and the median time of a full replay of each method.  It
 also times the command itself, unwrapped, as often.  The numbers are stored
 under ``--label`` in the JSON file ``--out``; other labels already in the file
 are kept, so one file can hold two versions of the code measured on the same
@@ -32,6 +32,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMAND = ["verify", "lax", "--family", "trig-a", "--n", "2", "--m", "2", "--no-timing"]
+REPEATS = 7
 
 
 def capture(MultiPoly, run):
@@ -64,9 +65,9 @@ def capture(MultiPoly, run):
     return calls
 
 
-def timed(fn, repeats: int) -> dict:
+def timed(fn) -> dict:
     samples = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         gc.collect()
         t0 = time.perf_counter()
         fn()
@@ -81,7 +82,7 @@ def replay(method, pairs):
     return go
 
 
-def measure(src: str, repeats: int) -> dict:
+def measure(src: str) -> dict:
     sys.path.insert(0, src)
     from dunklcms import cli, coeffs
     from dunklcms.finite_cms import MultiPoly
@@ -93,7 +94,7 @@ def measure(src: str, repeats: int) -> dict:
         row = {"calls": len(pairs)}
         if name == "div_or_none":
             row["hits"] = sum(method(a, b) is not None for a, b in pairs)
-        row.update(timed(replay(method, pairs), repeats))
+        row.update(timed(replay(method, pairs)))
         layers["MultiPoly." + name] = row
 
     def command():
@@ -116,9 +117,9 @@ def measure(src: str, repeats: int) -> dict:
         "python": platform.python_version(),
         "rat_backend": "%s.%s" % (coeffs.Rat.__module__, coeffs.Rat.__qualname__),
         "source_sha256": digest,
-        "repeats": repeats,
+        "repeats": REPEATS,
         "layers": layers,
-        "command": timed(command, repeats),
+        "command": timed(command),
     }
 
 
@@ -127,11 +128,8 @@ def main(argv=None):
     ap.add_argument("--label", required=True, help="the name the results are stored under")
     ap.add_argument("--out", required=True, help="the JSON file to update")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"))
-    ap.add_argument("--repeats", type=int, default=7)
     args = ap.parse_args(argv)
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
-    result = measure(os.path.abspath(args.src), args.repeats)
+    result = measure(os.path.abspath(args.src))
     data = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:

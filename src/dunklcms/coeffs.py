@@ -22,6 +22,13 @@ field, and a product that sets a guard bit raises ``ExponentOverflow``.
 Coefficients are plain ints, so all arithmetic is int arithmetic and
 ``math.gcd``.
 
+Above the parameter monomial a key may carry further fields of 12 bits, each
+with its top bit as a guard, and a product that sets any guard bit raises
+``ExponentOverflow`` as well.  The ring operations (+, -, *, ``scale`` and
+the canonical form) add keys and read only the k field and the guard bits,
+so they apply unchanged: ``finite_cms`` keeps each polynomial in x as one
+``ParamRatio`` whose keys also hold the x-exponents.
+
 The symbol set is fixed globally; each operator family uses a subset ({k} for
 the A families, {k, q} for rational B, {k, p, q} for trigonometric BC, the
 remaining symbols being eliminated through ``ParamRatio.substitute``).
@@ -46,7 +53,10 @@ _SYMBOL_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
 _BITS = 10
 _FIELD = (1 << _BITS) - 1
 MAX_DEGREE = (1 << (_BITS - 1)) - 1
-_GUARD = sum(1 << (_BITS * i + _BITS - 1) for i in range(NSYM))
+_XBITS = 12  # the fields above the parameter monomial
+_XFIELDS = 64  # of which the guards of this many are tested
+_GUARD = (sum(1 << (_BITS * i + _BITS - 1) for i in range(NSYM))
+          | sum(1 << (_BITS * NSYM + _XBITS * i + _XBITS - 1) for i in range(_XFIELDS)))
 _NOT_K = sum(_FIELD << (_BITS * i) for i in range(1, NSYM))
 _k_exponent = _FIELD.__and__
 
@@ -75,7 +85,7 @@ class UnsupportedDenominator(CoeffError):
 
 
 class ExponentOverflow(CoeffError):
-    """An exponent left the packed range 0..MAX_DEGREE."""
+    """An exponent left its packed range (0..MAX_DEGREE for a parameter)."""
 
 
 def _pack(exps) -> int:
@@ -92,9 +102,9 @@ def _unpack(e: int) -> list:
 
 
 def _checked(terms: dict) -> dict:
-    """``terms`` after checking that no exponent field reached its guard bit."""
+    """``terms`` after checking that no field reached its guard bit."""
     if reduce(or_, terms, 0) & _GUARD:
-        raise ExponentOverflow("an exponent exceeds %d" % MAX_DEGREE)
+        raise ExponentOverflow("an exponent left its packed range")
     return terms
 
 
@@ -261,6 +271,10 @@ class ParamPoly:
         """The largest j with k^j dividing self (self nonzero)."""
         return min(map(_k_exponent, self.terms))
 
+    def _shift_down(self, j: int) -> "ParamPoly":
+        """self / k^j, for k^j dividing self."""
+        return _poly({e - j: c for e, c in self.terms.items()}) if j else self
+
     # -- substitution and evaluation -------------------------------------
 
     def substitute(self, bindings: dict) -> "ParamRatio":
@@ -334,9 +348,8 @@ def _canonical(num: ParamPoly, den_int: int, den_k: int) -> "ParamRatio":
     num, den_int = _content_free(num, den_int)
     if den_k:
         j = min(den_k, num._k_valuation())
-        if j:
-            num = _poly({e - j: c for e, c in num.terms.items()})
-            den_k -= j
+        num = num._shift_down(j)
+        den_k -= j
     return _raw(num, den_int, den_k)
 
 
@@ -470,19 +483,21 @@ class ParamRatio:
         if not n1.terms or not n2.terms:
             return _RATIO_ZERO
         d1, d2, a1, a2 = self.den_int, other.den_int, self.den_k, other.den_k
+        # k cancels only against a numerator whose own denominator has no k;
+        # it is cancelled before the product, so that a product that fits is
+        # never rejected for an exponent that it cancels
+        j = 0
         if a1 and a2:
-            j = 0  # neither numerator is divisible by k
+            pass  # neither numerator is divisible by k
         elif a1:
             j = min(a1, n2._k_valuation())
+            n2 = n2._shift_down(j)
         elif a2:
             j = min(a2, n1._k_valuation())
+            n1 = n1._shift_down(j)
         elif d1 == 1 and d2 == 1:
             return _raw(n1 * n2, 1, 0)
-        else:
-            j = 0
         num, den_int = _content_free(n1 * n2, d1 * d2)
-        if j:
-            num = _poly({e - j: c for e, c in num.terms.items()})
         return _raw(num, den_int, _check_den_k(a1 + a2 - j))
 
     def inverse(self) -> "ParamRatio":

@@ -10,11 +10,13 @@ and the commutative-diagram checks compare both routes term by term.
 Variables are indexed 0..N-1 internally.  Laurent exponents are allowed where
 the trigonometric BC family needs them.
 
-``MultiPoly`` is fraction-free, like the coefficient ring below it: one dict
-from a packed int (x-exponents above the parameter monomial) to an int
-coefficient, over a single denominator c * k^a for the whole polynomial.
-Products, sums, derivatives, the group actions and exact division are loops
-over int dicts; a ``ParamRatio`` is built only for display, for the leading
+``MultiPoly`` is fraction-free, like the coefficient ring below it: the whole
+polynomial is one ``ParamRatio`` whose packed monomial keys also carry the
+x-exponents above the parameter monomial.  Sums and scaling are the
+coefficient ring's own operations on it, and so are products, between a
+shift of one factor's keys and a check of the x-exponents; derivatives, the
+group actions and exact division are loops over its int dict.  A
+``ParamRatio`` per x-monomial is built only for display, for the leading
 coefficient, for substitution and for the ``terms`` view.
 """
 
@@ -24,12 +26,15 @@ import heapq
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd, lcm
-from operator import and_, or_
+from operator import and_
 
 from .coeffs import (
     _BITS,
     _FIELD,
     _GUARD,
+    _NOT_K,
+    _XBITS,
+    _XFIELDS,
     NSYM,
     ONE,
     ExponentOverflow,
@@ -40,9 +45,10 @@ from .coeffs import (
     ParamRatio,
     ZERO,
     _canonical,
-    _check_den_k,
+    _checked,
     _k_exponent,
     _poly,
+    _raw,
     k_power,
 )
 from .powersums import (
@@ -61,7 +67,6 @@ class NotInvariant(ValueError):
 
 _PARAM_BITS = _BITS * NSYM  # the parameter monomial, packed as in coeffs
 _PARAM_MASK = (1 << _PARAM_BITS) - 1
-_XBITS = 12
 _XFIELD = (1 << _XBITS) - 1
 _XBIAS = 1 << (_XBITS - 2)
 MIN_X_EXPONENT = -_XBIAS
@@ -73,29 +78,31 @@ class _Layout:
 
     From the top: the total degree, then x_0, x_1, ..., x_{nvars-1}, each in a
     12-bit field holding the exponent plus 1024 (so 0..2047 when valid, with
-    the top bit as a guard), then the parameter monomial in the low 50 bits.
-    Adding two keys and subtracting ``bias`` multiplies the monomials.  Each
-    field then holds a value in -1024..3071 before the borrows and carries
-    between fields, so distinct monomials never share a key, and the lowest
-    field that left 0..2047 has its guard bit set: ``guard`` detects every
-    overflow, whichever way it carries.
+    the top bit as a guard), then the parameter monomial in the low 50 bits,
+    packed as ``coeffs`` packs it.  So keys compare as ints in the graded
+    lexicographic order of their x-monomials, and adding a key and a key
+    less ``bias`` multiplies the monomials.  Each field then holds a value in
+    -1024..3071 before the borrows and carries between fields, so distinct
+    monomials never share a key, and the lowest field that left 0..2047 has
+    its guard bit set: ``coeffs._checked``, which tests the guard bits of up
+    to 64 fields, detects every overflow, whichever way it carries.
     """
 
-    __slots__ = ("nvars", "offsets", "units", "deg_off", "deg_unit", "top", "bias", "zero_x",
-                 "guard", "x_guard", "x_mask")
+    __slots__ = ("nvars", "offsets", "units", "deg_off", "deg_unit", "bias", "zero_x",
+                 "x_guard", "x_mask")
 
     def __init__(self, nvars: int):
+        if nvars >= _XFIELDS:
+            raise ValueError("at most %d variables" % (_XFIELDS - 1))
         self.nvars = nvars
         self.offsets = [_PARAM_BITS + _XBITS * (nvars - 1 - v) for v in range(nvars)]
         self.units = [1 << off for off in self.offsets]
         self.deg_off = _PARAM_BITS + _XBITS * nvars
         self.deg_unit = 1 << self.deg_off
-        self.top = self.deg_off + _XBITS
         self.bias = sum(_XBIAS << off for off in self.offsets + [self.deg_off])
         self.zero_x = self.bias >> _PARAM_BITS  # the x-part of a constant
         self.x_guard = sum(1 << (off + _XBITS - 1) for off in self.offsets)
         self.x_mask = sum(_XFIELD << off for off in self.offsets)
-        self.guard = _GUARD | self.x_guard | 1 << (self.deg_off + _XBITS - 1)
 
     def pack(self, exps) -> int:
         """The key of x^exps with parameter monomial 1."""
@@ -111,15 +118,6 @@ class _Layout:
         """The x-exponents of a key."""
         return tuple(((key >> off) & _XFIELD) - _XBIAS for off in self.offsets)
 
-    def checked(self, packed: dict) -> dict:
-        """``packed`` after checking that no field reached its guard bit."""
-        bits = reduce(or_, packed, 0)
-        if bits & self.guard or bits >> self.top:
-            raise ExponentOverflow("an x-exponent or total degree outside %d..%d, "
-                                   "or a parameter exponent above its limit"
-                                   % (MIN_X_EXPONENT, MAX_X_EXPONENT))
-        return packed
-
 
 _LAYOUTS: dict = {}
 
@@ -131,91 +129,23 @@ def _layout(nvars: int) -> _Layout:
     return lay
 
 
-def _coefficient(group: dict, den_int: int, den_k: int) -> ParamRatio:
-    """The ParamRatio group / (den_int * k^den_k); group maps parameter
-    monomials to ints."""
-    return _canonical(_poly(group), den_int, den_k)
-
-
 _new = object.__new__
 
 
-def _mp(lay: _Layout, packed: dict, den_int: int, den_k: int) -> "MultiPoly":
-    """A MultiPoly from fields already in canonical form."""
+def _mp(lay: _Layout, ratio: ParamRatio) -> "MultiPoly":
+    """A MultiPoly over ``ratio``, whose keys are valid in ``lay``."""
     f = _new(MultiPoly)
     f.nvars = lay.nvars
     f._lay = lay
-    f.packed = packed
-    f.den_int = den_int
-    f.den_k = den_k
+    f.ratio = ratio
     f._hash = None
     return f
 
 
-def _content_free(packed: dict, den_int: int):
-    """(packed, den_int) divided by the gcd of den_int and the coefficients."""
-    if den_int != 1:
-        g = gcd(den_int, *packed.values())
-        if g != 1:
-            return {e: c // g for e, c in packed.items()}, den_int // g
-    return packed, den_int
-
-
-def _canonical_mp(lay: _Layout, packed: dict, den_int: int, den_k: int) -> "MultiPoly":
-    """packed / (den_int * k^den_k) in canonical form, for den_int > 0."""
-    if not packed:
-        return _mp(lay, packed, 1, 0)
-    packed, den_int = _content_free(packed, den_int)
-    if den_k:
-        j = min(den_k, min(map(_k_exponent, packed)))
-        if j:
-            packed = {e - j: c for e, c in packed.items()}
-            den_k -= j
-    return _mp(lay, packed, den_int, den_k)
-
-
-def _product(a: dict, b: dict, shift: int) -> dict:
-    """The packed product of a and b, where shift is subtracted from every key
-    of b (the layout's bias for two x-polynomials, 0 for a parameter
-    polynomial); zero coefficients removed, overflow not yet checked."""
-    if len(b) == 1:
-        (e2, c2), = b.items()
-        e2 -= shift
-        if c2 == 1:
-            return {e + e2: c for e, c in a.items()}
-        return {e + e2: c * c2 for e, c in a.items()}
-    out: dict = {}
-    get = out.get
-    for e2, c2 in b.items():
-        e2 -= shift
-        for e1, c1 in a.items():
-            e = e1 + e2
-            v = get(e)
-            out[e] = c1 * c2 if v is None else v + c1 * c2
-    if 0 in out.values():
-        out = {e: c for e, c in out.items() if c}
-    return out
-
-
-def _over_product_den(lay: _Layout, out: dict, d1: int, a1: int, t1: dict,
-                      d2: int, a2: int, t2: dict) -> "MultiPoly":
-    """out / (d1 d2 k^(a1+a2)) in canonical form, where out = t1 * t2 and each
-    t_i / (d_i k^a_i) is canonical: as in ParamRatio.__mul__, k can cancel
-    only against a numerator whose own denominator has no k."""
-    if a1 and a2:
-        j = 0  # neither numerator is divisible by k
-    elif a1:
-        j = min(a1, min(map(_k_exponent, t2)))
-    elif a2:
-        j = min(a2, min(map(_k_exponent, t1)))
-    elif d1 == 1 and d2 == 1:
-        return _mp(lay, out, 1, 0)
-    else:
-        j = 0
-    out, den_int = _content_free(out, d1 * d2)
-    if j:
-        out = {e - j: c for e, c in out.items()}
-    return _mp(lay, out, den_int, _check_den_k(a1 + a2 - j))
+def _coefficient(group: dict, ratio: ParamRatio) -> ParamRatio:
+    """The ParamRatio group / (den_int * k^den_k) of ratio's denominator;
+    group maps parameter monomials to ints."""
+    return _canonical(_poly(group), ratio.den_int, ratio.den_k)
 
 
 # -- x-polynomials ----------------------------------------------------------------
@@ -225,27 +155,30 @@ class MultiPoly:
     """Sparse Laurent polynomial in x_0..x_{nvars-1} over the coefficient ring.
 
     ``MultiPoly(nvars, {exponent tuple: ParamRatio})`` builds one.  Inside, it
-    is ``packed / (den_int * k^den_k)``:
+    is a single ``ParamRatio``, ``ratio``, in the coefficient ring's canonical
+    form: an int polynomial over one denominator den_int * k^den_k for the
+    whole x-polynomial, with the content coprime to den_int and, when
+    den_k > 0, some monomial free of k.  So equal polynomials have equal
+    fields.  Its monomial keys carry the x-exponents and their total degree
+    in 12-bit fields above the parameter monomial (see ``_Layout``):
 
-    * ``packed`` maps a packed int key to a nonzero int coefficient.  The low
-      50 bits of a key hold the parameter monomial exactly as ``coeffs``
-      packs it; above them lie 12-bit fields for x_{nvars-1}, ..., x_1, x_0
-      and, topmost, the total degree.  Each holds its value plus 1024, so
-      every x-exponent and every term's total degree lies in
-      MIN_X_EXPONENT..MAX_X_EXPONENT (-1024..1023); a result outside raises
-      ``ExponentOverflow`` (see ``_Layout``).  Keys compare as ints in the
-      graded lexicographic order of their x-monomials (total degree, then
-      x_0, x_1, ...), ties broken by the parameter monomial.
-    * One denominator serves the whole polynomial, in the canonical form of
-      ``ParamRatio``: den_int > 0, the gcd of the coefficients is coprime to
-      den_int, and when den_k > 0 some key has no factor k.  The parameter
-      exponents of the shared numerator stay within ``coeffs.MAX_DEGREE``.
+    * the ring's +, - and scaling apply to it unchanged, and a product is the
+      ring's product once one factor's keys have lost the layout's bias;
+    * every x-exponent and every term's total degree lies in
+      MIN_X_EXPONENT..MAX_X_EXPONENT (-1024..1023), and a result outside
+      raises ``ExponentOverflow``;
+    * the parameter exponents of the shared numerator stay within
+      ``coeffs.MAX_DEGREE`` (511), so a polynomial whose terms span more
+      than k^511 between them, such as x0/k^300 + k^300*x1, raises it too;
+    * keys compare as ints in the graded lexicographic order of their
+      x-monomials (total degree, then x_0, x_1, ...), ties broken by the
+      parameter monomial.
 
-    So equal polynomials have equal fields.  ``terms`` is the read-only view
-    {exponent tuple: ParamRatio}, built on each access.
+    ``terms`` is the read-only view {exponent tuple: ParamRatio}, built on
+    each access.
     """
 
-    __slots__ = ("nvars", "_lay", "packed", "den_int", "den_k", "_hash")
+    __slots__ = ("nvars", "_lay", "ratio", "_hash")
 
     def __init__(self, nvars: int, terms: dict):
         lay = _layout(nvars)
@@ -258,64 +191,56 @@ class MultiPoly:
             m = den_int // c.den_int
             for pe, v in c.num.terms.items():
                 packed[base + pe] = v * m
-        f = _canonical_mp(lay, lay.checked(packed), den_int, den_k)
-        self.nvars, self._lay, self.packed = nvars, lay, f.packed
-        self.den_int, self.den_k, self._hash = f.den_int, f.den_k, None
+        self.nvars, self._lay, self._hash = nvars, lay, None
+        self.ratio = _canonical(_poly(_checked(packed)), den_int, den_k)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(nvars: int) -> "MultiPoly":
-        return _mp(_layout(nvars), {}, 1, 0)
+        return _mp(_layout(nvars), ZERO)
 
     @staticmethod
     def const(nvars: int, c) -> "MultiPoly":
         c = c if isinstance(c, ParamRatio) else ParamRatio.const(c)
         lay = _layout(nvars)
-        return _mp(lay, {lay.bias + e: v for e, v in c.num.terms.items()}, c.den_int, c.den_k)
+        return _mp(lay, _raw(_poly({lay.bias + e: v for e, v in c.num.terms.items()}), c.den_int, c.den_k))
 
     @staticmethod
     def var(nvars: int, i: int, power: int = 1) -> "MultiPoly":
         e = [0] * nvars
         e[i] = power
         lay = _layout(nvars)
-        return _mp(lay, {lay.pack(e): 1}, 1, 0)
+        return _mp(lay, _raw(_poly({lay.pack(e): 1}), 1, 0))
 
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.packed
+        return not self.ratio.num.terms
 
     def is_const(self) -> bool:
         """True when no term carries an x (the zero polynomial included)."""
         zero_x = self._lay.zero_x
-        return all(e >> _PARAM_BITS == zero_x for e in self.packed)
+        return all(e >> _PARAM_BITS == zero_x for e in self.ratio.num.terms)
 
     def is_laurent(self) -> bool:
         unpack = self._lay.unpack
-        return any(p < 0 for e in self.packed for p in unpack(e))
+        return any(p < 0 for e in self.ratio.num.terms for p in unpack(e))
 
     @property
     def terms(self) -> dict:
         """{exponent tuple: ParamRatio}, built from the packed form."""
         groups: dict = {}
-        for e, c in self.packed.items():
+        for e, c in self.ratio.num.terms.items():
             groups.setdefault(e >> _PARAM_BITS, {})[e & _PARAM_MASK] = c
         unpack = self._lay.unpack
-        return {unpack(x << _PARAM_BITS): _coefficient(g, self.den_int, self.den_k)
-                for x, g in groups.items()}
+        return {unpack(x << _PARAM_BITS): _coefficient(g, self.ratio) for x, g in groups.items()}
 
     def key(self):
-        return (tuple(sorted(self.packed.items())), self.den_int, self.den_k)
+        return self.ratio.key()
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MultiPoly)
-            and self.nvars == other.nvars
-            and self.den_int == other.den_int
-            and self.den_k == other.den_k
-            and self.packed == other.packed
-        )
+        return isinstance(other, MultiPoly) and self.nvars == other.nvars and self.ratio == other.ratio
 
     def __hash__(self):
         if self._hash is None:
@@ -324,83 +249,38 @@ class MultiPoly:
 
     def leading(self):
         """The grlex-leading exponent tuple and its ParamRatio coefficient."""
-        x = max(self.packed) >> _PARAM_BITS
-        group = {e & _PARAM_MASK: c for e, c in self.packed.items() if e >> _PARAM_BITS == x}
-        return self._lay.unpack(x << _PARAM_BITS), _coefficient(group, self.den_int, self.den_k)
+        packed = self.ratio.num.terms
+        x = max(packed) >> _PARAM_BITS
+        group = {e & _PARAM_MASK: c for e, c in packed.items() if e >> _PARAM_BITS == x}
+        return self._lay.unpack(x << _PARAM_BITS), _coefficient(group, self.ratio)
 
     def total_degree(self) -> int:
         off = self._lay.deg_off
-        return max((((e >> off) & _XFIELD) - _XBIAS for e in self.packed), default=0)
+        return max(((e >> off & _XFIELD) - _XBIAS for e in self.ratio.num.terms), default=0)
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
-        """self + sign * other."""
-        a, b = self.packed, other.packed
-        if not b:
-            return self
-        if not a:
-            return other if sign == 1 else -other
-        lay = self._lay
-        d1, d2, a1, a2 = self.den_int, other.den_int, self.den_k, other.den_k
-        if d1 == d2 and a1 == a2:
-            out = dict(a)
-            m2, den_int, den_k = sign, d1, a1
-        else:
-            g = gcd(d1, d2)
-            den_int, den_k = d1 // g * d2, max(a1, a2)
-            m1, m2 = d2 // g, sign * (d1 // g)
-            j = den_k - a1
-            out = {e + j: c * m1 for e, c in a.items()}
-            b = {e + den_k - a2: c for e, c in b.items()}
-        get = out.get
-        if m2 == 1:
-            for e, c in b.items():
-                out[e] = get(e, 0) + c
-        else:
-            for e, c in b.items():
-                out[e] = get(e, 0) + c * m2
-        if 0 in out.values():
-            out = {e: c for e, c in out.items() if c}
-        if a1 != a2:
-            # one numerator is free of k and the other is shifted by a
-            # positive power of k, so k does not divide the sum
-            out, den_int = _content_free(lay.checked(out), den_int)
-            return _mp(lay, out, den_int, den_k)
-        if den_int == 1 and not den_k:
-            return _mp(lay, out, 1, 0)
-        return _canonical_mp(lay, out, den_int, den_k)
-
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        return self._combine(other, 1)
+        return _mp(self._lay, self.ratio + other.ratio)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self._combine(other, -1)
+        return _mp(self._lay, self.ratio - other.ratio)
 
     def __neg__(self) -> "MultiPoly":
-        return _mp(self._lay, {e: -c for e, c in self.packed.items()}, self.den_int, self.den_k)
+        return _mp(self._lay, -self.ratio)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        a, b = self.packed, other.packed
         lay = self._lay
-        if not a or not b:
-            return _mp(lay, {}, 1, 0)
-        if len(a) < len(b):
+        a, b = self.ratio, other.ratio
+        if len(a.num.terms) < len(b.num.terms):
             a, b = b, a
-        out = lay.checked(_product(a, b, lay.bias))
-        return _over_product_den(lay, out, self.den_int, self.den_k, self.packed,
-                                 other.den_int, other.den_k, other.packed)
+        # keys add, so the smaller factor's keys lose the bias first; the
+        # shift keeps its canonical form, and the product checks the guards
+        bias = lay.bias
+        return _mp(lay, a * _raw(_poly({e - bias: c for e, c in b.num.terms.items()}), b.den_int, b.den_k))
 
     def scale(self, c: ParamRatio) -> "MultiPoly":
-        lay = self._lay
-        if c.is_zero() or not self.packed:
-            return _mp(lay, {}, 1, 0)
-        t = c.num.terms
-        out = _product(self.packed, t, 0)
-        if len(t) > 1 or next(iter(t)):
-            out = lay.checked(out)  # a parameter monomial can overflow
-        return _over_product_den(lay, out, self.den_int, self.den_k, self.packed,
-                                 c.den_int, c.den_k, t)
+        return _mp(self._lay, self.ratio * c)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -417,11 +297,20 @@ class MultiPoly:
                 return result
             base = base * base
 
+    def _remap(self, terms: dict) -> "MultiPoly":
+        """``terms`` over self's denominator, for terms that are self's with
+        their x-monomials moved and signs changed: the content and the
+        k-valuation of the numerator, and hence the canonical form, stay."""
+        r = self.ratio
+        return _mp(self._lay, _raw(_poly(terms), r.den_int, r.den_k))
+
+    def _shifted(self, shift: int) -> "MultiPoly":
+        """self times the x-monomial whose key less the bias is ``shift``."""
+        return self._remap(_checked({e + shift: c for e, c in self.ratio.num.terms.items()}))
+
     def mul_monomial(self, exps, coeff: ParamRatio = ONE) -> "MultiPoly":
         lay = self._lay
-        shift = lay.pack(exps) - lay.bias
-        out = {e + shift: c for e, c in self.packed.items()}
-        f = _mp(lay, lay.checked(out) if shift else out, self.den_int, self.den_k)
+        f = self._shifted(lay.pack(exps) - lay.bias)
         return f if coeff == ONE else f.scale(coeff)
 
     def diff(self, i: int) -> "MultiPoly":
@@ -429,25 +318,21 @@ class MultiPoly:
         off = lay.offsets[i]
         step = lay.units[i] + lay.deg_unit
         out = {}
-        for e, c in self.packed.items():
-            p = ((e >> off) & _XFIELD) - _XBIAS
+        for e, c in self.ratio.num.terms.items():
+            p = (e >> off & _XFIELD) - _XBIAS
             if p:
                 out[e - step] = c * p
-        return _canonical_mp(lay, lay.checked(out), self.den_int, self.den_k)
+        r = self.ratio
+        return _mp(lay, _canonical(_poly(_checked(out)), r.den_int, r.den_k))
 
     # -- group actions ------------------------------------------------------
-    # The actions permute the terms and change signs, so the content and the
-    # k-valuation of the numerator, and hence the canonical form, stay.
-
-    def _remap(self, out: dict) -> "MultiPoly":
-        return _mp(self._lay, out, self.den_int, self.den_k)
 
     def act_swap(self, i: int, j: int) -> "MultiPoly":
         lay = self._lay
         oi, oj = lay.offsets[i], lay.offsets[j]
         move = lay.units[i] - lay.units[j]
-        return self._remap({e + (((e >> oj) & _XFIELD) - ((e >> oi) & _XFIELD)) * move: c
-                            for e, c in self.packed.items()})
+        return self._remap({e + ((e >> oj & _XFIELD) - (e >> oi & _XFIELD)) * move: c
+                            for e, c in self.ratio.num.terms.items()})
 
     def act_signed_swap(self, i: int, j: int) -> "MultiPoly":
         """(x_i, x_j) -> (-x_j, -x_i)."""
@@ -455,33 +340,31 @@ class MultiPoly:
         oi, oj = lay.offsets[i], lay.offsets[j]
         move = lay.units[i] - lay.units[j]
         out = {}
-        for e, c in self.packed.items():
-            vi, vj = (e >> oi) & _XFIELD, (e >> oj) & _XFIELD
+        for e, c in self.ratio.num.terms.items():
+            vi, vj = e >> oi & _XFIELD, e >> oj & _XFIELD
             out[e + (vj - vi) * move] = -c if (vi + vj) & 1 else c
         return self._remap(out)
 
     def act_flip(self, i: int) -> "MultiPoly":
         """x_i -> -x_i."""
         off = self._lay.offsets[i]
-        return self._remap({e: -c if (e >> off) & 1 else c for e, c in self.packed.items()})
+        return self._remap({e: -c if e >> off & 1 else c for e, c in self.ratio.num.terms.items()})
 
     def act_invert(self, i: int) -> "MultiPoly":
         """x_i -> 1/x_i."""
         lay = self._lay
         off = lay.offsets[i]
         move = lay.units[i] + lay.deg_unit
-        out = {e + (2 * _XBIAS - 2 * ((e >> off) & _XFIELD)) * move: c
-               for e, c in self.packed.items()}
-        return self._remap(lay.checked(out))
+        return self._remap(_checked({e + (2 * _XBIAS - 2 * (e >> off & _XFIELD)) * move: c
+                                     for e, c in self.ratio.num.terms.items()}))
 
     def act_invert_swap(self, i: int, j: int) -> "MultiPoly":
         """(x_i, x_j) -> (1/x_j, 1/x_i)."""
         lay = self._lay
         oi, oj = lay.offsets[i], lay.offsets[j]
         move = lay.units[i] + lay.units[j] + 2 * lay.deg_unit
-        out = {e + (2 * _XBIAS - ((e >> oi) & _XFIELD) - ((e >> oj) & _XFIELD)) * move: c
-               for e, c in self.packed.items()}
-        return self._remap(lay.checked(out))
+        return self._remap(_checked({e + (2 * _XBIAS - (e >> oi & _XFIELD) - (e >> oj & _XFIELD)) * move: c
+                                     for e, c in self.ratio.num.terms.items()}))
 
     # -- division --------------------------------------------------------------
 
@@ -497,23 +380,21 @@ class MultiPoly:
         """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        lay = self._lay
         if self.is_zero():
-            return _mp(lay, {}, 1, 0)
-        fp = other.packed
+            return self
+        fp = other.ratio.num.terms
         lead = max(fp)
         lead_x = lead >> _PARAM_BITS
-        unit_lead = not lead & _PARAM_MASK & ~_FIELD and not any(
+        unit_lead = not lead & _NOT_K and not any(
             e >> _PARAM_BITS == lead_x for e in fp if e != lead)
         if len(fp) == 1 and unit_lead:
-            # self * den_int k^den_k / (c k^a x^le), for the divisor's fields
-            c, a = fp[lead], lead & _FIELD
-            shift = lay.bias - lead + a + other.den_k
-            m = other.den_int if c > 0 else -other.den_int
-            out = lay.checked({e + shift: v * m for e, v in self.packed.items()})
-            q = _canonical_mp(lay, out, self.den_int * abs(c), self.den_k + a)
-            _check_den_k(q.den_k)
-            return q
+            # the divisor is the unit u = c * k^a / other's denominator, times
+            # x^le: divide by u in the coefficient ring, then shift
+            a = lead & _FIELD
+            u = _raw(_poly({a: fp[lead]}), other.ratio.den_int, other.ratio.den_k)
+            q = self if u == ONE else self.scale(u.inverse())
+            shift = self._lay.bias + a - lead
+            return q._shifted(shift) if shift else q
         if not unit_lead:
             ONE / other.leading()[1]  # raises UnsupportedDenominator
         if _nonzero_at_root(self, other):
@@ -534,7 +415,7 @@ class MultiPoly:
     # -- display --------------------------------------------------------------------
 
     def text(self) -> str:
-        if not self.packed:
+        if self.is_zero():
             return "0"
         parts = []
         for e, c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
@@ -566,7 +447,7 @@ def _long_division(g: MultiPoly, f: MultiPoly):
     the test that the leading remainder monomial is a multiple of x^le.
     """
     lay = g._lay
-    fp = f.packed
+    fp = f.ratio.num.terms
     content = gcd(*fp.values())
     val = min(map(_k_exponent, fp))
     if content != 1 or val:
@@ -574,19 +455,19 @@ def _long_division(g: MultiPoly, f: MultiPoly):
     lead = max(fp)
     lc, la = fp[lead], lead & _FIELD
     others = [(e - lead, c) for e, c in fp.items() if e != lead]
+    rem = dict(g.ratio.num.terms)
     # x^r is a multiple of x^le after the shift iff r_v >= le_v + min_v for
     # every v, min_v being the least exponent of x_v in g (at most 0); the
     # test runs on all fields at once: each field of (r + x_guard - floor)
     # keeps its guard bit iff r_v reaches the floor
     floor = lead & lay.x_mask
-    nonneg = reduce(and_, g.packed)
+    nonneg = reduce(and_, rem)
     for off in lay.offsets:
         if not nonneg >> off & _XBIAS:  # bit 10 is clear for a negative exponent
-            low = min(((e >> off) & _XFIELD) for e in g.packed) - _XBIAS
+            low = min((e >> off) & _XFIELD for e in rem) - _XBIAS
             floor -= min(-low, (lead >> off) & _XFIELD) << off
-    x_mask, x_guard, guard = lay.x_mask, lay.x_guard, lay.guard
+    x_mask, x_guard = lay.x_mask, lay.x_guard
     above = x_guard - floor
-    rem = dict(g.packed)
     heap = [-e for e in rem]
     heapq.heapify(heap)
     quo = {}
@@ -607,7 +488,7 @@ def _long_division(g: MultiPoly, f: MultiPoly):
             e = r + d
             v = rem.get(e)
             if v is None:
-                if e & guard:
+                if e & _GUARD:
                     raise ExponentOverflow("an exponent left its range in the long division")
                 rem[e] = -qc * c
                 heapq.heappush(heap, -e)
@@ -617,19 +498,14 @@ def _long_division(g: MultiPoly, f: MultiPoly):
                     rem[e] = v
                 else:
                     del rem[e]
-    # g / f = (quo / (content * k^val)) * (f.den / g.den)
-    if content == 1 and not val and f.den_int == 1 and not f.den_k:
+    # g / f = quo / (content * k^val) * (f.den / g.den)
+    fr, gr = f.ratio, g.ratio
+    quo = _raw(_poly(_checked(quo)), 1, 0)
+    if content == 1 and not val and fr.den_int == 1 and not fr.den_k:
         # the quotient of a canonical numerator by a primitive, k-free one
         # is canonical over the same denominator
-        return _mp(lay, lay.checked(quo), g.den_int, g.den_k)
-    den_k = g.den_k + val - f.den_k
-    if den_k < 0:
-        quo, den_k = {e - den_k: c for e, c in quo.items()}, 0
-    if f.den_int != 1:
-        quo = {e: c * f.den_int for e, c in quo.items()}
-    q = _canonical_mp(lay, lay.checked(quo), g.den_int * content, den_k)
-    _check_den_k(q.den_k)
-    return q
+        return _mp(lay, _raw(quo.num, gr.den_int, gr.den_k))
+    return _mp(lay, quo * _canonical(_poly({fr.den_k: fr.den_int}), gr.den_int * content, gr.den_k + val))
 
 
 def _nonzero_at_root(g: MultiPoly, f: MultiPoly) -> bool:
@@ -646,8 +522,9 @@ def _nonzero_at_root(g: MultiPoly, f: MultiPoly) -> bool:
     monomials keep distinct keys (see ``_Layout``).
     False means either that the image vanishes or that the test does not apply.
     """
-    fp = f.packed
-    if len(fp) != 2 or f.den_int != 1 or f.den_k:
+    fr = f.ratio
+    fp = fr.num.terms
+    if len(fp) != 2 or fr.den_int != 1 or fr.den_k:
         return False
     (k1, s), (k2, t) = fp.items()
     if s not in (1, -1) or t not in (1, -1) or (k1 | k2) & _PARAM_MASK:
@@ -671,7 +548,7 @@ def _nonzero_at_root(g: MultiPoly, f: MultiPoly) -> bool:
     flip = s == t  # the root carries the sign -s*t = -1
     sums: dict = {}
     get = sums.get
-    for e, c in g.packed.items():
+    for e, c in g.ratio.num.terms.items():
         va = (e >> off) & field
         image = e + va * delta
         sums[image] = get(image, 0) + (-c if flip and va & 1 else c)

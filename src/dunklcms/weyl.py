@@ -12,9 +12,9 @@ except x_i is linear in some variable, so a failing cancellation is mostly
 decided by evaluating the numerator at the factor's root, without dividing.
 Numerators and factors are fraction-free ``MultiPoly`` values (int
 coefficients over one denominator c * k^a), so bringing terms over a common
-denominator, and every cancellation test, is int arithmetic; the
-coefficient ring appears as ``ParamRatio`` only in leading coefficients, in
-substitution and in the report texts.
+denominator, and every cancellation test, is int arithmetic on whole
+polynomials; a coefficient of one x-monomial appears as a ``ParamRatio``
+only in leading coefficients, in substitution and in the report texts.
 
 On top of this the module builds, for each family, the quantum Moser matrix L
 (block form [[A, B], [-B, -A]] for the B families), the companion matrix M of

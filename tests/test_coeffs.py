@@ -210,6 +210,13 @@ class TestPackedExponents:
             # the common denominator shifts a numerator up by k^MAX_DEGREE
             symbol("k", MAX_DEGREE) + k_power(-MAX_DEGREE) + symbol("k", 2)
 
+    def test_product_cancels_k_before_multiplying(self):
+        # (1 + k^400)/k^300 * k^300 never forms k^700
+        a = (ONE + symbol("k", 400)) * k_power(-300)
+        assert a * symbol("k", 300) == ONE + symbol("k", 400)
+        assert symbol("k", 300) * a == ONE + symbol("k", 400)
+        assert (a * symbol("k", 100)).den_k == 200
+
 
 @st.composite
 def ratio(draw):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunklcms import finite_cms
 from dunklcms.coeffs import (
     ONE,
     ExponentOverflow,
@@ -195,7 +196,8 @@ class TestRootTest:
 
     def test_rejection_does_no_coefficient_arithmetic(self, monkeypatch):
         # all 120 monomials of degree <= 7 in three variables; the root test
-        # at x0 = x1 rejects x0 - x1 by summing int coefficients only
+        # at x0 = x1 rejects x0 - x1 by summing int coefficients only, before
+        # any long division, so a change that loses the root test fails here
         n = 3
         terms = {}
         for a in range(8):
@@ -206,8 +208,17 @@ class TestRootTest:
         f = _fac_diff(n, 0, 1)
         assert len(g.terms) >= 100
         calls = count_ratio_operations(monkeypatch)
+        divisions = []
+        long_division = finite_cms._long_division
+
+        def counting(*args):
+            divisions.append(args)
+            return long_division(*args)
+
+        monkeypatch.setattr(finite_cms, "_long_division", counting)
         assert g.div_or_none(f) is None
         assert calls == []
+        assert divisions == []
 
 
 P_ = symbol("p")
@@ -337,6 +348,14 @@ class TestPackedMultiPoly:
             for g in (V(3, 0), V(3, 0) * V(3, 1), f * h + C(3, 1), f * V(3, 0) + V(3, 0) * V(3, 0)):
                 assert g.div_or_none(f) is None
 
+    def test_monomial_division_cancels_k_before_its_limit(self):
+        # (x0 + k^400 x1)/k^300 over x0/k^300 is 1 + k^400 x1/x0, whose
+        # exponents fit, though k^700 would not
+        g = V(2, 0).scale(k_power(-300)) + V(2, 1).scale(symbol("k", 100))
+        q = g.div_or_none(V(2, 0).scale(k_power(-300)))
+        assert q == C(2, 1) + V(2, 1) * V(2, 0, -1).scale(symbol("k", 400))
+        assert q.terms == {(0, 0): ONE, (-1, 1): symbol("k", 400)}
+
     def test_division_by_a_non_unit_leading_coefficient_is_unsupported(self):
         g = V(3, 0) * V(3, 1)
         for f in (V(3, 0).scale(K + ONE), V(3, 0).scale(P_) + C(3, 1),
@@ -366,6 +385,7 @@ class TestPackedMultiPoly:
         lambda: V(2, 1).mul_monomial((0, MAX_X_EXPONENT)),
         lambda: MultiPoly(2, {(MAX_X_EXPONENT + 1, 0): ONE}),
         lambda: V(2, 0).scale(symbol("k", 511)).scale(K),
+        lambda: V(2, 0).scale(k_power(-300)) + V(2, 1).scale(symbol("k", 300)),
         lambda: V(2, 0, 2).div_or_none(V(2, 0, MIN_X_EXPONENT)),
     ])
     def test_exponent_overflow_raises(self, make):
@@ -373,7 +393,22 @@ class TestPackedMultiPoly:
         with pytest.raises(ExponentOverflow):
             make()
 
-    def test_product_and_division_do_no_coefficient_arithmetic(self, monkeypatch):
+    def test_widest_layout_guards_its_top_field(self):
+        # at 63 variables the total degree is the last field whose guard
+        # coeffs tests
+        n = 63
+        assert (V(n, 0, 600) * V(n, 1, 423)).terms == {(600, 423) + (0,) * (n - 2): ONE}
+        for make in (lambda: V(n, 0, 600) * V(n, 1, 600),
+                     lambda: V(n, 0, -600) * V(n, n - 1, -600),
+                     lambda: V(n, n - 1, MAX_X_EXPONENT) * V(n, n - 1)):
+            with pytest.raises(ExponentOverflow):
+                make()
+        with pytest.raises(ValueError):
+            MultiPoly.zero(n + 1)
+
+    def test_product_and_division_do_no_per_term_coefficient_arithmetic(self, monkeypatch):
+        # a product is one product in the coefficient ring, of the whole
+        # polynomials, and a division by a structural factor makes none
         n = 3
         f = MultiPoly(n, {(2, 1, 0): K, (0, -1, 1): k_power(-1), (1, 0, 0): ParamRatio.fraction(1, 2),
                           (0, 0, 0): P_})
@@ -382,10 +417,13 @@ class TestPackedMultiPoly:
                    _fac_shift(n, 1, -1), _fac_shift(n, 2, 1), _fac_shift(n, 0, -1, 2), V(n, 1)]
         calls = count_ratio_operations(monkeypatch)
         h = f * g
-        assert len(h.packed) > 4
+        assert len(h.terms) == 11
+        assert calls == ["__mul__"]
         for s in factors:
-            assert (h * s).div_or_none(s) == h
-        assert calls == []
+            hs = h * s
+            del calls[:]
+            assert hs.div_or_none(s) == h
+            assert calls == []
 
     @pytest.mark.parametrize("n, products", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
     def test_power_makes_no_spare_products(self, monkeypatch, n, products):
