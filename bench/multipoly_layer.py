@@ -4,7 +4,7 @@
 
 Runs ``verify lax --family trig-a --n 2 --m 2`` once in-process with
 ``MultiPoly.__mul__`` and ``MultiPoly.div_or_none`` wrapped to capture their
-operands, then replays the captured calls ``REPEATS`` (7) times, unwrapped,
+operands, then replays the captured calls ``harness.REPEATS`` (7) times, unwrapped,
 and records the minimum and the median time of a full replay of each method.  It
 also times the command itself, unwrapped, as often.  The numbers are stored
 under ``--label`` in the JSON file ``--out``; other labels already in the file
@@ -20,19 +20,13 @@ it in ``calls`` as well as in the times.
 from __future__ import annotations
 
 import argparse
-import gc
-import glob
-import hashlib
 import json
 import os
-import platform
-import statistics
 import sys
-import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from harness import DEFAULT_SRC, environment, quiet_run, store, timed
+
 COMMAND = ["verify", "lax", "--family", "trig-a", "--n", "2", "--m", "2", "--no-timing"]
-REPEATS = 7
 
 
 def capture(MultiPoly, run):
@@ -51,28 +45,13 @@ def capture(MultiPoly, run):
     for name in calls:
         setattr(MultiPoly, name, wrapping(name))
     try:
-        with open(os.devnull, "w") as sink:
-            stdout, sys.stdout = sys.stdout, sink
-            try:
-                status = run(COMMAND)
-            finally:
-                sys.stdout = stdout
+        status = quiet_run(run, COMMAND)
     finally:
         for name, original in originals.items():
             setattr(MultiPoly, name, original)
     if status != 0:
         raise SystemExit("the captured command exited with %d" % status)
     return calls
-
-
-def timed(fn) -> dict:
-    samples = []
-    for _ in range(REPEATS):
-        gc.collect()
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return {"min_s": min(samples), "median_s": statistics.median(samples)}
 
 
 def replay(method, pairs):
@@ -97,49 +76,22 @@ def measure(src: str) -> dict:
         row.update(timed(replay(method, pairs)))
         layers["MultiPoly." + name] = row
 
-    def command():
-        with open(os.devnull, "w") as sink:
-            stdout, sys.stdout = sys.stdout, sink
-            try:
-                cli.run(COMMAND)
-            finally:
-                sys.stdout = stdout
-
-    sources = sorted(glob.glob(os.path.join(src, "dunklcms", "*.py")))
-    digest = hashlib.sha256(b"".join(open(p, "rb").read() for p in sources)).hexdigest()
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:
-        usable = os.cpu_count()
-    return {
-        "machine": {"platform": platform.platform(), "machine": platform.machine(),
-                    "cpus": os.cpu_count(), "cpus_usable": usable},
-        "python": platform.python_version(),
-        "rat_backend": "%s.%s" % (coeffs.Rat.__module__, coeffs.Rat.__qualname__),
-        "source_sha256": digest,
-        "repeats": REPEATS,
-        "layers": layers,
-        "command": timed(command),
-    }
+    result = environment(src, coeffs.Rat)
+    result["layers"] = layers
+    result["command"] = timed(lambda: quiet_run(cli.run, COMMAND))
+    return result
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="the name the results are stored under")
     ap.add_argument("--out", required=True, help="the JSON file to update")
-    ap.add_argument("--src", default=os.path.join(ROOT, "src"))
+    ap.add_argument("--src", default=DEFAULT_SRC)
     args = ap.parse_args(argv)
     result = measure(os.path.abspath(args.src))
-    data = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            data = json.load(fh)
-    data["benchmark"] = "x-polynomial layer: MultiPoly.__mul__ and MultiPoly.div_or_none"
-    data["command"] = " ".join(COMMAND)
-    data.setdefault("runs", {})[args.label] = result
-    with open(args.out, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    store(args.out, args.label, result,
+          benchmark="x-polynomial layer: MultiPoly.__mul__ and MultiPoly.div_or_none",
+          command=" ".join(COMMAND))
     print(json.dumps({args.label: result["layers"], "command": result["command"]}, indent=2))
     return 0
 

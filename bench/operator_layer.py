@@ -1,0 +1,96 @@
+"""Layer benchmark of the operator layer: ``InfDunkl`` in ``commutator_on_basis``.
+
+    python3 bench/operator_layer.py --label NAME --out BENCH_5.json [--src DIR]
+
+Times ``commutator_on_basis(TRIG_BC, 1, 3, 4, 4)``, the commutator of the
+trigonometric-BC integrals E.D^2 and E.D^6 on the 12 p_0-free monomials of
+degree <= 4, ``harness.REPEATS`` (7) times, and records the minimum and the
+median.  One extra run, not timed, counts the calls of ``InfDunkl.integral``
+and ``InfDunkl.apply`` (each ``apply`` call applies D ``power`` times).  The
+CLI request that makes the same check is timed as often.  Results are stored
+under ``--label`` in the JSON file ``--out``, next to the other labels already
+in it; ``--src`` names the ``src`` directory whose ``dunklcms`` is measured
+(default: the one of this checkout).  Everything runs in this process:
+DUNKLCMS_WORKERS is cleared.
+
+Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+
+from harness import DEFAULT_SRC, environment, quiet_run, store, timed
+
+CHECK = ("TRIG_BC", 1, 3, 4, 4)
+COMMAND = ["verify", "commute-infinity", "--family", "trig-bc", "--r", "1", "--s", "3",
+           "--deg", "4", "--no-timing"]
+
+
+def count_calls(InfDunkl, check) -> dict:
+    """Run ``check`` once with InfDunkl.integral and InfDunkl.apply counted."""
+    counts = {"integral": 0, "apply": 0}
+    originals = {name: getattr(InfDunkl, name) for name in counts}
+
+    def counting(name):
+        original = originals[name]
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        setattr(InfDunkl, name, counting(name))
+    try:
+        check()
+    finally:
+        for name, original in originals.items():
+            setattr(InfDunkl, name, original)
+    return counts
+
+
+def measure(src: str) -> dict:
+    os.environ.pop("DUNKLCMS_WORKERS", None)
+    sys.path.insert(0, src)
+    from dunklcms import cli, coeffs
+    from dunklcms.dunkl_infinity import InfDunkl, commutator_on_basis
+    from dunklcms.powersums import Family
+
+    family, *rest = CHECK
+
+    def check():
+        results = commutator_on_basis(Family[family], *rest)
+        if not all(res.is_zero() for _m, res in results):
+            raise SystemExit("the integrals do not commute")
+
+    counts = count_calls(InfDunkl, check)
+    result = environment(src, coeffs.Rat)
+    result["layers"] = {"commutator_on_basis": {
+        "InfDunkl.integral.calls": counts["integral"],
+        "InfDunkl.apply.calls": counts["apply"],
+        **timed(check),
+    }}
+    result["command"] = timed(lambda: quiet_run(cli.run, COMMAND))
+    return result
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="the name the results are stored under")
+    ap.add_argument("--out", required=True, help="the JSON file to update")
+    ap.add_argument("--src", default=DEFAULT_SRC)
+    args = ap.parse_args(argv)
+    result = measure(os.path.abspath(args.src))
+    store(args.out, args.label, result,
+          benchmark="operator layer: InfDunkl in commutator_on_basis(%s, %d, %d, %d, %d)" % CHECK,
+          command=" ".join(COMMAND))
+    print(json.dumps({args.label: result["layers"], "command": result["command"]}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,9 +17,14 @@ two routes against each other.  E . D^r is always the ground truth: the closed
 forms were derived independently and any disagreement is reported with the
 offending monomial instead of patched.
 
-All integrals commute with multiplication by p_0 (the index-0 derivation is
-the zero operator), so commutator checks run over p_0-free monomials; p_0
-appears only in coefficients.
+All integrals commute with multiplication by p_0: the derivation skips index
+0, and the difference part, the reflections and E carry the power-sum
+monomial along as a coefficient.  So commutator checks run over p_0-free
+monomials, and ``commutator_on_basis`` applies each integral only once per
+p_0-free monomial: it tabulates the images L^(r) m, farming the table entries
+out to worker processes, and forms both products L^(s) L^(r) m and
+L^(r) L^(s) m from the table, splitting off the p_0 factor of each monomial
+and multiplying it back in.
 """
 
 from __future__ import annotations
@@ -301,24 +306,67 @@ def pmono_basis(deg: int, pwindow: int):
     return sorted(out, key=lambda m: (pmono_degree(m), m))
 
 
-def _commutator_on_monomial(family: Family, r: int, s: int, m) -> tuple:
-    op = InfDunkl(family)
-    f = LambdaElem.monomial(m)
-    lhs = op.integral(s, op.integral(r, f))
-    rhs = op.integral(r, op.integral(s, f))
-    return m, lhs - rhs
+def _p0_split(m: PMono):
+    """(j, rest) with m = p_0^j * rest and rest p_0-free."""
+    if m and m[0][0] == 0:
+        return m[0][1], m[1:]
+    return 0, m
+
+
+def _integral_image(family: Family, key) -> LambdaElem:
+    """L^(r) applied to the p_0-free monomial m, for key = (r, m)."""
+    r, m = key
+    return InfDunkl(family).integral(r, LambdaElem.monomial(m))
+
+
+def _apply_by_table(table: dict, r: int, f: LambdaElem) -> LambdaElem:
+    """L^(r) f by linearity over p_0: each monomial p_0^j m of f contributes
+    its coefficient times p_0^j times the image table[(r, m)]."""
+    out: dict = {}
+    for m, c in f.terms.items():
+        j, rest = _p0_split(m)
+        for m2, c2 in table[(r, rest)].terms.items():
+            if j:
+                i, tail = _p0_split(m2)
+                m2 = ((0, i + j),) + tail
+            v = out.get(m2)
+            out[m2] = c * c2 if v is None else v + c * c2
+    return LambdaElem(out)
 
 
 def commutator_on_basis(family: Family, r: int, s: int, deg: int, pwindow: int):
     """[L^(r), L^(s)] applied to every basis monomial; all results should vanish.
 
-    Basis elements distribute across workers (DUNKLCMS_WORKERS); results are
-    merged in basis order.
+    Returns (m, L^(s) L^(r) m - L^(r) L^(s) m) for each monomial m of
+    ``pmono_basis(deg, pwindow)``, in basis order.  Each integral is applied
+    once per p_0-free monomial, into a table {(r, m): L^(r) m}:
+
+    * phase 1 fills it for L^(r) and L^(s) on the basis;
+    * phase 2 adds the p_0-free monomials that the phase-1 images reach and
+      the basis lacks (there are some when pwindow < deg);
+    * the outer integral of each product is then read off the table by
+      linearity, since the integrals commute with multiplication by p_0.
+
+    The table entries of each phase distribute across workers
+    (DUNKLCMS_WORKERS) as (r, m) items; the products are formed in this
+    process.  Coefficients are canonical, so the residuals do not depend on
+    the worker count.  The table lives only for this call.
     """
     from functools import partial
 
     from ._parallel import ordered_map
 
-    return ordered_map(
-        partial(_commutator_on_monomial, family, r, s), pmono_basis(deg, pwindow)
+    image = partial(_integral_image, family)
+    basis = pmono_basis(deg, pwindow)
+    keys = list(dict.fromkeys((t, m) for t in (r, s) for m in basis))
+    table = dict(zip(keys, ordered_map(image, keys)))
+    outer = {r: s, s: r}
+    reached = dict.fromkeys(
+        (outer[key[0]], _p0_split(m)[1]) for key in keys for m in table[key].terms
     )
+    missing = [key for key in reached if key not in table]
+    table.update(zip(missing, ordered_map(image, missing)))
+    return [
+        (m, _apply_by_table(table, s, table[(r, m)]) - _apply_by_table(table, r, table[(s, m)]))
+        for m in basis
+    ]

@@ -254,6 +254,16 @@ class MultiPoly:
         group = {e & _PARAM_MASK: c for e, c in packed.items() if e >> _PARAM_BITS == x}
         return self._lay.unpack(x << _PARAM_BITS), _coefficient(group, self.ratio)
 
+    def is_monic(self) -> bool:
+        """Whether the leading coefficient is 1, decided on the packed ints: its
+        x-monomial carries one term, k^den_k with the int den_int."""
+        ratio = self.ratio
+        packed = ratio.num.terms
+        top = max(packed)
+        lead = top & _PARAM_MASK  # the packed k^den_k is the int den_k
+        return (lead == ratio.den_k and packed[top] == ratio.den_int
+                and not any(top - j in packed for j in range(1, lead + 1)))
+
     def total_degree(self) -> int:
         off = self._lay.deg_off
         return max(((e >> off & _XFIELD) - _XBIAS for e in self.ratio.num.terms), default=0)

@@ -62,10 +62,10 @@ class RatFun:
                 raise ValueError("negative denominator exponent")
             if f.is_zero():
                 raise ZeroDivisionError("zero denominator factor")
-            _, lc = f.leading()
-            if not (lc == ONE):
-                f = f.scale(ONE / lc)
-                num = num.scale((ONE / lc) ** e)
+            if not f.is_monic():
+                inv = ONE / f.leading()[1]
+                f = f.scale(inv)
+                num = num.scale(inv ** e)
             if f.is_const():
                 continue  # constant factor folded away
             clean[f] = clean.get(f, 0) + e

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from dunklcms import _parallel
+from dunklcms import _parallel, cli
 from dunklcms.cli import Report, build_parser, report_emit, run
+from dunklcms.coeffs import K, Rat, const
+from dunklcms.powersums import Family, LambdaElem, pmono_text
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +84,54 @@ class TestVerifyCommands:
         assert "closed form:" in out
         # the degree-1 action: (1+k) p1 - k p0 p1
         assert "p1 -> -1*k/1 * p0*p1 + (k+1)/1 * p1" in out
+
+
+class TestSampledFailures:
+    def test_sampled_commute_infinity_reports_residual_at_point(self, capsys, monkeypatch):
+        real = cli.commutator_on_basis
+        forced = LambdaElem.p(1).scale(K)
+        seen = []
+
+        def broken(*args):
+            results = real(*args)
+            seen.append(results[1][0])
+            results[1] = (results[1][0], forced)
+            return results
+
+        monkeypatch.setattr(cli, "commutator_on_basis", broken)
+        code, out = run_cli(
+            capsys, "verify", "commute-infinity", "--family", "trig-a", "--r", "2", "--s", "3",
+            "--deg", "3", "--mode", "sampled", "--seed", "11", "--format", "json", "--no-timing",
+        )
+        payload = json.loads(out)
+        at_point = forced.substitute(cli._sample_bindings(Family.TRIG_A, 11))
+        assert code == 1 and payload["status"] == "falsified"
+        assert payload["counterexamples"] == [
+            {"input": pmono_text(seen[0]), "lhs": at_point.text(), "rhs": "0"}]
+        assert at_point.text() != forced.text()
+
+    def test_bound_closed_form_reports_both_sides_at_point(self, capsys, monkeypatch):
+        real = cli.integral_L
+        extra = LambdaElem.p(0).scale(K)
+
+        def broken(family, r, f):
+            out = real(family, r, f)
+            return out + extra if f == LambdaElem.p(2) else out
+
+        monkeypatch.setattr(cli, "integral_L", broken)
+        code, out = run_cli(
+            capsys, "verify", "closed-form", "--family", "rat-a", "--deg", "3",
+            "--param", "k=3/2", "--format", "json", "--no-timing",
+        )
+        payload = json.loads(out)
+        bindings = {"k": const(Rat(3, 2))}
+        f = LambdaElem.p(2)
+        assert code == 1 and payload["checks"] == 7
+        assert payload["counterexamples"] == [{
+            "input": "p2",
+            "lhs": real(Family.RAT_A, 2, f).substitute(bindings).text(),
+            "rhs": broken(Family.RAT_A, 2, f).substitute(bindings).text(),
+        }]
 
 
 class TestErrorsAndGuards:

@@ -218,3 +218,63 @@ class TestCommutators:
     def test_integrals_commute(self, family, r, s, deg):
         for m, res in commutator_on_basis(family, r, s, deg, deg):
             assert res.is_zero(), m
+
+
+def _commutators_directly(family, r, s, deg, pwindow):
+    """The per-monomial oracle: both products by applying each integral in turn."""
+    op = InfDunkl(family)
+    out = []
+    for m in pmono_basis(deg, pwindow):
+        f = LambdaElem.monomial(m)
+        out.append((m, op.integral(s, op.integral(r, f)) - op.integral(r, op.integral(s, f))))
+    return out
+
+
+#: (family, r, s, deg, pwindow); the trigonometric cases with pwindow < deg
+#: reach monomials outside the basis, which the table fills in a second phase
+TABLE_CASES = [
+    (Family.RAT_A, 2, 3, 5, 5),
+    (Family.TRIG_A, 2, 3, 5, 5),
+    (Family.RAT_B, 1, 3, 4, 4),
+    (Family.TRIG_BC, 1, 3, 4, 4),
+    (Family.TRIG_A, 2, 3, 5, 2),
+    (Family.TRIG_BC, 1, 2, 4, 2),
+]
+
+
+class TestCommutatorTable:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("case", TABLE_CASES)
+    def test_matches_direct_route(self, monkeypatch, case, workers):
+        monkeypatch.setenv("DUNKLCMS_WORKERS", workers)
+        assert commutator_on_basis(*case) == _commutators_directly(*case)
+
+    @pytest.mark.parametrize("case", [(Family.TRIG_A, 2, 3, 5, 2), (Family.RAT_B, 1, 2, 4, 4)])
+    def test_matches_direct_route_on_nonzero_residuals(self, monkeypatch, case):
+        # L^(r) + p1 still commutes with p0, but no longer with L^(s)
+        family, r = case[0], case[1]
+        real = InfDunkl.integral
+
+        def shifted(self, t, f):
+            out = real(self, t, f)
+            return out + Pl(1) * f if t == r else out
+
+        monkeypatch.setattr(InfDunkl, "integral", shifted)
+        monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+        table = commutator_on_basis(*case)
+        assert table == _commutators_directly(*case)
+        assert sum(not res.is_zero() for _m, res in table) > len(table) // 2
+
+    def test_each_integral_applied_once_per_table_key(self, monkeypatch):
+        calls = []
+        real = InfDunkl.integral
+
+        def counting(self, r, f):
+            calls.append((r, tuple(f.terms)))
+            return real(self, r, f)
+
+        monkeypatch.setattr(InfDunkl, "integral", counting)
+        monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+        commutator_on_basis(Family.TRIG_BC, 1, 3, 4, 4)
+        # 12 basis monomials, two integrals, nothing outside the basis reached
+        assert len(calls) == len(set(calls)) == 24

@@ -82,6 +82,30 @@ class TestCompose:
             assert a.compose(b).compose(c) == a.compose(b.compose(c))
 
 
+class TestRatFunDenominators:
+    def test_monic_test_on_packed_leading_term(self):
+        x0, x1 = V(2, 0), V(2, 1)
+        inv_k = ONE / K
+        for f, monic in (
+            (x0 + x1.scale(K), True),
+            (x0 + MultiPoly.const(2, inv_k), True),  # a denominator k, lc 1
+            (x0.scale(ONE + inv_k) + x1, False),     # lc 1 + 1/k over the same k
+            (x0.scale(const(2)) + x1, False),
+            (x0.scale(K) + x1, False),
+            (MultiPoly.const(2, inv_k), False),
+        ):
+            assert f.is_monic() is monic, f
+            assert f.is_monic() is (f.leading()[1] == ONE), f
+
+    def test_non_monic_factor_is_normalised(self):
+        # 2 x0 + k x1 becomes x0 + (k/2) x1; the unit 1/2 per power goes to the numerator
+        f = V(2, 0).scale(const(2)) + V(2, 1).scale(K)
+        g = rf(V(2, 1), [(f, 2)])
+        assert g.den == {f.scale(ONE / const(2)): 2}
+        assert g.num == V(2, 1).scale(ONE / const(4))
+        assert all(h.is_monic() for h in g.den)
+
+
 class TestMoserMatrices:
     def test_rational_entries(self):
         par = ParityData(1, 1)
