@@ -343,7 +343,7 @@ def commutator_on_basis(family: Family, r: int, s: int, deg: int, pwindow: int):
 
     * phase 1 fills it for L^(r) and L^(s) on the basis;
     * phase 2 adds the p_0-free monomials that the phase-1 images reach and
-      the basis lacks (there are some when pwindow < deg);
+      the basis lacks (there can be some only when pwindow < deg);
     * the outer integral of each product is then read off the table by
       linearity, since the integrals commute with multiplication by p_0.
 
