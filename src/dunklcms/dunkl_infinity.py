@@ -59,11 +59,6 @@ class InfDunkl:
     def __init__(self, family: Family):
         self.family = family
 
-    @property
-    def params(self):
-        """The deformation symbols the operator depends on."""
-        return self.family.symbols
-
     def apply(self, f: LambdaXElem, r: int = 1) -> LambdaXElem:
         """D^r applied to f."""
         fam = self.family
@@ -111,10 +106,6 @@ class InfDunkl:
 
 def integral_L(family: Family, r: int, f: LambdaElem) -> LambdaElem:
     return InfDunkl(family).integral(r, f)
-
-
-def apply_D(family: Family, f: LambdaXElem, r: int = 1) -> LambdaXElem:
-    return InfDunkl(family).apply(f, r)
 
 
 # -- the explicit second integrals -------------------------------------------

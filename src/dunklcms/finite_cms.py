@@ -118,6 +118,11 @@ class _Layout:
         """The x-exponents of a key."""
         return tuple(((key >> off) & _XFIELD) - _XBIAS for off in self.offsets)
 
+    def __reduce__(self):
+        # unpickled polynomials share the process's layout, so that the
+        # identity test of ``_same_layout`` holds across worker processes
+        return _layout, (self.nvars,)
+
 
 _LAYOUTS: dict = {}
 
@@ -140,6 +145,15 @@ def _mp(lay: _Layout, ratio: ParamRatio) -> "MultiPoly":
     f.ratio = ratio
     f._hash = None
     return f
+
+
+def _same_layout(f: "MultiPoly", g: "MultiPoly") -> _Layout:
+    """The layout f and g share; ValueError for polynomials in different
+    numbers of variables, whose packed keys do not line up."""
+    lay = f._lay
+    if g._lay is not lay:
+        raise ValueError("polynomials in %d and %d variables" % (f.nvars, g.nvars))
+    return lay
 
 
 def _coefficient(group: dict, ratio: ParamRatio) -> ParamRatio:
@@ -172,7 +186,10 @@ class MultiPoly:
       than k^511 between them, such as x0/k^300 + k^300*x1, raises it too;
     * keys compare as ints in the graded lexicographic order of their
       x-monomials (total degree, then x_0, x_1, ...), ties broken by the
-      parameter monomial.
+      parameter monomial;
+    * +, -, *, ``div_or_none`` and == take two polynomials in the same
+      number of variables, whose keys share one layout, and raise
+      ``ValueError`` otherwise.
 
     ``terms`` is the read-only view {exponent tuple: ParamRatio}, built on
     each access.
@@ -223,10 +240,6 @@ class MultiPoly:
         zero_x = self._lay.zero_x
         return all(e >> _PARAM_BITS == zero_x for e in self.ratio.num.terms)
 
-    def is_laurent(self) -> bool:
-        unpack = self._lay.unpack
-        return any(p < 0 for e in self.ratio.num.terms for p in unpack(e))
-
     @property
     def terms(self) -> dict:
         """{exponent tuple: ParamRatio}, built from the packed form."""
@@ -240,7 +253,10 @@ class MultiPoly:
         return self.ratio.key()
 
     def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self.nvars == other.nvars and self.ratio == other.ratio
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        _same_layout(self, other)
+        return self.ratio == other.ratio
 
     def __hash__(self):
         if self._hash is None:
@@ -271,16 +287,16 @@ class MultiPoly:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        return _mp(self._lay, self.ratio + other.ratio)
+        return _mp(_same_layout(self, other), self.ratio + other.ratio)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return _mp(self._lay, self.ratio - other.ratio)
+        return _mp(_same_layout(self, other), self.ratio - other.ratio)
 
     def __neg__(self) -> "MultiPoly":
         return _mp(self._lay, -self.ratio)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        lay = self._lay
+        lay = _same_layout(self, other)
         a, b = self.ratio, other.ratio
         if len(a.num.terms) < len(b.num.terms):
             a, b = b, a
@@ -388,6 +404,7 @@ class MultiPoly:
         The leading coefficient of the divisor must be a unit c * k^a of the
         coefficient ring, else ``UnsupportedDenominator`` is raised.
         """
+        _same_layout(self, other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
@@ -798,10 +815,6 @@ class Hom:
                 term = term * self.p_image(idx) ** mult
             out = out + term
         return out
-
-
-def apply_hom(h: Hom, f) -> MultiPoly:
-    return h.apply(f)
 
 
 # -- deformed operators (rational A) ------------------------------------------

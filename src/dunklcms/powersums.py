@@ -52,10 +52,6 @@ class Family(enum.Enum):
         return self is Family.TRIG_BC
 
     @property
-    def has_reflection(self) -> bool:
-        return self in (Family.RAT_B, Family.TRIG_BC)
-
-    @property
     def symbols(self):
         """Deformation symbols the family's operators depend on."""
         return {
@@ -274,9 +270,6 @@ class LambdaXElem:
         return LambdaXElem(
             {k: c.substitute(bindings) for k, c in self.terms.items()}, self.laurent
         )
-
-    def pdegree(self) -> int:
-        return max((pmono_degree(m) for (_, m) in self.terms), default=0)
 
     def text(self) -> str:
         if not self.terms:

@@ -2,7 +2,11 @@
 
 ``WeylOp`` is a differential operator in finitely many variables with
 rational-function coefficients, kept in normal order (coefficients left of all
-derivatives); composition re-normalizes through the Leibniz rule.
+derivatives); composition re-normalizes through the Leibniz rule.  A
+commutator [A, B] forms neither product in full: the Leibniz term of
+f d^a . g d^b that differentiates neither coefficient, f g d^(a+b), also
+occurs in g d^b . f d^a and cancels, so both orders skip it.  Each
+coefficient of the result is still one canonical ``RatFun``.
 ``RatFun`` keeps its denominator in factored form: every denominator arising
 here is a product of the irreducible structural factors x_i, x_i - x_j,
 x_i + x_j, x_i x_j - 1, x_i - 1, x_i + 1 (built in ``finite_cms``), so
@@ -301,6 +305,22 @@ class WeylOp:
 
     def compose(self, other: "WeylOp") -> "WeylOp":
         """Normal-ordered product self . other."""
+        return self._compose(other, drop_underived=False)
+
+    def commutator(self, other: "WeylOp") -> "WeylOp":
+        """[self, other] = self . other - other . self.
+
+        For terms f d^a of self and g d^b of other, the Leibniz term of
+        f d^a . g d^b in which no derivative falls on g is f g d^(a+b), and
+        g d^b . f d^a has the same term g f d^(a+b); they cancel, so neither
+        product forms them.  A multiplication operator f then contributes to
+        [f, B] only through the derivatives of f in B . f.
+        """
+        return self._compose(other, drop_underived=True) - other._compose(self, drop_underived=True)
+
+    def _compose(self, other: "WeylOp", drop_underived: bool) -> "WeylOp":
+        """self . other, less the terms f g d^(a+b) that differentiate no
+        coefficient of other when ``drop_underived``."""
         out: dict = {}
         for be, g in other.terms.items():
             derivs = {(0,) * self.nvars: g}
@@ -319,6 +339,8 @@ class WeylOp:
 
             for ae, f in self.terms.items():
                 for ce in _iter_sub_indices(ae):
+                    if drop_underived and ce == ae:
+                        continue
                     dg = deriv_of(tuple(a - c for a, c in zip(ae, ce)))
                     if dg.is_zero():
                         continue
@@ -331,9 +353,6 @@ class WeylOp:
             self.nvars,
             {key: RatFun.sum(self.nvars, parts) for key, parts in out.items()},
         )
-
-    def commutator(self, other: "WeylOp") -> "WeylOp":
-        return self.compose(other) - other.compose(self)
 
     def apply(self, poly: MultiPoly) -> RatFun:
         parts = []
@@ -430,6 +449,9 @@ class OpMatrix:
                 term = op.scale(weights[i])
                 acc = term if acc is None else acc + term
         return acc
+
+    def substitute(self, bindings: dict) -> "OpMatrix":
+        return OpMatrix([[op.substitute(bindings) for op in row] for row in self.entries])
 
     def is_zero(self) -> bool:
         return all(op.is_zero() for row in self.entries for op in row)
@@ -744,13 +766,19 @@ class LaxReport:
         return [r for r in self.results if not r.ok]
 
 
-def lax_check(family: Family, parity: ParityData) -> LaxReport:
-    """Verify [L, H] = [L, M] entrywise (A families)."""
+def lax_check(family: Family, parity: ParityData, bindings: dict = None) -> LaxReport:
+    """Verify [L, H] = [L, M] entrywise (A families).
+
+    With ``bindings``, L, M and H are substituted before the commutators, so
+    the check runs at that parameter point.
+    """
     if family not in (Family.RAT_A, Family.TRIG_A):
         raise UnsupportedFamily("no Lax pair is stated for family %s" % family.value)
     L = moser_L(family, parity)
     M = moser_M(family, parity)
     H = hamiltonian(family, parity, gauged=False)
+    if bindings:
+        L, M, H = L.substitute(bindings), M.substitute(bindings), H.substitute(bindings)
     LM = L.matmul(M) - M.matmul(L)
     results = []
     for i in range(L.rows):

@@ -217,6 +217,32 @@ class TestErrorsAndGuards:
         assert code == 0
         assert calls == [("basis", 0)]
 
+    @pytest.mark.parametrize("family, extra, calls, label", [
+        ("trig-bc", (), [("symbolic", 4)], "[e*L^1e, H] symbolic"),
+        ("rat-b", (), [("symbolic", 4)], "[e*L^1e, H] symbolic"),
+        ("rat-b", ("--basis-deg", "2"), [("basis", 2)], "[e*L^1e, H] basis deg 2"),
+    ])
+    def test_moser_integrals_route_and_label(self, capsys, monkeypatch, family, extra, calls, label):
+        # symbolic for every family unless --basis-deg asks for the basis
+        # route; the verdict is then forced to show the check's label
+        seen = []
+        real = cli.commute_check
+
+        def spy(A, B, mode="symbolic", deg=4):
+            seen.append((mode, deg))
+            rep = real(A, B, mode, deg)
+            assert rep.ok
+            return type(rep)(rep.mode, False, [("operator", "forced")])
+
+        monkeypatch.setattr(cli, "commute_check", spy)
+        code, out = run_cli(capsys, "verify", "moser-integrals", "--family", family, "--n", "1",
+                            "--m", "1", "--r", "1", *extra, "--format", "json", "--no-timing")
+        assert code == 1
+        assert seen == calls
+        payload = json.loads(out)
+        assert payload["checks"] == 2
+        assert [ce["input"] for ce in payload["counterexamples"]] == [label]
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
@@ -246,6 +272,17 @@ class TestWorkerPool:
         monkeypatch.setenv("DUNKLCMS_WORKERS", "2")
         _, parallel = run_cli(capsys, *args)
         assert serial == parallel
+
+    def test_basis_mode_with_workers_matches_serial(self, capsys, monkeypatch):
+        # the operators travel to the workers pickled, their polynomials
+        # landing on the worker's own layouts
+        args = ("verify", "moser-integrals", "--family", "rat-b", "--n", "1", "--m", "1",
+                "--r", "1", "--basis-deg", "2", "--format", "json", "--no-timing")
+        _, serial = run_cli(capsys, *args)
+        monkeypatch.setenv("DUNKLCMS_WORKERS", "2")
+        _, parallel = run_cli(capsys, *args)
+        assert serial == parallel
+        assert json.loads(serial)["status"] == "verified"
 
     def test_worker_count_is_clamped(self, monkeypatch):
         monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 3)

@@ -1,3 +1,5 @@
+import operator
+import pickle
 import random
 
 import pytest
@@ -66,6 +68,25 @@ class TestMultiPoly:
         n = 2
         with pytest.raises(InexactDivision):
             (V(n, 0) + C(n, 1)).exact_div(V(n, 0) - V(n, 1))
+
+    @pytest.mark.parametrize("op", [
+        operator.add, operator.sub, operator.mul, MultiPoly.div_or_none, operator.eq,
+    ])
+    def test_different_numbers_of_variables_raise(self, op):
+        # the packed keys of 2 and 3 variables do not line up: x1 + x1 across
+        # them read "x1 + 1" and their product "x1"
+        f, g = V(2, 0), V(3, 0)
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(ValueError):
+                op(a, b)
+        assert op(f, V(2, 0)) is not None
+        assert f != "x1"
+
+    def test_unpickled_polynomials_share_the_layout(self):
+        f = V(2, 0) + C(2, 1)
+        g = pickle.loads(pickle.dumps(f))
+        assert g._lay is f._lay
+        assert g * f == f * f
 
     def test_actions_are_automorphisms(self, rng):
         n = 3

@@ -1,9 +1,19 @@
 import random
+from itertools import product
 
 import pytest
 
-from dunklcms.coeffs import ONE, ParamRatio, const, symbol
-from dunklcms.finite_cms import Hom, MultiPoly, ParityData, heckman_integral
+from dunklcms.coeffs import ONE, ParamPoly, ParamRatio, const, k_power, symbol
+from dunklcms.finite_cms import (
+    Hom,
+    MultiPoly,
+    ParityData,
+    _fac_diff,
+    _fac_prod_minus_1,
+    _fac_shift,
+    _fac_sum,
+    heckman_integral,
+)
 from dunklcms.powersums import Family, LambdaElem, UnsupportedFamily
 from dunklcms.weyl import (
     RatFun,
@@ -80,6 +90,79 @@ class TestCompose:
         for i in range(0, 6, 3):
             a, b, c = ops[i], ops[i + 1], ops[i + 2]
             assert a.compose(b).compose(c) == a.compose(b.compose(c))
+
+
+def random_weyl_op(rng, n):
+    """A random operator in n <= 2 variables of order <= 2, its coefficients
+    over powers of the structural factors, with k in the numerators."""
+    factors = [V(n, 0), _fac_shift(n, 0, -1), _fac_shift(n, 0, 1)]
+    if n == 2:
+        factors += [_fac_diff(n, 0, 1), _fac_sum(n, 0, 1), _fac_prod_minus_1(n, 0, 1), V(n, 1)]
+    orders = [e for e in product(range(3), repeat=n) if sum(e) <= 2]
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        de = rng.choice(orders)
+        num = MultiPoly(n, {
+            tuple(rng.randint(0, 2) for _ in range(n)): const(rng.randint(-3, 3)) * k_power(rng.randint(-1, 1))
+            for _ in range(rng.randint(1, 2))
+        })
+        if num.is_zero():
+            continue
+        den = {f: rng.randint(0, 2) for f in rng.sample(factors, 2)}
+        terms[de] = RatFun(num, den)
+    return WeylOp(n, terms)
+
+
+def count_poly_products(monkeypatch) -> list:
+    """Record every ParamPoly product from now on."""
+    calls = []
+    original = ParamPoly.__mul__
+
+    def wrapper(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(ParamPoly, "__mul__", wrapper)
+    return calls
+
+
+class TestCommutator:
+    """The commutator, which skips the Leibniz terms that cancel, against
+    both normal-ordered products and against its work bound."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_both_products_on_random_operators(self, rng, n):
+        nonzero = 0
+        for _ in range(20):
+            a, b = random_weyl_op(rng, n), random_weyl_op(rng, n)
+            got = a.commutator(b)
+            expected = a.compose(b) - b.compose(a)
+            assert got == expected
+            assert got.text() == expected.text()  # the same canonical coefficients
+            nonzero += not got.is_zero()
+        assert nonzero >= 15
+
+    def test_multiplication_operator_sees_only_its_derivatives(self):
+        # [f, d1^2] = -(2 f' d1 + f'') for f = 1/(x1 - x2)
+        f = rf(MultiPoly.const(2, 1), [(V(2, 0) - V(2, 1), 1)])
+        d1 = WeylOp.partial(2, 0)
+        got = WeylOp.mul_by(f).commutator(d1.compose(d1))
+        f1 = f.diff(0)
+        f2 = f1.diff(0)
+        assert got == -(WeylOp.partial(2, 0, f1.scale(const(2))) + WeylOp.mul_by(f2))
+
+    @pytest.mark.parametrize("family, parity, make_a, products", [
+        (Family.TRIG_A, ParityData(2, 2), lambda fam, par: moser_L(fam, par)[0, 1], 24),
+        (Family.RAT_B, ParityData(1, 1), lambda fam, par: moser_integral(fam, par, 1), 80),
+        (Family.TRIG_BC, ParityData(1, 1), lambda fam, par: moser_integral(fam, par, 1), 368),
+    ])
+    def test_coefficient_products_stay_bounded(self, monkeypatch, family, parity, make_a, products):
+        # the two full products took 104, 116 and 724 ParamPoly products
+        A, H = make_a(family, parity), hamiltonian(family, parity, gauged=False)
+        calls = count_poly_products(monkeypatch)
+        res = A.commutator(H)
+        assert len(calls) <= products
+        assert res.is_zero() is (family is not Family.TRIG_A)
 
 
 class TestRatFunDenominators:
