@@ -23,6 +23,7 @@ desk scale unless ``--unsafe``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -95,6 +96,14 @@ class Report:
         if not ok:
             self.status = "falsified"
             self.counterexamples.append({"input": label, "lhs": lhs, "rhs": rhs})
+
+    def record_sides(self, ok: bool, label: str, lhs, rhs):
+        """``record`` of a comparison of lhs and rhs, whose text is built only
+        for a counterexample."""
+        if ok:
+            self.record(True, label)
+        else:
+            self.record(False, label, lhs.text(), rhs.text())
 
     def observe_terms(self, obj):
         """Track the largest term count seen, a rough cost statistic."""
@@ -276,7 +285,7 @@ def _verify_deformed(args, report):
         g = hom.apply(f.to_lambda())
         lhs = deformed_integral(parity, 2, deformed_integral(parity, 3, g))
         rhs = deformed_integral(parity, 3, deformed_integral(parity, 2, g))
-        report.record(lhs == rhs, "[L2,L3] on %s" % label, lhs.text(), rhs.text())
+        report.record_sides(lhs == rhs, "[L2,L3] on %s" % label, lhs, rhs)
 
 
 def _verify_lax(args, report):
@@ -332,7 +341,7 @@ def _verify_degenerate_k1(args, report):
             g = hom.apply(f)
             lhs = deformed_integral(parity, r, g).substitute(one)
             rhs = heckman_integral(Family.RAT_A, N, r, g.substitute(one)).substitute(one)
-            report.record(lhs == rhs, "recursion r=%d %s" % (r, label), lhs.text(), rhs.text())
+            report.record_sides(lhs == rhs, "recursion r=%d %s" % (r, label), lhs, rhs)
     w = [-x for x in psi0_logderivs(Family.RAT_A, parity)]
     for r in range(1, args.r + 1):
         G = gauge_conjugate(moser_integral(Family.RAT_A, parity, r), w).substitute(one)
@@ -340,8 +349,8 @@ def _verify_degenerate_k1(args, report):
             g1 = hom.apply(f).substitute(one)
             lhs = G.apply(g1)
             rhs = heckman_integral(Family.RAT_A, N, r, g1).substitute(one)
-            report.record((lhs - RatFun.from_poly(rhs)).is_zero(),
-                          "moser r=%d %s" % (r, label), lhs.text(), rhs.text())
+            report.record_sides((lhs - RatFun.from_poly(rhs)).is_zero(),
+                                "moser r=%d %s" % (r, label), lhs, rhs)
 
 
 def _generate_integral(args, report):
@@ -375,7 +384,10 @@ def _add_common(p):
                    help="zero the timing field for byte-stable reports")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared: callers such as
+    ``run`` only read it and must not change it."""
     top = argparse.ArgumentParser(prog="dunklcms", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="group", required=True)
 

@@ -3,9 +3,10 @@ the substitution homomorphisms that tie them to the infinite-variable side.
 
 Every identity about operators in infinitely many variables is checked here
 against an independent finite-dimensional computation: the classical Dunkl
-(and Dunkl-Heckman) operators act by divided differences with exact
-polynomial division, the symmetrized power sums give the quantum integrals,
-and the commutative-diagram checks compare both routes term by term.
+(and Dunkl-Heckman) operators act by reflection divided differences, taken
+in closed form as geometric series on the packed terms, the symmetrized
+power sums give the quantum integrals, and the commutative-diagram checks
+compare both routes term by term.
 
 Variables are indexed 0..N-1 internally.  Laurent exponents are allowed where
 the trigonometric BC family needs them.
@@ -15,16 +16,16 @@ polynomial is one ``ParamRatio`` whose packed monomial keys also carry the
 x-exponents above the parameter monomial.  Sums and scaling are the
 coefficient ring's own operations on it, and so are products, between a
 shift of one factor's keys and a check of the x-exponents; derivatives, the
-group actions and exact division are loops over its int dict.  A
-``ParamRatio`` per x-monomial is built only for display, for the leading
-coefficient, for substitution and for the ``terms`` view.
+group actions, the divided differences and exact division are loops over its
+int dict.  A ``ParamRatio`` per x-monomial is built only for display, for the
+leading coefficient, for substitution and for the ``terms`` view.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from math import gcd, lcm
 from operator import and_
 
@@ -85,7 +86,9 @@ class _Layout:
     -1024..3071 before the borrows and carries between fields, so distinct
     monomials never share a key, and the lowest field that left 0..2047 has
     its guard bit set: ``coeffs._checked``, which tests the guard bits of up
-    to 64 fields, detects every overflow, whichever way it carries.
+    to 64 fields, detects every overflow, whichever way it carries.  Maps
+    that move the total degree further, by up to 4096, test it with
+    ``_degree_checked``.
     """
 
     __slots__ = ("nvars", "offsets", "units", "deg_off", "deg_unit", "bias", "zero_x",
@@ -154,6 +157,17 @@ def _same_layout(f: "MultiPoly", g: "MultiPoly") -> _Layout:
     if g._lay is not lay:
         raise ValueError("polynomials in %d and %d variables" % (f.nvars, g.nvars))
     return lay
+
+
+def _degree_checked(lay: _Layout, terms: dict) -> dict:
+    """``terms`` after ``_checked`` and a test of the total degree, for keys
+    whose x-fields moved by at most 2048 but whose degree may have moved
+    further, past the reach of its guard bit.  The degree is the top field,
+    so the least and the greatest key carry its extremes."""
+    _checked(terms)
+    if terms and (min(terms) < 0 or max(terms) >> lay.deg_off >= 2 * _XBIAS):
+        raise ExponentOverflow("a total degree outside %d..%d" % (MIN_X_EXPONENT, MAX_X_EXPONENT))
+    return terms
 
 
 def _coefficient(group: dict, ratio: ParamRatio) -> ParamRatio:
@@ -389,8 +403,10 @@ class MultiPoly:
         lay = self._lay
         oi, oj = lay.offsets[i], lay.offsets[j]
         move = lay.units[i] + lay.units[j] + 2 * lay.deg_unit
-        return self._remap(_checked({e + (2 * _XBIAS - (e >> oi & _XFIELD) - (e >> oj & _XFIELD)) * move: c
-                                     for e, c in self.ratio.num.terms.items()}))
+        # the degree moves by up to 4096
+        return self._remap(_degree_checked(lay, {
+            e + (2 * _XBIAS - (e >> oi & _XFIELD) - (e >> oj & _XFIELD)) * move: c
+            for e, c in self.ratio.num.terms.items()}))
 
     # -- division --------------------------------------------------------------
 
@@ -583,6 +599,9 @@ def _nonzero_at_root(g: MultiPoly, f: MultiPoly) -> bool:
 
 
 # -- structural factors of the Dunkl operators and of the Moser matrices ------
+#
+# Each builder is memoized: the factors are immutable, and the Moser matrices
+# and the deformed recursion ask for the same few again and again.
 
 
 def _structural(nvars: int, lead, tail, c: int) -> MultiPoly:
@@ -596,79 +615,173 @@ def _structural(nvars: int, lead, tail, c: int) -> MultiPoly:
     return MultiPoly(nvars, {exps(lead): ONE, exps(tail): ParamRatio.const(c)})
 
 
+@cache
 def _fac_diff(nvars: int, i: int, j: int) -> MultiPoly:
     """x_i - x_j."""
     return _structural(nvars, (i,), (j,), -1)
 
 
+@cache
 def _fac_sum(nvars: int, i: int, j: int) -> MultiPoly:
     """x_i + x_j."""
     return _structural(nvars, (i,), (j,), 1)
 
 
+@cache
 def _fac_prod_minus_1(nvars: int, i: int, j: int) -> MultiPoly:
     """x_i x_j - 1."""
     return _structural(nvars, (i, j), (), -1)
 
 
+@cache
 def _fac_shift(nvars: int, i: int, c: int, power: int = 1) -> MultiPoly:
     """x_i^power + c."""
     return _structural(nvars, (i,) * power, (), c)
 
 
+# -- reflection divided differences -------------------------------------------
+
+
+def _divided_differences(f: MultiPoly, reflections, trig: bool = False) -> MultiPoly:
+    """The sum over ``reflections`` of (f - w f) / d, in closed form.
+
+    Each reflection is a triple (kind, i, j), j None for the kinds in one
+    variable, naming a reflection w and its root factor d:
+
+    ===============  ===========================  ============
+    kind             w                            d
+    ===============  ===========================  ============
+    ``swap``         ``f.act_swap(i, j)``         x_i - x_j
+    ``signed_swap``  ``f.act_signed_swap(i, j)``  x_i + x_j
+    ``invert_swap``  ``f.act_invert_swap(i, j)``  x_i x_j - 1
+    ``invert``       ``f.act_invert(i)``          x_i - 1
+    ``invert2``      ``f.act_invert(i)``          x_i^2 - 1
+    ``flip``         ``f.act_flip(i)``            x_i
+    ===============  ===========================  ============
+
+    Except for ``flip``, each term m = c x^a of f has w m = m y^(-n) for a
+    monomial ratio y, and d = u (y - 1) for a prefactor u:
+
+    ===============  ========  =========  =====
+    kind             y         n          u
+    ===============  ========  =========  =====
+    ``swap``         x_i/x_j   a_i - a_j  x_j
+    ``signed_swap``  -x_i/x_j  a_i - a_j  -x_j
+    ``invert_swap``  x_i x_j   a_i + a_j  1
+    ``invert``       x_i       2 a_i      1
+    ``invert2``      x_i^2     a_i        1
+    ===============  ========  =========  =====
+
+    So (m - w m) / (y - 1) is the geometric series m y^(-n) (1 + ... + y^(n-1))
+    when n > 0 and -m (1 + ... + y^(|n|-1)) when n < 0, whose keys form an
+    arithmetic progression.  For ``flip`` an odd a_i gives 2c x^(a - e_i) and
+    an even one nothing.  With ``trig`` each quotient is multiplied by
+    d + 2u = u (y + 1), the numerator of the trigonometric operators
+    (x_i + x_j, x_i x_j + 1, x_i + 1, x_i^2 + 1): u cancels, and the series
+    1 + 2y + ... + 2y^(n-1) + y^n gains a term and doubles its inner
+    coefficients.  It applies to every kind but ``signed_swap`` and ``flip``.
+
+    The int coefficients are summed over f's denominator and put in canonical
+    form: no image w f and no polynomial division are formed.  Every
+    x-exponent of a term lies between those of m and of w m, so it can only
+    just reach its guard bit; the total degree can go further, and
+    ``_degree_checked`` tests it.  A quotient term outside
+    MIN_X_EXPONENT..MAX_X_EXPONENT raises ``ExponentOverflow``.
+    """
+    lay = f._lay
+    du = lay.deg_unit
+    terms = f.ratio.num.terms
+    out: dict = {}
+    get = out.get
+    for kind, i, j in reflections:
+        if trig and kind in ("signed_swap", "flip"):
+            raise ValueError("no trigonometric numerator for %s" % kind)
+        oi, ui = lay.offsets[i], lay.units[i]
+        if kind == "flip":
+            for e, c in terms.items():
+                if e >> oi & 1:  # the bias is even, so this is the parity of a_i
+                    key = e - ui - du
+                    out[key] = get(key, 0) + 2 * c
+            continue
+        oj, uj = (oi, 0) if j is None else (lay.offsets[j], lay.units[j])
+        # n = ci * v_i + cj * v_j + c0 for the biased fields v = a + _XBIAS
+        if kind in ("swap", "signed_swap"):
+            ci, cj, c0, dy, pre = 1, -1, 0, ui - uj, -uj - du
+        elif kind == "invert_swap":
+            ci, cj, c0, dy, pre = 1, 1, -2 * _XBIAS, ui + uj + 2 * du, 0
+        elif kind == "invert":
+            ci, cj, c0, dy, pre = 2, 0, -2 * _XBIAS, ui + du, 0
+        elif kind == "invert2":
+            ci, cj, c0, dy, pre = 1, 0, -_XBIAS, 2 * (ui + du), 0
+        else:
+            raise ValueError(kind)
+        alternate = kind == "signed_swap"
+        # for n < 0 each term is -c/u: -c for u = x_j or 1, and c for u = -x_j
+        below = 1 if alternate else -1
+        for e, c in terms.items():
+            n = (e >> oi & _XFIELD) * ci + (e >> oj & _XFIELD) * cj + c0
+            if not n:
+                continue
+            if trig:  # m y^(-s) for s = 0..n, or -m y^t for t = 0..|n|
+                step = -dy if n > 0 else dy
+                if n < 0:
+                    n, c = -n, -c
+                last, c2 = e + n * step, 2 * c
+                for key in range(e, last + step, step):
+                    out[key] = get(key, 0) + c2
+                out[e] -= c
+                out[last] -= c
+                continue
+            if n > 0:  # m y^(-s) / u for s = 1..n
+                start, step = e + pre - dy, -dy
+            else:  # -m y^t / u for t = 0..|n|-1
+                start, step, n, c = e + pre, dy, -n, below * c
+            stop = start + n * step
+            if alternate:  # y carries the sign -1
+                for key in range(start, stop, 2 * step):
+                    out[key] = get(key, 0) + c
+                for key in range(start + step, stop, 2 * step):
+                    out[key] = get(key, 0) - c
+            else:
+                for key in range(start, stop, step):
+                    out[key] = get(key, 0) + c
+    out = _degree_checked(lay, {e: c for e, c in out.items() if c})
+    r = f.ratio
+    return _mp(lay, _canonical(_poly(out), r.den_int, r.den_k))
 
 
 # -- finite Dunkl operators -------------------------------------------------
 
+_K_HALF = K * HALF
+_P_HALF = P * HALF
+
 
 def finite_dunkl(family: Family, N: int, i: int, f: MultiPoly) -> MultiPoly:
-    """The family's finite Dunkl (or Dunkl-Heckman) operator D_{i,N} applied to f."""
+    """The family's finite Dunkl (or Dunkl-Heckman) operator D_{i,N} applied to f.
+
+    The reflection terms are divided differences (f - w f) / d, summed per
+    parameter by ``_divided_differences`` in closed form from f's packed
+    terms; for the trigonometric families each carries its numerator
+    (x_i + x_j, x_i x_j + 1, x_i + 1 or x_i^2 + 1).  No image w f, no
+    polynomial division and no product of polynomials is formed.
+    """
     if f.nvars != N:
         raise ValueError("variable count mismatch")
-    n = N
+    others = [j for j in range(N) if j != i]
+    dd = _divided_differences
     if family is Family.RAT_A:
-        out = f.diff(i)
-        for j in range(n):
-            if j == i:
-                continue
-            g = (f - f.act_swap(i, j)).exact_div(_fac_diff(n, i, j))
-            out = out - g.scale(K)
-        return out
-    if family is Family.TRIG_A:
-        out = f.diff(i).mul_monomial(tuple(1 if v == i else 0 for v in range(n)))
-        for j in range(n):
-            if j == i:
-                continue
-            g = (f - f.act_swap(i, j)).exact_div(_fac_diff(n, i, j))
-            out = out - (_fac_sum(n, i, j) * g).scale(K * HALF)
-        return out
+        return f.diff(i) - dd(f, [("swap", i, j) for j in others]).scale(K)
     if family is Family.RAT_B:
-        out = f.diff(i)
-        for j in range(n):
-            if j == i:
-                continue
-            g1 = (f - f.act_swap(i, j)).exact_div(_fac_diff(n, i, j))
-            g2 = (f - f.act_signed_swap(i, j)).exact_div(_fac_sum(n, i, j))
-            out = out - (g1 + g2).scale(K)
-        xi = MultiPoly.var(n, i)
-        g3 = (f - f.act_flip(i)).exact_div(xi)
-        return out - g3.scale(Q)
+        pairs = [(kind, i, j) for j in others for kind in ("swap", "signed_swap")]
+        return f.diff(i) - dd(f, pairs).scale(K) - dd(f, [("flip", i, None)]).scale(Q)
+    out = f.diff(i).mul_monomial(tuple(1 if v == i else 0 for v in range(N)))
+    if family is Family.TRIG_A:
+        return out - dd(f, [("swap", i, j) for j in others], trig=True).scale(_K_HALF)
     # TRIG_BC
-    out = f.diff(i).mul_monomial(tuple(1 if v == i else 0 for v in range(n)))
-    for j in range(n):
-        if j == i:
-            continue
-        g1 = (f - f.act_swap(i, j)).exact_div(_fac_diff(n, i, j))
-        out = out - (_fac_sum(n, i, j) * g1).scale(K * HALF)
-        g2 = (f - f.act_invert_swap(i, j)).exact_div(_fac_prod_minus_1(n, i, j))
-        xx1 = _fac_prod_minus_1(n, i, j) + MultiPoly.const(n, 2)  # x_i x_j + 1
-        out = out - (xx1 * g2).scale(K * HALF)
-    ti = f - f.act_invert(i)
-    g3 = ti.exact_div(_fac_shift(n, i, -1))
-    out = out - (_fac_shift(n, i, 1) * g3).scale(P * HALF)
-    g4 = ti.exact_div(_fac_shift(n, i, -1, 2))
-    out = out - (_fac_shift(n, i, 1, 2) * g4).scale(Q)
-    return out
+    pairs = [(kind, i, j) for j in others for kind in ("swap", "invert_swap")]
+    out = out - dd(f, pairs, trig=True).scale(_K_HALF)
+    out = out - dd(f, [("invert", i, None)], trig=True).scale(_P_HALF)
+    return out - dd(f, [("invert2", i, None)], trig=True).scale(Q)
 
 
 def _invariance_generators(family: Family, N: int):
@@ -868,6 +981,9 @@ def deformed_integral(parity: ParityData, r: int, f: MultiPoly) -> MultiPoly:
 
 @dataclass
 class DiagramResult:
+    """One diagram check; ``lhs`` and ``rhs`` hold the sides' text for a
+    counterexample and are empty when the check holds."""
+
     label: str
     ok: bool
     lhs: str
@@ -925,7 +1041,9 @@ def _diagram_one(kind: str, family: Family, r: int, N, parity, i, labeled) -> Di
         f = f.to_lambda() if isinstance(f, LambdaXElem) else f
         lhs = hom.apply(op.integral(r, f))
         rhs = deformed_integral(parity, r, hom.apply(f))
-    return DiagramResult(label, lhs == rhs, lhs.text(), rhs.text())
+    if lhs == rhs:  # the sides' text only for a counterexample
+        return DiagramResult(label, True, "", "")
+    return DiagramResult(label, False, lhs.text(), rhs.text())
 
 
 def diagram_check(kind: str, family: Family, testset, r: int = 1,

@@ -2,10 +2,13 @@ import json
 
 import pytest
 
-from dunklcms import _parallel, cli
+from dunklcms import _parallel, cli, finite_cms
 from dunklcms.cli import Report, build_parser, report_emit, run
 from dunklcms.coeffs import K, Rat, const
+from dunklcms.dunkl_infinity import InfDunkl
+from dunklcms.finite_cms import Hom, MultiPoly
 from dunklcms.powersums import Family, LambdaElem, pmono_text
+from dunklcms.weyl import RatFun
 
 
 def run_cli(capsys, *argv):
@@ -319,7 +322,101 @@ class TestWorkerPool:
         assert sizes == [3]
 
 
+def count_text_calls(monkeypatch) -> list:
+    """Record every ``text()`` of an x-polynomial or a rational function."""
+    calls = []
+    for cls in (MultiPoly, RatFun):
+        original = cls.text
+
+        def counting(self, original=original):
+            calls.append(type(self).__name__)
+            return original(self)
+        monkeypatch.setattr(cls, "text", counting)
+    return calls
+
+
+def bumped(fn, c):
+    """``fn`` with the constant c added to its polynomial result."""
+    def wrapper(*args):
+        out = fn(*args)
+        return out + MultiPoly.const(out.nvars, const(c))
+    return wrapper
+
+
+class TestCounterexampleText:
+    """The sides' text is built for counterexamples only, and is the same."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "diagram", "--family", "rat-a", "--kind", "heckdiag", "--N", "2", "--r", "2"],
+        ["verify", "diagram", "--family", "trig-bc", "--kind", "dcomm", "--N", "2", "--r", "1"],
+        ["verify", "diagram", "--family", "rat-a", "--kind", "intrat", "--n", "1", "--m", "1"],
+        ["verify", "deformed", "--n", "1", "--m", "1", "--r", "2"],
+        ["verify", "degenerate-k1", "--n", "1", "--m", "1", "--r", "1"],
+    ])
+    def test_verified_requests_build_no_text(self, capsys, monkeypatch, argv):
+        calls = count_text_calls(monkeypatch)
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls == []
+
+    def test_falsified_diagram_shows_both_sides(self, capsys, monkeypatch):
+        real = finite_cms.heckman_integral
+        monkeypatch.setattr(finite_cms, "heckman_integral", bumped(real, 1))
+        code, out = run_cli(capsys, "verify", "diagram", "--family", "rat-a", "--kind", "heckdiag",
+                            "--N", "2", "--r", "1", "--format", "json", "--no-timing")
+        payload = json.loads(out)
+        assert code == 1 and payload["checks"] == 3
+        hom = Hom(Family.RAT_A, "phi_N", N=2)
+        op = InfDunkl(Family.RAT_A)
+        expected = []
+        for label, f in finite_cms.standard_testset(Family.RAT_A, with_x=False):
+            f = f.to_lambda()
+            rhs = real(Family.RAT_A, 2, 1, hom.apply(f)) + MultiPoly.const(2, const(1))
+            expected.append({"input": label, "lhs": hom.apply(op.integral(1, f)).text(), "rhs": rhs.text()})
+        assert payload["counterexamples"] == expected
+
+    def test_falsified_deformed_commutator_shows_both_sides(self, capsys, monkeypatch):
+        broken = bumped(cli.deformed_integral, 1)
+        monkeypatch.setattr(cli, "deformed_integral", lambda parity, r, f: broken(parity, r, f)
+                            if r == 3 else finite_cms.deformed_integral(parity, r, f))
+        code, out = run_cli(capsys, "verify", "deformed", "--n", "1", "--m", "1", "--r", "1",
+                            "--format", "json", "--no-timing")
+        payload = json.loads(out)
+        assert code == 1
+        parity = finite_cms.ParityData(1, 1)
+        g = Hom(Family.RAT_A, "phi_nm", parity=parity).apply(LambdaElem.p(1))
+        D = finite_cms.deformed_integral
+        lhs = D(parity, 2, broken(parity, 3, g))
+        rhs = broken(parity, 3, D(parity, 2, g))
+        assert lhs != rhs
+        assert {"input": "[L2,L3] on p1", "lhs": lhs.text(), "rhs": rhs.text()} in payload["counterexamples"]
+
+    def test_falsified_degenerate_reduction_shows_both_sides(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "heckman_integral", bumped(cli.heckman_integral, 1))
+        code, out = run_cli(capsys, "verify", "degenerate-k1", "--n", "1", "--m", "1", "--r", "1",
+                            "--format", "json", "--no-timing")
+        payload = json.loads(out)
+        assert code == 1 and payload["checks"] == 8
+        by_input = {ce["input"]: ce for ce in payload["counterexamples"]}
+        assert set(by_input) == {"%s r=1 %s" % (kind, label) for kind in ("recursion", "moser")
+                                 for label in ("p1", "p2", "p3", "p1*p2")}
+        # p1 -> x1 + x2, whose first integral is 2 on both routes, one of
+        # them bumped to 3
+        assert by_input["recursion r=1 p1"]["lhs"] == "2/1"
+        assert by_input["recursion r=1 p1"]["rhs"] == "3/1"
+        assert by_input["moser r=1 p1"]["rhs"] == "3/1"
+        assert by_input["moser r=1 p1"]["lhs"] == RatFun.from_poly(MultiPoly.const(2, const(2))).text()
+
+
 class TestReportShape:
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        assert build_parser() is build_parser()
+        code, _ = run_cli(capsys, "verify", "diagram", "--family", "rat-a", "--N", "2")
+        assert code == 0
+        # a later request does not see the earlier --N
+        code, out = run_cli(capsys, "verify", "diagram", "--family", "rat-a")
+        assert code == 2 and "--N is required" in out
+
     def test_falsified_report_emission(self):
         rep = Report(command="verify demo", request={"family": "rat-a"})
         rep.record(False, "p1", "1", "0")

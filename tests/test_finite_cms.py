@@ -33,6 +33,7 @@ from dunklcms.finite_cms import (
     _fac_prod_minus_1,
     _fac_shift,
     _fac_sum,
+    _divided_differences,
     _nonzero_at_root,
     standard_testset,
 )
@@ -403,6 +404,8 @@ class TestPackedMultiPoly:
         lambda: V(2, 1, MIN_X_EXPONENT).diff(1),
         lambda: V(2, 0, MIN_X_EXPONENT).act_invert(0),
         lambda: V(2, 1, MIN_X_EXPONENT).act_invert_swap(0, 1),
+        # degree 4000: past the reach of the degree field's guard bit
+        lambda: MultiPoly(4, {(-1000, -1000, 1000, 1000): ONE}).act_invert_swap(0, 1),
         lambda: V(2, 1).mul_monomial((0, MAX_X_EXPONENT)),
         lambda: MultiPoly(2, {(MAX_X_EXPONENT + 1, 0): ONE}),
         lambda: V(2, 0).scale(symbol("k", 511)).scale(K),
@@ -445,6 +448,12 @@ class TestPackedMultiPoly:
             del calls[:]
             assert hs.div_or_none(s) == h
             assert calls == []
+
+    def test_structural_factors_are_built_once(self):
+        for build, args in ((_fac_diff, (3, 0, 1)), (_fac_sum, (3, 1, 2)),
+                            (_fac_prod_minus_1, (3, 0, 2)), (_fac_shift, (3, 1, -1, 2))):
+            assert build(*args) is build(*args)
+        assert _fac_shift(2, 0, 1).text() == "1/1 * x1 + 1/1"
 
     @pytest.mark.parametrize("n, products", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
     def test_power_makes_no_spare_products(self, monkeypatch, n, products):
@@ -529,6 +538,153 @@ class TestFiniteDunkl:
         ab = finite_dunkl(Family.TRIG_BC, 2, 0, finite_dunkl(Family.TRIG_BC, 2, 1, f))
         ba = finite_dunkl(Family.TRIG_BC, 2, 1, finite_dunkl(Family.TRIG_BC, 2, 0, f))
         assert ab != ba
+
+
+def reflections(f: MultiPoly, i: int, j: int):
+    """(kind, j, w f, d, numerator) for each reflection the divided
+    differences know, in the variables i and j; numerator is the factor the
+    trigonometric operators put over d, None where there is none."""
+    n = f.nvars
+    return [
+        ("swap", j, f.act_swap(i, j), _fac_diff(n, i, j), _fac_sum(n, i, j)),
+        ("signed_swap", j, f.act_signed_swap(i, j), _fac_sum(n, i, j), None),
+        ("invert_swap", j, f.act_invert_swap(i, j), _fac_prod_minus_1(n, i, j),
+         _fac_prod_minus_1(n, i, j) + C(n, 2)),
+        ("invert", None, f.act_invert(i), _fac_shift(n, i, -1), _fac_shift(n, i, 1)),
+        ("invert2", None, f.act_invert(i), _fac_shift(n, i, -1, 2), _fac_shift(n, i, 1, 2)),
+        ("flip", None, f.act_flip(i), V(n, i), None),
+    ]
+
+
+def finite_dunkl_by_division(family: Family, N: int, i: int, f: MultiPoly) -> MultiPoly:
+    """The finite Dunkl operators through the images w f and exact division,
+    an independent route to ``finite_dunkl``."""
+    half = ParamRatio.fraction(1, 2)
+    out = f.diff(i)
+    if family in (Family.TRIG_A, Family.TRIG_BC):
+        out = out * V(N, i)
+    for j in range(N):
+        if j == i:
+            continue
+        swap = (f - f.act_swap(i, j)).exact_div(_fac_diff(N, i, j))
+        if family is Family.RAT_A:
+            out = out - swap.scale(K)
+        elif family is Family.RAT_B:
+            signed = (f - f.act_signed_swap(i, j)).exact_div(_fac_sum(N, i, j))
+            out = out - (swap + signed).scale(K)
+        else:
+            out = out - (_fac_sum(N, i, j) * swap).scale(K * half)
+        if family is Family.TRIG_BC:
+            inv = (f - f.act_invert_swap(i, j)).exact_div(_fac_prod_minus_1(N, i, j))
+            out = out - ((_fac_prod_minus_1(N, i, j) + C(N, 2)) * inv).scale(K * half)
+    if family is Family.RAT_B:
+        out = out - (f - f.act_flip(i)).exact_div(V(N, i)).scale(Q_)
+    if family is Family.TRIG_BC:
+        t = f - f.act_invert(i)
+        out = out - (_fac_shift(N, i, 1) * t.exact_div(_fac_shift(N, i, -1))).scale(P_ * half)
+        out = out - (_fac_shift(N, i, 1, 2) * t.exact_div(_fac_shift(N, i, -1, 2))).scale(Q_)
+    return out
+
+
+class TestDividedDifferences:
+    """The closed-form divided differences against exact division."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_each_reflection_matches_exact_division(self, seed):
+        # Laurent exponents down to -3 and coefficients with 1/2, 1/k, p and q
+        rng = random.Random(seed)
+        for _ in range(6):
+            f = random_poly(rng, rng.randint(1, 9), low=-3)
+            i, j = rng.sample(range(3), 2)
+            for kind, jj, wf, d, numerator in reflections(f, i, j):
+                q = _divided_differences(f, [(kind, i, jj)])
+                assert q == (f - wf).exact_div(d), (kind, f)
+                assert q * d == f - wf
+                if numerator is not None:
+                    assert _divided_differences(f, [(kind, i, jj)], trig=True) == numerator * q
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sum_over_reflections(self, seed):
+        rng = random.Random(100 + seed)
+        f = random_laurent(rng, 12)
+        cases = reflections(f, 0, 2) + reflections(f, 0, 1)
+        total = MultiPoly.zero(3)
+        for kind, j, wf, d, _ in cases:
+            total = total + (f - wf).exact_div(d)
+        assert _divided_differences(f, [(kind, 0, j) for kind, j, *_ in cases]) == total
+
+    def test_symmetric_input_and_no_reflections_give_zero(self):
+        f = V(3, 0) * V(3, 1) + V(3, 0) + V(3, 1)
+        assert _divided_differences(f, [("swap", 0, 1), ("swap", 1, 0)]).is_zero()
+        assert _divided_differences(f, []).is_zero()
+        assert _divided_differences(V(3, 2, 4), [("flip", 2, None)]).is_zero()
+
+    def test_unknown_kind_and_signs_without_numerator_raise(self):
+        f = random_laurent(random.Random(3), 5)
+        for kind, j in (("rotate", 1), ("flip", None), ("signed_swap", 1)):
+            with pytest.raises(ValueError):
+                _divided_differences(f, [(kind, 0, j)], trig=True)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family", list(Family))
+    def test_finite_dunkl_matches_division_route(self, family, seed):
+        rng = random.Random(seed)
+        f = random_poly(rng, 10, low=-2) if family is Family.TRIG_BC else random_poly(rng, 10, low=0)
+        for i in range(3):
+            assert finite_dunkl(family, 3, i, f) == finite_dunkl_by_division(family, 3, i, f)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_finite_dunkl_does_no_division(self, monkeypatch, family):
+        # the reflection terms come from the closed form: no division, no
+        # long division and no product of polynomials
+        f = random_poly(random.Random(7), 12, low=-2 if family is Family.TRIG_BC else 0)
+        seen = []
+        for name in ("div_or_none", "__mul__"):
+            original = getattr(MultiPoly, name)
+
+            def counting(self, other, name=name, original=original):
+                seen.append(name)
+                return original(self, other)
+            monkeypatch.setattr(MultiPoly, name, counting)
+        long_division = finite_cms._long_division
+        monkeypatch.setattr(finite_cms, "_long_division", lambda *a: seen.append("long") or long_division(*a))
+        for i in range(3):
+            assert not finite_dunkl(family, 3, i, f).is_zero()
+        assert seen == []
+
+    def test_exponent_overflow_at_the_lowest_exponent(self):
+        low = V(2, 1, MIN_X_EXPONENT)
+        # (x1^-1024 - x0^-1024) / (x0 - x1) has terms of total degree -1025
+        for kind in ("swap", "signed_swap"):
+            with pytest.raises(ExponentOverflow):
+                _divided_differences(low, [(kind, 0, 1)])
+        with pytest.raises(ExponentOverflow):  # x0^-1023 x1^-1 / x0 gives degree -1025
+            _divided_differences(V(2, 0, MIN_X_EXPONENT + 1) * V(2, 1, -1), [("flip", 0, None)])
+        # m = x0^1000 x1^1000 x2^-1000 x3^-1000 has degree 0, and the series
+        # m (x0 x1)^-s, s = 1..2000, ends at degree -4000; the reverse one at
+        # +3998
+        for f in (MultiPoly(4, {(1000, 1000, -1000, -1000): ONE}),
+                  MultiPoly(4, {(-1000, -1000, 1000, 1000): ONE}),
+                  # its series less that of x0^-999 x1^-999 x2^1000 x3^1000 is
+                  # -m - x0^999 x1^999 x2^1000 x3^1000, of degree 3998, whose
+                  # key the guard bits alone do not catch
+                  MultiPoly(4, {(-1000, -1000, 1000, 1000): ONE, (-999, -999, 1000, 1000): const(-1)})):
+            with pytest.raises(ExponentOverflow):
+                _divided_differences(f, [("invert_swap", 0, 1)])
+        # but x0^-512 x1^-512 gives -(x0 x1)^t x0^-512 x1^-512, t = 0..1023,
+        # from degree -1024 to 1022
+        assert len(_divided_differences(V(2, 0, -512) * V(2, 1, -512), [("invert_swap", 0, 1)]).terms) == 1024
+        with pytest.raises(ExponentOverflow):  # x0^1024 from the numerator x0 + 1
+            _divided_differences(V(1, 0, MIN_X_EXPONENT), [("invert", 0, None)], trig=True)
+
+    def test_quotient_in_range_when_the_image_is_not(self):
+        # x0 -> 1/x0 sends x0^-1024 out of range, but the quotient
+        # -(x0^-1024 + ... + x0^1023) of (f - w f) / (x0 - 1) lies inside it
+        f = V(1, 0, MIN_X_EXPONENT)
+        with pytest.raises(ExponentOverflow):
+            f.act_invert(0)
+        q = _divided_differences(f, [("invert", 0, None)])
+        assert q.terms == {(a,): const(-1) for a in range(MIN_X_EXPONENT, MAX_X_EXPONENT + 1)}
 
 
 class TestHeckman:
