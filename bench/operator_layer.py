@@ -1,13 +1,15 @@
 """Layer benchmark of the operator layer: ``InfDunkl`` in ``commutator_on_basis``.
 
-    python3 bench/operator_layer.py --label NAME --out BENCH_5.json [--src DIR]
+    python3 bench/operator_layer.py --label NAME --out BENCH_8.json [--src DIR]
 
 Times ``commutator_on_basis(TRIG_BC, 1, 3, 4, 4)``, the commutator of the
 trigonometric-BC integrals E.D^2 and E.D^6 on the 12 p_0-free monomials of
 degree <= 4, ``harness.REPEATS`` (7) times, and records the minimum and the
 median.  One extra run, not timed, counts the calls of ``InfDunkl.integral``
-and ``InfDunkl.apply`` (each ``apply`` call applies D ``power`` times).  The
-CLI request that makes the same check is timed as often.  Results are stored
+and ``InfDunkl.apply`` (each ``apply`` call applies D ``power`` times).  Two
+CLI requests are timed as often: the one that makes the same check, and
+``verify closed-form --family trig-bc --deg 8``, which compares E.D^2 with
+its closed form on the 67 monomials of degree <= 8.  Results are stored
 under ``--label`` in the JSON file ``--out``, next to the other labels already
 in it; ``--src`` names the ``src`` directory whose ``dunklcms`` is measured
 (default: the one of this checkout).  Everything runs in this process:
@@ -26,8 +28,11 @@ import sys
 from harness import DEFAULT_SRC, environment, quiet_run, store, timed
 
 CHECK = ("TRIG_BC", 1, 3, 4, 4)
-COMMAND = ["verify", "commute-infinity", "--family", "trig-bc", "--r", "1", "--s", "3",
-           "--deg", "4", "--no-timing"]
+COMMANDS = [
+    ["verify", "commute-infinity", "--family", "trig-bc", "--r", "1", "--s", "3", "--deg", "4",
+     "--no-timing"],
+    ["verify", "closed-form", "--family", "trig-bc", "--deg", "8", "--no-timing"],
+]
 
 
 def count_calls(InfDunkl, check) -> dict:
@@ -74,7 +79,8 @@ def measure(src: str) -> dict:
         "InfDunkl.apply.calls": counts["apply"],
         **timed(check),
     }}
-    result["command"] = timed(lambda: quiet_run(cli.run, COMMAND))
+    result["commands"] = {" ".join(argv): timed(lambda: quiet_run(cli.run, argv))
+                          for argv in COMMANDS}
     return result
 
 
@@ -87,8 +93,8 @@ def main(argv=None):
     result = measure(os.path.abspath(args.src))
     store(args.out, args.label, result,
           benchmark="operator layer: InfDunkl in commutator_on_basis(%s, %d, %d, %d, %d)" % CHECK,
-          command=" ".join(COMMAND))
-    print(json.dumps({args.label: result["layers"], "command": result["command"]}, indent=2))
+          commands=[" ".join(argv) for argv in COMMANDS])
+    print(json.dumps({args.label: result["layers"], "commands": result["commands"]}, indent=2))
     return 0
 
 

@@ -322,7 +322,7 @@ def _verify_moser_integrals(args, report):
             how = "basis deg %d" % args.basis_deg
         report.record(rep.ok, "[e*L^%de, H] %s" % (r, how),
                       rep.counterexamples[0][1] if rep.counterexamples else "", "0")
-    factor, cst, residual = integral_vs_hamiltonian(family, parity)
+    factor, cst, residual = integral_vs_hamiltonian(family, parity, bindings)
     ok = residual.is_zero() and cst.is_scalar()
     report.record(ok, "e*L^2e = %s*H + const" % factor.text(), cst.text(), "scalar")
     report.notes.append("hamiltonian factor %s, additive constant %s" % (factor.text(), cst.text()))

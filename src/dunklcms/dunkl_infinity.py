@@ -9,6 +9,24 @@ For each family the operator D acts on the power-sum algebra with x adjoined:
                          - (p/2) ((x+1)/(x-1)) (1 - reflect)
                          - q ((x^2+1)/(x^2-1)) (1 - reflect)
 
+``InfDunkl.apply`` computes D^r in one kernel over packed integer numerators.
+The element is held as {(x exponent, p-monomial): int numerator} over one
+shared denominator den_int * k^den_k, with the parameter monomials packed as
+in ``coeffs``.  The derivation and the difference part add integer multiples
+of numerators; multiplying by k, p or q adds a packed key; the half of the
+trigonometric families doubles the shared denominator once per application.
+The trigonometric-BC reflection terms are closed-form series: for a != 0,
+with l = |a|,
+
+    (x+1)/(x-1) (x^a - x^-a)        = sign(a) x^-l (1 + 2x + ... + 2x^(2l-1) + x^2l)
+    (x^2+1)/(x^2-1) (x^a - x^-a)    = sign(a) x^-l (1 + 2x^2 + ... + 2x^(2l-2) + x^2l)
+
+and the rational-B term -(q/x)(1 - reflect) x^a is -2q x^(a-1) for odd a and
+0 for even a.  Each output term is put in canonical form once.  The
+``powersums`` building blocks (``partial``, ``delta``, ``reflect``,
+``divide_by_x_poly``) compose the same operator term by term; the test suite
+keeps that composition as the reference route.
+
 The quantum integrals are E . D^r restricted to the power-sum algebra (even
 powers D^(2r) for the B and BC families, matching their projection E).  The
 second integral also has an explicit closed form as a differential operator in
@@ -29,32 +47,147 @@ and multiplying it back in.
 
 from __future__ import annotations
 
-from .coeffs import HALF, K, ONE, P, Q, ParamRatio
+from math import gcd
+
+from .coeffs import K, ONE, P, Q, ParamPoly, ParamRatio, _canonical, _check_den_k, _checked, _poly
 from .powersums import (
     Family,
     LambdaElem,
     LambdaXElem,
     PMono,
-    delta,
-    divide_by_x_poly,
-    partial,
+    UnsupportedFamily,
+    _delta_of_x_power,
     pmono,
     pmono_degree,
+    pmono_mul,
     pmono_text,
     project_E,
-    reflect,
 )
 
-_K_HALF = K * HALF
-_P_HALF = P * HALF
+#: the packed keys of k, p and q: multiplying a numerator by one of them adds
+#: its key to every exponent
+_K_KEY, _P_KEY, _Q_KEY = (next(iter(ParamPoly.symbol(name).terms)) for name in "kpq")
 
-_X_MINUS_1 = {1: 1, 0: -1}
-_X2_MINUS_1 = {2: 1, 0: -1}
-_X = {1: 1}
+
+def _lcd(coeffs):
+    """(den_int, den_k): the least common denominator den_int * k^den_k of
+    the ParamRatio values ``coeffs``."""
+    den_int, den_k = 1, 0
+    for c in coeffs:
+        d = c.den_int
+        if d != 1:
+            den_int = den_int // gcd(den_int, d) * d
+        if c.den_k > den_k:
+            den_k = c.den_k
+    return den_int, den_k
+
+
+def _numerator(c: ParamRatio, den_int: int, den_k: int) -> dict:
+    """The int numerator of c over den_int * k^den_k, a multiple of c's
+    denominator; a k-exponent it pushes past MAX_DEGREE raises
+    ExponentOverflow.  Read only: it may be c's own dict."""
+    m, j = den_int // c.den_int, den_k - c.den_k
+    terms = c.num.terms
+    if j:
+        return _checked({e + j: v * m for e, v in terms.items()})
+    if m != 1:
+        return {e: v * m for e, v in terms.items()}
+    return terms
+
+
+def _stencil(family: Family, a: int, m: PMono) -> list:
+    """D(x^a m) as a list of (x exponent, p-monomial, n, shift), each entry
+    standing for n * x^exponent * p-monomial times the parameter monomial
+    with packed key ``shift`` (0, k, p or q); over 2 for the trigonometric
+    families, so that every n is an integer."""
+    trig = family in (Family.TRIG_A, Family.TRIG_BC)
+    two = 2 if trig else 1
+    out = []
+    # the derivation: d(x^a) m, then the generators of m by Leibniz
+    if a:
+        out.append((a if trig else a - 1, m, two * a, 0))
+    for pos, (idx, mult) in enumerate(m):
+        if not idx:
+            continue
+        rest = m[:pos] + m[pos + 1:] if mult == 1 else m[:pos] + ((idx, mult - 1),) + m[pos + 1:]
+        n = two * mult * idx
+        if family is Family.RAT_A:
+            out.append((a + idx - 1, rest, n, 0))
+        elif family is Family.TRIG_A:
+            out.append((a + idx, rest, n, 0))
+        elif family is Family.RAT_B:
+            out.append((a + 2 * idx - 1, rest, 2 * n, 0))
+        else:  # TRIG_BC: l (x^l - x^-l)
+            out.append((a + idx, rest, n, 0))
+            out.append((a - idx, rest, -n, 0))
+    # the difference part: -k delta, -(k/2) delta or -2k delta
+    kc = -2 if family is Family.RAT_B else -1
+    for xexp, pidx, scalar in _delta_of_x_power(a, family):
+        mm = m if pidx is None else pmono_mul(m, ((pidx, 1),))
+        out.append((xexp, mm, kc * scalar, _K_KEY))
+    # the reflection terms
+    if family is Family.RAT_B:
+        # -(q/x)(1 - s) x^a = -2q x^(a-1) for odd a, 0 for even a
+        if a % 2:
+            out.append((a - 1, m, -2, _Q_KEY))
+    elif family is Family.TRIG_BC and a:
+        # with sign = sign(a) and l = |a|:
+        # -(p/2) (x+1)/(x-1) (x^a - x^-a) = -(p/2) sign x^-l (1, 2, ..., 2, 1)
+        # over x^0, x^1, ..., x^2l, and -q (x^2+1)/(x^2-1) (x^a - x^-a) the
+        # same series in x^2, over x^0, x^2, ..., x^2l
+        sign = 1 if a > 0 else -1
+        l = sign * a
+        for j in range(2 * l + 1):
+            out.append((j - l, m, -sign if j in (0, 2 * l) else -2 * sign, _P_KEY))
+        for j in range(l + 1):
+            out.append((2 * j - l, m, -2 * sign if j in (0, l) else -4 * sign, _Q_KEY))
+    return out
+
+
+def _apply_packed(family: Family, terms: dict, stencils: dict) -> dict:
+    """D applied once to ``terms`` {(x exponent, p-monomial): int numerator},
+    all over one denominator, which the result shares (doubled for the
+    trigonometric families).  Zero entries are dropped and every numerator is
+    tested against the guard bits."""
+    out: dict = {}
+    get = out.get
+    for key, num in terms.items():
+        st = stencils.get(key)
+        if st is None:
+            st = stencils[key] = _stencil(family, *key)
+        for a, m, n, shift in st:
+            acc = get((a, m))
+            if acc is None:
+                out[(a, m)] = {e + shift: n * c for e, c in num.items()}
+                continue
+            aget = acc.get
+            for e, c in num.items():
+                e += shift
+                acc[e] = aget(e, 0) + n * c
+    for key, acc in list(out.items()):
+        if 0 in acc.values():
+            acc = {e: c for e, c in acc.items() if c}
+            if not acc:
+                del out[key]
+                continue
+            out[key] = acc
+        _checked(acc)
+    return out
 
 
 class InfDunkl:
-    """The family's Dunkl operator at infinity."""
+    """The family's Dunkl operator at infinity.
+
+    ``apply`` runs D^r over packed integer numerators (see the module
+    docstring): each term x^a m goes through its stencil (``_stencil``), the
+    integer combination of terms x^a' m' times 1, k, p or q that D(x^a m) is,
+    with the two trigonometric-BC series in closed form.  A numerator that
+    reaches a guard bit raises ExponentOverflow after the application that
+    formed it.  The shared k-denominator sets one more limit, which the
+    term-by-term route does not have: a coefficient c k^j next to one over
+    k^i is held as c k^(j+i), so j + i must stay at most MAX_DEGREE, and
+    each application may add one more power of k.
+    """
 
     def __init__(self, family: Family):
         self.family = family
@@ -62,36 +195,20 @@ class InfDunkl:
     def apply(self, f: LambdaXElem, r: int = 1) -> LambdaXElem:
         """D^r applied to f."""
         fam = self.family
-        if fam.laurent and not f.laurent:
-            f = f.with_laurent(True)
+        if f.laurent and not fam.laurent:
+            raise UnsupportedFamily("Laurent element in a polynomial family")
+        den_int, den_k = _lcd(f.terms.values())
+        terms = {key: _numerator(c, den_int, den_k) for key, c in f.terms.items()}
+        halves = fam in (Family.TRIG_A, Family.TRIG_BC)
+        stencils: dict = {}
         for _ in range(r):
-            f = self._apply_once(f)
-        return f
-
-    def _apply_once(self, f: LambdaXElem) -> LambdaXElem:
-        fam = self.family
-        out = partial(f, fam)
-        if fam is Family.RAT_A:
-            return out - delta(f, fam).scale(K)
-        if fam is Family.TRIG_A:
-            return out - delta(f, fam).scale(_K_HALF)
-        if fam is Family.RAT_B:
-            out = out - delta(f, fam).scale(K.scale(2))
-            g = f - reflect(f, fam)
-            if not g.is_zero():
-                out = out - divide_by_x_poly(g, _X).scale(Q)
-            return out
-        # TRIG_BC
-        out = out - delta(f, fam).scale(_K_HALF)
-        g = f - reflect(f, fam)
-        if not g.is_zero():
-            h1 = divide_by_x_poly(g, _X_MINUS_1)
-            h1 = h1.mul_x(1) + h1  # multiply by (x + 1)
-            out = out - h1.scale(_P_HALF)
-            h2 = divide_by_x_poly(g, _X2_MINUS_1)
-            h2 = h2.mul_x(2) + h2  # multiply by (x^2 + 1)
-            out = out - h2.scale(Q)
-        return out
+            terms = _apply_packed(fam, terms, stencils)
+            if halves:
+                den_int *= 2
+        return LambdaXElem(
+            {key: _canonical(_poly(num), den_int, den_k) for key, num in terms.items()},
+            fam.laurent,
+        )
 
     def integral(self, r: int, f: LambdaElem) -> LambdaElem:
         """The r-th quantum integral applied to f in the power-sum algebra.
@@ -137,16 +254,28 @@ class LambdaDiffOp:
         return not self.terms
 
     def apply(self, f: LambdaElem) -> LambdaElem:
-        out = LambdaElem.zero()
+        """The operator applied to f: per tuple of derivation indices, the
+        sum of its coefficient monomials times the derivative of f, each
+        derivative taken once from that of its longest proper prefix."""
+        groups: dict = {}
         for (cmono, didx), c in self.terms.items():
-            g = f
-            for a in didx:
-                g = _derivation(g, a)
-                if g.is_zero():
-                    break
-            if g.is_zero():
-                continue
-            out = out + LambdaElem.monomial(cmono, c) * g
+            groups.setdefault(didx, {})[cmono] = c
+        derivatives = {(): f}
+
+        def derivative(didx):
+            g = derivatives.get(didx)
+            if g is None:
+                g = derivative(didx[:-1])
+                if not g.is_zero():
+                    g = _derivation(g, didx[-1])
+                derivatives[didx] = g
+            return g
+
+        out = LambdaElem.zero()
+        for didx, coeffs in groups.items():
+            g = derivative(didx)
+            if not g.is_zero():
+                out = out + LambdaElem(coeffs) * g
         return out
 
     def text(self) -> str:
@@ -312,17 +441,43 @@ def _integral_image(family: Family, key) -> LambdaElem:
 
 def _apply_by_table(table: dict, r: int, f: LambdaElem) -> LambdaElem:
     """L^(r) f by linearity over p_0: each monomial p_0^j m of f contributes
-    its coefficient times p_0^j times the image table[(r, m)]."""
+    its coefficient times p_0^j times the image table[(r, m)].
+
+    The products are formed on int numerators, f's over their least common
+    denominator and the images' over theirs, and accumulated over the product
+    of the two; each output coefficient is put in canonical form once.
+    """
+    images = {rest: table[(r, rest)].terms for rest in {_p0_split(m)[1] for m in f.terms}}
+    den1, k1 = _lcd(f.terms.values())
+    den2, k2 = _lcd(c for terms in images.values() for c in terms.values())
+    den_k = _check_den_k(k1 + k2)
+    images = {rest: [(m2, _numerator(c2, den2, k2)) for m2, c2 in terms.items()]
+              for rest, terms in images.items()}
     out: dict = {}
+    get = out.get
     for m, c in f.terms.items():
+        n1 = _numerator(c, den1, k1).items()
         j, rest = _p0_split(m)
-        for m2, c2 in table[(r, rest)].terms.items():
+        for m2, n2 in images[rest]:
             if j:
                 i, tail = _p0_split(m2)
                 m2 = ((0, i + j),) + tail
-            v = out.get(m2)
-            out[m2] = c * c2 if v is None else v + c * c2
-    return LambdaElem(out)
+            acc = get(m2)
+            if acc is None:
+                acc = out[m2] = {}
+            aget = acc.get
+            for e2, v2 in n2.items():
+                for e1, v1 in n1:
+                    e = e1 + e2
+                    acc[e] = aget(e, 0) + v1 * v2
+    den = den1 * den2
+    result = {}
+    for m2, acc in out.items():
+        _checked(acc)
+        acc = {e: c for e, c in acc.items() if c}
+        if acc:
+            result[m2] = _canonical(_poly(acc), den, den_k)
+    return LambdaElem(result)
 
 
 def commutator_on_basis(family: Family, r: int, s: int, deg: int, pwindow: int):

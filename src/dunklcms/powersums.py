@@ -452,8 +452,10 @@ def divide_by_x_poly(f: LambdaXElem, divisor: dict) -> LambdaXElem:
 
     Works per power-sum monomial: the x-Laurent coefficients are shifted to an
     ordinary polynomial, divided synthetically, and shifted back.  Raises
-    InexactDivision when a remainder survives; for the operators built here
+    InexactDivision when a remainder survives; for the reflection terms
     divisibility is structural, so a remainder signals a transcription bug.
+    ``InfDunkl.apply`` takes these quotients in closed form; this division
+    serves the term-by-term reference route of the test suite.
     """
     lead = max(divisor)
     inv_lead = Rat(1) / Rat(divisor[lead])

@@ -819,14 +819,18 @@ def integral_hamiltonian_factor(family: Family) -> ParamRatio:
     }[family]
 
 
-def integral_vs_hamiltonian(family: Family, parity: ParityData):
+def integral_vs_hamiltonian(family: Family, parity: ParityData, bindings: dict = None):
     """Compare e* L^2 e with its Hamiltonian: returns (factor, constant, residual).
 
     The residual is the non-constant part left after subtracting factor * H
-    and the constant term; the identity holds exactly when it vanishes.
+    and the constant term; the identity holds exactly when it vanishes.  With
+    ``bindings``, the integral and H are substituted first, so the constant
+    is the one at that parameter point.
     """
     I2 = moser_integral(family, parity, 2 if not family.even_integrals else 1)
     H = hamiltonian(family, parity, gauged=False)
+    if bindings:
+        I2, H = I2.substitute(bindings), H.substitute(bindings)
     factor = integral_hamiltonian_factor(family)
     diff = I2 - H.scale(factor)
     const = diff.constant_part()

@@ -23,6 +23,26 @@ def random_param_ratio(rng: random.Random, symbols=(0,)) -> ParamRatio:
     return ParamRatio(num, den)
 
 
+def count_ratio_operations(monkeypatch, names=("__mul__", "__truediv__", "__add__", "__sub__",
+                                              "__neg__")) -> list:
+    """Record every call of the ParamRatio methods ``names`` (by default
+    product, quotient, sum, difference and negation) from now on; returns the
+    list the names are appended to."""
+    calls = []
+
+    def counting(name):
+        original = getattr(ParamRatio, name)
+
+        def wrapper(self, *other):
+            calls.append(name)
+            return original(self, *other)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(ParamRatio, name, counting(name))
+    return calls
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240615)

@@ -6,9 +6,9 @@ from dunklcms import _parallel, cli, finite_cms
 from dunklcms.cli import Report, build_parser, report_emit, run
 from dunklcms.coeffs import K, Rat, const
 from dunklcms.dunkl_infinity import InfDunkl
-from dunklcms.finite_cms import Hom, MultiPoly
+from dunklcms.finite_cms import Hom, MultiPoly, ParityData
 from dunklcms.powersums import Family, LambdaElem, pmono_text
-from dunklcms.weyl import RatFun
+from dunklcms.weyl import RatFun, integral_hamiltonian_factor, integral_vs_hamiltonian
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +245,35 @@ class TestErrorsAndGuards:
         payload = json.loads(out)
         assert payload["checks"] == 2
         assert [ce["input"] for ce in payload["counterexamples"]] == [label]
+
+
+class TestMoserIntegralBindings:
+    """The last check of ``moser-integrals`` runs at the bound parameter point."""
+
+    def test_param_reports_the_constant_at_that_point(self, capsys):
+        # symbolically the constant is -(k + 1)/4, which is -5/8 at k = 3/2
+        code, out = run_cli(capsys, "verify", "moser-integrals", "--family", "trig-a", "--n", "1",
+                            "--m", "1", "--r", "1", "--param", "k=3/2", "--format", "json",
+                            "--no-timing")
+        assert code == 0
+        assert json.loads(out)["notes"] == ["hamiltonian factor 1/1, additive constant (-5/8)/1"]
+
+    @pytest.mark.parametrize("family, n, m", [("trig-a", 2, 1), ("rat-b", 1, 1), ("trig-bc", 2, 0)])
+    def test_sampled_verdicts_and_check_counts_are_unchanged(self, capsys, family, n, m):
+        args = ("verify", "moser-integrals", "--family", family, "--n", str(n), "--m", str(m),
+                "--r", "2", "--format", "json", "--no-timing")
+        _, symbolic = run_cli(capsys, *args)
+        _, sampled = run_cli(capsys, *args, "--mode", "sampled", "--seed", "5")
+        symbolic, sampled = json.loads(symbolic), json.loads(sampled)
+        assert symbolic["status"] == sampled["status"] == "verified"
+        assert symbolic["checks"] == sampled["checks"] == 3
+        # the sampled constant is the symbolic one at the sampled point
+        parity = ParityData(n, m)
+        bindings = cli._sample_bindings(Family(family), 5)
+        _, cst, _ = integral_vs_hamiltonian(Family(family), parity)
+        factor = integral_hamiltonian_factor(Family(family)).text()
+        assert sampled["notes"] == ["hamiltonian factor %s, additive constant %s"
+                                    % (factor, cst.substitute(bindings).text())]
 
 
 class TestDeterminism:

@@ -3,16 +3,22 @@
 Every derived expected value below is computed first through the independent
 finite route (symmetrized powers of the classical Dunkl operators, reduced by
 the power-sum substitution) and frozen; the infinite-variable route must then
-reproduce it exactly.
+reproduce it exactly.  The packed D^r kernel of ``InfDunkl.apply`` is checked
+against ``apply_by_building_blocks``, the term-by-term composition of the
+``powersums`` building blocks.
 """
 
 import math
+import random
 
 import pytest
 
-from dunklcms.coeffs import ParamRatio, const, symbol
+from dunklcms import dunkl_infinity
+from dunklcms.coeffs import HALF, MAX_DEGREE, ExponentOverflow, ParamRatio, const, k_power, symbol
 from dunklcms.dunkl_infinity import (
     InfDunkl,
+    LambdaDiffOp,
+    _apply_by_table,
     apply_closed_form_L2,
     closed_form_L2,
     commutator_on_basis,
@@ -20,7 +26,18 @@ from dunklcms.dunkl_infinity import (
     pmono_basis,
 )
 from dunklcms.finite_cms import Hom, MultiPoly, heckman_integral
-from dunklcms.powersums import Family, LambdaElem, LambdaXElem
+from dunklcms.powersums import (
+    Family,
+    LambdaElem,
+    LambdaXElem,
+    UnsupportedFamily,
+    delta,
+    divide_by_x_poly,
+    partial,
+    reflect,
+)
+
+from conftest import count_ratio_operations
 
 K = symbol("k")
 Q = symbol("q")
@@ -29,6 +46,47 @@ ONE = ParamRatio.one()
 X = LambdaXElem.x
 Px = LambdaXElem.p
 Pl = LambdaElem.p
+
+
+_K_HALF = K * HALF
+_P_HALF = P * HALF
+
+
+def _apply_once_by_building_blocks(family: Family, f: LambdaXElem) -> LambdaXElem:
+    out = partial(f, family)
+    if family is Family.RAT_A:
+        return out - delta(f, family).scale(K)
+    if family is Family.TRIG_A:
+        return out - delta(f, family).scale(_K_HALF)
+    if family is Family.RAT_B:
+        out = out - delta(f, family).scale(K.scale(2))
+        g = f - reflect(f, family)
+        if not g.is_zero():
+            out = out - divide_by_x_poly(g, {1: 1}).scale(Q)
+        return out
+    # TRIG_BC
+    out = out - delta(f, family).scale(_K_HALF)
+    g = f - reflect(f, family)
+    if not g.is_zero():
+        h1 = divide_by_x_poly(g, {1: 1, 0: -1})
+        h1 = h1.mul_x(1) + h1  # multiply by (x + 1)
+        out = out - h1.scale(_P_HALF)
+        h2 = divide_by_x_poly(g, {2: 1, 0: -1})
+        h2 = h2.mul_x(2) + h2  # multiply by (x^2 + 1)
+        out = out - h2.scale(Q)
+    return out
+
+
+def apply_by_building_blocks(family: Family, f: LambdaXElem, r: int = 1) -> LambdaXElem:
+    """D^r f composed from the ``powersums`` building blocks term by term: the
+    derivation, the difference part, the reflection and the exact divisions
+    by x, x - 1 and x^2 - 1, with a canonical coefficient for every term of
+    every intermediate result.  The reference route of ``InfDunkl.apply``."""
+    if family.laurent and not f.laurent:
+        f = f.with_laurent(True)
+    for _ in range(r):
+        f = _apply_once_by_building_blocks(family, f)
+    return f
 
 
 class TestApplyD:
@@ -49,6 +107,98 @@ class TestApplyD:
         for f in (Px(1), Px(2), X(2) * Px(1)):
             g = op.apply(f)
             assert all(a % 2 == 1 for (a, _m) in g.terms)
+
+
+def _random_element(rng: random.Random, family: Family, nterms: int) -> LambdaXElem:
+    """Terms x^a m with m of degree <= 3, a p_0 factor now and then, and
+    coefficients with denominators 2, k and k^2."""
+    lo = -3 if family.laurent else 0
+    basis = pmono_basis(3, 3)
+    coeffs = [HALF, k_power(-1), k_power(-2), P, Q, const(3), -K.scale(2), ONE + k_power(-1)]
+    terms = {}
+    for _ in range(nterms):
+        m = rng.choice(basis)
+        if rng.random() < 0.3:
+            m = ((0, rng.randint(1, 2)),) + m
+        terms[(rng.randint(lo, 3), m)] = rng.choice(coeffs) * rng.choice(coeffs)
+    return LambdaXElem(terms, family.laurent)
+
+
+class TestPackedKernel:
+    """``InfDunkl.apply`` against the term-by-term route."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_powers_on_the_basis(self, family):
+        op = InfDunkl(family)
+        for m in pmono_basis(5, 5) + [((0, 1), (2, 1)), ((0, 2), (1, 1), (3, 1))]:
+            f = LambdaXElem.from_lambda(LambdaElem.monomial(m), family.laurent)
+            g = f
+            for r in range(1, 7):
+                g = apply_by_building_blocks(family, g)
+                # ParamRatio equality compares the canonical fields
+                assert op.apply(f, r) == g, (m, r)
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_laurent_inputs(self, family, seed):
+        rng = random.Random(seed)
+        op = InfDunkl(family)
+        for _ in range(6):
+            f = _random_element(rng, family, rng.randint(1, 5))
+            for r in (1, 2, 3):
+                assert op.apply(f, r) == apply_by_building_blocks(family, f, r)
+
+    def test_odd_powers_of_x_in_rational_b(self):
+        # the reflection term -2q x^(a-1) of an odd power
+        assert InfDunkl(Family.RAT_B).apply(X(1)) == apply_by_building_blocks(Family.RAT_B, X(1))
+        assert InfDunkl(Family.RAT_B).apply(X(3) * Px(0)) == \
+            apply_by_building_blocks(Family.RAT_B, X(3) * Px(0))
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_no_coefficient_arithmetic(self, family, monkeypatch):
+        inputs = [_random_element(random.Random(seed), family, 5) for seed in range(4)]
+        calls = count_ratio_operations(
+            monkeypatch, ("__add__", "__sub__", "__mul__", "__neg__", "scale"))
+        for f in inputs:
+            InfDunkl(family).apply(f, 3)
+        assert calls == []
+
+    @pytest.mark.parametrize("family", [Family.RAT_A, Family.TRIG_A, Family.RAT_B])
+    def test_laurent_element_in_a_polynomial_family(self, family):
+        with pytest.raises(UnsupportedFamily):
+            InfDunkl(family).apply(X(-1))
+        with pytest.raises(UnsupportedFamily):
+            InfDunkl(family).apply(Px(1).with_laurent(True))
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("name", ["k", "p", "q"])
+    def test_exponent_overflow_where_the_reference_raises(self, family, name):
+        raised = 0
+        for r in (1, 2):
+            c = symbol(name, MAX_DEGREE + 1 - r)
+            for a in ((-2, -1, 0, 1, 2) if family.laurent else (0, 1, 2)):
+                for m in ((), ((1, 1),), ((0, 1), (2, 1))):
+                    f = LambdaXElem({(a, m): c}, family.laurent)
+                    try:
+                        expected = apply_by_building_blocks(family, f, r)
+                    except ExponentOverflow:
+                        with pytest.raises(ExponentOverflow):
+                            InfDunkl(family).apply(f, r)
+                        raised += 1
+                    else:
+                        assert InfDunkl(family).apply(f, r) == expected
+        # k enters through the difference part, p and q through the reflections
+        reflected = {"p": family is Family.TRIG_BC,
+                     "q": family in (Family.RAT_B, Family.TRIG_BC)}
+        assert bool(raised) == reflected.get(name, True)
+
+    def test_shared_k_denominator_past_max_degree(self):
+        # over the shared denominator k^2, k^(MAX_DEGREE - 1) x would need k^(MAX_DEGREE + 1)
+        f = LambdaXElem({(1, ()): k_power(MAX_DEGREE - 1), (2, ()): k_power(-2)})
+        with pytest.raises(ExponentOverflow):
+            InfDunkl(Family.RAT_A).apply(f)
+        g = LambdaXElem({(1, ()): k_power(MAX_DEGREE - 3), (2, ()): k_power(-2)})
+        assert InfDunkl(Family.RAT_A).apply(g) == apply_by_building_blocks(Family.RAT_A, g)
 
 
 def _heckman_oracle(family: Family, N: int, r: int, f: LambdaElem) -> MultiPoly:
@@ -128,6 +278,38 @@ class TestClosedForm:
             f = LambdaElem.monomial(m)
             val = integral_L(Family.RAT_A, 2, f).substitute(zero_k)
             assert val == _free_laplacian(f)
+
+
+def _apply_term_by_term(op: LambdaDiffOp, f: LambdaElem) -> LambdaElem:
+    """Every term of op on its own, its derivatives taken from f."""
+    out = LambdaElem.zero()
+    for (cmono, didx), c in op.terms.items():
+        g = f
+        for a in didx:
+            g = dunkl_infinity._derivation(g, a)
+        out = out + LambdaElem.monomial(cmono, c) * g
+    return out
+
+
+class TestDerivationChains:
+    @pytest.mark.parametrize("family", list(Family))
+    def test_one_derivation_per_index_prefix(self, family, monkeypatch):
+        op = closed_form_L2(family, 6)
+        prefixes = {didx[:i] for _cmono, didx in op.terms for i in range(1, len(didx) + 1)}
+        inputs = [LambdaElem.monomial(m) for m in pmono_basis(6, 6)]
+        expected = [_apply_term_by_term(op, f) for f in inputs]
+        calls = []
+        real = dunkl_infinity._derivation
+
+        def counting(f, a):
+            calls.append(a)
+            return real(f, a)
+
+        monkeypatch.setattr(dunkl_infinity, "_derivation", counting)
+        for f, value in zip(inputs, expected):
+            del calls[:]
+            assert op.apply(f) == value
+            assert len(calls) <= len(prefixes)
 
 
 def _free_laplacian(f: LambdaElem) -> LambdaElem:
@@ -242,7 +424,40 @@ TABLE_CASES = [
 ]
 
 
+def _apply_by_table_per_pair(table: dict, r: int, f: LambdaElem) -> LambdaElem:
+    """The per-pair route of ``_apply_by_table``: c p_0^j times the image of
+    m, for each term c p_0^j m of f, in the ring of LambdaElem."""
+    out = LambdaElem.zero()
+    for m, c in f.terms.items():
+        j, rest = (m[0][1], m[1:]) if m and m[0][0] == 0 else (0, m)
+        out = out + (LambdaElem.monomial(((0, j),) if j else (), c) * table[(r, rest)])
+    return out
+
+
 class TestCommutatorTable:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_table_products_match_the_per_pair_route(self, seed):
+        rng = random.Random(seed)
+        basis = pmono_basis(3, 3)
+        coeffs = [HALF, k_power(-1), k_power(-2), P, Q, const(3), -K.scale(2), ONE + k_power(-1)]
+
+        def element(monomials):
+            return LambdaElem({m: rng.choice(coeffs) * rng.choice(coeffs)
+                               for m in rng.sample(monomials, 3)})
+
+        with_p0 = basis + [((0, 1),) + m for m in basis] + [((0, 2),) + m for m in basis]
+        table = {(2, m): element(with_p0) for m in basis}
+        for _ in range(5):
+            f = element(with_p0)
+            assert _apply_by_table(table, 2, f) == _apply_by_table_per_pair(table, 2, f)
+
+    def test_table_product_exponent_overflow(self):
+        table = {(1, ((1, 1),)): LambdaElem.monomial(((2, 1),), K ** 300)}
+        f = LambdaElem.monomial(((1, 1),), K ** (MAX_DEGREE - 300))
+        assert _apply_by_table(table, 1, f) == LambdaElem.monomial(((2, 1),), K ** MAX_DEGREE)
+        with pytest.raises(ExponentOverflow):
+            _apply_by_table(table, 1, f.scale(K))
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("case", TABLE_CASES)
     def test_matches_direct_route(self, monkeypatch, case, workers):

@@ -40,6 +40,8 @@ from dunklcms.finite_cms import (
 from dunklcms.powersums import Family, InexactDivision, LambdaElem, LambdaXElem
 from dunklcms.weyl import RatFun
 
+from conftest import count_ratio_operations
+
 K = symbol("k")
 
 
@@ -127,24 +129,6 @@ def random_laurent(rng: random.Random, nterms: int) -> MultiPoly:
         terms[e] = ParamRatio.fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2])) \
             * k_power(rng.randint(-1, 2))
     return MultiPoly(3, terms)
-
-
-def count_ratio_operations(monkeypatch) -> list:
-    """Record every ParamRatio product, sum, difference, negation and
-    quotient from now on; returns the list the names are appended to."""
-    calls = []
-
-    def counting(name):
-        original = getattr(ParamRatio, name)
-
-        def wrapper(self, *other):
-            calls.append(name)
-            return original(self, *other)
-        return wrapper
-
-    for name in ("__mul__", "__truediv__", "__add__", "__sub__", "__neg__"):
-        monkeypatch.setattr(ParamRatio, name, counting(name))
-    return calls
 
 
 class TestRootTest:
