@@ -163,13 +163,16 @@ def _sample_bindings(family: Family, seed: int) -> dict:
     return {name: draw() for name in family.symbols}
 
 
-def _explicit_bindings(args) -> dict:
+def _explicit_bindings(args, family: Family) -> dict:
     """Parse --param name=value assignments into exact rational bindings."""
     out = {}
-    for item in getattr(args, "param", None) or ():
+    for item in args.param or ():
         name, _, value = item.partition("=")
         if name not in ("k", "p", "q", "r", "s") or not value:
             raise InvalidRequest("bad --param %r (expected e.g. k=3/2)" % item)
+        if name not in family.symbols:
+            raise InvalidRequest("bad --param %r: family %s has the parameters %s"
+                                 % (item, family.value, ", ".join(family.symbols)))
         try:
             out[name] = const(Rat(value))
         except (ValueError, ZeroDivisionError) as exc:
@@ -182,8 +185,16 @@ def _bindings(args, family: Family):
     bindings = {}
     if args.mode == "sampled":
         bindings.update(_sample_bindings(family, args.seed))
-    bindings.update(_explicit_bindings(args))
+    bindings.update(_explicit_bindings(args, family))
     return bindings or None
+
+
+def _symbolic_only(args):
+    """Reject --mode sampled and --param for a check that has no numeric route."""
+    if args.mode == "sampled":
+        raise InvalidRequest("--mode sampled is not supported: this check is symbolic only")
+    if args.param:
+        raise InvalidRequest("--param is not supported: this check is symbolic only")
 
 
 def _guard(args, **vals):
@@ -245,6 +256,7 @@ def _verify_commute_infinity(args, report):
 
 
 def _verify_diagram(args, report):
+    _symbolic_only(args)
     family = _family(args.family)
     _guard(args, N=args.N, r=args.r)
     kind = args.kind
@@ -272,6 +284,7 @@ def _verify_diagram(args, report):
 
 def _verify_deformed(args, report):
     # rational A deformed recursion: diagram consistency plus commutativity
+    _symbolic_only(args)
     _guard(args, nm=args.n + args.m, r=args.r)
     parity = _parity(args)
     family = Family.RAT_A
@@ -329,6 +342,7 @@ def _verify_moser_integrals(args, report):
 
 
 def _verify_degenerate_k1(args, report):
+    _symbolic_only(args)
     _guard(args, nm=args.n + args.m, r=args.r)
     parity = _parity(args)
     N = parity.size
@@ -354,6 +368,7 @@ def _verify_degenerate_k1(args, report):
 
 
 def _generate_integral(args, report):
+    _symbolic_only(args)
     family = _family(args.family)
     _guard(args, deg=args.deg, r=args.r)
     if family.even_integrals:

@@ -182,9 +182,6 @@ class ParamPoly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
-    def const_value(self) -> int:
-        return self.terms.get(0, 0)
-
     def total_degree(self) -> int:
         return max((sum(_unpack(e)) for e in self.terms), default=0)
 
@@ -430,11 +427,6 @@ class ParamRatio:
 
     def is_const(self) -> bool:
         return not self.den_k and self.num.is_const()
-
-    def const_value(self):
-        if not self.is_const():
-            raise ValueError("not a constant: %s" % self.text())
-        return Rat(self.num.const_value(), self.den_int)
 
     def key(self):
         return (self.num.key(), self.den_int, self.den_k)

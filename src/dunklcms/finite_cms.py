@@ -16,23 +16,21 @@ polynomial is one ``ParamRatio`` whose packed monomial keys also carry the
 x-exponents above the parameter monomial.  Sums and scaling are the
 coefficient ring's own operations on it, and so are products, between a
 shift of one factor's keys and a check of the x-exponents; derivatives, the
-group actions, the divided differences and exact division are loops over its
-int dict.  A ``ParamRatio`` per x-monomial is built only for display, for the
+group actions, the divided differences and exact division by a root factor
+(a monomial, or a binomial x^a +- x^b at its root) are loops over its int
+dict.  A ``ParamRatio`` per x-monomial is built only for display, for the
 leading coefficient, for substitution and for the ``terms`` view.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from functools import cache, reduce
-from math import gcd, lcm
-from operator import and_
+from functools import cache
+from math import lcm
 
 from .coeffs import (
     _BITS,
     _FIELD,
-    _GUARD,
     _NOT_K,
     _XBITS,
     _XFIELDS,
@@ -44,10 +42,10 @@ from .coeffs import (
     P,
     Q,
     ParamRatio,
+    UnsupportedDenominator,
     ZERO,
     _canonical,
     _checked,
-    _k_exponent,
     _poly,
     _raw,
     k_power,
@@ -91,8 +89,7 @@ class _Layout:
     ``_degree_checked``.
     """
 
-    __slots__ = ("nvars", "offsets", "units", "deg_off", "deg_unit", "bias", "zero_x",
-                 "x_guard", "x_mask")
+    __slots__ = ("nvars", "offsets", "units", "deg_off", "deg_unit", "bias", "zero_x")
 
     def __init__(self, nvars: int):
         if nvars >= _XFIELDS:
@@ -104,8 +101,6 @@ class _Layout:
         self.deg_unit = 1 << self.deg_off
         self.bias = sum(_XBIAS << off for off in self.offsets + [self.deg_off])
         self.zero_x = self.bias >> _PARAM_BITS  # the x-part of a constant
-        self.x_guard = sum(1 << (off + _XBITS - 1) for off in self.offsets)
-        self.x_mask = sum(_XFIELD << off for off in self.offsets)
 
     def pack(self, exps) -> int:
         """The key of x^exps with parameter monomial 1."""
@@ -203,7 +198,10 @@ class MultiPoly:
       parameter monomial;
     * +, -, *, ``div_or_none`` and == take two polynomials in the same
       number of variables, whose keys share one layout, and raise
-      ``ValueError`` otherwise.
+      ``ValueError`` otherwise;
+    * ``div_or_none`` divides by a unit times a monomial, or by x^a +- x^b
+      times a power of k over an int, the shapes of the root factors, and
+      raises ``UnsupportedDenominator`` for any other divisor.
 
     ``terms`` is the read-only view {exponent tuple: ParamRatio}, built on
     each access.
@@ -293,10 +291,6 @@ class MultiPoly:
         lead = top & _PARAM_MASK  # the packed k^den_k is the int den_k
         return (lead == ratio.den_k and packed[top] == ratio.den_int
                 and not any(top - j in packed for j in range(1, lead + 1)))
-
-    def total_degree(self) -> int:
-        off = self._lay.deg_off
-        return max(((e >> off & _XFIELD) - _XBIAS for e in self.ratio.num.terms), default=0)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -411,14 +405,13 @@ class MultiPoly:
     # -- division --------------------------------------------------------------
 
     def div_or_none(self, other: "MultiPoly"):
-        """Exact quotient self / other, or None when a remainder survives.
+        """Exact quotient self / other in the Laurent ring, or None when there
+        is none.
 
-        A divisor with a root in closed form is tried at that root first (see
-        ``_nonzero_at_root``): a nonzero value proves that no quotient exists,
-        so most failing cancellations never reach the long division.  Only a
-        dividend that vanishes there is divided, which yields the quotient.
-        The leading coefficient of the divisor must be a unit c * k^a of the
-        coefficient ring, else ``UnsupportedDenominator`` is raised.
+        The divisor must be a unit c * k^a of the coefficient ring times a
+        monomial, divided out by a shift, or k^a * (x^e1 +- x^e2) over the
+        divisor's denominator, divided at its root (``_root_quotient``); any
+        other divisor raises ``UnsupportedDenominator``.
         """
         _same_layout(self, other)
         if other.is_zero():
@@ -426,23 +419,23 @@ class MultiPoly:
         if self.is_zero():
             return self
         fp = other.ratio.num.terms
-        lead = max(fp)
-        lead_x = lead >> _PARAM_BITS
-        unit_lead = not lead & _NOT_K and not any(
-            e >> _PARAM_BITS == lead_x for e in fp if e != lead)
-        if len(fp) == 1 and unit_lead:
-            # the divisor is the unit u = c * k^a / other's denominator, times
-            # x^le: divide by u in the coefficient ring, then shift
-            a = lead & _FIELD
-            u = _raw(_poly({a: fp[lead]}), other.ratio.den_int, other.ratio.den_k)
-            q = self if u == ONE else self.scale(u.inverse())
-            shift = self._lay.bias + a - lead
-            return q._shifted(shift) if shift else q
-        if not unit_lead:
-            ONE / other.leading()[1]  # raises UnsupportedDenominator
-        if _nonzero_at_root(self, other):
-            return None
-        return _long_division(self, other)
+        if len(fp) == 1:
+            (lead, c), = fp.items()
+            if not lead & _NOT_K:
+                # the divisor is the unit u = c * k^a / other's denominator,
+                # times x^le: divide by u in the coefficient ring, then shift
+                a = lead & _FIELD
+                u = _raw(_poly({a: c}), other.ratio.den_int, other.ratio.den_k)
+                q = self if u == ONE else self.scale(u.inverse())
+                shift = self._lay.bias + a - lead
+                return q._shifted(shift) if shift else q
+        elif len(fp) == 2:
+            (k1, s), (k2, t) = fp.items()
+            a = k1 & _PARAM_MASK
+            if s * s == t * t == 1 and k2 & _PARAM_MASK == a and not a & _NOT_K:
+                return _root_quotient(self, other)
+        raise UnsupportedDenominator(
+            "cannot divide by %s: not a unit times a monomial or x^a +- x^b" % other.text())
 
     def exact_div(self, other: "MultiPoly") -> "MultiPoly":
         q = self.div_or_none(other)
@@ -475,127 +468,67 @@ class MultiPoly:
         return "MultiPoly(%s)" % self.text()
 
 
-def _long_division(g: MultiPoly, f: MultiPoly):
-    """g / f by long division in grlex order, or None when a remainder survives.
+def _root_quotient(g: MultiPoly, f: MultiPoly):
+    """g / f for a binomial f = u * (s x^e1 + t x^e2), s, t = +-1 and u the
+    unit k^a over f's denominator, or None when f does not divide g.
 
-    f's leading term is c * k^a * x^le.  The numerator of f is first divided by
-    its content and its power of k; by Gauss's lemma, and because k is prime,
-    a quotient of g's numerator by what is left has int coefficients and no
-    negative power of k, so a leading remainder term whose coefficient c does
-    not divide, or whose power of k is below a, proves that none exists.
+    Over the Laurent ring s x^e1 + t x^e2 = s x^e2 (y - rho) with y = x^(e1-e2)
+    and rho = -s t.  Take the variable x_a where e1 and e2 differ most, and
+    name the terms so that d = e1_a - e2_a > 0.  Each term of g then lies in
+    one orbit x^b y^j, j = v_a // d for the biased field v_a = m_a + 1024,
+    so g is a sum of x^b P_b(y), and y - rho divides g iff every P_b
+    vanishes at rho.  The first pass sums c_j rho^j per orbit, on the ints:
+    a nonzero sum proves that no quotient exists.  Otherwise Ruffini's rule
+    down each orbit gives P_b / (y - rho), which has int coefficients; by
+    Gauss's lemma, f's numerator being primitive and free of k, the quotient
+    of g's canonical numerator is canonical over g's denominator.
 
-    A Laurent dividend is divided as if shifted into the polynomial ring:
-    every divisor used here has, in each variable, a term of exponent zero, so
-    Laurent divisibility equals shifted divisibility.  The shift only moves
-    the test that the leading remainder monomial is a multiple of x^le.
+    An orbit is keyed by the key of x^b.  No other x-exponent differs by
+    more than d between e1 and e2, so each field of these keys spans fewer
+    than 4096 values and distinct orbits keep distinct keys.  A quotient
+    term lies between g's terms, less e2, so ``_degree_checked`` detects
+    every overflow (see ``_Layout``).
     """
     lay = g._lay
-    fp = f.ratio.num.terms
-    content = gcd(*fp.values())
-    val = min(map(_k_exponent, fp))
-    if content != 1 or val:
-        fp = {e - val: c // content for e, c in fp.items()}
-    lead = max(fp)
-    lc, la = fp[lead], lead & _FIELD
-    others = [(e - lead, c) for e, c in fp.items() if e != lead]
-    rem = dict(g.ratio.num.terms)
-    # x^r is a multiple of x^le after the shift iff r_v >= le_v + min_v for
-    # every v, min_v being the least exponent of x_v in g (at most 0); the
-    # test runs on all fields at once: each field of (r + x_guard - floor)
-    # keeps its guard bit iff r_v reaches the floor
-    floor = lead & lay.x_mask
-    nonneg = reduce(and_, rem)
-    for off in lay.offsets:
-        if not nonneg >> off & _XBIAS:  # bit 10 is clear for a negative exponent
-            low = min((e >> off) & _XFIELD for e in rem) - _XBIAS
-            floor -= min(-low, (lead >> off) & _XFIELD) << off
-    x_mask, x_guard = lay.x_mask, lay.x_guard
-    above = x_guard - floor
-    heap = [-e for e in rem]
-    heapq.heapify(heap)
-    quo = {}
-    q_shift = lay.bias - lead
-    while rem:
-        r = -heap[0]
-        while r not in rem:
-            heapq.heappop(heap)
-            r = -heap[0]
-        if ((r & x_mask) + above) & x_guard != x_guard or r & _FIELD < la:
-            return None
-        heapq.heappop(heap)
-        qc, m = divmod(rem.pop(r), lc)
-        if m:
-            return None
-        quo[r + q_shift] = qc
-        for d, c in others:
-            e = r + d
-            v = rem.get(e)
-            if v is None:
-                if e & _GUARD:
-                    raise ExponentOverflow("an exponent left its range in the long division")
-                rem[e] = -qc * c
-                heapq.heappush(heap, -e)
-            else:
-                v -= qc * c
-                if v:
-                    rem[e] = v
-                else:
-                    del rem[e]
-    # g / f = quo / (content * k^val) * (f.den / g.den)
-    fr, gr = f.ratio, g.ratio
-    quo = _raw(_poly(_checked(quo)), 1, 0)
-    if content == 1 and not val and fr.den_int == 1 and not fr.den_k:
-        # the quotient of a canonical numerator by a primitive, k-free one
-        # is canonical over the same denominator
-        return _mp(lay, _raw(quo.num, gr.den_int, gr.den_k))
-    return _mp(lay, quo * _canonical(_poly({fr.den_k: fr.den_int}), gr.den_int * content, gr.den_k + val))
-
-
-def _nonzero_at_root(g: MultiPoly, f: MultiPoly) -> bool:
-    """True when the divisor f provably does not divide the dividend g.
-
-    Applies to f = s*x^e1 + t*x^e2 with s, t = +-1, e1 and e2 differing by at
-    most 1 in each exponent, and a variable x_a of exponent 1 in e1 and 0 in
-    e2.  Over the Laurent ring f is the unit s*x^(e1-x_a) times x_a - r with
-    r = -s*t * x^(e2-e1+x_a), and r is free of x_a, so by the factor theorem
-    f divides g iff g vanishes at x_a = r.  That substitution sends x^e to
-    (-s*t)^(e_a) x^(e + e_a*(e2-e1)), and the int coefficients of each image
-    monomial are summed.  Each x field of an image moves by at most
-    |e_a| <= 1024 and the total degree is the topmost field, so distinct image
-    monomials keep distinct keys (see ``_Layout``).
-    False means either that the image vanishes or that the test does not apply.
-    """
     fr = f.ratio
-    fp = fr.num.terms
-    if len(fp) != 2 or fr.den_int != 1 or fr.den_k:
-        return False
-    (k1, s), (k2, t) = fp.items()
-    if s not in (1, -1) or t not in (1, -1) or (k1 | k2) & _PARAM_MASK:
-        return False
-    lay = g._lay
+    (k1, s), (k2, t) = fr.num.terms.items()
     e1, e2 = lay.unpack(k1), lay.unpack(k2)
-    if any(abs(p1 - p2) > 1 for p1, p2 in zip(e1, e2)):
-        return False
-    for a, (p1, p2) in enumerate(zip(e1, e2)):
-        if p1 == 1 and not p2:
-            break
-        if p2 == 1 and not p1:
-            k1, k2 = k2, k1
-            break
-    else:
-        return False
-    # adding e_a * (k2 - k1) moves every field, the total degree included, to
-    # that of the image; v_a = e_a + 1024 shifts all images alike
-    delta = k2 - k1
-    off, field = lay.offsets[a], _XFIELD
-    flip = s == t  # the root carries the sign -s*t = -1
+    a = max(range(lay.nvars), key=lambda v: abs(e1[v] - e2[v]))
+    if e1[a] < e2[a]:
+        k1, s, k2, t = k2, t, k1, s
+    d = abs(e1[a] - e2[a])
+    off = lay.offsets[a]
+    delta = k1 - k2  # the key of y, less the bias
+    rho = -s * t
+    terms = g.ratio.num.terms
     sums: dict = {}
     get = sums.get
-    for e, c in g.ratio.num.terms.items():
-        va = (e >> off) & field
-        image = e + va * delta
-        sums[image] = get(image, 0) + (-c if flip and va & 1 else c)
-    return any(sums.values())
+    for e, c in terms.items():
+        j = (e >> off & _XFIELD) // d
+        b = e - j * delta
+        sums[b] = get(b, 0) + (-c if rho < 0 and j & 1 else c)
+    if any(sums.values()):
+        return None
+    orbits: dict = {}
+    for e, c in terms.items():
+        j = (e >> off & _XFIELD) // d
+        orbits.setdefault(e - j * delta, {})[j] = c
+    unit = k2 & _PARAM_MASK  # k^a
+    shift = k2 - unit - lay.bias  # the key of x^e2, less the bias
+    quo = {}
+    for b, cs in orbits.items():
+        h = 0
+        low = min(cs)
+        for j in range(max(cs), low, -1):  # h is the coefficient of y^(j-1)
+            h = cs.get(j, 0) + rho * h
+            if h:
+                quo[b + (j - 1) * delta - shift] = s * h
+    quo = _poly(_degree_checked(lay, quo))
+    gr = g.ratio
+    if not unit and fr.den_int == 1 and not fr.den_k:
+        return _mp(lay, _raw(quo, gr.den_int, gr.den_k))
+    # g / f = quo / (g.den * k^a) * f.den
+    return _mp(lay, _raw(quo, 1, 0) * _canonical(_poly({fr.den_k: fr.den_int}), gr.den_int, gr.den_k + unit))
 
 
 # -- structural factors of the Dunkl operators and of the Moser matrices ------

@@ -12,8 +12,9 @@ here is a product of the irreducible structural factors x_i, x_i - x_j,
 x_i + x_j, x_i x_j - 1, x_i - 1, x_i + 1 (built in ``finite_cms``), so
 cancellation reduces to exact-division tests and zero-testing stays decisive
 (a rational function vanishes iff its numerator does).  Each of these factors
-except x_i is linear in some variable, so a failing cancellation is mostly
-decided by evaluating the numerator at the factor's root, without dividing.
+except x_i is a binomial x^a +- x^b, so ``MultiPoly.div_or_none`` decides a
+cancellation at the factor's root: a failing one by int sums alone, and a
+succeeding one by Ruffini's rule.
 Numerators and factors are fraction-free ``MultiPoly`` values (int
 coefficients over one denominator c * k^a), so bringing terms over a common
 denominator, and every cancellation test, is int arithmetic on whole
@@ -272,9 +273,6 @@ class WeylOp:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def order(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __eq__(self, other):
         if not isinstance(other, WeylOp):
             return NotImplemented
@@ -402,10 +400,6 @@ class OpMatrix:
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else 0
 
-    @staticmethod
-    def zero(nvars: int, rows: int, cols: int) -> "OpMatrix":
-        return OpMatrix([[WeylOp.zero(nvars) for _ in range(cols)] for _ in range(rows)])
-
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
@@ -455,9 +449,6 @@ class OpMatrix:
 
     def is_zero(self) -> bool:
         return all(op.is_zero() for row in self.entries for op in row)
-
-    def texts(self):
-        return [[op.text() for op in row] for row in self.entries]
 
     def to_json(self) -> str:
         """Row-major JSON array of entry strings."""

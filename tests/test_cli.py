@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunklcms import _parallel, cli, finite_cms
 from dunklcms.cli import Report, build_parser, report_emit, run
@@ -186,6 +190,36 @@ class TestErrorsAndGuards:
         payload = json.loads(out)
         assert (code, payload["status"]) == (2, "error"), payload
         assert not any(note.startswith(("IndexError", "ValueError")) for note in payload["notes"])
+
+    @pytest.mark.parametrize("argv, option", [
+        (("verify", "diagram", "--family", "rat-a", "--kind", "dcomm", "--N", "3", "--param", "k=0"),
+         "--param"),
+        (("verify", "diagram", "--family", "rat-a", "--kind", "dcomm", "--N", "2", "--mode", "sampled"),
+         "--mode sampled"),
+        (("verify", "deformed", "--n", "1", "--m", "1", "--r", "1", "--param", "k=2"), "--param"),
+        (("verify", "deformed", "--n", "1", "--m", "1", "--r", "1", "--mode", "sampled"),
+         "--mode sampled"),
+        (("verify", "degenerate-k1", "--n", "1", "--m", "1", "--r", "1", "--param", "k=5"), "--param"),
+        (("verify", "degenerate-k1", "--n", "1", "--m", "1", "--r", "1", "--mode", "sampled"),
+         "--mode sampled"),
+        (("generate", "integral", "--family", "rat-a", "--r", "2", "--deg", "2", "--param", "k=1"),
+         "--param"),
+        (("generate", "integral", "--family", "rat-a", "--r", "2", "--deg", "2", "--mode", "sampled"),
+         "--mode sampled"),
+        # a symbol the family's operators do not have
+        (("verify", "closed-form", "--family", "rat-a", "--deg", "2", "--param", "q=1"), "--param 'q=1'"),
+        (("verify", "lax", "--family", "trig-a", "--n", "1", "--m", "1", "--param", "s=1"),
+         "--param 's=1'"),
+        (("verify", "commute-infinity", "--family", "rat-b", "--r", "1", "--s", "2", "--deg", "2",
+          "--param", "p=1"), "--param 'p=1'"),
+        (("verify", "moser-integrals", "--family", "trig-bc", "--n", "1", "--m", "0", "--r", "1",
+          "--param", "k=2", "--param", "r=1"), "--param 'r=1'"),
+    ])
+    def test_options_a_check_would_ignore_are_errors(self, capsys, argv, option):
+        code, out = run_cli(capsys, *argv, "--format", "json", "--no-timing")
+        payload = json.loads(out)
+        assert (code, payload["status"], payload["checks"]) == (2, "error", 0), payload
+        assert any(option in note for note in payload["notes"]), payload
 
     def test_smallest_requests_still_verify(self, capsys):
         for argv in (
@@ -476,3 +510,61 @@ class TestReportShape:
             ["generate", "integral", "--family", "rat-a"],
         ):
             parser.parse_args(argv)
+
+
+# values outside the domain are drawn less often than those inside
+_FAMILY = st.sampled_from(["rat-a", "trig-a", "rat-b", "trig-bc", "nope"])
+_SIZE = st.sampled_from([1, 2, 1, 2, 0, -1])
+#: moser-integrals at r = 2, or on the basis of degree 1, takes seconds on
+#: trig BC, so its sizes stop lower
+_SMALL = st.sampled_from([1, 1, 0, -1])
+
+#: The options of each subcommand; a drawn None leaves the option out.
+_OPTIONS = {
+    ("verify", "closed-form"): {"--family": _FAMILY, "--deg": _SIZE},
+    ("verify", "commute-infinity"): {"--family": _FAMILY, "--r": _SIZE, "--s": _SIZE, "--deg": _SIZE,
+                                     "--pwindow": st.none() | _SIZE},
+    ("verify", "diagram"): {"--family": _FAMILY,
+                            "--kind": st.sampled_from(["dcomm", "heckdiag", "propcomm", "intrat"]),
+                            "--N": st.none() | _SIZE, "--n": st.none() | _SIZE, "--m": st.none() | _SIZE,
+                            "--i": _SIZE, "--r": _SIZE},
+    ("verify", "deformed"): {"--n": _SIZE, "--m": _SIZE, "--r": _SIZE},
+    ("verify", "lax"): {"--family": _FAMILY, "--n": _SIZE, "--m": _SIZE},
+    ("verify", "moser-integrals"): {"--family": _FAMILY, "--n": _SMALL, "--m": _SMALL, "--r": _SMALL,
+                                    "--basis-deg": st.none() | st.integers(-1, 0)},
+    ("verify", "degenerate-k1"): {"--n": _SIZE, "--m": _SIZE, "--r": _SIZE},
+    ("generate", "integral"): {"--family": _FAMILY, "--r": _SIZE, "--deg": _SIZE},
+}
+
+
+@st.composite
+def cli_requests(draw):
+    """An argv in the capped space; an unknown mode is argparse's to reject."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = {**_OPTIONS[command],
+               "--mode": st.sampled_from(["symbolic", "symbolic", "sampled", "sampled", "modular"]),
+               "--seed": st.none() | st.integers(0, 3)}
+    argv = list(command)
+    for name, values in options.items():
+        value = draw(values)
+        if value is not None:
+            argv += [name, str(value)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        name = draw(st.sampled_from(["k", "p", "q", "r", "s", "z", ""]))
+        argv += ["--param", name + "=" + draw(st.sampled_from(["0", "1", "3/2", "-2", "", "x"]))]
+    return argv
+
+
+class TestCliProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(argv=cli_requests())
+    def test_exit_code_and_status_agree(self, argv):
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = run(argv + ["--format", "json", "--no-timing"])
+        except SystemExit as exc:  # argparse's own rejection
+            assert exc.code == 2 and "modular" in argv, argv
+            return
+        assert code in (0, 1, 2), argv
+        assert {"verified": 0, "falsified": 1, "error": 2}[json.loads(out.getvalue())["status"]] == code, argv

@@ -1,6 +1,7 @@
 import operator
 import pickle
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,6 @@ from dunklcms.finite_cms import (
     _fac_shift,
     _fac_sum,
     _divided_differences,
-    _nonzero_at_root,
     standard_testset,
 )
 from dunklcms.powersums import Family, InexactDivision, LambdaElem, LambdaXElem
@@ -43,6 +43,8 @@ from dunklcms.weyl import RatFun
 from conftest import count_ratio_operations
 
 K = symbol("k")
+P_ = symbol("p")
+Q_ = symbol("q")
 
 
 def V(n, i, p=1):
@@ -105,8 +107,8 @@ class TestMultiPoly:
             assert lhs == rhs
 
 
-#: Every structural factor shape the root test covers, in both index orders:
-#: x1 - x0 has the grlex leading term -x0.
+#: Every root factor shape of the operators, in both signs: x1 - x0 has the
+#: grlex leading term -x0, and x_i^2 -+ 1 has orbits of two exponents.
 ROOT_FACTORS = [
     ("x0 - x1", _fac_diff(3, 0, 1)),
     ("x1 - x0", _fac_diff(3, 1, 0)),
@@ -114,10 +116,16 @@ ROOT_FACTORS = [
     ("x2 + x0", _fac_sum(3, 2, 0)),
     ("x0 x1 - 1", _fac_prod_minus_1(3, 0, 1)),
     ("1 - x1 x2", -_fac_prod_minus_1(3, 1, 2)),
+    ("x0 x2 + 1", _fac_prod_minus_1(3, 0, 2) + C(3, 2)),
+    ("-x1 x2 - 1", -_fac_prod_minus_1(3, 1, 2) - C(3, 2)),
     ("x1 - 1", _fac_shift(3, 1, -1)),
     ("1 - x1", -_fac_shift(3, 1, -1)),
     ("x2 + 1", _fac_shift(3, 2, 1)),
     ("-x2 - 1", -_fac_shift(3, 2, 1)),
+    ("x0^2 - 1", _fac_shift(3, 0, -1, 2)),
+    ("1 - x2^2", -_fac_shift(3, 2, -1, 2)),
+    ("x1^2 + 1", _fac_shift(3, 1, 1, 2)),
+    ("-x0^2 - 1", -_fac_shift(3, 0, 1, 2)),
 ]
 
 
@@ -132,7 +140,8 @@ def random_laurent(rng: random.Random, nterms: int) -> MultiPoly:
 
 
 class TestRootTest:
-    """The root test in ``div_or_none`` against sympy and against its cost bound."""
+    """Division by a root factor at its root, against sympy and against its
+    cost bound."""
 
     @staticmethod
     def divisible_by_sympy(sp, g: MultiPoly, f: MultiPoly) -> bool:
@@ -170,40 +179,73 @@ class TestRootTest:
         if g.is_zero():
             return
         divisible = self.divisible_by_sympy(sp, g, f)
-        assert _nonzero_at_root(g, f) == (not divisible)
         q = g.div_or_none(f)
         assert (q is None) == (not divisible)
         if q is not None:
             assert q * f == g
 
-    def test_does_not_apply_to_other_divisors(self):
-        x = V(3, 0) * V(3, 0) - C(3, 1)
-        two_x = V(3, 0).scale(const(2)) - V(3, 1)
-        g = V(3, 2) + C(3, 1)
-        assert not _nonzero_at_root(g, x)
-        assert not _nonzero_at_root(g, two_x)
-        assert g.div_or_none(x) is None and g.div_or_none(two_x) is None
+    @pytest.mark.parametrize("f", [
+        V(3, 0) + V(3, 1) + C(3, 1),                  # three terms
+        V(3, 0).scale(const(3)) + C(3, 1),            # coefficients 3 and 1
+        V(3, 0).scale(const(2)) - V(3, 1),
+        V(3, 0).scale(K) - V(3, 1),                   # k x0 and x1
+        V(3, 0).scale(K.scale(2)) - V(3, 1),
+        V(3, 0) + V(3, 1).scale(ParamRatio.fraction(1, 2) * K),
+        V(3, 0).scale(P_) - V(3, 1).scale(P_),        # p is not a unit
+        V(3, 0).scale(K + ONE),
+        V(3, 0).scale(P_) + C(3, 1),
+        V(3, 0).scale(K) + V(3, 0) - V(3, 1),
+    ])
+    def test_unsupported_divisors_raise(self, f):
+        g = f * V(3, 2)
+        with pytest.raises(UnsupportedDenominator):
+            g.div_or_none(f)
+        with pytest.raises(UnsupportedDenominator):
+            RatFun(g, {f: 1})
 
-    def test_divisor_with_three_terms(self):
-        # the root test stays out of the way, and the long division decides
-        f = V(3, 0) + V(3, 1) + C(3, 1)
+    def test_binomial_over_a_unit_divides(self):
+        # k^a (x^a +- x^b) over an int denominator divides as the binomial does
+        h = V(3, 1) + C(3, ParamRatio.fraction(1, 2)) + V(3, 0).scale(k_power(-1) + P_)
+        for u in BINOMIAL_UNITS[1:]:
+            for d in (_fac_diff(3, 0, 1), _fac_shift(3, 2, 1, 2)):
+                f = d.scale(u)
+                assert (f * h).div_or_none(f) == h
+                assert (f * h + C(3, 1)).div_or_none(f) is None
+        # a unit c other than +-1/d leaves coefficients +-c, which RatFun
+        # divides out of the factor first
+        f = _fac_diff(3, 0, 1).scale(const(2))
+        with pytest.raises(UnsupportedDenominator):
+            (f * h).div_or_none(f)
+        r = RatFun(f * h, {f: 1})
+        assert r.num == h and not r.den
+
+    def test_orbit_keys_stay_distinct_at_the_exponent_limits(self):
+        # for x0 x2^2 - x3^2, orbits taken along x0 (d = 1) would give these
+        # two terms of different orbits one key: the x2 and x3 fields differ
+        # by -4097 and 4096, which carry into the x1 field and cancel there;
+        # along x2 (d = 2) every field of an orbit key spans < 4096 values
+        f = MultiPoly(4, {(1, 0, 2, 0): ONE, (0, 0, 0, 2): const(-1)})
+        g = MultiPoly(4, {(1000, 0, 0, 20): ONE, (-1000, -1, 97, -76): const(-1)})
+        assert g.div_or_none(f) is None
+        assert (g * f).div_or_none(f) == g
+
+    def test_repeated_factor_cancels_as_far_as_it_divides(self):
+        f = _fac_prod_minus_1(3, 0, 1) + C(3, 2)  # x0 x1 + 1
         g = f * f * V(3, 2)
         miss = g + C(3, 1)
-        assert not _nonzero_at_root(g, f)
-        assert not _nonzero_at_root(miss, f)
         assert g.div_or_none(f) == f * V(3, 2)
         assert miss.div_or_none(f) is None
         with pytest.raises(InexactDivision):
             miss.exact_div(f)
         r = RatFun(g, {f: 3})
-        assert r.num == C(3, 1) * V(3, 2) and r.den == {f: 1}
+        assert r.num == V(3, 2) and r.den == {f: 1}
         r = RatFun(miss, {f: 1})
         assert r.num == miss and r.den == {f: 1}
 
     def test_rejection_does_no_coefficient_arithmetic(self, monkeypatch):
-        # all 120 monomials of degree <= 7 in three variables; the root test
-        # at x0 = x1 rejects x0 - x1 by summing int coefficients only, before
-        # any long division, so a change that loses the root test fails here
+        # all 120 monomials of degree <= 7 in three variables; the orbit sums
+        # at x0 = x1 reject x0 - x1 on the int coefficients only, and no
+        # quotient term is formed: every quotient passes _degree_checked
         n = 3
         terms = {}
         for a in range(8):
@@ -214,21 +256,20 @@ class TestRootTest:
         f = _fac_diff(n, 0, 1)
         assert len(g.terms) >= 100
         calls = count_ratio_operations(monkeypatch)
-        divisions = []
-        long_division = finite_cms._long_division
+        quotients = []
+        degree_checked = finite_cms._degree_checked
 
         def counting(*args):
-            divisions.append(args)
-            return long_division(*args)
+            quotients.append(args)
+            return degree_checked(*args)
 
-        monkeypatch.setattr(finite_cms, "_long_division", counting)
+        monkeypatch.setattr(finite_cms, "_degree_checked", counting)
         assert g.div_or_none(f) is None
         assert calls == []
-        assert divisions == []
+        assert quotients == []
+        assert (g * f).div_or_none(f) == g and len(quotients) == 1
 
 
-P_ = symbol("p")
-Q_ = symbol("q")
 #: Coefficients of the random polynomials: 1/2, 1/k, p and q among them.
 RANDOM_COEFFS = [
     ParamRatio.fraction(1, 2), k_power(-1), P_, Q_, const(-3), symbol("k", 2),
@@ -237,6 +278,9 @@ RANDOM_COEFFS = [
 #: Units of the coefficient ring, c * k^a.
 RANDOM_UNITS = [ONE, const(-1), ParamRatio.fraction(1, 2), k_power(-1), K.scale(3),
                 k_power(-2) * ParamRatio.fraction(-2, 5)]
+#: The units +-k^a / d, which a binomial divisor may carry.
+BINOMIAL_UNITS = [ONE, const(-1), ParamRatio.fraction(1, 2), K, -K,
+                  k_power(-2) * ParamRatio.fraction(-1, 5)]
 
 
 def random_poly(rng: random.Random, nterms: int, low: int = -2, high: int = 3) -> MultiPoly:
@@ -247,14 +291,11 @@ def random_poly(rng: random.Random, nterms: int, low: int = -2, high: int = 3) -
 
 
 def random_divisor(rng: random.Random) -> MultiPoly:
-    """A polynomial with a constant term (so each variable has a term of
-    exponent zero, as every divisor in the library does) whose other
-    coefficients are units, so that its leading coefficient is one."""
-    terms = {(0, 0, 0): rng.choice(RANDOM_COEFFS)}
-    for _ in range(rng.randint(1, 2)):
-        e = tuple(rng.randint(0, 2) for _ in range(3))
-        terms[e if any(e) else (1, 0, 0)] = rng.choice(RANDOM_UNITS)
-    return MultiPoly(3, terms)
+    """x^a +- x^b, the shape of every root factor, with exponents in -1..2,
+    times a unit that keeps its int coefficients +-1."""
+    a, b = rng.sample([e for e in product(range(-1, 3), repeat=3)], 2)
+    f = MultiPoly(3, {a: ONE, b: rng.choice([ONE, const(-1)])})
+    return f.scale(rng.choice(BINOMIAL_UNITS))
 
 
 class TestPackedMultiPoly:
@@ -343,17 +384,6 @@ class TestPackedMultiPoly:
             bound = f.substitute({"p": K + ONE, "q": ParamRatio.fraction(1, 2)})
             assert self.same(bound, F.subs({p: k + 1, q: sp.Rational(1, 2)}, simultaneous=True))
 
-    def test_division_by_a_unit_leading_coefficient(self):
-        # the leading coefficients 3, k and 2k are units of the ring but not
-        # of the int coefficients, so a leading remainder term can fail to
-        # divide, by its coefficient or by its power of k
-        for f in (V(3, 0).scale(const(3)) + C(3, 1), V(3, 0).scale(K) - V(3, 1),
-                  V(3, 0).scale(K.scale(2)) - V(3, 1)):
-            h = V(3, 1) + C(3, ParamRatio.fraction(1, 2)) + V(3, 0).scale(k_power(-1) + P_)
-            assert (f * h).div_or_none(f) == h
-            for g in (V(3, 0), V(3, 0) * V(3, 1), f * h + C(3, 1), f * V(3, 0) + V(3, 0) * V(3, 0)):
-                assert g.div_or_none(f) is None
-
     def test_monomial_division_cancels_k_before_its_limit(self):
         # (x0 + k^400 x1)/k^300 over x0/k^300 is 1 + k^400 x1/x0, whose
         # exponents fit, though k^700 would not
@@ -361,13 +391,6 @@ class TestPackedMultiPoly:
         q = g.div_or_none(V(2, 0).scale(k_power(-300)))
         assert q == C(2, 1) + V(2, 1) * V(2, 0, -1).scale(symbol("k", 400))
         assert q.terms == {(0, 0): ONE, (-1, 1): symbol("k", 400)}
-
-    def test_division_by_a_non_unit_leading_coefficient_is_unsupported(self):
-        g = V(3, 0) * V(3, 1)
-        for f in (V(3, 0).scale(K + ONE), V(3, 0).scale(P_) + C(3, 1),
-                  V(3, 0).scale(K) + V(3, 0) - V(3, 1)):
-            with pytest.raises(UnsupportedDenominator):
-                g.div_or_none(f)
 
     def test_exponent_limits_are_exact(self):
         assert (V(2, 0, MAX_X_EXPONENT - 1) * V(2, 0)).terms == {(MAX_X_EXPONENT, 0): ONE}
@@ -395,6 +418,8 @@ class TestPackedMultiPoly:
         lambda: V(2, 0).scale(symbol("k", 511)).scale(K),
         lambda: V(2, 0).scale(k_power(-300)) + V(2, 1).scale(symbol("k", 300)),
         lambda: V(2, 0, 2).div_or_none(V(2, 0, MIN_X_EXPONENT)),
+        # x0^-1024 (x1 - 1) / (x0 (x1 - 1)) is x0^-1025
+        lambda: (V(2, 0, MIN_X_EXPONENT) * _fac_shift(2, 1, -1)).div_or_none(V(2, 0) * _fac_shift(2, 1, -1)),
     ])
     def test_exponent_overflow_raises(self, make):
         # an overflow never aliases into the next field: it raises
@@ -620,7 +645,7 @@ class TestDividedDifferences:
     @pytest.mark.parametrize("family", list(Family))
     def test_finite_dunkl_does_no_division(self, monkeypatch, family):
         # the reflection terms come from the closed form: no division, no
-        # long division and no product of polynomials
+        # quotient at a root and no product of polynomials
         f = random_poly(random.Random(7), 12, low=-2 if family is Family.TRIG_BC else 0)
         seen = []
         for name in ("div_or_none", "__mul__"):
@@ -630,8 +655,8 @@ class TestDividedDifferences:
                 seen.append(name)
                 return original(self, other)
             monkeypatch.setattr(MultiPoly, name, counting)
-        long_division = finite_cms._long_division
-        monkeypatch.setattr(finite_cms, "_long_division", lambda *a: seen.append("long") or long_division(*a))
+        root_quotient = finite_cms._root_quotient
+        monkeypatch.setattr(finite_cms, "_root_quotient", lambda *a: seen.append("root") or root_quotient(*a))
         for i in range(3):
             assert not finite_dunkl(family, 3, i, f).is_zero()
         assert seen == []
