@@ -1,18 +1,20 @@
-"""Layer benchmark of the operator layer: ``WeylOp.commutator``.
+"""Layer benchmark of the operator layer: building e*L^4 e and ``WeylOp.commutator``.
 
-    python3 bench/weyl_layer.py --label NAME --out BENCH_6.json [--src DIR]
+    python3 bench/weyl_layer.py --label NAME --out BENCH_10.json [--src DIR]
 
-Times ``I.commutator(H)`` for the trigonometric-BC integral I = e*L^4 e and
-the ungauged Hamiltonian H at n = m = 1, ``harness.REPEATS`` (7) times, and
-records the minimum and the median; I and H are built once, outside the
-timing.  One extra run, not timed, counts the calls of
-``coeffs.ParamPoly.__mul__``, the products of the coefficient ring that the
-commutator makes.  The README request ``verify moser-integrals --family
-trig-bc --n 1 --m 1 --r 1`` is timed as often.  Results are stored under
-``--label`` in the JSON file ``--out``, next to the other labels already in
-it; ``--src`` names the ``src`` directory whose ``dunklcms`` is measured
-(default: the one of this checkout).  Everything runs in this process:
-DUNKLCMS_WORKERS is cleared.
+Times the build of the trigonometric-BC integral I = e*L^4 e
+(``moser_integral``) and ``I.commutator(H)`` with the ungauged Hamiltonian
+H at n = m = 1, ``harness.REPEATS`` (7) times each, and records the minimum
+and the median; the commutator's I and H are built once, outside its
+timing.  One extra run of each, not timed, counts the calls of
+``WeylOp._compose``, the compositions of operators that the build makes,
+and of ``coeffs.ParamPoly.__mul__``, the products of the coefficient ring
+that the commutator makes.  The README request ``verify moser-integrals
+--family trig-bc --n 1 --m 1 --r 1`` is timed as often.  Results are
+stored under ``--label`` in the JSON file ``--out``, next to the other
+labels already in it; ``--src`` names the ``src`` directory whose
+``dunklcms`` is measured (default: the one of this checkout).  Everything
+runs in this process: DUNKLCMS_WORKERS is cleared.
 
 Only the standard library is used.
 """
@@ -31,20 +33,20 @@ COMMAND = ["verify", "moser-integrals", "--family", "trig-bc", "--n", "1", "--m"
            "--no-timing"]
 
 
-def count_products(ParamPoly, check) -> int:
-    """Run ``check`` once with ParamPoly.__mul__ counted."""
+def count_calls(cls, name: str, run) -> int:
+    """Run ``run`` once with the calls of the method ``cls.name`` counted."""
     count = [0]
-    original = ParamPoly.__mul__
+    original = getattr(cls, name)
 
-    def wrapper(self, other):
+    def wrapper(*args, **kwargs):
         count[0] += 1
-        return original(self, other)
+        return original(*args, **kwargs)
 
-    ParamPoly.__mul__ = wrapper
+    setattr(cls, name, wrapper)
     try:
-        check()
+        run()
     finally:
-        ParamPoly.__mul__ = original
+        setattr(cls, name, original)
     return count[0]
 
 
@@ -54,19 +56,27 @@ def measure(src: str) -> dict:
     from dunklcms import cli, coeffs
     from dunklcms.finite_cms import ParityData
     from dunklcms.powersums import Family
-    from dunklcms.weyl import hamiltonian, moser_integral
+    from dunklcms.weyl import WeylOp, hamiltonian, moser_integral
 
     parity = ParityData(N, M)
-    I = moser_integral(Family[FAMILY], parity, R)
+
+    def build():
+        return moser_integral(Family[FAMILY], parity, R)
+
+    I = build()
     H = hamiltonian(Family[FAMILY], parity, gauged=False)
 
     def check():
         if not I.commutator(H).is_zero():
             raise SystemExit("the integral does not commute with the Hamiltonian")
 
-    products = count_products(coeffs.ParamPoly, check)
+    compositions = count_calls(WeylOp, "_compose", build)
+    products = count_calls(coeffs.ParamPoly, "__mul__", check)
     result = environment(src, coeffs.Rat)
-    result["layers"] = {"commutator": {"ParamPoly.mul.calls": products, **timed(check)}}
+    result["layers"] = {
+        "build": {"WeylOp._compose.calls": compositions, **timed(build)},
+        "commutator": {"ParamPoly.mul.calls": products, **timed(check)},
+    }
     result["command"] = timed(lambda: quiet_run(cli.run, COMMAND))
     return result
 
@@ -79,7 +89,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     result = measure(os.path.abspath(args.src))
     store(args.out, args.label, result,
-          benchmark="operator layer: WeylOp.commutator of e*L^4e and H, %s n=%d m=%d" % (FAMILY, N, M),
+          benchmark="operator layer: the build of e*L^4e and its WeylOp.commutator with H, %s n=%d m=%d"
+                    % (FAMILY, N, M),
           command=" ".join(COMMAND))
     print(json.dumps({args.label: result["layers"], "command": result["command"]}, indent=2))
     return 0

@@ -14,10 +14,11 @@ Commands mirror the library checks:
 Reports are emitted as text or stable-keyed JSON; exit code 0 means verified,
 1 falsified, 2 error.  ``--mode sampled --seed S`` decides each check at
 seeded random rational parameter values, as a precheck; symbolic mode is the
-ground truth.  ``moser-integrals`` decides [e*L^re, H] = 0 on the symbolic
-commutator for every family; ``--basis-deg D`` checks it instead on the
-monomials of degree <= D, an independent route.  Guard rails cap sizes to
-desk scale unless ``--unsafe``.
+ground truth, and ``--seed`` without ``--mode sampled`` is an error.
+``moser-integrals`` decides [e*L^re, H] = 0 on the symbolic commutator for
+every family; ``--basis-deg D`` checks it instead on the monomials of degree
+<= D, an independent route.  Guard rails cap sizes to desk scale unless
+``--unsafe``.
 """
 
 from __future__ import annotations
@@ -391,7 +392,8 @@ def _generate_integral(args, report):
 def _add_common(p):
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--mode", choices=("symbolic", "sampled"), default="symbolic")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="the seed of --mode sampled (default 0)")
     p.add_argument("--unsafe", action="store_true", help="lift desk-scale caps")
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="bind a parameter to an exact rational, e.g. k=3/2")
@@ -485,6 +487,9 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    seeded = args.seed is not None
+    if not seeded:
+        args.seed = 0
     handler = _HANDLERS[(args.group, args.command)]
     request = {
         k: v for k, v in sorted(vars(args).items())
@@ -493,6 +498,8 @@ def run(argv=None) -> int:
     report = Report(command="%s %s" % (args.group, args.command), request=request)
     t0 = time.perf_counter()
     try:
+        if seeded and args.mode != "sampled":
+            raise InvalidRequest("--seed is only used with --mode sampled")
         handler(args, report)
         if not report.checks:
             raise InvalidRequest("the request leaves nothing to check")

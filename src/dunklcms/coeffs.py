@@ -36,15 +36,10 @@ remaining symbols being eliminated through ``ParamRatio.substitute``).
 
 from __future__ import annotations
 
-from fractions import Fraction
+from fractions import Fraction as Rat
 from functools import reduce
 from math import gcd
 from operator import or_
-
-try:  # gmpy2 is optional but considerably faster on big rationals
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    Rat = Fraction
 
 SYMBOLS = ("k", "p", "q", "r", "s")
 NSYM = len(SYMBOLS)
@@ -350,6 +345,32 @@ def _canonical(num: ParamPoly, den_int: int, den_k: int) -> "ParamRatio":
     return _raw(num, den_int, den_k)
 
 
+def _lcd(coeffs):
+    """(den_int, den_k): the least common denominator den_int * k^den_k of
+    the ParamRatio values ``coeffs``."""
+    den_int, den_k = 1, 0
+    for c in coeffs:
+        d = c.den_int
+        if d != 1:
+            den_int = den_int // gcd(den_int, d) * d
+        if c.den_k > den_k:
+            den_k = c.den_k
+    return den_int, den_k
+
+
+def _numerator(c: "ParamRatio", den_int: int, den_k: int) -> dict:
+    """The int numerator of c over den_int * k^den_k, a multiple of c's
+    denominator; a k-exponent it pushes past MAX_DEGREE raises
+    ExponentOverflow.  Read only: it may be c's own dict."""
+    m, j = den_int // c.den_int, den_k - c.den_k
+    terms = c.num.terms
+    if j:
+        return _checked({e + j: v * m for e, v in terms.items()})
+    if m != 1:
+        return {e: v * m for e, v in terms.items()}
+    return terms
+
+
 def _check_den_k(den_k: int) -> int:
     if den_k > MAX_DEGREE:
         raise ExponentOverflow("denominator k^%d exceeds k^%d" % (den_k, MAX_DEGREE))
@@ -395,7 +416,7 @@ class ParamRatio:
             n, d = value, 1
         else:
             value = Rat(value)
-            n, d = int(value.numerator), int(value.denominator)
+            n, d = value.numerator, value.denominator
         return _raw(_poly({0: n}), d, 0) if n else _RATIO_ZERO
 
     @staticmethod
@@ -523,7 +544,7 @@ class ParamRatio:
             m, d = c, 1
         else:
             c = Rat(c)
-            m, d = int(c.numerator), int(c.denominator)
+            m, d = c.numerator, c.denominator
         if not m or not self.num.terms:
             return _RATIO_ZERO
         if d == 1:

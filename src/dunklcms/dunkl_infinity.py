@@ -47,9 +47,20 @@ and multiplying it back in.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .coeffs import K, ONE, P, Q, ParamPoly, ParamRatio, _canonical, _check_den_k, _checked, _poly
+from .coeffs import (
+    K,
+    ONE,
+    P,
+    Q,
+    ParamPoly,
+    ParamRatio,
+    _canonical,
+    _check_den_k,
+    _checked,
+    _lcd,
+    _numerator,
+    _poly,
+)
 from .powersums import (
     Family,
     LambdaElem,
@@ -67,32 +78,6 @@ from .powersums import (
 #: the packed keys of k, p and q: multiplying a numerator by one of them adds
 #: its key to every exponent
 _K_KEY, _P_KEY, _Q_KEY = (next(iter(ParamPoly.symbol(name).terms)) for name in "kpq")
-
-
-def _lcd(coeffs):
-    """(den_int, den_k): the least common denominator den_int * k^den_k of
-    the ParamRatio values ``coeffs``."""
-    den_int, den_k = 1, 0
-    for c in coeffs:
-        d = c.den_int
-        if d != 1:
-            den_int = den_int // gcd(den_int, d) * d
-        if c.den_k > den_k:
-            den_k = c.den_k
-    return den_int, den_k
-
-
-def _numerator(c: ParamRatio, den_int: int, den_k: int) -> dict:
-    """The int numerator of c over den_int * k^den_k, a multiple of c's
-    denominator; a k-exponent it pushes past MAX_DEGREE raises
-    ExponentOverflow.  Read only: it may be c's own dict."""
-    m, j = den_int // c.den_int, den_k - c.den_k
-    terms = c.num.terms
-    if j:
-        return _checked({e + j: v * m for e, v in terms.items()})
-    if m != 1:
-        return {e: v * m for e, v in terms.items()}
-    return terms
 
 
 def _stencil(family: Family, a: int, m: PMono) -> list:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import lcm
 
 from .coeffs import (
     _BITS,
@@ -46,6 +45,8 @@ from .coeffs import (
     ZERO,
     _canonical,
     _checked,
+    _lcd,
+    _numerator,
     _poly,
     _raw,
     k_power,
@@ -212,14 +213,12 @@ class MultiPoly:
     def __init__(self, nvars: int, terms: dict):
         lay = _layout(nvars)
         items = [(e, c) for e, c in terms.items() if not c.is_zero()]
-        den_int = lcm(1, *(c.den_int for _, c in items))
-        den_k = max((c.den_k for _, c in items), default=0)
+        den_int, den_k = _lcd(c for _, c in items)
         packed = {}
         for e, c in items:
-            base = lay.pack(e) + den_k - c.den_k
-            m = den_int // c.den_int
-            for pe, v in c.num.terms.items():
-                packed[base + pe] = v * m
+            base = lay.pack(e)
+            for pe, v in _numerator(c, den_int, den_k).items():
+                packed[base + pe] = v
         self.nvars, self._lay, self._hash = nvars, lay, None
         self.ratio = _canonical(_poly(_checked(packed)), den_int, den_k)
 
@@ -750,10 +749,7 @@ def heckman_integral(family: Family, N: int, r: int, f: MultiPoly) -> MultiPoly:
     power = 2 * r if family.even_integrals else r
     out = MultiPoly.zero(N)
     for i in range(N):
-        g = f
-        for _ in range(power):
-            g = finite_dunkl(family, N, i, g)
-        out = out + g
+        out = out + _finite_dunkl_power(family, N, i, f, power)
     if not is_invariant(family, out):
         raise NotInvariant("operator output failed the invariance check")
     return out

@@ -24,7 +24,11 @@ only in leading coefficients, in substitution and in the report texts.
 On top of this the module builds, for each family, the quantum Moser matrix L
 (block form [[A, B], [-B, -A]] for the B families), the companion matrix M of
 the A families, the deformed Hamiltonians in their gauged and ungauged forms,
-the quantum Lax check [L, H] = [L, M], and the integrals e* L^r e.
+the quantum Lax check [L, H] = [L, M], and the integrals e* L^r e.  An
+integral never forms the matrix L^r: ``OpMatrix.sandwich`` carries the row
+e* L through v_j <- sum_l v_l . L_lj and sums it, n^2 compositions per power.
+``WeylOp.apply`` applies an operator to a polynomial or a rational function
+alike, which is all that the basis route of ``commute_check`` needs.
 """
 
 from __future__ import annotations
@@ -134,7 +138,7 @@ class RatFun:
     # -- arithmetic ---------------------------------------------------------------
 
     @staticmethod
-    def sum(nvars: int, items, reduce: bool = True) -> "RatFun":
+    def sum(nvars: int, items) -> "RatFun":
         """Sum many rational functions over a single common denominator.
 
         One reduction at the end instead of one per pairwise addition; the
@@ -158,7 +162,7 @@ class RatFun:
                 if d:
                     num = num * fac ** d
             total = num if total is None else total + num
-        return RatFun(total, den, reduce=reduce)
+        return RatFun(total, den)
 
     def __add__(self, other: "RatFun") -> "RatFun":
         if self.num.is_zero():
@@ -182,9 +186,6 @@ class RatFun:
         for f, e in other.den.items():
             den[f] = den.get(f, 0) + e
         return RatFun(self.num * other.num, den)
-
-    def mul_poly(self, p: MultiPoly) -> "RatFun":
-        return RatFun(self.num * p, self.den)
 
     def scale(self, c: ParamRatio) -> "RatFun":
         if c.is_zero():
@@ -352,18 +353,20 @@ class WeylOp:
             {key: RatFun.sum(self.nvars, parts) for key, parts in out.items()},
         )
 
-    def apply(self, poly: MultiPoly) -> RatFun:
+    def apply(self, f) -> RatFun:
+        """self applied to a polynomial or a rational function: each term's
+        derivatives of f times its coefficient."""
+        if isinstance(f, MultiPoly):
+            f = RatFun(f)
         parts = []
-        for dexps, f in self.terms.items():
-            g = poly
+        for dexps, c in self.terms.items():
+            g = f
             for i, e in enumerate(dexps):
                 for _ in range(e):
-                    g = g.diff(i)
                     if g.is_zero():
                         break
-            if g.is_zero():
-                continue
-            parts.append(f.mul_poly(g))
+                    g = g.diff(i)
+            parts.append(c * g)
         return RatFun.sum(self.nvars, parts)
 
     def substitute(self, bindings: dict) -> "WeylOp":
@@ -403,18 +406,10 @@ class OpMatrix:
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
-    def __add__(self, other: "OpMatrix") -> "OpMatrix":
-        return OpMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
     def __sub__(self, other: "OpMatrix") -> "OpMatrix":
         return OpMatrix(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
         )
-
-    def __neg__(self) -> "OpMatrix":
-        return OpMatrix([[-a for a in row] for row in self.entries])
 
     def matmul(self, other: "OpMatrix") -> "OpMatrix":
         out = []
@@ -429,26 +424,24 @@ class OpMatrix:
             out.append(row)
         return OpMatrix(out)
 
-    def power(self, r: int) -> "OpMatrix":
-        result = self
-        for _ in range(r - 1):
-            result = result.matmul(self)
-        return result
+    def sandwich(self, weights, p: int) -> WeylOp:
+        """e* self^p e for the covector e* = ``weights`` and e = (1, ..., 1).
 
-    def weighted_total(self, weights) -> WeylOp:
-        """Sum of weights[i] * entry[i][j] over all entries (right vector of ones)."""
-        acc = None
-        for i, row in enumerate(self.entries):
-            for op in row:
-                term = op.scale(weights[i])
-                acc = term if acc is None else acc + term
-        return acc
+        The row v = e* self only scales entries; then v_j <- sum_l v_l . self_lj,
+        p - 1 times, which is n^2 compositions per power instead of the n^3
+        of a matrix product, and the result is the sum of the entries of v.
+        """
+        if p < 1:
+            raise ValueError("power %d is below 1" % p)
+        L, rows, cols = self.entries, range(self.rows), range(self.cols)
+        zero = WeylOp.zero(L[0][0].nvars)
+        v = [sum((L[l][j].scale(weights[l]) for l in rows), zero) for j in cols]
+        for _ in range(p - 1):
+            v = [sum((v[l].compose(L[l][j]) for l in rows), zero) for j in cols]
+        return sum(v, zero)
 
     def substitute(self, bindings: dict) -> "OpMatrix":
         return OpMatrix([[op.substitute(bindings) for op in row] for row in self.entries])
-
-    def is_zero(self) -> bool:
-        return all(op.is_zero() for row in self.entries for op in row)
 
     def to_json(self) -> str:
         """Row-major JSON array of entry strings."""
@@ -792,7 +785,7 @@ def moser_integral(family: Family, parity: ParityData, r: int) -> WeylOp:
     """The scalar integral e* L^r e (even power 2r for the B families)."""
     L = moser_L(family, parity)
     power = 2 * r if family.even_integrals else r
-    return L.power(power).weighted_total(estar_weights(family, parity))
+    return L.sandwich(estar_weights(family, parity), power)
 
 
 def integral_hamiltonian_factor(family: Family) -> ParamRatio:
@@ -838,8 +831,8 @@ class CommuteReport:
 
 def _commutator_on_x_monomial(A: WeylOp, B: WeylOp, exps) -> tuple:
     mono = MultiPoly(A.nvars, {exps: ONE})
-    v1 = apply_weyl_to_ratfun(A, B.apply(mono))
-    v2 = apply_weyl_to_ratfun(B, A.apply(mono))
+    v1 = A.apply(B.apply(mono))
+    v2 = B.apply(A.apply(mono))
     return exps, v1 - v2
 
 
@@ -872,18 +865,6 @@ def commute_check(A: WeylOp, B: WeylOp, mode: str = "symbolic", deg: int = 4) ->
     outcomes = ordered_map(partial(_commutator_on_x_monomial, A, B), monomials(deg))
     bad = [(str(exps), res.text()) for exps, res in outcomes if not res.is_zero()]
     return CommuteReport("basis(deg=%d)" % deg, not bad, bad)
-
-
-def apply_weyl_to_ratfun(op: WeylOp, f: RatFun) -> RatFun:
-    """op applied to a rational function: each term's derivatives times its coefficient."""
-    parts = []
-    for dexps, c in op.terms.items():
-        g = f
-        for i, e in enumerate(dexps):
-            for _ in range(e):
-                g = g.diff(i)
-        parts.append(c * g)
-    return RatFun.sum(op.nvars, parts)
 
 
 # -- gauge transformations ----------------------------------------------------------

@@ -214,12 +214,25 @@ class TestErrorsAndGuards:
           "--param", "p=1"), "--param 'p=1'"),
         (("verify", "moser-integrals", "--family", "trig-bc", "--n", "1", "--m", "0", "--r", "1",
           "--param", "k=2", "--param", "r=1"), "--param 'r=1'"),
+        # a seed without sampled mode, on a symbolic-only check and on one that can sample
+        (("verify", "diagram", "--family", "rat-a", "--kind", "dcomm", "--N", "2", "--seed", "3"),
+         "--seed"),
+        (("verify", "lax", "--family", "rat-a", "--n", "1", "--m", "1", "--seed", "5"), "--seed"),
     ])
     def test_options_a_check_would_ignore_are_errors(self, capsys, argv, option):
         code, out = run_cli(capsys, *argv, "--format", "json", "--no-timing")
         payload = json.loads(out)
         assert (code, payload["status"], payload["checks"]) == (2, "error", 0), payload
         assert any(option in note for note in payload["notes"]), payload
+
+    @pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+    def test_request_without_a_seed_echoes_seed_zero(self, capsys, mode):
+        base = ("verify", "lax", "--family", "rat-a", "--n", "1", "--m", "1", "--mode", mode,
+                "--format", "json", "--no-timing")
+        code, out = run_cli(capsys, *base)
+        assert code == 0 and json.loads(out)["request"]["seed"] == 0
+        if mode == "sampled":  # the default seed is seed 0
+            assert run_cli(capsys, *base, "--seed", "0")[1] == out
 
     def test_smallest_requests_still_verify(self, capsys):
         for argv in (

@@ -341,15 +341,13 @@ class TestIntegrals:
 
     def test_trig_bc_commutes_on_laurent_monomials(self):
         # the BC operators act on Laurent polynomials; spot-check negative exponents
-        from dunklcms.weyl import apply_weyl_to_ratfun
-
         par = ParityData(1, 1)
         H = hamiltonian(Family.TRIG_BC, par, gauged=False)
         I = moser_integral(Family.TRIG_BC, par, 1)
         for exps in ((-1, 1), (-2, 0), (-1, -1)):
             mono = MultiPoly(2, {exps: ONE})
-            v1 = apply_weyl_to_ratfun(I, H.apply(mono))
-            v2 = apply_weyl_to_ratfun(H, I.apply(mono))
+            v1 = I.apply(H.apply(mono))
+            v2 = H.apply(I.apply(mono))
             assert (v1 - v2).is_zero(), exps
 
     def test_higher_block_integrals_commute_mutually(self):
@@ -366,6 +364,71 @@ class TestIntegrals:
         d = WeylOp.partial(1, 0)
         assert not commute_check(x, d, "symbolic").ok
         assert not commute_check(x, d, "basis", deg=2).ok
+
+
+def matrix_power_total(L, weights, p):
+    """e* L^p e by the matrix route: L^p by repeated ``matmul``, then the sum
+    of weights[i] * (L^p)_ij over all entries."""
+    power = L
+    for _ in range(p - 1):
+        power = power.matmul(L)
+    total = WeylOp.zero(L[0, 0].nvars)
+    for i, row in enumerate(power.entries):
+        for op in row:
+            total = total + op.scale(weights[i])
+    return total
+
+
+class TestCovectorIntegrals:
+    """e* L^p e as the row e* L carried through p - 1 compositions with L."""
+
+    @pytest.mark.parametrize("family, parity, rmax", [
+        (Family.RAT_A, ParityData(2, 1), 3),
+        (Family.TRIG_A, ParityData(2, 2), 2),
+        (Family.RAT_B, ParityData(1, 1), 2),
+        (Family.TRIG_BC, ParityData(1, 1), 1),
+    ])
+    def test_matches_the_matrix_power(self, family, parity, rmax):
+        L, w = moser_L(family, parity), estar_weights(family, parity)
+        for r in range(1, rmax + 1):
+            got = moser_integral(family, parity, r)
+            expected = matrix_power_total(L, w, 2 * r if family.even_integrals else r)
+            assert got == expected, r
+            assert got.text() == expected.text(), r  # the same canonical coefficients
+
+    @pytest.mark.parametrize("family, parity, r, compositions", [
+        (Family.RAT_A, ParityData(2, 1), 3, 18),  # the matrix power took 54
+        (Family.RAT_B, ParityData(1, 1), 1, 16),  # 64
+        (Family.TRIG_BC, ParityData(1, 1), 2, 48),  # 192
+    ])
+    def test_compositions_stay_bounded(self, monkeypatch, family, parity, r, compositions):
+        # (p - 1) n^2 for the power p of the n x n matrix L
+        calls = []
+        original = WeylOp._compose
+
+        def wrapper(self, other, drop_underived):
+            calls.append(1)
+            return original(self, other, drop_underived)
+
+        monkeypatch.setattr(WeylOp, "_compose", wrapper)
+        moser_integral(family, parity, r)
+        assert len(calls) <= compositions
+
+    def test_power_below_one_raises(self):
+        L = moser_L(Family.RAT_A, ParityData(1, 1))
+        with pytest.raises(ValueError):
+            L.sandwich(estar_weights(Family.RAT_A, ParityData(1, 1)), 0)
+
+    def test_apply_to_a_polynomial_and_to_its_rational_function(self):
+        # one apply serves both: x0^2 x1 as a MultiPoly and as a RatFun give
+        # the same value, and a rational argument is differentiated in full
+        par = ParityData(1, 1)
+        H = hamiltonian(Family.RAT_A, par, gauged=False)
+        mono = V(2, 0, 2) * V(2, 1)
+        assert H.apply(mono).text() == H.apply(RatFun(mono)).text()
+        f = rf(MultiPoly.const(2, 1), [(V(2, 0), 1)])  # 1/x0
+        d = WeylOp.partial(2, 0)
+        assert d.compose(d).apply(f) == rf(MultiPoly.const(2, 2), [(V(2, 0), 3)])
 
 
 class TestGauge:
@@ -407,14 +470,14 @@ class TestGauge:
     def test_gauged_trig_matrix_gives_gauged_hamiltonian(self):
         par = ParityData(1, 1)
         Lg = moser_L_gauged_trig(par)
-        I2 = Lg.power(2).weighted_total(estar_weights(Family.TRIG_A, par))
+        I2 = Lg.sandwich(estar_weights(Family.TRIG_A, par), 2)
         assert I2 == hamiltonian(Family.TRIG_A, par, gauged=True)
 
     def test_gauge_connects_both_trig_matrices(self):
         par = ParityData(1, 1)
         I2 = moser_integral(Family.TRIG_A, par, 2)
         Lg = moser_L_gauged_trig(par)
-        I2g = Lg.power(2).weighted_total(estar_weights(Family.TRIG_A, par))
+        I2g = Lg.sandwich(estar_weights(Family.TRIG_A, par), 2)
         w = psi0_logderivs(Family.TRIG_A, par)
         assert gauge_conjugate(I2, w) == I2g
 
