@@ -1,20 +1,23 @@
 """Layer benchmark of the operator layer: building e*L^4 e and ``WeylOp.commutator``.
 
-    python3 bench/weyl_layer.py --label NAME --out BENCH_10.json [--src DIR]
+    python3 bench/weyl_layer.py --label NAME --out BENCH_11.json [--src DIR]
 
 Times the build of the trigonometric-BC integral I = e*L^4 e
 (``moser_integral``) and ``I.commutator(H)`` with the ungauged Hamiltonian
 H at n = m = 1, ``harness.REPEATS`` (7) times each, and records the minimum
 and the median; the commutator's I and H are built once, outside its
-timing.  One extra run of each, not timed, counts the calls of
-``WeylOp._compose``, the compositions of operators that the build makes,
-and of ``coeffs.ParamPoly.__mul__``, the products of the coefficient ring
-that the commutator makes.  The README request ``verify moser-integrals
---family trig-bc --n 1 --m 1 --r 1`` is timed as often.  Results are
-stored under ``--label`` in the JSON file ``--out``, next to the other
-labels already in it; ``--src`` names the ``src`` directory whose
-``dunklcms`` is measured (default: the one of this checkout).  Everything
-runs in this process: DUNKLCMS_WORKERS is cleared.
+timing.  One extra run of each, not timed, counts the work: for the build,
+the calls of ``WeylOp._compose``, the compositions of operators; for the
+commutator, the calls of ``coeffs.ParamPoly.__mul__``, the products of the
+coefficient ring, with their term pairs (the product of the two operands'
+term counts), and the calls of ``finite_cms._root_quotient``, the root
+tests of the factored rational functions.  The requests ``verify
+moser-integrals --family trig-bc --n 1 --m 1 --r R`` for R = 1 (the README
+request) and R = 2 are timed as often.  Results are stored under
+``--label`` in the JSON file ``--out``, next to the other labels already in
+it; ``--src`` names the ``src`` directory whose ``dunklcms`` is measured
+(default: the one of this checkout).  Everything runs in this process:
+DUNKLCMS_WORKERS is cleared.
 
 Only the standard library is used.
 """
@@ -29,31 +32,53 @@ import sys
 from harness import DEFAULT_SRC, environment, quiet_run, store, timed
 
 FAMILY, N, M, R = "TRIG_BC", 1, 1, 2
-COMMAND = ["verify", "moser-integrals", "--family", "trig-bc", "--n", "1", "--m", "1", "--r", "1",
-           "--no-timing"]
+COMMANDS = [
+    ["verify", "moser-integrals", "--family", "trig-bc", "--n", "1", "--m", "1", "--r", str(r),
+     "--no-timing"]
+    for r in (1, 2)
+]
 
 
-def count_calls(cls, name: str, run) -> int:
-    """Run ``run`` once with the calls of the method ``cls.name`` counted."""
-    count = [0]
-    original = getattr(cls, name)
+def counted(run, *counters) -> list:
+    """Run ``run`` once with every call of ``owner.name`` adding
+    ``weight(*args)`` to its counter, for each (owner, name, weight) of
+    ``counters``; returns the totals in that order.  Counters of one method
+    share its wrapper."""
+    totals = [0] * len(counters)
+    groups: dict = {}
+    for slot, (owner, name, weight) in enumerate(counters):
+        groups.setdefault((owner, name), []).append((slot, weight))
+    originals = {key: getattr(*key) for key in groups}
 
-    def wrapper(*args, **kwargs):
-        count[0] += 1
-        return original(*args, **kwargs)
+    def wrapped(original, weights):
+        def wrapper(*args, **kwargs):
+            for slot, weight in weights:
+                totals[slot] += weight(*args)
+            return original(*args, **kwargs)
+        return wrapper
 
-    setattr(cls, name, wrapper)
+    for key, weights in groups.items():
+        setattr(*key, wrapped(originals[key], weights))
     try:
         run()
     finally:
-        setattr(cls, name, original)
-    return count[0]
+        for key, original in originals.items():
+            setattr(*key, original)
+    return totals
+
+
+def once(*args) -> int:
+    return 1
+
+
+def term_pairs(a, b) -> int:
+    return len(a.terms) * len(b.terms)
 
 
 def measure(src: str) -> dict:
     os.environ.pop("DUNKLCMS_WORKERS", None)
     sys.path.insert(0, src)
-    from dunklcms import cli, coeffs
+    from dunklcms import cli, coeffs, finite_cms
     from dunklcms.finite_cms import ParityData
     from dunklcms.powersums import Family
     from dunklcms.weyl import WeylOp, hamiltonian, moser_integral
@@ -70,14 +95,18 @@ def measure(src: str) -> dict:
         if not I.commutator(H).is_zero():
             raise SystemExit("the integral does not commute with the Hamiltonian")
 
-    compositions = count_calls(WeylOp, "_compose", build)
-    products = count_calls(coeffs.ParamPoly, "__mul__", check)
+    compositions, = counted(build, (WeylOp, "_compose", once))
+    products, pairs, root_tests = counted(
+        check, (coeffs.ParamPoly, "__mul__", once), (coeffs.ParamPoly, "__mul__", term_pairs),
+        (finite_cms, "_root_quotient", once))
     result = environment(src, coeffs.Rat)
     result["layers"] = {
         "build": {"WeylOp._compose.calls": compositions, **timed(build)},
-        "commutator": {"ParamPoly.mul.calls": products, **timed(check)},
+        "commutator": {"ParamPoly.mul.calls": products, "ParamPoly.mul.term_pairs": pairs,
+                       "_root_quotient.calls": root_tests, **timed(check)},
     }
-    result["command"] = timed(lambda: quiet_run(cli.run, COMMAND))
+    result["commands"] = {" ".join(argv): timed(lambda: quiet_run(cli.run, argv))
+                          for argv in COMMANDS}
     return result
 
 
@@ -91,8 +120,8 @@ def main(argv=None):
     store(args.out, args.label, result,
           benchmark="operator layer: the build of e*L^4e and its WeylOp.commutator with H, %s n=%d m=%d"
                     % (FAMILY, N, M),
-          command=" ".join(COMMAND))
-    print(json.dumps({args.label: result["layers"], "command": result["command"]}, indent=2))
+          commands=[" ".join(argv) for argv in COMMANDS])
+    print(json.dumps({args.label: result["layers"], "commands": result["commands"]}, indent=2))
     return 0
 
 

@@ -530,6 +530,31 @@ def _root_quotient(g: MultiPoly, f: MultiPoly):
     return _mp(lay, _raw(quo, 1, 0) * _canonical(_poly({fr.den_k: fr.den_int}), gr.den_int, gr.den_k + unit))
 
 
+@cache
+def _is_linear_root_factor(f: MultiPoly) -> bool:
+    """Whether f is a root factor u * (x^e1 +- x^e2) of ``div_or_none`` whose
+    two terms have disjoint supports and exponents >= 0, and some variable
+    has exponent 1 in one term and 0 in the other.
+
+    Such an f has degree 1 in that variable, with coefficients that are
+    coprime monomials, so it is prime in the Laurent ring; each derivative
+    d_i f is a monomial or 0, which f does not divide; and no two distinct
+    monic ones are associates, since a monomial multiple of one has a
+    negative exponent or a variable in both terms.  Every structural factor
+    x_i +- x_j, x_i x_j - 1, x_i +- 1 has this shape.
+    """
+    fp = f.ratio.num.terms
+    if len(fp) != 2:
+        return False
+    (k1, s), (k2, t) = fp.items()
+    a = k1 & _PARAM_MASK
+    if not (s * s == t * t == 1 and k2 & _PARAM_MASK == a and not a & _NOT_K):
+        return False
+    e1, e2 = f._lay.unpack(k1), f._lay.unpack(k2)
+    return (min(e1 + e2) >= 0 and not any(p and q for p, q in zip(e1, e2))
+            and any(p + q == 1 for p, q in zip(e1, e2)))
+
+
 # -- structural factors of the Dunkl operators and of the Moser matrices ------
 #
 # Each builder is memoized: the factors are immutable, and the Moser matrices

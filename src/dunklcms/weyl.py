@@ -15,6 +15,18 @@ cancellation reduces to exact-division tests and zero-testing stays decisive
 except x_i is a binomial x^a +- x^b, so ``MultiPoly.div_or_none`` decides a
 cancellation at the factor's root: a failing one by int sums alone, and a
 succeeding one by Ruffini's rule.
+A ``RatFun`` is always reduced: no factor of its denominator divides its
+numerator N.  Its operations test a factor f only where f can divide, by
+one lemma: if f is prime in the Laurent ring and divides neither N nor any
+other factor g, it divides no product N * prod g, so no sum in which every
+other term is a multiple of f (``RatFun.sum``), and, with d_i f a nonzero
+monomial, not the closed-form derivative's numerator, which is
+-e N d_i f prod g modulo f (``RatFun.diff``).
+``finite_cms._is_linear_root_factor`` guards the lemma by shape: a binomial
+whose terms have disjoint supports and exponents >= 0, linear in some
+variable.  Every structural factor but x_i has it (x_i is a unit of the
+Laurent ring and never stays in a denominator), and a denominator with any
+other factor is reduced by testing every factor.
 Numerators and factors are fraction-free ``MultiPoly`` values (int
 coefficients over one denominator c * k^a), so bringing terms over a common
 denominator, and every cancellation test, is int arithmetic on whole
@@ -34,6 +46,7 @@ alike, which is all that the basis route of ``commute_check`` needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 
 from .coeffs import B_CONSTRAINT, BC_CONSTRAINT, HALF, K, ONE, P, Q, ParamRatio, k_power
@@ -44,6 +57,7 @@ from .finite_cms import (
     _fac_prod_minus_1,
     _fac_shift,
     _fac_sum,
+    _is_linear_root_factor,
 )
 from .powersums import Family, UnsupportedFamily
 
@@ -55,11 +69,20 @@ _R_VALUE = BC_CONSTRAINT["r"]
 
 
 class RatFun:
-    """Rational function with factored denominator over the parameter field."""
+    """Rational function with factored denominator over the parameter field.
+
+    The form is reduced: no factor of ``den`` divides ``num``.  The
+    constructor tests the factors listed in ``may_divide``, or every factor
+    when it is None, and divides each out as often as it goes; a list names
+    keys of ``den``, which must then be monic already.  When every factor is a
+    linear root factor (see the module docstring), ``sum``, ``diff`` and
+    ``*`` pass only the factors that can still divide, and get the same
+    reduced form; a denominator with any other factor takes the full test.
+    """
 
     __slots__ = ("nvars", "num", "den")
 
-    def __init__(self, num: MultiPoly, den: dict = None, reduce: bool = True):
+    def __init__(self, num: MultiPoly, den: dict = None, may_divide=None):
         self.nvars = num.nvars
         den = dict(den) if den else {}
         # factors are kept monic; units fold into the numerator
@@ -80,15 +103,9 @@ class RatFun:
             clean[f] = clean.get(f, 0) + e
         if num.is_zero():
             clean = {}
-        elif reduce and clean:
-            for f in list(clean):
-                e = clean[f]
-                while e > 0:
-                    q = num.div_or_none(f)
-                    if q is None:
-                        break
-                    num = q
-                    e -= 1
+        elif clean:
+            for f in list(clean) if may_divide is None else may_divide:
+                num, e = _cancel(num, f, clean[f])
                 if e:
                     clean[f] = e
                 else:
@@ -142,7 +159,9 @@ class RatFun:
         """Sum many rational functions over a single common denominator.
 
         One reduction at the end instead of one per pairwise addition; the
-        dominant cost saver in operator application and composition.
+        dominant cost saver in operator application and composition.  Over
+        linear root factors it tests only the factors that two items or more
+        carry at the full exponent.
         """
         items = [f for f in items if not f.num.is_zero()]
         if not items:
@@ -150,10 +169,15 @@ class RatFun:
         if len(items) == 1:
             return items[0]
         den: dict = {}
+        carriers: dict = {}  # the number of items at den's exponent
         for f in items:
             for fac, e in f.den.items():
-                if den.get(fac, 0) < e:
+                d = den.get(fac, 0)
+                if d < e:
                     den[fac] = e
+                    carriers[fac] = 1
+                elif d == e:
+                    carriers[fac] += 1
         total = None
         for f in items:
             num = f.num
@@ -162,6 +186,8 @@ class RatFun:
                 if d:
                     num = num * fac ** d
             total = num if total is None else total + num
+        if _all_linear(den):
+            return RatFun(total, den, [fac for fac in den if carriers[fac] > 1])
         return RatFun(total, den)
 
     def __add__(self, other: "RatFun") -> "RatFun":
@@ -174,7 +200,7 @@ class RatFun:
         return RatFun.sum(self.nvars, [self, other])
 
     def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den, reduce=False)
+        return RatFun(-self.num, self.den, ())
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         return self + (-other)
@@ -185,23 +211,39 @@ class RatFun:
         den = dict(self.den)
         for f, e in other.den.items():
             den[f] = den.get(f, 0) + e
-        return RatFun(self.num * other.num, den)
+        if not _all_linear(den):
+            return RatFun(self.num * other.num, den)
+        # cancel across before the product (Henrici): a factor of both
+        # denominators divides neither numerator, and one of one denominator
+        # only can divide only the other operand's numerator
+        a, b = self.num, other.num
+        for f, e in self.den.items():
+            if f not in other.den:
+                b, den[f] = _cancel(b, f, e)
+        for f, e in other.den.items():
+            if f not in self.den:
+                a, den[f] = _cancel(a, f, e)
+        return RatFun(a * b, den, ())
 
     def scale(self, c: ParamRatio) -> "RatFun":
         if c.is_zero():
             return RatFun.zero(self.nvars)
-        return RatFun(self.num.scale(c), self.den, reduce=False)
+        return RatFun(self.num.scale(c), self.den, ())
 
     def diff(self, i: int) -> "RatFun":
-        parts = [RatFun(self.num.diff(i), self.den, reduce=False)]
-        for f, e in self.den.items():
-            fd = f.diff(i)
-            if fd.is_zero():
-                continue
-            den = dict(self.den)
-            den[f] = e + 1
-            parts.append(RatFun((self.num * fd).scale(ParamRatio.const(-e)), den, reduce=False))
-        return RatFun.sum(self.nvars, parts)
+        """d/dx_i in closed form: for the factors f that contain x_i, with P
+        their product and Q = sum e_f d_i f prod_{g != f} g, the derivative
+        of N / prod f^e is (d_i N P - N Q) over the factors that contain x_i
+        raised by one.  Over linear root factors only the factors free of
+        x_i are tested."""
+        moving, P, Q = _moving_factors(tuple(self.den.items()), i)
+        num = self.num.diff(i)
+        if moving:
+            num = num * P - self.num * Q
+        den = {f: e + 1 if f in moving else e for f, e in self.den.items()}
+        if _all_linear(den):
+            return RatFun(num, den, [f for f in den if f not in moving])
+        return RatFun(num, den)
 
     def substitute(self, bindings: dict) -> "RatFun":
         den = {}
@@ -218,6 +260,41 @@ class RatFun:
 
     def __repr__(self):
         return "RatFun(%s)" % self.text()
+
+
+def _cancel(num: MultiPoly, f: MultiPoly, e: int):
+    """num divided by f as often as it goes, at most e times, and the
+    exponent of f that is left."""
+    while e:
+        q = num.div_or_none(f)
+        if q is None:
+            break
+        num, e = q, e - 1
+    return num, e
+
+
+def _all_linear(den: dict) -> bool:
+    """Whether every factor of ``den`` is a linear root factor, so that the
+    factors are pairwise coprime primes with monomial derivatives."""
+    return all(_is_linear_root_factor(f) for f in den)
+
+
+@cache
+def _moving_factors(den_items: tuple, i: int):
+    """The factors f (exponent e_f) of a denominator that contain x_i, their
+    product P and Q = sum e_f d_i f prod_{g != f} g; P and Q are None when
+    no factor contains x_i.  Cached: the operators of one check share few
+    denominators, and the basis route differentiates each many times."""
+    moving, P, Q = set(), None, None
+    for f, e in den_items:
+        df = f.diff(i)
+        if df.is_zero():
+            continue
+        moving.add(f)
+        step = df.scale(ParamRatio.const(e))
+        # one more factor f: P -> P f and Q -> Q f + e_f d_i f P
+        P, Q = (f, step) if P is None else (P * f, Q * f + step * P)
+    return frozenset(moving), P, Q
 
 
 def _iter_sub_indices(exps):

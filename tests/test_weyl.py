@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from dunklcms import finite_cms
 from dunklcms.coeffs import ONE, ParamPoly, ParamRatio, const, k_power, symbol
 from dunklcms.finite_cms import (
     Hom,
@@ -12,6 +13,7 @@ from dunklcms.finite_cms import (
     _fac_prod_minus_1,
     _fac_shift,
     _fac_sum,
+    _is_linear_root_factor,
     heckman_integral,
 )
 from dunklcms.powersums import Family, LambdaElem, UnsupportedFamily
@@ -187,6 +189,153 @@ class TestRatFunDenominators:
         assert g.den == {_fac_diff(2, 0, 1): 2}
         assert g.num == V(2, 1).scale(ONE / const(4))
         assert all(h.is_monic() for h in g.den)
+
+
+def diff_by_parts(r: RatFun, i: int) -> RatFun:
+    """d/dx_i of r as a sum of parts, reduced from scratch: d_i N over r's
+    denominator, and -e N d_i f over it with f^e raised to f^(e+1) for each
+    factor f that contains x_i, brought over their common denominator."""
+    parts = [(r.num.diff(i), dict(r.den))]
+    for f, e in r.den.items():
+        fd = f.diff(i)
+        if not fd.is_zero():
+            den = dict(r.den)
+            den[f] = e + 1
+            parts.append(((r.num * fd).scale(const(-e)), den))
+    den = {f: max(d[f] for _, d in parts) for f in r.den}
+    total = MultiPoly.zero(r.nvars)
+    for num, d in parts:
+        for f, e in den.items():
+            num = num * f ** (e - d[f])
+        total = total + num
+    return RatFun(total, den)
+
+
+def assert_reduced(r: RatFun):
+    """r has the fields of its own num and den reduced from scratch, and no
+    factor of its denominator divides its numerator."""
+    again = RatFun(r.num, dict(r.den))
+    assert again.num == r.num and again.den == r.den, r
+    assert all(r.num.div_or_none(f) is None for f in r.den), r
+
+
+def coefficients(op: WeylOp) -> list:
+    return list(op.terms.values())
+
+
+def trig_bc_integral_commutes():
+    """The check [e*L^2e, H] = 0 for trig BC at n = m = 1, its operands built."""
+    parity = ParityData(1, 1)
+    I = moser_integral(Family.TRIG_BC, parity, 1)
+    H = hamiltonian(Family.TRIG_BC, parity, gauged=False)
+    return lambda: I.commutator(H).is_zero()
+
+
+def trig_a_lax_holds():
+    """The check lax_check(TRIG_A, (2, 2)), matrices built inside."""
+    return lambda: lax_check(Family.TRIG_A, ParityData(2, 2)).ok
+
+
+def x0_plus(a: int, b: int) -> MultiPoly:
+    """a x0 + b in one variable."""
+    return V(1, 0).scale(const(a)) + MultiPoly.const(1, b)
+
+
+class TestClosedFormDerivative:
+    """RatFun.diff over prod f^(e+1) against the sum of its parts."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_the_parts_sum(self, rng, n):
+        seen = 0
+        for _ in range(25):
+            for r in coefficients(random_weyl_op(rng, n)):
+                for i in range(n):
+                    got, expected = r.diff(i), diff_by_parts(r, i)
+                    assert got.num == expected.num and got.den == expected.den, (r, i)
+                    assert got.text() == expected.text()
+                    seen += bool(r.den)
+        assert seen >= 25
+
+    def test_factor_free_of_the_variable_can_cancel(self):
+        # N = x0 (x1 - 1) + 1 is prime to x1 - 1, but d0 N = x1 - 1 is not
+        x0, x1 = V(2, 0), V(2, 1)
+        f, g = _fac_shift(2, 1, -1), _fac_shift(2, 0, 1)
+        got = RatFun(x0 * f + MultiPoly.const(2, 1), {f: 1}).diff(0)
+        assert got.num == MultiPoly.const(2, 1) and got.den == {}
+        # next to the moving factor x0 + 1: d0 (x0 x1 + 1)/(x0 + 1) = (x1 - 1)/(x0 + 1)^2
+        r = RatFun(x0 * x1 + MultiPoly.const(2, 1), {f: 2, g: 1})
+        got, expected = r.diff(0), diff_by_parts(r, 0)
+        assert got.num == expected.num == MultiPoly.const(2, 1)
+        assert got.den == expected.den == {f: 1, g: 2}
+        assert got.text() == expected.text()
+
+
+class TestReducedForm:
+    """Every operation returns the reduced form, whether it tests every
+    denominator factor or only those that can still divide."""
+
+    def test_structural_factors_are_linear_root_factors(self):
+        n = 3
+        x0, x1, x2 = V(n, 0), V(n, 1), V(n, 2)
+        for f in (_fac_diff(n, 0, 1), _fac_sum(n, 1, 2), _fac_prod_minus_1(n, 0, 2),
+                  _fac_shift(n, 0, -1), _fac_shift(n, 2, 1), x0 * x1 - x2 * x2):
+            assert _is_linear_root_factor(f), f
+        for f in (_fac_shift(n, 0, -1, 2), x0 * x2 - x1 * x2, V(n, 0), (x0 * x1) ** 2 - x2 * x2,
+                  x0 - x1 - x2, x0 - x1.scale(const(2)), x0 - MultiPoly.var(n, 1, -1)):
+            assert not _is_linear_root_factor(f), f
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_result_is_reduced(self, rng, n):
+        ops = [random_weyl_op(rng, n) for _ in range(12)]
+        for a, b in zip(ops[::2], ops[1::2]):
+            fs, gs = coefficients(a), coefficients(b)
+            results = [f * g for f in fs for g in gs]
+            results += [f.diff(i) for f in fs + gs for i in range(n)]
+            results.append(RatFun.sum(n, fs + gs + results))
+            for op in (a.compose(b), a.commutator(b)):
+                results += coefficients(op)
+            for f in fs:
+                results.append(b.apply(f))
+            results.append(a.apply(MultiPoly(n, {(1,) * n: ONE, (2,) + (0,) * (n - 1): ONE})))
+            for r in results:
+                assert_reduced(r)
+
+    def test_factors_outside_the_shape_take_the_full_test(self):
+        # x0^2 - 1 has the linear root factor x0 - 1 as a divisor, and
+        # x0 x2 - x1 x2 is x2 (x0 - x1): neither is prime to the other factor
+        sq, lin = _fac_shift(1, 0, -1, 2), _fac_shift(1, 0, -1)
+        one = MultiPoly.const(1, 1)
+        # (x0^2 - 1) + (x0 - 1) = (x0 - 1)(x0 + 2): the lone carrier x0 - 1 divides
+        got = RatFun.sum(1, [RatFun(one, {lin: 1}), RatFun(one, {sq: 1})])
+        assert got.num == x0_plus(1, 2) and got.den == {sq: 1}
+        # a factor of both denominators divides the product of the numerators
+        got = RatFun(lin, {sq: 1}) * RatFun(_fac_shift(1, 0, 1), {sq: 1})
+        assert got.num == one and got.den == {sq: 1}
+        # d/dx0 of 1/((x0^2 - 1)(x0 - 1)) has -(3 x0 + 1)(x0 - 1) over the squares
+        r = RatFun(one, {sq: 1, lin: 1})
+        got = r.diff(0)
+        assert got.num == -x0_plus(3, 1) and got.den == {sq: 2, lin: 1}
+        assert got.num == diff_by_parts(r, 0).num and got.den == diff_by_parts(r, 0).den
+        # 1/(x0 - x1) + 1/(x0 x2 - x1 x2) = (x2 + 1)/(x0 x2 - x1 x2)
+        x1, x2 = V(3, 1), V(3, 2)
+        d, dd = _fac_diff(3, 0, 1), V(3, 0) * x2 - x1 * x2
+        one = MultiPoly.const(3, 1)
+        got = RatFun(one, {d: 1}) + RatFun(one, {dd: 1})
+        assert got.num == x2 + one and got.den == {dd: 1}
+        for r in (got, RatFun(one, {d: 1}) * RatFun(x2 + one, {dd: 1}), RatFun(x1, {d: 1, dd: 1}).diff(0)):
+            assert_reduced(r)
+
+    @pytest.mark.parametrize("prepare, tests", [
+        (trig_bc_integral_commutes, 68),  # the parent tested 124 times
+        (trig_a_lax_holds, 558),  # 952
+    ])
+    def test_root_tests_stay_bounded(self, monkeypatch, prepare, tests):
+        check = prepare()
+        calls = []
+        original = finite_cms._root_quotient
+        monkeypatch.setattr(finite_cms, "_root_quotient", lambda g, f: calls.append(1) or original(g, f))
+        assert check()
+        assert len(calls) <= tests
 
 
 class TestMoserMatrices:
