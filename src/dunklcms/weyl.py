@@ -46,7 +46,6 @@ alike, which is all that the basis route of ``commute_check`` needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from math import comb
 
 from .coeffs import B_CONSTRAINT, BC_CONSTRAINT, HALF, K, ONE, P, Q, ParamRatio, k_power
@@ -72,12 +71,12 @@ class RatFun:
     """Rational function with factored denominator over the parameter field.
 
     The form is reduced: no factor of ``den`` divides ``num``.  The
-    constructor tests the factors listed in ``may_divide``, or every factor
-    when it is None, and divides each out as often as it goes; a list names
-    keys of ``den``, which must then be monic already.  When every factor is a
-    linear root factor (see the module docstring), ``sum``, ``diff`` and
-    ``*`` pass only the factors that can still divide, and get the same
-    reduced form; a denominator with any other factor takes the full test.
+    constructor divides each factor it tests out as often as it goes.  It
+    tests only the factors listed in ``may_divide`` when that list is given
+    and every factor is a linear root factor (see the module docstring), and
+    every factor otherwise; a list names keys of ``den``, which must then be
+    monic already.  ``sum``, ``diff`` and ``*`` list only the factors that
+    can still divide, and get the same reduced form.
     """
 
     __slots__ = ("nvars", "num", "den")
@@ -104,7 +103,9 @@ class RatFun:
         if num.is_zero():
             clean = {}
         elif clean:
-            for f in list(clean) if may_divide is None else may_divide:
+            if may_divide is None or not _all_linear(clean):
+                may_divide = list(clean)
+            for f in may_divide:
                 num, e = _cancel(num, f, clean[f])
                 if e:
                     clean[f] = e
@@ -186,9 +187,7 @@ class RatFun:
                 if d:
                     num = num * fac ** d
             total = num if total is None else total + num
-        if _all_linear(den):
-            return RatFun(total, den, [fac for fac in den if carriers[fac] > 1])
-        return RatFun(total, den)
+        return RatFun(total, den, [fac for fac in den if carriers[fac] > 1])
 
     def __add__(self, other: "RatFun") -> "RatFun":
         if self.num.is_zero():
@@ -236,14 +235,21 @@ class RatFun:
         of N / prod f^e is (d_i N P - N Q) over the factors that contain x_i
         raised by one.  Over linear root factors only the factors free of
         x_i are tested."""
-        moving, P, Q = _moving_factors(tuple(self.den.items()), i)
+        den, still, P, Q = {}, [], None, None
+        for f, e in self.den.items():
+            df = f.diff(i)
+            if df.is_zero():
+                den[f] = e
+                still.append(f)
+                continue
+            den[f] = e + 1
+            step = df if e == 1 else df.scale(ParamRatio.const(e))
+            # one more factor f: P -> P f and Q -> Q f + e_f d_i f P
+            P, Q = (f, step) if P is None else (P * f, Q * f + step * P)
         num = self.num.diff(i)
-        if moving:
+        if P is not None:
             num = num * P - self.num * Q
-        den = {f: e + 1 if f in moving else e for f, e in self.den.items()}
-        if _all_linear(den):
-            return RatFun(num, den, [f for f in den if f not in moving])
-        return RatFun(num, den)
+        return RatFun(num, den, still)
 
     def substitute(self, bindings: dict) -> "RatFun":
         den = {}
@@ -277,24 +283,6 @@ def _all_linear(den: dict) -> bool:
     """Whether every factor of ``den`` is a linear root factor, so that the
     factors are pairwise coprime primes with monomial derivatives."""
     return all(_is_linear_root_factor(f) for f in den)
-
-
-@cache
-def _moving_factors(den_items: tuple, i: int):
-    """The factors f (exponent e_f) of a denominator that contain x_i, their
-    product P and Q = sum e_f d_i f prod_{g != f} g; P and Q are None when
-    no factor contains x_i.  Cached: the operators of one check share few
-    denominators, and the basis route differentiates each many times."""
-    moving, P, Q = set(), None, None
-    for f, e in den_items:
-        df = f.diff(i)
-        if df.is_zero():
-            continue
-        moving.add(f)
-        step = df.scale(ParamRatio.const(e))
-        # one more factor f: P -> P f and Q -> Q f + e_f d_i f P
-        P, Q = (f, step) if P is None else (P * f, Q * f + step * P)
-    return frozenset(moving), P, Q
 
 
 def _iter_sub_indices(exps):

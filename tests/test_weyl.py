@@ -316,6 +316,10 @@ class TestReducedForm:
         got = r.diff(0)
         assert got.num == -x0_plus(3, 1) and got.den == {sq: 2, lin: 1}
         assert got.num == diff_by_parts(r, 0).num and got.den == diff_by_parts(r, 0).den
+        # the constructor tests every factor here, whatever it is told: (x0^2 - 1)
+        # over (x0^2 - 1)(x0 - 1) with no factor listed is still 1/(x0 - 1)
+        got = RatFun(sq, {sq: 1, lin: 1}, ())
+        assert got.num == one and got.den == {lin: 1}
         # 1/(x0 - x1) + 1/(x0 x2 - x1 x2) = (x2 + 1)/(x0 x2 - x1 x2)
         x1, x2 = V(3, 1), V(3, 2)
         d, dd = _fac_diff(3, 0, 1), V(3, 0) * x2 - x1 * x2
