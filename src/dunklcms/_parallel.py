@@ -9,7 +9,6 @@ deterministic regardless of the worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 
 def _usable_cpus() -> int:
@@ -33,6 +32,10 @@ def ordered_map(fn, items):
     n = min(worker_count(), len(items))
     if n <= 1:
         return [fn(x) for x in items]
+    # imported here: the pool's modules (concurrent.futures, multiprocessing)
+    # take longer to load than many serial requests take to run
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(items) // (4 * n))
     with ProcessPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

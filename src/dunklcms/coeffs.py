@@ -599,6 +599,9 @@ K = ParamRatio.symbol("k")
 P = ParamRatio.symbol("p")
 Q = ParamRatio.symbol("q")
 HALF = ParamRatio.fraction(1, 2)
+#: the packed keys of k, p and q: multiplying a numerator by one of them adds
+#: its key to every exponent
+_K_KEY, _P_KEY, _Q_KEY = (next(iter(s.num.terms)) for s in (K, P, Q))
 
 
 def const(value) -> ParamRatio:

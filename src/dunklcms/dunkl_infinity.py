@@ -52,8 +52,10 @@ from .coeffs import (
     ONE,
     P,
     Q,
-    ParamPoly,
     ParamRatio,
+    _K_KEY,
+    _P_KEY,
+    _Q_KEY,
     _canonical,
     _check_den_k,
     _checked,
@@ -74,11 +76,6 @@ from .powersums import (
     pmono_text,
     project_E,
 )
-
-#: the packed keys of k, p and q: multiplying a numerator by one of them adds
-#: its key to every exponent
-_K_KEY, _P_KEY, _Q_KEY = (next(iter(ParamPoly.symbol(name).terms)) for name in "kpq")
-
 
 def _stencil(family: Family, a: int, m: PMono) -> list:
     """D(x^a m) as a list of (x exponent, p-monomial, n, shift), each entry

@@ -8,6 +8,12 @@ in closed form as geometric series on the packed terms, the symmetrized
 power sums give the quantum integrals, and the commutative-diagram checks
 compare both routes term by term.
 
+A power D_i^r of a finite operator runs in one kernel over the packed int
+numerator, as ``InfDunkl.apply`` does at infinity: each application adds the
+derivative (or Euler) term and every reflection series into one int dict
+over a shared denominator, each parameter k, p or q entering as a shift of
+the packed keys, and the power makes one canonical form, at its end.
+
 Variables are indexed 0..N-1 internally.  Laurent exponents are allowed where
 the trigonometric BC family needs them.
 
@@ -36,15 +42,15 @@ from .coeffs import (
     NSYM,
     ONE,
     ExponentOverflow,
-    HALF,
-    K,
-    P,
-    Q,
     ParamRatio,
     UnsupportedDenominator,
     ZERO,
+    _K_KEY,
+    _P_KEY,
+    _Q_KEY,
     _canonical,
     _checked,
+    _k_exponent,
     _lcd,
     _numerator,
     _poly,
@@ -250,6 +256,13 @@ class MultiPoly:
         """True when no term carries an x (the zero polynomial included)."""
         zero_x = self._lay.zero_x
         return all(e >> _PARAM_BITS == zero_x for e in self.ratio.num.terms)
+
+    def is_monomial(self) -> bool:
+        """True when every term carries the same x-monomial: a coefficient
+        times x^a, which no binomial root factor divides."""
+        keys = iter(self.ratio.num.terms)
+        x = next(keys, 0) >> _PARAM_BITS
+        return all(e >> _PARAM_BITS == x for e in keys)
 
     @property
     def terms(self) -> dict:
@@ -599,8 +612,22 @@ def _fac_shift(nvars: int, i: int, c: int, power: int = 1) -> MultiPoly:
 # -- reflection divided differences -------------------------------------------
 
 
-def _divided_differences(f: MultiPoly, reflections, trig: bool = False) -> MultiPoly:
-    """The sum over ``reflections`` of (f - w f) / d, in closed form.
+def _x_groups(terms: dict) -> dict:
+    """A packed numerator grouped by x-monomial: {key of the x-monomial:
+    [(packed parameter monomial, int coefficient), ...]}."""
+    groups: dict = {}
+    for e, c in terms.items():
+        pm = e & _PARAM_MASK
+        groups.setdefault(e - pm, []).append((pm, c))
+    return groups
+
+
+def _divided_differences(lay: _Layout, groups: dict, reflections, out: dict,
+                         factor: int = 1, shift: int = 0, trig: bool = False) -> None:
+    """Add ``factor`` times the parameter monomial of packed key ``shift`` times the
+    sum over ``reflections`` of (f - w f) / d, in closed form, to ``out``,
+    for the polynomial f whose packed numerator ``_x_groups`` grouped as
+    ``groups``.
 
     Each reflection is a triple (kind, i, j), j None for the kinds in one
     variable, naming a reflection w and its root factor d:
@@ -638,27 +665,28 @@ def _divided_differences(f: MultiPoly, reflections, trig: bool = False) -> Multi
     1 + 2y + ... + 2y^(n-1) + y^n gains a term and doubles its inner
     coefficients.  It applies to every kind but ``signed_swap`` and ``flip``.
 
-    The int coefficients are summed over f's denominator and put in canonical
-    form: no image w f and no polynomial division are formed.  Every
-    x-exponent of a term lies between those of m and of w m, so it can only
-    just reach its guard bit; the total degree can go further, and
-    ``_degree_checked`` tests it.  A quotient term outside
-    MIN_X_EXPONENT..MAX_X_EXPONENT raises ``ExponentOverflow``.
+    The series depends on the x-monomial only, so it is laid out once per
+    group and added for each parameter monomial of the group.  The int
+    coefficients are added over f's denominator: no image w f and no
+    polynomial division are formed.  ``out`` may keep zero entries, and its
+    keys are unchecked.  Every x-exponent of a term lies between those of m
+    and of w m, so it can only just reach its guard bit; the total degree can
+    go further, and ``_degree_checked`` tests it.  A parameter exponent
+    rises by at most one.
     """
-    lay = f._lay
     du = lay.deg_unit
-    terms = f.ratio.num.terms
-    out: dict = {}
     get = out.get
     for kind, i, j in reflections:
         if trig and kind in ("signed_swap", "flip"):
             raise ValueError("no trigonometric numerator for %s" % kind)
         oi, ui = lay.offsets[i], lay.units[i]
         if kind == "flip":
-            for e, c in terms.items():
-                if e >> oi & 1:  # the bias is even, so this is the parity of a_i
-                    key = e - ui - du
-                    out[key] = get(key, 0) + 2 * c
+            for x, coeffs in groups.items():
+                if x >> oi & 1:  # the bias is even, so this is the parity of a_i
+                    x += shift - ui - du
+                    for pm, c in coeffs:
+                        pm += x
+                        out[pm] = get(pm, 0) + 2 * factor * c
             continue
         oj, uj = (oi, 0) if j is None else (lay.offsets[j], lay.units[j])
         # n = ci * v_i + cj * v_j + c0 for the biased fields v = a + _XBIAS
@@ -674,71 +702,123 @@ def _divided_differences(f: MultiPoly, reflections, trig: bool = False) -> Multi
             raise ValueError(kind)
         alternate = kind == "signed_swap"
         # for n < 0 each term is -c/u: -c for u = x_j or 1, and c for u = -x_j
-        below = 1 if alternate else -1
-        for e, c in terms.items():
-            n = (e >> oi & _XFIELD) * ci + (e >> oj & _XFIELD) * cj + c0
+        below = factor if alternate else -factor
+        for x, coeffs in groups.items():
+            n = (x >> oi & _XFIELD) * ci + (x >> oj & _XFIELD) * cj + c0
             if not n:
                 continue
+            x += shift
             if trig:  # m y^(-s) for s = 0..n, or -m y^t for t = 0..|n|
-                step = -dy if n > 0 else dy
-                if n < 0:
-                    n, c = -n, -c
-                last, c2 = e + n * step, 2 * c
-                for key in range(e, last + step, step):
-                    out[key] = get(key, 0) + c2
-                out[e] -= c
-                out[last] -= c
-                continue
-            if n > 0:  # m y^(-s) / u for s = 1..n
-                start, step = e + pre - dy, -dy
-            else:  # -m y^t / u for t = 0..|n|-1
-                start, step, n, c = e + pre, dy, -n, below * c
-            stop = start + n * step
-            if alternate:  # y carries the sign -1
-                for key in range(start, stop, 2 * step):
-                    out[key] = get(key, 0) + c
-                for key in range(start + step, stop, 2 * step):
-                    out[key] = get(key, 0) - c
+                if n > 0:
+                    step, w = -dy, factor
+                else:
+                    step, w, n = dy, -factor, -n
+                last = x + n * step
+                runs = (((x, last), w), (range(x + step, last, step), 2 * w))
             else:
-                for key in range(start, stop, step):
-                    out[key] = get(key, 0) + c
-    out = _degree_checked(lay, {e: c for e, c in out.items() if c})
-    r = f.ratio
-    return _mp(lay, _canonical(_poly(out), r.den_int, r.den_k))
+                if n > 0:  # m y^(-s) / u for s = 1..n
+                    start, step, w = x + pre - dy, -dy, factor
+                else:  # -m y^t / u for t = 0..|n|-1
+                    start, step, n, w = x + pre, dy, -n, below
+                stop = start + n * step
+                if alternate:  # y carries the sign -1
+                    runs = ((range(start, stop, 2 * step), w), (range(start + step, stop, 2 * step), -w))
+                else:
+                    runs = ((range(start, stop, step), w),)
+            for keys, w in runs:
+                for pm, c in coeffs:
+                    c *= w
+                    for key in keys:
+                        key += pm
+                        out[key] = get(key, 0) + c
 
 
 # -- finite Dunkl operators -------------------------------------------------
 
-_K_HALF = K * HALF
-_P_HALF = P * HALF
+
+def _dunkl_parts(family: Family, N: int, i: int) -> tuple:
+    """(trig, parts) for D_{i,N}: whether the operator is x_i d_i plus
+    reflection terms with a trigonometric numerator, each of which carries a
+    half, and its reflection terms as (reflections, factor, shift) for
+    ``_divided_differences``, the factor over the doubled denominator when
+    ``trig``."""
+    if not 0 <= i < N:
+        raise ValueError("index %d outside 0..%d" % (i, N - 1))
+    others = [j for j in range(N) if j != i]
+    swaps = [("swap", i, j) for j in others]
+    if family is Family.RAT_A:  # d_i - k sum_j (1 - s_ij) / (x_i - x_j)
+        return False, ((swaps, -1, _K_KEY),)
+    if family is Family.RAT_B:  # ... and its signed swaps over x_i + x_j, - q (1 - s_i) / x_i
+        signed = [(kind, i, j) for j in others for kind in ("swap", "signed_swap")]
+        return False, ((signed, -1, _K_KEY), ([("flip", i, None)], -1, _Q_KEY))
+    if family is Family.TRIG_A:  # x_i d_i - (k/2) sum_j (x_i + x_j) (1 - s_ij) / (x_i - x_j)
+        return True, ((swaps, -1, _K_KEY),)
+    # TRIG_BC: x_i d_i - (k/2) [the swaps and their inverted forms]
+    #          - (p/2) (x_i + 1) (1 - t_i) / (x_i - 1) - q (x_i^2 + 1) (1 - t_i) / (x_i^2 - 1)
+    pairs = [(kind, i, j) for j in others for kind in ("swap", "invert_swap")]
+    return True, ((pairs, -1, _K_KEY), ([("invert", i, None)], -1, _P_KEY),
+                  ([("invert2", i, None)], -2, _Q_KEY))
+
+
+def _finite_dunkl_power(family: Family, N: int, i: int, f: MultiPoly, r: int) -> MultiPoly:
+    """D_{i,N}^r applied to f, in one kernel over f's packed numerator.
+
+    Each application adds the derivative term and every reflection series
+    (``_divided_differences``) into one int dict over the shared denominator
+    den_int * k^den_k, with each parameter k, p or q entering as a shift of
+    the packed keys; the half of the trigonometric families doubles den_int
+    once per application.  Then the common power of k is shifted out while
+    den_k > 0, so the k-exponents are those of the canonical form, and
+    ``_degree_checked`` tests the keys: a step whose result leaves the
+    exponent ranges raises ``ExponentOverflow`` at that step.  The
+    canonical form is made once, at the end.
+    """
+    if f.nvars != N:
+        raise ValueError("variable count mismatch")
+    trig, parts = _dunkl_parts(family, N, i)
+    lay = f._lay
+    off = lay.offsets[i]
+    # x_i d_i keeps the key of x^a; d_i lowers a_i and the degree by one
+    down = 0 if trig else lay.units[i] + lay.deg_unit
+    two = 2 if trig else 1
+    ratio = f.ratio
+    terms, den_int, den_k = ratio.num.terms, ratio.den_int, ratio.den_k
+    for _ in range(r):
+        out = {}
+        groups = _x_groups(terms)
+        for x, coeffs in groups.items():
+            a = two * ((x >> off & _XFIELD) - _XBIAS)
+            if a:
+                x -= down
+                for pm, c in coeffs:
+                    out[x + pm] = a * c
+        for reflections, factor, shift in parts:
+            _divided_differences(lay, groups, reflections, out, factor, shift, trig)
+        terms = {e: c for e, c in out.items() if c}
+        if den_k and terms:
+            # a k-exponent may stand at MAX_DEGREE + 1 here, which the
+            # field holds without a carry
+            j = min(den_k, min(map(_k_exponent, terms)))
+            if j:
+                terms = {e - j: c for e, c in terms.items()}
+                den_k -= j
+        _degree_checked(lay, terms)
+        den_int *= two
+    return _mp(lay, _canonical(_poly(terms), den_int, den_k))
 
 
 def finite_dunkl(family: Family, N: int, i: int, f: MultiPoly) -> MultiPoly:
     """The family's finite Dunkl (or Dunkl-Heckman) operator D_{i,N} applied to f.
 
-    The reflection terms are divided differences (f - w f) / d, summed per
-    parameter by ``_divided_differences`` in closed form from f's packed
-    terms; for the trigonometric families each carries its numerator
-    (x_i + x_j, x_i x_j + 1, x_i + 1 or x_i^2 + 1).  No image w f, no
-    polynomial division and no product of polynomials is formed.
+    The reflection terms are divided differences (f - w f) / d, summed in
+    closed form from f's packed terms by the kernel of
+    ``_finite_dunkl_power``, of which this is the case r = 1; for the
+    trigonometric families each carries its numerator (x_i + x_j,
+    x_i x_j + 1, x_i + 1 or x_i^2 + 1).  No image w f, no polynomial division
+    and no product of polynomials is formed.  The index i must lie in
+    0..N-1, and ValueError says so otherwise.
     """
-    if f.nvars != N:
-        raise ValueError("variable count mismatch")
-    others = [j for j in range(N) if j != i]
-    dd = _divided_differences
-    if family is Family.RAT_A:
-        return f.diff(i) - dd(f, [("swap", i, j) for j in others]).scale(K)
-    if family is Family.RAT_B:
-        pairs = [(kind, i, j) for j in others for kind in ("swap", "signed_swap")]
-        return f.diff(i) - dd(f, pairs).scale(K) - dd(f, [("flip", i, None)]).scale(Q)
-    out = f.diff(i).mul_monomial(tuple(1 if v == i else 0 for v in range(N)))
-    if family is Family.TRIG_A:
-        return out - dd(f, [("swap", i, j) for j in others], trig=True).scale(_K_HALF)
-    # TRIG_BC
-    pairs = [(kind, i, j) for j in others for kind in ("swap", "invert_swap")]
-    out = out - dd(f, pairs, trig=True).scale(_K_HALF)
-    out = out - dd(f, [("invert", i, None)], trig=True).scale(_P_HALF)
-    return out - dd(f, [("invert2", i, None)], trig=True).scale(Q)
+    return _finite_dunkl_power(family, N, i, f, 1)
 
 
 def _invariance_generators(family: Family, N: int):
@@ -766,6 +846,8 @@ def is_invariant(family: Family, f: MultiPoly) -> bool:
 def heckman_integral(family: Family, N: int, r: int, f: MultiPoly) -> MultiPoly:
     """Sum over i of D_{i,N}^r applied to an invariant f (power 2r for B/BC).
 
+    Each power D_{i,N}^r is one call of the kernel ``_finite_dunkl_power``,
+    which makes one canonical form; the N powers are then added.
     Restriction to invariants is implemented literally: the full operator sum
     is applied and invariance of input and output is asserted.
     """
@@ -831,8 +913,11 @@ class Hom:
             self.nvars = parity.size
         else:
             raise ValueError(kind)
-        if kind in ("phi_iN", "phi_inm") and i is None:
-            raise ValueError("distinguished index required")
+        if kind in ("phi_iN", "phi_inm"):
+            if i is None:
+                raise ValueError("distinguished index required")
+            if not 0 <= i < self.nvars:
+                raise ValueError("index %d outside 0..%d" % (i, self.nvars - 1))
         self.family = family
         self.kind = kind
         self.parity = parity
@@ -958,12 +1043,6 @@ class DiagramReport:
     @property
     def counterexamples(self):
         return [r for r in self.results if not r.ok]
-
-
-def _finite_dunkl_power(family: Family, N: int, i: int, f: MultiPoly, r: int) -> MultiPoly:
-    for _ in range(r):
-        f = finite_dunkl(family, N, i, f)
-    return f
 
 
 def _diagram_one(kind: str, family: Family, r: int, N, parity, i, labeled) -> DiagramResult:

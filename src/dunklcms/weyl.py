@@ -214,14 +214,17 @@ class RatFun:
             return RatFun(self.num * other.num, den)
         # cancel across before the product (Henrici): a factor of both
         # denominators divides neither numerator, and one of one denominator
-        # only can divide only the other operand's numerator
+        # only can divide only the other operand's numerator, unless that is
+        # a monomial, which no root factor divides
         a, b = self.num, other.num
-        for f, e in self.den.items():
-            if f not in other.den:
-                b, den[f] = _cancel(b, f, e)
-        for f, e in other.den.items():
-            if f not in self.den:
-                a, den[f] = _cancel(a, f, e)
+        if not b.is_monomial():
+            for f, e in self.den.items():
+                if f not in other.den:
+                    b, den[f] = _cancel(b, f, e)
+        if not a.is_monomial():
+            for f, e in other.den.items():
+                if f not in self.den:
+                    a, den[f] = _cancel(a, f, e)
         return RatFun(a * b, den, ())
 
     def scale(self, c: ParamRatio) -> "RatFun":

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -390,12 +393,30 @@ class TestWorkerPool:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", SerialPool)
+        # ordered_map imports the pool from concurrent.futures when it uses one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 64)
         monkeypatch.setenv("DUNKLCMS_WORKERS", "100000")
         assert _parallel.ordered_map(abs, [-1, 2, -3]) == [1, 2, 3]
         assert _parallel.ordered_map(abs, [-4]) == [4]
         assert sizes == [3]
+
+    def test_serial_run_does_not_import_the_pool(self):
+        # a fresh interpreter: a serial request that reaches ordered_map
+        # loads neither concurrent.futures nor multiprocessing
+        argv = ["verify", "commute-infinity", "--family", "rat-a", "--r", "2", "--s", "3",
+                "--deg", "4", "--no-timing"]
+        code = ("import contextlib, io, sys\n"
+                "from dunklcms import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    status = cli.run(%r)\n"
+                "print(status, 'dunklcms._parallel' in sys.modules,\n"
+                "      'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)" % argv)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        env.pop("DUNKLCMS_WORKERS", None)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert done.stdout.split() == ["0", "True", "False", "False"]
 
 
 def count_text_calls(monkeypatch) -> list:

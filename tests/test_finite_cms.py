@@ -13,6 +13,8 @@ from dunklcms.coeffs import (
     ExponentOverflow,
     ParamRatio,
     UnsupportedDenominator,
+    _canonical,
+    _poly,
     const,
     k_power,
     symbol,
@@ -34,7 +36,9 @@ from dunklcms.finite_cms import (
     _fac_prod_minus_1,
     _fac_shift,
     _fac_sum,
+    _degree_checked,
     _divided_differences,
+    _finite_dunkl_power,
     standard_testset,
 )
 from dunklcms.powersums import Family, InexactDivision, LambdaElem, LambdaXElem
@@ -542,6 +546,16 @@ class TestFiniteDunkl:
         ba = finite_dunkl(Family.TRIG_A, 3, 1, finite_dunkl(Family.TRIG_A, 3, 0, f))
         assert ab != ba
 
+    def test_index_outside_the_variables_raises(self):
+        # i = -1 would read x_{N-1}'s fields, and mul_monomial a zero exponent
+        f = V(3, 0, 2) + V(3, 1, -1)
+        for family in Family:
+            for i in (-1, 3):
+                with pytest.raises(ValueError):
+                    finite_dunkl(family, 3, i, f)
+                with pytest.raises(ValueError):
+                    _finite_dunkl_power(family, 3, i, f, 2)
+
     def test_trig_bc_noncommuting_at_two_variables(self):
         f = V(2, 0, -2) * V(2, 1, -2)
         ab = finite_dunkl(Family.TRIG_BC, 2, 0, finite_dunkl(Family.TRIG_BC, 2, 1, f))
@@ -595,6 +609,15 @@ def finite_dunkl_by_division(family: Family, N: int, i: int, f: MultiPoly) -> Mu
     return out
 
 
+def divided_differences(f: MultiPoly, reflections, trig: bool = False) -> MultiPoly:
+    """The accumulator's sum over ``reflections`` for f, checked and put in
+    canonical form over f's denominator."""
+    out = {}
+    _divided_differences(f._lay, finite_cms._x_groups(f.ratio.num.terms), reflections, out, trig=trig)
+    terms = _degree_checked(f._lay, {e: c for e, c in out.items() if c})
+    return finite_cms._mp(f._lay, _canonical(_poly(terms), f.ratio.den_int, f.ratio.den_k))
+
+
 class TestDividedDifferences:
     """The closed-form divided differences against exact division."""
 
@@ -606,11 +629,11 @@ class TestDividedDifferences:
             f = random_poly(rng, rng.randint(1, 9), low=-3)
             i, j = rng.sample(range(3), 2)
             for kind, jj, wf, d, numerator in reflections(f, i, j):
-                q = _divided_differences(f, [(kind, i, jj)])
+                q = divided_differences(f, [(kind, i, jj)])
                 assert q == (f - wf).exact_div(d), (kind, f)
                 assert q * d == f - wf
                 if numerator is not None:
-                    assert _divided_differences(f, [(kind, i, jj)], trig=True) == numerator * q
+                    assert divided_differences(f, [(kind, i, jj)], trig=True) == numerator * q
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sum_over_reflections(self, seed):
@@ -620,19 +643,19 @@ class TestDividedDifferences:
         total = MultiPoly.zero(3)
         for kind, j, wf, d, _ in cases:
             total = total + (f - wf).exact_div(d)
-        assert _divided_differences(f, [(kind, 0, j) for kind, j, *_ in cases]) == total
+        assert divided_differences(f, [(kind, 0, j) for kind, j, *_ in cases]) == total
 
     def test_symmetric_input_and_no_reflections_give_zero(self):
         f = V(3, 0) * V(3, 1) + V(3, 0) + V(3, 1)
-        assert _divided_differences(f, [("swap", 0, 1), ("swap", 1, 0)]).is_zero()
-        assert _divided_differences(f, []).is_zero()
-        assert _divided_differences(V(3, 2, 4), [("flip", 2, None)]).is_zero()
+        assert divided_differences(f, [("swap", 0, 1), ("swap", 1, 0)]).is_zero()
+        assert divided_differences(f, []).is_zero()
+        assert divided_differences(V(3, 2, 4), [("flip", 2, None)]).is_zero()
 
     def test_unknown_kind_and_signs_without_numerator_raise(self):
         f = random_laurent(random.Random(3), 5)
         for kind, j in (("rotate", 1), ("flip", None), ("signed_swap", 1)):
             with pytest.raises(ValueError):
-                _divided_differences(f, [(kind, 0, j)], trig=True)
+                divided_differences(f, [(kind, 0, j)], trig=True)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("family", list(Family))
@@ -642,10 +665,23 @@ class TestDividedDifferences:
         for i in range(3):
             assert finite_dunkl(family, 3, i, f) == finite_dunkl_by_division(family, 3, i, f)
 
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("family", list(Family))
+    def test_power_matches_composed_division_route(self, family, seed):
+        # Laurent inputs with 1/2, 1/k, p and q in their coefficients
+        rng = random.Random(200 + seed)
+        f = random_poly(rng, 6, low=-2)
+        i = rng.randrange(3)
+        g = f
+        for r in range(1, 4):
+            g = finite_dunkl_by_division(family, 3, i, g)
+            assert _finite_dunkl_power(family, 3, i, f, r) == g
+
     @pytest.mark.parametrize("family", list(Family))
     def test_finite_dunkl_does_no_division(self, monkeypatch, family):
         # the reflection terms come from the closed form: no division, no
-        # quotient at a root and no product of polynomials
+        # quotient at a root and no product of polynomials; a power makes
+        # one canonical form, at its end
         f = random_poly(random.Random(7), 12, low=-2 if family is Family.TRIG_BC else 0)
         seen = []
         for name in ("div_or_none", "__mul__"):
@@ -657,18 +693,44 @@ class TestDividedDifferences:
             monkeypatch.setattr(MultiPoly, name, counting)
         root_quotient = finite_cms._root_quotient
         monkeypatch.setattr(finite_cms, "_root_quotient", lambda *a: seen.append("root") or root_quotient(*a))
+        canonical = finite_cms._canonical
+        monkeypatch.setattr(finite_cms, "_canonical", lambda *a: seen.append("canonical") or canonical(*a))
         for i in range(3):
             assert not finite_dunkl(family, 3, i, f).is_zero()
-        assert seen == []
+            assert not _finite_dunkl_power(family, 3, i, f, 3).is_zero()
+        assert seen == ["canonical"] * 6
+
+    @pytest.mark.parametrize("family, i, fails_at", [
+        (Family.RAT_A, 0, None), (Family.RAT_A, 1, 1), (Family.TRIG_A, 0, 3), (Family.TRIG_BC, 0, 2),
+        (Family.TRIG_BC, 1, 1),
+    ])
+    def test_k_exponent_overflow_at_the_step_that_forms_it(self, family, i, fails_at):
+        # the numerator k^511 x0^2 + x1 over k^2 stands at the k-exponent
+        # limit; a step may add a power of k to a term, and shifting out the
+        # common power of k while den_k > 0 takes it back where the step's
+        # canonical form allows, so the power raises at the step where
+        # composing single steps raises, and only there
+        f = MultiPoly(2, {(2, 0): symbol("k", 509), (0, 1): k_power(-2)})
+        g = f
+        for r in range(1, 5):
+            if r == fails_at:
+                with pytest.raises(ExponentOverflow):
+                    finite_dunkl_by_division(family, 2, i, g)
+                with pytest.raises(ExponentOverflow):
+                    _finite_dunkl_power(family, 2, i, f, r)
+                return
+            g = finite_dunkl_by_division(family, 2, i, g)
+            assert _finite_dunkl_power(family, 2, i, f, r) == g
+        assert fails_at is None
 
     def test_exponent_overflow_at_the_lowest_exponent(self):
         low = V(2, 1, MIN_X_EXPONENT)
         # (x1^-1024 - x0^-1024) / (x0 - x1) has terms of total degree -1025
         for kind in ("swap", "signed_swap"):
             with pytest.raises(ExponentOverflow):
-                _divided_differences(low, [(kind, 0, 1)])
+                divided_differences(low, [(kind, 0, 1)])
         with pytest.raises(ExponentOverflow):  # x0^-1023 x1^-1 / x0 gives degree -1025
-            _divided_differences(V(2, 0, MIN_X_EXPONENT + 1) * V(2, 1, -1), [("flip", 0, None)])
+            divided_differences(V(2, 0, MIN_X_EXPONENT + 1) * V(2, 1, -1), [("flip", 0, None)])
         # m = x0^1000 x1^1000 x2^-1000 x3^-1000 has degree 0, and the series
         # m (x0 x1)^-s, s = 1..2000, ends at degree -4000; the reverse one at
         # +3998
@@ -679,12 +741,12 @@ class TestDividedDifferences:
                   # key the guard bits alone do not catch
                   MultiPoly(4, {(-1000, -1000, 1000, 1000): ONE, (-999, -999, 1000, 1000): const(-1)})):
             with pytest.raises(ExponentOverflow):
-                _divided_differences(f, [("invert_swap", 0, 1)])
+                divided_differences(f, [("invert_swap", 0, 1)])
         # but x0^-512 x1^-512 gives -(x0 x1)^t x0^-512 x1^-512, t = 0..1023,
         # from degree -1024 to 1022
-        assert len(_divided_differences(V(2, 0, -512) * V(2, 1, -512), [("invert_swap", 0, 1)]).terms) == 1024
+        assert len(divided_differences(V(2, 0, -512) * V(2, 1, -512), [("invert_swap", 0, 1)]).terms) == 1024
         with pytest.raises(ExponentOverflow):  # x0^1024 from the numerator x0 + 1
-            _divided_differences(V(1, 0, MIN_X_EXPONENT), [("invert", 0, None)], trig=True)
+            divided_differences(V(1, 0, MIN_X_EXPONENT), [("invert", 0, None)], trig=True)
 
     def test_quotient_in_range_when_the_image_is_not(self):
         # x0 -> 1/x0 sends x0^-1024 out of range, but the quotient
@@ -692,7 +754,7 @@ class TestDividedDifferences:
         f = V(1, 0, MIN_X_EXPONENT)
         with pytest.raises(ExponentOverflow):
             f.act_invert(0)
-        q = _divided_differences(f, [("invert", 0, None)])
+        q = divided_differences(f, [("invert", 0, None)])
         assert q.terms == {(a,): const(-1) for a in range(MIN_X_EXPONENT, MAX_X_EXPONENT + 1)}
 
 
@@ -741,6 +803,13 @@ class TestHoms:
     def test_b_family_squares(self):
         h = Hom(Family.RAT_B, "phi_N", N=2)
         assert h.apply(LambdaElem.p(1)) == V(2, 0, 2) + V(2, 1, 2)
+
+    def test_index_outside_the_variables_rejected(self):
+        for kind, size in (("phi_iN", {"N": 3}), ("phi_inm", {"parity": ParityData(2, 1)})):
+            for i in (-1, 3):
+                with pytest.raises(ValueError):
+                    Hom(Family.RAT_A, kind, i=i, **size)
+            assert Hom(Family.RAT_A, kind, i=2, **size).apply(LambdaXElem.x(1)) == V(3, 2)
 
     def test_deformed_bc_rejected(self):
         with pytest.raises(ValueError):
