@@ -624,10 +624,10 @@ def _x_groups(terms: dict) -> dict:
 
 def _divided_differences(lay: _Layout, groups: dict, reflections, out: dict,
                          factor: int = 1, shift: int = 0, trig: bool = False) -> None:
-    """Add ``factor`` times the parameter monomial of packed key ``shift`` times the
-    sum over ``reflections`` of (f - w f) / d, in closed form, to ``out``,
-    for the polynomial f whose packed numerator ``_x_groups`` grouped as
-    ``groups``.
+    """Add ``factor`` times the parameter monomial of packed key ``shift``
+    times the sum over ``reflections`` of (f - w f) / d, in closed form, to
+    ``out``, for the polynomial f whose packed numerator ``_x_groups``
+    grouped as ``groups``.
 
     Each reflection is a triple (kind, i, j), j None for the kinds in one
     variable, naming a reflection w and its root factor d:
