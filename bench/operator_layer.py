@@ -1,19 +1,20 @@
 """Layer benchmark of the operator layer: ``InfDunkl`` in ``commutator_on_basis``.
 
-    python3 bench/operator_layer.py --label NAME --out BENCH_8.json [--src DIR]
+    python3 bench/operator_layer.py --label NAME --out BENCH_13.json [--src DIR]
 
 Times ``commutator_on_basis(TRIG_BC, 1, 3, 4, 4)``, the commutator of the
 trigonometric-BC integrals E.D^2 and E.D^6 on the 12 p_0-free monomials of
 degree <= 4, ``harness.REPEATS`` (7) times, and records the minimum and the
-median.  One extra run, not timed, counts the calls of ``InfDunkl.integral``
-and ``InfDunkl.apply`` (each ``apply`` call applies D ``power`` times).  Two
-CLI requests are timed as often: the one that makes the same check, and
-``verify closed-form --family trig-bc --deg 8``, which compares E.D^2 with
-its closed form on the 67 monomials of degree <= 8.  Results are stored
-under ``--label`` in the JSON file ``--out``, next to the other labels already
-in it; ``--src`` names the ``src`` directory whose ``dunklcms`` is measured
-(default: the one of this checkout).  Everything runs in this process:
-DUNKLCMS_WORKERS is cleared.
+median.  One extra run, not timed, counts the work of ``dunkl_infinity``:
+the applications of the packed kernel ``_apply_packed`` (one per power of
+D), the packed keys entering it, and the ``_canonical`` forms the module
+makes.  Two CLI requests are timed as often: the one that makes the same
+check, and ``verify closed-form --family trig-bc --deg 8``, which compares
+E.D^2 with its closed form on the 67 monomials of degree <= 8.  Results are
+stored under ``--label`` in the JSON file ``--out``, next to the other labels
+already in it; ``--src`` names the ``src`` directory whose ``dunklcms`` is
+measured (default: the one of this checkout).  Everything runs in this
+process: DUNKLCMS_WORKERS is cleared.
 
 Only the standard library is used.
 """
@@ -35,50 +36,47 @@ COMMANDS = [
 ]
 
 
-def count_calls(InfDunkl, check) -> dict:
-    """Run ``check`` once with InfDunkl.integral and InfDunkl.apply counted."""
-    counts = {"integral": 0, "apply": 0}
-    originals = {name: getattr(InfDunkl, name) for name in counts}
+def count_work(dunkl_infinity, check) -> dict:
+    """Run ``check`` once with the kernel applications, the packed keys
+    entering the kernel and the canonical forms of ``dunkl_infinity``
+    counted.  The kernel's packed terms are its first dict argument (it
+    also took the family first in earlier versions)."""
+    counts = {"_apply_packed.calls": 0, "_apply_packed.keys": 0, "_canonical.calls": 0}
+    kernel, canonical = dunkl_infinity._apply_packed, dunkl_infinity._canonical
 
-    def counting(name):
-        original = originals[name]
+    def counting_kernel(*args):
+        counts["_apply_packed.calls"] += 1
+        counts["_apply_packed.keys"] += len(next(a for a in args if isinstance(a, dict)))
+        return kernel(*args)
 
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
+    def counting_canonical(*args):
+        counts["_canonical.calls"] += 1
+        return canonical(*args)
 
-    for name in counts:
-        setattr(InfDunkl, name, counting(name))
+    dunkl_infinity._apply_packed, dunkl_infinity._canonical = counting_kernel, counting_canonical
     try:
         check()
     finally:
-        for name, original in originals.items():
-            setattr(InfDunkl, name, original)
+        dunkl_infinity._apply_packed, dunkl_infinity._canonical = kernel, canonical
     return counts
 
 
 def measure(src: str) -> dict:
     os.environ.pop("DUNKLCMS_WORKERS", None)
     sys.path.insert(0, src)
-    from dunklcms import cli, coeffs
-    from dunklcms.dunkl_infinity import InfDunkl, commutator_on_basis
+    from dunklcms import cli, coeffs, dunkl_infinity
     from dunklcms.powersums import Family
 
     family, *rest = CHECK
 
     def check():
-        results = commutator_on_basis(Family[family], *rest)
+        results = dunkl_infinity.commutator_on_basis(Family[family], *rest)
         if not all(res.is_zero() for _m, res in results):
             raise SystemExit("the integrals do not commute")
 
-    counts = count_calls(InfDunkl, check)
+    counts = count_work(dunkl_infinity, check)
     result = environment(src, coeffs.Rat)
-    result["layers"] = {"commutator_on_basis": {
-        "InfDunkl.integral.calls": counts["integral"],
-        "InfDunkl.apply.calls": counts["apply"],
-        **timed(check),
-    }}
+    result["layers"] = {"commutator_on_basis": {**counts, **timed(check)}}
     result["commands"] = {" ".join(argv): timed(lambda: quiet_run(cli.run, argv))
                           for argv in COMMANDS}
     return result

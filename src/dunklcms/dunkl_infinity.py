@@ -28,10 +28,21 @@ and the rational-B term -(q/x)(1 - reflect) x^a is -2q x^(a-1) for odd a and
 keeps that composition as the reference route.
 
 The quantum integrals are E . D^r restricted to the power-sum algebra (even
-powers D^(2r) for the B and BC families, matching their projection E).  The
-second integral also has an explicit closed form as a differential operator in
-the power sums; ``closed_form_L2`` produces it and the test suite verifies the
-two routes against each other.  E . D^r is always the ground truth: the closed
+powers D^(2r) for the B and BC families, matching their projection E).
+``InfDunkl.integral`` runs D^r in the same kernel and applies E to the packed
+numerators, so each output monomial's coefficient is put in canonical form
+once.  For trigonometric BC, D anticommutes with the inversion s: x -> 1/x:
+x d/dx changes sign under s, the difference part sends x^-a to minus the
+inversion of its image of x^a, and each reflection term f(x)(1 - s) has
+f(1/x) = -f(x) while s(1 - s) = -(1 - s).  So D^j m is s-invariant for even
+j and s-anti-invariant for odd j, and the integral runs on the folded half
+{(a >= 0, m): numerator}: an entry at a > 0 stands for
+c (x^a + e x^-a) m, with e = (-1)^j after j applications, and one at a = 0
+for c m.  ``InfDunkl.apply`` keeps both halves; it serves general elements
+and is the reference route of the folded integrals.  The second integral
+also has an explicit closed form as a differential operator in the power
+sums; ``closed_form_L2`` produces it and the test suite verifies the two
+routes against each other.  E . D^r is always the ground truth: the closed
 forms were derived independently and any disagreement is reported with the
 offending monomial instead of patched.
 
@@ -40,12 +51,15 @@ All integrals commute with multiplication by p_0: the derivation skips index
 monomial along as a coefficient.  So commutator checks run over p_0-free
 monomials, and ``commutator_on_basis`` applies each integral only once per
 p_0-free monomial: it tabulates the images L^(r) m, farming the table entries
-out to worker processes, and forms both products L^(s) L^(r) m and
-L^(r) L^(s) m from the table, splitting off the p_0 factor of each monomial
-and multiplying it back in.
+out to worker processes, and forms each residual L^(s) L^(r) m -
+L^(r) L^(s) m from the table in one accumulator over one common denominator,
+splitting off the p_0 factor of each monomial and multiplying it back in.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from math import lcm
 
 from .coeffs import (
     K,
@@ -74,7 +88,6 @@ from .powersums import (
     pmono_degree,
     pmono_mul,
     pmono_text,
-    project_E,
 )
 
 def _stencil(family: Family, a: int, m: PMono) -> list:
@@ -126,17 +139,42 @@ def _stencil(family: Family, a: int, m: PMono) -> list:
     return out
 
 
-def _apply_packed(family: Family, terms: dict, stencils: dict) -> dict:
+def _folded_stencil(family: Family, sign: int, a: int, m: PMono) -> list:
+    """The trigonometric-BC stencil on the folded half (see ``InfDunkl``):
+    D((x^a + e x^-a) m) for a > 0, or D(m) for a = 0, where ``sign`` = -e is
+    the sign of the output.  The terms of ``_stencil`` at b < 0 move to -b
+    times ``sign``; those at b = 0 are doubled for sign +1 and dropped for
+    sign -1.  For a = 0 only the terms at b > 0 are kept, the others being
+    the mirror images.  Entries with equal keys are merged, so the
+    reflection terms of an s-invariant input, which (1 - s) kills, cancel
+    here."""
+    out: dict = {}
+    for b, mm, n, shift in _stencil(family, a, m):
+        if b < 0:
+            if not a:
+                continue
+            b, n = -b, sign * n
+        elif not b:
+            if not a or sign < 0:
+                continue
+            n *= 2
+        key = (b, mm, shift)
+        out[key] = out.get(key, 0) + n
+    return [(b, mm, n, shift) for (b, mm, shift), n in out.items() if n]
+
+
+def _apply_packed(terms: dict, stencils: dict, make) -> dict:
     """D applied once to ``terms`` {(x exponent, p-monomial): int numerator},
     all over one denominator, which the result shares (doubled for the
-    trigonometric families).  Zero entries are dropped and every numerator is
-    tested against the guard bits."""
+    trigonometric families).  ``stencils`` caches the stencil of each key,
+    built on first use by ``make(a, m)``.  Zero entries are dropped and every
+    numerator is tested against the guard bits."""
     out: dict = {}
     get = out.get
     for key, num in terms.items():
         st = stencils.get(key)
         if st is None:
-            st = stencils[key] = _stencil(family, *key)
+            st = stencils[key] = make(*key)
         for a, m, n, shift in st:
             acc = get((a, m))
             if acc is None:
@@ -169,10 +207,39 @@ class InfDunkl:
     term-by-term route does not have: a coefficient c k^j next to one over
     k^i is held as c k^(j+i), so j + i must stay at most MAX_DEGREE, and
     each application may add one more power of k.
+
+    ``integral`` runs the same kernel.  For trigonometric BC it works on the
+    folded half: D anticommutes with the inversion s: x -> 1/x (see the
+    module docstring), so D^j m is s-invariant for even j and
+    s-anti-invariant for odd j.  An
+    entry {(a, m): c} with a > 0 stands for c (x^a + e x^-a) m, with e = +1
+    before the first application and alternating after each; one at a = 0
+    stands for c m.  The stencils fold accordingly (``_folded_stencil``), and
+    the guard checks and the doubled denominator stay as in ``apply``: each
+    nonzero numerator of ``apply`` equals a folded one up to sign or a
+    factor 2, so the guard bits see the same exponents and both routes raise
+    ExponentOverflow at the same application.
     """
 
     def __init__(self, family: Family):
         self.family = family
+
+    def _power(self, terms: dict, den_int: int, r: int, folded: bool = False):
+        """(D^r terms, its den_int) on packed numerators over den_int; on the
+        folded half when ``folded``."""
+        fam = self.family
+        halves = fam in (Family.TRIG_A, Family.TRIG_BC)
+        if folded:  # application j (from 0) outputs the sign (-1)^(j+1)
+            makes = (partial(_folded_stencil, fam, -1), partial(_folded_stencil, fam, 1))
+        else:
+            makes = (partial(_stencil, fam),)
+        stencils = [{} for _ in makes]
+        for j in range(r):
+            i = j % len(makes)
+            terms = _apply_packed(terms, stencils[i], makes[i])
+            if halves:
+                den_int *= 2
+        return terms, den_int
 
     def apply(self, f: LambdaXElem, r: int = 1) -> LambdaXElem:
         """D^r applied to f."""
@@ -181,12 +248,7 @@ class InfDunkl:
             raise UnsupportedFamily("Laurent element in a polynomial family")
         den_int, den_k = _lcd(f.terms.values())
         terms = {key: _numerator(c, den_int, den_k) for key, c in f.terms.items()}
-        halves = fam in (Family.TRIG_A, Family.TRIG_BC)
-        stencils: dict = {}
-        for _ in range(r):
-            terms = _apply_packed(fam, terms, stencils)
-            if halves:
-                den_int *= 2
+        terms, den_int = self._power(terms, den_int, r)
         return LambdaXElem(
             {key: _canonical(_poly(num), den_int, den_k) for key, num in terms.items()},
             fam.laurent,
@@ -196,11 +258,41 @@ class InfDunkl:
         """The r-th quantum integral applied to f in the power-sum algebra.
 
         For the B and BC families r indexes the even power: the operator is
-        E . D^(2r).
+        E . D^(2r).  D^(2r) runs on f's packed numerators, on the folded half
+        for trigonometric BC, and E projects the numerators: x^a goes to p_a
+        (p_(a/2) for rational B, which drops odd a), a folded entry at a > 0
+        with weight 2 for its two halves.  Each output monomial's coefficient
+        is put in canonical form once.  ``project_E(apply(...))`` is the
+        reference route.
         """
-        power = 2 * r if self.family.even_integrals else r
-        g = self.apply(LambdaXElem.from_lambda(f, self.family.laurent), power)
-        return project_E(g, self.family)
+        fam = self.family
+        folded = fam is Family.TRIG_BC
+        den_int, den_k = _lcd(f.terms.values())
+        terms = {(0, m): _numerator(c, den_int, den_k) for m, c in f.terms.items()}
+        terms, den_int = self._power(terms, den_int, 2 * r if fam.even_integrals else r, folded)
+        out: dict = {}
+        for (a, m), num in terms.items():
+            weight = 2 if folded and a else 1
+            if fam is Family.RAT_B:
+                if a % 2:
+                    continue
+                a //= 2
+            mm = pmono_mul(m, ((a, 1),))
+            acc = out.get(mm)
+            if acc is None:
+                out[mm] = {e: weight * c for e, c in num.items()}
+                continue
+            aget = acc.get
+            for e, c in num.items():
+                acc[e] = aget(e, 0) + weight * c
+        result = {}
+        for mm, acc in out.items():
+            if 0 in acc.values():
+                acc = {e: c for e, c in acc.items() if c}
+                if not acc:
+                    continue
+            result[mm] = _canonical(_poly(acc), den_int, den_k)
+        return LambdaElem(result)
 
 
 def integral_L(family: Family, r: int, f: LambdaElem) -> LambdaElem:
@@ -421,38 +513,49 @@ def _integral_image(family: Family, key) -> LambdaElem:
     return InfDunkl(family).integral(r, LambdaElem.monomial(m))
 
 
-def _apply_by_table(table: dict, r: int, f: LambdaElem) -> LambdaElem:
-    """L^(r) f by linearity over p_0: each monomial p_0^j m of f contributes
-    its coefficient times p_0^j times the image table[(r, m)].
+def _table_difference(table: dict, s: int, f: LambdaElem, r: int, g: LambdaElem) -> LambdaElem:
+    """L^(s) f - L^(r) g by linearity over p_0: each monomial p_0^j m of f
+    contributes its coefficient times p_0^j times the image table[(s, m)],
+    and each of g its coefficient times p_0^j times table[(r, m)], negated.
 
-    The products are formed on int numerators, f's over their least common
-    denominator and the images' over theirs, and accumulated over the product
-    of the two; each output coefficient is put in canonical form once.
+    Both products accumulate on int numerators in one dict.  A half's
+    products are over the least common denominator of its element's
+    coefficients times that of its images'; the accumulator is over the
+    least common multiple of the two halves' denominators.  Each output
+    coefficient is put in canonical form once, and one that cancels is never
+    formed.
     """
-    images = {rest: table[(r, rest)].terms for rest in {_p0_split(m)[1] for m in f.terms}}
-    den1, k1 = _lcd(f.terms.values())
-    den2, k2 = _lcd(c for terms in images.values() for c in terms.values())
-    den_k = _check_den_k(k1 + k2)
-    images = {rest: [(m2, _numerator(c2, den2, k2)) for m2, c2 in terms.items()]
-              for rest, terms in images.items()}
+    halves = []
+    den, den_k = 1, 0
+    for t, h, sign in ((s, f, 1), (r, g, -1)):
+        images = {rest: table[(t, rest)].terms for rest in {_p0_split(m)[1] for m in h.terms}}
+        den1, k1 = _lcd(h.terms.values())
+        den2, k2 = _lcd(c for terms in images.values() for c in terms.values())
+        den, den_k = lcm(den, den1 * den2), max(den_k, k1 + k2)
+        halves.append((h, sign, images, den1, k1))
+    den_k = _check_den_k(den_k)
     out: dict = {}
     get = out.get
-    for m, c in f.terms.items():
-        n1 = _numerator(c, den1, k1).items()
-        j, rest = _p0_split(m)
-        for m2, n2 in images[rest]:
-            if j:
-                i, tail = _p0_split(m2)
-                m2 = ((0, i + j),) + tail
-            acc = get(m2)
-            if acc is None:
-                acc = out[m2] = {}
-            aget = acc.get
-            for e2, v2 in n2.items():
-                for e1, v1 in n1:
-                    e = e1 + e2
-                    acc[e] = aget(e, 0) + v1 * v2
-    den = den1 * den2
+    for h, sign, images, den1, k1 in halves:
+        # the images over den / den1 * k^(den_k - k1), so that each product
+        # is over den * k^den_k
+        images = {rest: [(m2, _numerator(c2, den // den1, den_k - k1)) for m2, c2 in terms.items()]
+                  for rest, terms in images.items()}
+        for m, c in h.terms.items():
+            n1 = [(e1, sign * v1) for e1, v1 in _numerator(c, den1, k1).items()]
+            j, rest = _p0_split(m)
+            for m2, n2 in images[rest]:
+                if j:
+                    i, tail = _p0_split(m2)
+                    m2 = ((0, i + j),) + tail
+                acc = get(m2)
+                if acc is None:
+                    acc = out[m2] = {}
+                aget = acc.get
+                for e2, v2 in n2.items():
+                    for e1, v1 in n1:
+                        e = e1 + e2
+                        acc[e] = aget(e, 0) + v1 * v2
     result = {}
     for m2, acc in out.items():
         _checked(acc)
@@ -475,13 +578,14 @@ def commutator_on_basis(family: Family, r: int, s: int, deg: int, pwindow: int):
     * the outer integral of each product is then read off the table by
       linearity, since the integrals commute with multiplication by p_0.
 
-    The table entries of each phase distribute across workers
-    (DUNKLCMS_WORKERS) as (r, m) items; the products are formed in this
+    Both products of a residual go into one accumulator of int numerators
+    over one common denominator (``_table_difference``), so each residual
+    coefficient is put in canonical form once, and a residual that cancels
+    makes none.  The table entries of each phase distribute across workers
+    (DUNKLCMS_WORKERS) as (r, m) items; the residuals are formed in this
     process.  Coefficients are canonical, so the residuals do not depend on
     the worker count.  The table lives only for this call.
     """
-    from functools import partial
-
     from ._parallel import ordered_map
 
     image = partial(_integral_image, family)
@@ -494,7 +598,4 @@ def commutator_on_basis(family: Family, r: int, s: int, deg: int, pwindow: int):
     )
     missing = [key for key in reached if key not in table]
     table.update(zip(missing, ordered_map(image, missing)))
-    return [
-        (m, _apply_by_table(table, s, table[(r, m)]) - _apply_by_table(table, r, table[(s, m)]))
-        for m in basis
-    ]
+    return [(m, _table_difference(table, s, table[(r, m)], r, table[(s, m)])) for m in basis]

@@ -924,9 +924,14 @@ class Hom:
         self.i = i
         self._pl_cache: dict = {}
 
-    def p_image(self, l: int) -> MultiPoly:
-        img = self._pl_cache.get(l)
+    def p_image(self, l: int, power: int = 1) -> MultiPoly:
+        """The image of p_l^power, each power built once per ``Hom``."""
+        img = self._pl_cache.get((l, power))
         if img is not None:
+            return img
+        if power > 1:
+            img = self.p_image(l) ** power
+            self._pl_cache[(l, power)] = img
             return img
         n = self.nvars
         terms: dict = {}
@@ -945,16 +950,19 @@ class Hom:
                 e = tuple(e)
                 terms[e] = terms.get(e, ZERO) + w
         img = MultiPoly(n, terms)
-        self._pl_cache[l] = img
+        self._pl_cache[(l, 1)] = img
         return img
 
     def apply(self, f) -> MultiPoly:
+        """The image of f: each term's coefficient times x_i^a for the
+        distinguished-index kinds and the images of its generator powers,
+        the terms summed once over their least common denominator."""
         n = self.nvars
-        out = MultiPoly.zero(n)
         if isinstance(f, LambdaElem):
             items = [((0, m), c) for m, c in f.terms.items()]
         else:
             items = list(f.terms.items())
+        images = []
         for (a, mono), c in items:
             if a and self.kind not in ("phi_iN", "phi_inm"):
                 raise ValueError("x is only mapped by the distinguished-index kinds")
@@ -964,9 +972,15 @@ class Hom:
                 e[self.i] = a
                 term = term.mul_monomial(tuple(e))
             for idx, mult in mono:
-                term = term * self.p_image(idx) ** mult
-            out = out + term
-        return out
+                term = term * self.p_image(idx, mult)
+            images.append(term.ratio)
+        den_int, den_k = _lcd(images)
+        acc: dict = {}
+        get = acc.get
+        for ratio in images:
+            for e, v in _numerator(ratio, den_int, den_k).items():
+                acc[e] = get(e, 0) + v
+        return _mp(_layout(n), _canonical(_poly({e: v for e, v in acc.items() if v}), den_int, den_k))
 
 
 # -- deformed operators (rational A) ------------------------------------------

@@ -5,7 +5,9 @@ finite route (symmetrized powers of the classical Dunkl operators, reduced by
 the power-sum substitution) and frozen; the infinite-variable route must then
 reproduce it exactly.  The packed D^r kernel of ``InfDunkl.apply`` is checked
 against ``apply_by_building_blocks``, the term-by-term composition of the
-``powersums`` building blocks.
+``powersums`` building blocks, and ``InfDunkl.integral``, which runs the
+trigonometric-BC powers on the inversion-folded half and projects the packed
+numerators, against ``project_E`` of ``InfDunkl.apply``.
 """
 
 import math
@@ -18,7 +20,7 @@ from dunklcms.coeffs import HALF, MAX_DEGREE, ExponentOverflow, ParamRatio, cons
 from dunklcms.dunkl_infinity import (
     InfDunkl,
     LambdaDiffOp,
-    _apply_by_table,
+    _table_difference,
     apply_closed_form_L2,
     closed_form_L2,
     commutator_on_basis,
@@ -34,6 +36,7 @@ from dunklcms.powersums import (
     delta,
     divide_by_x_poly,
     partial,
+    project_E,
     reflect,
 )
 
@@ -199,6 +202,97 @@ class TestPackedKernel:
             InfDunkl(Family.RAT_A).apply(f)
         g = LambdaXElem({(1, ()): k_power(MAX_DEGREE - 3), (2, ()): k_power(-2)})
         assert InfDunkl(Family.RAT_A).apply(g) == apply_by_building_blocks(Family.RAT_A, g)
+
+
+def _integral_by_apply(family: Family, r: int, f: LambdaElem) -> LambdaElem:
+    """E . D^power f through ``InfDunkl.apply`` on the whole element and
+    ``project_E``: the reference route of ``InfDunkl.integral``."""
+    power = 2 * r if family.even_integrals else r
+    return project_E(InfDunkl(family).apply(LambdaXElem.from_lambda(f, family.laurent), power), family)
+
+
+def _inverted(f: LambdaXElem) -> LambdaXElem:
+    """s f for the inversion s: x -> 1/x."""
+    return LambdaXElem({(-a, m): c for (a, m), c in f.terms.items()}, True)
+
+
+def _kernel_calls(monkeypatch) -> list:
+    """Record the number of terms of every call of the packed kernel."""
+    calls = []
+    real = dunkl_infinity._apply_packed
+
+    def counting(terms, *args):
+        calls.append(len(terms))
+        return real(terms, *args)
+
+    monkeypatch.setattr(dunkl_infinity, "_apply_packed", counting)
+    return calls
+
+
+class TestFoldedIntegral:
+    """``InfDunkl.integral`` against ``project_E`` of ``InfDunkl.apply``."""
+
+    def test_powers_alternate_in_symmetry_under_inversion(self):
+        # the premise of the folded half: D anticommutes with s
+        op = InfDunkl(Family.TRIG_BC)
+        for m in pmono_basis(4, 4):
+            g = LambdaXElem.from_lambda(LambdaElem.monomial(m), True)
+            for j in range(1, 7):
+                g = op.apply(g)
+                sign = const((-1) ** j)
+                assert _inverted(g) == g.scale(sign), (m, j)
+                if j % 2:
+                    assert all(a for a, _m in g.terms)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_matches_the_reference_route_on_the_basis(self, family):
+        op = InfDunkl(family)
+        for m in pmono_basis(6, 6) + [((0, 1), (2, 1))]:
+            f = LambdaElem.monomial(m)
+            for r in (1, 2, 3):
+                assert op.integral(r, f) == _integral_by_apply(family, r, f), (m, r)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_elements(self, seed):
+        rng = random.Random(seed)
+        basis = pmono_basis(4, 4)
+        coeffs = [HALF, k_power(-1), P, Q, const(3), -K, ONE + k_power(-1)]
+        op = InfDunkl(Family.TRIG_BC)
+        for _ in range(4):
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                m = rng.choice(basis)
+                if rng.random() < 0.3:
+                    m = ((0, rng.randint(1, 2)),) + m
+                terms[m] = rng.choice(coeffs) * rng.choice(coeffs)
+            f = LambdaElem(terms)
+            for r in (1, 2, 3):
+                assert op.integral(r, f) == _integral_by_apply(Family.TRIG_BC, r, f)
+
+    @pytest.mark.parametrize("name", ["k", "p", "q"])
+    def test_exponent_overflow_at_the_same_application(self, name, monkeypatch):
+        calls = _kernel_calls(monkeypatch)
+        op = InfDunkl(Family.TRIG_BC)
+        outcomes = set()
+        for r in (1, 2):
+            for t in range(1, 2 * r + 2):
+                c = symbol(name, MAX_DEGREE + 1 - t)
+                for m in ((), ((1, 1),), ((0, 1), (2, 1)), ((1, 1), (3, 1))):
+                    f = LambdaElem.monomial(m, c)
+                    del calls[:]
+                    try:
+                        expected = _integral_by_apply(Family.TRIG_BC, r, f)
+                    except ExponentOverflow:
+                        raised_at = len(calls)
+                        del calls[:]
+                        with pytest.raises(ExponentOverflow):
+                            op.integral(r, f)
+                        assert len(calls) == raised_at, (r, t, m)
+                        outcomes.add("raised")
+                    else:
+                        assert op.integral(r, f) == expected
+                        outcomes.add("equal")
+        assert outcomes == {"raised", "equal"}
 
 
 def _heckman_oracle(family: Family, N: int, r: int, f: LambdaElem) -> MultiPoly:
@@ -425,8 +519,8 @@ TABLE_CASES = [
 
 
 def _apply_by_table_per_pair(table: dict, r: int, f: LambdaElem) -> LambdaElem:
-    """The per-pair route of ``_apply_by_table``: c p_0^j times the image of
-    m, for each term c p_0^j m of f, in the ring of LambdaElem."""
+    """L^(r) f term by term: c p_0^j times the image of m, for each term
+    c p_0^j m of f, in the ring of LambdaElem."""
     out = LambdaElem.zero()
     for m, c in f.terms.items():
         j, rest = (m[0][1], m[1:]) if m and m[0][0] == 0 else (0, m)
@@ -446,17 +540,38 @@ class TestCommutatorTable:
                                for m in rng.sample(monomials, 3)})
 
         with_p0 = basis + [((0, 1),) + m for m in basis] + [((0, 2),) + m for m in basis]
-        table = {(2, m): element(with_p0) for m in basis}
+        table = {(t, m): element(with_p0) for t in (2, 3) for m in basis}
+        zero = LambdaElem.zero()
         for _ in range(5):
-            f = element(with_p0)
-            assert _apply_by_table(table, 2, f) == _apply_by_table_per_pair(table, 2, f)
+            f, g = element(with_p0), element(with_p0)
+            assert _table_difference(table, 2, f, 3, g) == \
+                _apply_by_table_per_pair(table, 2, f) - _apply_by_table_per_pair(table, 3, g)
+            assert _table_difference(table, 2, f, 3, zero) == _apply_by_table_per_pair(table, 2, f)
+            assert _table_difference(table, 2, zero, 3, g) == -_apply_by_table_per_pair(table, 3, g)
+            assert _table_difference(table, 3, f, 3, f) == zero
 
     def test_table_product_exponent_overflow(self):
         table = {(1, ((1, 1),)): LambdaElem.monomial(((2, 1),), K ** 300)}
         f = LambdaElem.monomial(((1, 1),), K ** (MAX_DEGREE - 300))
-        assert _apply_by_table(table, 1, f) == LambdaElem.monomial(((2, 1),), K ** MAX_DEGREE)
+        zero = LambdaElem.zero()
+        assert _table_difference(table, 1, f, 1, zero) == \
+            LambdaElem.monomial(((2, 1),), K ** MAX_DEGREE)
+        assert _table_difference(table, 1, zero, 1, f) == \
+            LambdaElem.monomial(((2, 1),), -K ** MAX_DEGREE)
         with pytest.raises(ExponentOverflow):
-            _apply_by_table(table, 1, f.scale(K))
+            _table_difference(table, 1, f.scale(K), 1, zero)
+        with pytest.raises(ExponentOverflow):
+            _table_difference(table, 1, zero, 1, f.scale(K))
+
+    def test_residual_that_cancels_makes_no_canonical_form(self, monkeypatch):
+        table = {(t, m): integral_L(Family.TRIG_BC, t, LambdaElem.monomial(m))
+                 for t in (1, 2) for m in pmono_basis(3, 3)}
+        f = table[(1, ((1, 1), (2, 1)))] * Pl(0)
+        calls = []
+        real = dunkl_infinity._canonical
+        monkeypatch.setattr(dunkl_infinity, "_canonical", lambda *a: calls.append(a) or real(*a))
+        assert _table_difference(table, 2, f, 2, f).is_zero()
+        assert calls == []
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("case", TABLE_CASES)
@@ -464,7 +579,8 @@ class TestCommutatorTable:
         monkeypatch.setenv("DUNKLCMS_WORKERS", workers)
         assert commutator_on_basis(*case) == _commutators_directly(*case)
 
-    @pytest.mark.parametrize("case", [(Family.TRIG_A, 2, 3, 5, 2), (Family.RAT_B, 1, 2, 4, 4)])
+    @pytest.mark.parametrize("case", [(Family.TRIG_A, 2, 3, 5, 2), (Family.RAT_B, 1, 2, 4, 4),
+                                      (Family.TRIG_BC, 1, 2, 4, 4)])
     def test_matches_direct_route_on_nonzero_residuals(self, monkeypatch, case):
         # L^(r) + p1 still commutes with p0, but no longer with L^(s)
         family, r = case[0], case[1]
@@ -493,3 +609,17 @@ class TestCommutatorTable:
         commutator_on_basis(Family.TRIG_BC, 1, 3, 4, 4)
         # 12 basis monomials, two integrals, nothing outside the basis reached
         assert len(calls) == len(set(calls)) == 24
+
+    def test_work_stays_bounded(self, monkeypatch):
+        # the trigonometric-BC integrals on the folded half, and each residual
+        # in one accumulator; unfolded, with two products and a subtraction
+        # per residual, the same call makes 1,782 keys and 2,444 forms
+        keys = _kernel_calls(monkeypatch)
+        forms = []
+        real = dunkl_infinity._canonical
+        monkeypatch.setattr(dunkl_infinity, "_canonical", lambda *a: forms.append(a) or real(*a))
+        monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+        results = commutator_on_basis(Family.TRIG_BC, 1, 3, 4, 4)
+        assert all(res.is_zero() for _m, res in results)
+        assert sum(keys) <= 1002
+        assert len(forms) <= 496
