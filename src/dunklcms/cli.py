@@ -31,7 +31,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .coeffs import Rat, const
+from .coeffs import SYMBOLS, Rat, const
 from .dunkl_infinity import (
     closed_form_L2,
     commutator_on_basis,
@@ -169,7 +169,7 @@ def _explicit_bindings(args, family: Family) -> dict:
     out = {}
     for item in args.param or ():
         name, _, value = item.partition("=")
-        if name not in ("k", "p", "q", "r", "s") or not value:
+        if name not in SYMBOLS or not value:
             raise InvalidRequest("bad --param %r (expected e.g. k=3/2)" % item)
         if name not in family.symbols:
             raise InvalidRequest("bad --param %r: family %s has the parameters %s"
@@ -246,6 +246,8 @@ def _verify_commute_infinity(args, report):
     family = _family(args.family)
     _guard(args, deg=args.deg, r=max(args.r, args.s))
     _guard(args, r=min(args.r, args.s))
+    if args.r == args.s:
+        raise InvalidRequest("r = s = %d: [L^(r), L^(s)] vanishes by construction" % args.r)
     if args.pwindow is not None and args.pwindow < 1:
         raise InvalidRequest("pwindow=%d is below the minimum 1" % args.pwindow)
     bindings = _bindings(args, family)
@@ -259,10 +261,17 @@ def _verify_commute_infinity(args, report):
 def _verify_diagram(args, report):
     _symbolic_only(args)
     family = _family(args.family)
-    _guard(args, N=args.N, r=args.r)
     kind = args.kind
+    sized_by_N = kind in ("dcomm", "heckdiag")
+    unused = [o for o in (("--n", "--m") if sized_by_N else ("--N",))
+              if getattr(args, o[2:]) is not None]
+    if args.i != 1 and kind in ("heckdiag", "intrat"):
+        unused.append("--i")
+    if unused:
+        raise InvalidRequest("%s: not used by kind %s" % (" and ".join(unused), kind))
+    _guard(args, N=args.N, r=args.r)
     kwargs = {}
-    if kind in ("dcomm", "heckdiag"):
+    if sized_by_N:
         if args.N is None:
             raise InvalidRequest("--N is required for kind %s" % kind)
         kwargs["N"] = size = args.N
@@ -306,9 +315,7 @@ def _verify_lax(args, report):
     family = _family(args.family)
     if family not in (Family.RAT_A, Family.TRIG_A):
         raise InvalidRequest("lax verification applies to rat-a and trig-a")
-    nm = args.n + args.m
-    if not getattr(args, "unsafe", False) and args.mode == "symbolic" and nm > LIMITS["nm"]:
-        raise InvalidRequest("n+m=%d exceeds the symbolic cap %d" % (nm, LIMITS["nm"]))
+    _guard(args, nm=args.n + args.m)
     parity = _parity(args)
     bindings = _bindings(args, family)
     if bindings:

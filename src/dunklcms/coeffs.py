@@ -55,8 +55,6 @@ _GUARD = (sum(1 << (_BITS * i + _BITS - 1) for i in range(NSYM))
 _NOT_K = sum(_FIELD << (_BITS * i) for i in range(1, NSYM))
 _k_exponent = _FIELD.__and__
 
-RAT_ZERO = Rat(0)
-
 
 class CoeffError(ArithmeticError):
     """Base class for coefficient-arithmetic failures."""
@@ -68,10 +66,6 @@ class DivisionByZero(CoeffError):
 
 class DenominatorVanishes(CoeffError):
     """A substitution turned a denominator into zero."""
-
-
-class PoleAtPoint(CoeffError):
-    """Numeric evaluation hit a zero of the denominator."""
 
 
 class UnsupportedDenominator(CoeffError):
@@ -267,7 +261,7 @@ class ParamPoly:
         """self / k^j, for k^j dividing self."""
         return _poly({e - j: c for e, c in self.terms.items()}) if j else self
 
-    # -- substitution and evaluation -------------------------------------
+    # -- substitution -----------------------------------------------------
 
     def substitute(self, bindings: dict) -> "ParamRatio":
         """Replace symbols by ParamRatio values; returns a ParamRatio."""
@@ -289,18 +283,6 @@ class ParamPoly:
             mono = _raw(_poly({e: c}), 1, 0)
             out = out + (mono if term is None else mono * term)
         return out
-
-    def eval(self, point: dict):
-        """Exact rational value at a numeric point {symbol: rational}."""
-        vals = [Rat(point.get(name, 0)) for name in SYMBOLS]
-        total = RAT_ZERO
-        for e, c in self.terms.items():
-            term = Rat(c)
-            for i, pw in enumerate(_unpack(e)):
-                if pw:
-                    term = term * vals[i] ** pw
-            total = total + term
-        return total
 
     # -- display -----------------------------------------------------------
 
@@ -553,7 +535,7 @@ class ParamRatio:
             return _raw(self.num.scale(m // g), self.den_int // g, self.den_k)
         return _raw(*_content_free(self.num.scale(m), self.den_int * d), self.den_k)
 
-    # -- substitution and evaluation ------------------------------------------
+    # -- substitution -----------------------------------------------------------
 
     def substitute(self, bindings: dict) -> "ParamRatio":
         """Substitute symbols by ParamRatio values (exact)."""
@@ -569,13 +551,6 @@ class ParamRatio:
         if k.is_zero():
             raise DenominatorVanishes("denominator vanishes under substitution")
         return out * k.inverse() ** self.den_k
-
-    def eval_at(self, point: dict):
-        """Exact rational value at {symbol: rational}; raises PoleAtPoint."""
-        d = self.den_int * Rat(point.get("k", 0)) ** self.den_k
-        if d == 0:
-            raise PoleAtPoint("denominator vanishes at %r" % (point,))
-        return self.num.eval(point) / d
 
     # -- display ------------------------------------------------------------------
 

@@ -23,9 +23,9 @@ with l = |a|,
 
 and the rational-B term -(q/x)(1 - reflect) x^a is -2q x^(a-1) for odd a and
 0 for even a.  Each output term is put in canonical form once.  The
-``powersums`` building blocks (``partial``, ``delta``, ``reflect``,
-``divide_by_x_poly``) compose the same operator term by term; the test suite
-keeps that composition as the reference route.
+difference part on x^a follows the rules of ``_delta_of_x_power``; the test
+suite composes the same operator term by term (derivation, difference part,
+reflection, exact division by x, x - 1 and x^2 - 1) as the reference route.
 
 The quantum integrals are E . D^r restricted to the power-sum algebra (even
 powers D^(2r) for the B and BC families, matching their projection E).
@@ -83,12 +83,61 @@ from .powersums import (
     LambdaXElem,
     PMono,
     UnsupportedFamily,
-    _delta_of_x_power,
     pmono,
     pmono_degree,
     pmono_mul,
     pmono_text,
 )
+
+
+def _delta_of_x_power(a: int, family: Family):
+    """Terms of the difference operator applied to x^a, as (xexp, pindex or None, scalar).
+
+    pindex None marks a pure x-power term; otherwise the term is x^xexp * p_pindex.
+    """
+    if a == 0:
+        return []
+    out = []
+    if family is Family.RAT_A:
+        # x^(a-1) p_0 + x^(a-2) p_1 + ... + p_(a-1) - a x^(a-1)
+        for j in range(a):
+            out.append((a - 1 - j, j, 1))
+        out.append((a - 1, None, -a))
+    elif family is Family.TRIG_A:
+        # x^a p_0 + 2 x^(a-1) p_1 + ... + 2 x p_(a-1) + p_a - 2a x^a
+        out.append((a, 0, 1))
+        for j in range(1, a):
+            out.append((a - j, j, 2))
+        out.append((0, a, 1))
+        out.append((a, None, -2 * a))
+    elif family is Family.RAT_B:
+        if a % 2 == 0:
+            l = a // 2
+            # sum_{j<l} x^(2(l-j)-1) p_j - l x^(2l-1)
+            for j in range(l):
+                out.append((2 * (l - j) - 1, j, 1))
+            out.append((2 * l - 1, None, -l))
+        else:
+            l = (a + 1) // 2
+            # sum_{j<l} x^(2(l-1-j)) p_j - l x^(2l-2)
+            for j in range(l):
+                out.append((2 * (l - 1 - j), j, 1))
+            out.append((2 * l - 2, None, -l))
+    else:  # TRIG_BC
+        l = abs(a)
+        sign = 1 if a > 0 else -1
+        # (p_0 - 2l - 1) x^l - 2 sum_{j=1}^{l-1} x^(l-2j) - x^-l
+        #   + 2 sum_{j=1}^{l-1} p_j x^(l-j) + p_l, negated for x^-l
+        out.append((sign * l, 0, sign))
+        out.append((sign * l, None, -sign * (2 * l + 1)))
+        for j in range(1, l):
+            out.append((sign * (l - 2 * j), None, -2 * sign))
+        out.append((-sign * l, None, -sign))
+        for j in range(1, l):
+            out.append((sign * (l - j), j, 2 * sign))
+        out.append((0, l, sign))
+    return out
+
 
 def _stencil(family: Family, a: int, m: PMono) -> list:
     """D(x^a m) as a list of (x exponent, p-monomial, n, shift), each entry
@@ -262,8 +311,8 @@ class InfDunkl:
         for trigonometric BC, and E projects the numerators: x^a goes to p_a
         (p_(a/2) for rational B, which drops odd a), a folded entry at a > 0
         with weight 2 for its two halves.  Each output monomial's coefficient
-        is put in canonical form once.  ``project_E(apply(...))`` is the
-        reference route.
+        is put in canonical form once.  E applied term by term to
+        ``apply(...)`` is the reference route of the tests.
         """
         fam = self.family
         folded = fam is Family.TRIG_BC

@@ -4,18 +4,9 @@
 (power sums with the "dimension" p_0 adjoined as a formal variable), graded by
 deg p_i = i.  ``LambdaXElem`` adjoins one extra variable x, possibly with
 negative powers (Laurent), and is the domain of the infinite-variable Dunkl
-operators.  This module provides the ring structure together with the four
-families' building blocks:
-
-* ``partial``    the family derivation (rational A: p_l -> l x^(l-1),
-  trigonometric A: l x^l, rational B: 2l x^(2l-1), trigonometric BC:
-  l (x^l - x^(-l)))
-* ``delta``      the difference-part operator, defined on x-powers and
-  extended linearly over the power-sum coefficients
-* ``reflect``    the sign involution of rational B (x -> -x) and the
-  inversion of trigonometric BC (x -> 1/x)
-* ``project_E``  the projection back into the power-sum algebra that turns
-  x-powers into power sums
+operators.  This module provides the ring structure and the four families;
+the operators themselves, with the rules of their difference part, live in
+``dunkl_infinity``.
 
 All elements are immutable; coefficients are ``ParamRatio`` values.
 """
@@ -24,7 +15,7 @@ from __future__ import annotations
 
 import enum
 
-from .coeffs import ONE, ParamRatio, Rat
+from .coeffs import ONE, ParamRatio
 
 # A power-sum monomial: sorted tuple of (generator index, multiplicity).
 PMono = tuple
@@ -223,9 +214,6 @@ class LambdaXElem:
             out[m] = c
         return LambdaElem(out)
 
-    def with_laurent(self, laurent: bool) -> "LambdaXElem":
-        return LambdaXElem(self.terms, laurent)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -260,12 +248,6 @@ class LambdaXElem:
             return LambdaXElem({}, self.laurent)
         return LambdaXElem({k: v * c for k, v in self.terms.items()}, self.laurent)
 
-    def mul_x(self, power: int) -> "LambdaXElem":
-        return LambdaXElem(
-            {(a + power, m): c for (a, m), c in self.terms.items()},
-            self.laurent or power < 0,
-        )
-
     def substitute(self, bindings: dict) -> "LambdaXElem":
         return LambdaXElem(
             {k: c.substitute(bindings) for k, c in self.terms.items()}, self.laurent
@@ -286,216 +268,3 @@ class LambdaXElem:
 
     def __repr__(self):
         return "LambdaXElem(%s)" % self.text()
-
-
-# -- the family building blocks ----------------------------------------------
-
-
-def _check_family_domain(f: LambdaXElem, family: Family):
-    if f.laurent and not family.laurent:
-        raise UnsupportedFamily("Laurent element in a polynomial family")
-
-
-def partial(f: LambdaXElem, family: Family) -> LambdaXElem:
-    """The family derivation, extended from the generator rules by Leibniz."""
-    _check_family_domain(f, family)
-    out: dict = {}
-
-    def add(key, c):
-        v = out.get(key)
-        s = c if v is None else v + c
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
-    for (a, m), c in f.terms.items():
-        # d(x^a) * m
-        if a != 0:
-            if family in (Family.RAT_A, Family.RAT_B):
-                add((a - 1, m), c.scale(a))
-            else:
-                add((a, m), c.scale(a))
-        # x^a * sum over generators of the monomial
-        for pos, (idx, mult) in enumerate(m):
-            if idx == 0:
-                continue
-            rest = list(m)
-            if mult == 1:
-                del rest[pos]
-            else:
-                rest[pos] = (idx, mult - 1)
-            rest = tuple(rest)
-            cc = c.scale(mult)
-            if family is Family.RAT_A:
-                add((a + idx - 1, rest), cc.scale(idx))
-            elif family is Family.TRIG_A:
-                add((a + idx, rest), cc.scale(idx))
-            elif family is Family.RAT_B:
-                add((a + 2 * idx - 1, rest), cc.scale(2 * idx))
-            else:  # TRIG_BC: l (x^l - x^-l)
-                add((a + idx, rest), cc.scale(idx))
-                add((a - idx, rest), -cc.scale(idx))
-
-    return LambdaXElem(out, f.laurent or family.laurent)
-
-
-def _delta_of_x_power(a: int, family: Family):
-    """Terms of the difference operator applied to x^a, as (xexp, pindex or None, scalar).
-
-    pindex None marks a pure x-power term; otherwise the term is x^xexp * p_pindex.
-    """
-    if a == 0:
-        return []
-    out = []
-    if family is Family.RAT_A:
-        # x^(a-1) p_0 + x^(a-2) p_1 + ... + p_(a-1) - a x^(a-1)
-        for j in range(a):
-            out.append((a - 1 - j, j, 1))
-        out.append((a - 1, None, -a))
-    elif family is Family.TRIG_A:
-        # x^a p_0 + 2 x^(a-1) p_1 + ... + 2 x p_(a-1) + p_a - 2a x^a
-        out.append((a, 0, 1))
-        for j in range(1, a):
-            out.append((a - j, j, 2))
-        out.append((0, a, 1))
-        out.append((a, None, -2 * a))
-    elif family is Family.RAT_B:
-        if a % 2 == 0:
-            l = a // 2
-            # sum_{j<l} x^(2(l-j)-1) p_j - l x^(2l-1)
-            for j in range(l):
-                out.append((2 * (l - j) - 1, j, 1))
-            out.append((2 * l - 1, None, -l))
-        else:
-            l = (a + 1) // 2
-            # sum_{j<l} x^(2(l-1-j)) p_j - l x^(2l-2)
-            for j in range(l):
-                out.append((2 * (l - 1 - j), j, 1))
-            out.append((2 * l - 2, None, -l))
-    else:  # TRIG_BC
-        l = abs(a)
-        sign = 1 if a > 0 else -1
-        # (p_0 - 2l - 1) x^l - 2 sum_{j=1}^{l-1} x^(l-2j) - x^-l
-        #   + 2 sum_{j=1}^{l-1} p_j x^(l-j) + p_l, negated for x^-l
-        out.append((sign * l, 0, sign))
-        out.append((sign * l, None, -sign * (2 * l + 1)))
-        for j in range(1, l):
-            out.append((sign * (l - 2 * j), None, -2 * sign))
-        out.append((-sign * l, None, -sign))
-        for j in range(1, l):
-            out.append((sign * (l - j), j, 2 * sign))
-        out.append((0, l, sign))
-    return out
-
-
-def delta(f: LambdaXElem, family: Family) -> LambdaXElem:
-    """The family difference-part operator, linear over power sums."""
-    _check_family_domain(f, family)
-    out: dict = {}
-    cache: dict = {}
-    for (a, m), c in f.terms.items():
-        rules = cache.get(a)
-        if rules is None:
-            rules = _delta_of_x_power(a, family)
-            cache[a] = rules
-        for xexp, pidx, scalar in rules:
-            mm = m if pidx is None else pmono_mul(m, ((pidx, 1),))
-            key = (xexp, mm)
-            cc = c.scale(scalar)
-            v = out.get(key)
-            s = cc if v is None else v + cc
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return LambdaXElem(out, f.laurent or family.laurent)
-
-
-def reflect(f: LambdaXElem, family: Family) -> LambdaXElem:
-    """The rational-B sign involution or the trigonometric-BC inversion."""
-    if family is Family.RAT_B:
-        return LambdaXElem(
-            {(a, m): (-c if a % 2 else c) for (a, m), c in f.terms.items()}, f.laurent
-        )
-    if family is Family.TRIG_BC:
-        return LambdaXElem({(-a, m): c for (a, m), c in f.terms.items()}, True)
-    raise UnsupportedFamily("no reflection in family %s" % family.value)
-
-
-def project_E(f: LambdaXElem, family: Family) -> LambdaElem:
-    """Project back into the power-sum algebra by turning x-powers into power sums."""
-    out: dict = {}
-    for (a, m), c in f.terms.items():
-        if family in (Family.RAT_A, Family.TRIG_A):
-            if a < 0:
-                raise ValueError("negative x power in an A-family element")
-            idx = a
-        elif family is Family.RAT_B:
-            if a % 2:
-                continue
-            idx = a // 2
-        else:
-            idx = abs(a)
-        mm = pmono_mul(m, ((idx, 1),))
-        v = out.get(mm)
-        s = c if v is None else v + c
-        if s.is_zero():
-            out.pop(mm, None)
-        else:
-            out[mm] = s
-    return LambdaElem(out)
-
-
-def divide_by_x_poly(f: LambdaXElem, divisor: dict) -> LambdaXElem:
-    """Exact division by a polynomial in x alone (e.g. {1: 1, 0: -1} for x - 1).
-
-    Works per power-sum monomial: the x-Laurent coefficients are shifted to an
-    ordinary polynomial, divided synthetically, and shifted back.  Raises
-    InexactDivision when a remainder survives; for the reflection terms
-    divisibility is structural, so a remainder signals a transcription bug.
-    ``InfDunkl.apply`` takes these quotients in closed form; this division
-    serves the term-by-term reference route of the test suite.
-    """
-    lead = max(divisor)
-    inv_lead = Rat(1) / Rat(divisor[lead])
-    if len(divisor) == 1:
-        # monomial divisor: shift the x exponent
-        out = {}
-        for (a, m), c in f.terms.items():
-            if a - lead < 0 and not f.laurent:
-                raise InexactDivision("x-division left remainder on %s" % pmono_text(m))
-            out[(a - lead, m)] = c.scale(inv_lead)
-        return LambdaXElem(out, f.laurent)
-    groups: dict = {}
-    for (a, m), c in f.terms.items():
-        groups.setdefault(m, {})[a] = c
-    out: dict = {}
-    laurent = f.laurent
-    for m, poly in groups.items():
-        shift = min(poly)
-        poly = {a - shift: c for a, c in poly.items()}
-        quo: dict = {}
-        while poly:
-            top = max(poly)
-            if top < lead:
-                raise InexactDivision("x-division left remainder on %s" % pmono_text(m))
-            c = poly.pop(top).scale(inv_lead)
-            qexp = top - lead
-            quo[qexp] = c
-            for d_exp, d_c in divisor.items():
-                if d_exp == lead:
-                    continue
-                key = qexp + d_exp
-                v = poly.get(key)
-                s = -c.scale(d_c) if v is None else v - c.scale(d_c)
-                if s.is_zero():
-                    poly.pop(key, None)
-                else:
-                    poly[key] = s
-        for a, c in quo.items():
-            exp = a + shift
-            if exp < 0:
-                laurent = True
-            out[(exp, m)] = c
-    return LambdaXElem(out, laurent)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dunklcms.coeffs import SYMBOLS, ParamPoly, ParamRatio
+from dunklcms.coeffs import SYMBOLS, CoeffError, ParamPoly, ParamRatio, Rat, _unpack
 
 
 def random_param_poly(rng: random.Random, symbols=(0, 1, 2), max_terms=4, max_exp=3) -> ParamPoly:
@@ -21,6 +21,28 @@ def random_param_ratio(rng: random.Random, symbols=(0,)) -> ParamRatio:
     num = random_param_poly(rng, symbols)
     den = ParamPoly.const(rng.randint(1, 12)) * ParamPoly.symbol("k", rng.randint(0, 2))
     return ParamRatio(num, den)
+
+
+class PoleAtPoint(CoeffError):
+    """Numeric evaluation hit a zero of the denominator."""
+
+
+def eval_at(a: ParamRatio, point: dict) -> Rat:
+    """The exact rational value of ``a`` at {symbol: rational}, read off its
+    packed terms: an evaluator independent of ``substitute``.  Raises
+    PoleAtPoint when the denominator vanishes there."""
+    d = a.den_int * Rat(point.get("k", 0)) ** a.den_k
+    if d == 0:
+        raise PoleAtPoint("denominator vanishes at %r" % (point,))
+    vals = [Rat(point.get(name, 0)) for name in SYMBOLS]
+    total = Rat(0)
+    for e, c in a.num.terms.items():
+        term = Rat(c)
+        for i, pw in enumerate(_unpack(e)):
+            if pw:
+                term = term * vals[i] ** pw
+        total = total + term
+    return total / d
 
 
 def count_ratio_operations(monkeypatch, names=("__mul__", "__truediv__", "__add__", "__sub__",

@@ -179,6 +179,8 @@ class TestErrorsAndGuards:
         ("verify", "closed-form", "--family", "rat-a", "--deg", "-1"),
         ("verify", "commute-infinity", "--family", "rat-a", "--r", "2", "--s", "3", "--deg", "-1"),
         ("verify", "commute-infinity", "--family", "rat-a", "--r", "0", "--s", "3"),
+        # both halves of each residual read the same table entry
+        ("verify", "commute-infinity", "--family", "rat-a", "--r", "2", "--s", "2", "--deg", "2"),
         ("verify", "commute-infinity", "--family", "rat-a", "--r", "2", "--s", "3", "--pwindow", "-1"),
         ("verify", "diagram", "--family", "rat-a", "--kind", "dcomm", "--N", "0", "--r", "1"),
         ("verify", "diagram", "--family", "rat-a", "--kind", "heckdiag", "--N", "0", "--r", "1"),
@@ -221,12 +223,32 @@ class TestErrorsAndGuards:
         (("verify", "diagram", "--family", "rat-a", "--kind", "dcomm", "--N", "2", "--seed", "3"),
          "--seed"),
         (("verify", "lax", "--family", "rat-a", "--n", "1", "--m", "1", "--seed", "5"), "--seed"),
+        # a size or index the diagram kind does not read
+        (("verify", "diagram", "--family", "rat-a", "--kind", "heckdiag", "--N", "2", "--i", "2"), "--i"),
+        (("verify", "diagram", "--family", "rat-a", "--kind", "heckdiag", "--N", "2", "--n", "1"), "--n"),
+        (("verify", "diagram", "--family", "rat-a", "--kind", "dcomm", "--N", "2", "--n", "5", "--m", "3"),
+         "--n and --m"),
+        (("verify", "diagram", "--family", "rat-a", "--kind", "intrat", "--n", "1", "--m", "1", "--N", "7"),
+         "--N"),
+        (("verify", "diagram", "--family", "rat-a", "--kind", "intrat", "--n", "1", "--m", "1", "--i", "2"),
+         "--i"),
+        (("verify", "diagram", "--family", "rat-a", "--kind", "propcomm", "--n", "1", "--m", "1",
+          "--N", "2"), "--N"),
     ])
     def test_options_a_check_would_ignore_are_errors(self, capsys, argv, option):
         code, out = run_cli(capsys, *argv, "--format", "json", "--no-timing")
         payload = json.loads(out)
         assert (code, payload["status"], payload["checks"]) == (2, "error", 0), payload
         assert any(option in note for note in payload["notes"]), payload
+
+    @pytest.mark.parametrize("extra", [(), ("--mode", "sampled"), ("--param", "k=2")])
+    def test_lax_size_cap_holds_in_every_mode(self, capsys, extra):
+        base = ("verify", "lax", "--family", "rat-a", "--n", "5", "--m", "0", *extra,
+                "--format", "json", "--no-timing")
+        code, out = run_cli(capsys, *base)
+        assert code == 2 and "desk-scale cap" in json.loads(out)["notes"][0]
+        if extra:
+            assert run_cli(capsys, *base, "--unsafe")[0] == 0
 
     @pytest.mark.parametrize("mode", ["symbolic", "sampled"])
     def test_request_without_a_seed_echoes_seed_zero(self, capsys, mode):

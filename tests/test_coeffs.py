@@ -16,7 +16,6 @@ from dunklcms.coeffs import (
     ExponentOverflow,
     ParamPoly,
     ParamRatio,
-    PoleAtPoint,
     Rat,
     UnsupportedDenominator,
     const,
@@ -24,7 +23,7 @@ from dunklcms.coeffs import (
     symbol,
 )
 
-from conftest import random_param_ratio
+from conftest import PoleAtPoint, eval_at, random_param_ratio
 
 K = symbol("k")
 ONE = ParamRatio.one()
@@ -99,19 +98,19 @@ class TestSubstitute:
 
 class TestEval:
     def test_simple_value(self):
-        assert ((K + ONE) / K).eval_at({"k": 1}) == 2
+        assert eval_at((K + ONE) / K, {"k": 1}) == 2
 
     def test_zero_exponent(self):
         # k^(1-p(j)) with p(j)=1 is k^0 = 1 at any k
-        assert symbol("k", 0).eval_at({"k": Rat(17, 3)}) == 1
+        assert eval_at(symbol("k", 0), {"k": Rat(17, 3)}) == 1
 
     def test_constraint_point(self):
-        assert B_CONSTRAINT["s"].eval_at({"k": 1, "q": 1}) == 1
+        assert eval_at(B_CONSTRAINT["s"], {"k": 1, "q": 1}) == 1
 
     def test_pole_detection(self):
         with pytest.raises(PoleAtPoint):
-            (ONE / K).eval_at({"k": 0})
-        assert ((K + ONE) * K).eval_at({"k": 0}) == 0
+            eval_at(ONE / K, {"k": 0})
+        assert eval_at((K + ONE) * K, {"k": 0}) == 0
 
 
 class TestCanonicalForm:
@@ -157,10 +156,10 @@ class TestCanonicalForm:
             g = random_param_ratio(rng, symbols=(0, 1, 2))
             h = (f + g) * (f - g) - (f * f - g * g)  # identically zero
             assert h.is_zero()
-            assert all(h.eval_at(p) == 0 for p in pts)
+            assert all(eval_at(h, p) == 0 for p in pts)
             w = f * g + ONE
             if not w.is_zero():
-                assert any(w.eval_at(p) != 0 for p in pts)
+                assert any(eval_at(w, p) != 0 for p in pts)
 
     def test_canonical_invariants(self, rng):
         from math import gcd
@@ -311,7 +310,7 @@ class TestSympyOracle:
                      "s": Rat(rng.randint(-9, 9), 5)}
             value = self.sym(a).subs({self.sp.Symbol(n): self.sp.Rational(v.numerator, v.denominator)
                                       for n, v in point.items()})
-            assert a.eval_at(point) == Rat(int(value.p), int(value.q))
+            assert eval_at(a, point) == Rat(int(value.p), int(value.q))
 
 
 def test_text_serialization_shape():

@@ -5,9 +5,11 @@ finite route (symmetrized powers of the classical Dunkl operators, reduced by
 the power-sum substitution) and frozen; the infinite-variable route must then
 reproduce it exactly.  The packed D^r kernel of ``InfDunkl.apply`` is checked
 against ``apply_by_building_blocks``, the term-by-term composition of the
-``powersums`` building blocks, and ``InfDunkl.integral``, which runs the
-trigonometric-BC powers on the inversion-folded half and projects the packed
-numerators, against ``project_E`` of ``InfDunkl.apply``.
+building blocks in ``reference_ops`` (derivation, difference part,
+reflection, exact division by x-polynomials), and ``InfDunkl.integral``,
+which runs the trigonometric-BC powers on the inversion-folded half and
+projects the packed numerators, against ``reference_ops.project_E`` of
+``InfDunkl.apply``.
 """
 
 import math
@@ -33,14 +35,10 @@ from dunklcms.powersums import (
     LambdaElem,
     LambdaXElem,
     UnsupportedFamily,
-    delta,
-    divide_by_x_poly,
-    partial,
-    project_E,
-    reflect,
 )
 
 from conftest import count_ratio_operations
+from reference_ops import delta, divide_by_x_poly, partial, project_E, reflect
 
 K = symbol("k")
 Q = symbol("q")
@@ -72,21 +70,21 @@ def _apply_once_by_building_blocks(family: Family, f: LambdaXElem) -> LambdaXEle
     g = f - reflect(f, family)
     if not g.is_zero():
         h1 = divide_by_x_poly(g, {1: 1, 0: -1})
-        h1 = h1.mul_x(1) + h1  # multiply by (x + 1)
+        h1 = h1 * X(1, True) + h1  # multiply by (x + 1)
         out = out - h1.scale(_P_HALF)
         h2 = divide_by_x_poly(g, {2: 1, 0: -1})
-        h2 = h2.mul_x(2) + h2  # multiply by (x^2 + 1)
+        h2 = h2 * X(2, True) + h2  # multiply by (x^2 + 1)
         out = out - h2.scale(Q)
     return out
 
 
 def apply_by_building_blocks(family: Family, f: LambdaXElem, r: int = 1) -> LambdaXElem:
-    """D^r f composed from the ``powersums`` building blocks term by term: the
+    """D^r f composed from the ``reference_ops`` building blocks term by term: the
     derivation, the difference part, the reflection and the exact divisions
     by x, x - 1 and x^2 - 1, with a canonical coefficient for every term of
     every intermediate result.  The reference route of ``InfDunkl.apply``."""
     if family.laurent and not f.laurent:
-        f = f.with_laurent(True)
+        f = LambdaXElem(f.terms, True)
     for _ in range(r):
         f = _apply_once_by_building_blocks(family, f)
     return f
@@ -171,7 +169,7 @@ class TestPackedKernel:
         with pytest.raises(UnsupportedFamily):
             InfDunkl(family).apply(X(-1))
         with pytest.raises(UnsupportedFamily):
-            InfDunkl(family).apply(Px(1).with_laurent(True))
+            InfDunkl(family).apply(LambdaXElem(Px(1).terms, True))
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("name", ["k", "p", "q"])

@@ -9,13 +9,10 @@ from dunklcms.powersums import (
     LambdaElem,
     LambdaXElem,
     UnsupportedFamily,
-    delta,
-    divide_by_x_poly,
-    partial,
     pmono,
-    project_E,
-    reflect,
 )
+
+from reference_ops import delta, divide_by_x_poly, partial, project_E, reflect
 
 X = LambdaXElem.x
 P = LambdaXElem.p
