@@ -1,23 +1,27 @@
-"""Layer benchmark of the operator layer: building e*L^4 e and ``WeylOp.commutator``.
+"""Layer benchmark of the operator layer: building e*L^4 e, ``WeylOp.commutator`` and ``lax_check``.
 
-    python3 bench/weyl_layer.py --label NAME --out BENCH_11.json [--src DIR]
+    python3 bench/weyl_layer.py --label NAME --out BENCH_15.json [--src DIR]
 
 Times the build of the trigonometric-BC integral I = e*L^4 e
 (``moser_integral``) and ``I.commutator(H)`` with the ungauged Hamiltonian
 H at n = m = 1, ``harness.REPEATS`` (7) times each, and records the minimum
 and the median; the commutator's I and H are built once, outside its
 timing.  One extra run of each, not timed, counts the work: for the build,
-the calls of ``WeylOp._compose``, the compositions of operators; for the
-commutator, the calls of ``coeffs.ParamPoly.__mul__``, the products of the
-coefficient ring, with their term pairs (the product of the two operands'
-term counts), and the calls of ``finite_cms._root_quotient``, the root
-tests of the factored rational functions.  The requests ``verify
-moser-integrals --family trig-bc --n 1 --m 1 --r R`` for R = 1 (the README
-request) and R = 2 are timed as often.  Results are stored under
-``--label`` in the JSON file ``--out``, next to the other labels already in
-it; ``--src`` names the ``src`` directory whose ``dunklcms`` is measured
-(default: the one of this checkout).  Everything runs in this process:
-DUNKLCMS_WORKERS is cleared.
+the calls of ``WeylOp._compose_into`` (``WeylOp._compose`` in versions that
+have it), the compositions of operators; for the commutator, the calls of
+``coeffs.ParamPoly.__mul__``, the products of the coefficient ring, with
+their term pairs (the product of the two operands' term counts), and the
+calls of ``finite_cms._root_quotient``, the root tests of the factored
+rational functions.  The same time and work are recorded for the
+trigonometric-BC commutator [e*L^2 e, H] at (n, m) = (2, 1), its operands
+built outside the timing, and for ``lax_check`` of trigonometric A at
+(2, 2) and of rational A at (3, 2), which build L, M and H themselves.  The
+requests ``verify moser-integrals --family trig-bc --n 1 --m 1 --r R`` for
+R = 1 (the README request) and R = 2 are timed as often.  Results are
+stored under ``--label`` in the JSON file ``--out``, next to the other
+labels already in it; ``--src`` names the ``src`` directory whose
+``dunklcms`` is measured (default: the one of this checkout).  Everything
+runs in this process: DUNKLCMS_WORKERS is cleared.
 
 Only the standard library is used.
 """
@@ -32,6 +36,8 @@ import sys
 from harness import DEFAULT_SRC, environment, quiet_run, store, timed
 
 FAMILY, N, M, R = "TRIG_BC", 1, 1, 2
+BIG_PARITY = (2, 1)
+LAX_CASES = [("TRIG_A", 2, 2), ("RAT_A", 3, 2)]
 COMMANDS = [
     ["verify", "moser-integrals", "--family", "trig-bc", "--n", "1", "--m", "1", "--r", str(r),
      "--no-timing"]
@@ -81,29 +87,40 @@ def measure(src: str) -> dict:
     from dunklcms import cli, coeffs, finite_cms
     from dunklcms.finite_cms import ParityData
     from dunklcms.powersums import Family
-    from dunklcms.weyl import WeylOp, hamiltonian, moser_integral
-
-    parity = ParityData(N, M)
+    from dunklcms.weyl import WeylOp, hamiltonian, lax_check, moser_integral
 
     def build():
-        return moser_integral(Family[FAMILY], parity, R)
+        return moser_integral(Family[FAMILY], ParityData(N, M), R)
 
-    I = build()
-    H = hamiltonian(Family[FAMILY], parity, gauged=False)
+    def commutes(I, H):
+        def check():
+            if not I.commutator(H).is_zero():
+                raise SystemExit("the integral does not commute with the Hamiltonian")
+        return check
 
-    def check():
-        if not I.commutator(H).is_zero():
-            raise SystemExit("the integral does not commute with the Hamiltonian")
+    def lax_holds(family, n, m):
+        def check():
+            if not lax_check(Family[family], ParityData(n, m)).ok:
+                raise SystemExit("the Lax identity fails")
+        return check
 
-    compositions, = counted(build, (WeylOp, "_compose", once))
-    products, pairs, root_tests = counted(
-        check, (coeffs.ParamPoly, "__mul__", once), (coeffs.ParamPoly, "__mul__", term_pairs),
-        (finite_cms, "_root_quotient", once))
+    def work(check) -> dict:
+        products, pairs, root_tests = counted(
+            check, (coeffs.ParamPoly, "__mul__", once), (coeffs.ParamPoly, "__mul__", term_pairs),
+            (finite_cms, "_root_quotient", once))
+        return {"ParamPoly.mul.calls": products, "ParamPoly.mul.term_pairs": pairs,
+                "_root_quotient.calls": root_tests, **timed(check)}
+
+    compose = "_compose_into" if hasattr(WeylOp, "_compose_into") else "_compose"
+    compositions, = counted(build, (WeylOp, compose, once))
     result = environment(src, coeffs.Rat)
+    big = ParityData(*BIG_PARITY)
     result["layers"] = {
-        "build": {"WeylOp._compose.calls": compositions, **timed(build)},
-        "commutator": {"ParamPoly.mul.calls": products, "ParamPoly.mul.term_pairs": pairs,
-                       "_root_quotient.calls": root_tests, **timed(check)},
+        "build": {"WeylOp.%s.calls" % compose: compositions, **timed(build)},
+        "commutator": work(commutes(build(), hamiltonian(Family[FAMILY], ParityData(N, M), gauged=False))),
+        "commutator %s n=%d m=%d r=1" % ((FAMILY,) + BIG_PARITY): work(commutes(
+            moser_integral(Family[FAMILY], big, 1), hamiltonian(Family[FAMILY], big, gauged=False))),
+        **{"lax_check %s n=%d m=%d" % case: work(lax_holds(*case)) for case in LAX_CASES},
     }
     result["commands"] = {" ".join(argv): timed(lambda: quiet_run(cli.run, argv))
                           for argv in COMMANDS}
@@ -118,8 +135,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     result = measure(os.path.abspath(args.src))
     store(args.out, args.label, result,
-          benchmark="operator layer: the build of e*L^4e and its WeylOp.commutator with H, %s n=%d m=%d"
-                    % (FAMILY, N, M),
+          benchmark="operator layer: the build of e*L^4e and its WeylOp.commutator with H, %s n=%d m=%d;"
+                    " [e*L^2e, H] at n=%d m=%d; lax_check %s"
+                    % ((FAMILY, N, M) + BIG_PARITY + (", ".join("%s n=%d m=%d" % c for c in LAX_CASES),)),
           commands=[" ".join(argv) for argv in COMMANDS])
     print(json.dumps({args.label: result["layers"], "commands": result["commands"]}, indent=2))
     return 0

@@ -58,7 +58,7 @@ splitting off the p_0 factor of each monomial and multiplying it back in.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from math import lcm
 
 from .coeffs import (
@@ -139,11 +139,19 @@ def _delta_of_x_power(a: int, family: Family):
     return out
 
 
-def _stencil(family: Family, a: int, m: PMono) -> list:
-    """D(x^a m) as a list of (x exponent, p-monomial, n, shift), each entry
+#: Stencils kept per function: more than the distinct keys of one request (a
+#: trig-BC commutator on pmono_basis(4, 4) meets 106), few enough that a long
+#: run's memory does not grow with every key it has met.
+_STENCILS_KEPT = 256
+
+
+@lru_cache(maxsize=_STENCILS_KEPT)
+def _stencil(family: Family, a: int, m: PMono) -> tuple:
+    """D(x^a m) as a tuple of (x exponent, p-monomial, n, shift), each entry
     standing for n * x^exponent * p-monomial times the parameter monomial
     with packed key ``shift`` (0, k, p or q); over 2 for the trigonometric
-    families, so that every n is an integer."""
+    families, so that every n is an integer.  Kept for later calls (see
+    ``_STENCILS_KEPT``), so callers must not change it."""
     trig = family in (Family.TRIG_A, Family.TRIG_BC)
     two = 2 if trig else 1
     out = []
@@ -185,18 +193,19 @@ def _stencil(family: Family, a: int, m: PMono) -> list:
             out.append((j - l, m, -sign if j in (0, 2 * l) else -2 * sign, _P_KEY))
         for j in range(l + 1):
             out.append((2 * j - l, m, -2 * sign if j in (0, l) else -4 * sign, _Q_KEY))
-    return out
+    return tuple(out)
 
 
-def _folded_stencil(family: Family, sign: int, a: int, m: PMono) -> list:
+@lru_cache(maxsize=_STENCILS_KEPT)
+def _folded_stencil(family: Family, sign: int, a: int, m: PMono) -> tuple:
     """The trigonometric-BC stencil on the folded half (see ``InfDunkl``):
     D((x^a + e x^-a) m) for a > 0, or D(m) for a = 0, where ``sign`` = -e is
-    the sign of the output.  The terms of ``_stencil`` at b < 0 move to -b
-    times ``sign``; those at b = 0 are doubled for sign +1 and dropped for
-    sign -1.  For a = 0 only the terms at b > 0 are kept, the others being
-    the mirror images.  Entries with equal keys are merged, so the
-    reflection terms of an s-invariant input, which (1 - s) kills, cancel
-    here."""
+    the sign of the output, kept as ``_stencil`` is.  The terms of
+    ``_stencil`` at b < 0 move to -b times ``sign``; those at b = 0 are
+    doubled for sign +1 and dropped for sign -1.  For a = 0 only the terms
+    at b > 0 are kept, the others being the mirror images.  Entries with
+    equal keys are merged, so the reflection terms of an s-invariant input,
+    which (1 - s) kills, cancel here."""
     out: dict = {}
     for b, mm, n, shift in _stencil(family, a, m):
         if b < 0:
@@ -209,22 +218,19 @@ def _folded_stencil(family: Family, sign: int, a: int, m: PMono) -> list:
             n *= 2
         key = (b, mm, shift)
         out[key] = out.get(key, 0) + n
-    return [(b, mm, n, shift) for (b, mm, shift), n in out.items() if n]
+    return tuple((b, mm, n, shift) for (b, mm, shift), n in out.items() if n)
 
 
-def _apply_packed(terms: dict, stencils: dict, make) -> dict:
+def _apply_packed(terms: dict, stencil) -> dict:
     """D applied once to ``terms`` {(x exponent, p-monomial): int numerator},
     all over one denominator, which the result shares (doubled for the
-    trigonometric families).  ``stencils`` caches the stencil of each key,
-    built on first use by ``make(a, m)``.  Zero entries are dropped and every
-    numerator is tested against the guard bits."""
+    trigonometric families).  ``stencil(a, m)`` gives the stencil of each
+    key.  Zero entries are dropped and every numerator is tested against the
+    guard bits."""
     out: dict = {}
     get = out.get
     for key, num in terms.items():
-        st = stencils.get(key)
-        if st is None:
-            st = stencils[key] = make(*key)
-        for a, m, n, shift in st:
+        for a, m, n, shift in stencil(*key):
             acc = get((a, m))
             if acc is None:
                 out[(a, m)] = {e + shift: n * c for e, c in num.items()}
@@ -279,13 +285,11 @@ class InfDunkl:
         fam = self.family
         halves = fam in (Family.TRIG_A, Family.TRIG_BC)
         if folded:  # application j (from 0) outputs the sign (-1)^(j+1)
-            makes = (partial(_folded_stencil, fam, -1), partial(_folded_stencil, fam, 1))
+            stencils = (partial(_folded_stencil, fam, -1), partial(_folded_stencil, fam, 1))
         else:
-            makes = (partial(_stencil, fam),)
-        stencils = [{} for _ in makes]
+            stencils = (partial(_stencil, fam),)
         for j in range(r):
-            i = j % len(makes)
-            terms = _apply_packed(terms, stencils[i], makes[i])
+            terms = _apply_packed(terms, stencils[j % len(stencils)])
             if halves:
                 den_int *= 2
         return terms, den_int

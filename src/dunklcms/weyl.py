@@ -2,7 +2,12 @@
 
 ``WeylOp`` is a differential operator in finitely many variables with
 rational-function coefficients, kept in normal order (coefficients left of all
-derivatives); composition re-normalizes through the Leibniz rule.  A
+derivatives); composition re-normalizes through the Leibniz rule.  The
+Leibniz parts of a composition, of both orders of a commutator, or of all the
+compositions of a Lax residual, are collected per derivative key in one
+accumulator (``WeylOp._compose_into``) and reduced once, by one
+``RatFun.sum``, which adds the parts of equal denominators first and lifts
+each such group to the common denominator once.  A
 commutator [A, B] forms neither product in full: the Leibniz term of
 f d^a . g d^b that differentiates neither coefficient, f g d^(a+b), also
 occurs in g d^b . f d^a and cancels, so both orders skip it.  Each
@@ -36,9 +41,14 @@ only in leading coefficients, in substitution and in the report texts.
 On top of this the module builds, for each family, the quantum Moser matrix L
 (block form [[A, B], [-B, -A]] for the B families), the companion matrix M of
 the A families, the deformed Hamiltonians in their gauged and ungauged forms,
-the quantum Lax check [L, H] = [L, M], and the integrals e* L^r e.  An
-integral never forms the matrix L^r: ``OpMatrix.sandwich`` carries the row
-e* L through v_j <- sum_l v_l . L_lj and sums it, n^2 compositions per power.
+the quantum Lax check [L, H] = [L, M], and the integrals e* L^r e.  H and M
+are sums of simple parts (H: a kinetic term or a pair potential each; M: one
+pair term per off-diagonal entry, negated on the diagonal), and
+``lax_check`` never sums them: it composes each entry of L with each part,
+so that a part meets only the derivatives that act on it and its factors
+stay out of the other parts' reductions.  An integral never forms the matrix L^r: ``OpMatrix.sandwich``
+carries the row e* L through v_j <- sum_l v_l . L_lj and sums it, n^2
+compositions per power.
 ``WeylOp.apply`` applies an operator to a polynomial or a rational function
 alike, which is all that the basis route of ``commute_check`` needs.
 """
@@ -160,9 +170,11 @@ class RatFun:
         """Sum many rational functions over a single common denominator.
 
         One reduction at the end instead of one per pairwise addition; the
-        dominant cost saver in operator application and composition.  Over
-        linear root factors it tests only the factors that two items or more
-        carry at the full exponent.
+        dominant cost saver in operator application and composition.  Items
+        with equal denominators are added first, unreduced, so each such
+        group is lifted to the common denominator once.  Over linear root
+        factors it tests only the factors that two items or more carry at
+        the full exponent; the carriers are counted per item, not per group.
         """
         items = [f for f in items if not f.num.is_zero()]
         if not items:
@@ -171,6 +183,7 @@ class RatFun:
             return items[0]
         den: dict = {}
         carriers: dict = {}  # the number of items at den's exponent
+        groups: dict = {}  # the items' numerators added per denominator
         for f in items:
             for fac, e in f.den.items():
                 d = den.get(fac, 0)
@@ -179,14 +192,20 @@ class RatFun:
                     carriers[fac] = 1
                 elif d == e:
                     carriers[fac] += 1
+            key = frozenset(f.den.items())
+            group = groups.get(key)
+            groups[key] = (f.den, f.num) if group is None else (group[0], group[1] + f.num)
         total = None
-        for f in items:
-            num = f.num
+        for fden, num in groups.values():
+            if num.is_zero():
+                continue
             for fac, e in den.items():
-                d = e - f.den.get(fac, 0)
+                d = e - fden.get(fac, 0)
                 if d:
                     num = num * fac ** d
             total = num if total is None else total + num
+        if total is None:
+            return RatFun.zero(nvars)
         return RatFun(total, den, [fac for fac in den if carriers[fac] > 1])
 
     def __add__(self, other: "RatFun") -> "RatFun":
@@ -288,6 +307,16 @@ def _all_linear(den: dict) -> bool:
     return all(_is_linear_root_factor(f) for f in den)
 
 
+def _derivative(derivs: dict, idx: tuple) -> RatFun:
+    """d^idx of the coefficient at derivs[(0, ..., 0)], each derivative
+    formed once from a lower one and kept in ``derivs``."""
+    v = derivs.get(idx)
+    if v is None:
+        i = next(i for i, e in enumerate(idx) if e)
+        v = derivs[idx] = _derivative(derivs, idx[:i] + (idx[i] - 1,) + idx[i + 1:]).diff(i)
+    return v
+
+
 def _iter_sub_indices(exps):
     """All componentwise-dominated multi-indices of exps."""
     if not exps:
@@ -370,9 +399,26 @@ class WeylOp:
             return WeylOp(self.nvars, {e: f * c for e, f in self.terms.items()})
         return WeylOp(self.nvars, {e: f.scale(c) for e, f in self.terms.items()})
 
+    @staticmethod
+    def sum(nvars: int, ops) -> "WeylOp":
+        """The sum of ``ops``, each coefficient reduced once from its parts."""
+        out: dict = {}
+        for op in ops:
+            for e, f in op.terms.items():
+                out.setdefault(e, []).append(f)
+        return WeylOp._from_parts(nvars, out)
+
+    @staticmethod
+    def _from_parts(nvars: int, out: dict) -> "WeylOp":
+        """The operator whose coefficient at each key of ``out`` is the one
+        ``RatFun.sum`` of the parts listed there."""
+        return WeylOp(nvars, {key: RatFun.sum(nvars, parts) for key, parts in out.items()})
+
     def compose(self, other: "WeylOp") -> "WeylOp":
         """Normal-ordered product self . other."""
-        return self._compose(other, drop_underived=False)
+        out: dict = {}
+        self._compose_into(other, False, out)
+        return WeylOp._from_parts(self.nvars, out)
 
     def commutator(self, other: "WeylOp") -> "WeylOp":
         """[self, other] = self . other - other . self.
@@ -381,45 +427,34 @@ class WeylOp:
         f d^a . g d^b in which no derivative falls on g is f g d^(a+b), and
         g d^b . f d^a has the same term g f d^(a+b); they cancel, so neither
         product forms them.  A multiplication operator f then contributes to
-        [f, B] only through the derivatives of f in B . f.
+        [f, B] only through the derivatives of f in B . f.  The parts of both
+        products go into one accumulator, so each coefficient is reduced
+        once.
         """
-        return self._compose(other, drop_underived=True) - other._compose(self, drop_underived=True)
-
-    def _compose(self, other: "WeylOp", drop_underived: bool) -> "WeylOp":
-        """self . other, less the terms f g d^(a+b) that differentiate no
-        coefficient of other when ``drop_underived``."""
         out: dict = {}
+        self._compose_into(other, True, out)
+        other._compose_into(self, True, out, -1)
+        return WeylOp._from_parts(self.nvars, out)
+
+    def _compose_into(self, other: "WeylOp", drop_underived: bool, out: dict, sign: int = 1):
+        """Append the Leibniz parts of self . other, times ``sign``, to
+        ``out[key]`` for the derivative key of each, less the terms
+        f g d^(a+b) that differentiate no coefficient of other when
+        ``drop_underived``; the parts stay unsummed."""
         for be, g in other.terms.items():
             derivs = {(0,) * self.nvars: g}
-
-            def deriv_of(idx, _derivs=derivs):
-                v = _derivs.get(idx)
-                if v is None:
-                    for i, e in enumerate(idx):
-                        if e:
-                            lower = list(idx)
-                            lower[i] -= 1
-                            v = deriv_of(tuple(lower)).diff(i)
-                            break
-                    _derivs[idx] = v
-                return v
-
             for ae, f in self.terms.items():
                 for ce in _iter_sub_indices(ae):
                     if drop_underived and ce == ae:
                         continue
-                    dg = deriv_of(tuple(a - c for a, c in zip(ae, ce)))
+                    dg = _derivative(derivs, tuple(a - c for a, c in zip(ae, ce)))
                     if dg.is_zero():
                         continue
-                    coeff = 1
+                    coeff = sign
                     for a, c in zip(ae, ce):
                         coeff *= comb(a, c)
                     key = tuple(c + b for c, b in zip(ce, be))
                     out.setdefault(key, []).append((f * dg).scale(ParamRatio.const(coeff)))
-        return WeylOp(
-            self.nvars,
-            {key: RatFun.sum(self.nvars, parts) for key, parts in out.items()},
-        )
 
     def apply(self, f) -> RatFun:
         """self applied to a polynomial or a rational function: each term's
@@ -474,39 +509,24 @@ class OpMatrix:
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
-    def __sub__(self, other: "OpMatrix") -> "OpMatrix":
-        return OpMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
-    def matmul(self, other: "OpMatrix") -> "OpMatrix":
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = None
-                for l in range(self.cols):
-                    term = self.entries[i][l].compose(other.entries[l][j])
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(row)
-        return OpMatrix(out)
-
     def sandwich(self, weights, p: int) -> WeylOp:
         """e* self^p e for the covector e* = ``weights`` and e = (1, ..., 1).
 
         The row v = e* self only scales entries; then v_j <- sum_l v_l . self_lj,
         p - 1 times, which is n^2 compositions per power instead of the n^3
         of a matrix product, and the result is the sum of the entries of v.
+        Each composition is reduced before the n of an entry are summed once:
+        the coefficients of v are large, and one accumulator over all n
+        compositions made more coefficient products, not fewer.
         """
         if p < 1:
             raise ValueError("power %d is below 1" % p)
         L, rows, cols = self.entries, range(self.rows), range(self.cols)
-        zero = WeylOp.zero(L[0][0].nvars)
-        v = [sum((L[l][j].scale(weights[l]) for l in rows), zero) for j in cols]
+        nvars = L[0][0].nvars
+        v = [WeylOp.sum(nvars, (L[l][j].scale(weights[l]) for l in rows)) for j in cols]
         for _ in range(p - 1):
-            v = [sum((v[l].compose(L[l][j]) for l in rows), zero) for j in cols]
-        return sum(v, zero)
+            v = [WeylOp.sum(nvars, [v[l].compose(L[l][j]) for l in rows]) for j in cols]
+        return WeylOp.sum(nvars, v)
 
     def substitute(self, bindings: dict) -> "OpMatrix":
         return OpMatrix([[op.substitute(bindings) for op in row] for row in self.entries])
@@ -614,16 +634,22 @@ def moser_L(family: Family, parity: ParityData) -> OpMatrix:
 
 def moser_M(family: Family, parity: ParityData) -> OpMatrix:
     """The companion matrix M of the Lax identity; it exists for the A families only."""
+    return OpMatrix([[WeylOp.sum(parity.size, cell) for cell in row]
+                     for row in _moser_M_parts(family, parity)])
+
+
+def _moser_M_parts(family: Family, parity: ParityData) -> list:
+    """M as an n x n table of lists of parts: off the diagonal the one
+    multiplication operator 2 w_ij / (x_i - x_j)^2 (times x_i x_j for trig
+    A), and on it the negated off-diagonal parts of its row, so that every
+    row sums to zero."""
     if family not in (Family.RAT_A, Family.TRIG_A):
         raise UnsupportedFamily("no M matrix for family %s" % family.value)
     nm = parity.size
-    entries = []
+    table = [[[] for _ in range(nm)] for _ in range(nm)]
     for i in range(nm):
-        row = []
-        diag = RatFun.zero(nm)
         for j in range(nm):
             if i == j:
-                row.append(None)
                 continue
             w = parity.cross_weight(i, j).scale(2)
             if family is Family.RAT_A:
@@ -631,11 +657,9 @@ def moser_M(family: Family, parity: ParityData) -> OpMatrix:
             else:
                 num = MultiPoly.var(nm, i) * MultiPoly.var(nm, j)
                 f = _rf(num.scale(w), (_fac_diff(nm, i, j), 2))
-            row.append(WeylOp.mul_by(f))
-            diag = diag - f
-        row[i] = WeylOp.mul_by(diag)
-        entries.append(row)
-    return OpMatrix(entries)
+            table[i][j].append(WeylOp.mul_by(f))
+            table[i][i].append(WeylOp.mul_by(-f))
+    return table
 
 
 def moser_L_gauged_trig(parity: ParityData) -> OpMatrix:
@@ -670,19 +694,27 @@ def _pair_coefficient(parity: ParityData, i: int, j: int) -> ParamRatio:
 
 
 def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> WeylOp:
-    """The deformed Hamiltonian of the family.
+    """The deformed Hamiltonian of the family: the sum of its parts (see
+    ``_hamiltonian_parts``), each coefficient reduced once."""
+    return WeylOp.sum(parity.size, _hamiltonian_parts(family, parity, gauged))
+
+
+def _hamiltonian_parts(family: Family, parity: ParityData, gauged: bool) -> list:
+    """The terms of the deformed Hamiltonian, signed, as separate operators:
+    a kinetic term per particle and the pair and one-particle potentials
+    (for the gauged forms, their first-order terms).
 
     Sign conventions follow the standard forms of each family (the ungauged
     rational B operator has a negative kinetic part).  Gauged forms for the B
     families are defined at m = 0 only.
     """
     nm = parity.size
-    H = WeylOp.zero(nm)
+    parts = []
     if family is Family.RAT_A:
         if gauged:
             for i in range(nm):
                 di = WeylOp.partial(nm, i)
-                H = H + di.compose(di).scale(parity.k_weight(i))
+                parts.append(di.compose(di).scale(parity.k_weight(i)))
             for i in range(nm):
                 for j in range(i + 1, nm):
                     pi, pj = parity.p(i), parity.p(j)
@@ -690,20 +722,20 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
                     wj = K if (pi, pj) == (0, 1) else ONE
                     cross = WeylOp.partial(nm, i) - WeylOp.partial(nm, j).scale(wj)
                     f = _rf(MultiPoly.const(nm, front), (_fac_diff(nm, i, j), 1))
-                    H = H - WeylOp.mul_by(f).compose(cross)
-            return H
+                    parts.append(-WeylOp.mul_by(f).compose(cross))
+            return parts
         for i in range(nm):
             di = WeylOp.partial(nm, i)
-            H = H + di.compose(di).scale(parity.k_weight(i))
+            parts.append(di.compose(di).scale(parity.k_weight(i)))
         for i in range(nm):
             for j in range(i + 1, nm):
                 c = _pair_coefficient(parity, i, j)
-                H = H - WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (_fac_diff(nm, i, j), 2)))
-        return H
+                parts.append(-WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (_fac_diff(nm, i, j), 2))))
+        return parts
     if family is Family.TRIG_A:
         for i in range(nm):
             ei = WeylOp.euler(nm, i)
-            H = H + ei.compose(ei).scale(parity.k_weight(i))
+            parts.append(ei.compose(ei).scale(parity.k_weight(i)))
         for i in range(nm):
             for j in range(i + 1, nm):
                 pi, pj = parity.p(i), parity.p(j)
@@ -712,84 +744,84 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
                     wj = K if (pi, pj) == (0, 1) else ONE
                     cross = WeylOp.euler(nm, i) - WeylOp.euler(nm, j, wj)
                     f = _rf(_fac_sum(nm, i, j).scale(front), (_fac_diff(nm, i, j), 1))
-                    H = H - WeylOp.mul_by(f).compose(cross)
+                    parts.append(-WeylOp.mul_by(f).compose(cross))
                 else:
                     c = _pair_coefficient(parity, i, j)
                     num = (MultiPoly.var(nm, i) * MultiPoly.var(nm, j)).scale(c)
-                    H = H - WeylOp.mul_by(_rf(num, (_fac_diff(nm, i, j), 2)))
-        return H
+                    parts.append(-WeylOp.mul_by(_rf(num, (_fac_diff(nm, i, j), 2))))
+        return parts
     if family is Family.RAT_B:
         if gauged:
             if parity.m:
                 raise UnsupportedFamily("gauged rational B form is stated at m = 0 only")
             for i in range(nm):
                 di = WeylOp.partial(nm, i)
-                H = H + di.compose(di)
+                parts.append(di.compose(di))
             for i in range(nm):
                 for j in range(i + 1, nm):
                     minus = WeylOp.partial(nm, i) - WeylOp.partial(nm, j)
                     plus = WeylOp.partial(nm, i) + WeylOp.partial(nm, j)
-                    H = H - WeylOp.mul_by(_rf(MultiPoly.const(nm, K.scale(2)), (_fac_diff(nm, i, j), 1))).compose(minus)
-                    H = H - WeylOp.mul_by(_rf(MultiPoly.const(nm, K.scale(2)), (_fac_sum(nm, i, j), 1))).compose(plus)
+                    parts.append(-WeylOp.mul_by(_rf(MultiPoly.const(nm, K.scale(2)), (_fac_diff(nm, i, j), 1))).compose(minus))
+                    parts.append(-WeylOp.mul_by(_rf(MultiPoly.const(nm, K.scale(2)), (_fac_sum(nm, i, j), 1))).compose(plus))
             for i in range(nm):
-                H = H - WeylOp.mul_by(_rf(MultiPoly.const(nm, Q.scale(2)), (MultiPoly.var(nm, i), 1))).compose(WeylOp.partial(nm, i))
-            return H
+                parts.append(-WeylOp.mul_by(_rf(MultiPoly.const(nm, Q.scale(2)), (MultiPoly.var(nm, i), 1))).compose(WeylOp.partial(nm, i)))
+            return parts
         # ungauged deformed rational B: negative kinetic part
         for i in range(nm):
             di = WeylOp.partial(nm, i)
-            H = H - di.compose(di).scale(parity.k_weight(i))
+            parts.append(-di.compose(di).scale(parity.k_weight(i)))
         for i in range(nm):
             for j in range(i + 1, nm):
                 c = _pair_coefficient(parity, i, j)
-                H = H + WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (_fac_diff(nm, i, j), 2)))
-                H = H + WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (_fac_sum(nm, i, j), 2)))
+                parts.append(WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (_fac_diff(nm, i, j), 2))))
+                parts.append(WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (_fac_sum(nm, i, j), 2))))
         for i in range(nm):
             if parity.p(i) == 0:
                 c = Q * (Q + ONE)
             else:
                 c = K * _S_VALUE * (_S_VALUE + ONE)
-            H = H + WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (MultiPoly.var(nm, i), 2)))
-        return H
+            parts.append(WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (MultiPoly.var(nm, i), 2))))
+        return parts
     # TRIG_BC
     if gauged:
         if parity.m:
             raise UnsupportedFamily("gauged trig BC form is stated at m = 0 only")
         for i in range(nm):
             ei = WeylOp.euler(nm, i)
-            H = H + ei.compose(ei)
+            parts.append(ei.compose(ei))
         for i in range(nm):
             for j in range(i + 1, nm):
                 minus = WeylOp.euler(nm, i) - WeylOp.euler(nm, j)
                 plus = WeylOp.euler(nm, i) + WeylOp.euler(nm, j)
-                H = H - WeylOp.mul_by(_rf(_fac_sum(nm, i, j).scale(K), (_fac_diff(nm, i, j), 1))).compose(minus)
+                parts.append(-WeylOp.mul_by(_rf(_fac_sum(nm, i, j).scale(K), (_fac_diff(nm, i, j), 1))).compose(minus))
                 prod1 = _fac_prod_minus_1(nm, i, j) + MultiPoly.const(nm, 2)
-                H = H - WeylOp.mul_by(_rf(prod1.scale(K), (_fac_prod_minus_1(nm, i, j), 1))).compose(plus)
+                parts.append(-WeylOp.mul_by(_rf(prod1.scale(K), (_fac_prod_minus_1(nm, i, j), 1))).compose(plus))
         for i in range(nm):
             t1 = _rf(_fac_shift(nm, i, 1).scale(P), (_fac_shift(nm, i, -1), 1))
             t2 = _rf(_fac_shift(nm, i, 1, 2).scale(Q.scale(2)), *_den_shift2(nm, i, 1))
-            H = H - WeylOp.mul_by(t1 + t2).compose(WeylOp.euler(nm, i))
-        return H
+            parts.append(-WeylOp.mul_by(t1 + t2).compose(WeylOp.euler(nm, i)))
+        return parts
     # Ungauged deformed trig BC.  The coefficients are pinned by the Moser
     # matrix: e* L^2 e = 2 H + scalar constant must hold (verified symbolically
     # in the tests).  The commonly quoted 4x-scaled variant, which also lacks
     # the cross term over (x_i y_j - 1)^2, fails that identity.
     for i in range(nm):
         ei = WeylOp.euler(nm, i)
-        H = H + ei.compose(ei).scale(parity.k_weight(i))
+        parts.append(ei.compose(ei).scale(parity.k_weight(i)))
     for i in range(nm):
         for j in range(i + 1, nm):
             c = _pair_coefficient(parity, i, j)
             num = (MultiPoly.var(nm, i) * MultiPoly.var(nm, j)).scale(c)
-            H = H - WeylOp.mul_by(_rf(num, (_fac_diff(nm, i, j), 2)))
-            H = H - WeylOp.mul_by(_rf(num, (_fac_prod_minus_1(nm, i, j), 2)))
+            parts.append(-WeylOp.mul_by(_rf(num, (_fac_diff(nm, i, j), 2))))
+            parts.append(-WeylOp.mul_by(_rf(num, (_fac_prod_minus_1(nm, i, j), 2))))
     for i in range(nm):
         mu, nu = _species_multiplicity(family, parity, i)
         kw = parity.k_weight(i)
         c1 = kw * mu * (mu + nu.scale(2) + ONE)
         c2 = (kw * nu * (nu + ONE)).scale(4)
-        H = H - WeylOp.mul_by(_rf(MultiPoly.var(nm, i).scale(c1), (_fac_shift(nm, i, -1), 2)))
-        H = H - WeylOp.mul_by(_rf(MultiPoly.var(nm, i, 2).scale(c2), *_den_shift2(nm, i, 2)))
-    return H
+        parts.append(-WeylOp.mul_by(_rf(MultiPoly.var(nm, i).scale(c1), (_fac_shift(nm, i, -1), 2))))
+        parts.append(-WeylOp.mul_by(_rf(MultiPoly.var(nm, i, 2).scale(c2), *_den_shift2(nm, i, 2))))
+    return parts
 
 
 # -- verification reports ---------------------------------------------------------
@@ -821,22 +853,40 @@ class LaxReport:
 def lax_check(family: Family, parity: ParityData, bindings: dict = None) -> LaxReport:
     """Verify [L, H] = [L, M] entrywise (A families).
 
-    With ``bindings``, L, M and H are substituted before the commutators, so
-    the check runs at that parameter point.
+    H and M enter as their parts (``_hamiltonian_parts``, ``_moser_M_parts``),
+    never summed: the residual [L_ij, H] - (L M - M L)_ij is the sum of
+    [L_ij, h] over the parts h of H, of -L_il . m over the parts m of M_lj
+    and of m . L_lj over the parts m of M_il, and its Leibniz parts go into
+    one accumulator, so each coefficient is reduced once.  A derivative of
+    L_ij that misses the variables of a part of H then gives no Leibniz
+    part, and the factors of the other parts never enter its derivatives.
+
+    With ``bindings``, L and the parts are substituted before the
+    compositions, so the check runs at that parameter point.
     """
     if family not in (Family.RAT_A, Family.TRIG_A):
         raise UnsupportedFamily("no Lax pair is stated for family %s" % family.value)
     L = moser_L(family, parity)
-    M = moser_M(family, parity)
-    H = hamiltonian(family, parity, gauged=False)
+    hs = _hamiltonian_parts(family, parity, gauged=False)
+    ms = _moser_M_parts(family, parity)
     if bindings:
-        L, M, H = L.substitute(bindings), M.substitute(bindings), H.substitute(bindings)
-    LM = L.matmul(M) - M.matmul(L)
+        L = L.substitute(bindings)
+        hs = [h.substitute(bindings) for h in hs]
+        ms = [[[m.substitute(bindings) for m in cell] for cell in row] for row in ms]
+    nm, E = parity.size, L.entries
     results = []
-    for i in range(L.rows):
-        for j in range(L.cols):
-            lhs = L.entries[i][j].commutator(H)
-            res = lhs - LM.entries[i][j]
+    for i in range(nm):
+        for j in range(nm):
+            out: dict = {}
+            for h in hs:
+                E[i][j]._compose_into(h, True, out)
+                h._compose_into(E[i][j], True, out, -1)
+            for l in range(nm):
+                for m in ms[l][j]:
+                    E[i][l]._compose_into(m, False, out, -1)
+                for m in ms[i][l]:
+                    m._compose_into(E[l][j], False, out)
+            res = WeylOp._from_parts(nm, out)
             results.append(EntryResult(i, j, res.is_zero(), res.text()))
     return LaxReport(family, parity, results)
 

@@ -1,4 +1,5 @@
-"""The term-by-term Dunkl building blocks: the reference route of the tests.
+"""The reference routes of the tests: the term-by-term Dunkl building blocks
+and the operator-matrix products.
 
 ``dunkl_infinity.InfDunkl`` computes every power of D in one packed stencil
 kernel.  This module composes the same operator from its parts, one
@@ -18,6 +19,14 @@ independent route:
   x-powers into power sums
 * ``divide_by_x_poly``  exact division by a polynomial in x alone
 
+The library forms e* L^r e through ``OpMatrix.sandwich`` and the Lax
+residuals from the parts of H and M; the matrix route here forms whole
+matrices instead:
+
+* ``matmul``     the product of two ``OpMatrix`` values, each entry a sum of
+  compositions
+* ``matsub``     their entrywise difference
+
 It is imported by the test modules only; pytest does not collect it.
 """
 
@@ -32,6 +41,7 @@ from dunklcms.powersums import (
     pmono_mul,
     pmono_text,
 )
+from dunklcms.weyl import OpMatrix
 
 
 def _check_family_domain(f: LambdaXElem, family: Family):
@@ -193,3 +203,23 @@ def divide_by_x_poly(f: LambdaXElem, divisor: dict) -> LambdaXElem:
                 laurent = True
             out[(exp, m)] = c
     return LambdaXElem(out, laurent)
+
+
+def matsub(a: OpMatrix, b: OpMatrix) -> OpMatrix:
+    """The entrywise difference a - b."""
+    return OpMatrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)])
+
+
+def matmul(a: OpMatrix, b: OpMatrix) -> OpMatrix:
+    """The product a b: entry (i, j) is the sum over l of a_il . b_lj."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = None
+            for l in range(a.cols):
+                term = a.entries[i][l].compose(b.entries[l][j])
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        out.append(row)
+    return OpMatrix(out)

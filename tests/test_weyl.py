@@ -1,9 +1,11 @@
+import hashlib
 import random
+from functools import reduce
 from itertools import product
 
 import pytest
 
-from dunklcms import finite_cms
+from dunklcms import finite_cms, weyl
 from dunklcms.coeffs import ONE, ParamPoly, ParamRatio, const, k_power, symbol
 from dunklcms.finite_cms import (
     Hom,
@@ -18,8 +20,11 @@ from dunklcms.finite_cms import (
 )
 from dunklcms.powersums import Family, LambdaElem, UnsupportedFamily
 from dunklcms.weyl import (
+    OpMatrix,
     RatFun,
     WeylOp,
+    _hamiltonian_parts,
+    _moser_M_parts,
     commute_check,
     estar_weights,
     gauge_conjugate,
@@ -32,6 +37,8 @@ from dunklcms.weyl import (
     moser_integral,
     psi0_logderivs,
 )
+
+from reference_ops import matmul, matsub
 
 K = symbol("k")
 
@@ -331,7 +338,7 @@ class TestReducedForm:
 
     @pytest.mark.parametrize("prepare, tests", [
         (trig_bc_integral_commutes, 20),  # 68 while monomial numerators took cross-cancel tests, 124 before
-        (trig_a_lax_holds, 354),  # 558 and 952
+        (trig_a_lax_holds, 126),  # 354 while H and M entered whole, 558 and 952 before
     ])
     def test_root_tests_stay_bounded(self, monkeypatch, prepare, tests):
         check = prepare()
@@ -340,6 +347,24 @@ class TestReducedForm:
         monkeypatch.setattr(finite_cms, "_root_quotient", lambda g, f: calls.append(1) or original(g, f))
         assert check()
         assert len(calls) <= tests
+
+    def test_term_pairs_stay_bounded(self, monkeypatch):
+        # [e*L^2e, H] for trig BC at (n, m) = (2, 1): 4,161,200 term pairs once
+        # RatFun.sum adds equal denominators first and the commutator reduces
+        # once per key, 15,452,536 before
+        parity = ParityData(2, 1)
+        I = moser_integral(Family.TRIG_BC, parity, 1)
+        H = hamiltonian(Family.TRIG_BC, parity, gauged=False)
+        pairs = [0]
+        original = ParamPoly.__mul__
+
+        def counting(a, b):
+            pairs[0] += len(a.terms) * len(b.terms)
+            return original(a, b)
+
+        monkeypatch.setattr(ParamPoly, "__mul__", counting)
+        assert I.commutator(H).is_zero()
+        assert pairs[0] <= 4_200_000
 
 
 class TestMoserMatrices:
@@ -449,6 +474,144 @@ class TestLax:
             lax_check(Family.RAT_B, ParityData(1, 1))
 
 
+def lax_residuals_by_matrices(family, parity, bindings=None):
+    """The texts of [L_ij, H] - (L M - M L)_ij with H and M whole: both orders
+    of the commutator composed in full, and the matrix products by the
+    reference ``matmul``."""
+    L, M = moser_L(family, parity), moser_M(family, parity)
+    H = hamiltonian(family, parity, gauged=False)
+    if bindings:
+        L, M, H = L.substitute(bindings), M.substitute(bindings), H.substitute(bindings)
+    LM = matsub(matmul(L, M), matmul(M, L))
+    return [(L[i, j].compose(H) - H.compose(L[i, j]) - LM[i, j]).text()
+            for i in range(L.rows) for j in range(L.cols)]
+
+
+LAX_CASES = [(family, ParityData(n, m)) for family in (Family.RAT_A, Family.TRIG_A)
+             for n, m in ((1, 1), (2, 1), (1, 2))]
+
+
+class TestLaxParts:
+    """``lax_check`` sums the residuals from the parts of H and M; the matrix
+    route forms H, M and the products L M, M L whole."""
+
+    @pytest.mark.parametrize("family, parity", LAX_CASES)
+    def test_part_residuals_match_the_matrix_route(self, family, parity):
+        rep = lax_check(family, parity)
+        assert [r.residual for r in rep.results] == lax_residuals_by_matrices(family, parity)
+        assert rep.ok and len(rep.results) == parity.size ** 2
+
+    @pytest.mark.parametrize("family", [Family.RAT_A, Family.TRIG_A])
+    def test_bound_parameters_match_the_matrix_route(self, family):
+        parity, bindings = ParityData(2, 1), {"k": const(3)}
+        rep = lax_check(family, parity, bindings)
+        assert [r.residual for r in rep.results] == lax_residuals_by_matrices(family, parity, bindings)
+        assert rep.ok
+
+    @pytest.mark.parametrize("family, parity", LAX_CASES)
+    def test_perturbed_m_fails_on_both_routes(self, monkeypatch, family, parity):
+        # M_01 doubled while the diagonal M_00 keeps its single negated part:
+        # row 0 no longer sums to zero, and [L, H] = [L, M] fails
+        original = weyl._moser_M_parts
+
+        def doubled(fam, par):
+            table = original(fam, par)
+            table[0][1] = table[0][1] * 2
+            return table
+
+        monkeypatch.setattr(weyl, "_moser_M_parts", doubled)
+        rep = lax_check(family, parity)
+        got = [r.residual for r in rep.results]
+        assert got == lax_residuals_by_matrices(family, parity)
+        assert any(not r.ok for r in rep.results if r.i == 0)
+
+
+#: sha256 prefixes of the texts of H and of M (``OpMatrix.to_json``) as the
+#: pairwise fold of their terms built them, one reduction per addition
+FOLDED_DIGESTS = {
+    Family.RAT_A: {
+        ("H", (1, 1), False): "059561f445f662f3",
+        ("H", (1, 1), True): "66eacfc26fc2b758",
+        ("M", (1, 1)): "99ee6c9aaf9c93d9",
+        ("H", (2, 1), False): "2d5c305c5467b240",
+        ("H", (2, 1), True): "5bd93b85a3ef5c42",
+        ("M", (2, 1)): "4da62c3fe0e0bd84",
+        ("H", (1, 2), False): "79dec3dfec751344",
+        ("H", (1, 2), True): "176f6b888cdebd01",
+        ("M", (1, 2)): "db6c9b025738fa47",
+        ("H", (3, 0), False): "23b5e7d64bbaaf40",
+        ("H", (3, 0), True): "68d29ac8ebda69b6",
+        ("M", (3, 0)): "9ba137c0deb4fb43",
+    },
+    Family.TRIG_A: {
+        ("H", (1, 1), False): "a9b10e8fa3319059",
+        ("H", (1, 1), True): "eadffce035fca4fd",
+        ("M", (1, 1)): "6cd3a5cc73ecac9f",
+        ("H", (2, 1), False): "db9cd149a4a9fb0f",
+        ("H", (2, 1), True): "a8fcdbc4700b685d",
+        ("M", (2, 1)): "34fcd1510c782e99",
+        ("H", (1, 2), False): "0b6a012b5bac006f",
+        ("H", (1, 2), True): "322e38525d2b65f6",
+        ("M", (1, 2)): "81119d6cba922525",
+        ("H", (3, 0), False): "f4644bd2641d2f95",
+        ("H", (3, 0), True): "3ba8c6be5da8e0e1",
+        ("M", (3, 0)): "b956ccbf5ec4b8a3",
+    },
+    Family.RAT_B: {
+        ("H", (1, 1), False): "693d8fbe1d904f79",
+        ("H", (2, 1), False): "7978e39f2a91ac8d",
+        ("H", (1, 2), False): "4658bd0c2f3d1b8c",
+        ("H", (3, 0), False): "619d9a650a5446e1",
+        ("H", (3, 0), True): "78059161ac64f4dd",
+    },
+    Family.TRIG_BC: {
+        ("H", (1, 1), False): "1fc5ddf4d6134480",
+        ("H", (2, 1), False): "bc28e08c3916f4fc",
+        ("H", (1, 2), False): "182779bbf58f1558",
+        ("H", (3, 0), False): "a0454abcd9792f37",
+        ("H", (3, 0), True): "c476d1d4866127a6",
+    },
+}
+
+
+def text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def pairwise(ops):
+    """The sum of ``ops`` by pairwise addition, one reduction per addition."""
+    return reduce(lambda a, b: a + b, ops)
+
+
+class TestParts:
+    """H and M, each coefficient summed once from their parts, keep the values
+    of the pairwise fold, gauged and ungauged, wherever they exist."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_sums_of_parts_keep_their_values(self, family):
+        for key, digest in FOLDED_DIGESTS[family].items():
+            parity = ParityData(*key[1])
+            if key[0] == "H":
+                got = hamiltonian(family, parity, gauged=key[2])
+                assert got.text() == pairwise(_hamiltonian_parts(family, parity, key[2])).text(), key
+                text = got.text()
+            else:
+                got = moser_M(family, parity)
+                folded = OpMatrix([[pairwise(cell) for cell in row]
+                                   for row in _moser_M_parts(family, parity)])
+                assert got.to_json() == folded.to_json(), key
+                text = got.to_json()
+            assert text_digest(text) == digest, key
+
+    def test_m_rows_are_their_negated_diagonals(self):
+        for family in (Family.RAT_A, Family.TRIG_A):
+            table = _moser_M_parts(family, ParityData(2, 1))
+            for i, row in enumerate(table):
+                assert len(row[i]) == len(row) - 1
+                assert all(len(cell) == 1 for j, cell in enumerate(row) if j != i)
+                assert WeylOp.sum(3, [op for cell in row for op in cell]).is_zero()
+
+
 class TestIntegrals:
     def test_first_integral_is_total_momentum(self):
         par = ParityData(1, 1)
@@ -524,7 +687,7 @@ def matrix_power_total(L, weights, p):
     of weights[i] * (L^p)_ij over all entries."""
     power = L
     for _ in range(p - 1):
-        power = power.matmul(L)
+        power = matmul(power, L)
     total = WeylOp.zero(L[0, 0].nvars)
     for i, row in enumerate(power.entries):
         for op in row:
@@ -557,13 +720,13 @@ class TestCovectorIntegrals:
     def test_compositions_stay_bounded(self, monkeypatch, family, parity, r, compositions):
         # (p - 1) n^2 for the power p of the n x n matrix L
         calls = []
-        original = WeylOp._compose
+        original = WeylOp._compose_into
 
-        def wrapper(self, other, drop_underived):
+        def wrapper(self, *args):
             calls.append(1)
-            return original(self, other, drop_underived)
+            return original(self, *args)
 
-        monkeypatch.setattr(WeylOp, "_compose", wrapper)
+        monkeypatch.setattr(WeylOp, "_compose_into", wrapper)
         moser_integral(family, parity, r)
         assert len(calls) <= compositions
 
