@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -348,7 +349,32 @@ class TestMoserIntegralBindings:
                                     % (factor, cst.substitute(bindings).text())]
 
 
+#: The README's CLI examples with a sha256 prefix of their verdict: status,
+#: checks, counterexamples and notes, as ``perfbench``'s ``Verdict.digest``
+#: hashes them; ``stats`` and ``timing_ms`` are left out, so that counters
+#: may be added without changing a verdict.
+README_VERDICTS = [
+    ("verify closed-form --family rat-a --deg 8", "1b1e9eb69d5d564d"),
+    ("verify commute-infinity --family trig-a --r 2 --s 3 --deg 6", "a65039dcf19cb264"),
+    ("verify diagram --family rat-b --kind dcomm --N 3 --i 1 --r 2", "382ea9200e205324"),
+    ("verify deformed --n 2 --m 1 --r 3", "7d3e227252a6bb8c"),
+    ("verify lax --family trig-a --n 1 --m 1", "d3a71e7556c6b1b8"),
+    ("verify moser-integrals --family trig-bc --n 1 --m 1 --r 1", "a97eb36001cf58f6"),
+    ("verify degenerate-k1 --n 1 --m 1 --r 3", "c61f2d1da2801a74"),
+    ("generate integral --family trig-a --r 2 --deg 4", "2e5ee1df1ba2f576"),
+]
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("command, digest", README_VERDICTS)
+    def test_readme_examples_keep_their_verdicts(self, capsys, command, digest):
+        code, out = run_cli(capsys, *command.split(), "--format", "json", "--no-timing")
+        p = json.loads(out)
+        verdict = json.dumps([p["status"], p["checks"], p["counterexamples"], p["notes"]],
+                             sort_keys=True, separators=(",", ":"))
+        assert code == 0
+        assert hashlib.sha256(verdict.encode()).hexdigest()[:16] == digest
+
     def test_byte_identical_reports(self, capsys):
         args = (
             "verify", "commute-infinity", "--family", "trig-a", "--r", "2", "--s", "3",

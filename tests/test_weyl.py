@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from functools import reduce
 from itertools import product
@@ -610,6 +611,57 @@ class TestParts:
                 assert len(row[i]) == len(row) - 1
                 assert all(len(cell) == 1 for j, cell in enumerate(row) if j != i)
                 assert WeylOp.sum(3, [op for cell in row for op in cell]).is_zero()
+
+
+#: sha256 prefixes of the texts of L (``OpMatrix.to_json``) for every family,
+#: of the gauged trigonometric A matrix, and of the ground-state
+#: log-derivatives of the A families (a JSON list of their texts)
+BUILT_DIGESTS = {
+    ("L", Family.RAT_A, (1, 1)): "b4721e7a8e766d47",
+    ("L", Family.RAT_A, (2, 1)): "e65f7dcd6ff95dbf",
+    ("L", Family.RAT_A, (1, 2)): "911784c0e43c62c3",
+    ("L", Family.RAT_A, (3, 0)): "8cafb11017266b0a",
+    ("L", Family.TRIG_A, (1, 1)): "0b1592310aeef472",
+    ("L", Family.TRIG_A, (2, 1)): "a3fd827c4dc961d3",
+    ("L", Family.TRIG_A, (1, 2)): "c5d9bf9af5701606",
+    ("L", Family.TRIG_A, (3, 0)): "b0d2e246d3b917d7",
+    ("L", Family.RAT_B, (1, 1)): "1628f35c4f126b20",
+    ("L", Family.RAT_B, (2, 1)): "10d6ab6c738c2860",
+    ("L", Family.RAT_B, (1, 2)): "57657eb7926d92ba",
+    ("L", Family.RAT_B, (3, 0)): "29c5f6fa52876a68",
+    ("L", Family.TRIG_BC, (1, 1)): "210c1b7fb913964c",
+    ("L", Family.TRIG_BC, (2, 1)): "a56f1de24339b08d",
+    ("L", Family.TRIG_BC, (1, 2)): "cb38c20bbae8f530",
+    ("L", Family.TRIG_BC, (3, 0)): "c5dac7cd2216a82b",
+    ("L gauged", Family.TRIG_A, (1, 1)): "6aeaa99effd85c7a",
+    ("L gauged", Family.TRIG_A, (2, 1)): "cfe145285031d5f1",
+    ("L gauged", Family.TRIG_A, (1, 2)): "e49f8b0fb215f41d",
+    ("L gauged", Family.TRIG_A, (3, 0)): "b9a2524b66daed4f",
+    ("psi0", Family.RAT_A, (1, 1)): "2ea7256e98b64bdc",
+    ("psi0", Family.RAT_A, (2, 1)): "95e087f198ae32d6",
+    ("psi0", Family.RAT_A, (1, 2)): "957ad1efc47dc24c",
+    ("psi0", Family.RAT_A, (3, 0)): "ae2e7c98d7f2967f",
+    ("psi0", Family.TRIG_A, (1, 1)): "b14258e4d1aa4249",
+    ("psi0", Family.TRIG_A, (2, 1)): "0c9745413096e205",
+    ("psi0", Family.TRIG_A, (1, 2)): "3fd90cf7982d7c07",
+    ("psi0", Family.TRIG_A, (3, 0)): "41ab439e433049ee",
+}
+
+
+class TestBuiltTexts:
+    """L, the gauged trigonometric L and the log-derivatives of the ground
+    state keep their texts."""
+
+    @pytest.mark.parametrize("what, family, size", list(BUILT_DIGESTS))
+    def test_texts_keep_their_digests(self, what, family, size):
+        parity = ParityData(*size)
+        if what == "L":
+            text = moser_L(family, parity).to_json()
+        elif what == "L gauged":
+            text = moser_L_gauged_trig(parity).to_json()
+        else:
+            text = json.dumps([w.text() for w in psi0_logderivs(family, parity)])
+        assert text_digest(text) == BUILT_DIGESTS[what, family, size]
 
 
 class TestIntegrals:
