@@ -174,6 +174,8 @@ def _explicit_bindings(args, family: Family) -> dict:
         if name not in family.symbols:
             raise InvalidRequest("bad --param %r: family %s has the parameters %s"
                                  % (item, family.value, ", ".join(family.symbols)))
+        if name in out:
+            raise InvalidRequest("bad --param %r: %s is bound more than once" % (item, name))
         try:
             out[name] = const(Rat(value))
         except (ValueError, ZeroDivisionError) as exc:

@@ -152,7 +152,7 @@ def _stencil(family: Family, a: int, m: PMono) -> tuple:
     with packed key ``shift`` (0, k, p or q); over 2 for the trigonometric
     families, so that every n is an integer.  Kept for later calls (see
     ``_STENCILS_KEPT``), so callers must not change it."""
-    trig = family in (Family.TRIG_A, Family.TRIG_BC)
+    trig = family.trig
     two = 2 if trig else 1
     out = []
     # the derivation: d(x^a) m, then the generators of m by Leibniz
@@ -283,14 +283,13 @@ class InfDunkl:
         """(D^r terms, its den_int) on packed numerators over den_int; on the
         folded half when ``folded``."""
         fam = self.family
-        halves = fam in (Family.TRIG_A, Family.TRIG_BC)
         if folded:  # application j (from 0) outputs the sign (-1)^(j+1)
             stencils = (partial(_folded_stencil, fam, -1), partial(_folded_stencil, fam, 1))
         else:
             stencils = (partial(_stencil, fam),)
         for j in range(r):
             terms = _apply_packed(terms, stencils[j % len(stencils)])
-            if halves:
+            if fam.trig:
                 den_int *= 2
         return terms, den_int
 

@@ -737,27 +737,26 @@ def _divided_differences(lay: _Layout, groups: dict, reflections, out: dict,
 
 
 def _dunkl_parts(family: Family, N: int, i: int) -> tuple:
-    """(trig, parts) for D_{i,N}: whether the operator is x_i d_i plus
-    reflection terms with a trigonometric numerator, each of which carries a
-    half, and its reflection terms as (reflections, factor, shift) for
-    ``_divided_differences``, the factor over the doubled denominator when
-    ``trig``."""
+    """The reflection terms of D_{i,N} as (reflections, factor, shift) for
+    ``_divided_differences``; for the trigonometric families the operator is
+    x_i d_i plus these terms, each with its numerator and a half, and the
+    factor is over the doubled denominator."""
     if not 0 <= i < N:
         raise ValueError("index %d outside 0..%d" % (i, N - 1))
     others = [j for j in range(N) if j != i]
     swaps = [("swap", i, j) for j in others]
     if family is Family.RAT_A:  # d_i - k sum_j (1 - s_ij) / (x_i - x_j)
-        return False, ((swaps, -1, _K_KEY),)
+        return ((swaps, -1, _K_KEY),)
     if family is Family.RAT_B:  # ... and its signed swaps over x_i + x_j, - q (1 - s_i) / x_i
         signed = [(kind, i, j) for j in others for kind in ("swap", "signed_swap")]
-        return False, ((signed, -1, _K_KEY), ([("flip", i, None)], -1, _Q_KEY))
+        return ((signed, -1, _K_KEY), ([("flip", i, None)], -1, _Q_KEY))
     if family is Family.TRIG_A:  # x_i d_i - (k/2) sum_j (x_i + x_j) (1 - s_ij) / (x_i - x_j)
-        return True, ((swaps, -1, _K_KEY),)
+        return ((swaps, -1, _K_KEY),)
     # TRIG_BC: x_i d_i - (k/2) [the swaps and their inverted forms]
     #          - (p/2) (x_i + 1) (1 - t_i) / (x_i - 1) - q (x_i^2 + 1) (1 - t_i) / (x_i^2 - 1)
     pairs = [(kind, i, j) for j in others for kind in ("swap", "invert_swap")]
-    return True, ((pairs, -1, _K_KEY), ([("invert", i, None)], -1, _P_KEY),
-                  ([("invert2", i, None)], -2, _Q_KEY))
+    return ((pairs, -1, _K_KEY), ([("invert", i, None)], -1, _P_KEY),
+            ([("invert2", i, None)], -2, _Q_KEY))
 
 
 def _finite_dunkl_power(family: Family, N: int, i: int, f: MultiPoly, r: int) -> MultiPoly:
@@ -775,7 +774,8 @@ def _finite_dunkl_power(family: Family, N: int, i: int, f: MultiPoly, r: int) ->
     """
     if f.nvars != N:
         raise ValueError("variable count mismatch")
-    trig, parts = _dunkl_parts(family, N, i)
+    parts = _dunkl_parts(family, N, i)
+    trig = family.trig
     lay = f._lay
     off = lay.offsets[i]
     # x_i d_i keeps the key of x^a; d_i lowers a_i and the degree by one

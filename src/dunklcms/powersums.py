@@ -43,6 +43,12 @@ class Family(enum.Enum):
         return self is Family.TRIG_BC
 
     @property
+    def trig(self) -> bool:
+        """Whether the family is trigonometric: its kinetic operator is
+        x_i d_i and its reflection terms carry a numerator and a half."""
+        return self in (Family.TRIG_A, Family.TRIG_BC)
+
+    @property
     def symbols(self):
         """Deformation symbols the family's operators depend on."""
         return {

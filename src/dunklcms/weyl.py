@@ -41,12 +41,21 @@ only in leading coefficients, in substitution and in the report texts.
 On top of this the module builds, for each family, the quantum Moser matrix L
 (block form [[A, B], [-B, -A]] for the B families), the companion matrix M of
 the A families, the deformed Hamiltonians in their gauged and ungauged forms,
-the quantum Lax check [L, H] = [L, M], and the integrals e* L^r e.  H and M
-are sums of simple parts (H: a kinetic term or a pair potential each; M: one
-pair term per off-diagonal entry, negated on the diagonal), and
-``lax_check`` never sums them: it composes each entry of L with each part,
-so that a part meets only the derivatives that act on it and its factors
-stay out of the other parts' reductions.  An integral never forms the matrix L^r: ``OpMatrix.sandwich``
+the ground-state log-derivatives of the A families, the quantum Lax check
+[L, H] = [L, M], and the integrals e* L^r e.  One set of pieces builds them
+all, for every family: the kinetic operator T_i (d_i, or x_i d_i for the
+trigonometric families), the root factors d of a pair (x_i - x_j, and for a
+B family its reflected factor x_i + x_j or x_i x_j - 1), the pair term of d
+(c / d, or (c/2) t / d with t = d + 2u its trigonometric numerator, as in
+``finite_cms._divided_differences``), the pair potential of d (c / d^2, or
+c x_i x_j / d^2), and the one-particle terms and potentials of the B
+families over x_i, x_i - 1 and x_i^2 - 1; each builder differs from the
+others only in the coefficients it gives them.  H and M are sums of simple
+parts (H: a kinetic term or a pair potential each; M: one pair potential per
+off-diagonal entry, negated on the diagonal), and ``lax_check`` never sums
+them: it composes each entry of L with each part, so that a part meets only
+the derivatives that act on it and its factors stay out of the other parts'
+reductions.  An integral never forms the matrix L^r: ``OpMatrix.sandwich``
 carries the row e* L through v_j <- sum_l v_l . L_lj and sums it, n^2
 compositions per power.
 ``WeylOp.apply`` applies an operator to a polynomial or a rational function
@@ -56,6 +65,7 @@ alike, which is all that the basis route of ``commute_check`` needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 
 from .coeffs import B_CONSTRAINT, BC_CONSTRAINT, HALF, K, ONE, P, Q, ParamRatio, k_power
@@ -538,16 +548,40 @@ class OpMatrix:
         return json.dumps([op.text() for row in self.entries for op in row])
 
 
-# -- structural denominators -------------------------------------------------
+# -- the shared pieces of L, M, H and the ground state (see the module docstring)
 
 
-def _den_shift2(nvars, i, e: int) -> list:
-    """(x_i^2 - 1)^e as irreducible denominator factors."""
-    return [(_fac_shift(nvars, i, -1), e), (_fac_shift(nvars, i, 1), e)]
+def _kinetic(family: Family, nm: int, i: int, c: ParamRatio = ONE) -> WeylOp:
+    """c T_i: c d_i for the rational families, c x_i d_i for the trigonometric ones."""
+    return WeylOp.euler(nm, i, c) if family.trig else WeylOp.partial(nm, i, RatFun.const(nm, c))
 
 
-def _rf(num: MultiPoly, *den_pairs) -> RatFun:
-    return RatFun(num, {f: e for f, e in den_pairs})
+@cache
+def _pair_factors(family: Family, nm: int, i: int, j: int) -> tuple:
+    """The root factors of the pair (i, j) as (d, t): first (x_i - x_j,
+    x_i + x_j), then for a B family the reflected factor, x_i + x_j for
+    rational B (whose terms read no numerator) and (x_i x_j - 1,
+    x_i x_j + 1) for trig BC."""
+    out = [(_fac_diff(nm, i, j), _fac_sum(nm, i, j))]
+    if family is Family.RAT_B:
+        out.append((_fac_sum(nm, i, j), None))
+    elif family is Family.TRIG_BC:
+        d = _fac_prod_minus_1(nm, i, j)
+        out.append((d, d + MultiPoly.const(nm, 2)))
+    return tuple(out)
+
+
+def _pair_term(family: Family, d: MultiPoly, t: MultiPoly, c: ParamRatio) -> RatFun:
+    """c / d, or (c/2) t / d for the trigonometric families."""
+    num = t.scale(c * HALF) if family.trig else MultiPoly.const(d.nvars, c)
+    return RatFun(num, {d: 1})
+
+
+def _pair_potential(family: Family, i: int, j: int, d: MultiPoly, c: ParamRatio) -> RatFun:
+    """c / d^2, or c x_i x_j / d^2 for the trigonometric families."""
+    nm = d.nvars
+    num = (MultiPoly.var(nm, i) * MultiPoly.var(nm, j)).scale(c) if family.trig else MultiPoly.const(nm, c)
+    return RatFun(num, {d: 2})
 
 
 def _species_multiplicity(family: Family, parity: ParityData, i: int):
@@ -560,73 +594,73 @@ def _species_multiplicity(family: Family, parity: ParityData, i: int):
     raise UnsupportedFamily(family.value)
 
 
+def _den_shift2(nm: int, i: int, e: int) -> dict:
+    """(x_i^2 - 1)^e as irreducible denominator factors."""
+    return {_fac_shift(nm, i, -1): e, _fac_shift(nm, i, 1): e}
+
+
+def _one_particle(family: Family, parity: ParityData, i: int, c: ParamRatio) -> RatFun:
+    """The one-particle term of a B family with the multiplicities scaled by
+    c: c m / x_i for rational B, and the pair term of x_i - 1 with c mu plus
+    c nu (x_i^2 + 1) / (x_i^2 - 1) for trig BC."""
+    nm, mult = parity.size, _species_multiplicity(family, parity, i)
+    if family is Family.RAT_B:
+        return _pair_term(family, MultiPoly.var(nm, i), None, c * mult)
+    mu, nu = mult
+    return (_pair_term(family, _fac_shift(nm, i, -1), _fac_shift(nm, i, 1), c * mu)
+            + RatFun(_fac_shift(nm, i, 1, 2).scale(c * nu), _den_shift2(nm, i, 1)))
+
+
+def _one_particle_potentials(family: Family, parity: ParityData, i: int) -> list:
+    """The one-particle potentials of a B family: k^p(i) m (m + 1) / x_i^2 for
+    rational B; for trig BC k^p(i) mu (mu + 2 nu + 1) x_i / (x_i - 1)^2 and
+    4 k^p(i) nu (nu + 1) x_i^2 / (x_i^2 - 1)^2."""
+    nm, kw, mult = parity.size, parity.k_weight(i), _species_multiplicity(family, parity, i)
+    x = MultiPoly.var(nm, i)
+    if family is Family.RAT_B:
+        return [RatFun(MultiPoly.const(nm, kw * mult * (mult + ONE)), {x: 2})]
+    mu, nu = mult
+    return [RatFun(x.scale(kw * mu * (mu + nu.scale(2) + ONE)), {_fac_shift(nm, i, -1): 2}),
+            RatFun(MultiPoly.var(nm, i, 2).scale((kw * nu * (nu + ONE)).scale(4)), _den_shift2(nm, i, 2))]
+
+
+def _pair_coefficient(parity: ParityData, i: int, j: int) -> ParamRatio:
+    """2 k(k+1), 2 (1/k + 1) or 2 (k + 1): the ungauged pair coupling of
+    particles i < j of species (0, 0), (1, 1) or (0, 1)."""
+    return {
+        (0, 0): K * (K + ONE),
+        (1, 1): k_power(-1) + ONE,
+        (0, 1): K + ONE,
+    }[(parity.p(i), parity.p(j))].scale(2)
+
+
 # -- Moser matrices ------------------------------------------------------------
 
 
 def moser_L(family: Family, parity: ParityData) -> OpMatrix:
-    """The quantum Moser matrix; block form [[A, B], [-B, -A]] for B/BC."""
+    """The quantum Moser matrix, one entry rule for every family.
+
+    Block 0 holds k^p(i) T_i on the diagonal and the pair term of x_i - x_j
+    with the weight w_ij = k^(1-p(j)) off it; for the A families it is L.  A
+    B family has the block form [[A, B], [-B, -A]] with A its block 0, which
+    is the A family's L, and B its block 1: the one-particle term with the
+    multiplicities scaled by k^p(i) on the diagonal and the pair term of the
+    reflected factor with w_ij off it.
+    """
     nm = parity.size
-    if family in (Family.RAT_A, Family.TRIG_A):
-        entries = []
-        for i in range(nm):
-            row = []
-            for j in range(nm):
-                if i == j:
-                    if family is Family.RAT_A:
-                        row.append(WeylOp.partial(nm, i, RatFun.const(nm, parity.k_weight(i))))
-                    else:
-                        row.append(WeylOp.euler(nm, i, parity.k_weight(i)))
-                else:
-                    w = parity.cross_weight(i, j)
-                    if family is Family.RAT_A:
-                        f = _rf(MultiPoly.const(nm, w), (_fac_diff(nm, i, j), 1))
-                    else:
-                        f = _rf(_fac_sum(nm, i, j).scale(w * HALF), (_fac_diff(nm, i, j), 1))
-                    row.append(WeylOp.mul_by(f))
-            entries.append(row)
-        return OpMatrix(entries)
-    if family is Family.RAT_B:
-        A, B = [], []
-        for i in range(nm):
-            arow, brow = [], []
-            for j in range(nm):
-                if i == j:
-                    arow.append(WeylOp.partial(nm, i, RatFun.const(nm, parity.k_weight(i))))
-                    mi = _species_multiplicity(family, parity, i)
-                    brow.append(WeylOp.mul_by(
-                        _rf(MultiPoly.const(nm, parity.k_weight(i) * mi), (MultiPoly.var(nm, i), 1))
-                    ))
-                else:
-                    w = parity.cross_weight(i, j)
-                    arow.append(WeylOp.mul_by(_rf(MultiPoly.const(nm, w), (_fac_diff(nm, i, j), 1))))
-                    brow.append(WeylOp.mul_by(_rf(MultiPoly.const(nm, w), (_fac_sum(nm, i, j), 1))))
-            A.append(arow)
-            B.append(brow)
-    elif family is Family.TRIG_BC:
-        A, B = [], []
-        for i in range(nm):
-            arow, brow = [], []
-            for j in range(nm):
-                if i == j:
-                    arow.append(WeylOp.euler(nm, i, parity.k_weight(i)))
-                    mu, nu = _species_multiplicity(family, parity, i)
-                    kw = parity.k_weight(i)
-                    t1 = _rf(_fac_shift(nm, i, 1).scale(kw * mu * HALF), (_fac_shift(nm, i, -1), 1))
-                    t2 = _rf(_fac_shift(nm, i, 1, 2).scale(kw * nu), *_den_shift2(nm, i, 1))
-                    brow.append(WeylOp.mul_by(t1 + t2))
-                else:
-                    w = parity.cross_weight(i, j)
-                    arow.append(WeylOp.mul_by(
-                        _rf(_fac_sum(nm, i, j).scale(w * HALF), (_fac_diff(nm, i, j), 1))
-                    ))
-                    prod1 = _fac_prod_minus_1(nm, i, j) + MultiPoly.const(nm, 2)  # x_i x_j + 1
-                    brow.append(WeylOp.mul_by(
-                        _rf(prod1.scale(w * HALF), (_fac_prod_minus_1(nm, i, j), 1))
-                    ))
-            A.append(arow)
-            B.append(brow)
-    else:  # pragma: no cover
-        raise UnsupportedFamily(family.value)
+
+    def entry(i: int, j: int, b: int) -> WeylOp:
+        if i != j:
+            d, t = _pair_factors(family, nm, i, j)[b]
+            return WeylOp.mul_by(_pair_term(family, d, t, parity.cross_weight(i, j)))
+        if b == 0:
+            return _kinetic(family, nm, i, parity.k_weight(i))
+        return WeylOp.mul_by(_one_particle(family, parity, i, parity.k_weight(i)))
+
+    A = [[entry(i, j, 0) for j in range(nm)] for i in range(nm)]
+    if not family.even_integrals:
+        return OpMatrix(A)
+    B = [[entry(i, j, 1) for j in range(nm)] for i in range(nm)]
     top = [arow + brow for arow, brow in zip(A, B)]
     bottom = [[-op for op in brow] + [-op for op in arow] for arow, brow in zip(A, B)]
     return OpMatrix(top + bottom)
@@ -640,10 +674,10 @@ def moser_M(family: Family, parity: ParityData) -> OpMatrix:
 
 def _moser_M_parts(family: Family, parity: ParityData) -> list:
     """M as an n x n table of lists of parts: off the diagonal the one
-    multiplication operator 2 w_ij / (x_i - x_j)^2 (times x_i x_j for trig
-    A), and on it the negated off-diagonal parts of its row, so that every
-    row sums to zero."""
-    if family not in (Family.RAT_A, Family.TRIG_A):
+    multiplication operator by the pair potential of x_i - x_j with 2 w_ij,
+    and on it the negated off-diagonal parts of its row, so that every row
+    sums to zero."""
+    if family.even_integrals:
         raise UnsupportedFamily("no M matrix for family %s" % family.value)
     nm = parity.size
     table = [[[] for _ in range(nm)] for _ in range(nm)]
@@ -651,46 +685,23 @@ def _moser_M_parts(family: Family, parity: ParityData) -> list:
         for j in range(nm):
             if i == j:
                 continue
-            w = parity.cross_weight(i, j).scale(2)
-            if family is Family.RAT_A:
-                f = _rf(MultiPoly.const(nm, w), (_fac_diff(nm, i, j), 2))
-            else:
-                num = MultiPoly.var(nm, i) * MultiPoly.var(nm, j)
-                f = _rf(num.scale(w), (_fac_diff(nm, i, j), 2))
+            d = _pair_factors(family, nm, i, j)[0][0]
+            f = _pair_potential(family, i, j, d, parity.cross_weight(i, j).scale(2))
             table[i][j].append(WeylOp.mul_by(f))
             table[i][i].append(WeylOp.mul_by(-f))
     return table
 
 
 def moser_L_gauged_trig(parity: ParityData) -> OpMatrix:
-    """The gauged trigonometric A matrix: off-diagonal part of L plus the
-    divided-difference diagonal."""
-    nm = parity.size
+    """The gauged trigonometric A matrix: L with each diagonal entry less the
+    off-diagonal entries of its row."""
     L = moser_L(Family.TRIG_A, parity)
-    entries = [row[:] for row in L.entries]
-    for i in range(nm):
-        diag = entries[i][i]
-        for j in range(nm):
-            if j == i:
-                continue
-            w = parity.cross_weight(i, j)
-            f = _rf(_fac_sum(nm, i, j).scale(w * HALF), (_fac_diff(nm, i, j), 1))
-            diag = diag - WeylOp.mul_by(f)
-        entries[i][i] = diag
-    return OpMatrix(entries)
+    for i, row in enumerate(L.entries):
+        row[i] = WeylOp.sum(parity.size, [row[i]] + [-op for j, op in enumerate(row) if j != i])
+    return L
 
 
 # -- Hamiltonians ------------------------------------------------------------------
-
-
-def _pair_coefficient(parity: ParityData, i: int, j: int) -> ParamRatio:
-    """2 k(k+1), 2 (1/k + 1) or 2 (k + 1): the ungauged pair coupling of
-    particles i < j of species (0, 0), (1, 1) or (0, 1)."""
-    return {
-        (0, 0): K * (K + ONE),
-        (1, 1): k_power(-1) + ONE,
-        (0, 1): K + ONE,
-    }[(parity.p(i), parity.p(j))].scale(2)
 
 
 def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> WeylOp:
@@ -700,127 +711,50 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
 
 
 def _hamiltonian_parts(family: Family, parity: ParityData, gauged: bool) -> list:
-    """The terms of the deformed Hamiltonian, signed, as separate operators:
-    a kinetic term per particle and the pair and one-particle potentials
-    (for the gauged forms, their first-order terms).
+    """The terms of the deformed Hamiltonian, signed, as separate operators,
+    one loop for every family and gauge: the kinetic terms k^p(i) T_i^2,
+    then a part per pair i < j and root factor d of the pair, then a part
+    per particle of a B family.
 
-    Sign conventions follow the standard forms of each family (the ungauged
-    rational B operator has a negative kinetic part).  Gauged forms for the B
-    families are defined at m = 0 only.
+    Ungauged, a pair part is minus the pair potential of d with the coupling
+    ``_pair_coefficient`` and a particle gives minus its one-particle
+    potentials; the ungauged rational B operator carries the global sign -1.
+    Gauged, a pair part is -(pair term of d with 2 w_ij) . (T_i -+ w' T_j),
+    minus for x_i - x_j and plus for the reflected factor, with
+    w' = k^(p(j)-p(i)), and a particle part is -(one-particle term with the
+    doubled multiplicities) . T_i.  The gauged forms of the B families are
+    stated at m = 0 only.
+
+    The ungauged trig-BC coefficients are pinned by the Moser matrix:
+    e* L^2 e = 2 H + scalar constant must hold (verified symbolically in the
+    tests).  The commonly quoted 4x-scaled variant, which also lacks the
+    cross term over (x_i y_j - 1)^2, fails that identity.
     """
+    if gauged and family.even_integrals and parity.m:
+        raise UnsupportedFamily("gauged %s form is stated at m = 0 only"
+                                % ("rational B" if family is Family.RAT_B else "trig BC"))
     nm = parity.size
-    parts = []
-    if family is Family.RAT_A:
-        if gauged:
-            for i in range(nm):
-                di = WeylOp.partial(nm, i)
-                parts.append(di.compose(di).scale(parity.k_weight(i)))
-            for i in range(nm):
-                for j in range(i + 1, nm):
-                    pi, pj = parity.p(i), parity.p(j)
-                    front = {(0, 0): K.scale(2), (1, 1): ParamRatio.const(2), (0, 1): ParamRatio.const(2)}[(pi, pj)]
-                    wj = K if (pi, pj) == (0, 1) else ONE
-                    cross = WeylOp.partial(nm, i) - WeylOp.partial(nm, j).scale(wj)
-                    f = _rf(MultiPoly.const(nm, front), (_fac_diff(nm, i, j), 1))
-                    parts.append(-WeylOp.mul_by(f).compose(cross))
-            return parts
-        for i in range(nm):
-            di = WeylOp.partial(nm, i)
-            parts.append(di.compose(di).scale(parity.k_weight(i)))
-        for i in range(nm):
-            for j in range(i + 1, nm):
-                c = _pair_coefficient(parity, i, j)
-                parts.append(-WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (_fac_diff(nm, i, j), 2))))
-        return parts
-    if family is Family.TRIG_A:
-        for i in range(nm):
-            ei = WeylOp.euler(nm, i)
-            parts.append(ei.compose(ei).scale(parity.k_weight(i)))
-        for i in range(nm):
-            for j in range(i + 1, nm):
-                pi, pj = parity.p(i), parity.p(j)
-                if gauged:
-                    front = {(0, 0): K, (1, 1): ONE, (0, 1): ONE}[(pi, pj)]
-                    wj = K if (pi, pj) == (0, 1) else ONE
-                    cross = WeylOp.euler(nm, i) - WeylOp.euler(nm, j, wj)
-                    f = _rf(_fac_sum(nm, i, j).scale(front), (_fac_diff(nm, i, j), 1))
-                    parts.append(-WeylOp.mul_by(f).compose(cross))
-                else:
-                    c = _pair_coefficient(parity, i, j)
-                    num = (MultiPoly.var(nm, i) * MultiPoly.var(nm, j)).scale(c)
-                    parts.append(-WeylOp.mul_by(_rf(num, (_fac_diff(nm, i, j), 2))))
-        return parts
-    if family is Family.RAT_B:
-        if gauged:
-            if parity.m:
-                raise UnsupportedFamily("gauged rational B form is stated at m = 0 only")
-            for i in range(nm):
-                di = WeylOp.partial(nm, i)
-                parts.append(di.compose(di))
-            for i in range(nm):
-                for j in range(i + 1, nm):
-                    minus = WeylOp.partial(nm, i) - WeylOp.partial(nm, j)
-                    plus = WeylOp.partial(nm, i) + WeylOp.partial(nm, j)
-                    parts.append(-WeylOp.mul_by(_rf(MultiPoly.const(nm, K.scale(2)), (_fac_diff(nm, i, j), 1))).compose(minus))
-                    parts.append(-WeylOp.mul_by(_rf(MultiPoly.const(nm, K.scale(2)), (_fac_sum(nm, i, j), 1))).compose(plus))
-            for i in range(nm):
-                parts.append(-WeylOp.mul_by(_rf(MultiPoly.const(nm, Q.scale(2)), (MultiPoly.var(nm, i), 1))).compose(WeylOp.partial(nm, i)))
-            return parts
-        # ungauged deformed rational B: negative kinetic part
-        for i in range(nm):
-            di = WeylOp.partial(nm, i)
-            parts.append(-di.compose(di).scale(parity.k_weight(i)))
-        for i in range(nm):
-            for j in range(i + 1, nm):
-                c = _pair_coefficient(parity, i, j)
-                parts.append(WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (_fac_diff(nm, i, j), 2))))
-                parts.append(WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (_fac_sum(nm, i, j), 2))))
-        for i in range(nm):
-            if parity.p(i) == 0:
-                c = Q * (Q + ONE)
-            else:
-                c = K * _S_VALUE * (_S_VALUE + ONE)
-            parts.append(WeylOp.mul_by(_rf(MultiPoly.const(nm, c), (MultiPoly.var(nm, i), 2))))
-        return parts
-    # TRIG_BC
-    if gauged:
-        if parity.m:
-            raise UnsupportedFamily("gauged trig BC form is stated at m = 0 only")
-        for i in range(nm):
-            ei = WeylOp.euler(nm, i)
-            parts.append(ei.compose(ei))
-        for i in range(nm):
-            for j in range(i + 1, nm):
-                minus = WeylOp.euler(nm, i) - WeylOp.euler(nm, j)
-                plus = WeylOp.euler(nm, i) + WeylOp.euler(nm, j)
-                parts.append(-WeylOp.mul_by(_rf(_fac_sum(nm, i, j).scale(K), (_fac_diff(nm, i, j), 1))).compose(minus))
-                prod1 = _fac_prod_minus_1(nm, i, j) + MultiPoly.const(nm, 2)
-                parts.append(-WeylOp.mul_by(_rf(prod1.scale(K), (_fac_prod_minus_1(nm, i, j), 1))).compose(plus))
-        for i in range(nm):
-            t1 = _rf(_fac_shift(nm, i, 1).scale(P), (_fac_shift(nm, i, -1), 1))
-            t2 = _rf(_fac_shift(nm, i, 1, 2).scale(Q.scale(2)), *_den_shift2(nm, i, 1))
-            parts.append(-WeylOp.mul_by(t1 + t2).compose(WeylOp.euler(nm, i)))
-        return parts
-    # Ungauged deformed trig BC.  The coefficients are pinned by the Moser
-    # matrix: e* L^2 e = 2 H + scalar constant must hold (verified symbolically
-    # in the tests).  The commonly quoted 4x-scaled variant, which also lacks
-    # the cross term over (x_i y_j - 1)^2, fails that identity.
-    for i in range(nm):
-        ei = WeylOp.euler(nm, i)
-        parts.append(ei.compose(ei).scale(parity.k_weight(i)))
+    T = [_kinetic(family, nm, i) for i in range(nm)]
+    parts = [T[i].compose(T[i]).scale(parity.k_weight(i)) for i in range(nm)]
     for i in range(nm):
         for j in range(i + 1, nm):
-            c = _pair_coefficient(parity, i, j)
-            num = (MultiPoly.var(nm, i) * MultiPoly.var(nm, j)).scale(c)
-            parts.append(-WeylOp.mul_by(_rf(num, (_fac_diff(nm, i, j), 2))))
-            parts.append(-WeylOp.mul_by(_rf(num, (_fac_prod_minus_1(nm, i, j), 2))))
-    for i in range(nm):
-        mu, nu = _species_multiplicity(family, parity, i)
-        kw = parity.k_weight(i)
-        c1 = kw * mu * (mu + nu.scale(2) + ONE)
-        c2 = (kw * nu * (nu + ONE)).scale(4)
-        parts.append(-WeylOp.mul_by(_rf(MultiPoly.var(nm, i).scale(c1), (_fac_shift(nm, i, -1), 2))))
-        parts.append(-WeylOp.mul_by(_rf(MultiPoly.var(nm, i, 2).scale(c2), *_den_shift2(nm, i, 2))))
+            for b, (d, t) in enumerate(_pair_factors(family, nm, i, j)):
+                if gauged:
+                    Tj = _kinetic(family, nm, j, k_power(parity.p(j) - parity.p(i)))
+                    f = _pair_term(family, d, t, parity.cross_weight(i, j).scale(2))
+                    parts.append(-WeylOp.mul_by(f).compose(T[i] - Tj if b == 0 else T[i] + Tj))
+                else:
+                    f = _pair_potential(family, i, j, d, _pair_coefficient(parity, i, j))
+                    parts.append(-WeylOp.mul_by(f))
+    if family.even_integrals:
+        for i in range(nm):
+            if gauged:
+                f = _one_particle(family, parity, i, parity.k_weight(i).scale(2))
+                parts.append(-WeylOp.mul_by(f).compose(T[i]))
+            else:
+                parts.extend(-WeylOp.mul_by(f) for f in _one_particle_potentials(family, parity, i))
+    if family is Family.RAT_B and not gauged:
+        parts = [-op for op in parts]
     return parts
 
 
@@ -958,8 +892,11 @@ def commute_check(A: WeylOp, B: WeylOp, mode: str = "symbolic", deg: int = 4) ->
     """Check [A, B] = 0 symbolically or on all monomials of total degree <= deg.
 
     Basis mode applies both orderings to each monomial independently of the
-    normal-ordered commutator; monomials distribute across workers.
+    normal-ordered commutator; monomials distribute across workers.  Any
+    other ``mode`` raises ValueError.
     """
+    if mode not in ("symbolic", "basis"):
+        raise ValueError("commute_check mode %r is neither 'symbolic' nor 'basis'" % (mode,))
     if mode == "symbolic":
         res = A.commutator(B)
         return CommuteReport("symbolic", res.is_zero(), [] if res.is_zero() else [("operator", res.text())])
@@ -1013,22 +950,19 @@ def psi0_logderivs(family: Family, parity: ParityData):
 
     Rational A: product of (x_i - x_j)^(k^(1-p(i)-p(j))); trigonometric A:
     product of (x_i x_j / (x_i - x_j)^2)^(k^(1-p(i)-p(j))/2).  The symbolic
-    exponents never appear themselves, only their rational log-derivatives.
+    exponents never appear themselves, only their rational log-derivatives:
+    the sum over j of the pair terms of x_i - x_j with k^(1-p(i)-p(j)),
+    divided by -x_i for trigonometric A.  The B families have no such gauge.
     """
+    if family.even_integrals:
+        raise UnsupportedFamily("no ground-state factor for family %s" % family.value)
     nm = parity.size
     out = []
     for i in range(nm):
-        w = RatFun.zero(nm)
-        for j in range(nm):
-            if j == i:
-                continue
-            c = k_power(1 - parity.p(i) - parity.p(j))
-            if family is Family.RAT_A:
-                w = w + _rf(MultiPoly.const(nm, c), (_fac_diff(nm, i, j), 1))
-            elif family is Family.TRIG_A:
-                w = w + _rf(MultiPoly.const(nm, c * HALF), (MultiPoly.var(nm, i), 1))
-                w = w - _rf(MultiPoly.const(nm, c), (_fac_diff(nm, i, j), 1))
-            else:
-                raise UnsupportedFamily(family.value)
+        w = RatFun.sum(nm, [_pair_term(family, *_pair_factors(family, nm, i, j)[0],
+                                       k_power(1 - parity.p(i) - parity.p(j)))
+                            for j in range(nm) if j != i])
+        if family.trig:
+            w = w * RatFun(MultiPoly.const(nm, -1), {MultiPoly.var(nm, i): 1})
         out.append(w)
     return out

@@ -212,6 +212,11 @@ class TestErrorsAndGuards:
          "--param"),
         (("generate", "integral", "--family", "rat-a", "--r", "2", "--deg", "2", "--mode", "sampled"),
          "--mode sampled"),
+        # a symbol bound twice, to different values or to the same one
+        (("verify", "lax", "--family", "trig-a", "--n", "1", "--m", "1", "--param", "k=2",
+          "--param", "k=3"), "--param 'k=3'"),
+        (("verify", "moser-integrals", "--family", "trig-bc", "--n", "1", "--m", "0", "--r", "1",
+          "--mode", "sampled", "--param", "p=2", "--param", "q=1", "--param", "p=2"), "--param 'p=2'"),
         # a symbol the family's operators do not have
         (("verify", "closed-form", "--family", "rat-a", "--deg", "2", "--param", "q=1"), "--param 'q=1'"),
         (("verify", "lax", "--family", "trig-a", "--n", "1", "--m", "1", "--param", "s=1"),

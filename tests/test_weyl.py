@@ -700,6 +700,12 @@ class TestIntegrals:
             I = moser_integral(Family.RAT_A, par, r)
             assert commute_check(I, H, "symbolic").ok
 
+    @pytest.mark.parametrize("mode", ["Symbolic", "basis(deg=4)", ""])
+    def test_commute_check_rejects_other_modes(self, mode):
+        H = hamiltonian(Family.RAT_A, ParityData(1, 1))
+        with pytest.raises(ValueError):
+            commute_check(H, H, mode)
+
     def test_commute_check_basis_mode(self):
         par = ParityData(1, 1)
         H = hamiltonian(Family.RAT_B, par, gauged=False)
@@ -834,6 +840,12 @@ class TestGauge:
         assert (diff - WeylOp.mul_by(c)).is_zero() and c.is_scalar()
         # the ground-state shift (k+1)/4
         assert c == RatFun(MultiPoly.const(2, (K + ONE) * ParamRatio.fraction(1, 4)))
+
+    @pytest.mark.parametrize("family", [Family.RAT_B, Family.TRIG_BC])
+    @pytest.mark.parametrize("size", [(1, 0), (0, 1), (1, 1), (2, 1)])
+    def test_b_families_have_no_ground_state_factor(self, family, size):
+        with pytest.raises(UnsupportedFamily):
+            psi0_logderivs(family, ParityData(*size))
 
     def test_gauged_trig_matrix_gives_gauged_hamiltonian(self):
         par = ParityData(1, 1)
