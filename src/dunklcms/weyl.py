@@ -65,7 +65,7 @@ alike, which is all that the basis route of ``commute_check`` needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from math import comb
 
 from .coeffs import B_CONSTRAINT, BC_CONSTRAINT, HALF, K, ONE, P, Q, ParamRatio, k_power
@@ -784,6 +784,23 @@ class LaxReport:
         return [r for r in self.results if not r.ok]
 
 
+def _lax_entry(E, hs, ms, ij) -> EntryResult:
+    """The residual of entry (i, j): [L_ij, H] - (L M - M L)_ij, from the
+    entries E of L, the parts hs of H and the parts ms of M."""
+    i, j = ij
+    out: dict = {}
+    for h in hs:
+        E[i][j]._compose_into(h, True, out)
+        h._compose_into(E[i][j], True, out, -1)
+    for l in range(len(E)):
+        for m in ms[l][j]:
+            E[i][l]._compose_into(m, False, out, -1)
+        for m in ms[i][l]:
+            m._compose_into(E[l][j], False, out)
+    res = WeylOp._from_parts(len(E), out)
+    return EntryResult(i, j, res.is_zero(), res.text())
+
+
 def lax_check(family: Family, parity: ParityData, bindings: dict = None) -> LaxReport:
     """Verify [L, H] = [L, M] entrywise (A families).
 
@@ -794,10 +811,14 @@ def lax_check(family: Family, parity: ParityData, bindings: dict = None) -> LaxR
     one accumulator, so each coefficient is reduced once.  A derivative of
     L_ij that misses the variables of a part of H then gives no Leibniz
     part, and the factors of the other parts never enter its derivatives.
+    The n^2 entries are independent and distribute across workers
+    (``_parallel.ordered_map``), in row-major order.
 
     With ``bindings``, L and the parts are substituted before the
     compositions, so the check runs at that parameter point.
     """
+    from ._parallel import ordered_map
+
     if family not in (Family.RAT_A, Family.TRIG_A):
         raise UnsupportedFamily("no Lax pair is stated for family %s" % family.value)
     L = moser_L(family, parity)
@@ -807,22 +828,9 @@ def lax_check(family: Family, parity: ParityData, bindings: dict = None) -> LaxR
         L = L.substitute(bindings)
         hs = [h.substitute(bindings) for h in hs]
         ms = [[[m.substitute(bindings) for m in cell] for cell in row] for row in ms]
-    nm, E = parity.size, L.entries
-    results = []
-    for i in range(nm):
-        for j in range(nm):
-            out: dict = {}
-            for h in hs:
-                E[i][j]._compose_into(h, True, out)
-                h._compose_into(E[i][j], True, out, -1)
-            for l in range(nm):
-                for m in ms[l][j]:
-                    E[i][l]._compose_into(m, False, out, -1)
-                for m in ms[i][l]:
-                    m._compose_into(E[l][j], False, out)
-            res = WeylOp._from_parts(nm, out)
-            results.append(EntryResult(i, j, res.is_zero(), res.text()))
-    return LaxReport(family, parity, results)
+    nm = parity.size
+    entries = [(i, j) for i in range(nm) for j in range(nm)]
+    return LaxReport(family, parity, ordered_map(partial(_lax_entry, L.entries, hs, ms), entries))
 
 
 def estar_weights(family: Family, parity: ParityData):
@@ -900,8 +908,6 @@ def commute_check(A: WeylOp, B: WeylOp, mode: str = "symbolic", deg: int = 4) ->
     if mode == "symbolic":
         res = A.commutator(B)
         return CommuteReport("symbolic", res.is_zero(), [] if res.is_zero() else [("operator", res.text())])
-    from functools import partial
-
     from ._parallel import ordered_map
 
     nvars = A.nvars

@@ -12,11 +12,42 @@ from hypothesis import strategies as st
 
 from dunklcms import _parallel, cli, finite_cms
 from dunklcms.cli import Report, build_parser, report_emit, run
-from dunklcms.coeffs import K, Rat, const
+from dunklcms.coeffs import ExponentOverflow, K, Rat, const
 from dunklcms.dunkl_infinity import InfDunkl
 from dunklcms.finite_cms import Hom, MultiPoly, ParityData
 from dunklcms.powersums import Family, LambdaElem, pmono_text
 from dunklcms.weyl import RatFun, integral_hamiltonian_factor, integral_vs_hamiltonian
+
+
+def _raise_value_error_on_3(x):
+    if x == 3:
+        raise ValueError("item 3")
+    return x
+
+
+def _raise_overflow_on_3(x):
+    if x == 3:
+        raise ExponentOverflow("item 3")
+    return x
+
+
+def _exit_on_3(x):
+    if x == 3:
+        os._exit(3)
+    return x
+
+
+class Unpicklable(Exception):
+    """Pickles, but cannot be rebuilt: ``args`` lacks the second argument."""
+
+    def __init__(self, text, extra):
+        super().__init__(text)
+
+
+def _raise_unpicklable_on_3(x):
+    if x == 3:
+        raise Unpicklable("item 3", None)
+    return x
 
 
 def run_cli(capsys, *argv):
@@ -409,8 +440,8 @@ class TestWorkerPool:
         assert serial == parallel
 
     def test_basis_mode_with_workers_matches_serial(self, capsys, monkeypatch):
-        # the operators travel to the workers pickled, their polynomials
-        # landing on the worker's own layouts
+        # the operators reach the workers through the fork; the residuals
+        # come back pickled
         args = ("verify", "moser-integrals", "--family", "rat-b", "--n", "1", "--m", "1",
                 "--r", "1", "--basis-deg", "2", "--format", "json", "--no-timing")
         _, serial = run_cli(capsys, *args)
@@ -431,32 +462,65 @@ class TestWorkerPool:
         assert 1 <= _parallel.worker_count() <= _parallel._usable_cpus()
 
     def test_pool_is_no_larger_than_the_items(self, monkeypatch):
-        sizes = []
+        forks = []
+        real_fork = _parallel.os.fork
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        # ordered_map imports the pool from concurrent.futures when it uses one
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(_parallel.os, "fork", counting_fork)
         monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 64)
         monkeypatch.setenv("DUNKLCMS_WORKERS", "100000")
         assert _parallel.ordered_map(abs, [-1, 2, -3]) == [1, 2, 3]
+        assert len(forks) == 3
         assert _parallel.ordered_map(abs, [-4]) == [4]
-        assert sizes == [3]
+        assert len(forks) == 3
+        # uneven strided shares come back in input order; the function
+        # reaches the children through the fork, so it need not pickle
+        monkeypatch.setenv("DUNKLCMS_WORKERS", "2")
+        assert _parallel.ordered_map(lambda x: x * x, range(-3, 4)) == [9, 4, 1, 0, 1, 4, 9]
+        assert len(forks) == 5
+
+    @pytest.mark.parametrize("fn, error", [
+        (_raise_value_error_on_3, ValueError),
+        (_raise_overflow_on_3, ExponentOverflow),
+        (_exit_on_3, RuntimeError),
+        (_raise_unpicklable_on_3, RuntimeError),
+    ])
+    def test_worker_failures_reach_the_parent(self, monkeypatch, fn, error):
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("DUNKLCMS_WORKERS", "2")
+        with pytest.raises(error) as caught:
+            _parallel.ordered_map(fn, range(6))
+        if fn is _raise_unpicklable_on_3:
+            assert "Unpicklable('item 3')" in str(caught.value)
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_every_map_is_serial(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setenv("DUNKLCMS_WORKERS", "2")
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 4)
+        assert _parallel.worker_count() == 1
+        assert _parallel.ordered_map(abs, [-1, 2, -3]) == [1, 2, 3]
+
+    @pytest.mark.parametrize("extra", [(), ("--mode", "sampled", "--seed", "3")])
+    def test_lax_with_workers_matches_serial(self, capsys, monkeypatch, extra):
+        args = ("verify", "lax", "--family", "trig-a", "--n", "2", "--m", "2", *extra,
+                "--format", "json", "--no-timing")
+        _, serial = run_cli(capsys, *args)
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("DUNKLCMS_WORKERS", "2")
+        _, parallel = run_cli(capsys, *args)
+        assert serial == parallel
+        assert json.loads(serial)["status"] == "verified"
 
     def test_serial_run_does_not_import_the_pool(self):
-        # a fresh interpreter: a serial request that reaches ordered_map
-        # loads neither concurrent.futures nor multiprocessing
+        # a fresh interpreter: a request that reaches ordered_map loads
+        # neither concurrent.futures nor multiprocessing, serial or forked
         argv = ["verify", "commute-infinity", "--family", "rat-a", "--r", "2", "--s", "3",
                 "--deg", "4", "--no-timing"]
         code = ("import contextlib, io, sys\n"
@@ -466,10 +530,13 @@ class TestWorkerPool:
                 "print(status, 'dunklcms._parallel' in sys.modules,\n"
                 "      'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)" % argv)
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-        env.pop("DUNKLCMS_WORKERS", None)
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                              timeout=120, check=True)
-        assert done.stdout.split() == ["0", "True", "False", "False"]
+        for workers in (None, "2"):
+            env.pop("DUNKLCMS_WORKERS", None)
+            if workers:
+                env["DUNKLCMS_WORKERS"] = workers
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            assert done.stdout.split() == ["0", "True", "False", "False"], workers
 
 
 def count_text_calls(monkeypatch) -> list:
