@@ -1,6 +1,6 @@
 """Layer benchmark of the operator layer: building e*L^4 e, ``WeylOp.commutator`` and ``lax_check``.
 
-    python3 bench/weyl_layer.py --label NAME --out BENCH_15.json [--src DIR]
+    python3 bench/weyl_layer.py --label NAME --out BENCH_18.json [--src DIR]
 
 Times the build of the trigonometric-BC integral I = e*L^4 e
 (``moser_integral``) and ``I.commutator(H)`` with the ungauged Hamiltonian
@@ -12,7 +12,9 @@ have it), the compositions of operators; for the commutator, the calls of
 ``coeffs.ParamPoly.__mul__``, the products of the coefficient ring, with
 their term pairs (the product of the two operands' term counts), and the
 calls of ``finite_cms._root_quotient``, the root tests of the factored
-rational functions.  The same time and work are recorded for the
+rational functions, and of ``weyl._is_linear_root_factor`` and
+``MultiPoly.leading``, the shape tests and the monic normalisation of
+their denominator factors.  The same time and work are recorded for the
 trigonometric-BC commutator [e*L^2 e, H] at (n, m) = (2, 1), its operands
 built outside the timing, and for ``lax_check`` of trigonometric A at
 (2, 2) and of rational A at (3, 2), which build L, M and H themselves.  The
@@ -84,7 +86,7 @@ def term_pairs(a, b) -> int:
 def measure(src: str) -> dict:
     os.environ.pop("DUNKLCMS_WORKERS", None)
     sys.path.insert(0, src)
-    from dunklcms import cli, coeffs, finite_cms
+    from dunklcms import cli, coeffs, finite_cms, weyl
     from dunklcms.finite_cms import ParityData
     from dunklcms.powersums import Family
     from dunklcms.weyl import WeylOp, hamiltonian, lax_check, moser_integral
@@ -105,11 +107,13 @@ def measure(src: str) -> dict:
         return check
 
     def work(check) -> dict:
-        products, pairs, root_tests = counted(
+        products, pairs, root_tests, shape_tests, leading = counted(
             check, (coeffs.ParamPoly, "__mul__", once), (coeffs.ParamPoly, "__mul__", term_pairs),
-            (finite_cms, "_root_quotient", once))
+            (finite_cms, "_root_quotient", once), (weyl, "_is_linear_root_factor", once),
+            (finite_cms.MultiPoly, "leading", once))
         return {"ParamPoly.mul.calls": products, "ParamPoly.mul.term_pairs": pairs,
-                "_root_quotient.calls": root_tests, **timed(check)}
+                "_root_quotient.calls": root_tests, "_is_linear_root_factor.calls": shape_tests,
+                "MultiPoly.leading.calls": leading, **timed(check)}
 
     compose = "_compose_into" if hasattr(WeylOp, "_compose_into") else "_compose"
     compositions, = counted(build, (WeylOp, compose, once))

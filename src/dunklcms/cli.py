@@ -165,7 +165,10 @@ def _sample_bindings(family: Family, seed: int) -> dict:
 
 
 def _explicit_bindings(args, family: Family) -> dict:
-    """Parse --param name=value assignments into exact rational bindings."""
+    """Parse --param name=value assignments into exact rational bindings: an
+    integer, a/b or a plain decimal.  A value in exponent notation is refused
+    before it is parsed: a string as short as 1e10000000 expands to an
+    integer of ten million digits."""
     out = {}
     for item in args.param or ():
         name, _, value = item.partition("=")
@@ -176,6 +179,9 @@ def _explicit_bindings(args, family: Family) -> dict:
                                  % (item, family.value, ", ".join(family.symbols)))
         if name in out:
             raise InvalidRequest("bad --param %r: %s is bound more than once" % (item, name))
+        if "e" in value.lower():
+            raise InvalidRequest("bad --param value %r: exponent notation is not accepted"
+                                 " (expected an integer, a/b or a decimal)" % value)
         try:
             out[name] = const(Rat(value))
         except (ValueError, ZeroDivisionError) as exc:

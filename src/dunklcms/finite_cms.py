@@ -294,16 +294,6 @@ class MultiPoly:
         group = {e & _PARAM_MASK: c for e, c in packed.items() if e >> _PARAM_BITS == x}
         return self._lay.unpack(x << _PARAM_BITS), _coefficient(group, self.ratio)
 
-    def is_monic(self) -> bool:
-        """Whether the leading coefficient is 1, decided on the packed ints: its
-        x-monomial carries one term, k^den_k with the int den_int."""
-        ratio = self.ratio
-        packed = ratio.num.terms
-        top = max(packed)
-        lead = top & _PARAM_MASK  # the packed k^den_k is the int den_k
-        return (lead == ratio.den_k and packed[top] == ratio.den_int
-                and not any(top - j in packed for j in range(1, lead + 1)))
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
@@ -543,7 +533,6 @@ def _root_quotient(g: MultiPoly, f: MultiPoly):
     return _mp(lay, _raw(quo, 1, 0) * _canonical(_poly({fr.den_k: fr.den_int}), gr.den_int, gr.den_k + unit))
 
 
-@cache
 def _is_linear_root_factor(f: MultiPoly) -> bool:
     """Whether f is a root factor u * (x^e1 +- x^e2) of ``div_or_none`` whose
     two terms have disjoint supports and exponents >= 0, and some variable
@@ -867,10 +856,15 @@ def heckman_integral(family: Family, N: int, r: int, f: MultiPoly) -> MultiPoly:
 
 @dataclass(frozen=True)
 class ParityData:
-    """Two-species particle data: n of species 0 and m of species 1/k."""
+    """Two-species particle data: n of species 0 and m of species 1/k, with
+    n, m >= 0 and at least one particle (``ValueError`` otherwise)."""
 
     n: int
     m: int
+
+    def __post_init__(self):
+        if self.n < 0 or self.m < 0 or self.n + self.m < 1:
+            raise ValueError("n=%d, m=%d: need n, m >= 0 and at least one particle" % (self.n, self.m))
 
     @property
     def size(self) -> int:

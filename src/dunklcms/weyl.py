@@ -21,17 +21,21 @@ except x_i is a binomial x^a +- x^b, so ``MultiPoly.div_or_none`` decides a
 cancellation at the factor's root: a failing one by int sums alone, and a
 succeeding one by Ruffini's rule.
 A ``RatFun`` is always reduced: no factor of its denominator divides its
-numerator N.  Its operations test a factor f only where f can divide, by
-one lemma: if f is prime in the Laurent ring and divides neither N nor any
-other factor g, it divides no product N * prod g, so no sum in which every
-other term is a multiple of f (``RatFun.sum``), and, with d_i f a nonzero
-monomial, not the closed-form derivative's numerator, which is
--e N d_i f prod g modulo f (``RatFun.diff``).
-``finite_cms._is_linear_root_factor`` guards the lemma by shape: a binomial
-whose terms have disjoint supports and exponents >= 0, linear in some
-variable.  Every structural factor but x_i has it (x_i is a unit of the
-Laurent ring and never stays in a denominator), and a denominator with any
-other factor is reduced by testing every factor.
+numerator N.  The public constructor makes every factor fit one shape,
+once: a unit times a monomial (x_i, a constant, k^a) is divided out of N,
+and any other factor is made monic and must be a linear root factor
+(``finite_cms._is_linear_root_factor``: a binomial whose terms have
+disjoint supports and exponents >= 0, linear in some variable), or
+``UnsupportedDenominator`` is raised; then every factor is tested against
+N.  Every structural factor but x_i has that shape.  The operations build
+their results through ``_rf`` and test a factor f only where f can divide,
+by one lemma: if f is prime in the Laurent ring and divides neither N nor
+any other factor g, it divides no product N * prod g, so no sum in which
+every other term is a multiple of f (``RatFun.sum``), and, with d_i f a
+nonzero monomial, not the closed-form derivative's numerator, which is
+-e N d_i f prod g modulo f (``RatFun.diff``).  Distinct monic linear root
+factors are non-associate primes, so the reduced form is unique, and two
+``RatFun`` values are equal iff their fields are.
 Numerators and factors are fraction-free ``MultiPoly`` values (int
 coefficients over one denominator c * k^a), so bringing terms over a common
 denominator, and every cancellation test, is int arithmetic on whole
@@ -68,7 +72,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from math import comb
 
-from .coeffs import B_CONSTRAINT, BC_CONSTRAINT, HALF, K, ONE, P, Q, ParamRatio, k_power
+from .coeffs import B_CONSTRAINT, BC_CONSTRAINT, HALF, K, ONE, P, Q, ParamRatio, UnsupportedDenominator, k_power
 from .finite_cms import (
     MultiPoly,
     ParityData,
@@ -87,52 +91,45 @@ _S_VALUE = B_CONSTRAINT["s"]
 _R_VALUE = BC_CONSTRAINT["r"]
 
 
+_new = object.__new__
+
+
 class RatFun:
     """Rational function with factored denominator over the parameter field.
 
-    The form is reduced: no factor of ``den`` divides ``num``.  The
-    constructor divides each factor it tests out as often as it goes.  It
-    tests only the factors listed in ``may_divide`` when that list is given
-    and every factor is a linear root factor (see the module docstring), and
-    every factor otherwise; a list names keys of ``den``, which must then be
-    monic already.  ``sum``, ``diff`` and ``*`` list only the factors that
-    can still divide, and get the same reduced form.
+    The form is reduced: no factor of ``den`` divides ``num``, and every
+    factor is a monic linear root factor (see the module docstring).
+    ``RatFun(num, den)`` makes it so: it divides each unit times a monomial
+    out of ``num``, makes each other factor monic, raises
+    ``UnsupportedDenominator`` for one that is then no linear root factor,
+    and divides each factor out of ``num`` as often as it goes.  ``sum``,
+    ``diff`` and ``*`` test only the factors that can still divide
+    (``_rf``), and get the same reduced form.
     """
 
     __slots__ = ("nvars", "num", "den")
 
-    def __init__(self, num: MultiPoly, den: dict = None, may_divide=None):
-        self.nvars = num.nvars
-        den = dict(den) if den else {}
-        # factors are kept monic; units fold into the numerator
+    def __init__(self, num: MultiPoly, den: dict = None):
         clean: dict = {}
-        for f, e in den.items():
+        for f, e in (den or {}).items():
             if e == 0:
                 continue
             if e < 0:
                 raise ValueError("negative denominator exponent")
             if f.is_zero():
                 raise ZeroDivisionError("zero denominator factor")
-            if not f.is_monic():
-                inv = ONE / f.leading()[1]
-                f = f.scale(inv)
-                num = num.scale(inv ** e)
-            if f.is_const():
-                continue  # constant factor folded away
+            if f.is_monomial():  # a unit of the Laurent ring
+                for _ in range(e):
+                    num = num.div_or_none(f)
+                continue
+            inv = ONE / f.leading()[1]
+            f = f.scale(inv)
+            num = num.scale(inv ** e)
+            if not _is_linear_root_factor(f):
+                raise UnsupportedDenominator("%s is not a linear root factor" % f.text())
             clean[f] = clean.get(f, 0) + e
-        if num.is_zero():
-            clean = {}
-        elif clean:
-            if may_divide is None or not _all_linear(clean):
-                may_divide = list(clean)
-            for f in may_divide:
-                num, e = _cancel(num, f, clean[f])
-                if e:
-                    clean[f] = e
-                else:
-                    del clean[f]
-        self.num = num
-        self.den = clean
+        self.nvars = num.nvars
+        self.num, self.den = _reduced(num, clean, list(clean))
 
     # -- constructors ------------------------------------------------------
 
@@ -166,9 +163,7 @@ class RatFun:
     def __eq__(self, other):
         if not isinstance(other, RatFun):
             return NotImplemented
-        if self.num == other.num and self.den == other.den:
-            return True
-        return (self - other).is_zero()
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         raise TypeError("RatFun is not hashable")
@@ -216,19 +211,13 @@ class RatFun:
             total = num if total is None else total + num
         if total is None:
             return RatFun.zero(nvars)
-        return RatFun(total, den, [fac for fac in den if carriers[fac] > 1])
+        return _rf(total, den, [fac for fac in den if carriers[fac] > 1])
 
     def __add__(self, other: "RatFun") -> "RatFun":
-        if self.num.is_zero():
-            return other
-        if other.num.is_zero():
-            return self
-        if self.den == other.den:
-            return RatFun(self.num + other.num, self.den)
         return RatFun.sum(self.nvars, [self, other])
 
     def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den, ())
+        return _rf(-self.num, self.den)
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         return self + (-other)
@@ -239,8 +228,6 @@ class RatFun:
         den = dict(self.den)
         for f, e in other.den.items():
             den[f] = den.get(f, 0) + e
-        if not _all_linear(den):
-            return RatFun(self.num * other.num, den)
         # cancel across before the product (Henrici): a factor of both
         # denominators divides neither numerator, and one of one denominator
         # only can divide only the other operand's numerator, unless that is
@@ -254,19 +241,18 @@ class RatFun:
             for f, e in other.den.items():
                 if f not in self.den:
                     a, den[f] = _cancel(a, f, e)
-        return RatFun(a * b, den, ())
+        return _rf(a * b, {f: e for f, e in den.items() if e})
 
     def scale(self, c: ParamRatio) -> "RatFun":
         if c.is_zero():
             return RatFun.zero(self.nvars)
-        return RatFun(self.num.scale(c), self.den, ())
+        return _rf(self.num.scale(c), self.den)
 
     def diff(self, i: int) -> "RatFun":
         """d/dx_i in closed form: for the factors f that contain x_i, with P
         their product and Q = sum e_f d_i f prod_{g != f} g, the derivative
         of N / prod f^e is (d_i N P - N Q) over the factors that contain x_i
-        raised by one.  Over linear root factors only the factors free of
-        x_i are tested."""
+        raised by one.  Only the factors free of x_i are tested."""
         den, still, P, Q = {}, [], None, None
         for f, e in self.den.items():
             df = f.diff(i)
@@ -281,13 +267,12 @@ class RatFun:
         num = self.num.diff(i)
         if P is not None:
             num = num * P - self.num * Q
-        return RatFun(num, den, still)
+        return _rf(num, den, still)
 
     def substitute(self, bindings: dict) -> "RatFun":
-        den = {}
-        for f, e in self.den.items():
-            den[f.substitute(bindings)] = e
-        return RatFun(self.num.substitute(bindings), den)
+        """A monic linear root factor carries no parameter, so it is its own
+        image; each is tested against the substituted numerator."""
+        return _rf(self.num.substitute(bindings), dict(self.den), list(self.den))
 
     # -- display --------------------------------------------------------------------
 
@@ -311,10 +296,29 @@ def _cancel(num: MultiPoly, f: MultiPoly, e: int):
     return num, e
 
 
-def _all_linear(den: dict) -> bool:
-    """Whether every factor of ``den`` is a linear root factor, so that the
-    factors are pairwise coprime primes with monomial derivatives."""
-    return all(_is_linear_root_factor(f) for f in den)
+def _reduced(num: MultiPoly, den: dict, may_divide) -> tuple:
+    """num and den with each factor of ``may_divide``, a list of keys of
+    ``den``, divided out of num as often as it goes; den is updated in
+    place, and is empty when num is zero."""
+    if num.is_zero():
+        return num, {}
+    for f in may_divide:
+        num, e = _cancel(num, f, den[f])
+        if e:
+            den[f] = e
+        else:
+            del den[f]
+    return num, den
+
+
+def _rf(num: MultiPoly, den: dict, may_divide=()) -> RatFun:
+    """The RatFun num / den for monic linear root factors ``den`` that are
+    trusted to be reduced but for those listed in ``may_divide``; den is
+    kept, not copied, and no RatFun changes its den after construction."""
+    r = _new(RatFun)
+    r.nvars = num.nvars
+    r.num, r.den = _reduced(num, den, may_divide)
+    return r
 
 
 def _derivative(derivs: dict, idx: tuple) -> RatFun:
@@ -384,7 +388,7 @@ class WeylOp:
     def __eq__(self, other):
         if not isinstance(other, WeylOp):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
         raise TypeError("WeylOp is not hashable")
@@ -901,10 +905,12 @@ def commute_check(A: WeylOp, B: WeylOp, mode: str = "symbolic", deg: int = 4) ->
 
     Basis mode applies both orderings to each monomial independently of the
     normal-ordered commutator; monomials distribute across workers.  Any
-    other ``mode`` raises ValueError.
+    other ``mode``, and a negative ``deg``, raise ValueError.
     """
     if mode not in ("symbolic", "basis"):
         raise ValueError("commute_check mode %r is neither 'symbolic' nor 'basis'" % (mode,))
+    if deg < 0:
+        raise ValueError("commute_check degree %d is below 0" % deg)
     if mode == "symbolic":
         res = A.commutator(B)
         return CommuteReport("symbolic", res.is_zero(), [] if res.is_zero() else [("operator", res.text())])

@@ -278,6 +278,28 @@ class TestErrorsAndGuards:
         assert (code, payload["status"], payload["checks"]) == (2, "error", 0), payload
         assert any(option in note for note in payload["notes"]), payload
 
+    def test_param_in_exponent_notation_is_refused(self, capsys):
+        # parsed, 1e200000 failed later, on the 200,001-digit text of the bound value
+        code, out = run_cli(capsys, "verify", "lax", "--family", "trig-a", "--n", "1", "--m", "1",
+                            "--param", "k=1e200000", "--format", "json", "--no-timing")
+        payload = json.loads(out)
+        assert (code, payload["status"], payload["checks"]) == (2, "error", 0), payload
+        assert any("--param" in note and "1e200000" in note for note in payload["notes"]), payload
+
+    def test_huge_exponent_is_refused_before_parsing(self, capsys, monkeypatch):
+        # parsing 1e999999999 as a Fraction would not finish
+        monkeypatch.setattr(cli, "Rat", lambda value: pytest.fail("%r was parsed" % value))
+        code, out = run_cli(capsys, "verify", "moser-integrals", "--family", "rat-a", "--n", "1",
+                            "--m", "1", "--r", "1", "--param", "k=1e999999999",
+                            "--format", "json", "--no-timing")
+        assert code == 2 and "bad --param value" in json.loads(out)["notes"][0]
+
+    @pytest.mark.parametrize("value", ["2", "3/2", "1.5", "-0.25"])
+    def test_param_forms_that_stay_accepted(self, capsys, value):
+        code, out = run_cli(capsys, "verify", "lax", "--family", "trig-a", "--n", "1", "--m", "1",
+                            "--param", "k=" + value, "--format", "json", "--no-timing")
+        assert (code, json.loads(out)["status"]) == (0, "verified")
+
     @pytest.mark.parametrize("extra", [(), ("--mode", "sampled"), ("--param", "k=2")])
     def test_lax_size_cap_holds_in_every_mode(self, capsys, extra):
         base = ("verify", "lax", "--family", "rat-a", "--n", "5", "--m", "0", *extra,

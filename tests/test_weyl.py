@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from dunklcms import finite_cms, weyl
-from dunklcms.coeffs import ONE, ParamPoly, ParamRatio, const, k_power, symbol
+from dunklcms.coeffs import ONE, ParamPoly, ParamRatio, UnsupportedDenominator, const, k_power, symbol
 from dunklcms.finite_cms import (
     Hom,
     MultiPoly,
@@ -176,27 +176,19 @@ class TestCommutator:
 
 
 class TestRatFunDenominators:
-    def test_monic_test_on_packed_leading_term(self):
-        x0, x1 = V(2, 0), V(2, 1)
-        inv_k = ONE / K
-        for f, monic in (
-            (x0 + x1.scale(K), True),
-            (x0 + MultiPoly.const(2, inv_k), True),  # a denominator k, lc 1
-            (x0.scale(ONE + inv_k) + x1, False),     # lc 1 + 1/k over the same k
-            (x0.scale(const(2)) + x1, False),
-            (x0.scale(K) + x1, False),
-            (MultiPoly.const(2, inv_k), False),
-        ):
-            assert f.is_monic() is monic, f
-            assert f.is_monic() is (f.leading()[1] == ONE), f
-
     def test_non_monic_factor_is_normalised(self):
         # 2 x1 - 2 x0 becomes x0 - x1; the unit -1/2 per power goes to the numerator
         f = V(2, 1).scale(const(2)) - V(2, 0).scale(const(2))
         g = rf(V(2, 1), [(f, 2)])
         assert g.den == {_fac_diff(2, 0, 1): 2}
         assert g.num == V(2, 1).scale(ONE / const(4))
-        assert all(h.is_monic() for h in g.den)
+        assert all(h.leading()[1] == ONE for h in g.den)
+
+    def test_unit_times_monomial_leaves_the_denominator(self):
+        # x0 x1 / (k x0)^2 = x1 / (k^2 x0), a Laurent polynomial; 3/3 = 1
+        g = rf(V(2, 0) * V(2, 1), [(V(2, 0).scale(K), 2), (MultiPoly.const(2, 3), 1)])
+        assert g.den == {}
+        assert g.num == MultiPoly(2, {(-1, 1): k_power(-2) * (ONE / const(3))})
 
 
 def diff_by_parts(r: RatFun, i: int) -> RatFun:
@@ -244,11 +236,6 @@ def trig_a_lax_holds():
     return lambda: lax_check(Family.TRIG_A, ParityData(2, 2)).ok
 
 
-def x0_plus(a: int, b: int) -> MultiPoly:
-    """a x0 + b in one variable."""
-    return V(1, 0).scale(const(a)) + MultiPoly.const(1, b)
-
-
 class TestClosedFormDerivative:
     """RatFun.diff over prod f^(e+1) against the sum of its parts."""
 
@@ -279,8 +266,8 @@ class TestClosedFormDerivative:
 
 
 class TestReducedForm:
-    """Every operation returns the reduced form, whether it tests every
-    denominator factor or only those that can still divide."""
+    """Every operation returns the reduced form, although it tests only the
+    denominator factors that can still divide."""
 
     def test_structural_factors_are_linear_root_factors(self):
         n = 3
@@ -308,34 +295,31 @@ class TestReducedForm:
             for r in results:
                 assert_reduced(r)
 
-    def test_factors_outside_the_shape_take_the_full_test(self):
+    def test_factors_outside_the_shape_are_refused(self):
         # x0^2 - 1 has the linear root factor x0 - 1 as a divisor, and
-        # x0 x2 - x1 x2 is x2 (x0 - x1): neither is prime to the other factor
-        sq, lin = _fac_shift(1, 0, -1, 2), _fac_shift(1, 0, -1)
-        one = MultiPoly.const(1, 1)
-        # (x0^2 - 1) + (x0 - 1) = (x0 - 1)(x0 + 2): the lone carrier x0 - 1 divides
-        got = RatFun.sum(1, [RatFun(one, {lin: 1}), RatFun(one, {sq: 1})])
-        assert got.num == x0_plus(1, 2) and got.den == {sq: 1}
-        # a factor of both denominators divides the product of the numerators
-        got = RatFun(lin, {sq: 1}) * RatFun(_fac_shift(1, 0, 1), {sq: 1})
-        assert got.num == one and got.den == {sq: 1}
-        # d/dx0 of 1/((x0^2 - 1)(x0 - 1)) has -(3 x0 + 1)(x0 - 1) over the squares
-        r = RatFun(one, {sq: 1, lin: 1})
-        got = r.diff(0)
-        assert got.num == -x0_plus(3, 1) and got.den == {sq: 2, lin: 1}
-        assert got.num == diff_by_parts(r, 0).num and got.den == diff_by_parts(r, 0).den
-        # the constructor tests every factor here, whatever it is told: (x0^2 - 1)
-        # over (x0^2 - 1)(x0 - 1) with no factor listed is still 1/(x0 - 1)
-        got = RatFun(sq, {sq: 1, lin: 1}, ())
-        assert got.num == one and got.den == {lin: 1}
-        # 1/(x0 - x1) + 1/(x0 x2 - x1 x2) = (x2 + 1)/(x0 x2 - x1 x2)
-        x1, x2 = V(3, 1), V(3, 2)
-        d, dd = _fac_diff(3, 0, 1), V(3, 0) * x2 - x1 * x2
-        one = MultiPoly.const(3, 1)
-        got = RatFun(one, {d: 1}) + RatFun(one, {dd: 1})
-        assert got.num == x2 + one and got.den == {dd: 1}
-        for r in (got, RatFun(one, {d: 1}) * RatFun(x2 + one, {dd: 1}), RatFun(x1, {d: 1, dd: 1}).diff(0)):
-            assert_reduced(r)
+        # x0 x2 - x1 x2 is x2 (x0 - x1): neither is prime to the other factor,
+        # so the reduced form over them would not be unique; a trinomial has
+        # no root test, and 1 + k is no unit of the coefficient ring
+        x0, x1, x2 = V(3, 0), V(3, 1), V(3, 2)
+        for f in (_fac_shift(1, 0, -1, 2), (x0 * x2 - x1 * x2).scale(const(2)),
+                  x0 - x1 - x2, (x0 + x1).scale(ONE + K)):
+            for num in (MultiPoly.const(f.nvars, 1), MultiPoly.zero(f.nvars)):
+                with pytest.raises(UnsupportedDenominator):
+                    RatFun(num, {f: 1})
+        # the split form of x0^2 - 1 is accepted
+        sq = _fac_shift(1, 0, -1, 2)
+        got = RatFun(sq, {_fac_shift(1, 0, -1): 1, _fac_shift(1, 0, 1): 2})
+        assert got.num == MultiPoly.const(1, 1) and got.den == {_fac_shift(1, 0, 1): 1}
+
+    def test_shape_tests_stay_bounded(self, monkeypatch):
+        # one test per factor that enters through the public constructor;
+        # 1,290 while every construction tested the shape of every factor
+        monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+        calls = []
+        original = weyl._is_linear_root_factor
+        monkeypatch.setattr(weyl, "_is_linear_root_factor", lambda f: calls.append(1) or original(f))
+        assert trig_a_lax_holds()()
+        assert len(calls) <= 40
 
     @pytest.mark.parametrize("prepare, tests", [
         (trig_bc_integral_commutes, 20),  # 68 while monomial numerators took cross-cancel tests, 124 before
@@ -366,6 +350,32 @@ class TestReducedForm:
         monkeypatch.setattr(ParamPoly, "__mul__", counting)
         assert I.commutator(H).is_zero()
         assert pairs[0] <= 4_200_000
+
+
+class TestStructuralEquality:
+    """== compares fields, which the unique reduced form makes sound: it
+    agrees with a vanishing difference on pairs equal by construction and
+    on unequal ones."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equality_matches_a_zero_difference(self, rng, n):
+        equal = unequal = 0
+        for _ in range(12):
+            a, b = random_weyl_op(rng, n), random_weyl_op(rng, n)
+            same = [(a + b, b + a), (a.commutator(b), -b.commutator(a))]
+            other = [(a, b), (a, a.compose(b))]
+            for f in coefficients(a):
+                for g in coefficients(b):
+                    same += [(f * g, g * f), (RatFun.sum(n, [f, g]), f + g), (f - g, -(g - f))]
+                    other += [(f, g), (f * g, f + g), (f, f.diff(0))]
+            for x, y in same:
+                assert x == y and y == x and (x - y).is_zero(), (x, y)
+            for x, y in other:
+                zero = (x - y).is_zero()
+                assert (x == y) is (y == x) is zero, (x, y)
+                unequal += not zero
+            equal += len(same)
+        assert equal >= 100 and unequal >= 100, (equal, unequal)
 
 
 class TestMoserMatrices:
@@ -473,6 +483,12 @@ class TestLax:
     def test_lax_rejects_b_families(self):
         with pytest.raises(UnsupportedFamily):
             lax_check(Family.RAT_B, ParityData(1, 1))
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (-1, 1), (1, -1), (-2, 0)])
+    def test_no_particles_is_no_system(self, n, m):
+        # lax_check over no entries would verify vacuously
+        with pytest.raises(ValueError):
+            lax_check(Family.RAT_A, ParityData(n, m))
 
 
 def lax_residuals_by_matrices(family, parity, bindings=None):
@@ -705,6 +721,13 @@ class TestIntegrals:
         H = hamiltonian(Family.RAT_A, ParityData(1, 1))
         with pytest.raises(ValueError):
             commute_check(H, H, mode)
+
+    @pytest.mark.parametrize("mode", ["symbolic", "basis"])
+    def test_commute_check_rejects_a_negative_degree(self, mode):
+        # the basis route over no monomial would verify vacuously
+        H = hamiltonian(Family.RAT_A, ParityData(1, 1))
+        with pytest.raises(ValueError):
+            commute_check(H, H, mode, deg=-1)
 
     def test_commute_check_basis_mode(self):
         par = ParityData(1, 1)
