@@ -19,7 +19,12 @@ trigonometric-BC commutator [e*L^2 e, H] at (n, m) = (2, 1), its operands
 built outside the timing, and for ``lax_check`` of trigonometric A at
 (2, 2) and of rational A at (3, 2), which build L, M and H themselves.  The
 requests ``verify moser-integrals --family trig-bc --n 1 --m 1 --r R`` for
-R = 1 (the README request) and R = 2 are timed as often.  Results are
+R = 1 (the README request) and R = 2 are timed as often.  For the
+requests ``verify moser-integrals --family F --n 2 --m 1 --r 3`` (F = rat-a
+and trig-a, the ``moser`` workload's) and the README request, one untimed
+run counts the calls of ``WeylOp.compose``, of ``weyl.moser_L`` and of
+``weyl._hamiltonian_parts``: how often the request builds L and H, and
+composes operators outside the commutators.  Results are
 stored under ``--label`` in the JSON file ``--out``, next to the other
 labels already in it; ``--src`` names the ``src`` directory whose
 ``dunklcms`` is measured (default: the one of this checkout).  Everything
@@ -45,6 +50,10 @@ COMMANDS = [
      "--no-timing"]
     for r in (1, 2)
 ]
+BUILD_COMMANDS = [
+    ["verify", "moser-integrals", "--family", family, "--n", "2", "--m", "1", "--r", "3", "--no-timing"]
+    for family in ("rat-a", "trig-a")
+] + COMMANDS[:1]
 
 
 def counted(run, *counters) -> list:
@@ -128,6 +137,12 @@ def measure(src: str) -> dict:
     }
     result["commands"] = {" ".join(argv): timed(lambda: quiet_run(cli.run, argv))
                           for argv in COMMANDS}
+    result["builds"] = {}
+    for argv in BUILD_COMMANDS:
+        counts = counted(lambda: quiet_run(cli.run, argv), (WeylOp, "compose", once),
+                         (weyl, "moser_L", once), (weyl, "_hamiltonian_parts", once))
+        result["builds"][" ".join(argv)] = dict(zip(
+            ("WeylOp.compose.calls", "moser_L.calls", "_hamiltonian_parts.calls"), counts))
     return result
 
 
@@ -143,7 +158,8 @@ def main(argv=None):
                     " [e*L^2e, H] at n=%d m=%d; lax_check %s"
                     % ((FAMILY, N, M) + BIG_PARITY + (", ".join("%s n=%d m=%d" % c for c in LAX_CASES),)),
           commands=[" ".join(argv) for argv in COMMANDS])
-    print(json.dumps({args.label: result["layers"], "commands": result["commands"]}, indent=2))
+    print(json.dumps({args.label: result["layers"], "commands": result["commands"],
+                      "builds": result["builds"]}, indent=2))
     return 0
 
 

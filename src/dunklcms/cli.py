@@ -51,10 +51,8 @@ from .weyl import (
     RatFun,
     commute_check,
     gauge_conjugate,
-    hamiltonian,
-    integral_vs_hamiltonian,
     lax_check,
-    moser_integral,
+    moser_integrals,
     psi0_logderivs,
 )
 
@@ -63,6 +61,7 @@ FAMILIES = {f.value: f for f in Family}
 #: Desk-scale guard rails; --unsafe lifts them.
 LIMITS = {
     "deg": 10,
+    "digits": 100,
     "N": 5,
     "nm": 4,
     "r": 6,
@@ -166,9 +165,11 @@ def _sample_bindings(family: Family, seed: int) -> dict:
 
 def _explicit_bindings(args, family: Family) -> dict:
     """Parse --param name=value assignments into exact rational bindings: an
-    integer, a/b or a plain decimal.  A value in exponent notation is refused
-    before it is parsed: a string as short as 1e10000000 expands to an
-    integer of ten million digits."""
+    integer, a/b or a plain decimal.  A value in exponent notation, or one
+    with more than LIMITS["digits"] digits unless --unsafe, is refused before
+    it is parsed: a string as short as 1e10000000 expands to an integer of
+    ten million digits, and the powers of a long value outgrow the integer
+    conversions of the report texts."""
     out = {}
     for item in args.param or ():
         name, _, value = item.partition("=")
@@ -182,6 +183,10 @@ def _explicit_bindings(args, family: Family) -> dict:
         if "e" in value.lower():
             raise InvalidRequest("bad --param value %r: exponent notation is not accepted"
                                  " (expected an integer, a/b or a decimal)" % value)
+        digits = sum(ch.isdigit() for ch in value)
+        if digits > LIMITS["digits"] and not args.unsafe:
+            raise InvalidRequest("bad --param %s=...: %d digits exceed the desk-scale cap %d"
+                                 " (pass --unsafe to override)" % (name, digits, LIMITS["digits"]))
         try:
             out[name] = const(Rat(value))
         except (ValueError, ZeroDivisionError) as exc:
@@ -220,11 +225,11 @@ def _guard(args, **vals):
 
 
 def _parity(args) -> ParityData:
-    """The particle numbers --n and --m: both at least 0, together at least 1."""
-    if args.n < 0 or args.m < 0 or args.n + args.m < 1:
-        raise InvalidRequest(
-            "n=%d, m=%d: need n, m >= 0 and at least one particle" % (args.n, args.m))
-    return ParityData(args.n, args.m)
+    """The particle numbers --n and --m, as ``ParityData`` checks them."""
+    try:
+        return ParityData(args.n, args.m)
+    except ValueError as exc:
+        raise InvalidRequest(str(exc))
 
 
 # -- verify subcommands -------------------------------------------------------
@@ -336,14 +341,8 @@ def _verify_moser_integrals(args, report):
     family = _family(args.family)
     _guard(args, nm=args.n + args.m, r=args.r, deg=args.basis_deg)
     parity = _parity(args)
-    bindings = _bindings(args, family)
-    H = hamiltonian(family, parity, gauged=False)
-    if bindings:
-        H = H.substitute(bindings)
-    for r in range(1, args.r + 1):
-        I = moser_integral(family, parity, r)
-        if bindings:
-            I = I.substitute(bindings)
+    H, integrals, (factor, cst, residual) = moser_integrals(family, parity, args.r, _bindings(args, family))
+    for r, I in enumerate(integrals, 1):
         if args.basis_deg is None:
             rep, how = commute_check(I, H, "symbolic"), "symbolic"
         else:
@@ -351,7 +350,6 @@ def _verify_moser_integrals(args, report):
             how = "basis deg %d" % args.basis_deg
         report.record(rep.ok, "[e*L^%de, H] %s" % (r, how),
                       rep.counterexamples[0][1] if rep.counterexamples else "", "0")
-    factor, cst, residual = integral_vs_hamiltonian(family, parity, bindings)
     ok = residual.is_zero() and cst.is_scalar()
     report.record(ok, "e*L^2e = %s*H + const" % factor.text(), cst.text(), "scalar")
     report.notes.append("hamiltonian factor %s, additive constant %s" % (factor.text(), cst.text()))
@@ -372,9 +370,10 @@ def _verify_degenerate_k1(args, report):
             lhs = deformed_integral(parity, r, g).substitute(one)
             rhs = heckman_integral(Family.RAT_A, N, r, g.substitute(one)).substitute(one)
             report.record_sides(lhs == rhs, "recursion r=%d %s" % (r, label), lhs, rhs)
-    w = [-x for x in psi0_logderivs(Family.RAT_A, parity)]
-    for r in range(1, args.r + 1):
-        G = gauge_conjugate(moser_integral(Family.RAT_A, parity, r), w).substitute(one)
+    _, integrals, _ = moser_integrals(Family.RAT_A, parity, args.r, one)
+    w = [-x.substitute(one) for x in psi0_logderivs(Family.RAT_A, parity)]
+    for r, I in enumerate(integrals, 1):
+        G = gauge_conjugate(I, w)
         for label, f in tests:
             g1 = hom.apply(f).substitute(one)
             lhs = G.apply(g1)

@@ -61,6 +61,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from math import lcm
 
+from ._parallel import ordered_map
 from .coeffs import (
     K,
     ONE,
@@ -638,8 +639,6 @@ def commutator_on_basis(family: Family, r: int, s: int, deg: int, pwindow: int):
     process.  Coefficients are canonical, so the residuals do not depend on
     the worker count.  The table lives only for this call.
     """
-    from ._parallel import ordered_map
-
     image = partial(_integral_image, family)
     basis = pmono_basis(deg, pwindow)
     keys = list(dict.fromkeys((t, m) for t in (r, s) for m in basis))

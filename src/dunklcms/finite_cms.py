@@ -31,8 +31,9 @@ leading coefficient, for substitution and for the ``terms`` view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
+from ._parallel import ordered_map
 from .coeffs import (
     _BITS,
     _FIELD,
@@ -57,6 +58,7 @@ from .coeffs import (
     _raw,
     k_power,
 )
+from .dunkl_infinity import InfDunkl
 from .powersums import (
     Family,
     InexactDivision,
@@ -1054,8 +1056,6 @@ class DiagramReport:
 
 
 def _diagram_one(kind: str, family: Family, r: int, N, parity, i, labeled) -> DiagramResult:
-    from .dunkl_infinity import InfDunkl
-
     op = InfDunkl(family)
     label, f = labeled
     if kind == "dcomm":
@@ -1098,10 +1098,6 @@ def diagram_check(kind: str, family: Family, testset, r: int = 1,
     carries the structural factor 2.  Test elements distribute across workers
     (DUNKLCMS_WORKERS); results keep the testset order.
     """
-    from functools import partial
-
-    from ._parallel import ordered_map
-
     if kind == "dcomm":
         detail = "N=%d i=%d r=%d" % (N, i + 1, r)
     elif kind == "heckdiag":

@@ -60,18 +60,32 @@ off-diagonal entry, negated on the diagonal), and ``lax_check`` never sums
 them: it composes each entry of L with each part, so that a part meets only
 the derivatives that act on it and its factors stay out of the other parts'
 reductions.  An integral never forms the matrix L^r: ``OpMatrix.sandwich``
-carries the row e* L through v_j <- sum_l v_l . L_lj and sums it, n^2
-compositions per power.
+carries the row e* L through v_j <- sum_l v_l . L_lj and sums it after each
+step, n^2 compositions per power, so one row iteration gives e* L^p e for
+every p up to the top power.
+A request is built once, at its parameter point: ``_at_point`` is the one
+place where bindings enter the Moser operators.  It substitutes H (or its
+parts), the entries of L (and the parts of M) and the row e* L, after the
+covector's scaling and before the first composition, so that every
+composition runs at the point.  The covector itself is never substituted:
+its weights k^-p(i) cancel only inside the row, which is what keeps k = 0
+inside the domain of the A families at (1, 1) and (2, 1).
+``moser_integrals`` makes that build for ``moser-integrals``, the
+e* L^2 e = lam H + c check (``integral_vs_hamiltonian``) and the k = 1
+route of ``degenerate-k1``; ``lax_check`` substitutes its L, H and M parts
+through the same helper.
 ``WeylOp.apply`` applies an operator to a polynomial or a rational function
 alike, which is all that the basis route of ``commute_check`` needs.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import cache, partial
 from math import comb
 
+from ._parallel import ordered_map
 from .coeffs import B_CONSTRAINT, BC_CONSTRAINT, HALF, K, ONE, P, Q, ParamRatio, UnsupportedDenominator, k_power
 from .finite_cms import (
     MultiPoly,
@@ -523,12 +537,20 @@ class OpMatrix:
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
-    def sandwich(self, weights, p: int) -> WeylOp:
-        """e* self^p e for the covector e* = ``weights`` and e = (1, ..., 1).
+    def row(self, weights) -> list:
+        """The row e* self for the covector e* = ``weights``: its entry j is
+        sum_l weights_l self_lj, which only scales entries."""
+        L, nvars = self.entries, self.entries[0][0].nvars
+        return [WeylOp.sum(nvars, (L[l][j].scale(weights[l]) for l in range(self.rows)))
+                for j in range(self.cols)]
 
-        The row v = e* self only scales entries; then v_j <- sum_l v_l . self_lj,
-        p - 1 times, which is n^2 compositions per power instead of the n^3
-        of a matrix product, and the result is the sum of the entries of v.
+    def sandwich(self, row, p: int) -> list:
+        """[e* self^q e for q = 1, ..., p], e = (1, ..., 1), from the row
+        ``row`` = e* self (see ``row``).
+
+        One row iteration: v_j <- sum_l v_l . self_lj, p - 1 times, which is
+        n^2 compositions per power instead of the n^3 of a matrix product,
+        and e* self^q e is the sum of the entries of v after step q - 1.
         Each composition is reduced before the n of an entry are summed once:
         the coefficients of v are large, and one accumulator over all n
         compositions made more coefficient products, not fewer.
@@ -537,18 +559,14 @@ class OpMatrix:
             raise ValueError("power %d is below 1" % p)
         L, rows, cols = self.entries, range(self.rows), range(self.cols)
         nvars = L[0][0].nvars
-        v = [WeylOp.sum(nvars, (L[l][j].scale(weights[l]) for l in rows)) for j in cols]
+        out = [WeylOp.sum(nvars, row)]
         for _ in range(p - 1):
-            v = [WeylOp.sum(nvars, [v[l].compose(L[l][j]) for l in rows]) for j in cols]
-        return WeylOp.sum(nvars, v)
-
-    def substitute(self, bindings: dict) -> "OpMatrix":
-        return OpMatrix([[op.substitute(bindings) for op in row] for row in self.entries])
+            row = [WeylOp.sum(nvars, [row[l].compose(L[l][j]) for l in rows]) for j in cols]
+            out.append(WeylOp.sum(nvars, row))
+        return out
 
     def to_json(self) -> str:
         """Row-major JSON array of entry strings."""
-        import json
-
         return json.dumps([op.text() for row in self.entries for op in row])
 
 
@@ -818,23 +836,26 @@ def lax_check(family: Family, parity: ParityData, bindings: dict = None) -> LaxR
     The n^2 entries are independent and distribute across workers
     (``_parallel.ordered_map``), in row-major order.
 
-    With ``bindings``, L and the parts are substituted before the
-    compositions, so the check runs at that parameter point.
+    With ``bindings``, L and the parts are taken at that parameter point
+    (``_at_point``) before the compositions.
     """
-    from ._parallel import ordered_map
-
     if family not in (Family.RAT_A, Family.TRIG_A):
         raise UnsupportedFamily("no Lax pair is stated for family %s" % family.value)
-    L = moser_L(family, parity)
-    hs = _hamiltonian_parts(family, parity, gauged=False)
-    ms = _moser_M_parts(family, parity)
-    if bindings:
-        L = L.substitute(bindings)
-        hs = [h.substitute(bindings) for h in hs]
-        ms = [[[m.substitute(bindings) for m in cell] for cell in row] for row in ms]
+    E, hs, ms = _at_point(bindings, moser_L(family, parity).entries,
+                          _hamiltonian_parts(family, parity, gauged=False), _moser_M_parts(family, parity))
     nm = parity.size
     entries = [(i, j) for i in range(nm) for j in range(nm)]
-    return LaxReport(family, parity, ordered_map(partial(_lax_entry, L.entries, hs, ms), entries))
+    return LaxReport(family, parity, ordered_map(partial(_lax_entry, E, hs, ms), entries))
+
+
+def _at_point(bindings, *groups) -> tuple:
+    """Each of ``groups``, a WeylOp or a list of groups, with ``bindings``
+    substituted, in order; unchanged without bindings.  The one place where
+    bindings enter the Moser operators (see the module docstring)."""
+    if not bindings:
+        return groups
+    return tuple(g.substitute(bindings) if isinstance(g, WeylOp) else list(_at_point(bindings, *g))
+                 for g in groups)
 
 
 def estar_weights(family: Family, parity: ParityData):
@@ -846,10 +867,31 @@ def estar_weights(family: Family, parity: ParityData):
 
 
 def moser_integral(family: Family, parity: ParityData, r: int) -> WeylOp:
-    """The scalar integral e* L^r e (even power 2r for the B families)."""
+    """The scalar integral e* L^r e (even power 2r for the B families): the
+    top power of one row iteration (``OpMatrix.sandwich``), symbolic."""
     L = moser_L(family, parity)
-    power = 2 * r if family.even_integrals else r
-    return L.sandwich(estar_weights(family, parity), power)
+    return L.sandwich(L.row(estar_weights(family, parity)), 2 * r if family.even_integrals else r)[-1]
+
+
+def moser_integrals(family: Family, parity: ParityData, r: int, bindings: dict = None) -> tuple:
+    """H, the integrals 1, ..., r and the comparison of e* L^2 e with H, from
+    one build of L, H and the row e* L at the point ``bindings``.
+
+    ``_at_point`` substitutes H, then L, then the row, before the first
+    composition.  One row iteration then gives e* L^p e for every p up to
+    the power of the r-th integral, and at least up to e* L^2 e, which is
+    compared with lam H (``integral_hamiltonian_factor``).  Returns
+    (H, [integral 1, ..., integral r], (lam, constant, residual)), the
+    residual being e* L^2 e - lam H less its constant term.
+    """
+    L = moser_L(family, parity)
+    H, E, row = _at_point(bindings, hamiltonian(family, parity), L.entries, L.row(estar_weights(family, parity)))
+    powers = OpMatrix(E).sandwich(row, 2 * r if family.even_integrals else max(2, r))
+    factor = integral_hamiltonian_factor(family)
+    diff = powers[1] - H.scale(factor)
+    const = diff.constant_part()
+    integrals = powers[1::2] if family.even_integrals else powers[:r]
+    return H, integrals, (factor, const, diff - WeylOp.mul_by(const))
 
 
 def integral_hamiltonian_factor(family: Family) -> ParamRatio:
@@ -872,18 +914,10 @@ def integral_vs_hamiltonian(family: Family, parity: ParityData, bindings: dict =
 
     The residual is the non-constant part left after subtracting factor * H
     and the constant term; the identity holds exactly when it vanishes.  With
-    ``bindings``, the integral and H are substituted first, so the constant
-    is the one at that parameter point.
+    ``bindings``, both come from one build at that parameter point
+    (``moser_integrals``), so the constant is the one at that point.
     """
-    I2 = moser_integral(family, parity, 2 if not family.even_integrals else 1)
-    H = hamiltonian(family, parity, gauged=False)
-    if bindings:
-        I2, H = I2.substitute(bindings), H.substitute(bindings)
-    factor = integral_hamiltonian_factor(family)
-    diff = I2 - H.scale(factor)
-    const = diff.constant_part()
-    residual = diff - WeylOp.mul_by(const)
-    return factor, const, residual
+    return moser_integrals(family, parity, 1, bindings)[2]
 
 
 @dataclass
@@ -914,8 +948,6 @@ def commute_check(A: WeylOp, B: WeylOp, mode: str = "symbolic", deg: int = 4) ->
     if mode == "symbolic":
         res = A.commutator(B)
         return CommuteReport("symbolic", res.is_zero(), [] if res.is_zero() else [("operator", res.text())])
-    from ._parallel import ordered_map
-
     nvars = A.nvars
 
     def monomials(total):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunklcms import _parallel, cli, finite_cms
+from dunklcms import _parallel, cli, finite_cms, weyl
 from dunklcms.cli import Report, build_parser, report_emit, run
 from dunklcms.coeffs import ExponentOverflow, K, Rat, const
 from dunklcms.dunkl_infinity import InfDunkl
@@ -294,6 +294,27 @@ class TestErrorsAndGuards:
                             "--format", "json", "--no-timing")
         assert code == 2 and "bad --param value" in json.loads(out)["notes"][0]
 
+    def test_long_param_value_is_refused_before_parsing(self, capsys, monkeypatch):
+        # parsed, 1/<3,000 nines> ran a check, then failed on the integer
+        # conversion of the constant's text, past Python's 4,300 digits
+        monkeypatch.setattr(cli, "Rat", lambda value: pytest.fail("%r was parsed" % value[:20]))
+        monkeypatch.setattr(cli, "commute_check", lambda *a, **kw: pytest.fail("a check ran"))
+        code, out = run_cli(capsys, "verify", "moser-integrals", "--family", "trig-bc", "--n", "1",
+                            "--m", "1", "--r", "1", "--param", "k=1/" + "9" * 3000,
+                            "--format", "json", "--no-timing")
+        payload = json.loads(out)
+        assert (code, payload["status"], payload["checks"]) == (2, "error", 0), payload
+        assert payload["notes"] == ["bad --param k=...: 3001 digits exceed the desk-scale cap 100"
+                                    " (pass --unsafe to override)"]
+
+    @pytest.mark.parametrize("value, extra", [("1/" + "9" * 99, ()), ("1/" + "9" * 100, ("--unsafe",))])
+    def test_param_value_at_the_digit_cap_verifies(self, capsys, value, extra):
+        # 100 digits are within the cap; --unsafe lifts it
+        code, out = run_cli(capsys, "verify", "moser-integrals", "--family", "trig-bc", "--n", "1",
+                            "--m", "1", "--r", "1", "--param", "k=" + value, *extra,
+                            "--format", "json", "--no-timing")
+        assert code == 0, out
+
     @pytest.mark.parametrize("value", ["2", "3/2", "1.5", "-0.25"])
     def test_param_forms_that_stay_accepted(self, capsys, value):
         code, out = run_cli(capsys, "verify", "lax", "--family", "trig-a", "--n", "1", "--m", "1",
@@ -405,6 +426,48 @@ class TestMoserIntegralBindings:
         factor = integral_hamiltonian_factor(Family(family)).text()
         assert sampled["notes"] == ["hamiltonian factor %s, additive constant %s"
                                     % (factor, cst.substitute(bindings).text())]
+
+
+class TestMoserOneBuild:
+    """``moser-integrals`` builds L, H and the row e*L once, at the request's
+    parameter point, and takes every order of e*L^re from one row iteration."""
+
+    @pytest.mark.parametrize("family, n, m, r, compositions", [
+        ("rat-a", 2, 1, 3, 21),  # 18 for the row iteration, 3 for H; 42 when each order was rebuilt
+        ("trig-bc", 1, 1, 1, 18),  # 16 and 2; 36
+    ])
+    def test_one_build_per_request(self, capsys, monkeypatch, family, n, m, r, compositions):
+        calls = {"compose": 0, "moser_L": 0, "_hamiltonian_parts": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(weyl.WeylOp, "compose", counting("compose", weyl.WeylOp.compose))
+        for name in ("moser_L", "_hamiltonian_parts"):
+            monkeypatch.setattr(weyl, name, counting(name, getattr(weyl, name)))
+        code, out = run_cli(capsys, "verify", "moser-integrals", "--family", family, "--n", str(n),
+                            "--m", str(m), "--r", str(r), "--no-timing")
+        assert code == 0, out
+        assert calls["compose"] <= compositions, calls
+        assert (calls["moser_L"], calls["_hamiltonian_parts"]) == (1, 1), calls
+
+    @pytest.mark.parametrize("family", ["rat-a", "trig-a"])
+    @pytest.mark.parametrize("n, m, status, checks", [(1, 1, "verified", 3), (2, 1, "verified", 3),
+                                                      (1, 2, "error", 0)])
+    def test_k_zero_outcomes(self, capsys, family, n, m, status, checks):
+        # the weights k^-p(i) of e* cancel inside the row e*L, so k = 0 stays
+        # inside the domain of L and e*L; at (1, 2) H has the pair coupling
+        # 2 (1/k + 1) of two particles of the second species
+        code, out = run_cli(capsys, "verify", "moser-integrals", "--family", family, "--n", str(n),
+                            "--m", str(m), "--param", "k=0", "--format", "json", "--no-timing")
+        payload = json.loads(out)
+        assert (code, payload["status"], payload["checks"]) == ({"verified": 0, "error": 2}[status],
+                                                                status, checks), payload
+        if status == "error":
+            assert payload["notes"] == ["DenominatorVanishes: denominator vanishes under substitution"]
 
 
 #: The README's CLI examples with a sha256 prefix of their verdict: status,
