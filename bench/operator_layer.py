@@ -1,6 +1,7 @@
-"""Layer benchmark of the operator layer: ``InfDunkl`` in ``commutator_on_basis``.
+"""Layer benchmark of the operators at infinity: ``InfDunkl`` in
+``commutator_on_basis``, and ``LambdaDiffOp.apply``.
 
-    python3 bench/operator_layer.py --label NAME --out BENCH_13.json [--src DIR]
+    python3 bench/operator_layer.py --label NAME --out BENCH_20.json [--src DIR]
 
 Times ``commutator_on_basis(TRIG_BC, 1, 3, 4, 4)``, the commutator of the
 trigonometric-BC integrals E.D^2 and E.D^6 on the 12 p_0-free monomials of
@@ -10,11 +11,15 @@ the applications of the packed kernel ``_apply_packed`` (one per power of
 D), the packed keys entering it, and the ``_canonical`` forms the module
 makes.  Two CLI requests are timed as often: the one that makes the same
 check, and ``verify closed-form --family trig-bc --deg 8``, which compares
-E.D^2 with its closed form on the 67 monomials of degree <= 8.  Results are
-stored under ``--label`` in the JSON file ``--out``, next to the other labels
-already in it; ``--src`` names the ``src`` directory whose ``dunklcms`` is
-measured (default: the one of this checkout).  Everything runs in this
-process: DUNKLCMS_WORKERS is cleared.
+E.D^2 with its closed form on the 67 monomials of degree <= 8.  For each
+family, the closed form ``closed_form_L2(family, 8)`` is applied to those 67
+monomials as often (``LambdaDiffOp.apply``, built once outside the timing),
+and one extra run counts its ``ParamRatio`` products and sums and its
+canonical forms (``_canonical`` calls of ``coeffs`` and ``dunkl_infinity``).
+Results are stored under ``--label`` in the JSON file ``--out``, next to the
+other labels already in it; ``--src`` names the ``src`` directory whose
+``dunklcms`` is measured (default: the one of this checkout).  Everything
+runs in this process: DUNKLCMS_WORKERS is cleared.
 
 Only the standard library is used.
 """
@@ -29,6 +34,7 @@ import sys
 from harness import DEFAULT_SRC, environment, quiet_run, store, timed
 
 CHECK = ("TRIG_BC", 1, 3, 4, 4)
+CLOSED_FORM_DEG = 8
 COMMANDS = [
     ["verify", "commute-infinity", "--family", "trig-bc", "--r", "1", "--s", "3", "--deg", "4",
      "--no-timing"],
@@ -61,11 +67,36 @@ def count_work(dunkl_infinity, check) -> dict:
     return counts
 
 
+def count_coefficient_work(coeffs, dunkl_infinity, check) -> dict:
+    """Run ``check`` once with the ``ParamRatio`` products and sums and the
+    canonical forms counted, both those ``coeffs`` makes and those of
+    ``dunkl_infinity``'s own kernels."""
+    counts = {"ParamRatio.mul.calls": 0, "ParamRatio.add.calls": 0, "_canonical.calls": 0}
+    ratio = coeffs.ParamRatio
+    saved = (ratio.__mul__, ratio.__add__, coeffs._canonical, dunkl_infinity._canonical)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    ratio.__mul__ = counting("ParamRatio.mul.calls", saved[0])
+    ratio.__add__ = counting("ParamRatio.add.calls", saved[1])
+    coeffs._canonical = counting("_canonical.calls", saved[2])
+    dunkl_infinity._canonical = counting("_canonical.calls", saved[3])
+    try:
+        check()
+    finally:
+        ratio.__mul__, ratio.__add__, coeffs._canonical, dunkl_infinity._canonical = saved
+    return counts
+
+
 def measure(src: str) -> dict:
     os.environ.pop("DUNKLCMS_WORKERS", None)
     sys.path.insert(0, src)
     from dunklcms import cli, coeffs, dunkl_infinity
-    from dunklcms.powersums import Family
+    from dunklcms.powersums import Family, LambdaElem
 
     family, *rest = CHECK
 
@@ -77,6 +108,17 @@ def measure(src: str) -> dict:
     counts = count_work(dunkl_infinity, check)
     result = environment(src, coeffs.Rat)
     result["layers"] = {"commutator_on_basis": {**counts, **timed(check)}}
+    basis = [LambdaElem.monomial(m) for m in dunkl_infinity.pmono_basis(CLOSED_FORM_DEG, CLOSED_FORM_DEG)]
+    for fam in Family:
+        op = dunkl_infinity.closed_form_L2(fam, CLOSED_FORM_DEG)
+
+        def apply_all(op=op):
+            for f in basis:
+                op.apply(f)
+
+        counts = count_coefficient_work(coeffs, dunkl_infinity, apply_all)
+        result["layers"]["LambdaDiffOp.apply %s" % fam.value] = {
+            "monomials": len(basis), **counts, **timed(apply_all)}
     result["commands"] = {" ".join(argv): timed(lambda: quiet_run(cli.run, argv))
                           for argv in COMMANDS}
     return result
@@ -90,7 +132,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     result = measure(os.path.abspath(args.src))
     store(args.out, args.label, result,
-          benchmark="operator layer: InfDunkl in commutator_on_basis(%s, %d, %d, %d, %d)" % CHECK,
+          benchmark="operator layer: InfDunkl in commutator_on_basis(%s, %d, %d, %d, %d)" % CHECK
+                    + "; LambdaDiffOp.apply of closed_form_L2(family, %d) on pmono_basis(%d, %d)"
+                    % (CLOSED_FORM_DEG, CLOSED_FORM_DEG, CLOSED_FORM_DEG),
           commands=[" ".join(argv) for argv in COMMANDS])
     print(json.dumps({args.label: result["layers"], "commands": result["commands"]}, indent=2))
     return 0

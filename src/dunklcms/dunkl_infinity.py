@@ -41,8 +41,14 @@ c (x^a + e x^-a) m, with e = (-1)^j after j applications, and one at a = 0
 for c m.  ``InfDunkl.apply`` keeps both halves; it serves general elements
 and is the reference route of the folded integrals.  The second integral
 also has an explicit closed form as a differential operator in the power
-sums; ``closed_form_L2`` produces it and the test suite verifies the two
-routes against each other.  E . D^r is always the ground truth: the closed
+sums; ``closed_form_L2`` produces it as a ``LambdaDiffOp`` and the test suite
+verifies the two routes against each other.  ``LambdaDiffOp.apply`` runs on
+packed numerators too: the operator holds its coefficients over one shared
+denominator, f's go over f's, and the int products add up in one dict per
+output monomial, put in canonical form once.  The two k-denominators must
+sum to at most k^MAX_DEGREE; past that it raises ExponentOverflow, never a
+wrong value.  The test suite applies the operator term by term as the
+reference route.  E . D^r is always the ground truth: the closed
 forms were derived independently and any disagreement is reported with the
 offending monomial instead of patched.
 
@@ -359,51 +365,88 @@ class LambdaDiffOp:
     """Normal-ordered differential operator in the power sums.
 
     ``terms`` maps (coefficient monomial, sorted tuple of derivation indices)
-    to coefficients, a derivation index a standing for a * d/dp_a.
+    to coefficients, a derivation index a standing for a * d/dp_a.  The
+    operator is immutable: its constructor groups the terms by tuple of
+    derivation indices and holds each coefficient as an int numerator over
+    one shared denominator den_int * k^den_k (``_packed``).
+
+    ``apply`` runs over packed numerators as ``InfDunkl`` does: f's
+    coefficients go over f's least common denominator, each derivative of
+    f's monomials is formed once per index prefix as (int factor, monomial)
+    pairs, and the int products of the numerators add up in one dict per
+    output monomial, over the product of the two denominators, which is put
+    in canonical form once.  The shared denominators set the limit that
+    ``InfDunkl``'s does, which the term-by-term route does not have: a
+    coefficient c k^j of the operator next to one over k^i is held as
+    c k^(j+i), so j + i must stay at most MAX_DEGREE, and so must the sum of
+    the operator's k-denominator and f's.  Past it the constructor or
+    ``apply`` raises ExponentOverflow, never a wrong value, as it does for a
+    product of numerators that reaches a guard bit.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_packed")
 
     def __init__(self, terms: dict):
         self.terms = {key: c for key, c in terms.items() if not c.is_zero()}
-
-    def __add__(self, other: "LambdaDiffOp") -> "LambdaDiffOp":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key)
-            out[key] = c if v is None else v + c
-        return LambdaDiffOp(out)
-
-    def __sub__(self, other: "LambdaDiffOp") -> "LambdaDiffOp":
-        return self + LambdaDiffOp({k: -c for k, c in other.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def apply(self, f: LambdaElem) -> LambdaElem:
-        """The operator applied to f: per tuple of derivation indices, the
-        sum of its coefficient monomials times the derivative of f, each
-        derivative taken once from that of its longest proper prefix."""
+        den_int, den_k = _lcd(self.terms.values())
         groups: dict = {}
         for (cmono, didx), c in self.terms.items():
-            groups.setdefault(didx, {})[cmono] = c
-        derivatives = {(): f}
+            groups.setdefault(didx, []).append((cmono, list(_numerator(c, den_int, den_k).items())))
+        self._packed = (groups, den_int, den_k)
+
+    def apply(self, f: LambdaElem) -> LambdaElem:
+        """The operator applied to f: per tuple of derivation indices, its
+        coefficient monomials times the derivative of f, all over packed
+        numerators (see the class docstring).  A tuple with an index outside
+        f's support contributes nothing and is skipped."""
+        groups, den1, k1 = self._packed
+        den2, k2 = _lcd(f.terms.values())
+        den_k = _check_den_k(k1 + k2)
+        nums = {m: _numerator(c, den2, k2) for m, c in f.terms.items()}
+        support = {idx for m in nums for idx, _mult in m if idx}
+        # the derivatives of f's monomials: (monomial of f, int factor, monomial)
+        derivatives = {(): [(m, 1, m) for m in nums]}
 
         def derivative(didx):
-            g = derivatives.get(didx)
-            if g is None:
-                g = derivative(didx[:-1])
-                if not g.is_zero():
-                    g = _derivation(g, didx[-1])
-                derivatives[didx] = g
-            return g
+            d = derivatives.get(didx)
+            if d is None:
+                a = didx[-1]
+                d = []
+                for src, n, m in derivative(didx[:-1]):
+                    for pos, (idx, mult) in enumerate(m):
+                        if idx == a:
+                            rest = m[:pos] + m[pos + 1:] if mult == 1 else \
+                                m[:pos] + ((idx, mult - 1),) + m[pos + 1:]
+                            d.append((src, n * a * mult, rest))
+                            break
+                derivatives[didx] = d
+            return d
 
-        out = LambdaElem.zero()
+        out: dict = {}
+        get = out.get
         for didx, coeffs in groups.items():
-            g = derivative(didx)
-            if not g.is_zero():
-                out = out + LambdaElem(coeffs) * g
-        return out
+            if not support.issuperset(didx):
+                continue
+            for src, n, m in derivative(didx):
+                num = [(e, n * v) for e, v in nums[src].items()]
+                for cmono, cnum in coeffs:
+                    mm = pmono_mul(cmono, m)
+                    acc = get(mm)
+                    if acc is None:
+                        acc = out[mm] = {}
+                    aget = acc.get
+                    for e1, v1 in cnum:
+                        for e2, v2 in num:
+                            e = e1 + e2
+                            acc[e] = aget(e, 0) + v1 * v2
+        den_int = den1 * den2
+        result = {}
+        for mm, acc in out.items():
+            _checked(acc)
+            acc = {e: c for e, c in acc.items() if c}
+            if acc:
+                result[mm] = _canonical(_poly(acc), den_int, den_k)
+        return LambdaElem(result)
 
     def text(self) -> str:
         if not self.terms:
@@ -424,30 +467,6 @@ class LambdaDiffOp:
 
     def __repr__(self):
         return "LambdaDiffOp(%s)" % self.text()
-
-
-def _derivation(f: LambdaElem, a: int) -> LambdaElem:
-    """The scaled derivation a * d/dp_a applied to f."""
-    out: dict = {}
-    for m, c in f.terms.items():
-        for pos, (idx, mult) in enumerate(m):
-            if idx != a:
-                continue
-            rest = list(m)
-            if mult == 1:
-                del rest[pos]
-            else:
-                rest[pos] = (idx, mult - 1)
-            key = tuple(rest)
-            cc = c.scale(a * mult)
-            v = out.get(key)
-            s = cc if v is None else v + cc
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-            break
-    return LambdaElem(out)
 
 
 def _p(*pairs) -> PMono:

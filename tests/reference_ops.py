@@ -19,6 +19,14 @@ independent route:
   x-powers into power sums
 * ``divide_by_x_poly``  exact division by a polynomial in x alone
 
+``dunkl_infinity.LambdaDiffOp.apply`` runs a differential operator in the
+power sums over packed numerators; the term-by-term route here applies it
+one term and one derivation at a time:
+
+* ``derivation``  the scaled derivation a * d/dp_a of a ``LambdaElem``
+* ``apply_term_by_term``  every term of a ``LambdaDiffOp`` on its own, its
+  derivatives taken from the argument
+
 The library forms e* L^r e through ``OpMatrix.sandwich`` and the Lax
 residuals from the parts of H and M; the matrix route here forms whole
 matrices instead:
@@ -203,6 +211,42 @@ def divide_by_x_poly(f: LambdaXElem, divisor: dict) -> LambdaXElem:
                 laurent = True
             out[(exp, m)] = c
     return LambdaXElem(out, laurent)
+
+
+def derivation(f: LambdaElem, a: int) -> LambdaElem:
+    """The scaled derivation a * d/dp_a applied to f."""
+    out: dict = {}
+    for m, c in f.terms.items():
+        for pos, (idx, mult) in enumerate(m):
+            if idx != a:
+                continue
+            rest = list(m)
+            if mult == 1:
+                del rest[pos]
+            else:
+                rest[pos] = (idx, mult - 1)
+            key = tuple(rest)
+            cc = c.scale(a * mult)
+            v = out.get(key)
+            s = cc if v is None else v + cc
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+            break
+    return LambdaElem(out)
+
+
+def apply_term_by_term(op, f: LambdaElem) -> LambdaElem:
+    """The ``LambdaDiffOp`` op applied to f: every term on its own, its
+    derivatives taken from f."""
+    out = LambdaElem.zero()
+    for (cmono, didx), c in op.terms.items():
+        g = f
+        for a in didx:
+            g = derivation(g, a)
+        out = out + LambdaElem.monomial(cmono, c) * g
+    return out
 
 
 def matsub(a: OpMatrix, b: OpMatrix) -> OpMatrix:

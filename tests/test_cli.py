@@ -176,6 +176,69 @@ class TestSampledFailures:
         }]
 
 
+class TestClosedFormVerdicts:
+    """``verify closed-form`` compares the canonical sides; with bindings it
+    substitutes the closed form's side only where the symbolic sides differ.
+    ``cli.integral_L`` is perturbed on p2 by ``extra``."""
+
+    @staticmethod
+    def _perturbed(monkeypatch, extra):
+        real = cli.integral_L
+
+        def broken(family, r, f):
+            out = real(family, r, f)
+            return out + extra if f == LambdaElem.p(2) else out
+
+        monkeypatch.setattr(cli, "integral_L", broken)
+
+    def _falsified(self, capsys, *argv):
+        code, out = run_cli(capsys, "verify", "closed-form", "--deg", "3", *argv,
+                            "--format", "json", "--no-timing")
+        payload = json.loads(out)
+        assert code == 1 and payload["checks"] == 7
+        return payload["counterexamples"]
+
+    def test_symbolic_counterexample_pins_both_sides(self, capsys, monkeypatch):
+        self._perturbed(monkeypatch, LambdaElem.p(0).scale(K))
+        assert self._falsified(capsys, "--family", "rat-a") == [{
+            "input": "p2",
+            "lhs": "(2*k+2)/1 * p0 + -2*k/1 * p0^2",
+            "rhs": "(3*k+2)/1 * p0 + -2*k/1 * p0^2",
+        }]
+
+    def test_sampled_counterexample_pins_both_sides_at_point(self, capsys, monkeypatch):
+        self._perturbed(monkeypatch, LambdaElem.p(0).scale(K))
+        assert self._falsified(capsys, "--family", "rat-a", "--mode", "sampled", "--seed", "3") == [{
+            "input": "p2",
+            "lhs": "(249601/38)/1 * p0 + (-249525/38)/1 * p0^2",
+            "rhs": "(748727/76)/1 * p0 + (-249525/38)/1 * p0^2",
+        }]
+
+    def test_difference_that_vanishes_at_the_point_verifies(self, capsys, monkeypatch):
+        # nonzero symbolically, so the closed form's side is substituted too
+        self._perturbed(monkeypatch, LambdaElem.p(0).scale(K - const(Rat(3, 2))))
+        code, out = run_cli(capsys, "verify", "closed-form", "--family", "rat-a", "--deg", "3",
+                            "--param", "k=3/2", "--format", "json", "--no-timing")
+        payload = json.loads(out)
+        assert code == 0 and payload["status"] == "verified" and payload["checks"] == 7
+        assert self._falsified(capsys, "--family", "rat-a")[0]["rhs"] == \
+            "(3*k+(1/2))/1 * p0 + -2*k/1 * p0^2"
+
+    def test_no_element_subtraction(self, capsys, monkeypatch):
+        calls = []
+        real = LambdaElem.__sub__
+
+        def counting(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(LambdaElem, "__sub__", counting)
+        code, out = run_cli(capsys, "verify", "closed-form", "--family", "trig-bc", "--deg", "8",
+                            "--no-timing")
+        assert code == 0 and "verified (67 checks)" in out
+        assert calls == []
+
+
 class TestErrorsAndGuards:
     def test_unknown_family_is_error(self, capsys):
         code, out = run_cli(capsys, "verify", "closed-form", "--family", "nope")

@@ -9,7 +9,8 @@ building blocks in ``reference_ops`` (derivation, difference part,
 reflection, exact division by x-polynomials), and ``InfDunkl.integral``,
 which runs the trigonometric-BC powers on the inversion-folded half and
 projects the packed numerators, against ``reference_ops.project_E`` of
-``InfDunkl.apply``.
+``InfDunkl.apply``.  The packed ``LambdaDiffOp.apply`` of the closed forms is
+checked against ``reference_ops.apply_term_by_term``.
 """
 
 import math
@@ -38,7 +39,15 @@ from dunklcms.powersums import (
 )
 
 from conftest import count_ratio_operations
-from reference_ops import delta, divide_by_x_poly, partial, project_E, reflect
+from reference_ops import (
+    apply_term_by_term,
+    delta,
+    derivation,
+    divide_by_x_poly,
+    partial,
+    project_E,
+    reflect,
+)
 
 K = symbol("k")
 Q = symbol("q")
@@ -372,51 +381,105 @@ class TestClosedForm:
             assert val == _free_laplacian(f)
 
 
-def _apply_term_by_term(op: LambdaDiffOp, f: LambdaElem) -> LambdaElem:
-    """Every term of op on its own, its derivatives taken from f."""
-    out = LambdaElem.zero()
-    for (cmono, didx), c in op.terms.items():
-        g = f
-        for a in didx:
-            g = dunkl_infinity._derivation(g, a)
-        out = out + LambdaElem.monomial(cmono, c) * g
-    return out
+def _packed_inputs(rng: random.Random, terms: int) -> LambdaElem:
+    """Sums of monomials of degree <= 6, with p_0 factors now and then, and
+    coefficients with denominators 3, 2 and k^2."""
+    basis = pmono_basis(6, 6)
+    coeffs = [(ONE + K) * ParamRatio.fraction(1, 3), k_power(-2), P * HALF, Q, const(-5),
+              ONE + k_power(-1)]
+    out = {}
+    for _ in range(terms):
+        m = rng.choice(basis)
+        if rng.random() < 0.4:
+            m = ((0, rng.randint(1, 2)),) + m
+        out[m] = rng.choice(coeffs) * rng.choice(coeffs)
+    return LambdaElem(out)
 
 
-class TestDerivationChains:
+class TestPackedDiffOp:
+    """``LambdaDiffOp.apply`` against ``reference_ops.apply_term_by_term``."""
+
     @pytest.mark.parametrize("family", list(Family))
-    def test_one_derivation_per_index_prefix(self, family, monkeypatch):
+    def test_closed_form_on_the_basis(self, family):
         op = closed_form_L2(family, 6)
-        prefixes = {didx[:i] for _cmono, didx in op.terms for i in range(1, len(didx) + 1)}
-        inputs = [LambdaElem.monomial(m) for m in pmono_basis(6, 6)]
-        expected = [_apply_term_by_term(op, f) for f in inputs]
-        calls = []
-        real = dunkl_infinity._derivation
+        for m in pmono_basis(6, 6):
+            f = LambdaElem.monomial(m)
+            assert op.apply(f) == apply_term_by_term(op, f), m
 
-        def counting(f, a):
-            calls.append(a)
-            return real(f, a)
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_multi_term_inputs(self, family, seed):
+        rng = random.Random(seed)
+        op = closed_form_L2(family, 6)
+        for _ in range(5):
+            f = _packed_inputs(rng, rng.randint(2, 5))
+            assert op.apply(f) == apply_term_by_term(op, f)
 
-        monkeypatch.setattr(dunkl_infinity, "_derivation", counting)
-        for f, value in zip(inputs, expected):
-            del calls[:]
-            assert op.apply(f) == value
-            assert len(calls) <= len(prefixes)
+    def test_fractional_operator_coefficients(self):
+        # denominators 3, 2 and k^2 on the operator's side too; an empty
+        # derivation tuple, and index 0, whose derivation a * d/dp_0 vanishes
+        op = LambdaDiffOp({
+            (((0, 1),), (1,)): (ONE + K) * ParamRatio.fraction(1, 3),
+            (((2, 1),), (1, 1)): k_power(-2),
+            ((), (2, 3)): P * HALF,
+            (((1, 1),), ()): Q * k_power(-1),
+            ((), (0,)): ONE,
+        })
+        rng = random.Random(5)
+        inputs = [LambdaElem.zero(), LambdaElem.one()] + [_packed_inputs(rng, 4) for _ in range(6)]
+        for f in inputs:
+            assert op.apply(f) == apply_term_by_term(op, f)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_zero_and_one(self, family):
+        op = closed_form_L2(family, 6)
+        assert op.apply(LambdaElem.zero()) == LambdaElem.zero()
+        assert op.apply(LambdaElem.one()) == apply_term_by_term(op, LambdaElem.one())
+
+    def test_shared_k_denominator_past_max_degree(self):
+        op = LambdaDiffOp({(((0, 1),), (1,)): k_power(-300)})
+        at_limit = LambdaElem.monomial(((1, 2),), k_power(300 - MAX_DEGREE))
+        assert op.apply(at_limit) == apply_term_by_term(op, at_limit)
+        past = LambdaElem.monomial(((1, 2),), k_power(299 - MAX_DEGREE))
+        with pytest.raises(ExponentOverflow):
+            op.apply(past)
+        # over the operator's shared denominator k^2, k^(MAX_DEGREE - 1)
+        # would need k^(MAX_DEGREE + 1)
+        with pytest.raises(ExponentOverflow):
+            LambdaDiffOp({((), (1,)): k_power(-2), ((), (2,)): k_power(MAX_DEGREE - 1)})
+
+    def test_no_coefficient_arithmetic(self, monkeypatch):
+        # the work gate: no ParamRatio product or sum, and one canonical
+        # form per output monomial at most
+        op = closed_form_L2(Family.TRIG_BC, 8)
+        inputs = [LambdaElem.monomial(m) for m in pmono_basis(8, 8)]
+        calls = count_ratio_operations(monkeypatch, ("__mul__", "__add__"))
+        canonical = []
+        real = dunkl_infinity._canonical
+
+        def counting(*args):
+            canonical.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dunkl_infinity, "_canonical", counting)
+        for f in inputs:
+            del canonical[:]
+            g = op.apply(f)
+            assert len(canonical) <= len(g.terms), f
+        assert calls == []
 
 
 def _free_laplacian(f: LambdaElem) -> LambdaElem:
     """Sum over a,b of p_{a+b-2} da db plus sum over a of (a-1) p_{a-2} da."""
-    from dunklcms.dunkl_infinity import _derivation
-
     deg = max(f.degree(), 2)
     out = LambdaElem.zero()
     for a in range(1, deg + 1):
         for b in range(1, deg + 1):
-            g = _derivation(_derivation(f, a), b)
+            g = derivation(derivation(f, a), b)
             if not g.is_zero():
                 out = out + Pl(a + b - 2) * g
     for a in range(2, deg + 1):
-        g = _derivation(f, a)
+        g = derivation(f, a)
         if not g.is_zero():
             out = out + Pl(a - 2).scale(const(a - 1)) * g
     return out
