@@ -1,7 +1,7 @@
 """Layer benchmark of the operators at infinity: ``InfDunkl`` in
 ``commutator_on_basis``, and ``LambdaDiffOp.apply``.
 
-    python3 bench/operator_layer.py --label NAME --out BENCH_20.json [--src DIR]
+    python3 bench/operator_layer.py --label NAME --out BENCH_21.json [--src DIR]
 
 Times ``commutator_on_basis(TRIG_BC, 1, 3, 4, 4)``, the commutator of the
 trigonometric-BC integrals E.D^2 and E.D^6 on the 12 p_0-free monomials of

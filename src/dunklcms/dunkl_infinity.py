@@ -60,11 +60,25 @@ p_0-free monomial: it tabulates the images L^(r) m, farming the table entries
 out to worker processes, and forms each residual L^(s) L^(r) m -
 L^(r) L^(s) m from the table in one accumulator over one common denominator,
 splitting off the p_0 factor of each monomial and multiplying it back in.
+
+All these kernels share one way to sum packed numerators and one way out.
+``_apply_packed`` adds integer multiples of numerators in its own loop, the
+hot one.  Every product of two numerators goes through ``_add_product``: an
+operator coefficient times a derivative of f in ``LambdaDiffOp.apply``, an
+image times a coefficient of f or g in ``_table_difference``, and E's
+weight, a one-term numerator, times a numerator in ``integral``; a key met
+for the first time is filled in place, in ``_apply_packed`` and in E, so the
+hot loops make no call per new key.  ``_nonzero`` is the one exit: it drops
+zero entries and empty numerators and tests the numerators left against the
+guard bits, so a field that reached one raises ExponentOverflow, never a
+wrong value.  ``_canonical_all`` then makes one canonical form per nonzero
+output key, and a coefficient that cancels makes none.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import chain
 from math import lcm
 
 from ._parallel import ordered_map
@@ -152,6 +166,12 @@ def _delta_of_x_power(a: int, family: Family):
 _STENCILS_KEPT = 256
 
 
+def _lowered(m: PMono, pos: int) -> PMono:
+    """m with the multiplicity of its generator at ``pos`` lowered by one."""
+    idx, mult = m[pos]
+    return m[:pos] + m[pos + 1:] if mult == 1 else m[:pos] + ((idx, mult - 1),) + m[pos + 1:]
+
+
 @lru_cache(maxsize=_STENCILS_KEPT)
 def _stencil(family: Family, a: int, m: PMono) -> tuple:
     """D(x^a m) as a tuple of (x exponent, p-monomial, n, shift), each entry
@@ -168,7 +188,7 @@ def _stencil(family: Family, a: int, m: PMono) -> tuple:
     for pos, (idx, mult) in enumerate(m):
         if not idx:
             continue
-        rest = m[:pos] + m[pos + 1:] if mult == 1 else m[:pos] + ((idx, mult - 1),) + m[pos + 1:]
+        rest = _lowered(m, pos)
         n = two * mult * idx
         if family is Family.RAT_A:
             out.append((a + idx - 1, rest, n, 0))
@@ -232,8 +252,7 @@ def _apply_packed(terms: dict, stencil) -> dict:
     """D applied once to ``terms`` {(x exponent, p-monomial): int numerator},
     all over one denominator, which the result shares (doubled for the
     trigonometric families).  ``stencil(a, m)`` gives the stencil of each
-    key.  Zero entries are dropped and every numerator is tested against the
-    guard bits."""
+    key.  The result goes through ``_nonzero``."""
     out: dict = {}
     get = out.get
     for key, num in terms.items():
@@ -246,15 +265,40 @@ def _apply_packed(terms: dict, stencil) -> dict:
             for e, c in num.items():
                 e += shift
                 acc[e] = aget(e, 0) + n * c
+    return _nonzero(out)
+
+
+def _add_product(out: dict, key, n1, n2) -> None:
+    """Add the product of the numerators ``n1`` and ``n2``, iterables of
+    (packed monomial, int) pairs, into the numerator ``out[key]``; ``n2`` is
+    read once per pair of ``n1``."""
+    acc = out.get(key)
+    if acc is None:
+        acc = out[key] = {}
+    aget = acc.get
+    for e1, v1 in n1:
+        for e2, v2 in n2:
+            e = e1 + e2
+            acc[e] = aget(e, 0) + v1 * v2
+
+
+def _nonzero(out: dict) -> dict:
+    """``out`` {key: int numerator}, in place, without zero entries or empty
+    numerators; the numerators left are tested against the guard bits in one
+    pass, so a field that reached one raises ExponentOverflow."""
     for key, acc in list(out.items()):
         if 0 in acc.values():
-            acc = {e: c for e, c in acc.items() if c}
+            acc = out[key] = {e: c for e, c in acc.items() if c}
             if not acc:
                 del out[key]
-                continue
-            out[key] = acc
-        _checked(acc)
+    _checked(chain.from_iterable(out.values()))
     return out
+
+
+def _canonical_all(out: dict, den_int: int, den_k: int) -> dict:
+    """{key: the canonical form of out[key] / (den_int * k^den_k)}, for the
+    numerators of ``out``, which went through ``_nonzero``."""
+    return {key: _canonical(_poly(num), den_int, den_k) for key, num in out.items()}
 
 
 class InfDunkl:
@@ -308,10 +352,7 @@ class InfDunkl:
         den_int, den_k = _lcd(f.terms.values())
         terms = {key: _numerator(c, den_int, den_k) for key, c in f.terms.items()}
         terms, den_int = self._power(terms, den_int, r)
-        return LambdaXElem(
-            {key: _canonical(_poly(num), den_int, den_k) for key, num in terms.items()},
-            fam.laurent,
-        )
+        return LambdaXElem(_canonical_all(terms, den_int, den_k), fam.laurent)
 
     def integral(self, r: int, f: LambdaElem) -> LambdaElem:
         """The r-th quantum integral applied to f in the power-sum algebra.
@@ -337,21 +378,11 @@ class InfDunkl:
                     continue
                 a //= 2
             mm = pmono_mul(m, ((a, 1),))
-            acc = out.get(mm)
-            if acc is None:
+            if mm in out:
+                _add_product(out, mm, ((0, weight),), num.items())
+            else:
                 out[mm] = {e: weight * c for e, c in num.items()}
-                continue
-            aget = acc.get
-            for e, c in num.items():
-                acc[e] = aget(e, 0) + weight * c
-        result = {}
-        for mm, acc in out.items():
-            if 0 in acc.values():
-                acc = {e: c for e, c in acc.items() if c}
-                if not acc:
-                    continue
-            result[mm] = _canonical(_poly(acc), den_int, den_k)
-        return LambdaElem(result)
+        return LambdaElem(_canonical_all(_nonzero(out), den_int, den_k))
 
 
 def integral_L(family: Family, r: int, f: LambdaElem) -> LambdaElem:
@@ -415,38 +446,20 @@ class LambdaDiffOp:
                 for src, n, m in derivative(didx[:-1]):
                     for pos, (idx, mult) in enumerate(m):
                         if idx == a:
-                            rest = m[:pos] + m[pos + 1:] if mult == 1 else \
-                                m[:pos] + ((idx, mult - 1),) + m[pos + 1:]
-                            d.append((src, n * a * mult, rest))
+                            d.append((src, n * a * mult, _lowered(m, pos)))
                             break
                 derivatives[didx] = d
             return d
 
         out: dict = {}
-        get = out.get
         for didx, coeffs in groups.items():
             if not support.issuperset(didx):
                 continue
             for src, n, m in derivative(didx):
                 num = [(e, n * v) for e, v in nums[src].items()]
                 for cmono, cnum in coeffs:
-                    mm = pmono_mul(cmono, m)
-                    acc = get(mm)
-                    if acc is None:
-                        acc = out[mm] = {}
-                    aget = acc.get
-                    for e1, v1 in cnum:
-                        for e2, v2 in num:
-                            e = e1 + e2
-                            acc[e] = aget(e, 0) + v1 * v2
-        den_int = den1 * den2
-        result = {}
-        for mm, acc in out.items():
-            _checked(acc)
-            acc = {e: c for e, c in acc.items() if c}
-            if acc:
-                result[mm] = _canonical(_poly(acc), den_int, den_k)
-        return LambdaElem(result)
+                    _add_product(out, pmono_mul(cmono, m), cnum, num)
+        return LambdaElem(_canonical_all(_nonzero(out), den1 * den2, den_k))
 
     def text(self) -> str:
         if not self.terms:
@@ -607,11 +620,10 @@ def _table_difference(table: dict, s: int, f: LambdaElem, r: int, g: LambdaElem)
         halves.append((h, sign, images, den1, k1))
     den_k = _check_den_k(den_k)
     out: dict = {}
-    get = out.get
     for h, sign, images, den1, k1 in halves:
         # the images over den / den1 * k^(den_k - k1), so that each product
         # is over den * k^den_k
-        images = {rest: [(m2, _numerator(c2, den // den1, den_k - k1)) for m2, c2 in terms.items()]
+        images = {rest: [(m2, _numerator(c2, den // den1, den_k - k1).items()) for m2, c2 in terms.items()]
                   for rest, terms in images.items()}
         for m, c in h.terms.items():
             n1 = [(e1, sign * v1) for e1, v1 in _numerator(c, den1, k1).items()]
@@ -620,21 +632,8 @@ def _table_difference(table: dict, s: int, f: LambdaElem, r: int, g: LambdaElem)
                 if j:
                     i, tail = _p0_split(m2)
                     m2 = ((0, i + j),) + tail
-                acc = get(m2)
-                if acc is None:
-                    acc = out[m2] = {}
-                aget = acc.get
-                for e2, v2 in n2.items():
-                    for e1, v1 in n1:
-                        e = e1 + e2
-                        acc[e] = aget(e, 0) + v1 * v2
-    result = {}
-    for m2, acc in out.items():
-        _checked(acc)
-        acc = {e: c for e, c in acc.items() if c}
-        if acc:
-            result[m2] = _canonical(_poly(acc), den, den_k)
-    return LambdaElem(result)
+                _add_product(out, m2, n2, n1)
+    return LambdaElem(_canonical_all(_nonzero(out), den, den_k))
 
 
 def commutator_on_basis(family: Family, r: int, s: int, deg: int, pwindow: int):

@@ -812,25 +812,16 @@ def finite_dunkl(family: Family, N: int, i: int, f: MultiPoly) -> MultiPoly:
     return _finite_dunkl_power(family, N, i, f, 1)
 
 
-def _invariance_generators(family: Family, N: int):
-    gens = [("swap", (i, i + 1)) for i in range(N - 1)]
-    if family is Family.RAT_B:
-        gens.append(("flip", (0,)))
-    elif family is Family.TRIG_BC:
-        gens.append(("invert", (0,)))
-    return gens
-
-
 def is_invariant(family: Family, f: MultiPoly) -> bool:
-    for kind, args in _invariance_generators(family, f.nvars):
-        if kind == "swap":
-            g = f.act_swap(*args)
-        elif kind == "flip":
-            g = f.act_flip(*args)
-        else:
-            g = f.act_invert(*args)
-        if g != f:
-            return False
+    """Whether the family's group fixes f: each swap of neighbouring
+    variables, then the flip (rational B) or the inversion (trigonometric
+    BC) of x_0; the first generator that moves f decides."""
+    if any(f.act_swap(i, i + 1) != f for i in range(f.nvars - 1)):
+        return False
+    if family is Family.RAT_B:
+        return f.act_flip(0) == f
+    if family is Family.TRIG_BC:
+        return f.act_invert(0) == f
     return True
 
 

@@ -410,11 +410,7 @@ class WeylOp:
     # -- arithmetic ------------------------------------------------------------------
 
     def __add__(self, other: "WeylOp") -> "WeylOp":
-        out = dict(self.terms)
-        for e, f in other.terms.items():
-            v = out.get(e)
-            out[e] = f if v is None else v + f
-        return WeylOp(self.nvars, out)
+        return WeylOp.sum(self.nvars, (self, other))
 
     def __neg__(self) -> "WeylOp":
         return WeylOp(self.nvars, {e: -f for e, f in self.terms.items()})
@@ -979,14 +975,15 @@ def gauge_conjugate(op: WeylOp, logderivs) -> WeylOp:
     shifted = [
         WeylOp.partial(nvars, i) + WeylOp.mul_by(w) for i, w in enumerate(logderivs)
     ]
-    out = WeylOp.zero(nvars)
+    one = WeylOp.const(nvars, 1)
+    parts = []
     for dexps, f in op.terms.items():
-        term = WeylOp.const(nvars, RatFun.const(nvars, 1))
+        term = one
         for i, e in enumerate(dexps):
             for _ in range(e):
                 term = term.compose(shifted[i])
-        out = out + WeylOp.mul_by(f).compose(term)
-    return out
+        parts.append(WeylOp.mul_by(f).compose(term))
+    return WeylOp.sum(nvars, parts)
 
 
 def psi0_logderivs(family: Family, parity: ParityData):

@@ -533,6 +533,31 @@ class TestMoserOneBuild:
             assert payload["notes"] == ["DenominatorVanishes: denominator vanishes under substitution"]
 
 
+class TestDegenerateK1Work:
+    """``verify degenerate-k1`` forms each image and each k = 1 Heckman
+    integral once, for both of its routes."""
+
+    def test_each_reference_once(self, capsys, monkeypatch):
+        # the recursion route and the Moser route compare with the same k = 1
+        # Heckman integral of the same image: 4 images and R x 4 integrals at
+        # R = 3, where forming them per check made 24 of each
+        calls = {"heckman_integral": 0, "Hom.apply": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "heckman_integral", counting("heckman_integral", cli.heckman_integral))
+        monkeypatch.setattr(Hom, "apply", counting("Hom.apply", Hom.apply))
+        code, out = run_cli(capsys, "verify", "degenerate-k1", "--n", "1", "--m", "1", "--r", "3",
+                            "--no-timing")
+        assert code == 0, out
+        assert "verified (24 checks)" in out
+        assert calls["heckman_integral"] <= 12 and calls["Hom.apply"] <= 4, calls
+
+
 #: The README's CLI examples with a sha256 prefix of their verdict: status,
 #: checks, counterexamples and notes, as ``perfbench``'s ``Verdict.digest``
 #: hashes them; ``stats`` and ``timing_ms`` are left out, so that counters

@@ -301,6 +301,23 @@ class TestFoldedIntegral:
                         outcomes.add("equal")
         assert outcomes == {"raised", "equal"}
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_no_coefficient_arithmetic_on_the_basis(self, family, monkeypatch):
+        # the work gate of ``integral`` on its own: no ParamRatio arithmetic,
+        # and one canonical form per output monomial at most
+        calls = count_ratio_operations(
+            monkeypatch, ("__add__", "__sub__", "__mul__", "__neg__", "scale"))
+        canonical = []
+        real = dunkl_infinity._canonical
+        monkeypatch.setattr(dunkl_infinity, "_canonical", lambda *a: canonical.append(a) or real(*a))
+        op = InfDunkl(family)
+        for m in pmono_basis(6, 6):
+            for r in (1, 2, 3):
+                del canonical[:]
+                g = op.integral(r, LambdaElem.monomial(m))
+                assert len(canonical) <= len(g.terms), (m, r)
+        assert calls == []
+
 
 def _heckman_oracle(family: Family, N: int, r: int, f: LambdaElem) -> MultiPoly:
     hom = Hom(family, "phi_N", N=N)
