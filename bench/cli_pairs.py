@@ -1,0 +1,125 @@
+"""Interleaved timing of CLI requests on two versions of ``dunklcms`` in one
+process.
+
+    python3 bench/cli_pairs.py --parent DIR [--change DIR] --out BENCH_22.json [--pairs 15]
+
+``--parent`` and ``--change`` name ``src`` directories (``--change``
+defaults to the one of this checkout).  Both ``dunklcms`` packages are
+imported into this process, under the module names ``dunklcms_parent`` and
+``dunklcms_change``, with DUNKLCMS_WORKERS cleared, so every request runs
+serially here.  Each request's ``--no-timing`` text and JSON reports are
+compared first; if they differ the script exits 1 and stores nothing.  Then
+each request is timed ``--pairs`` times on each side, one run per side and
+pair, the side that runs first alternating from pair to pair, so that the
+drift of a shared machine falls on both sides alike (timing each side in a
+process of its own could not resolve a difference of a few percent).
+Each side's median and quartiles, and the number of pairs in which the
+change ran faster, are stored under the label ``interleaved`` of the JSON
+file ``--out`` (``harness.store``).
+
+Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import importlib.util
+import io
+import json
+import os
+import statistics
+import sys
+import time
+
+from harness import DEFAULT_SRC, environment, quiet_run, store
+
+REQUESTS = [
+    ["verify", "deformed", "--n", "2", "--m", "2", "--r", "4"],
+    ["verify", "degenerate-k1", "--n", "1", "--m", "1", "--r", "3"],
+    ["verify", "diagram", "--family", "rat-a", "--kind", "intrat", "--n", "2", "--m", "1", "--r", "3"],
+    ["verify", "moser-integrals", "--family", "rat-a", "--n", "2", "--m", "1", "--r", "2",
+     "--basis-deg", "4", "--mode", "sampled", "--seed", "1"],
+    ["verify", "closed-form", "--family", "trig-bc", "--deg", "8"],
+]
+SIDES = ("parent", "change")
+
+
+def load(name: str, src: str):
+    """The package ``src/dunklcms`` imported as ``name``: its modules import
+    one another relatively, so they all land under ``name``."""
+    path = os.path.join(src, "dunklcms")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(path, "__init__.py"), submodule_search_locations=[path])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(name + ".cli")
+    return package
+
+
+def reports(cli, argv) -> str:
+    """The request's ``--no-timing`` text and JSON reports."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        for fmt in ("text", "json"):
+            cli.run(argv + ["--format", fmt, "--no-timing"])
+    return buf.getvalue()
+
+
+def once(cli, argv) -> float:
+    gc.collect()
+    t0 = time.perf_counter()
+    quiet_run(cli.run, argv + ["--no-timing"])
+    return time.perf_counter() - t0
+
+
+def summary(samples) -> dict:
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return {"median_s": statistics.median(samples), "q1_s": q1, "q3_s": q3}
+
+
+def measure(clis: dict, pairs: int) -> dict:
+    result = {}
+    for argv in REQUESTS:
+        times = {side: [] for side in SIDES}
+        for k in range(pairs):
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                times[side].append(once(clis[side], argv))
+        wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+        result[" ".join(argv)] = {**{side: summary(times[side]) for side in SIDES}, "change_wins": wins}
+    return result
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="the src directory of the parent version")
+    ap.add_argument("--change", default=DEFAULT_SRC, help="the src directory of the changed version")
+    ap.add_argument("--out", required=True, help="the JSON file to update")
+    ap.add_argument("--pairs", type=int, default=15)
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2")
+    os.environ.pop("DUNKLCMS_WORKERS", None)
+    srcs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    packages = {side: load("dunklcms_" + side, srcs[side]) for side in SIDES}
+    clis = {side: packages[side].cli for side in SIDES}
+    differ = [" ".join(a) for a in REQUESTS if reports(clis["parent"], a) != reports(clis["change"], a)]
+    if differ:
+        print("reports differ: %s" % "; ".join(differ), file=sys.stderr)
+        return 1
+    result = {side: environment(srcs[side], packages[side].coeffs.Rat) for side in SIDES}
+    for side in SIDES:
+        del result[side]["repeats"]
+    result["pairs"] = args.pairs
+    result["requests"] = measure(clis, args.pairs)
+    store(args.out, "interleaved", result,
+          benchmark="CLI requests timed in one process on two versions, the first side alternating",
+          commands=[" ".join(a) for a in REQUESTS])
+    print(json.dumps(result["requests"], indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

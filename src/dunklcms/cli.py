@@ -19,6 +19,12 @@ ground truth, and ``--seed`` without ``--mode sampled`` is an error.
 every family; ``--basis-deg D`` checks it instead on the monomials of degree
 <= D, an independent route.  Guard rails cap sizes to desk scale unless
 ``--unsafe``.
+
+Each command is declared once, in ``_COMMANDS``: its help, its handler and
+its own options, which ``build_parser`` follows with the common ones.  A
+handler is a thin call into the library: it validates the request, calls
+the check (``finite_cms.deformed_check`` and ``weyl.degenerate_k1_check``
+for the two corollaries of rational A) and records its results.
 """
 
 from __future__ import annotations
@@ -38,23 +44,9 @@ from .dunkl_infinity import (
     integral_L,
     pmono_basis,
 )
-from .finite_cms import (
-    Hom,
-    ParityData,
-    deformed_integral,
-    diagram_check,
-    heckman_integral,
-    standard_testset,
-)
+from .finite_cms import ParityData, deformed_check, diagram_check, standard_testset
 from .powersums import Family, LambdaElem, pmono_text
-from .weyl import (
-    RatFun,
-    commute_check,
-    gauge_conjugate,
-    lax_check,
-    moser_integrals,
-    psi0_logderivs,
-)
+from .weyl import commute_check, degenerate_k1_check, lax_check, moser_integrals
 
 FAMILIES = {f.value: f for f in Family}
 
@@ -104,6 +96,11 @@ class Report:
             self.record(True, label)
         else:
             self.record(False, label, lhs.text(), rhs.text())
+
+    def record_results(self, results):
+        """``record`` of each of the library's ``DiagramResult`` values."""
+        for res in results:
+            self.record(res.ok, res.label, res.lhs, res.rhs)
 
     def observe_terms(self, obj):
         """Track the largest term count seen, a rough cost statistic."""
@@ -302,27 +299,13 @@ def _verify_diagram(args, report):
     testset = standard_testset(family, with_x=(kind == "dcomm"))
     rep = diagram_check(kind, family, testset, r=args.r, **kwargs)
     report.notes.append(rep.detail)
-    for res in rep.results:
-        report.record(res.ok, res.label, res.lhs, res.rhs)
+    report.record_results(rep.results)
 
 
 def _verify_deformed(args, report):
-    # rational A deformed recursion: diagram consistency plus commutativity
     _symbolic_only(args)
     _guard(args, nm=args.n + args.m, r=args.r)
-    parity = _parity(args)
-    family = Family.RAT_A
-    testset = standard_testset(family, with_x=False)
-    for r in range(1, args.r + 1):
-        rep = diagram_check("intrat", family, testset, r=r, parity=parity)
-        for res in rep.results:
-            report.record(res.ok, "intrat r=%d %s" % (r, res.label), res.lhs, res.rhs)
-    hom = Hom(family, "phi_nm", parity=parity)
-    for label, f in testset:
-        g = hom.apply(f.to_lambda())
-        lhs = deformed_integral(parity, 2, deformed_integral(parity, 3, g))
-        rhs = deformed_integral(parity, 3, deformed_integral(parity, 2, g))
-        report.record_sides(lhs == rhs, "[L2,L3] on %s" % label, lhs, rhs)
+    report.record_results(deformed_check(_parity(args), args.r))
 
 
 def _verify_lax(args, report):
@@ -359,27 +342,7 @@ def _verify_moser_integrals(args, report):
 def _verify_degenerate_k1(args, report):
     _symbolic_only(args)
     _guard(args, nm=args.n + args.m, r=args.r)
-    parity = _parity(args)
-    N = parity.size
-    one = {"k": const(1)}
-    hom = Hom(Family.RAT_A, "phi_nm", parity=parity)
-    tests = [("p1", LambdaElem.p(1)), ("p2", LambdaElem.p(2)),
-             ("p3", LambdaElem.p(3)), ("p1*p2", LambdaElem.p(1) * LambdaElem.p(2))]
-    images = [(label, hom.apply(f)) for label, f in tests]
-    # both routes compare with the same k = 1 Heckman integral of each image
-    refs = {}
-    for r in range(1, args.r + 1):
-        for label, g in images:
-            lhs = deformed_integral(parity, r, g).substitute(one)
-            rhs = refs[(r, label)] = heckman_integral(Family.RAT_A, N, r, g.substitute(one)).substitute(one)
-            report.record_sides(lhs == rhs, "recursion r=%d %s" % (r, label), lhs, rhs)
-    _, integrals, _ = moser_integrals(Family.RAT_A, parity, args.r, one)
-    w = [-x.substitute(one) for x in psi0_logderivs(Family.RAT_A, parity)]
-    for r, I in enumerate(integrals, 1):
-        G = gauge_conjugate(I, w)
-        for label, g in images:
-            lhs, rhs = G.apply(g.substitute(one)), refs[(r, label)]
-            report.record_sides(lhs == RatFun(rhs), "moser r=%d %s" % (r, label), lhs, rhs)
+    report.record_results(degenerate_k1_check(_parity(args), args.r))
 
 
 def _generate_integral(args, report):
@@ -403,100 +366,70 @@ def _generate_integral(args, report):
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--mode", choices=("symbolic", "sampled"), default="symbolic")
-    p.add_argument("--seed", type=int, default=None,
-                   help="the seed of --mode sampled (default 0)")
-    p.add_argument("--unsafe", action="store_true", help="lift desk-scale caps")
-    p.add_argument("--param", action="append", metavar="NAME=VALUE",
-                   help="bind a parameter to an exact rational, e.g. k=3/2")
-    p.add_argument("--no-timing", action="store_true",
-                   help="zero the timing field for byte-stable reports")
+def _int(default=None, **kwargs) -> dict:
+    """The keywords of an int option."""
+    return dict(type=int, default=default, **kwargs)
+
+
+_FAMILY = ("--family", dict(required=True))
+_NM = [("--n", _int(required=True)), ("--m", _int(required=True))]
+
+#: The options every command takes, after its own.
+_COMMON = [
+    ("--format", dict(choices=("text", "json"), default="text")),
+    ("--mode", dict(choices=("symbolic", "sampled"), default="symbolic")),
+    ("--seed", _int(help="the seed of --mode sampled (default 0)")),
+    ("--unsafe", dict(action="store_true", help="lift desk-scale caps")),
+    ("--param", dict(action="append", metavar="NAME=VALUE",
+                     help="bind a parameter to an exact rational, e.g. k=3/2")),
+    ("--no-timing", dict(action="store_true", help="zero the timing field for byte-stable reports")),
+]
+
+_GROUPS = {"verify": "machine-verify an identity", "generate": "print operators and integral actions"}
+
+#: Every command, in --help order: (group, command) -> (help, handler, its
+#: own options as (name, add_argument keywords)).
+_COMMANDS = {
+    ("verify", "closed-form"): ("explicit second integral vs E.D^2", _verify_closed_form,
+                                [_FAMILY, ("--deg", _int(6))]),
+    ("verify", "commute-infinity"): (
+        "[L^(r), L^(s)] = 0 on the monomial basis", _verify_commute_infinity,
+        [_FAMILY, ("--r", _int(2)), ("--s", _int(3)), ("--deg", _int(4)), ("--pwindow", _int())]),
+    ("verify", "diagram"): (
+        "commutative-diagram checks", _verify_diagram,
+        [_FAMILY, ("--kind", dict(choices=("dcomm", "heckdiag", "propcomm", "intrat"), default="dcomm")),
+         ("--N", _int()), ("--n", _int()), ("--m", _int()),
+         ("--i", _int(1, help="distinguished index, 1-based")), ("--r", _int(1))]),
+    ("verify", "deformed"): ("deformed recursion and integrals (rational A)", _verify_deformed,
+                             _NM + [("--r", _int(3))]),
+    ("verify", "lax"): ("[L,H] = [L,M] entrywise", _verify_lax, [_FAMILY] + _NM),
+    ("verify", "moser-integrals"): (
+        "[e*L^re, H] = 0 and e*L^2e vs H", _verify_moser_integrals,
+        [_FAMILY] + _NM + [("--r", _int(2)), ("--basis-deg", _int(
+            help="check [e*L^re, H] = 0 on the monomials of degree <= this, an "
+                 "independent route to the symbolic commutator (the default)"))]),
+    ("verify", "degenerate-k1"): ("k=1 reduction to the undeformed system", _verify_degenerate_k1,
+                                  _NM + [("--r", _int(3))]),
+    ("generate", "integral"): ("action of the integral on the monomial basis", _generate_integral,
+                               [_FAMILY, ("--r", _int(2)), ("--deg", _int(4))]),
+}
+
+_HANDLERS = {key: handler for key, (_, handler, _) in _COMMANDS.items()}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process and shared: callers such as
-    ``run`` only read it and must not change it."""
+    """The CLI's parser, built once per process from ``_COMMANDS`` and
+    shared: callers such as ``run`` only read it and must not change it."""
     top = argparse.ArgumentParser(prog="dunklcms", description=__doc__.splitlines()[0])
-    sub = top.add_subparsers(dest="group", required=True)
-
-    verify = sub.add_parser("verify", help="machine-verify an identity")
-    vsub = verify.add_subparsers(dest="command", required=True)
-
-    p = vsub.add_parser("closed-form", help="explicit second integral vs E.D^2")
-    p.add_argument("--family", required=True)
-    p.add_argument("--deg", type=int, default=6)
-    _add_common(p)
-
-    p = vsub.add_parser("commute-infinity", help="[L^(r), L^(s)] = 0 on the monomial basis")
-    p.add_argument("--family", required=True)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--s", type=int, default=3)
-    p.add_argument("--deg", type=int, default=4)
-    p.add_argument("--pwindow", type=int, default=None)
-    _add_common(p)
-
-    p = vsub.add_parser("diagram", help="commutative-diagram checks")
-    p.add_argument("--family", required=True)
-    p.add_argument("--kind", choices=("dcomm", "heckdiag", "propcomm", "intrat"), default="dcomm")
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--i", type=int, default=1, help="distinguished index, 1-based")
-    p.add_argument("--r", type=int, default=1)
-    _add_common(p)
-
-    p = vsub.add_parser("deformed", help="deformed recursion and integrals (rational A)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, default=3)
-    _add_common(p)
-
-    p = vsub.add_parser("lax", help="[L,H] = [L,M] entrywise")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_common(p)
-
-    p = vsub.add_parser("moser-integrals", help="[e*L^re, H] = 0 and e*L^2e vs H")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--basis-deg", type=int, default=None,
-                   help="check [e*L^re, H] = 0 on the monomials of degree <= this, an "
-                        "independent route to the symbolic commutator (the default)")
-    _add_common(p)
-
-    p = vsub.add_parser("degenerate-k1", help="k=1 reduction to the undeformed system")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, default=3)
-    _add_common(p)
-
-    generate = sub.add_parser("generate", help="print operators and integral actions")
-    gsub = generate.add_subparsers(dest="command", required=True)
-    p = gsub.add_parser("integral", help="action of the integral on the monomial basis")
-    p.add_argument("--family", required=True)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--deg", type=int, default=4)
-    _add_common(p)
-
+    groups = top.add_subparsers(dest="group", required=True)
+    commands = {group: groups.add_parser(group, help=text).add_subparsers(dest="command", required=True)
+                for group, text in _GROUPS.items()}
+    for (group, command), (text, _, options) in _COMMANDS.items():
+        p = commands[group].add_parser(command, help=text)
+        for name, kwargs in options + _COMMON:
+            p.add_argument(name, **kwargs)
     return top
-
-
-_HANDLERS = {
-    ("verify", "closed-form"): _verify_closed_form,
-    ("verify", "commute-infinity"): _verify_commute_infinity,
-    ("verify", "diagram"): _verify_diagram,
-    ("verify", "deformed"): _verify_deformed,
-    ("verify", "lax"): _verify_lax,
-    ("verify", "moser-integrals"): _verify_moser_integrals,
-    ("verify", "degenerate-k1"): _verify_degenerate_k1,
-    ("generate", "integral"): _generate_integral,
-}
 
 
 def run(argv=None) -> int:

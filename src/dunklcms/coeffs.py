@@ -168,9 +168,6 @@ class ParamPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
-
     def total_degree(self) -> int:
         return max((sum(_unpack(e)) for e in self.terms), default=0)
 
@@ -427,9 +424,6 @@ class ParamRatio:
 
     def is_zero(self) -> bool:
         return not self.num.terms
-
-    def is_const(self) -> bool:
-        return not self.den_k and self.num.is_const()
 
     def key(self):
         return (self.num.key(), self.den_int, self.den_k)

@@ -30,7 +30,7 @@ leading coefficient, for substitution and for the ``terms`` view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 
 from ._parallel import ordered_map
@@ -1029,6 +1029,14 @@ class DiagramResult:
     lhs: str
     rhs: str
 
+    @staticmethod
+    def compared(label: str, ok: bool, lhs, rhs) -> "DiagramResult":
+        """The result of comparing the sides lhs and rhs; their text is
+        built only for a counterexample."""
+        if ok:
+            return DiagramResult(label, True, "", "")
+        return DiagramResult(label, False, lhs.text(), rhs.text())
+
 
 @dataclass
 class DiagramReport:
@@ -1073,9 +1081,7 @@ def _diagram_one(kind: str, family: Family, r: int, N, parity, i, labeled) -> Di
         f = f.to_lambda() if isinstance(f, LambdaXElem) else f
         lhs = hom.apply(op.integral(r, f))
         rhs = deformed_integral(parity, r, hom.apply(f))
-    if lhs == rhs:  # the sides' text only for a counterexample
-        return DiagramResult(label, True, "", "")
-    return DiagramResult(label, False, lhs.text(), rhs.text())
+    return DiagramResult.compared(label, lhs == rhs, lhs, rhs)
 
 
 def diagram_check(kind: str, family: Family, testset, r: int = 1,
@@ -1105,6 +1111,23 @@ def diagram_check(kind: str, family: Family, testset, r: int = 1,
         raise ValueError(kind)
     results = ordered_map(partial(_diagram_one, kind, family, r, N, parity, i), list(testset))
     return DiagramReport(kind, family, detail, results)
+
+
+def deformed_check(parity: ParityData, R: int) -> list:
+    """The deformed quantum integrals of rational A: the ``intrat`` diagram
+    for r = 1..R, labelled ``intrat r=%d %s``, then [L2, L3] = 0 on the
+    image of each test element, labelled ``[L2,L3] on %s``."""
+    family = Family.RAT_A
+    testset = standard_testset(family, with_x=False)
+    results = [replace(res, label="intrat r=%d %s" % (r, res.label)) for r in range(1, R + 1)
+               for res in diagram_check("intrat", family, testset, r=r, parity=parity).results]
+    hom = Hom(family, "phi_nm", parity=parity)
+    for label, f in testset:
+        g = hom.apply(f.to_lambda())
+        lhs = deformed_integral(parity, 2, deformed_integral(parity, 3, g))
+        rhs = deformed_integral(parity, 3, deformed_integral(parity, 2, g))
+        results.append(DiagramResult.compared("[L2,L3] on %s" % label, lhs == rhs, lhs, rhs))
+    return results
 
 
 def standard_testset(family: Family, with_x: bool = True):

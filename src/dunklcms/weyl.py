@@ -71,11 +71,16 @@ composition runs at the point.  The covector itself is never substituted:
 its weights k^-p(i) cancel only inside the row, which is what keeps k = 0
 inside the domain of the A families at (1, 1) and (2, 1).
 ``moser_integrals`` makes that build for ``moser-integrals``, the
-e* L^2 e = lam H + c check (``integral_vs_hamiltonian``) and the k = 1
-route of ``degenerate-k1``; ``lax_check`` substitutes its L, H and M parts
-through the same helper.
+e* L^2 e = lam H + c check (``integral_vs_hamiltonian``) and the Moser
+route of ``degenerate_k1_check``; ``lax_check`` substitutes its L, H and M
+parts through the same helper.
 ``WeylOp.apply`` applies an operator to a polynomial or a rational function
-alike, which is all that the basis route of ``commute_check`` needs.
+alike, which is all that the basis route of ``commute_check`` needs; like a
+composition, it forms each derivative of its argument once (``_derivative``).
+``degenerate_k1_check`` is the k = 1 degeneration of the deformed integrals
+of rational A to the undeformed CMS integrals, by the recursion of
+``finite_cms`` and by the gauged Moser integrals, both compared with the
+Heckman integrals at k = 1.
 """
 
 from __future__ import annotations
@@ -88,6 +93,8 @@ from math import comb
 from ._parallel import ordered_map
 from .coeffs import B_CONSTRAINT, BC_CONSTRAINT, HALF, K, ONE, P, Q, ParamRatio, UnsupportedDenominator, k_power
 from .finite_cms import (
+    DiagramResult,
+    Hom,
     MultiPoly,
     ParityData,
     _fac_diff,
@@ -95,8 +102,10 @@ from .finite_cms import (
     _fac_shift,
     _fac_sum,
     _is_linear_root_factor,
+    deformed_integral,
+    heckman_integral,
 )
-from .powersums import Family, UnsupportedFamily
+from .powersums import Family, LambdaElem, UnsupportedFamily
 
 #: Multiplicity of the one-particle reflection term, per species, after the
 #: family constraints eliminate s (and r): rational B uses (q, s) and trig BC
@@ -336,12 +345,19 @@ def _rf(num: MultiPoly, den: dict, may_divide=()) -> RatFun:
 
 
 def _derivative(derivs: dict, idx: tuple) -> RatFun:
-    """d^idx of the coefficient at derivs[(0, ..., 0)], each derivative
-    formed once from a lower one and kept in ``derivs``."""
+    """d^idx of the function at derivs[(0, ..., 0)], each derivative formed
+    once from a lower one and kept in ``derivs``; a zero one is not
+    differentiated."""
     v = derivs.get(idx)
     if v is None:
-        i = next(i for i, e in enumerate(idx) if e)
-        v = derivs[idx] = _derivative(derivs, idx[:i] + (idx[i] - 1,) + idx[i + 1:]).diff(i)
+        i = 0
+        while not idx[i]:
+            i += 1
+        lower = idx[:i] + (idx[i] - 1,) + idx[i + 1:]
+        # a RatFun is never false; the lookup spares the call when the
+        # lower derivative is known, the common case of a basis apply
+        v = derivs.get(lower) or _derivative(derivs, lower)
+        v = derivs[idx] = v if v.is_zero() else v.diff(i)
     return v
 
 
@@ -482,19 +498,10 @@ class WeylOp:
 
     def apply(self, f) -> RatFun:
         """self applied to a polynomial or a rational function: each term's
-        derivatives of f times its coefficient."""
-        if isinstance(f, MultiPoly):
-            f = RatFun(f)
-        parts = []
-        for dexps, c in self.terms.items():
-            g = f
-            for i, e in enumerate(dexps):
-                for _ in range(e):
-                    if g.is_zero():
-                        break
-                    g = g.diff(i)
-            parts.append(c * g)
-        return RatFun.sum(self.nvars, parts)
+        derivative of f times its coefficient, each derivative of f formed
+        once (``_derivative``)."""
+        derivs = {(0,) * self.nvars: RatFun(f) if isinstance(f, MultiPoly) else f}
+        return RatFun.sum(self.nvars, [c * _derivative(derivs, dexps) for dexps, c in self.terms.items()])
 
     def substitute(self, bindings: dict) -> "WeylOp":
         return WeylOp(self.nvars, {e: f.substitute(bindings) for e, f in self.terms.items()})
@@ -1007,3 +1014,39 @@ def psi0_logderivs(family: Family, parity: ParityData):
             w = w * RatFun(MultiPoly.const(nm, -1), {MultiPoly.var(nm, i): 1})
         out.append(w)
     return out
+
+
+# -- the k = 1 degeneration ---------------------------------------------------------
+
+
+def degenerate_k1_check(parity: ParityData, R: int) -> list:
+    """At k = 1 the deformed integrals of rational A become the undeformed
+    CMS integrals: for r = 1..R and the images g of p1, p2, p3 and p1*p2,
+    the deformed integral of g (labelled ``recursion r=%d %s``) and the
+    gauged Moser integral e* L^r e applied to g (``moser r=%d %s``) are each
+    compared, at k = 1, with the Heckman integral of g at k = 1.  Each image,
+    its k = 1 substitution and each Heckman integral is formed once, for
+    both routes."""
+    one = {"k": ONE}
+    hom = Hom(Family.RAT_A, "phi_nm", parity=parity)
+    tests = [("p1", LambdaElem.p(1)), ("p2", LambdaElem.p(2)),
+             ("p3", LambdaElem.p(3)), ("p1*p2", LambdaElem.p(1) * LambdaElem.p(2))]
+    images = []
+    for label, f in tests:
+        g = hom.apply(f)
+        images.append((label, g, g.substitute(one)))
+    refs = [[heckman_integral(Family.RAT_A, parity.size, r, g1).substitute(one) for _, _, g1 in images]
+            for r in range(1, R + 1)]
+    results = []
+    for r, row in enumerate(refs, 1):
+        for (label, g, _), rhs in zip(images, row):
+            lhs = deformed_integral(parity, r, g).substitute(one)
+            results.append(DiagramResult.compared("recursion r=%d %s" % (r, label), lhs == rhs, lhs, rhs))
+    _, integrals, _ = moser_integrals(Family.RAT_A, parity, R, one)
+    w = [-x.substitute(one) for x in psi0_logderivs(Family.RAT_A, parity)]
+    for r, (I, row) in enumerate(zip(integrals, refs), 1):
+        G = gauge_conjugate(I, w)
+        for (label, _, g1), rhs in zip(images, row):
+            lhs = G.apply(g1)
+            results.append(DiagramResult.compared("moser r=%d %s" % (r, label), lhs == RatFun(rhs), lhs, rhs))
+    return results

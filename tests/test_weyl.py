@@ -738,6 +738,18 @@ class TestIntegrals:
         rep = commute_check(I, H, "basis", deg=3)
         assert rep.ok
 
+    def test_basis_mode_forms_each_derivative_once(self, monkeypatch):
+        # apply forms each derivative of its argument once, for all of its
+        # terms, and differentiates no zero; per term it took 224 derivatives
+        monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+        par = ParityData(1, 1)
+        I, H = moser_integral(Family.TRIG_A, par, 2), hamiltonian(Family.TRIG_A, par)
+        calls = []
+        original = RatFun.diff
+        monkeypatch.setattr(RatFun, "diff", lambda self, i: calls.append(i) or original(self, i))
+        assert commute_check(I, H, "basis", deg=3).ok
+        assert len(calls) <= 144
+
     def test_trig_bc_commutes_on_laurent_monomials(self):
         # the BC operators act on Laurent polynomials; spot-check negative exponents
         par = ParityData(1, 1)
