@@ -1,3 +1,4 @@
+import hashlib
 import operator
 import pickle
 import random
@@ -814,6 +815,38 @@ class TestHoms:
     def test_deformed_bc_rejected(self):
         with pytest.raises(ValueError):
             Hom(Family.TRIG_BC, "phi_nm", parity=ParityData(1, 1))
+
+    def test_every_image_is_frozen(self):
+        # Both sides of every diagram go through the same substitution, so a
+        # substitution wrong by a factor that commutes with the operators
+        # passes every diagram; this pins the images themselves.
+        gens = [("p%d" % l, LambdaElem.p(l)) for l in range(4)]
+        gens.append(("p1*p2", LambdaElem.p(1) * LambdaElem.p(2)))
+        lines = []
+
+        def images(family, size, homs, xs):
+            for label, f in gens:
+                lines.append("%s %s %s: %s" % (family.value, size, label, homs[0].apply(f).text()))
+            for i, hom in homs[1:]:
+                for label, f in xs:
+                    lines.append("%s %s i=%d %s: %s" % (family.value, size, i, label, hom.apply(f).text()))
+
+        for family in Family:
+            xs = [(label, f) for label, f in standard_testset(family) if "x" in label]
+            for N in (1, 2, 3):
+                homs = [Hom(family, "phi_N", N=N)]
+                homs += [(i, Hom(family, "phi_iN", N=N, i=i)) for i in sorted({0, N - 1})]
+                images(family, "N=%d" % N, homs, xs)
+            if family is Family.TRIG_BC:
+                continue
+            for n, m in ((1, 1), (2, 1), (1, 2)):
+                parity = ParityData(n, m)
+                homs = [Hom(family, "phi_nm", parity=parity)]
+                homs += [(i, Hom(family, "phi_inm", parity=parity, i=i)) for i in (0, n + m - 1)]
+                images(family, "n=%d m=%d" % (n, m), homs, xs)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == (
+            257, "10ecde0c2e8f1df5cf79c4e185ca9318b130e2065e85362dcceb871e7b1733de")
 
     def test_zero_separation_by_reductions(self, rng):
         # a nonzero element with generators up to p_M has a nonzero reduction
