@@ -1,7 +1,7 @@
 """Interleaved timing of CLI requests on two versions of ``dunklcms`` in one
 process.
 
-    python3 bench/cli_pairs.py --parent DIR [--change DIR] --out BENCH_22.json [--pairs 15]
+    python3 bench/cli_pairs.py --parent DIR [--change DIR] --out BENCH_23.json [--pairs 15]
 
 ``--parent`` and ``--change`` name ``src`` directories (``--change``
 defaults to the one of this checkout).  Both ``dunklcms`` packages are
@@ -39,6 +39,10 @@ REQUESTS = [
     ["verify", "deformed", "--n", "2", "--m", "2", "--r", "4"],
     ["verify", "degenerate-k1", "--n", "1", "--m", "1", "--r", "3"],
     ["verify", "diagram", "--family", "rat-a", "--kind", "intrat", "--n", "2", "--m", "1", "--r", "3"],
+    ["verify", "diagram", "--family", "rat-a", "--kind", "propcomm", "--n", "2", "--m", "1", "--r", "3"],
+    ["verify", "diagram", "--family", "trig-bc", "--kind", "heckdiag", "--N", "3", "--r", "3"],
+    *[["verify", "diagram", "--family", f, "--kind", "dcomm", "--N", "4", "--i", "1", "--r", "3"]
+      for f in ("trig-bc", "rat-b")],
     ["verify", "moser-integrals", "--family", "rat-a", "--n", "2", "--m", "1", "--r", "2",
      "--basis-deg", "4", "--mode", "sampled", "--seed", "1"],
     ["verify", "closed-form", "--family", "trig-bc", "--deg", "8"],

@@ -44,7 +44,8 @@ from .dunkl_infinity import (
     integral_L,
     pmono_basis,
 )
-from .finite_cms import ParityData, deformed_check, diagram_check, standard_testset
+from .finite_cms import (DIAGRAM_KINDS, DiagramResult, ParityData, deformed_check, diagram_check,
+                         standard_testset)
 from .powersums import Family, LambdaElem, pmono_text
 from .weyl import commute_check, degenerate_k1_check, lax_check, moser_integrals
 
@@ -88,14 +89,6 @@ class Report:
         if not ok:
             self.status = "falsified"
             self.counterexamples.append({"input": label, "lhs": lhs, "rhs": rhs})
-
-    def record_sides(self, ok: bool, label: str, lhs, rhs):
-        """``record`` of a comparison of lhs and rhs, whose text is built only
-        for a counterexample."""
-        if ok:
-            self.record(True, label)
-        else:
-            self.record(False, label, lhs.text(), rhs.text())
 
     def record_results(self, results):
         """``record`` of each of the library's ``DiagramResult`` values."""
@@ -250,7 +243,7 @@ def _verify_closed_form(args, report):
                 lhs = lhs.substitute(bindings)
                 ok = lhs == rhs
         report.observe_terms(rhs)
-        report.record_sides(ok, pmono_text(m), lhs, rhs)
+        report.record_results([DiagramResult.compared(pmono_text(m), ok, lhs, rhs)])
 
 
 def _verify_commute_infinity(args, report):
@@ -273,31 +266,26 @@ def _verify_diagram(args, report):
     _symbolic_only(args)
     family = _family(args.family)
     kind = args.kind
-    sized_by_N = kind in ("dcomm", "heckdiag")
-    unused = [o for o in (("--n", "--m") if sized_by_N else ("--N",))
-              if getattr(args, o[2:]) is not None]
-    if args.i != 1 and kind in ("heckdiag", "intrat"):
+    deformed, indexed, _ = DIAGRAM_KINDS[kind]
+    unused = [o for o in (("--N",) if deformed else ("--n", "--m")) if getattr(args, o[2:]) is not None]
+    if args.i != 1 and not indexed:
         unused.append("--i")
     if unused:
         raise InvalidRequest("%s: not used by kind %s" % (" and ".join(unused), kind))
     _guard(args, N=args.N, r=args.r)
-    kwargs = {}
-    if sized_by_N:
+    if not deformed:
         if args.N is None:
             raise InvalidRequest("--N is required for kind %s" % kind)
-        kwargs["N"] = size = args.N
+        parity = ParityData(args.N, 0)
     else:
         if args.n is None or args.m is None:
             raise InvalidRequest("--n and --m are required for kind %s" % kind)
         _guard(args, nm=args.n + args.m)
-        kwargs["parity"] = _parity(args)
-        size = args.n + args.m
-    if kind in ("dcomm", "propcomm"):
-        if not 1 <= args.i <= size:
-            raise InvalidRequest("--i %d is not an index in 1..%d" % (args.i, size))
-        kwargs["i"] = args.i - 1
+        parity = _parity(args)
+    if indexed and not 1 <= args.i <= parity.size:
+        raise InvalidRequest("--i %d is not an index in 1..%d" % (args.i, parity.size))
     testset = standard_testset(family, with_x=(kind == "dcomm"))
-    rep = diagram_check(kind, family, testset, r=args.r, **kwargs)
+    rep = diagram_check(kind, family, testset, args.r, parity=parity, i=args.i - 1)
     report.notes.append(rep.detail)
     report.record_results(rep.results)
 
@@ -397,7 +385,7 @@ _COMMANDS = {
         [_FAMILY, ("--r", _int(2)), ("--s", _int(3)), ("--deg", _int(4)), ("--pwindow", _int())]),
     ("verify", "diagram"): (
         "commutative-diagram checks", _verify_diagram,
-        [_FAMILY, ("--kind", dict(choices=("dcomm", "heckdiag", "propcomm", "intrat"), default="dcomm")),
+        [_FAMILY, ("--kind", dict(choices=tuple(DIAGRAM_KINDS), default="dcomm")),
          ("--N", _int()), ("--n", _int()), ("--m", _int()),
          ("--i", _int(1, help="distinguished index, 1-based")), ("--r", _int(1))]),
     ("verify", "deformed"): ("deformed recursion and integrals (rational A)", _verify_deformed,

@@ -37,7 +37,7 @@ remaining symbols being eliminated through ``ParamRatio.substitute``).
 from __future__ import annotations
 
 from fractions import Fraction as Rat
-from functools import reduce
+from functools import cache, reduce
 from math import gcd
 from operator import or_
 
@@ -399,10 +399,6 @@ class ParamRatio:
         return _raw(_poly({0: n}), d, 0) if n else _RATIO_ZERO
 
     @staticmethod
-    def from_poly(p: ParamPoly) -> "ParamRatio":
-        return _raw(p, 1, 0)
-
-    @staticmethod
     def symbol(name: str, power: int = 1) -> "ParamRatio":
         """Symbol to an integer power; only k may have a negative power."""
         if power >= 0:
@@ -581,8 +577,9 @@ def symbol(name: str, power: int = 1) -> ParamRatio:
     return ParamRatio.symbol(name, power)
 
 
+@cache
 def k_power(n: int) -> ParamRatio:
-    """k to an integer power (negative allowed)."""
+    """k to an integer power (negative allowed), built once per power."""
     return ParamRatio.symbol("k", n)
 
 

@@ -332,7 +332,9 @@ class InfDunkl:
 
     def _power(self, terms: dict, den_int: int, r: int, folded: bool = False):
         """(D^r terms, its den_int) on packed numerators over den_int; on the
-        folded half when ``folded``."""
+        folded half when ``folded``.  A negative r raises ValueError."""
+        if r < 0:
+            raise ValueError("negative order %d" % r)
         fam = self.family
         if folded:  # application j (from 0) outputs the sign (-1)^(j+1)
             stencils = (partial(_folded_stencil, fam, -1), partial(_folded_stencil, fam, 1))

@@ -1,12 +1,14 @@
 """Finite-dimensional reductions: polynomial algebras, Dunkl operators, and
-the substitution homomorphisms that tie them to the infinite-variable side.
+the substitution homomorphism phi_{n,m} (``Hom``) that ties them to the
+infinite-variable side; the undeformed phi_N is its case m = 0.
 
 Every identity about operators in infinitely many variables is checked here
 against an independent finite-dimensional computation: the classical Dunkl
 (and Dunkl-Heckman) operators act by reflection divided differences, taken
 in closed form as geometric series on the packed terms, the symmetrized
 power sums give the quantum integrals, and the commutative-diagram checks
-compare both routes term by term.
+compare both routes term by term.  ``DIAGRAM_KINDS`` declares each diagram
+kind once, for the library and the command line alike.
 
 A power D_i^r of a finite operator runs in one kernel over the packed int
 numerator, as ``InfDunkl.apply`` does at infinity: each application adds the
@@ -761,10 +763,13 @@ def _finite_dunkl_power(family: Family, N: int, i: int, f: MultiPoly, r: int) ->
     den_k > 0, so the k-exponents are those of the canonical form, and
     ``_degree_checked`` tests the keys: a step whose result leaves the
     exponent ranges raises ``ExponentOverflow`` at that step.  The
-    canonical form is made once, at the end.
+    canonical form is made once, at the end.  A negative r raises
+    ValueError.
     """
     if f.nvars != N:
         raise ValueError("variable count mismatch")
+    if r < 0:
+        raise ValueError("negative order %d" % r)
     parts = _dunkl_parts(family, N, i)
     trig = family.trig
     lay = f._lay
@@ -880,33 +885,22 @@ class ParityData:
 
 
 class Hom:
-    """Substitution homomorphism from the power-sum algebra into polynomials.
+    """The substitution homomorphism phi_{n,m} from the power-sum algebra
+    into polynomials in n + m variables, for ``parity`` = (n, m).
 
-    Kinds: ``phi_N`` and ``phi_iN`` send p_l to the family's N-variable power
-    sums (``phi_iN`` also sends x to x_i); ``phi_nm`` and ``phi_inm`` are the
-    deformed versions weighting species by powers of k.
+    p_l goes to the family's deformed power sum, each variable x_j weighted
+    by k^{-p(j)}; with a distinguished index i, x also goes to x_i.  The
+    undeformed phi_N is the case ``ParityData(N, 0)``, where every weight is
+    1.  Trig BC has no deformed substitution, so it needs m = 0.
     """
 
-    def __init__(self, family: Family, kind: str, N: int = None, parity: ParityData = None, i: int = None):
-        if kind in ("phi_N", "phi_iN"):
-            if N is None:
-                raise ValueError("N required")
-            self.nvars = N
-        elif kind in ("phi_nm", "phi_inm"):
-            if parity is None:
-                raise ValueError("parity required")
-            if family is Family.TRIG_BC:
-                raise ValueError("no deformed substitution is defined for trig BC")
-            self.nvars = parity.size
-        else:
-            raise ValueError(kind)
-        if kind in ("phi_iN", "phi_inm"):
-            if i is None:
-                raise ValueError("distinguished index required")
-            if not 0 <= i < self.nvars:
-                raise ValueError("index %d outside 0..%d" % (i, self.nvars - 1))
+    def __init__(self, family: Family, parity: ParityData, i: int = None):
+        if parity.m and family is Family.TRIG_BC:
+            raise ValueError("no deformed substitution is defined for trig BC")
+        self.nvars = parity.size
+        if i is not None and not 0 <= i < self.nvars:
+            raise ValueError("index %d outside 0..%d" % (i, self.nvars - 1))
         self.family = family
-        self.kind = kind
         self.parity = parity
         self.i = i
         self._pl_cache: dict = {}
@@ -921,16 +915,15 @@ class Hom:
             self._pl_cache[(l, power)] = img
             return img
         n = self.nvars
+        if self.family is Family.RAT_B:
+            exps = [2 * l]
+        elif self.family is Family.TRIG_BC:
+            exps = [l, -l]
+        else:
+            exps = [l]
         terms: dict = {}
-        deformed = self.kind in ("phi_nm", "phi_inm")
         for j in range(n):
-            w = self.parity.k_inv_weight(j) if deformed else ONE
-            if self.family is Family.RAT_B:
-                exps = [2 * l]
-            elif self.family is Family.TRIG_BC:
-                exps = [l, -l] if l else [0, 0]
-            else:
-                exps = [l]
+            w = self.parity.k_inv_weight(j)
             for pw in exps:
                 e = [0] * n
                 e[j] = pw
@@ -941,8 +934,8 @@ class Hom:
         return img
 
     def apply(self, f) -> MultiPoly:
-        """The image of f: each term's coefficient times x_i^a for the
-        distinguished-index kinds and the images of its generator powers,
+        """The image of f: each term's coefficient times x_i^a (which needs
+        the distinguished index) and the images of its generator powers,
         the terms summed once over their least common denominator."""
         n = self.nvars
         if isinstance(f, LambdaElem):
@@ -951,8 +944,8 @@ class Hom:
             items = list(f.terms.items())
         images = []
         for (a, mono), c in items:
-            if a and self.kind not in ("phi_iN", "phi_inm"):
-                raise ValueError("x is only mapped by the distinguished-index kinds")
+            if a and self.i is None:
+                raise ValueError("x is only mapped with a distinguished index")
             term = MultiPoly.const(n, c)
             if a:
                 e = [0] * n
@@ -976,22 +969,31 @@ class Hom:
 def deformed_partials(parity: ParityData, r: int, f: MultiPoly) -> list:
     """All recursion operators of order r applied to f: [d_0^(r) f, ..., d_{N-1}^(r) f].
 
-    The recursion divides differences of lower-order results by x_i - x_j;
-    exactness is guaranteed on elements generated by the deformed power sums
-    and surfaces as InexactDivision otherwise.
+    d_i^(0) is the identity.  The recursion divides differences of
+    lower-order results by x_i - x_j, once per pair, since the quotient is
+    symmetric in i and j; exactness is guaranteed on elements generated by
+    the deformed power sums and surfaces as InexactDivision otherwise.  A
+    negative order raises ValueError.
     """
     N = parity.size
     if f.nvars != N:
         raise ValueError("variable count mismatch")
+    if r < 0:
+        raise ValueError("negative order %d" % r)
+    if r == 0:
+        return [f] * N
     level = [f.diff(i).scale(parity.k_weight(i)) for i in range(N)]
     for _ in range(r - 1):
         nxt = []
+        quotients = {}
         for i in range(N):
             g = level[i].diff(i).scale(parity.k_weight(i))
             for j in range(N):
                 if j == i:
                     continue
-                h = (level[i] - level[j]).exact_div(_fac_diff(N, i, j))
+                h = quotients.get((j, i))
+                if h is None:
+                    h = quotients[i, j] = (level[i] - level[j]).exact_div(_fac_diff(N, i, j))
                 g = g - h.scale(parity.cross_weight(i, j))
             nxt.append(g)
         level = nxt
@@ -1040,8 +1042,6 @@ class DiagramResult:
 
 @dataclass
 class DiagramReport:
-    kind: str
-    family: Family
     detail: str
     results: list
 
@@ -1054,63 +1054,65 @@ class DiagramReport:
         return [r for r in self.results if not r.ok]
 
 
-def _diagram_one(kind: str, family: Family, r: int, N, parity, i, labeled) -> DiagramResult:
+#: Each diagram kind: (deformed, indexed, statement).  A deformed kind is
+#: sized by n and m, the others by N; an indexed kind reads the index i; a
+#: statement names a diagram stated for rational A only.
+DIAGRAM_KINDS = {
+    "dcomm": (False, True, None),
+    "heckdiag": (False, False, None),
+    "propcomm": (True, True, "recursion"),
+    "intrat": (True, False, "deformed-integral"),
+}
+
+
+def _diagram_one(kind: str, family: Family, r: int, parity: ParityData, i, labeled) -> DiagramResult:
     op = InfDunkl(family)
     label, f = labeled
+    hom = Hom(family, parity, i)
+    if kind != "dcomm" and isinstance(f, LambdaXElem):
+        f = f.to_lambda()
     if kind == "dcomm":
-        hom = Hom(family, "phi_iN", N=N, i=i)
         lhs = hom.apply(op.apply(f, r))
-        rhs = _finite_dunkl_power(family, N, i, hom.apply(f), r)
+        rhs = _finite_dunkl_power(family, parity.size, i, hom.apply(f), r)
     elif kind == "heckdiag":
-        hom = Hom(family, "phi_N", N=N)
-        f = f.to_lambda() if isinstance(f, LambdaXElem) else f
         lhs = hom.apply(op.integral(r, f))
-        rhs = heckman_integral(family, N, r, hom.apply(f))
+        rhs = heckman_integral(family, parity.size, r, hom.apply(f))
         if family is Family.TRIG_BC:
             # the projection counts x^j and x^-j separately while the finite
             # power sum appears once, a structural factor of two
             rhs = rhs.scale(ParamRatio.const(2))
     elif kind == "propcomm":
-        hom_i = Hom(family, "phi_inm", parity=parity, i=i)
-        hom = Hom(family, "phi_nm", parity=parity)
-        f = f.to_lambda() if isinstance(f, LambdaXElem) else f
-        lhs = hom_i.apply(op.apply(LambdaXElem.from_lambda(f), r))
+        lhs = hom.apply(op.apply(LambdaXElem.from_lambda(f), r))
         rhs = deformed_partial_r(parity, i, r, hom.apply(f))
     else:  # intrat
-        hom = Hom(family, "phi_nm", parity=parity)
-        f = f.to_lambda() if isinstance(f, LambdaXElem) else f
         lhs = hom.apply(op.integral(r, f))
         rhs = deformed_integral(parity, r, hom.apply(f))
     return DiagramResult.compared(label, lhs == rhs, lhs, rhs)
 
 
-def diagram_check(kind: str, family: Family, testset, r: int = 1,
-                  N: int = None, parity: ParityData = None, i: int = 0) -> DiagramReport:
+def diagram_check(kind: str, family: Family, testset, r: int = 1, *,
+                  parity: ParityData, i: int = 0) -> DiagramReport:
     """Verify one of the commutative-diagram statements on a list of elements.
 
-    Kinds: ``dcomm`` (Dunkl operator vs its finite reduction, on elements that
-    may contain x), ``heckdiag`` (the projected integral vs the symmetrized
-    finite operator powers), ``propcomm`` (deformed recursion, rational A) and
-    ``intrat`` (deformed integrals, rational A).  For trig BC ``heckdiag``
-    carries the structural factor 2.  Test elements distribute across workers
-    (DUNKLCMS_WORKERS); results keep the testset order.
+    Kinds (``DIAGRAM_KINDS``): ``dcomm`` (Dunkl operator vs its finite
+    reduction, on elements that may contain x), ``heckdiag`` (the projected
+    integral vs the symmetrized finite operator powers), ``propcomm``
+    (deformed recursion, rational A) and ``intrat`` (deformed integrals,
+    rational A).  The undeformed kinds take ``ParityData(N, 0)``.  For trig
+    BC ``heckdiag`` carries the structural factor 2.  Test elements
+    distribute across workers (DUNKLCMS_WORKERS); results keep the testset
+    order.
     """
-    if kind == "dcomm":
-        detail = "N=%d i=%d r=%d" % (N, i + 1, r)
-    elif kind == "heckdiag":
-        detail = "N=%d r=%d" % (N, r)
-    elif kind == "propcomm":
-        if family is not Family.RAT_A:
-            raise ValueError("the recursion diagram is stated for rational A only")
-        detail = "n=%d m=%d i=%d r=%d" % (parity.n, parity.m, i + 1, r)
-    elif kind == "intrat":
-        if family is not Family.RAT_A:
-            raise ValueError("the deformed-integral diagram is stated for rational A only")
-        detail = "n=%d m=%d r=%d" % (parity.n, parity.m, r)
-    else:
+    if kind not in DIAGRAM_KINDS:
         raise ValueError(kind)
-    results = ordered_map(partial(_diagram_one, kind, family, r, N, parity, i), list(testset))
-    return DiagramReport(kind, family, detail, results)
+    deformed, indexed, statement = DIAGRAM_KINDS[kind]
+    if statement and family is not Family.RAT_A:
+        raise ValueError("the %s diagram is stated for rational A only" % statement)
+    size = "n=%d m=%d" % (parity.n, parity.m) if deformed else "N=%d" % parity.size
+    detail = size + (" i=%d" % (i + 1) if indexed else "") + " r=%d" % r
+    one = partial(_diagram_one, kind, family, r, parity, i if indexed else None)
+    results = ordered_map(one, list(testset))
+    return DiagramReport(detail, results)
 
 
 def deformed_check(parity: ParityData, R: int) -> list:
@@ -1121,7 +1123,7 @@ def deformed_check(parity: ParityData, R: int) -> list:
     testset = standard_testset(family, with_x=False)
     results = [replace(res, label="intrat r=%d %s" % (r, res.label)) for r in range(1, R + 1)
                for res in diagram_check("intrat", family, testset, r=r, parity=parity).results]
-    hom = Hom(family, "phi_nm", parity=parity)
+    hom = Hom(family, parity)
     for label, f in testset:
         g = hom.apply(f.to_lambda())
         lhs = deformed_integral(parity, 2, deformed_integral(parity, 3, g))

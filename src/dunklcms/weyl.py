@@ -164,10 +164,6 @@ class RatFun:
     def const(nvars: int, c) -> "RatFun":
         return RatFun(MultiPoly.const(nvars, c))
 
-    @staticmethod
-    def from_poly(p: MultiPoly) -> "RatFun":
-        return RatFun(p)
-
     # -- queries ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -1028,7 +1024,7 @@ def degenerate_k1_check(parity: ParityData, R: int) -> list:
     its k = 1 substitution and each Heckman integral is formed once, for
     both routes."""
     one = {"k": ONE}
-    hom = Hom(Family.RAT_A, "phi_nm", parity=parity)
+    hom = Hom(Family.RAT_A, parity)
     tests = [("p1", LambdaElem.p(1)), ("p2", LambdaElem.p(2)),
              ("p3", LambdaElem.p(3)), ("p1*p2", LambdaElem.p(1) * LambdaElem.p(2))]
     images = []

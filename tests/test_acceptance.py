@@ -93,8 +93,8 @@ def test_criterion_3_reduction_diagrams():
         for N in (2, 3, 4):
             for r in (1, 2, 3):
                 for i in (0, N - 1):
-                    ok = ok and diagram_check("dcomm", family, full, r=r, N=N, i=i).ok
-                ok = ok and diagram_check("heckdiag", family, lam_only, r=r, N=N).ok
+                    ok = ok and diagram_check("dcomm", family, full, r=r, parity=ParityData(N, 0), i=i).ok
+                ok = ok and diagram_check("heckdiag", family, lam_only, r=r, parity=ParityData(N, 0)).ok
     for (n, m) in ((1, 1), (2, 1), (1, 2)):
         parity = ParityData(n, m)
         lam_only = standard_testset(Family.RAT_A, with_x=False)
@@ -170,12 +170,12 @@ def test_criterion_6_recursion_consistency():
             rep = diagram_check("propcomm", Family.RAT_A, tests, r=r, parity=parity, i=i)
             ok = ok and rep.ok
     # the second deformed integral coincides with the gauged deformed operator
-    hom = Hom(Family.RAT_A, "phi_nm", parity=parity)
+    hom = Hom(Family.RAT_A, parity)
     Hg = hamiltonian(Family.RAT_A, parity, gauged=True)
     for _label, f in tests:
         g = hom.apply(f)
         lhs = deformed_integral(parity, 2, g)
-        ok = ok and (Hg.apply(g) - RatFun.from_poly(lhs)).is_zero()
+        ok = ok and (Hg.apply(g) - RatFun(lhs)).is_zero()
     _report(6, "recursion-consistency", ok)
 
 
@@ -183,7 +183,7 @@ def test_criterion_7_degenerations():
     ok = True
     one = {"k": const(1)}
     parity = ParityData(1, 1)
-    hom = Hom(Family.RAT_A, "phi_nm", parity=parity)
+    hom = Hom(Family.RAT_A, parity)
     tests = [LambdaElem.p(1), LambdaElem.p(2), LambdaElem.p(3),
              LambdaElem.p(1) * LambdaElem.p(2)]
     # k = 1: the deformed recursion integrals become the undeformed ones
@@ -200,19 +200,19 @@ def test_criterion_7_degenerations():
         for f in tests:
             g1 = hom.apply(f).substitute(one)
             rhs = heckman_integral(Family.RAT_A, 2, r, g1).substitute(one)
-            ok = ok and (G.apply(g1) - RatFun.from_poly(rhs)).is_zero()
+            ok = ok and (G.apply(g1) - RatFun(rhs)).is_zero()
     # m = 0: deformed operators reduce to the undeformed family operators
     for family in Family:
         parN = ParityData(2, 0)
         Hg = hamiltonian(family, parN, gauged=True)
-        homN = Hom(family, "phi_N", N=2)
+        homN = Hom(family, parN)
         for f in (LambdaElem.p(1), LambdaElem.p(2)):
             g = homN.apply(f)
             rhs = heckman_integral(family, 2, 1 if family.even_integrals else 2, g)
-            ok = ok and (Hg.apply(g) - RatFun.from_poly(rhs)).is_zero()
+            ok = ok and (Hg.apply(g) - RatFun(rhs)).is_zero()
     # m = 0: the deformed recursion integrals become the symmetrized powers
     parN = ParityData(3, 0)
-    homN = Hom(Family.RAT_A, "phi_N", N=3)
+    homN = Hom(Family.RAT_A, parN)
     for r in (1, 2, 3):
         for f in (LambdaElem.p(2), LambdaElem.p(3)):
             g = homN.apply(f)

@@ -534,6 +534,21 @@ class TestMoserOneBuild:
             assert payload["notes"] == ["DenominatorVanishes: denominator vanishes under substitution"]
 
 
+class TestDeformedWork:
+    """The deformed recursion divides each pair's difference once per level."""
+
+    def test_each_pair_divided_once(self, capsys, monkeypatch):
+        # (d_i - d_j)/(x_i - x_j) is symmetric in i and j: 120 divisions at
+        # (2, 2), r = 4, when each ordered pair divided its own difference
+        monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+        calls = []
+        original = finite_cms._root_quotient
+        monkeypatch.setattr(finite_cms, "_root_quotient", lambda g, f: calls.append(1) or original(g, f))
+        code, out = run_cli(capsys, "verify", "deformed", "--n", "2", "--m", "2", "--r", "4", "--no-timing")
+        assert code == 0, out
+        assert len(calls) <= 60
+
+
 class TestDegenerateK1Work:
     """``verify degenerate-k1`` forms each image and each k = 1 Heckman
     integral once, for both of its routes."""
@@ -757,7 +772,7 @@ class TestCounterexampleText:
                             "--N", "2", "--r", "1", "--format", "json", "--no-timing")
         payload = json.loads(out)
         assert code == 1 and payload["checks"] == 3
-        hom = Hom(Family.RAT_A, "phi_N", N=2)
+        hom = Hom(Family.RAT_A, ParityData(2, 0))
         op = InfDunkl(Family.RAT_A)
         expected = []
         for label, f in finite_cms.standard_testset(Family.RAT_A, with_x=False):
@@ -776,7 +791,7 @@ class TestCounterexampleText:
         payload = json.loads(out)
         assert code == 1
         parity = finite_cms.ParityData(1, 1)
-        g = Hom(Family.RAT_A, "phi_nm", parity=parity).apply(LambdaElem.p(1))
+        g = Hom(Family.RAT_A, parity).apply(LambdaElem.p(1))
         lhs = real(parity, 2, broken(parity, 3, g))
         rhs = broken(parity, 3, real(parity, 2, g))
         assert lhs != rhs
@@ -796,7 +811,7 @@ class TestCounterexampleText:
         assert by_input["recursion r=1 p1"]["lhs"] == "2/1"
         assert by_input["recursion r=1 p1"]["rhs"] == "3/1"
         assert by_input["moser r=1 p1"]["rhs"] == "3/1"
-        assert by_input["moser r=1 p1"]["lhs"] == RatFun.from_poly(MultiPoly.const(2, const(2))).text()
+        assert by_input["moser r=1 p1"]["lhs"] == RatFun(MultiPoly.const(2, const(2))).text()
 
 
 class TestReportShape:

@@ -30,7 +30,7 @@ from dunklcms.dunkl_infinity import (
     integral_L,
     pmono_basis,
 )
-from dunklcms.finite_cms import Hom, MultiPoly, heckman_integral
+from dunklcms.finite_cms import Hom, MultiPoly, ParityData, heckman_integral
 from dunklcms.powersums import (
     Family,
     LambdaElem,
@@ -117,6 +117,16 @@ class TestApplyD:
         for f in (Px(1), Px(2), X(2) * Px(1)):
             g = op.apply(f)
             assert all(a % 2 == 1 for (a, _m) in g.terms)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_order_zero_is_the_identity_and_a_negative_order_raises(self, family):
+        op = InfDunkl(family)
+        f = X(1) * Px(2)
+        assert op.apply(f, 0) == LambdaXElem(f.terms, family.laurent)
+        with pytest.raises(ValueError):
+            op.apply(f, -1)
+        with pytest.raises(ValueError):
+            op.integral(-1, LambdaElem.p(2))
 
 
 def _random_element(rng: random.Random, family: Family, nterms: int) -> LambdaXElem:
@@ -320,7 +330,7 @@ class TestFoldedIntegral:
 
 
 def _heckman_oracle(family: Family, N: int, r: int, f: LambdaElem) -> MultiPoly:
-    hom = Hom(family, "phi_N", N=N)
+    hom = Hom(family, ParityData(N, 0))
     return heckman_integral(family, N, r, hom.apply(f))
 
 
@@ -335,7 +345,7 @@ class TestIntegralValues:
         frozen = (Pl(0) * Pl(0)).scale(-K.scale(2)) + Pl(0).scale((ONE + K).scale(2))
         assert val == frozen
         for N in (2, 3, 4):
-            hom = Hom(Family.RAT_A, "phi_N", N=N)
+            hom = Hom(Family.RAT_A, ParityData(N, 0))
             assert hom.apply(val) == _heckman_oracle(Family.RAT_A, N, 2, Pl(2))
 
     def test_trig_a_second_integral_on_p1(self):
@@ -344,7 +354,7 @@ class TestIntegralValues:
         frozen = Pl(1).scale(ONE + K) - (Pl(0) * Pl(1)).scale(K)
         assert val == frozen
         for N in (2, 3):
-            hom = Hom(Family.TRIG_A, "phi_N", N=N)
+            hom = Hom(Family.TRIG_A, ParityData(N, 0))
             assert hom.apply(val) == _heckman_oracle(Family.TRIG_A, N, 2, Pl(1))
 
     def test_rational_b_second_integral_on_p1(self):
@@ -355,7 +365,7 @@ class TestIntegralValues:
         )
         assert val == frozen
         for N in (2, 3):
-            hom = Hom(Family.RAT_B, "phi_N", N=N)
+            hom = Hom(Family.RAT_B, ParityData(N, 0))
             assert hom.apply(val) == _heckman_oracle(Family.RAT_B, N, 1, Pl(1))
 
     def test_trig_bc_second_integral_on_p1(self):
@@ -369,7 +379,7 @@ class TestIntegralValues:
         )
         assert val == frozen
         for N in (2, 3):
-            hom = Hom(Family.TRIG_BC, "phi_N", N=N)
+            hom = Hom(Family.TRIG_BC, ParityData(N, 0))
             assert hom.apply(val) == _heckman_oracle(Family.TRIG_BC, N, 1, Pl(1)).scale(const(2))
 
 

@@ -496,7 +496,7 @@ class TestFiniteDunkl:
         # D applied to x1^2 at N=3 must match the reduction of the infinite
         # operator on x^2
         N = 3
-        hom = Hom(Family.RAT_A, "phi_iN", N=N, i=0)
+        hom = Hom(Family.RAT_A, ParityData(N, 0), 0)
         from dunklcms.dunkl_infinity import InfDunkl
 
         lhs = hom.apply(InfDunkl(Family.RAT_A).apply(LambdaXElem.x(2)))
@@ -780,7 +780,7 @@ class TestHeckman:
             heckman_integral(Family.RAT_B, 2, 1, V(2, 0) + V(2, 1))
 
     def test_output_invariant(self):
-        hom = Hom(Family.TRIG_BC, "phi_N", N=2)
+        hom = Hom(Family.TRIG_BC, ParityData(2, 0))
         f = hom.apply(LambdaElem.p(2))
         out = heckman_integral(Family.TRIG_BC, 2, 1, f)
         assert is_invariant(Family.TRIG_BC, out)
@@ -788,33 +788,33 @@ class TestHeckman:
 
 class TestHoms:
     def test_plain_power_sum(self):
-        h = Hom(Family.RAT_A, "phi_N", N=3)
+        h = Hom(Family.RAT_A, ParityData(3, 0))
         assert h.apply(LambdaElem.p(2)) == V(3, 0, 2) + V(3, 1, 2) + V(3, 2, 2)
 
     def test_deformed_with_x(self):
-        h = Hom(Family.RAT_A, "phi_inm", parity=ParityData(1, 1), i=0)
+        h = Hom(Family.RAT_A, ParityData(1, 1), 0)
         val = h.apply(LambdaXElem.x(1) * LambdaXElem.p(1))
         expected = V(2, 0) * (V(2, 0) + V(2, 1).scale(symbol("k", -1)))
         assert val == expected
 
     def test_bc_dimension_doubling(self):
-        h = Hom(Family.TRIG_BC, "phi_N", N=2)
+        h = Hom(Family.TRIG_BC, ParityData(2, 0))
         assert h.apply(LambdaElem.p(0)) == C(2, 4)
 
     def test_b_family_squares(self):
-        h = Hom(Family.RAT_B, "phi_N", N=2)
+        h = Hom(Family.RAT_B, ParityData(2, 0))
         assert h.apply(LambdaElem.p(1)) == V(2, 0, 2) + V(2, 1, 2)
 
     def test_index_outside_the_variables_rejected(self):
-        for kind, size in (("phi_iN", {"N": 3}), ("phi_inm", {"parity": ParityData(2, 1)})):
+        for parity in (ParityData(3, 0), ParityData(2, 1)):
             for i in (-1, 3):
                 with pytest.raises(ValueError):
-                    Hom(Family.RAT_A, kind, i=i, **size)
-            assert Hom(Family.RAT_A, kind, i=2, **size).apply(LambdaXElem.x(1)) == V(3, 2)
+                    Hom(Family.RAT_A, parity, i)
+            assert Hom(Family.RAT_A, parity, 2).apply(LambdaXElem.x(1)) == V(3, 2)
 
     def test_deformed_bc_rejected(self):
         with pytest.raises(ValueError):
-            Hom(Family.TRIG_BC, "phi_nm", parity=ParityData(1, 1))
+            Hom(Family.TRIG_BC, ParityData(1, 1))
 
     def test_every_image_is_frozen(self):
         # Both sides of every diagram go through the same substitution, so a
@@ -834,15 +834,15 @@ class TestHoms:
         for family in Family:
             xs = [(label, f) for label, f in standard_testset(family) if "x" in label]
             for N in (1, 2, 3):
-                homs = [Hom(family, "phi_N", N=N)]
-                homs += [(i, Hom(family, "phi_iN", N=N, i=i)) for i in sorted({0, N - 1})]
+                homs = [Hom(family, ParityData(N, 0))]
+                homs += [(i, Hom(family, ParityData(N, 0), i)) for i in sorted({0, N - 1})]
                 images(family, "N=%d" % N, homs, xs)
             if family is Family.TRIG_BC:
                 continue
             for n, m in ((1, 1), (2, 1), (1, 2)):
                 parity = ParityData(n, m)
-                homs = [Hom(family, "phi_nm", parity=parity)]
-                homs += [(i, Hom(family, "phi_inm", parity=parity, i=i)) for i in (0, n + m - 1)]
+                homs = [Hom(family, parity)]
+                homs += [(i, Hom(family, parity, i)) for i in (0, n + m - 1)]
                 images(family, "n=%d m=%d" % (n, m), homs, xs)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert (len(lines), digest) == (
@@ -865,7 +865,7 @@ class TestHoms:
             if f.is_zero():
                 continue
             images = [
-                Hom(Family.RAT_A, "phi_N", N=N).apply(f) for N in range(1, M + 2)
+                Hom(Family.RAT_A, ParityData(N, 0)).apply(f) for N in range(1, M + 2)
             ]
             assert any(not img.is_zero() for img in images)
 
@@ -895,11 +895,25 @@ class TestDeformedRecursion:
         # the deformed second integral on the deformed p2 equals the reduction
         # of -2k p0^2 + 2(1+k) p0 with p0 -> 1 + 1/k
         par = ParityData(1, 1)
-        hom = Hom(Family.RAT_A, "phi_nm", parity=par)
+        hom = Hom(Family.RAT_A, par)
         val = deformed_integral(par, 2, hom.apply(LambdaElem.p(2)))
         p0 = ONE + symbol("k", -1)
         expected = C(2, (ONE + K).scale(2) * p0 - K.scale(2) * p0 * p0)
         assert val == expected
+
+    def test_order_zero_is_the_identity(self):
+        par = ParityData(2, 1)
+        f = Hom(Family.RAT_A, par).apply(LambdaElem.p(2))
+        assert finite_cms.deformed_partials(par, 0, f) == [f, f, f]
+        assert deformed_integral(par, 0, f) == f.scale(ParamRatio.const(2) + k_power(-1))
+
+    def test_negative_order_raises(self):
+        par = ParityData(1, 1)
+        with pytest.raises(ValueError):
+            finite_cms.deformed_partials(par, -1, V(2, 0) + V(2, 1))
+        for family in Family:
+            with pytest.raises(ValueError):
+                _finite_dunkl_power(family, 2, 0, V(2, 0) + V(2, 1), -1)
 
     def test_first_integral_kills_constants(self):
         par = ParityData(2, 1)
@@ -909,13 +923,13 @@ class TestDeformedRecursion:
 class TestDiagrams:
     @pytest.mark.parametrize("family", list(Family))
     def test_dunkl_reduction_diagram(self, family):
-        rep = diagram_check("dcomm", family, standard_testset(family), r=2, N=3, i=0)
+        rep = diagram_check("dcomm", family, standard_testset(family), r=2, parity=ParityData(3, 0), i=0)
         assert rep.ok, rep.counterexamples[0]
 
     @pytest.mark.parametrize("family", list(Family))
     def test_integral_reduction_diagram(self, family):
         rep = diagram_check(
-            "heckdiag", family, standard_testset(family, with_x=False), r=2, N=2
+            "heckdiag", family, standard_testset(family, with_x=False), r=2, parity=ParityData(2, 0)
         )
         assert rep.ok, rep.counterexamples[0]
 
@@ -940,6 +954,18 @@ class TestDiagrams:
         )
         assert rep.ok
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_every_kind_verifies_at_order_zero(self, family):
+        # D^0 and d_i^(0) are the identity and E . D^0 multiplies by p0
+        checks = [("dcomm", standard_testset(family), ParityData(3, 0), 1),
+                  ("heckdiag", standard_testset(family, with_x=False), ParityData(2, 0), 0)]
+        if family is Family.RAT_A:
+            lam_only = standard_testset(family, with_x=False)
+            checks += [("propcomm", lam_only, ParityData(2, 1), 2), ("intrat", lam_only, ParityData(1, 2), 0)]
+        for kind, testset, parity, i in checks:
+            rep = diagram_check(kind, family, testset, 0, parity=parity, i=i)
+            assert rep.ok, (kind, rep.counterexamples)
+
     def test_diagram_kinds_guarded(self):
         with pytest.raises(ValueError):
             diagram_check("propcomm", Family.TRIG_A, [], parity=ParityData(1, 1))
@@ -952,7 +978,7 @@ class TestDeformedCommutativity:
 
         for (n, m) in ((2, 1), (1, 2)):
             par = ParityData(n, m)
-            hom = Hom(Family.RAT_A, "phi_nm", parity=par)
+            hom = Hom(Family.RAT_A, par)
             for mono in pmono_basis(5, 5):
                 g = hom.apply(LambdaElem.monomial(mono))
                 ab = deformed_integral(par, 2, deformed_integral(par, 3, g))
