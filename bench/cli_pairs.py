@@ -1,7 +1,7 @@
 """Interleaved timing of CLI requests on two versions of ``dunklcms`` in one
 process.
 
-    python3 bench/cli_pairs.py --parent DIR [--change DIR] --out BENCH_23.json [--pairs 15]
+    python3 bench/cli_pairs.py --parent DIR [--change DIR] --out BENCH_24.json [--pairs 15]
 
 ``--parent`` and ``--change`` name ``src`` directories (``--change``
 defaults to the one of this checkout).  Both ``dunklcms`` packages are
@@ -15,7 +15,9 @@ drift of a shared machine falls on both sides alike (timing each side in a
 process of its own could not resolve a difference of a few percent).
 Each side's median and quartiles, and the number of pairs in which the
 change ran faster, are stored under the label ``interleaved`` of the JSON
-file ``--out`` (``harness.store``).
+file ``--out`` (``harness.store``), with the work of one untimed run of
+each request on each side: the calls of the functions in ``COUNTED``
+(``ordered_map`` through every module that imports it).
 
 Only the standard library is used.
 """
@@ -48,6 +50,10 @@ REQUESTS = [
     ["verify", "closed-form", "--family", "trig-bc", "--deg", "8"],
 ]
 SIDES = ("parent", "change")
+#: The calls counted per request: (label, module, attribute path).
+COUNTED = [("RatFun.diff", "weyl", "RatFun.diff"), ("RatFun.sum", "weyl", "RatFun.sum"),
+           ("WeylOp.apply", "weyl", "WeylOp.apply"), ("Hom.p_image", "finite_cms", "Hom.p_image"),
+           *[("ordered_map", module, "ordered_map") for module in ("dunkl_infinity", "finite_cms", "weyl")]]
 
 
 def load(name: str, src: str):
@@ -79,6 +85,32 @@ def once(cli, argv) -> float:
     return time.perf_counter() - t0
 
 
+def counts(package, argv) -> dict:
+    """The calls of each ``COUNTED`` function in one run of the request."""
+    totals = dict.fromkeys((label for label, _, _ in COUNTED), 0)
+    patched = []  # (owner, name, the attribute it held)
+    for label, module, path in COUNTED:
+        *owners, name = path.split(".")
+        owner = getattr(package, module)
+        for attr in owners:
+            owner = getattr(owner, attr)
+        raw = vars(owner)[name]
+        fn = raw.__func__ if isinstance(raw, staticmethod) else raw
+
+        def counting(*args, _fn=fn, _label=label, **kwargs):
+            totals[_label] += 1
+            return _fn(*args, **kwargs)
+
+        patched.append((owner, name, raw))
+        setattr(owner, name, staticmethod(counting) if isinstance(raw, staticmethod) else counting)
+    try:
+        quiet_run(package.cli.run, argv + ["--no-timing"])
+    finally:
+        for owner, name, raw in reversed(patched):
+            setattr(owner, name, raw)
+    return totals
+
+
 def summary(samples) -> dict:
     q1, _, q3 = statistics.quantiles(samples, n=4)
     return {"median_s": statistics.median(samples), "q1_s": q1, "q3_s": q3}
@@ -94,6 +126,10 @@ def measure(clis: dict, pairs: int) -> dict:
         wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
         result[" ".join(argv)] = {**{side: summary(times[side]) for side in SIDES}, "change_wins": wins}
     return result
+
+
+def work(packages: dict) -> dict:
+    return {" ".join(argv): {side: counts(packages[side], argv) for side in SIDES} for argv in REQUESTS}
 
 
 def main(argv=None):
@@ -118,10 +154,11 @@ def main(argv=None):
         del result[side]["repeats"]
     result["pairs"] = args.pairs
     result["requests"] = measure(clis, args.pairs)
+    result["calls"] = work(packages)
     store(args.out, "interleaved", result,
           benchmark="CLI requests timed in one process on two versions, the first side alternating",
           commands=[" ".join(a) for a in REQUESTS])
-    print(json.dumps(result["requests"], indent=2))
+    print(json.dumps({"requests": result["requests"], "calls": result["calls"]}, indent=2))
     return 0
 
 

@@ -34,6 +34,7 @@ from .weyl import (
     RatFun,
     WeylOp,
     commute_check,
+    commute_checks,
     gauge_conjugate,
     hamiltonian,
     lax_check,
@@ -60,6 +61,7 @@ __all__ = [
     "closed_form_L2",
     "commutator_on_basis",
     "commute_check",
+    "commute_checks",
     "deformed_integral",
     "deformed_partial_r",
     "diagram_check",

@@ -47,7 +47,7 @@ from .dunkl_infinity import (
 from .finite_cms import (DIAGRAM_KINDS, DiagramResult, ParityData, deformed_check, diagram_check,
                          standard_testset)
 from .powersums import Family, LambdaElem, pmono_text
-from .weyl import commute_check, degenerate_k1_check, lax_check, moser_integrals
+from .weyl import commute_checks, degenerate_k1_check, lax_check, moser_integrals
 
 FAMILIES = {f.value: f for f in Family}
 
@@ -314,12 +314,12 @@ def _verify_moser_integrals(args, report):
     _guard(args, nm=args.n + args.m, r=args.r, deg=args.basis_deg)
     parity = _parity(args)
     H, integrals, (factor, cst, residual) = moser_integrals(family, parity, args.r, _bindings(args, family))
-    for r, I in enumerate(integrals, 1):
-        if args.basis_deg is None:
-            rep, how = commute_check(I, H, "symbolic"), "symbolic"
-        else:
-            rep = commute_check(I, H, "basis", deg=args.basis_deg)
-            how = "basis deg %d" % args.basis_deg
+    if args.basis_deg is None:
+        reps, how = commute_checks(integrals, H, "symbolic"), "symbolic"
+    else:
+        reps = commute_checks(integrals, H, "basis", deg=args.basis_deg)
+        how = "basis deg %d" % args.basis_deg
+    for r, rep in enumerate(reps, 1):
         report.record(rep.ok, "[e*L^%de, H] %s" % (r, how),
                       rep.counterexamples[0][1] if rep.counterexamples else "", "0")
     ok = residual.is_zero() and cst.is_scalar()

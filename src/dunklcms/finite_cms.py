@@ -1065,10 +1065,11 @@ DIAGRAM_KINDS = {
 }
 
 
-def _diagram_one(kind: str, family: Family, r: int, parity: ParityData, i, labeled) -> DiagramResult:
-    op = InfDunkl(family)
+def _diagram_one(kind: str, r: int, op: InfDunkl, hom: Hom, labeled) -> DiagramResult:
+    """The diagram ``kind`` on one labelled element, for the family, size
+    and index of ``hom``."""
+    family, parity, i = hom.family, hom.parity, hom.i
     label, f = labeled
-    hom = Hom(family, parity, i)
     if kind != "dcomm" and isinstance(f, LambdaXElem):
         f = f.to_lambda()
     if kind == "dcomm":
@@ -1110,7 +1111,10 @@ def diagram_check(kind: str, family: Family, testset, r: int = 1, *,
         raise ValueError("the %s diagram is stated for rational A only" % statement)
     size = "n=%d m=%d" % (parity.n, parity.m) if deformed else "N=%d" % parity.size
     detail = size + (" i=%d" % (i + 1) if indexed else "") + " r=%d" % r
-    one = partial(_diagram_one, kind, family, r, parity, i if indexed else None)
+    # one operator and one substitution for every element, built before the
+    # map forks, so each image of a power sum is formed once per worker
+    hom = Hom(family, parity, i if indexed else None)
+    one = partial(_diagram_one, kind, r, InfDunkl(family), hom)
     results = ordered_map(one, list(testset))
     return DiagramReport(detail, results)
 

@@ -75,8 +75,13 @@ e* L^2 e = lam H + c check (``integral_vs_hamiltonian``) and the Moser
 route of ``degenerate_k1_check``; ``lax_check`` substitutes its L, H and M
 parts through the same helper.
 ``WeylOp.apply`` applies an operator to a polynomial or a rational function
-alike, which is all that the basis route of ``commute_check`` needs; like a
-composition, it forms each derivative of its argument once (``_derivative``).
+alike; like a composition, it forms each derivative of its argument once
+(``_derivative``), and operators applied to one argument can share that
+derivative memo.  The basis route of ``commute_checks`` checks [A, B] = 0
+for a list of operators A on the monomials up to a degree without forming a
+normal-ordered product: one pass over the monomials, in which B m is formed
+once per monomial m, B m and every A m share m's derivatives, every A meets
+those of B m, and each residual A(B m) - B(A m) is reduced once.
 ``degenerate_k1_check`` is the k = 1 degeneration of the deformed integrals
 of rational A to the undeformed CMS integrals, by the recursion of
 ``finite_cms`` and by the gauged Moser integrals, both compared with the
@@ -492,12 +497,22 @@ class WeylOp:
                     key = tuple(c + b for c, b in zip(ce, be))
                     out.setdefault(key, []).append((f * dg).scale(ParamRatio.const(coeff)))
 
-    def apply(self, f) -> RatFun:
+    def apply(self, f, derivs: dict = None) -> RatFun:
         """self applied to a polynomial or a rational function: each term's
         derivative of f times its coefficient, each derivative of f formed
-        once (``_derivative``)."""
-        derivs = {(0,) * self.nvars: RatFun(f) if isinstance(f, MultiPoly) else f}
-        return RatFun.sum(self.nvars, [c * _derivative(derivs, dexps) for dexps, c in self.terms.items()])
+        once (``_derivative``).  ``derivs``, an empty dict or the one an
+        earlier apply to the same f filled, is the derivative memo of f, so
+        that operators applied to one f share its derivatives."""
+        if derivs is None:
+            derivs = {}
+        if not derivs:
+            derivs[(0,) * self.nvars] = RatFun(f) if isinstance(f, MultiPoly) else f
+        return RatFun.sum(self.nvars, self._parts_on(derivs))
+
+    def _parts_on(self, derivs: dict) -> list:
+        """The terms of self on the function whose derivative memo is
+        ``derivs``, unsummed."""
+        return [c * _derivative(derivs, dexps) for dexps, c in self.terms.items()]
 
     def substitute(self, bindings: dict) -> "WeylOp":
         return WeylOp(self.nvars, {e: f.substitute(bindings) for e, f in self.terms.items()})
@@ -926,43 +941,67 @@ class CommuteReport:
     counterexamples: list = field(default_factory=list)
 
 
-def _commutator_on_x_monomial(A: WeylOp, B: WeylOp, exps) -> tuple:
-    mono = MultiPoly(A.nvars, {exps: ONE})
-    v1 = A.apply(B.apply(mono))
-    v2 = B.apply(A.apply(mono))
-    return exps, v1 - v2
+def _monomials(nvars: int, deg: int):
+    """The exponents of the monomials in ``nvars`` variables of total degree
+    <= deg: by degree, then by the exponent of each variable in turn."""
+    def rec(prefix, remaining, pos):
+        if pos == nvars - 1:
+            yield prefix + (remaining,)
+            return
+        for d in range(remaining + 1):
+            yield from rec(prefix + (d,), remaining - d, pos + 1)
+
+    for t in range(deg + 1):
+        yield from rec((), t, 0)
 
 
-def commute_check(A: WeylOp, B: WeylOp, mode: str = "symbolic", deg: int = 4) -> CommuteReport:
-    """Check [A, B] = 0 symbolically or on all monomials of total degree <= deg.
+def _residuals_on_monomial(As, B: WeylOp, negB: WeylOp, exps) -> tuple:
+    """(exps, [A(B m) - B(A m) for A in As]) on the monomial m = x^exps.
 
-    Basis mode applies both orderings to each monomial independently of the
-    normal-ordered commutator; monomials distribute across workers.  Any
-    other ``mode``, and a negative ``deg``, raise ValueError.
+    B m and every A m share the derivative memo of m, B m is formed once
+    and its memo is shared by every A, and each residual is one
+    ``RatFun.sum`` of A's terms on the derivatives of B m and -B's terms on
+    those of A m (``negB`` = -B)."""
+    zero = (0,) * B.nvars
+    mderivs: dict = {}
+    Bderivs = {zero: B.apply(MultiPoly(B.nvars, {exps: ONE}), mderivs)}
+    m = mderivs[zero]
+    return exps, [RatFun.sum(B.nvars, A._parts_on(Bderivs) + negB._parts_on({zero: A.apply(m, mderivs)}))
+                  for A in As]
+
+
+def commute_checks(As, B: WeylOp, mode: str = "symbolic", deg: int = 4) -> list:
+    """Check [A, B] = 0 for every A of ``As``, symbolically or on all
+    monomials of total degree <= deg; one ``CommuteReport`` per A, in order.
+
+    The symbolic route forms each normal-ordered commutator A.commutator(B).
+    The basis route never does: one pass over the monomials applies both
+    orders of every A to each monomial (``_residuals_on_monomial``), and the
+    monomials distribute across workers.  Any other ``mode``, and a
+    negative ``deg``, raise ValueError.
     """
     if mode not in ("symbolic", "basis"):
         raise ValueError("commute_check mode %r is neither 'symbolic' nor 'basis'" % (mode,))
     if deg < 0:
         raise ValueError("commute_check degree %d is below 0" % deg)
     if mode == "symbolic":
-        res = A.commutator(B)
-        return CommuteReport("symbolic", res.is_zero(), [] if res.is_zero() else [("operator", res.text())])
-    nvars = A.nvars
+        return [CommuteReport("symbolic", res.is_zero(), [] if res.is_zero() else [("operator", res.text())])
+                for res in (A.commutator(B) for A in As)]
+    As = list(As)
+    if not As:
+        return []
+    outcomes = ordered_map(partial(_residuals_on_monomial, As, B, -B), _monomials(B.nvars, deg))
+    reports = []
+    for j in range(len(As)):
+        bad = [(str(exps), res[j].text()) for exps, res in outcomes if not res[j].is_zero()]
+        reports.append(CommuteReport("basis(deg=%d)" % deg, not bad, bad))
+    return reports
 
-    def monomials(total):
-        def rec(prefix, remaining, pos):
-            if pos == nvars - 1:
-                yield prefix + (remaining,)
-                return
-            for d in range(remaining + 1):
-                yield from rec(prefix + (d,), remaining - d, pos + 1)
 
-        for t in range(total + 1):
-            yield from rec((), t, 0)
-
-    outcomes = ordered_map(partial(_commutator_on_x_monomial, A, B), monomials(deg))
-    bad = [(str(exps), res.text()) for exps, res in outcomes if not res.is_zero()]
-    return CommuteReport("basis(deg=%d)" % deg, not bad, bad)
+def commute_check(A: WeylOp, B: WeylOp, mode: str = "symbolic", deg: int = 4) -> CommuteReport:
+    """Check [A, B] = 0 symbolically or on all monomials of total degree
+    <= deg: the one-operator case of ``commute_checks``."""
+    return commute_checks([A], B, mode, deg)[0]
 
 
 # -- gauge transformations ----------------------------------------------------------

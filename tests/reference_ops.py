@@ -35,11 +35,20 @@ matrices instead:
   compositions
 * ``matsub``     their entrywise difference
 
+``weyl.commute_checks`` checks a list of operators against B on the monomial
+basis in one pass, sharing derivatives and reducing each residual once; the
+route here checks one operator at a time, both orders applied separately:
+
+* ``commutator_on_x_monomial``  A(B m) - B(A m) on one monomial m, by four
+  applications and a subtraction
+* ``basis_commute_check``  the basis report of one operator from it
+
 It is imported by the test modules only; pytest does not collect it.
 """
 
-from dunklcms.coeffs import Rat
+from dunklcms.coeffs import ONE, Rat
 from dunklcms.dunkl_infinity import _delta_of_x_power
+from dunklcms.finite_cms import MultiPoly
 from dunklcms.powersums import (
     Family,
     InexactDivision,
@@ -49,7 +58,7 @@ from dunklcms.powersums import (
     pmono_mul,
     pmono_text,
 )
-from dunklcms.weyl import OpMatrix
+from dunklcms.weyl import CommuteReport, OpMatrix, _monomials
 
 
 def _check_family_domain(f: LambdaXElem, family: Family):
@@ -267,3 +276,16 @@ def matmul(a: OpMatrix, b: OpMatrix) -> OpMatrix:
             row.append(acc)
         out.append(row)
     return OpMatrix(out)
+
+
+def commutator_on_x_monomial(A, B, exps):
+    """(exps, A(B m) - B(A m)) for the monomial m = x^exps."""
+    mono = MultiPoly(A.nvars, {exps: ONE})
+    return exps, A.apply(B.apply(mono)) - B.apply(A.apply(mono))
+
+
+def basis_commute_check(A, B, deg: int) -> CommuteReport:
+    """The report of [A, B] = 0 on the monomials of total degree <= deg."""
+    outcomes = [commutator_on_x_monomial(A, B, exps) for exps in _monomials(A.nvars, deg)]
+    bad = [(str(exps), res.text()) for exps, res in outcomes if not res.is_zero()]
+    return CommuteReport("basis(deg=%d)" % deg, not bad, bad)

@@ -362,7 +362,7 @@ class TestErrorsAndGuards:
         # parsed, 1/<3,000 nines> ran a check, then failed on the integer
         # conversion of the constant's text, past Python's 4,300 digits
         monkeypatch.setattr(cli, "Rat", lambda value: pytest.fail("%r was parsed" % value[:20]))
-        monkeypatch.setattr(cli, "commute_check", lambda *a, **kw: pytest.fail("a check ran"))
+        monkeypatch.setattr(cli, "commute_checks", lambda *a, **kw: pytest.fail("a check ran"))
         code, out = run_cli(capsys, "verify", "moser-integrals", "--family", "trig-bc", "--n", "1",
                             "--m", "1", "--r", "1", "--param", "k=1/" + "9" * 3000,
                             "--format", "json", "--no-timing")
@@ -424,13 +424,13 @@ class TestErrorsAndGuards:
         from dunklcms import cli
 
         calls = []
-        real = cli.commute_check
+        real = cli.commute_checks
 
-        def spy(A, B, mode="symbolic", deg=4):
+        def spy(As, B, mode="symbolic", deg=4):
             calls.append((mode, deg))
-            return real(A, B, mode, deg)
+            return real(As, B, mode, deg)
 
-        monkeypatch.setattr(cli, "commute_check", spy)
+        monkeypatch.setattr(cli, "commute_checks", spy)
         code, out = run_cli(capsys, "verify", "moser-integrals", "--family", "rat-a", "--n", "1",
                             "--m", "1", "--r", "1", "--basis-deg", "0")
         assert code == 0
@@ -443,17 +443,18 @@ class TestErrorsAndGuards:
     ])
     def test_moser_integrals_route_and_label(self, capsys, monkeypatch, family, extra, calls, label):
         # symbolic for every family unless --basis-deg asks for the basis
-        # route; the verdict is then forced to show the check's label
+        # route, one call for all the integrals of a request; the verdict is
+        # then forced to show the check's label
         seen = []
-        real = cli.commute_check
+        real = cli.commute_checks
 
-        def spy(A, B, mode="symbolic", deg=4):
+        def spy(As, B, mode="symbolic", deg=4):
             seen.append((mode, deg))
-            rep = real(A, B, mode, deg)
-            assert rep.ok
-            return type(rep)(rep.mode, False, [("operator", "forced")])
+            reps = real(As, B, mode, deg)
+            assert [rep.ok for rep in reps] == [True]
+            return [type(rep)(rep.mode, False, [("operator", "forced")]) for rep in reps]
 
-        monkeypatch.setattr(cli, "commute_check", spy)
+        monkeypatch.setattr(cli, "commute_checks", spy)
         code, out = run_cli(capsys, "verify", "moser-integrals", "--family", family, "--n", "1",
                             "--m", "1", "--r", "1", *extra, "--format", "json", "--no-timing")
         assert code == 1

@@ -27,6 +27,7 @@ from dunklcms.weyl import (
     _hamiltonian_parts,
     _moser_M_parts,
     commute_check,
+    commute_checks,
     estar_weights,
     gauge_conjugate,
     hamiltonian,
@@ -40,7 +41,7 @@ from dunklcms.weyl import (
     psi0_logderivs,
 )
 
-from reference_ops import matmul, matsub
+from reference_ops import basis_commute_check, matmul, matsub
 
 K = symbol("k")
 
@@ -750,6 +751,21 @@ class TestIntegrals:
         assert commute_check(I, H, "basis", deg=3).ok
         assert len(calls) <= 144
 
+    def test_basis_request_takes_one_pass_over_the_monomials(self, capsys, monkeypatch):
+        # both integrals in one map, each derivative of a monomial and of
+        # H m formed once; at two maps, one per integral, it took 1,296
+        # derivatives
+        monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+        calls, maps = [], []
+        original, real_map = RatFun.diff, weyl.ordered_map
+        monkeypatch.setattr(RatFun, "diff", lambda self, i: calls.append(i) or original(self, i))
+        monkeypatch.setattr(weyl, "ordered_map", lambda fn, items: maps.append(1) or real_map(fn, items))
+        code = cli.run(["verify", "moser-integrals", "--family", "rat-a", "--n", "2", "--m", "1",
+                        "--r", "2", "--basis-deg", "4", "--mode", "sampled", "--seed", "1", "--no-timing"])
+        assert code == 0, capsys.readouterr().out
+        assert len(calls) <= 756
+        assert len(maps) == 1
+
     def test_trig_bc_commutes_on_laurent_monomials(self):
         # the BC operators act on Laurent polynomials; spot-check negative exponents
         par = ParityData(1, 1)
@@ -775,6 +791,46 @@ class TestIntegrals:
         d = WeylOp.partial(1, 0)
         assert not commute_check(x, d, "symbolic").ok
         assert not commute_check(x, d, "basis", deg=2).ok
+
+
+class TestCommuteChecks:
+    """``commute_checks`` on a list of operators against the reference
+    route, which checks one operator at a time and applies both orders
+    separately (``reference_ops.basis_commute_check``)."""
+
+    @staticmethod
+    def cases():
+        par = ParityData(1, 1)
+        x1 = WeylOp.mul_by(rf(V(2, 0)))
+        d1 = WeylOp.partial(2, 0)
+        H = hamiltonian(Family.RAT_B, par)
+        # the total momentum commutes with d1, x1 does not; H commutes with
+        # its integral, not with x1 nor d1
+        return [([moser_integral(Family.RAT_A, par, 1), x1], d1),
+                ([moser_integral(Family.RAT_B, par, 1), x1, d1], H)]
+
+    @pytest.mark.parametrize("workers", [None, "2"])
+    @pytest.mark.parametrize("deg", [0, 2, 3])
+    def test_reports_match_the_reference_route(self, monkeypatch, workers, deg):
+        monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+        if workers:
+            monkeypatch.setenv("DUNKLCMS_WORKERS", workers)
+        for As, B in self.cases():
+            reports = commute_checks(As, B, "basis", deg)
+            assert reports == [basis_commute_check(A, B, deg) for A in As]
+            assert reports[0].ok and not reports[-1].ok
+            assert all(rep.ok != bool(rep.counterexamples) for rep in reports)
+
+    def test_symbolic_reports_are_those_of_each_operator(self):
+        for As, B in self.cases():
+            assert commute_checks(As, B) == [commute_check(A, B) for A in As]
+
+    @pytest.mark.parametrize("mode", ["symbolic", "basis"])
+    def test_empty_list(self, mode):
+        H = hamiltonian(Family.RAT_A, ParityData(1, 1))
+        assert commute_checks([], H, mode, 3) == []
+        with pytest.raises(ValueError):
+            commute_checks([], H, mode, -1)
 
 
 def matrix_power_total(L, weights, p):
