@@ -30,8 +30,10 @@ for the two corollaries of rational A) and records its results.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -59,6 +61,11 @@ LIMITS = {
     "nm": 4,
     "r": 6,
 }
+
+#: The cost cap of trig-BC ``moser-integrals``, on (n + m - 1) * r in every
+#: mode; --unsafe lifts it.  Symbolic, on 2 CPUs, a request took at most 3 s
+#: within it, 15 s at (n + m, r) = (2, 3) and minutes at (3, 2) and (4, 1).
+TRIG_BC_MOSER_COST = 2
 
 #: The smallest values inside the domain of a request; --unsafe keeps them.
 MINIMUM = {
@@ -284,7 +291,7 @@ def _verify_diagram(args, report):
         parity = _parity(args)
     if indexed and not 1 <= args.i <= parity.size:
         raise InvalidRequest("--i %d is not an index in 1..%d" % (args.i, parity.size))
-    testset = standard_testset(family, with_x=(kind == "dcomm"))
+    testset = standard_testset(with_x=(kind == "dcomm"))
     rep = diagram_check(kind, family, testset, args.r, parity=parity, i=args.i - 1)
     report.notes.append(rep.detail)
     report.record_results(rep.results)
@@ -312,6 +319,11 @@ def _verify_lax(args, report):
 def _verify_moser_integrals(args, report):
     family = _family(args.family)
     _guard(args, nm=args.n + args.m, r=args.r, deg=args.basis_deg)
+    cost = (args.n + args.m - 1) * args.r
+    if family is Family.TRIG_BC and cost > TRIG_BC_MOSER_COST and not args.unsafe:
+        raise InvalidRequest(
+            "trig-bc moser-integrals with (n+m-1)*r = %d exceeds the desk-scale cap %d: such a"
+            " request can run for minutes (pass --unsafe to override)" % (cost, TRIG_BC_MOSER_COST))
     parity = _parity(args)
     H, integrals, (factor, cst, residual) = moser_integrals(family, parity, args.r, _bindings(args, family))
     if args.basis_deg is None:
@@ -445,7 +457,14 @@ def run(argv=None) -> int:
         report.status = "error"
         report.notes.append("%s: %s" % (type(exc).__name__, exc))
     report.timing_ms = 0.0 if args.no_timing else round((time.perf_counter() - t0) * 1000.0, 3)
-    print(report_emit(report, args.format))
+    try:
+        print(report_emit(report, args.format))
+        sys.stdout.flush()
+    except OSError as exc:  # a report that cannot be written is an error, not a verdict
+        if exc.errno == errno.EPIPE:  # so that the interpreter's final flush does not raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("dunklcms: cannot write the report: %s" % exc, file=sys.stderr)
+        return 2
     return {"verified": 0, "falsified": 1, "error": 2}[report.status]
 
 

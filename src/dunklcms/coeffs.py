@@ -1,8 +1,9 @@
-"""Exact arithmetic in the Laurent coefficient ring Q[k, 1/k, p, q, r, s].
+"""Exact arithmetic in the Laurent coefficient ring Q[k, 1/k, p, q].
 
 Every coefficient the library builds lies in this ring: the only denominators
 that occur are those of the constraint values r = p/k and s = (2q+1-k)/(2k)
-and of the weights k^-1.  A ``ParamRatio`` is an integer polynomial ``num``
+(``R_VALUE`` and ``S_VALUE``; r and s are never symbols of their own) and of
+the weights k^-1.  A ``ParamRatio`` is an integer polynomial ``num``
 over ``den_int * k^den_k``, with ``den_int`` a positive integer, kept in a
 unique canonical form:
 
@@ -16,11 +17,11 @@ immutable.
 
 Monomials are packed into one int (Kronecker substitution; Monagan and Pearce,
 J. Symb. Comp. 46, 2011): the exponent of SYMBOLS[i] occupies bits
-[10 i, 10 i + 10).  The top bit of each field is a guard, so exponents are at
-most MAX_DEGREE; adding two valid exponents never carries into the next
-field, and a product that sets a guard bit raises ``ExponentOverflow``.
-Coefficients are plain ints, so all arithmetic is int arithmetic and
-``math.gcd``.
+[10 i, 10 i + 10), 30 bits in all.  The top bit of each field is a guard,
+so exponents are at most MAX_DEGREE; adding two valid exponents never carries
+into the next field, and a product that sets a guard bit raises
+``ExponentOverflow``.  Coefficients are plain ints, so all arithmetic is int
+arithmetic and ``math.gcd``.
 
 Above the parameter monomial a key may carry further fields of 12 bits, each
 with its top bit as a guard, and a product that sets any guard bit raises
@@ -30,8 +31,7 @@ so they apply unchanged: ``finite_cms`` keeps each polynomial in x as one
 ``ParamRatio`` whose keys also hold the x-exponents.
 
 The symbol set is fixed globally; each operator family uses a subset ({k} for
-the A families, {k, q} for rational B, {k, p, q} for trigonometric BC, the
-remaining symbols being eliminated through ``ParamRatio.substitute``).
+the A families, {k, q} for rational B, {k, p, q} for trigonometric BC).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from functools import cache, reduce
 from math import gcd
 from operator import or_
 
-SYMBOLS = ("k", "p", "q", "r", "s")
+SYMBOLS = ("k", "p", "q")
 NSYM = len(SYMBOLS)
 _SYMBOL_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
 
@@ -98,8 +98,8 @@ def _checked(terms: dict) -> dict:
 
 
 def _grlex(e: int):
-    # graded lexicographic, k < p < q < r < s: total degree first, then the
-    # packed int, whose highest field is s
+    # graded lexicographic, k < p < q: total degree first, then the
+    # packed int, whose highest field is q
     return (sum(_unpack(e)), e)
 
 
@@ -357,7 +357,7 @@ def _check_den_k(den_k: int) -> int:
 
 
 class ParamRatio:
-    """Element of Q[k, 1/k, p, q, r, s]: ``num / (den_int * k^den_k)`` in
+    """Element of Q[k, 1/k, p, q]: ``num / (den_int * k^den_k)`` in
     canonical form.
 
     ``ParamRatio(num, den)`` takes ParamPoly operands; ``den`` must be a
@@ -583,16 +583,8 @@ def k_power(n: int) -> ParamRatio:
     return ParamRatio.symbol("k", n)
 
 
-#: Substitutions eliminating the constrained parameters: the rational B family
-#: ties s to q via 2q+1 = k(2s+1), the trigonometric BC family additionally
-#: ties r to p via p = kr.
-B_CONSTRAINT = {
-    "s": ParamRatio(
-        ParamPoly.symbol("q").scale(2) + ParamPoly.const(1) - ParamPoly.symbol("k"),
-        ParamPoly.symbol("k").scale(2),
-    )
-}
-BC_CONSTRAINT = {
-    "s": B_CONSTRAINT["s"],
-    "r": ParamRatio(ParamPoly.symbol("p"), ParamPoly.symbol("k")),
-}
+#: The constrained parameters as values in the ring: rational B and
+#: trigonometric BC tie s to q by 2q+1 = k(2s+1), trigonometric BC ties r to p
+#: by p = kr.
+S_VALUE = (Q.scale(2) + ONE - K) / K.scale(2)
+R_VALUE = P / K

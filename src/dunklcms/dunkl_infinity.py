@@ -349,12 +349,12 @@ class InfDunkl:
     def apply(self, f: LambdaXElem, r: int = 1) -> LambdaXElem:
         """D^r applied to f."""
         fam = self.family
-        if f.laurent and not fam.laurent:
+        if not fam.laurent and any(a < 0 for a, _ in f.terms):
             raise UnsupportedFamily("Laurent element in a polynomial family")
         den_int, den_k = _lcd(f.terms.values())
         terms = {key: _numerator(c, den_int, den_k) for key, c in f.terms.items()}
         terms, den_int = self._power(terms, den_int, r)
-        return LambdaXElem(_canonical_all(terms, den_int, den_k), fam.laurent)
+        return LambdaXElem(_canonical_all(terms, den_int, den_k))
 
     def integral(self, r: int, f: LambdaElem) -> LambdaElem:
         """The r-th quantum integral applied to f in the power-sum algebra.

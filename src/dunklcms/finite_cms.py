@@ -88,7 +88,7 @@ class _Layout:
 
     From the top: the total degree, then x_0, x_1, ..., x_{nvars-1}, each in a
     12-bit field holding the exponent plus 1024 (so 0..2047 when valid, with
-    the top bit as a guard), then the parameter monomial in the low 50 bits,
+    the top bit as a guard), then the parameter monomial in the low 30 bits,
     packed as ``coeffs`` packs it.  So keys compare as ints in the graded
     lexicographic order of their x-monomials, and adding a key and a key
     less ``bias`` multiplies the monomials.  Each field then holds a value in
@@ -1124,7 +1124,7 @@ def deformed_check(parity: ParityData, R: int) -> list:
     for r = 1..R, labelled ``intrat r=%d %s``, then [L2, L3] = 0 on the
     image of each test element, labelled ``[L2,L3] on %s``."""
     family = Family.RAT_A
-    testset = standard_testset(family, with_x=False)
+    testset = standard_testset(with_x=False)
     results = [replace(res, label="intrat r=%d %s" % (r, res.label)) for r in range(1, R + 1)
                for res in diagram_check("intrat", family, testset, r=r, parity=parity).results]
     hom = Hom(family, parity)
@@ -1136,20 +1136,15 @@ def deformed_check(parity: ParityData, R: int) -> list:
     return results
 
 
-def standard_testset(family: Family, with_x: bool = True):
+def standard_testset(with_x: bool = True):
     """The generator set used by the diagram checks."""
-    laurent = family.laurent
-    els = [
-        ("p1", LambdaXElem.p(1, laurent)),
-        ("p2", LambdaXElem.p(2, laurent)),
-        ("p3", LambdaXElem.p(3, laurent)),
-    ]
+    els = [("p1", LambdaXElem.p(1)), ("p2", LambdaXElem.p(2)), ("p3", LambdaXElem.p(3))]
     if with_x:
-        x = LambdaXElem.x(1, laurent)
+        x = LambdaXElem.x(1)
         els += [
             ("x", x),
             ("x^2", x * x),
-            ("x*p1", x * LambdaXElem.p(1, laurent)),
-            ("x^2*p2", x * x * LambdaXElem.p(2, laurent)),
+            ("x*p1", x * LambdaXElem.p(1)),
+            ("x^2*p2", x * x * LambdaXElem.p(2)),
         ]
     return els

@@ -2,8 +2,8 @@
 
 ``LambdaElem`` models the free commutative algebra on generators p_0, p_1, ...
 (power sums with the "dimension" p_0 adjoined as a formal variable), graded by
-deg p_i = i.  ``LambdaXElem`` adjoins one extra variable x, possibly with
-negative powers (Laurent), and is the domain of the infinite-variable Dunkl
+deg p_i = i.  ``LambdaXElem`` adjoins one extra variable x, with negative
+powers allowed (Laurent), and is the domain of the infinite-variable Dunkl
 operators.  This module provides the ring structure and the four families;
 the operators themselves, with the rules of their difference part, live in
 ``dunkl_infinity``.
@@ -40,6 +40,8 @@ class Family(enum.Enum):
 
     @property
     def laurent(self) -> bool:
+        """Whether the family's operators at infinity take negative powers
+        of x; the polynomial families refuse them."""
         return self is Family.TRIG_BC
 
     @property
@@ -93,13 +95,63 @@ def pmono_text(m: PMono) -> str:
     return "*".join("p%d" % i if e == 1 else "p%d^%d" % (i, e) for i, e in m)
 
 
-class LambdaElem:
-    """Element of the power-sum algebra: sparse sum of p-monomials."""
+class _SparseElem:
+    """A sparse sum of monomials with ``ParamRatio`` coefficients, zero terms
+    dropped.  The subclass names its monomials (``terms`` keys) and their
+    product (``_key_mul``); the ring operations are implemented here once."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
         self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            v = out.get(m)
+            out[m] = c if v is None else v + c
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        key_mul = self._key_mul
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = key_mul(m1, m2)
+                c = c1 * c2
+                v = out.get(m)
+                out[m] = c if v is None else v + c
+        return type(self)(out)
+
+    def scale(self, c: ParamRatio):
+        if c.is_zero():
+            return type(self)({})
+        return type(self)({m: v * c for m, v in self.terms.items()})
+
+    def substitute(self, bindings: dict):
+        return type(self)({m: c.substitute(bindings) for m, c in self.terms.items()})
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self.text())
+
+
+class LambdaElem(_SparseElem):
+    """Element of the power-sum algebra: sparse sum of p-monomials."""
+
+    __slots__ = ()
+    _key_mul = staticmethod(pmono_mul)
 
     @staticmethod
     def zero() -> "LambdaElem":
@@ -117,48 +169,11 @@ class LambdaElem:
     def monomial(m: PMono, coeff: ParamRatio = ONE) -> "LambdaElem":
         return LambdaElem({m: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         return max((pmono_degree(m) for m in self.terms), default=0)
 
-    def __eq__(self, other):
-        return isinstance(other, LambdaElem) and self.terms == other.terms
-
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items(), key=lambda t: t[0])))
-
-    def __add__(self, other: "LambdaElem") -> "LambdaElem":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m)
-            out[m] = c if v is None else v + c
-        return LambdaElem(out)
-
-    def __neg__(self) -> "LambdaElem":
-        return LambdaElem({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "LambdaElem") -> "LambdaElem":
-        return self + (-other)
-
-    def __mul__(self, other: "LambdaElem") -> "LambdaElem":
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = pmono_mul(m1, m2)
-                c = c1 * c2
-                v = out.get(m)
-                out[m] = c if v is None else v + c
-        return LambdaElem(out)
-
-    def scale(self, c: ParamRatio) -> "LambdaElem":
-        if c.is_zero():
-            return LambdaElem({})
-        return LambdaElem({m: v * c for m, v in self.terms.items()})
-
-    def substitute(self, bindings: dict) -> "LambdaElem":
-        return LambdaElem({m: c.substitute(bindings) for m, c in self.terms.items()})
 
     def text(self) -> str:
         if not self.terms:
@@ -168,48 +183,43 @@ class LambdaElem:
             parts.append("%s * %s" % (self.terms[m].text(), pmono_text(m)))
         return " + ".join(parts)
 
-    def __repr__(self):
-        return "LambdaElem(%s)" % self.text()
 
-
-class LambdaXElem:
+class LambdaXElem(_SparseElem):
     """Element of the power-sum algebra with the variable x adjoined.
 
-    ``terms`` maps (x exponent, p-monomial) to coefficients; negative x
-    exponents require ``laurent=True``.
+    ``terms`` maps (x exponent, p-monomial) to coefficients.  An exponent may
+    be negative; whether a family's operator accepts such a term is decided
+    by the operator (``InfDunkl.apply``), not by the element.
     """
 
-    __slots__ = ("laurent", "terms")
-
-    def __init__(self, terms: dict, laurent: bool = False):
-        self.laurent = laurent
-        self.terms = {}
-        for key, c in terms.items():
-            if c.is_zero():
-                continue
-            if key[0] < 0 and not laurent:
-                raise ValueError("negative x power in a non-Laurent element")
-            self.terms[key] = c
+    __slots__ = ()
+    # An entry of this class's own dict, so that the per-layer boundary
+    # ``powersums.LambdaXElem.mul`` of perfbench/tracer.py finds it.
+    __mul__ = _SparseElem.__mul__
 
     @staticmethod
-    def zero(laurent: bool = False) -> "LambdaXElem":
-        return LambdaXElem({}, laurent)
+    def _key_mul(a, b):
+        return (a[0] + b[0], pmono_mul(a[1], b[1]))
 
     @staticmethod
-    def one(laurent: bool = False) -> "LambdaXElem":
-        return LambdaXElem({(0, PMONO_ONE): ONE}, laurent)
+    def zero() -> "LambdaXElem":
+        return LambdaXElem({})
 
     @staticmethod
-    def x(power: int = 1, laurent: bool = False) -> "LambdaXElem":
-        return LambdaXElem({(power, PMONO_ONE): ONE}, laurent or power < 0)
+    def one() -> "LambdaXElem":
+        return LambdaXElem({(0, PMONO_ONE): ONE})
 
     @staticmethod
-    def p(l: int, laurent: bool = False) -> "LambdaXElem":
-        return LambdaXElem({(0, pmono((l, 1))): ONE}, laurent)
+    def x(power: int = 1) -> "LambdaXElem":
+        return LambdaXElem({(power, PMONO_ONE): ONE})
 
     @staticmethod
-    def from_lambda(f: LambdaElem, laurent: bool = False) -> "LambdaXElem":
-        return LambdaXElem({(0, m): c for m, c in f.terms.items()}, laurent)
+    def p(l: int) -> "LambdaXElem":
+        return LambdaXElem({(0, pmono((l, 1))): ONE})
+
+    @staticmethod
+    def from_lambda(f: LambdaElem) -> "LambdaXElem":
+        return LambdaXElem({(0, m): c for m, c in f.terms.items()})
 
     def to_lambda(self) -> LambdaElem:
         """Forget x; requires that no x-power is present."""
@@ -219,45 +229,6 @@ class LambdaXElem:
                 raise ValueError("element contains x powers")
             out[m] = c
         return LambdaElem(out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, LambdaXElem) and self.terms == other.terms
-
-    def __add__(self, other: "LambdaXElem") -> "LambdaXElem":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key)
-            out[key] = c if v is None else v + c
-        return LambdaXElem(out, self.laurent or other.laurent)
-
-    def __neg__(self) -> "LambdaXElem":
-        return LambdaXElem({k: -c for k, c in self.terms.items()}, self.laurent)
-
-    def __sub__(self, other: "LambdaXElem") -> "LambdaXElem":
-        return self + (-other)
-
-    def __mul__(self, other: "LambdaXElem") -> "LambdaXElem":
-        out: dict = {}
-        for (a1, m1), c1 in self.terms.items():
-            for (a2, m2), c2 in other.terms.items():
-                key = (a1 + a2, pmono_mul(m1, m2))
-                c = c1 * c2
-                v = out.get(key)
-                out[key] = c if v is None else v + c
-        return LambdaXElem(out, self.laurent or other.laurent)
-
-    def scale(self, c: ParamRatio) -> "LambdaXElem":
-        if c.is_zero():
-            return LambdaXElem({}, self.laurent)
-        return LambdaXElem({k: v * c for k, v in self.terms.items()}, self.laurent)
-
-    def substitute(self, bindings: dict) -> "LambdaXElem":
-        return LambdaXElem(
-            {k: c.substitute(bindings) for k, c in self.terms.items()}, self.laurent
-        )
 
     def text(self) -> str:
         if not self.terms:
@@ -271,6 +242,3 @@ class LambdaXElem:
                 factors.append(pmono_text(m))
             parts.append(" * ".join(factors))
         return " + ".join(parts)
-
-    def __repr__(self):
-        return "LambdaXElem(%s)" % self.text()

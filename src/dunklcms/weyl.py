@@ -96,7 +96,7 @@ from functools import cache, partial
 from math import comb
 
 from ._parallel import ordered_map
-from .coeffs import B_CONSTRAINT, BC_CONSTRAINT, HALF, K, ONE, P, Q, ParamRatio, UnsupportedDenominator, k_power
+from .coeffs import HALF, K, ONE, P, Q, R_VALUE, S_VALUE, ParamRatio, UnsupportedDenominator, k_power
 from .finite_cms import (
     DiagramResult,
     Hom,
@@ -111,12 +111,6 @@ from .finite_cms import (
     heckman_integral,
 )
 from .powersums import Family, LambdaElem, UnsupportedFamily
-
-#: Multiplicity of the one-particle reflection term, per species, after the
-#: family constraints eliminate s (and r): rational B uses (q, s) and trig BC
-#: uses pairs (p, q) and (r, s).
-_S_VALUE = B_CONSTRAINT["s"]
-_R_VALUE = BC_CONSTRAINT["r"]
 
 
 _new = object.__new__
@@ -622,11 +616,12 @@ def _pair_potential(family: Family, i: int, j: int, d: MultiPoly, c: ParamRatio)
 
 def _species_multiplicity(family: Family, parity: ParityData, i: int):
     """Reflection multiplicities after the constraints: rational B returns
-    m(i) in {q, s}; trig BC returns (mu(i), nu(i)) in {(p, q), (r, s)}."""
+    m(i) in {q, s}; trig BC returns (mu(i), nu(i)) in {(p, q), (r, s)}, with
+    s and r the values ``S_VALUE`` and ``R_VALUE`` in k, p and q."""
     if family is Family.RAT_B:
-        return Q if parity.p(i) == 0 else _S_VALUE
+        return Q if parity.p(i) == 0 else S_VALUE
     if family is Family.TRIG_BC:
-        return (P, Q) if parity.p(i) == 0 else (_R_VALUE, _S_VALUE)
+        return (P, Q) if parity.p(i) == 0 else (R_VALUE, S_VALUE)
     raise UnsupportedFamily(family.value)
 
 

@@ -62,7 +62,7 @@ from dunklcms.weyl import CommuteReport, OpMatrix, _monomials
 
 
 def _check_family_domain(f: LambdaXElem, family: Family):
-    if f.laurent and not family.laurent:
+    if not family.laurent and any(a < 0 for a, _ in f.terms):
         raise UnsupportedFamily("Laurent element in a polynomial family")
 
 
@@ -107,7 +107,7 @@ def partial(f: LambdaXElem, family: Family) -> LambdaXElem:
                 add((a + idx, rest), cc.scale(idx))
                 add((a - idx, rest), -cc.scale(idx))
 
-    return LambdaXElem(out, f.laurent or family.laurent)
+    return LambdaXElem(out)
 
 
 def delta(f: LambdaXElem, family: Family) -> LambdaXElem:
@@ -130,17 +130,15 @@ def delta(f: LambdaXElem, family: Family) -> LambdaXElem:
                 out.pop(key, None)
             else:
                 out[key] = s
-    return LambdaXElem(out, f.laurent or family.laurent)
+    return LambdaXElem(out)
 
 
 def reflect(f: LambdaXElem, family: Family) -> LambdaXElem:
     """The rational-B sign involution or the trigonometric-BC inversion."""
     if family is Family.RAT_B:
-        return LambdaXElem(
-            {(a, m): (-c if a % 2 else c) for (a, m), c in f.terms.items()}, f.laurent
-        )
+        return LambdaXElem({(a, m): (-c if a % 2 else c) for (a, m), c in f.terms.items()})
     if family is Family.TRIG_BC:
-        return LambdaXElem({(-a, m): c for (a, m), c in f.terms.items()}, True)
+        return LambdaXElem({(-a, m): c for (a, m), c in f.terms.items()})
     raise UnsupportedFamily("no reflection in family %s" % family.value)
 
 
@@ -181,18 +179,12 @@ def divide_by_x_poly(f: LambdaXElem, divisor: dict) -> LambdaXElem:
     lead = max(divisor)
     inv_lead = Rat(1) / Rat(divisor[lead])
     if len(divisor) == 1:
-        # monomial divisor: shift the x exponent
-        out = {}
-        for (a, m), c in f.terms.items():
-            if a - lead < 0 and not f.laurent:
-                raise InexactDivision("x-division left remainder on %s" % pmono_text(m))
-            out[(a - lead, m)] = c.scale(inv_lead)
-        return LambdaXElem(out, f.laurent)
+        # monomial divisor: shift the x exponent, exact in the Laurent ring
+        return LambdaXElem({(a - lead, m): c.scale(inv_lead) for (a, m), c in f.terms.items()})
     groups: dict = {}
     for (a, m), c in f.terms.items():
         groups.setdefault(m, {})[a] = c
     out: dict = {}
-    laurent = f.laurent
     for m, poly in groups.items():
         shift = min(poly)
         poly = {a - shift: c for a, c in poly.items()}
@@ -215,11 +207,8 @@ def divide_by_x_poly(f: LambdaXElem, divisor: dict) -> LambdaXElem:
                 else:
                     poly[key] = s
         for a, c in quo.items():
-            exp = a + shift
-            if exp < 0:
-                laurent = True
-            out[(exp, m)] = c
-    return LambdaXElem(out, laurent)
+            out[(a + shift, m)] = c
+    return LambdaXElem(out)
 
 
 def derivation(f: LambdaElem, a: int) -> LambdaElem:

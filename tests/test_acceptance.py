@@ -87,9 +87,9 @@ def test_criterion_2_commutativity_at_infinity():
 
 def test_criterion_3_reduction_diagrams():
     ok = True
+    full = standard_testset()
+    lam_only = standard_testset(with_x=False)
     for family in Family:
-        full = standard_testset(family)
-        lam_only = standard_testset(family, with_x=False)
         for N in (2, 3, 4):
             for r in (1, 2, 3):
                 for i in (0, N - 1):
@@ -97,7 +97,6 @@ def test_criterion_3_reduction_diagrams():
                 ok = ok and diagram_check("heckdiag", family, lam_only, r=r, parity=ParityData(N, 0)).ok
     for (n, m) in ((1, 1), (2, 1), (1, 2)):
         parity = ParityData(n, m)
-        lam_only = standard_testset(Family.RAT_A, with_x=False)
         for r in (1, 2, 3):
             for i in (0, parity.size - 1):
                 ok = ok and diagram_check(

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -463,6 +464,77 @@ class TestErrorsAndGuards:
         assert payload["checks"] == 2
         assert [ce["input"] for ce in payload["counterexamples"]] == [label]
 
+    @pytest.mark.parametrize("n, m, r", [(2, 0, 3), (2, 1, 2), (1, 2, 2), (4, 0, 1), (2, 2, 1)])
+    @pytest.mark.parametrize("mode", [(), ("--mode", "sampled")])
+    def test_trig_bc_moser_integrals_cost_cap(self, capsys, monkeypatch, n, m, r, mode):
+        # (n + m - 1) r > 2 is refused in both modes before anything is built
+        monkeypatch.setattr(cli, "moser_integrals", None)
+        code, out = run_cli(capsys, "verify", "moser-integrals", "--family", "trig-bc", "--n", str(n),
+                            "--m", str(m), "--r", str(r), *mode, "--format", "json", "--no-timing")
+        payload = json.loads(out)
+        assert (code, payload["status"]) == (2, "error")
+        assert payload["notes"] == ["trig-bc moser-integrals with (n+m-1)*r = %d exceeds the desk-scale"
+                                    " cap 2: such a request can run for minutes (pass --unsafe to override)"
+                                    % ((n + m - 1) * r)]
+
+    def test_unsafe_lifts_the_trig_bc_moser_integrals_cost_cap(self, capsys, monkeypatch):
+        seen = []
+
+        def stub(family, parity, r, bindings):
+            seen.append((family, parity.n, parity.m, r))
+            raise RuntimeError("stub build")
+
+        monkeypatch.setattr(cli, "moser_integrals", stub)
+        argv = ("verify", "moser-integrals", "--family", "trig-bc", "--n", "2", "--m", "1",
+                "--format", "json", "--no-timing")
+        code, out = run_cli(capsys, *argv, "--unsafe")
+        assert (code, json.loads(out)["notes"]) == (2, ["RuntimeError: stub build"])
+        assert seen == [(Family.TRIG_BC, 2, 1, 2)]
+        # the other families and the requests inside the cap do not meet it
+        for family, n, m, r in (("rat-a", 2, 1, 3), ("trig-a", 3, 1, 2), ("trig-bc", 1, 1, 2),
+                                ("trig-bc", 1, 0, 6), ("trig-bc", 3, 0, 1)):
+            run_cli(capsys, "verify", "moser-integrals", "--family", family, "--n", str(n),
+                    "--m", str(m), "--r", str(r), "--no-timing")
+        assert len(seen) == 6
+
+
+def _report_to(stdout, *argv):
+    """A fresh interpreter's ``dunklcms`` run with ``stdout`` as its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    return subprocess.run([sys.executable, "-m", "dunklcms.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+
+
+class TestUnwritableReport:
+    """A verified check whose report cannot be written exits 2 (error), never
+    1 (falsified), with a one-line note on stderr and no traceback."""
+
+    ARGV = ("verify", "lax", "--family", "rat-a", "--n", "1", "--m", "1")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            done = _report_to(full, *self.ARGV)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == ["dunklcms: cannot write the report: [Errno %d] %s"
+                                            % (errno.ENOSPC, os.strerror(errno.ENOSPC))]
+
+    def test_pipe_with_its_read_end_closed(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = _report_to(write_end, *self.ARGV)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == ["dunklcms: cannot write the report: [Errno %d] %s"
+                                            % (errno.EPIPE, os.strerror(errno.EPIPE))]
+
+    def test_written_report_exits_by_its_status(self):
+        done = _report_to(subprocess.PIPE, *self.ARGV, "--no-timing")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "verified" in done.stdout
+
 
 class TestMoserIntegralBindings:
     """The last check of ``moser-integrals`` runs at the bound parameter point."""
@@ -776,7 +848,7 @@ class TestCounterexampleText:
         hom = Hom(Family.RAT_A, ParityData(2, 0))
         op = InfDunkl(Family.RAT_A)
         expected = []
-        for label, f in finite_cms.standard_testset(Family.RAT_A, with_x=False):
+        for label, f in finite_cms.standard_testset(with_x=False):
             f = f.to_lambda()
             rhs = real(Family.RAT_A, 2, 1, hom.apply(f)) + MultiPoly.const(2, const(1))
             expected.append({"input": label, "lhs": hom.apply(op.integral(1, f)).text(), "rhs": rhs.text()})

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklcms.coeffs import (
-    B_CONSTRAINT,
-    BC_CONSTRAINT,
     MAX_DEGREE,
+    R_VALUE,
+    S_VALUE,
     DenominatorVanishes,
     DivisionByZero,
     ExponentOverflow,
@@ -72,18 +72,15 @@ class TestArith:
 
 class TestSubstitute:
     def test_b_constraint_value_of_s(self):
-        s = symbol("s")
         q = symbol("q")
-        expected = (q.scale(2) + ONE - K) / K.scale(2)
-        assert s.substitute(B_CONSTRAINT) == expected
+        assert S_VALUE == (q.scale(2) + ONE - K) / K.scale(2)
 
     def test_bc_constraint_value_of_r(self):
-        r = symbol("r")
-        assert r.substitute(BC_CONSTRAINT) == symbol("p") / K
+        assert K * R_VALUE == symbol("p")  # k r = p
+        assert R_VALUE == symbol("p") / K
 
     def test_constraint_becomes_identity(self):
-        expr = K * (symbol("s").scale(2) + ONE)  # k(2s+1)
-        assert expr.substitute(B_CONSTRAINT) == symbol("q").scale(2) + ONE
+        assert K * (S_VALUE.scale(2) + ONE) == symbol("q").scale(2) + ONE  # k(2s+1) = 2q+1
 
     def test_denominator_vanishing_substitution(self):
         f = (K + ONE) / K.scale(3)
@@ -105,7 +102,7 @@ class TestEval:
         assert eval_at(symbol("k", 0), {"k": Rat(17, 3)}) == 1
 
     def test_constraint_point(self):
-        assert eval_at(B_CONSTRAINT["s"], {"k": 1, "q": 1}) == 1
+        assert eval_at(S_VALUE, {"k": 1, "q": 1}) == 1
 
     def test_pole_detection(self):
         with pytest.raises(PoleAtPoint):
@@ -200,7 +197,7 @@ class TestPackedExponents:
 
     def test_constructors_and_denominators_are_guarded(self):
         with pytest.raises(ExponentOverflow):
-            ParamPoly.symbol("s", MAX_DEGREE + 1)
+            ParamPoly.symbol("q", MAX_DEGREE + 1)
         with pytest.raises(ExponentOverflow):
             k_power(-(MAX_DEGREE + 1))
         with pytest.raises(ExponentOverflow):
@@ -301,13 +298,14 @@ class TestSympyOracle:
             assert abs(d / sp.gcd(sp.Poly(num, *gens).content(), d)) == a.den_int
 
     def test_substitution_and_evaluation(self, rng):
-        s, q, k = self.sp.symbols("s q k")
+        p, q, k = self.sp.symbols("p q k")
         for _ in range(20):
-            a = random_param_ratio(rng, symbols=(0, 2, 4))
-            expr = self.sym(a).subs(s, (2 * q + 1 - k) / (2 * k))
-            assert self.same(a.substitute(B_CONSTRAINT), expr)
+            # p goes to the value of s, which holds q and k
+            a = random_param_ratio(rng, symbols=(0, 1, 2))
+            expr = self.sym(a).subs(p, (2 * q + 1 - k) / (2 * k))
+            assert self.same(a.substitute({"p": S_VALUE}), expr)
             point = {"k": Rat(rng.randint(1, 99), rng.randint(1, 9)), "q": Rat(rng.randint(-9, 9)),
-                     "s": Rat(rng.randint(-9, 9), 5)}
+                     "p": Rat(rng.randint(-9, 9), 5)}
             value = self.sym(a).subs({self.sp.Symbol(n): self.sp.Rational(v.numerator, v.denominator)
                                       for n, v in point.items()})
             assert eval_at(a, point) == Rat(int(value.p), int(value.q))
@@ -317,7 +315,7 @@ def test_text_serialization_shape():
     two_k2_plus_2k = (K * K + K).scale(2)
     assert two_k2_plus_2k.text() == "(2*k^2+2*k)/1"
     assert (ParamRatio.fraction(1, 2) / K).text() == "(1/2)/k"
-    assert B_CONSTRAINT["s"].text() == "(q+(-1/2)*k+(1/2))/k"
+    assert S_VALUE.text() == "(q+(-1/2)*k+(1/2))/k"
 
 
 def test_import_does_not_load_sympy():

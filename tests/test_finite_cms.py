@@ -832,7 +832,7 @@ class TestHoms:
                     lines.append("%s %s i=%d %s: %s" % (family.value, size, i, label, hom.apply(f).text()))
 
         for family in Family:
-            xs = [(label, f) for label, f in standard_testset(family) if "x" in label]
+            xs = [(label, f) for label, f in standard_testset() if "x" in label]
             for N in (1, 2, 3):
                 homs = [Hom(family, ParityData(N, 0))]
                 homs += [(i, Hom(family, ParityData(N, 0), i)) for i in sorted({0, N - 1})]
@@ -923,13 +923,13 @@ class TestDeformedRecursion:
 class TestDiagrams:
     @pytest.mark.parametrize("family", list(Family))
     def test_dunkl_reduction_diagram(self, family):
-        rep = diagram_check("dcomm", family, standard_testset(family), r=2, parity=ParityData(3, 0), i=0)
+        rep = diagram_check("dcomm", family, standard_testset(), r=2, parity=ParityData(3, 0), i=0)
         assert rep.ok, rep.counterexamples[0]
 
     @pytest.mark.parametrize("family", list(Family))
     def test_integral_reduction_diagram(self, family):
         rep = diagram_check(
-            "heckdiag", family, standard_testset(family, with_x=False), r=2, parity=ParityData(2, 0)
+            "heckdiag", family, standard_testset(with_x=False), r=2, parity=ParityData(2, 0)
         )
         assert rep.ok, rep.counterexamples[0]
 
@@ -937,7 +937,7 @@ class TestDiagrams:
         rep = diagram_check(
             "propcomm",
             Family.RAT_A,
-            standard_testset(Family.RAT_A, with_x=False),
+            standard_testset(with_x=False),
             r=3,
             parity=ParityData(2, 1),
             i=1,
@@ -948,7 +948,7 @@ class TestDiagrams:
         rep = diagram_check(
             "intrat",
             Family.RAT_A,
-            standard_testset(Family.RAT_A, with_x=False),
+            standard_testset(with_x=False),
             r=3,
             parity=ParityData(1, 2),
         )
@@ -957,10 +957,10 @@ class TestDiagrams:
     @pytest.mark.parametrize("family", list(Family))
     def test_every_kind_verifies_at_order_zero(self, family):
         # D^0 and d_i^(0) are the identity and E . D^0 multiplies by p0
-        checks = [("dcomm", standard_testset(family), ParityData(3, 0), 1),
-                  ("heckdiag", standard_testset(family, with_x=False), ParityData(2, 0), 0)]
+        checks = [("dcomm", standard_testset(), ParityData(3, 0), 1),
+                  ("heckdiag", standard_testset(with_x=False), ParityData(2, 0), 0)]
         if family is Family.RAT_A:
-            lam_only = standard_testset(family, with_x=False)
+            lam_only = standard_testset(with_x=False)
             checks += [("propcomm", lam_only, ParityData(2, 1), 2), ("intrat", lam_only, ParityData(1, 2), 0)]
         for kind, testset, parity, i in checks:
             rep = diagram_check(kind, family, testset, 0, parity=parity, i=i)

@@ -17,7 +17,7 @@ def test_param_ratio_text():
 
 
 def test_lambda_x_elem_text():
-    f = LambdaXElem.x(-2, True) + (LambdaXElem.x(1, True) * LambdaXElem.p(0, True) * LambdaXElem.p(3, True)).scale(K)
+    f = LambdaXElem.x(-2) + (LambdaXElem.x(1) * LambdaXElem.p(0) * LambdaXElem.p(3)).scale(K)
     assert f.text() == "1/1 * x^-2 + k/1 * x^1 * p0*p3"
 
 
