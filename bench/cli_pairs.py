@@ -1,7 +1,7 @@
 """Interleaved timing of CLI requests on two versions of ``dunklcms`` in one
 process.
 
-    python3 bench/cli_pairs.py --parent DIR [--change DIR] --out BENCH_24.json [--pairs 15]
+    python3 bench/cli_pairs.py --parent DIR [--change DIR] --out BENCH_26.json [--pairs 15]
 
 ``--parent`` and ``--change`` name ``src`` directories (``--change``
 defaults to the one of this checkout).  Both ``dunklcms`` packages are
@@ -40,6 +40,8 @@ from harness import DEFAULT_SRC, environment, quiet_run, store
 REQUESTS = [
     ["verify", "deformed", "--n", "2", "--m", "2", "--r", "4"],
     ["verify", "degenerate-k1", "--n", "1", "--m", "1", "--r", "3"],
+    ["verify", "degenerate-k1", "--n", "2", "--m", "1", "--r", "3"],
+    ["verify", "degenerate-k1", "--n", "2", "--m", "2", "--r", "2"],
     ["verify", "diagram", "--family", "rat-a", "--kind", "intrat", "--n", "2", "--m", "1", "--r", "3"],
     ["verify", "diagram", "--family", "rat-a", "--kind", "propcomm", "--n", "2", "--m", "1", "--r", "3"],
     ["verify", "diagram", "--family", "trig-bc", "--kind", "heckdiag", "--N", "3", "--r", "3"],

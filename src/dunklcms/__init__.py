@@ -35,10 +35,10 @@ from .weyl import (
     WeylOp,
     commute_check,
     commute_checks,
-    gauge_conjugate,
     hamiltonian,
     lax_check,
     moser_L,
+    moser_L_gauged,
     moser_M,
     moser_integral,
 )
@@ -66,12 +66,12 @@ __all__ = [
     "deformed_partial_r",
     "diagram_check",
     "finite_dunkl",
-    "gauge_conjugate",
     "hamiltonian",
     "heckman_integral",
     "integral_L",
     "lax_check",
     "moser_L",
+    "moser_L_gauged",
     "moser_M",
     "moser_integral",
 ]

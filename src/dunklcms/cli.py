@@ -62,10 +62,12 @@ LIMITS = {
     "r": 6,
 }
 
-#: The cost cap of trig-BC ``moser-integrals``, on (n + m - 1) * r in every
-#: mode; --unsafe lifts it.  Symbolic, on 2 CPUs, a request took at most 3 s
-#: within it, 15 s at (n + m, r) = (2, 3) and minutes at (3, 2) and (4, 1).
-TRIG_BC_MOSER_COST = 2
+#: The cost caps of ``moser-integrals`` per family, on (n + m - 1) * r in
+#: every mode; --unsafe lifts them.  Symbolic, on 2 CPUs: a trig-BC request
+#: took at most 3 s within its cap, 15 s at (n + m, r) = (2, 3) and minutes
+#: at (3, 2) and (4, 1); a rational-B one at most 2.8 s within its cap,
+#: 5.6-21 s at cost 6 and over 150 s at (4, 3).
+MOSER_COST = {Family.TRIG_BC: 2, Family.RAT_B: 5}
 
 #: The smallest values inside the domain of a request; --unsafe keeps them.
 MINIMUM = {
@@ -319,11 +321,11 @@ def _verify_lax(args, report):
 def _verify_moser_integrals(args, report):
     family = _family(args.family)
     _guard(args, nm=args.n + args.m, r=args.r, deg=args.basis_deg)
-    cost = (args.n + args.m - 1) * args.r
-    if family is Family.TRIG_BC and cost > TRIG_BC_MOSER_COST and not args.unsafe:
+    cost, cap = (args.n + args.m - 1) * args.r, MOSER_COST.get(family)
+    if cap is not None and cost > cap and not args.unsafe:
         raise InvalidRequest(
-            "trig-bc moser-integrals with (n+m-1)*r = %d exceeds the desk-scale cap %d: such a"
-            " request can run for minutes (pass --unsafe to override)" % (cost, TRIG_BC_MOSER_COST))
+            "%s moser-integrals with (n+m-1)*r = %d exceeds the desk-scale cap %d: such a"
+            " request can run for minutes (pass --unsafe to override)" % (family.value, cost, cap))
     parity = _parity(args)
     H, integrals, (factor, cst, residual) = moser_integrals(family, parity, args.r, _bindings(args, family))
     if args.basis_deg is None:

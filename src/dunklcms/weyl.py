@@ -43,9 +43,10 @@ polynomials; a coefficient of one x-monomial appears as a ``ParamRatio``
 only in leading coefficients, in substitution and in the report texts.
 
 On top of this the module builds, for each family, the quantum Moser matrix L
-(block form [[A, B], [-B, -A]] for the B families), the companion matrix M of
-the A families, the deformed Hamiltonians in their gauged and ungauged forms,
-the ground-state log-derivatives of the A families, the quantum Lax check
+(block form [[A, B], [-B, -A]] for the B families), its gauged form G (each
+diagonal entry less the other entries of its row, so that every row kills
+constants), the companion matrix M of the A families, the deformed
+Hamiltonian H (its gauged form is e* G^2 e), the quantum Lax check
 [L, H] = [L, M], and the integrals e* L^r e.  One set of pieces builds them
 all, for every family: the kinetic operator T_i (d_i, or x_i d_i for the
 trigonometric families), the root factors d of a pair (x_i - x_j, and for a
@@ -65,15 +66,16 @@ step, n^2 compositions per power, so one row iteration gives e* L^p e for
 every p up to the top power.
 A request is built once, at its parameter point: ``_at_point`` is the one
 place where bindings enter the Moser operators.  It substitutes H (or its
-parts), the entries of L (and the parts of M) and the row e* L, after the
+parts), the entries of L or G (and the parts of M) and the row e* L or
+e* G, after the
 covector's scaling and before the first composition, so that every
 composition runs at the point.  The covector itself is never substituted:
 its weights k^-p(i) cancel only inside the row, which is what keeps k = 0
 inside the domain of the A families at (1, 1) and (2, 1).
-``moser_integrals`` makes that build for ``moser-integrals``, the
-e* L^2 e = lam H + c check (``integral_vs_hamiltonian``) and the Moser
-route of ``degenerate_k1_check``; ``lax_check`` substitutes its L, H and M
-parts through the same helper.
+``moser_integrals`` makes that build for ``moser-integrals`` and the
+e* L^2 e = lam H + c check (``integral_vs_hamiltonian``); ``lax_check``
+substitutes its L, H and M parts, and ``degenerate_k1_check`` its G and
+row e* G, through the same helper.
 ``WeylOp.apply`` applies an operator to a polynomial or a rational function
 alike; like a composition, it forms each derivative of its argument once
 (``_derivative``), and operators applied to one argument can share that
@@ -84,8 +86,8 @@ once per monomial m, B m and every A m share m's derivatives, every A meets
 those of B m, and each residual A(B m) - B(A m) is reduced once.
 ``degenerate_k1_check`` is the k = 1 degeneration of the deformed integrals
 of rational A to the undeformed CMS integrals, by the recursion of
-``finite_cms`` and by the gauged Moser integrals, both compared with the
-Heckman integrals at k = 1.
+``finite_cms`` and by the gauged Moser integrals e* G^r e, one row iteration
+of G at k = 1, both compared with the Heckman integrals at k = 1.
 """
 
 from __future__ import annotations
@@ -578,7 +580,7 @@ class OpMatrix:
         return json.dumps([op.text() for row in self.entries for op in row])
 
 
-# -- the shared pieces of L, M, H and the ground state (see the module docstring)
+# -- the shared pieces of L, M and H (see the module docstring)
 
 
 def _kinetic(family: Family, nm: int, i: int, c: ParamRatio = ONE) -> WeylOp:
@@ -630,11 +632,11 @@ def _den_shift2(nm: int, i: int, e: int) -> dict:
     return {_fac_shift(nm, i, -1): e, _fac_shift(nm, i, 1): e}
 
 
-def _one_particle(family: Family, parity: ParityData, i: int, c: ParamRatio) -> RatFun:
+def _one_particle(family: Family, parity: ParityData, i: int) -> RatFun:
     """The one-particle term of a B family with the multiplicities scaled by
-    c: c m / x_i for rational B, and the pair term of x_i - 1 with c mu plus
-    c nu (x_i^2 + 1) / (x_i^2 - 1) for trig BC."""
-    nm, mult = parity.size, _species_multiplicity(family, parity, i)
+    c = k^p(i): c m / x_i for rational B, and the pair term of x_i - 1 with
+    c mu plus c nu (x_i^2 + 1) / (x_i^2 - 1) for trig BC."""
+    nm, mult, c = parity.size, _species_multiplicity(family, parity, i), parity.k_weight(i)
     if family is Family.RAT_B:
         return _pair_term(family, MultiPoly.var(nm, i), None, c * mult)
     mu, nu = mult
@@ -686,7 +688,7 @@ def moser_L(family: Family, parity: ParityData) -> OpMatrix:
             return WeylOp.mul_by(_pair_term(family, d, t, parity.cross_weight(i, j)))
         if b == 0:
             return _kinetic(family, nm, i, parity.k_weight(i))
-        return WeylOp.mul_by(_one_particle(family, parity, i, parity.k_weight(i)))
+        return WeylOp.mul_by(_one_particle(family, parity, i))
 
     A = [[entry(i, j, 0) for j in range(nm)] for i in range(nm)]
     if not family.even_integrals:
@@ -723,10 +725,13 @@ def _moser_M_parts(family: Family, parity: ParityData) -> list:
     return table
 
 
-def moser_L_gauged_trig(parity: ParityData) -> OpMatrix:
-    """The gauged trigonometric A matrix: L with each diagonal entry less the
-    off-diagonal entries of its row."""
-    L = moser_L(Family.TRIG_A, parity)
+def moser_L_gauged(family: Family, parity: ParityData) -> OpMatrix:
+    """The gauged Moser matrix G: L (``moser_L``) with each diagonal entry
+    less the other entries of its row, the full 2N-entry row for a B
+    family.  Those entries are multiplication operators, so every row of G
+    kills constants; the tests check phi_i(D f) = sum_j G_ij phi_j(f)
+    against the Dunkl operator at infinity entry by entry."""
+    L = moser_L(family, parity)
     for i, row in enumerate(L.entries):
         row[i] = WeylOp.sum(parity.size, [row[i]] + [-op for j, op in enumerate(row) if j != i])
     return L
@@ -736,55 +741,45 @@ def moser_L_gauged_trig(parity: ParityData) -> OpMatrix:
 
 
 def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> WeylOp:
-    """The deformed Hamiltonian of the family: the sum of its parts (see
-    ``_hamiltonian_parts``), each coefficient reduced once."""
-    return WeylOp.sum(parity.size, _hamiltonian_parts(family, parity, gauged))
+    """The deformed Hamiltonian of the family.  Ungauged, it is the sum of
+    its parts (see ``_hamiltonian_parts``), each coefficient reduced once.
+    Gauged, it is e* G^2 e of the gauged Moser matrix (``moser_L_gauged``),
+    halved for the B families, whose block form doubles it; their gauged
+    forms are stated at m = 0 only."""
+    if not gauged:
+        return WeylOp.sum(parity.size, _hamiltonian_parts(family, parity))
+    if family.even_integrals and parity.m:
+        raise UnsupportedFamily("gauged %s form is stated at m = 0 only"
+                                % ("rational B" if family is Family.RAT_B else "trig BC"))
+    G = moser_L_gauged(family, parity)
+    H = G.sandwich(G.row(estar_weights(family, parity)), 2)[-1]
+    return H.scale(HALF) if family.even_integrals else H
 
 
-def _hamiltonian_parts(family: Family, parity: ParityData, gauged: bool) -> list:
-    """The terms of the deformed Hamiltonian, signed, as separate operators,
-    one loop for every family and gauge: the kinetic terms k^p(i) T_i^2,
-    then a part per pair i < j and root factor d of the pair, then a part
-    per particle of a B family.
+def _hamiltonian_parts(family: Family, parity: ParityData) -> list:
+    """The terms of the ungauged deformed Hamiltonian, signed, as separate
+    operators, one loop for every family: the kinetic terms k^p(i) T_i^2,
+    then minus the pair potential of each pair i < j and root factor d of
+    the pair with the coupling ``_pair_coefficient``, then minus the
+    one-particle potentials of each particle of a B family.  The rational B
+    operator carries the global sign -1.
 
-    Ungauged, a pair part is minus the pair potential of d with the coupling
-    ``_pair_coefficient`` and a particle gives minus its one-particle
-    potentials; the ungauged rational B operator carries the global sign -1.
-    Gauged, a pair part is -(pair term of d with 2 w_ij) . (T_i -+ w' T_j),
-    minus for x_i - x_j and plus for the reflected factor, with
-    w' = k^(p(j)-p(i)), and a particle part is -(one-particle term with the
-    doubled multiplicities) . T_i.  The gauged forms of the B families are
-    stated at m = 0 only.
-
-    The ungauged trig-BC coefficients are pinned by the Moser matrix:
+    The trig-BC coefficients are pinned by the Moser matrix:
     e* L^2 e = 2 H + scalar constant must hold (verified symbolically in the
     tests).  The commonly quoted 4x-scaled variant, which also lacks the
     cross term over (x_i y_j - 1)^2, fails that identity.
     """
-    if gauged and family.even_integrals and parity.m:
-        raise UnsupportedFamily("gauged %s form is stated at m = 0 only"
-                                % ("rational B" if family is Family.RAT_B else "trig BC"))
     nm = parity.size
     T = [_kinetic(family, nm, i) for i in range(nm)]
     parts = [T[i].compose(T[i]).scale(parity.k_weight(i)) for i in range(nm)]
     for i in range(nm):
         for j in range(i + 1, nm):
-            for b, (d, t) in enumerate(_pair_factors(family, nm, i, j)):
-                if gauged:
-                    Tj = _kinetic(family, nm, j, k_power(parity.p(j) - parity.p(i)))
-                    f = _pair_term(family, d, t, parity.cross_weight(i, j).scale(2))
-                    parts.append(-WeylOp.mul_by(f).compose(T[i] - Tj if b == 0 else T[i] + Tj))
-                else:
-                    f = _pair_potential(family, i, j, d, _pair_coefficient(parity, i, j))
-                    parts.append(-WeylOp.mul_by(f))
+            for d, _ in _pair_factors(family, nm, i, j):
+                parts.append(-WeylOp.mul_by(_pair_potential(family, i, j, d, _pair_coefficient(parity, i, j))))
     if family.even_integrals:
         for i in range(nm):
-            if gauged:
-                f = _one_particle(family, parity, i, parity.k_weight(i).scale(2))
-                parts.append(-WeylOp.mul_by(f).compose(T[i]))
-            else:
-                parts.extend(-WeylOp.mul_by(f) for f in _one_particle_potentials(family, parity, i))
-    if family is Family.RAT_B and not gauged:
+            parts.extend(-WeylOp.mul_by(f) for f in _one_particle_potentials(family, parity, i))
+    if family is Family.RAT_B:
         parts = [-op for op in parts]
     return parts
 
@@ -851,7 +846,7 @@ def lax_check(family: Family, parity: ParityData, bindings: dict = None) -> LaxR
     if family not in (Family.RAT_A, Family.TRIG_A):
         raise UnsupportedFamily("no Lax pair is stated for family %s" % family.value)
     E, hs, ms = _at_point(bindings, moser_L(family, parity).entries,
-                          _hamiltonian_parts(family, parity, gauged=False), _moser_M_parts(family, parity))
+                          _hamiltonian_parts(family, parity), _moser_M_parts(family, parity))
     nm = parity.size
     entries = [(i, j) for i in range(nm) for j in range(nm)]
     return LaxReport(family, parity, ordered_map(partial(_lax_entry, E, hs, ms), entries))
@@ -999,53 +994,6 @@ def commute_check(A: WeylOp, B: WeylOp, mode: str = "symbolic", deg: int = 4) ->
     return commute_checks([A], B, mode, deg)[0]
 
 
-# -- gauge transformations ----------------------------------------------------------
-
-
-def gauge_conjugate(op: WeylOp, logderivs) -> WeylOp:
-    """Conjugation by the ground-state factor via the shift d_i -> d_i + w_i.
-
-    ``logderivs[i]`` is the i-th logarithmic derivative of the factor; the
-    result is (1/Psi) op Psi as a normal-ordered operator, exactly.
-    """
-    nvars = op.nvars
-    shifted = [
-        WeylOp.partial(nvars, i) + WeylOp.mul_by(w) for i, w in enumerate(logderivs)
-    ]
-    one = WeylOp.const(nvars, 1)
-    parts = []
-    for dexps, f in op.terms.items():
-        term = one
-        for i, e in enumerate(dexps):
-            for _ in range(e):
-                term = term.compose(shifted[i])
-        parts.append(WeylOp.mul_by(f).compose(term))
-    return WeylOp.sum(nvars, parts)
-
-
-def psi0_logderivs(family: Family, parity: ParityData):
-    """Logarithmic derivatives of the ground-state factor of the A families.
-
-    Rational A: product of (x_i - x_j)^(k^(1-p(i)-p(j))); trigonometric A:
-    product of (x_i x_j / (x_i - x_j)^2)^(k^(1-p(i)-p(j))/2).  The symbolic
-    exponents never appear themselves, only their rational log-derivatives:
-    the sum over j of the pair terms of x_i - x_j with k^(1-p(i)-p(j)),
-    divided by -x_i for trigonometric A.  The B families have no such gauge.
-    """
-    if family.even_integrals:
-        raise UnsupportedFamily("no ground-state factor for family %s" % family.value)
-    nm = parity.size
-    out = []
-    for i in range(nm):
-        w = RatFun.sum(nm, [_pair_term(family, *_pair_factors(family, nm, i, j)[0],
-                                       k_power(1 - parity.p(i) - parity.p(j)))
-                            for j in range(nm) if j != i])
-        if family.trig:
-            w = w * RatFun(MultiPoly.const(nm, -1), {MultiPoly.var(nm, i): 1})
-        out.append(w)
-    return out
-
-
 # -- the k = 1 degeneration ---------------------------------------------------------
 
 
@@ -1053,10 +1001,11 @@ def degenerate_k1_check(parity: ParityData, R: int) -> list:
     """At k = 1 the deformed integrals of rational A become the undeformed
     CMS integrals: for r = 1..R and the images g of p1, p2, p3 and p1*p2,
     the deformed integral of g (labelled ``recursion r=%d %s``) and the
-    gauged Moser integral e* L^r e applied to g (``moser r=%d %s``) are each
+    gauged Moser integral e* G^r e applied to g (``moser r=%d %s``) are each
     compared, at k = 1, with the Heckman integral of g at k = 1.  Each image,
     its k = 1 substitution and each Heckman integral is formed once, for
-    both routes."""
+    both routes; the gauged integrals come from one row iteration of G
+    (``moser_L_gauged``) built at k = 1."""
     one = {"k": ONE}
     hom = Hom(Family.RAT_A, parity)
     tests = [("p1", LambdaElem.p(1)), ("p2", LambdaElem.p(2)),
@@ -1072,11 +1021,10 @@ def degenerate_k1_check(parity: ParityData, R: int) -> list:
         for (label, g, _), rhs in zip(images, row):
             lhs = deformed_integral(parity, r, g).substitute(one)
             results.append(DiagramResult.compared("recursion r=%d %s" % (r, label), lhs == rhs, lhs, rhs))
-    _, integrals, _ = moser_integrals(Family.RAT_A, parity, R, one)
-    w = [-x.substitute(one) for x in psi0_logderivs(Family.RAT_A, parity)]
-    for r, (I, row) in enumerate(zip(integrals, refs), 1):
-        G = gauge_conjugate(I, w)
+    G = moser_L_gauged(Family.RAT_A, parity)
+    E, first = _at_point(one, G.entries, G.row(estar_weights(Family.RAT_A, parity)))
+    for r, (I, row) in enumerate(zip(OpMatrix(E).sandwich(first, R), refs), 1):
         for (label, _, g1), rhs in zip(images, row):
-            lhs = G.apply(g1)
+            lhs = I.apply(g1)
             results.append(DiagramResult.compared("moser r=%d %s" % (r, label), lhs == RatFun(rhs), lhs, rhs))
     return results

@@ -43,10 +43,16 @@ route here checks one operator at a time, both orders applied separately:
   applications and a subtraction
 * ``basis_commute_check``  the basis report of one operator from it
 
+``weyl.moser_L_gauged`` gauges the Moser matrix by its row rule; the route
+here conjugates by the ground-state factor of the A families instead:
+
+* ``gauge_conjugate``  (1/Psi) op Psi by the shift d_i -> d_i + w_i
+* ``psi0_logderivs``   the logarithmic derivatives w_i of that factor
+
 It is imported by the test modules only; pytest does not collect it.
 """
 
-from dunklcms.coeffs import ONE, Rat
+from dunklcms.coeffs import ONE, Rat, k_power
 from dunklcms.dunkl_infinity import _delta_of_x_power
 from dunklcms.finite_cms import MultiPoly
 from dunklcms.powersums import (
@@ -58,7 +64,7 @@ from dunklcms.powersums import (
     pmono_mul,
     pmono_text,
 )
-from dunklcms.weyl import CommuteReport, OpMatrix, _monomials
+from dunklcms.weyl import CommuteReport, OpMatrix, RatFun, WeylOp, _monomials, _pair_factors, _pair_term
 
 
 def _check_family_domain(f: LambdaXElem, family: Family):
@@ -278,3 +284,47 @@ def basis_commute_check(A, B, deg: int) -> CommuteReport:
     outcomes = [commutator_on_x_monomial(A, B, exps) for exps in _monomials(A.nvars, deg)]
     bad = [(str(exps), res.text()) for exps, res in outcomes if not res.is_zero()]
     return CommuteReport("basis(deg=%d)" % deg, not bad, bad)
+
+
+def gauge_conjugate(op: WeylOp, logderivs) -> WeylOp:
+    """Conjugation by the ground-state factor via the shift d_i -> d_i + w_i.
+
+    ``logderivs[i]`` is the i-th logarithmic derivative of the factor; the
+    result is (1/Psi) op Psi as a normal-ordered operator, exactly.
+    """
+    nvars = op.nvars
+    shifted = [
+        WeylOp.partial(nvars, i) + WeylOp.mul_by(w) for i, w in enumerate(logderivs)
+    ]
+    one = WeylOp.const(nvars, 1)
+    parts = []
+    for dexps, f in op.terms.items():
+        term = one
+        for i, e in enumerate(dexps):
+            for _ in range(e):
+                term = term.compose(shifted[i])
+        parts.append(WeylOp.mul_by(f).compose(term))
+    return WeylOp.sum(nvars, parts)
+
+
+def psi0_logderivs(family: Family, parity):
+    """Logarithmic derivatives of the ground-state factor of the A families.
+
+    Rational A: product of (x_i - x_j)^(k^(1-p(i)-p(j))); trigonometric A:
+    product of (x_i x_j / (x_i - x_j)^2)^(k^(1-p(i)-p(j))/2).  The symbolic
+    exponents never appear themselves, only their rational log-derivatives:
+    the sum over j of the pair terms of x_i - x_j with k^(1-p(i)-p(j)),
+    divided by -x_i for trigonometric A.  The B families have no such gauge.
+    """
+    if family.even_integrals:
+        raise UnsupportedFamily("no ground-state factor for family %s" % family.value)
+    nm = parity.size
+    out = []
+    for i in range(nm):
+        w = RatFun.sum(nm, [_pair_term(family, *_pair_factors(family, nm, i, j)[0],
+                                       k_power(1 - parity.p(i) - parity.p(j)))
+                            for j in range(nm) if j != i])
+        if family.trig:
+            w = w * RatFun(MultiPoly.const(nm, -1), {MultiPoly.var(nm, i): 1})
+        out.append(w)
+    return out

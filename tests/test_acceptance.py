@@ -26,13 +26,13 @@ from dunklcms.powersums import Family, LambdaElem
 from dunklcms.weyl import (
     RatFun,
     commute_check,
-    gauge_conjugate,
     hamiltonian,
     integral_vs_hamiltonian,
     lax_check,
     moser_integral,
-    psi0_logderivs,
 )
+
+from reference_ops import gauge_conjugate, psi0_logderivs
 
 K = symbol("k")
 Q = symbol("q")

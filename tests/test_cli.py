@@ -464,20 +464,29 @@ class TestErrorsAndGuards:
         assert payload["checks"] == 2
         assert [ce["input"] for ce in payload["counterexamples"]] == [label]
 
-    @pytest.mark.parametrize("n, m, r", [(2, 0, 3), (2, 1, 2), (1, 2, 2), (4, 0, 1), (2, 2, 1)])
+    @pytest.mark.parametrize("family, cap, n, m, r", [
+        *[("trig-bc", 2, *size) for size in ((2, 0, 3), (2, 1, 2), (1, 2, 2), (4, 0, 1), (2, 2, 1))],
+        *[("rat-b", 5, *size) for size in ((3, 1, 2), (2, 1, 3), (1, 1, 6), (2, 2, 2), (4, 0, 2))],
+    ])
     @pytest.mark.parametrize("mode", [(), ("--mode", "sampled")])
-    def test_trig_bc_moser_integrals_cost_cap(self, capsys, monkeypatch, n, m, r, mode):
-        # (n + m - 1) r > 2 is refused in both modes before anything is built
+    def test_trig_bc_moser_integrals_cost_cap(self, capsys, monkeypatch, family, cap, n, m, r, mode):
+        # (n + m - 1) r above the family's cap is refused in both modes
+        # before anything is built
         monkeypatch.setattr(cli, "moser_integrals", None)
-        code, out = run_cli(capsys, "verify", "moser-integrals", "--family", "trig-bc", "--n", str(n),
+        code, out = run_cli(capsys, "verify", "moser-integrals", "--family", family, "--n", str(n),
                             "--m", str(m), "--r", str(r), *mode, "--format", "json", "--no-timing")
         payload = json.loads(out)
         assert (code, payload["status"]) == (2, "error")
-        assert payload["notes"] == ["trig-bc moser-integrals with (n+m-1)*r = %d exceeds the desk-scale"
-                                    " cap 2: such a request can run for minutes (pass --unsafe to override)"
-                                    % ((n + m - 1) * r)]
+        assert payload["notes"] == ["%s moser-integrals with (n+m-1)*r = %d exceeds the desk-scale"
+                                    " cap %d: such a request can run for minutes (pass --unsafe to override)"
+                                    % (family, (n + m - 1) * r, cap)]
 
-    def test_unsafe_lifts_the_trig_bc_moser_integrals_cost_cap(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("family, n, m, r, inside", [
+        ("trig-bc", 2, 1, 2, (("trig-bc", 1, 1, 2), ("trig-bc", 1, 0, 6), ("trig-bc", 3, 0, 1))),
+        ("rat-b", 3, 1, 2, (("rat-b", 1, 1, 5), ("rat-b", 3, 1, 1), ("rat-b", 2, 0, 5))),
+    ])
+    def test_unsafe_lifts_the_trig_bc_moser_integrals_cost_cap(self, capsys, monkeypatch, family, n, m, r,
+                                                                inside):
         seen = []
 
         def stub(family, parity, r, bindings):
@@ -485,15 +494,14 @@ class TestErrorsAndGuards:
             raise RuntimeError("stub build")
 
         monkeypatch.setattr(cli, "moser_integrals", stub)
-        argv = ("verify", "moser-integrals", "--family", "trig-bc", "--n", "2", "--m", "1",
-                "--format", "json", "--no-timing")
+        argv = ("verify", "moser-integrals", "--family", family, "--n", str(n), "--m", str(m),
+                "--r", str(r), "--format", "json", "--no-timing")
         code, out = run_cli(capsys, *argv, "--unsafe")
         assert (code, json.loads(out)["notes"]) == (2, ["RuntimeError: stub build"])
-        assert seen == [(Family.TRIG_BC, 2, 1, 2)]
-        # the other families and the requests inside the cap do not meet it
-        for family, n, m, r in (("rat-a", 2, 1, 3), ("trig-a", 3, 1, 2), ("trig-bc", 1, 1, 2),
-                                ("trig-bc", 1, 0, 6), ("trig-bc", 3, 0, 1)):
-            run_cli(capsys, "verify", "moser-integrals", "--family", family, "--n", str(n),
+        assert seen == [(Family(family), n, m, r)]
+        # the families without a cap and the requests inside the cap do not meet it
+        for fam, n, m, r in (("rat-a", 2, 1, 3), ("trig-a", 3, 1, 2), *inside):
+            run_cli(capsys, "verify", "moser-integrals", "--family", fam, "--n", str(n),
                     "--m", str(m), "--r", str(r), "--no-timing")
         assert len(seen) == 6
 

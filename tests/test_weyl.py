@@ -19,7 +19,8 @@ from dunklcms.finite_cms import (
     _is_linear_root_factor,
     heckman_integral,
 )
-from dunklcms.powersums import Family, LambdaElem, UnsupportedFamily
+from dunklcms.dunkl_infinity import InfDunkl, pmono_basis
+from dunklcms.powersums import Family, LambdaElem, LambdaXElem, UnsupportedFamily, pmono_degree
 from dunklcms.weyl import (
     OpMatrix,
     RatFun,
@@ -29,19 +30,17 @@ from dunklcms.weyl import (
     commute_check,
     commute_checks,
     estar_weights,
-    gauge_conjugate,
     hamiltonian,
     integral_vs_hamiltonian,
     lax_check,
     moser_L,
-    moser_L_gauged_trig,
+    moser_L_gauged,
     moser_M,
     moser_integral,
     moser_integrals,
-    psi0_logderivs,
 )
 
-from reference_ops import basis_commute_check, matmul, matsub
+from reference_ops import basis_commute_check, gauge_conjugate, matmul, matsub, psi0_logderivs, reflect
 
 K = symbol("k")
 
@@ -605,7 +604,8 @@ def pairwise(ops):
 
 class TestParts:
     """H and M, each coefficient summed once from their parts, keep the values
-    of the pairwise fold, gauged and ungauged, wherever they exist."""
+    of the pairwise fold; the gauged H, which is e* G^2 e and has no parts,
+    keeps the value that the pairwise fold of its old parts had."""
 
     @pytest.mark.parametrize("family", list(Family))
     def test_sums_of_parts_keep_their_values(self, family):
@@ -613,7 +613,8 @@ class TestParts:
             parity = ParityData(*key[1])
             if key[0] == "H":
                 got = hamiltonian(family, parity, gauged=key[2])
-                assert got.text() == pairwise(_hamiltonian_parts(family, parity, key[2])).text(), key
+                if not key[2]:
+                    assert got.text() == pairwise(_hamiltonian_parts(family, parity)).text(), key
                 text = got.text()
             else:
                 got = moser_M(family, parity)
@@ -633,7 +634,7 @@ class TestParts:
 
 
 #: sha256 prefixes of the texts of L (``OpMatrix.to_json``) for every family,
-#: of the gauged trigonometric A matrix, and of the ground-state
+#: of the gauged trigonometric A matrix G, and of the reference ground-state
 #: log-derivatives of the A families (a JSON list of their texts)
 BUILT_DIGESTS = {
     ("L", Family.RAT_A, (1, 1)): "b4721e7a8e766d47",
@@ -668,7 +669,7 @@ BUILT_DIGESTS = {
 
 
 class TestBuiltTexts:
-    """L, the gauged trigonometric L and the log-derivatives of the ground
+    """L, the gauged trigonometric G and the log-derivatives of the ground
     state keep their texts."""
 
     @pytest.mark.parametrize("what, family, size", list(BUILT_DIGESTS))
@@ -677,7 +678,7 @@ class TestBuiltTexts:
         if what == "L":
             text = moser_L(family, parity).to_json()
         elif what == "L gauged":
-            text = moser_L_gauged_trig(parity).to_json()
+            text = moser_L_gauged(family, parity).to_json()
         else:
             text = json.dumps([w.text() for w in psi0_logderivs(family, parity)])
         assert text_digest(text) == BUILT_DIGESTS[what, family, size]
@@ -929,6 +930,62 @@ class TestOneBuild:
         assert integrals == [moser_integral(Family.TRIG_A, parity, r) for r in (1, 2, 3)]
 
 
+def moser_identity_failures(family, parity, d, G):
+    """(rows checked, failures) of phi_i(D f) = sum_j G_ij phi_j(f) on the
+    basis {x^a m : a + deg m <= d}, m from ``pmono_basis(d, d)``, with x^-a m
+    added for trig BC; phi_i is ``Hom(family, parity, i)`` and D the Dunkl
+    operator at infinity.  Row N + i of a B family reads phi_i . s on both
+    sides, s the reflection."""
+    homs = [Hom(family, parity, i) for i in range(parity.size)]
+
+    def phis(f):
+        out = [h.apply(f) for h in homs]
+        if family.even_integrals:
+            out += [h.apply(reflect(f, family)) for h in homs]
+        return out
+
+    D = InfDunkl(family)
+    exps = range(-d, d + 1) if family is Family.TRIG_BC else range(d + 1)
+    rows, failures = 0, []
+    for m in pmono_basis(d, d):
+        for a in exps:
+            if abs(a) + pmono_degree(m) > d:
+                continue
+            f = LambdaXElem({(a, m): ONE})
+            rhs_args, lhs = phis(f), phis(D.apply(f, 1))
+            for i in range(G.rows):
+                rows += 1
+                rhs = RatFun.sum(parity.size, [G[i, j].apply(g) for j, g in enumerate(rhs_args)])
+                if rhs != RatFun(lhs[i]):
+                    failures.append((i, f.text()))
+    return rows, failures
+
+
+class TestMoserIdentity:
+    """G is the paper's quantum Moser matrix: phi_i(D f) = sum_j G_ij phi_j(f)
+    for every row i, checked on a degree basis at symbolic k.  By induction
+    phi_i(D^r f) = (G^r phi(f))_i, which links e* G^r e to E . D^r."""
+
+    @pytest.mark.parametrize("family, size, d, rows", [
+        (Family.RAT_A, (2, 1), 3, 42), (Family.RAT_A, (3, 1), 4, 104),
+        (Family.TRIG_A, (2, 1), 3, 42), (Family.TRIG_A, (2, 2), 4, 104),
+        (Family.RAT_B, (2, 1), 3, 84), (Family.RAT_B, (1, 1), 4, 104),
+        (Family.TRIG_BC, (2, 0), 3, 84),
+    ])
+    def test_every_row_holds(self, family, size, d, rows):
+        parity = ParityData(*size)
+        assert moser_identity_failures(family, parity, d, moser_L_gauged(family, parity)) == (rows, [])
+
+    @pytest.mark.parametrize("family, size", [(Family.RAT_A, (1, 1)), (Family.TRIG_A, (1, 1)),
+                                              (Family.RAT_B, (2, 0)), (Family.TRIG_BC, (2, 0))])
+    def test_the_ungauged_matrix_fails(self, family, size):
+        # L's diagonal does not kill constants: the identity fails on every
+        # row and every basis element
+        parity = ParityData(*size)
+        rows, failures = moser_identity_failures(family, parity, 2, moser_L(family, parity))
+        assert rows and len(failures) == rows
+
+
 class TestGauge:
     def test_shift_definition(self):
         w = RatFun(MultiPoly.const(2, K), {V(2, 0) - V(2, 1): 1})
@@ -972,15 +1029,30 @@ class TestGauge:
             psi0_logderivs(family, ParityData(*size))
 
     def test_gauged_trig_matrix_gives_gauged_hamiltonian(self):
+        # e* G^2 e written out: (x1 d1)^2 + k (x2 d2)^2 less the pair term
+        # (x1 + x2) / (x1 - x2) times x1 d1 - k x2 d2
         par = ParityData(1, 1)
-        Lg = moser_L_gauged_trig(par)
-        I2 = Lg.sandwich(Lg.row(estar_weights(Family.TRIG_A, par)), 2)[-1]
-        assert I2 == hamiltonian(Family.TRIG_A, par, gauged=True)
+        T1, T2 = WeylOp.euler(2, 0), WeylOp.euler(2, 1)
+        f = RatFun(V(2, 0) + V(2, 1), {V(2, 0) - V(2, 1): 1})
+        expected = (T1.compose(T1) + T2.compose(T2).scale(K)
+                    - WeylOp.mul_by(f).compose(T1 - T2.scale(K)))
+        assert hamiltonian(Family.TRIG_A, par, gauged=True) == expected
+
+    @pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 2)])
+    def test_rational_a_matrix_is_the_conjugated_one(self, size):
+        # G_ij = (1/psi0) L_ij psi0 entry by entry, with w minus the
+        # log-derivatives of psi0
+        par = ParityData(*size)
+        L, G = moser_L(Family.RAT_A, par), moser_L_gauged(Family.RAT_A, par)
+        w = [-x for x in psi0_logderivs(Family.RAT_A, par)]
+        for i in range(par.size):
+            for j in range(par.size):
+                assert G[i, j] == gauge_conjugate(L[i, j], w), (i, j)
 
     def test_gauge_connects_both_trig_matrices(self):
         par = ParityData(1, 1)
         I2 = moser_integral(Family.TRIG_A, par, 2)
-        Lg = moser_L_gauged_trig(par)
+        Lg = moser_L_gauged(Family.TRIG_A, par)
         I2g = Lg.sandwich(Lg.row(estar_weights(Family.TRIG_A, par)), 2)[-1]
         w = psi0_logderivs(Family.TRIG_A, par)
         assert gauge_conjugate(I2, w) == I2g
@@ -999,6 +1071,24 @@ class TestDegenerations:
                 lhs = G.apply(g1)
                 rhs = heckman_integral(Family.RAT_A, 2, r, g1).substitute(one)
                 assert (lhs - RatFun(rhs)).is_zero()
+
+    @pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 2)])
+    def test_k_one_integrals_are_the_conjugated_ones(self, monkeypatch, size):
+        # the e* G^r e of degenerate_k1_check, r <= 3, against the reference
+        # route: e* L^r e built at k = 1 and conjugated by the ground state
+        parity, one = ParityData(*size), {"k": const(1)}
+        seen, sandwich = [], OpMatrix.sandwich
+
+        def spy(self, row, p):
+            seen.append(sandwich(self, row, p))
+            return seen[-1]
+
+        monkeypatch.setattr(OpMatrix, "sandwich", spy)
+        assert all(res.ok for res in weyl.degenerate_k1_check(parity, 3))
+        monkeypatch.undo()
+        _, integrals, _ = moser_integrals(Family.RAT_A, parity, 3, one)
+        w = [-x.substitute(one) for x in psi0_logderivs(Family.RAT_A, parity)]
+        assert seen == [[gauge_conjugate(I, w) for I in integrals]]
 
     def test_m_zero_reduces_to_undeformed(self):
         for fam in Family:
