@@ -62,12 +62,14 @@ LIMITS = {
     "r": 6,
 }
 
-#: The cost caps of ``moser-integrals`` per family, on (n + m - 1) * r in
-#: every mode; --unsafe lifts them.  Symbolic, on 2 CPUs: a trig-BC request
-#: took at most 3 s within its cap, 15 s at (n + m, r) = (2, 3) and minutes
-#: at (3, 2) and (4, 1); a rational-B one at most 2.8 s within its cap,
-#: 5.6-21 s at cost 6 and over 150 s at (4, 3).
-MOSER_COST = {Family.TRIG_BC: 2, Family.RAT_B: 5}
+#: The cost caps of ``moser-integrals`` per family, (symbolic, sampled), on
+#: (n + m - 1) * r; --unsafe lifts them.  On 2 CPUs: a trig-BC request took
+#: at most 3 s within its cap, 15 s at (n + m, r) = (2, 3) and minutes at
+#: (3, 2) and (4, 1), about 20 s of them sampled at (3, 2).  A rational-B
+#: one took at most 2.8 s within its symbolic cap, 4.6-21 s at cost 6 and
+#: over 150 s at (4, 3); sampled, 1.4-4.1 s at cost 6, 5.9-7.0 s at cost 8
+#: and 44 s at (4, 3).
+MOSER_COST = {Family.TRIG_BC: (2, 2), Family.RAT_B: (5, 6)}
 
 #: The smallest values inside the domain of a request; --unsafe keeps them.
 MINIMUM = {
@@ -321,8 +323,9 @@ def _verify_lax(args, report):
 def _verify_moser_integrals(args, report):
     family = _family(args.family)
     _guard(args, nm=args.n + args.m, r=args.r, deg=args.basis_deg)
-    cost, cap = (args.n + args.m - 1) * args.r, MOSER_COST.get(family)
-    if cap is not None and cost > cap and not args.unsafe:
+    cost, caps = (args.n + args.m - 1) * args.r, MOSER_COST.get(family)
+    cap = caps and caps[args.mode == "sampled"]
+    if caps and cost > cap and not args.unsafe:
         raise InvalidRequest(
             "%s moser-integrals with (n+m-1)*r = %d exceeds the desk-scale cap %d: such a"
             " request can run for minutes (pass --unsafe to override)" % (family.value, cost, cap))

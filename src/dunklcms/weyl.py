@@ -1005,7 +1005,9 @@ def degenerate_k1_check(parity: ParityData, R: int) -> list:
     compared, at k = 1, with the Heckman integral of g at k = 1.  Each image,
     its k = 1 substitution and each Heckman integral is formed once, for
     both routes; the gauged integrals come from one row iteration of G
-    (``moser_L_gauged``) built at k = 1."""
+    (``moser_L_gauged``) built at k = 1.  R must be at least 1."""
+    if R < 1:
+        raise ValueError("degenerate_k1_check R=%d is below the minimum 1" % R)
     one = {"k": ONE}
     hom = Hom(Family.RAT_A, parity)
     tests = [("p1", LambdaElem.p(1)), ("p2", LambdaElem.p(2)),

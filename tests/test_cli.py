@@ -464,14 +464,15 @@ class TestErrorsAndGuards:
         assert payload["checks"] == 2
         assert [ce["input"] for ce in payload["counterexamples"]] == [label]
 
-    @pytest.mark.parametrize("family, cap, n, m, r", [
-        *[("trig-bc", 2, *size) for size in ((2, 0, 3), (2, 1, 2), (1, 2, 2), (4, 0, 1), (2, 2, 1))],
-        *[("rat-b", 5, *size) for size in ((3, 1, 2), (2, 1, 3), (1, 1, 6), (2, 2, 2), (4, 0, 2))],
+    @pytest.mark.parametrize("family, mode, cap, n, m, r", [
+        *[("trig-bc", mode, 2, *size) for mode in ((), ("--mode", "sampled"))
+          for size in ((2, 0, 3), (2, 1, 2), (1, 2, 2), (4, 0, 1), (2, 2, 1))],
+        *[("rat-b", (), 5, *size) for size in ((3, 1, 2), (2, 1, 3), (1, 1, 6), (2, 2, 2), (4, 0, 2))],
+        *[("rat-b", ("--mode", "sampled"), 6, *size) for size in ((2, 1, 4), (1, 2, 4), (3, 1, 3), (2, 2, 3))],
     ])
-    @pytest.mark.parametrize("mode", [(), ("--mode", "sampled")])
-    def test_trig_bc_moser_integrals_cost_cap(self, capsys, monkeypatch, family, cap, n, m, r, mode):
-        # (n + m - 1) r above the family's cap is refused in both modes
-        # before anything is built
+    def test_moser_integrals_cost_cap(self, capsys, monkeypatch, family, mode, cap, n, m, r):
+        # (n + m - 1) r above the family's cap in this mode is refused before
+        # anything is built
         monkeypatch.setattr(cli, "moser_integrals", None)
         code, out = run_cli(capsys, "verify", "moser-integrals", "--family", family, "--n", str(n),
                             "--m", str(m), "--r", str(r), *mode, "--format", "json", "--no-timing")
@@ -481,12 +482,13 @@ class TestErrorsAndGuards:
                                     " cap %d: such a request can run for minutes (pass --unsafe to override)"
                                     % (family, (n + m - 1) * r, cap)]
 
-    @pytest.mark.parametrize("family, n, m, r, inside", [
-        ("trig-bc", 2, 1, 2, (("trig-bc", 1, 1, 2), ("trig-bc", 1, 0, 6), ("trig-bc", 3, 0, 1))),
-        ("rat-b", 3, 1, 2, (("rat-b", 1, 1, 5), ("rat-b", 3, 1, 1), ("rat-b", 2, 0, 5))),
+    @pytest.mark.parametrize("family, mode, n, m, r, inside", [
+        ("trig-bc", (), 2, 1, 2, ((1, 1, 2), (1, 0, 6), (3, 0, 1))),
+        ("trig-bc", ("--mode", "sampled"), 2, 1, 2, ((1, 1, 2), (1, 0, 6), (3, 0, 1))),
+        ("rat-b", (), 3, 1, 2, ((1, 1, 5), (3, 1, 1), (2, 0, 5))),
+        ("rat-b", ("--mode", "sampled"), 3, 1, 3, ((1, 1, 6), (3, 1, 2), (2, 1, 3))),
     ])
-    def test_unsafe_lifts_the_trig_bc_moser_integrals_cost_cap(self, capsys, monkeypatch, family, n, m, r,
-                                                                inside):
+    def test_unsafe_lifts_the_moser_integrals_cost_cap(self, capsys, monkeypatch, family, mode, n, m, r, inside):
         seen = []
 
         def stub(family, parity, r, bindings):
@@ -495,14 +497,14 @@ class TestErrorsAndGuards:
 
         monkeypatch.setattr(cli, "moser_integrals", stub)
         argv = ("verify", "moser-integrals", "--family", family, "--n", str(n), "--m", str(m),
-                "--r", str(r), "--format", "json", "--no-timing")
+                "--r", str(r), *mode, "--format", "json", "--no-timing")
         code, out = run_cli(capsys, *argv, "--unsafe")
         assert (code, json.loads(out)["notes"]) == (2, ["RuntimeError: stub build"])
         assert seen == [(Family(family), n, m, r)]
         # the families without a cap and the requests inside the cap do not meet it
-        for fam, n, m, r in (("rat-a", 2, 1, 3), ("trig-a", 3, 1, 2), *inside):
+        for fam, n, m, r in (("rat-a", 2, 1, 3), ("trig-a", 3, 1, 2), *((family, *size) for size in inside)):
             run_cli(capsys, "verify", "moser-integrals", "--family", fam, "--n", str(n),
-                    "--m", str(m), "--r", str(r), "--no-timing")
+                    "--m", str(m), "--r", str(r), *mode, "--no-timing")
         assert len(seen) == 6
 
 

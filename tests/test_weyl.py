@@ -1090,6 +1090,11 @@ class TestDegenerations:
         w = [-x.substitute(one) for x in psi0_logderivs(Family.RAT_A, parity)]
         assert seen == [[gauge_conjugate(I, w) for I in integrals]]
 
+    def test_k_one_check_needs_an_integral(self):
+        # R = 0 would leave only the vacuous empty list
+        with pytest.raises(ValueError, match="R=0 is below the minimum 1"):
+            weyl.degenerate_k1_check(ParityData(1, 1), 0)
+
     def test_m_zero_reduces_to_undeformed(self):
         for fam in Family:
             par = ParityData(2, 0)
