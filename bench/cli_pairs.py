@@ -1,7 +1,7 @@
 """Interleaved timing of CLI requests on two versions of ``dunklcms`` in one
 process.
 
-    python3 bench/cli_pairs.py --parent DIR [--change DIR] --out BENCH_26.json [--pairs 15]
+    python3 bench/cli_pairs.py --parent DIR [--change DIR] --out BENCH_27.json [--pairs 15]
 
 ``--parent`` and ``--change`` name ``src`` directories (``--change``
 defaults to the one of this checkout).  Both ``dunklcms`` packages are
@@ -54,7 +54,9 @@ REQUESTS = [
 SIDES = ("parent", "change")
 #: The calls counted per request: (label, module, attribute path).
 COUNTED = [("RatFun.diff", "weyl", "RatFun.diff"), ("RatFun.sum", "weyl", "RatFun.sum"),
-           ("WeylOp.apply", "weyl", "WeylOp.apply"), ("Hom.p_image", "finite_cms", "Hom.p_image"),
+           ("WeylOp.apply", "weyl", "WeylOp.apply"), ("Hom.apply", "finite_cms", "Hom.apply"),
+           ("MultiPoly.mul", "finite_cms", "MultiPoly.__mul__"),
+           ("_finite_dunkl_power", "finite_cms", "_finite_dunkl_power"),
            *[("ordered_map", module, "ordered_map") for module in ("dunkl_infinity", "finite_cms", "weyl")]]
 
 

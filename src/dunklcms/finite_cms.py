@@ -833,17 +833,21 @@ def is_invariant(family: Family, f: MultiPoly) -> bool:
 def heckman_integral(family: Family, N: int, r: int, f: MultiPoly) -> MultiPoly:
     """Sum over i of D_{i,N}^r applied to an invariant f (power 2r for B/BC).
 
-    Each power D_{i,N}^r is one call of the kernel ``_finite_dunkl_power``,
-    which makes one canonical form; the N powers are then added.
-    Restriction to invariants is implemented literally: the full operator sum
-    is applied and invariance of input and output is asserted.
+    The finite operators are S_N-equivariant, s D_{0,N} s = D_{i,N} for the
+    transposition s = s_{0i}, so on an invariant f the term D_{i,N}^r f is
+    s applied to g = D_{0,N}^r f: one call of the kernel
+    ``_finite_dunkl_power`` forms g, and the sum is g plus its images under
+    s_{01}, ..., s_{0,N-1}.  Invariance of input and output is asserted;
+    the output check fails when g is not symmetric in x_1..x_{N-1}, and for
+    the B families it also tests the flip or the inversion.
     """
     if not is_invariant(family, f):
         raise NotInvariant("input is not invariant under the family's group")
     power = 2 * r if family.even_integrals else r
-    out = MultiPoly.zero(N)
-    for i in range(N):
-        out = out + _finite_dunkl_power(family, N, i, f, power)
+    g = _finite_dunkl_power(family, N, 0, f, power)
+    out = g
+    for i in range(1, N):
+        out = out + g.act_swap(0, i)
     if not is_invariant(family, out):
         raise NotInvariant("operator output failed the invariance check")
     return out
@@ -892,6 +896,10 @@ class Hom:
     by k^{-p(j)}; with a distinguished index i, x also goes to x_i.  The
     undeformed phi_N is the case ``ParityData(N, 0)``, where every weight is
     1.  Trig BC has no deformed substitution, so it needs m = 0.
+
+    The image of each x-power and power-sum monomial, without its
+    coefficient, is built once and kept as long as the ``Hom``, which is
+    one request: ``apply`` scales it by each term's coefficient.
     """
 
     def __init__(self, family: Family, parity: ParityData, i: int = None):
@@ -903,64 +911,65 @@ class Hom:
         self.family = family
         self.parity = parity
         self.i = i
-        self._pl_cache: dict = {}
+        self._images: dict = {}
 
-    def p_image(self, l: int, power: int = 1) -> MultiPoly:
-        """The image of p_l^power, each power built once per ``Hom``."""
-        img = self._pl_cache.get((l, power))
+    def _image(self, a: int, mono) -> MultiPoly:
+        """The image of x^a times the power-sum monomial ``mono``: x_i^a
+        times the image of mono, a monomial of several factors as the image
+        of all but its last factor times the image of that one, p_l^power
+        as a power of the image of p_l."""
+        key = (a, mono)
+        img = self._images.get(key)
         if img is not None:
             return img
-        if power > 1:
-            img = self.p_image(l) ** power
-            self._pl_cache[(l, power)] = img
-            return img
         n = self.nvars
-        if self.family is Family.RAT_B:
-            exps = [2 * l]
-        elif self.family is Family.TRIG_BC:
-            exps = [l, -l]
+        if a:
+            if self.i is None:
+                raise ValueError("x is only mapped with a distinguished index")
+            img = self._image(0, mono).mul_monomial([a if j == self.i else 0 for j in range(n)])
+        elif len(mono) > 1:
+            img = self._image(0, mono[:-1]) * self._image(0, mono[-1:])
+        elif not mono:
+            img = MultiPoly.const(n, 1)
+        elif mono[0][1] > 1:
+            l, power = mono[0]
+            img = self._image(0, ((l, 1),)) ** power
         else:
-            exps = [l]
-        terms: dict = {}
-        for j in range(n):
-            w = self.parity.k_inv_weight(j)
-            for pw in exps:
-                e = [0] * n
-                e[j] = pw
-                e = tuple(e)
-                terms[e] = terms.get(e, ZERO) + w
-        img = MultiPoly(n, terms)
-        self._pl_cache[(l, 1)] = img
+            l = mono[0][0]
+            if self.family is Family.RAT_B:
+                exps = [2 * l]
+            elif self.family is Family.TRIG_BC:
+                exps = [l, -l]
+            else:
+                exps = [l]
+            terms: dict = {}
+            for j in range(n):
+                w = self.parity.k_inv_weight(j)
+                for pw in exps:
+                    e = [0] * n
+                    e[j] = pw
+                    e = tuple(e)
+                    terms[e] = terms.get(e, ZERO) + w
+            img = MultiPoly(n, terms)
+        self._images[key] = img
         return img
 
     def apply(self, f) -> MultiPoly:
-        """The image of f: each term's coefficient times x_i^a (which needs
-        the distinguished index) and the images of its generator powers,
+        """The image of f: each term's coefficient times the image of its
+        x-power (which needs the distinguished index) and generator powers,
         the terms summed once over their least common denominator."""
-        n = self.nvars
         if isinstance(f, LambdaElem):
             items = [((0, m), c) for m, c in f.terms.items()]
         else:
-            items = list(f.terms.items())
-        images = []
-        for (a, mono), c in items:
-            if a and self.i is None:
-                raise ValueError("x is only mapped with a distinguished index")
-            term = MultiPoly.const(n, c)
-            if a:
-                e = [0] * n
-                e[self.i] = a
-                term = term.mul_monomial(tuple(e))
-            for idx, mult in mono:
-                term = term * self.p_image(idx, mult)
-            images.append(term.ratio)
+            items = f.terms.items()
+        images = [self._image(a, mono).ratio * c for (a, mono), c in items]
         den_int, den_k = _lcd(images)
         acc: dict = {}
         get = acc.get
         for ratio in images:
             for e, v in _numerator(ratio, den_int, den_k).items():
                 acc[e] = get(e, 0) + v
-        return _mp(_layout(n), _canonical(_poly({e: v for e, v in acc.items() if v}), den_int, den_k))
+        return _mp(_layout(self.nvars), _canonical(_poly({e: v for e, v in acc.items() if v}), den_int, den_k))
 
 
 # -- deformed operators (rational A) ------------------------------------------

@@ -49,12 +49,18 @@ here conjugates by the ground-state factor of the A families instead:
 * ``gauge_conjugate``  (1/Psi) op Psi by the shift d_i -> d_i + w_i
 * ``psi0_logderivs``   the logarithmic derivatives w_i of that factor
 
+``finite_cms.heckman_integral`` sums the S_N-orbit of the one power
+D_{0,N}^r f; the route here applies every operator:
+
+* ``heckman_integral_direct``  the sum over i of D_{i,N}^r f, one kernel
+  call per i
+
 It is imported by the test modules only; pytest does not collect it.
 """
 
 from dunklcms.coeffs import ONE, Rat, k_power
 from dunklcms.dunkl_infinity import _delta_of_x_power
-from dunklcms.finite_cms import MultiPoly
+from dunklcms.finite_cms import MultiPoly, _finite_dunkl_power
 from dunklcms.powersums import (
     Family,
     InexactDivision,
@@ -327,4 +333,14 @@ def psi0_logderivs(family: Family, parity):
         if family.trig:
             w = w * RatFun(MultiPoly.const(nm, -1), {MultiPoly.var(nm, i): 1})
         out.append(w)
+    return out
+
+
+def heckman_integral_direct(family: Family, N: int, r: int, f: MultiPoly) -> MultiPoly:
+    """Sum over i of D_{i,N}^r f (power 2r for the B families), each power
+    a kernel call of its own; no invariance is asserted."""
+    power = 2 * r if family.even_integrals else r
+    out = MultiPoly.zero(N)
+    for i in range(N):
+        out = out + _finite_dunkl_power(family, N, i, f, power)
     return out

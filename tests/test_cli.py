@@ -657,6 +657,63 @@ class TestDegenerateK1Work:
         assert calls == {"heckman_integral": 12, "Hom.apply": 4}, calls
 
 
+class TestFiniteDiagramWork:
+    """``heckdiag`` forms one power of the finite operator per element, the
+    other powers being its images under swaps, and ``Hom.apply`` forms the
+    image of each monomial once per request."""
+
+    @pytest.mark.parametrize("argv, kernels, products", [
+        (["--kind", "heckdiag", "--N", "3", "--r", "3"], 3, 38),
+        (["--kind", "dcomm", "--N", "4", "--i", "1", "--r", "3"], 7, 23),
+    ])
+    def test_kernel_calls_and_image_products(self, capsys, monkeypatch, argv, kernels, products):
+        # a heckdiag that applies each D_i^r makes 9 kernel calls, and a Hom
+        # that builds every image afresh makes 126 and 213 products
+        monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+        calls = {"kernel": 0, "products": 0}
+        inside = [False]
+        kernel, mul, apply = finite_cms._finite_dunkl_power, MultiPoly.__mul__, Hom.apply
+
+        def counting_kernel(*args):
+            calls["kernel"] += 1
+            return kernel(*args)
+
+        def counting_mul(a, b):
+            calls["products"] += inside[0]
+            return mul(a, b)
+
+        def inside_apply(hom, f):
+            inside[0] = True
+            try:
+                return apply(hom, f)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(finite_cms, "_finite_dunkl_power", counting_kernel)
+        monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+        monkeypatch.setattr(Hom, "apply", inside_apply)
+        code, out = run_cli(capsys, "verify", "diagram", "--family", "trig-bc", *argv, "--no-timing")
+        assert code == 0, out
+        assert calls == {"kernel": kernels, "products": products}, calls
+
+    @pytest.mark.parametrize("family", ["rat-a", "trig-a", "rat-b", "trig-bc"])
+    def test_symmetric_change_of_the_first_power_is_falsified(self, capsys, monkeypatch, family):
+        # a D_0 off by an invariant term keeps the orbit sum invariant, so the
+        # output check passes it; the comparison with infinity must not
+        real = finite_cms._finite_dunkl_power
+
+        def perturbed(family, N, i, f, r):
+            out = real(family, N, i, f, r)
+            return out + MultiPoly.const(N, K) if i == 0 else out
+
+        monkeypatch.setattr(finite_cms, "_finite_dunkl_power", perturbed)
+        code, out = run_cli(capsys, "verify", "diagram", "--family", family, "--kind", "heckdiag",
+                            "--N", "3", "--r", "1", "--format", "json", "--no-timing")
+        payload = json.loads(out)
+        assert (code, payload["status"]) == (1, "falsified"), payload
+        assert len(payload["counterexamples"]) == 3
+
+
 #: The README's CLI examples with a sha256 prefix of their verdict: status,
 #: checks, counterexamples and notes, as ``perfbench``'s ``Verdict.digest``
 #: hashes them; ``stats`` and ``timing_ms`` are left out, so that counters

@@ -46,6 +46,7 @@ from dunklcms.powersums import Family, InexactDivision, LambdaElem, LambdaXElem
 from dunklcms.weyl import RatFun
 
 from conftest import count_ratio_operations
+from reference_ops import heckman_integral_direct
 
 K = symbol("k")
 P_ = symbol("p")
@@ -134,14 +135,15 @@ ROOT_FACTORS = [
 ]
 
 
-def random_laurent(rng: random.Random, nterms: int) -> MultiPoly:
-    """A Laurent polynomial in x0, x1, x2 with coefficients c*k^j, as trig BC has."""
+def random_laurent(rng: random.Random, nterms: int, nvars: int = 3) -> MultiPoly:
+    """A Laurent polynomial in x0..x{nvars-1} (three by default) with
+    coefficients c*k^j, as trig BC has."""
     terms = {}
     for _ in range(nterms):
-        e = tuple(rng.randint(-2, 3) for _ in range(3))
+        e = tuple(rng.randint(-2, 3) for _ in range(nvars))
         terms[e] = ParamRatio.fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2])) \
             * k_power(rng.randint(-1, 2))
-    return MultiPoly(3, terms)
+    return MultiPoly(nvars, terms)
 
 
 class TestRootTest:
@@ -785,6 +787,47 @@ class TestHeckman:
         out = heckman_integral(Family.TRIG_BC, 2, 1, f)
         assert is_invariant(Family.TRIG_BC, out)
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_orbit_sum_is_the_direct_sum(self, family):
+        # heckman_integral adds the S_N-orbit of D_0^r f; the reference
+        # route applies every D_i^r
+        for N in range(1, 5):
+            hom = Hom(family, ParityData(N, 0))
+            for label, f in standard_testset(with_x=False):
+                g = hom.apply(f.to_lambda())
+                for r in (1, 2, 3):
+                    assert heckman_integral(family, N, r, g).text() == \
+                        heckman_integral_direct(family, N, r, g).text(), (N, label, r)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_kernel_is_equivariant(self, family):
+        # s D_0 s = D_i for the transposition s = s_0i, the identity the
+        # orbit sum rests on, on polynomials that no swap fixes
+        rng = random.Random(27)
+        for N in (2, 3, 4):
+            f = random_laurent(rng, 6, N)
+            assert all(f.act_swap(0, i) != f for i in range(1, N))
+            for i in range(N):
+                for r in (1, 2, 3):
+                    direct = _finite_dunkl_power(family, N, i, f, r)
+                    assert direct == _finite_dunkl_power(family, N, 0, f.act_swap(0, i), r).act_swap(0, i), \
+                        (N, i, r)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_asymmetric_first_power_is_refused(self, family, monkeypatch):
+        # a D_0 that breaks the symmetry in x_1..x_{N-1} gives an orbit sum
+        # that is not invariant: the output check must catch it
+        real = finite_cms._finite_dunkl_power
+
+        def perturbed(family, N, i, f, r):
+            out = real(family, N, i, f, r)
+            return out + V(N, 1).scale(K) if i == 0 else out
+
+        monkeypatch.setattr(finite_cms, "_finite_dunkl_power", perturbed)
+        f = Hom(family, ParityData(3, 0)).apply(LambdaElem.p(2))
+        with pytest.raises(NotInvariant):
+            heckman_integral(family, 3, 1, f)
+
 
 class TestHoms:
     def test_plain_power_sum(self):
@@ -819,17 +862,25 @@ class TestHoms:
     def test_every_image_is_frozen(self):
         # Both sides of every diagram go through the same substitution, so a
         # substitution wrong by a factor that commutes with the operators
-        # passes every diagram; this pins the images themselves.
+        # passes every diagram; this pins the images themselves.  Each
+        # generator is applied twice, and the second image, which a Hom
+        # builds from the monomial images it keeps, is the one pinned.
         gens = [("p%d" % l, LambdaElem.p(l)) for l in range(4)]
         gens.append(("p1*p2", LambdaElem.p(1) * LambdaElem.p(2)))
         lines = []
 
+        def twice(hom, f):
+            first = hom.apply(f)
+            second = hom.apply(f)
+            assert second == first
+            return second.text()
+
         def images(family, size, homs, xs):
             for label, f in gens:
-                lines.append("%s %s %s: %s" % (family.value, size, label, homs[0].apply(f).text()))
+                lines.append("%s %s %s: %s" % (family.value, size, label, twice(homs[0], f)))
             for i, hom in homs[1:]:
                 for label, f in xs:
-                    lines.append("%s %s i=%d %s: %s" % (family.value, size, i, label, hom.apply(f).text()))
+                    lines.append("%s %s i=%d %s: %s" % (family.value, size, i, label, twice(hom, f)))
 
         for family in Family:
             xs = [(label, f) for label, f in standard_testset() if "x" in label]
