@@ -1,7 +1,7 @@
 """Interleaved timing of CLI requests on two versions of ``dunklcms`` in one
 process.
 
-    python3 bench/cli_pairs.py --parent DIR [--change DIR] --out BENCH_27.json [--pairs 15]
+    python3 bench/cli_pairs.py --parent DIR [--change DIR] --out BENCH_28.json [--pairs 15]
 
 ``--parent`` and ``--change`` name ``src`` directories (``--change``
 defaults to the one of this checkout).  Both ``dunklcms`` packages are
@@ -50,6 +50,10 @@ REQUESTS = [
     ["verify", "moser-integrals", "--family", "rat-a", "--n", "2", "--m", "1", "--r", "2",
      "--basis-deg", "4", "--mode", "sampled", "--seed", "1"],
     ["verify", "closed-form", "--family", "trig-bc", "--deg", "8"],
+    # the sampled requests of the benchmark's precheck workload at seed 1
+    ["verify", "commute-infinity", "--family", "trig-bc", "--r", "1", "--s", "3", "--deg", "4",
+     "--mode", "sampled", "--seed", "1"],
+    ["verify", "closed-form", "--family", "trig-bc", "--deg", "8", "--mode", "sampled", "--seed", "1"],
 ]
 SIDES = ("parent", "change")
 #: The calls counted per request: (label, module, attribute path).

@@ -15,6 +15,11 @@ Reports are emitted as text or stable-keyed JSON; exit code 0 means verified,
 1 falsified, 2 error.  ``--mode sampled --seed S`` decides each check at
 seeded random rational parameter values, as a precheck; symbolic mode is the
 ground truth, and ``--seed`` without ``--mode sampled`` is an error.
+Sampled values and ``--param`` bindings go to the library checks, which
+compute at the point: ``closed-form`` and ``commute-infinity`` through
+``InfDunkl(family, bindings)`` (``integral_L``, ``commutator_on_basis``
+and ``LambdaDiffOp.substitute``), ``lax`` and ``moser-integrals`` through
+``weyl``'s ``_at_point``; no handler substitutes a result.
 ``moser-integrals`` decides [e*L^re, H] = 0 on the symbolic commutator for
 every family; ``--basis-deg D`` checks it instead on the monomials of degree
 <= D, an independent route.  Guard rails cap sizes to desk scale unless
@@ -243,18 +248,14 @@ def _verify_closed_form(args, report):
     r = 1 if family.even_integrals else 2
     # exact on every basis monomial: none has degree above max(deg, 1)
     closed_form = closed_form_L2(family, max(args.deg, 1))
+    if bindings:
+        closed_form = closed_form.substitute(bindings)
     for m in pmono_basis(args.deg, args.deg):
         f = LambdaElem.monomial(m)
-        lhs, rhs = closed_form.apply(f), integral_L(family, r, f)
-        # canonical coefficients: structural equality is equality of values
-        ok = lhs == rhs
-        if bindings:
-            rhs = rhs.substitute(bindings)
-            if not ok:  # the sides may still agree at the point
-                lhs = lhs.substitute(bindings)
-                ok = lhs == rhs
+        lhs, rhs = closed_form.apply(f), integral_L(family, r, f, bindings)
         report.observe_terms(rhs)
-        report.record_results([DiagramResult.compared(pmono_text(m), ok, lhs, rhs)])
+        # canonical coefficients: structural equality is equality of values
+        report.record_results([DiagramResult.compared(pmono_text(m), lhs == rhs, lhs, rhs)])
 
 
 def _verify_commute_infinity(args, report):
@@ -265,10 +266,9 @@ def _verify_commute_infinity(args, report):
         raise InvalidRequest("r = s = %d: [L^(r), L^(s)] vanishes by construction" % args.r)
     if args.pwindow is not None and args.pwindow < 1:
         raise InvalidRequest("pwindow=%d is below the minimum 1" % args.pwindow)
-    bindings = _bindings(args, family)
-    for m, residual in commutator_on_basis(family, args.r, args.s, args.deg, args.pwindow or args.deg):
-        if bindings:
-            residual = residual.substitute(bindings)
+    results = commutator_on_basis(family, args.r, args.s, args.deg, args.pwindow or args.deg,
+                                  _bindings(args, family))
+    for m, residual in results:
         report.observe_terms(residual)
         report.record(residual.is_zero(), pmono_text(m), residual.text(), "0")
 

@@ -73,6 +73,17 @@ zero entries and empty numerators and tests the numerators left against the
 guard bits, so a field that reached one raises ExponentOverflow, never a
 wrong value.  ``_canonical_all`` then makes one canonical form per nonzero
 output key, and a coefficient that cancels makes none.
+
+Sampled runs and runs with bound parameters compute at their point, in the
+same kernels.  ``InfDunkl(family, bindings)`` is the one place where
+bindings enter: it turns each stencil into an integer stencil at the point
+(``_stencil_at``) and scales the shared denominator to match, and
+``apply`` and ``integral`` substitute their argument first.
+``commutator_on_basis(..., bindings)`` builds its table with that operator,
+so its residuals are formed at the point, and ``LambdaDiffOp.substitute``
+puts a closed form at the point.  A binding that is not an exact rational
+constant, or that names no parameter, raises ``InvalidBinding``.  Without
+bindings every kernel runs symbolically, as above.
 """
 
 from __future__ import annotations
@@ -87,7 +98,9 @@ from .coeffs import (
     ONE,
     P,
     Q,
+    SYMBOLS,
     ParamRatio,
+    Rat,
     _K_KEY,
     _P_KEY,
     _Q_KEY,
@@ -161,8 +174,9 @@ def _delta_of_x_power(a: int, family: Family):
 
 
 #: Stencils kept per function: more than the distinct keys of one request (a
-#: trig-BC commutator on pmono_basis(4, 4) meets 106), few enough that a long
-#: run's memory does not grow with every key it has met.
+#: trig-BC commutator on pmono_basis(4, 4) meets 106, and 162 at a point; the
+#: sampled trig-BC closed-form check of degree 8 meets 187 at its point), few
+#: enough that a long run's memory does not grow with every key it has met.
 _STENCILS_KEPT = 256
 
 
@@ -301,8 +315,54 @@ def _canonical_all(out: dict, den_int: int, den_k: int) -> dict:
     return {key: _canonical(_poly(num), den_int, den_k) for key, num in out.items()}
 
 
+class InvalidBinding(ValueError):
+    """A binding that names no symbol of ``SYMBOLS``, or whose value is not
+    an exact rational constant (an int, a Rat or a constant ParamRatio)."""
+
+
+#: The packed key of each symbol: the shift of a stencil entry that it multiplies.
+_SHIFTS = dict(zip(SYMBOLS, (_K_KEY, _P_KEY, _Q_KEY)))
+
+
+def _point(bindings: dict) -> tuple:
+    """(L, ((shift, value * L), ...)) for ``bindings``, sorted by shift: L is
+    the least common multiple of the denominators of the bound values, so
+    that each value times L is an int.  A binding that is not an exact
+    rational constant, or that names no symbol, raises InvalidBinding."""
+    values = {}
+    for name, v in bindings.items():
+        if name not in _SHIFTS:
+            raise InvalidBinding("binding %r names no parameter (expected one of %s)"
+                                 % (name, ", ".join(SYMBOLS)))
+        if isinstance(v, ParamRatio) and not v.den_k and set(v.num.terms) <= {0}:
+            v = Rat(v.num.terms.get(0, 0), v.den_int)
+        elif type(v) is not int and not isinstance(v, Rat):
+            raise InvalidBinding("binding %s=%r is not an exact rational constant" % (name, v))
+        values[_SHIFTS[name]] = Rat(v)
+    scale = lcm(*(v.denominator for v in values.values()))
+    return scale, tuple(sorted((shift, v.numerator * (scale // v.denominator)) for shift, v in values.items()))
+
+
+@lru_cache(maxsize=_STENCILS_KEPT)
+def _stencil_at(family: Family, point: tuple, sign: int, a: int, m: PMono) -> tuple:
+    """The stencil of x^a m at ``point`` (see ``InfDunkl``): of ``_stencil``
+    for sign 0, of ``_folded_stencil`` with ``sign`` otherwise, with entries
+    of equal keys merged and zero ones dropped; kept as ``_stencil`` is."""
+    scale, values = point[0], dict(point[1])
+    base = _folded_stencil(family, sign, a, m) if sign else _stencil(family, a, m)
+    out: dict = {}
+    for b, mm, n, shift in base:
+        v = values.get(shift)
+        if v is None:
+            n *= scale
+        else:
+            n, shift = n * v, 0
+        out[(b, mm, shift)] = out.get((b, mm, shift), 0) + n
+    return tuple((b, mm, n, shift) for (b, mm, shift), n in out.items() if n)
+
+
 class InfDunkl:
-    """The family's Dunkl operator at infinity.
+    """The family's Dunkl operator at infinity, symbolic or at a point.
 
     ``apply`` runs D^r over packed integer numerators (see the module
     docstring): each term x^a m goes through its stencil (``_stencil``), the
@@ -325,10 +385,25 @@ class InfDunkl:
     nonzero numerator of ``apply`` equals a folded one up to sign or a
     factor 2, so the guard bits see the same exponents and both routes raise
     ExponentOverflow at the same application.
+
+    ``InfDunkl(family, bindings)`` runs at the point ``bindings``, exact
+    rational values of some or all of k, p and q (``_point``): ``apply`` and
+    ``integral`` substitute f first, and each stencil entry n times the
+    parameter monomial ``shift`` becomes an integer entry (``_stencil_at``,
+    kept per point as the symbolic stencils are).
+    With L the least common multiple of the bound values' denominators, a
+    bound parameter's entry becomes n * value * L with shift 0, and any
+    other entry n * L with its shift; each application multiplies the shared
+    denominator by L, as the trigonometric half doubles it.  So the kernel,
+    the guard checks and the canonical forms run unchanged, and a
+    coefficient equals the substituted symbolic one.  Without bindings the
+    symbolic stencils are used as they are.
     """
 
-    def __init__(self, family: Family):
+    def __init__(self, family: Family, bindings: dict = None):
         self.family = family
+        self.bindings = bindings or None
+        self._point = _point(bindings) if bindings else None
 
     def _power(self, terms: dict, den_int: int, r: int, folded: bool = False):
         """(D^r terms, its den_int) on packed numerators over den_int; on the
@@ -336,21 +411,28 @@ class InfDunkl:
         if r < 0:
             raise ValueError("negative order %d" % r)
         fam = self.family
-        if folded:  # application j (from 0) outputs the sign (-1)^(j+1)
+        scale = 2 if fam.trig else 1
+        # application j (from 0) of the folded half outputs the sign (-1)^(j+1)
+        if self._point:
+            scale *= self._point[0]
+            signs = (-1, 1) if folded else (0,)
+            stencils = tuple(partial(_stencil_at, fam, self._point, sign) for sign in signs)
+        elif folded:
             stencils = (partial(_folded_stencil, fam, -1), partial(_folded_stencil, fam, 1))
         else:
             stencils = (partial(_stencil, fam),)
         for j in range(r):
             terms = _apply_packed(terms, stencils[j % len(stencils)])
-            if fam.trig:
-                den_int *= 2
+            den_int *= scale
         return terms, den_int
 
     def apply(self, f: LambdaXElem, r: int = 1) -> LambdaXElem:
-        """D^r applied to f."""
+        """D^r applied to f (at the point, f substituted first)."""
         fam = self.family
         if not fam.laurent and any(a < 0 for a, _ in f.terms):
             raise UnsupportedFamily("Laurent element in a polynomial family")
+        if self.bindings:
+            f = f.substitute(self.bindings)
         den_int, den_k = _lcd(f.terms.values())
         terms = {key: _numerator(c, den_int, den_k) for key, c in f.terms.items()}
         terms, den_int = self._power(terms, den_int, r)
@@ -365,10 +447,13 @@ class InfDunkl:
         (p_(a/2) for rational B, which drops odd a), a folded entry at a > 0
         with weight 2 for its two halves.  Each output monomial's coefficient
         is put in canonical form once.  E applied term by term to
-        ``apply(...)`` is the reference route of the tests.
+        ``apply(...)`` is the reference route of the tests.  At a point f
+        is substituted first.
         """
         fam = self.family
         folded = fam is Family.TRIG_BC
+        if self.bindings:
+            f = f.substitute(self.bindings)
         den_int, den_k = _lcd(f.terms.values())
         terms = {(0, m): _numerator(c, den_int, den_k) for m, c in f.terms.items()}
         terms, den_int = self._power(terms, den_int, 2 * r if fam.even_integrals else r, folded)
@@ -387,8 +472,8 @@ class InfDunkl:
         return LambdaElem(_canonical_all(_nonzero(out), den_int, den_k))
 
 
-def integral_L(family: Family, r: int, f: LambdaElem) -> LambdaElem:
-    return InfDunkl(family).integral(r, f)
+def integral_L(family: Family, r: int, f: LambdaElem, bindings: dict = None) -> LambdaElem:
+    return InfDunkl(family, bindings).integral(r, f)
 
 
 # -- the explicit second integrals -------------------------------------------
@@ -462,6 +547,12 @@ class LambdaDiffOp:
                 for cmono, cnum in coeffs:
                     _add_product(out, pmono_mul(cmono, m), cnum, num)
         return LambdaElem(_canonical_all(_nonzero(out), den1 * den2, den_k))
+
+    def substitute(self, bindings: dict) -> "LambdaDiffOp":
+        """The operator with ``bindings`` substituted in its coefficients; a
+        binding that ``InfDunkl`` refuses raises InvalidBinding."""
+        _point(bindings)
+        return LambdaDiffOp({key: c.substitute(bindings) for key, c in self.terms.items()})
 
     def text(self) -> str:
         if not self.terms:
@@ -594,10 +685,10 @@ def _p0_split(m: PMono):
     return 0, m
 
 
-def _integral_image(family: Family, key) -> LambdaElem:
+def _integral_image(op: InfDunkl, key) -> LambdaElem:
     """L^(r) applied to the p_0-free monomial m, for key = (r, m)."""
     r, m = key
-    return InfDunkl(family).integral(r, LambdaElem.monomial(m))
+    return op.integral(r, LambdaElem.monomial(m))
 
 
 def _table_difference(table: dict, s: int, f: LambdaElem, r: int, g: LambdaElem) -> LambdaElem:
@@ -638,7 +729,7 @@ def _table_difference(table: dict, s: int, f: LambdaElem, r: int, g: LambdaElem)
     return LambdaElem(_canonical_all(_nonzero(out), den, den_k))
 
 
-def commutator_on_basis(family: Family, r: int, s: int, deg: int, pwindow: int):
+def commutator_on_basis(family: Family, r: int, s: int, deg: int, pwindow: int, bindings: dict = None):
     """[L^(r), L^(s)] applied to every basis monomial; all results should vanish.
 
     Returns (m, L^(s) L^(r) m - L^(r) L^(s) m) for each monomial m of
@@ -658,8 +749,13 @@ def commutator_on_basis(family: Family, r: int, s: int, deg: int, pwindow: int):
     (DUNKLCMS_WORKERS) as (r, m) items; the residuals are formed in this
     process.  Coefficients are canonical, so the residuals do not depend on
     the worker count.  The table lives only for this call.
+
+    With ``bindings`` every table entry is computed at that point
+    (``InfDunkl(family, bindings)``), so the residuals are the symbolic ones
+    substituted, and their products multiply one-term numerators where every
+    parameter is bound.
     """
-    image = partial(_integral_image, family)
+    image = partial(_integral_image, InfDunkl(family, bindings))
     basis = pmono_basis(deg, pwindow)
     keys = list(dict.fromkeys((t, m) for t in (r, s) for m in basis))
     table = dict(zip(keys, ordered_map(image, keys)))

@@ -33,6 +33,11 @@ def _raise_overflow_on_3(x):
     return x
 
 
+def _at(elem, bindings):
+    """``elem`` at the point ``bindings``, or itself without bindings."""
+    return elem.substitute(bindings) if bindings else elem
+
+
 def _exit_on_3(x):
     if x == 3:
         os._exit(3)
@@ -136,10 +141,11 @@ class TestSampledFailures:
         forced = LambdaElem.p(1).scale(K)
         seen = []
 
-        def broken(*args):
-            results = real(*args)
+        def broken(family, r, s, deg, pwindow, bindings=None):
+            # the fault enters at the point the CLI asks for
+            results = real(family, r, s, deg, pwindow, bindings)
             seen.append(results[1][0])
-            results[1] = (results[1][0], forced)
+            results[1] = (results[1][0], _at(forced, bindings))
             return results
 
         monkeypatch.setattr(cli, "commutator_on_basis", broken)
@@ -158,9 +164,9 @@ class TestSampledFailures:
         real = cli.integral_L
         extra = LambdaElem.p(0).scale(K)
 
-        def broken(family, r, f):
-            out = real(family, r, f)
-            return out + extra if f == LambdaElem.p(2) else out
+        def broken(family, r, f, bindings=None):
+            out = real(family, r, f, bindings)
+            return out + _at(extra, bindings) if f == LambdaElem.p(2) else out
 
         monkeypatch.setattr(cli, "integral_L", broken)
         code, out = run_cli(
@@ -179,17 +185,17 @@ class TestSampledFailures:
 
 
 class TestClosedFormVerdicts:
-    """``verify closed-form`` compares the canonical sides; with bindings it
-    substitutes the closed form's side only where the symbolic sides differ.
-    ``cli.integral_L`` is perturbed on p2 by ``extra``."""
+    """``verify closed-form`` compares the canonical sides; with bindings both
+    sides are computed at the point.  ``cli.integral_L`` is perturbed on p2
+    by ``extra``, at the point it is asked for."""
 
     @staticmethod
     def _perturbed(monkeypatch, extra):
         real = cli.integral_L
 
-        def broken(family, r, f):
-            out = real(family, r, f)
-            return out + extra if f == LambdaElem.p(2) else out
+        def broken(family, r, f, bindings=None):
+            out = real(family, r, f, bindings)
+            return out + _at(extra, bindings) if f == LambdaElem.p(2) else out
 
         monkeypatch.setattr(cli, "integral_L", broken)
 
@@ -217,7 +223,7 @@ class TestClosedFormVerdicts:
         }]
 
     def test_difference_that_vanishes_at_the_point_verifies(self, capsys, monkeypatch):
-        # nonzero symbolically, so the closed form's side is substituted too
+        # nonzero symbolically, zero at the point
         self._perturbed(monkeypatch, LambdaElem.p(0).scale(K - const(Rat(3, 2))))
         code, out = run_cli(capsys, "verify", "closed-form", "--family", "rat-a", "--deg", "3",
                             "--param", "k=3/2", "--format", "json", "--no-timing")

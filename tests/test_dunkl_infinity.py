@@ -10,7 +10,9 @@ reflection, exact division by x-polynomials), and ``InfDunkl.integral``,
 which runs the trigonometric-BC powers on the inversion-folded half and
 projects the packed numerators, against ``reference_ops.project_E`` of
 ``InfDunkl.apply``.  The packed ``LambdaDiffOp.apply`` of the closed forms is
-checked against ``reference_ops.apply_term_by_term``.
+checked against ``reference_ops.apply_term_by_term``.  The runs at a point,
+``InfDunkl(family, bindings)`` and ``commutator_on_basis(..., bindings)``,
+are checked against the symbolic results substituted afterwards.
 """
 
 import math
@@ -19,9 +21,20 @@ import random
 import pytest
 
 from dunklcms import dunkl_infinity
-from dunklcms.coeffs import HALF, MAX_DEGREE, ExponentOverflow, ParamRatio, const, k_power, symbol
+from dunklcms.coeffs import (
+    HALF,
+    MAX_DEGREE,
+    ZERO,
+    ExponentOverflow,
+    ParamRatio,
+    Rat,
+    const,
+    k_power,
+    symbol,
+)
 from dunklcms.dunkl_infinity import (
     InfDunkl,
+    InvalidBinding,
     LambdaDiffOp,
     _table_difference,
     apply_closed_form_L2,
@@ -713,3 +726,145 @@ class TestCommutatorTable:
         assert all(res.is_zero() for _m, res in results)
         assert sum(keys) <= 1002
         assert len(forms) <= 496
+
+    def test_work_at_a_point_stays_bounded(self, monkeypatch):
+        # at a sampled point every table coefficient is a one-term numerator;
+        # computed symbolically and substituted afterwards, the same residuals
+        # take 99,640 term pairs and the same 496 forms
+        pairs, forms = [], []
+        real_product, real_form = dunkl_infinity._add_product, dunkl_infinity._canonical
+
+        def counting(out, key, n1, n2):
+            n1, n2 = list(n1), list(n2)
+            pairs.append(len(n1) * len(n2))
+            return real_product(out, key, n1, n2)
+
+        monkeypatch.setattr(dunkl_infinity, "_add_product", counting)
+        monkeypatch.setattr(dunkl_infinity, "_canonical", lambda *a: forms.append(a) or real_form(*a))
+        monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+        results = commutator_on_basis(Family.TRIG_BC, 1, 3, 4, 4, _sampled_point(Family.TRIG_BC, 1))
+        assert all(res.is_zero() for _m, res in results)
+        assert sum(pairs) <= 4803
+        assert len(forms) <= 496
+
+
+def _sampled_point(family: Family, seed: int) -> dict:
+    """Seeded rational values of the family's parameters, drawn as the CLI's
+    sampled mode draws them."""
+    rng = random.Random(seed)
+    return {name: const(Rat(rng.randint(2, 10 ** 6), rng.randint(1, 97))) for name in family.symbols}
+
+
+#: (family, bindings): sampled points, partial bindings, k = 0 and a negative k
+POINTS = [
+    *[(family, _sampled_point(family, seed)) for family in Family for seed in (0, 1)],
+    (Family.RAT_B, {"k": const(Rat(3, 2))}),
+    (Family.RAT_B, {"q": const(Rat(-4, 9))}),
+    (Family.TRIG_BC, {"k": const(Rat(3, 2))}),
+    (Family.TRIG_BC, {"p": const(Rat(-1, 3)), "q": const(Rat(5, 7))}),
+    (Family.TRIG_BC, {"q": const(2)}),
+    *[(family, {"k": ZERO}) for family in Family],
+    *[(family, {"k": const(Rat(-5, 3))}) for family in Family],
+    (Family.TRIG_BC, {"k": const(-2), "p": const(Rat(7, 4)), "q": ZERO}),
+]
+
+
+def _point_id(point) -> str:
+    family, bindings = point
+    return "%s-%s" % (family.value, ",".join("%s=%s" % (n, v.text()) for n, v in sorted(bindings.items())))
+
+
+def _coefficients(bindings: dict) -> list:
+    """Coefficients for random elements; a k-denominator only where k is not 0."""
+    out = [HALF, P, Q, K, const(3), -K.scale(2), P * Q.scale(3)]
+    return out if bindings.get("k") == ZERO else out + [ONE + k_power(-1), k_power(-2)]
+
+
+#: the commutator of each family at a point: (r, s, deg, pwindow)
+POINT_CASES = {Family.RAT_A: (2, 3, 4, 4), Family.TRIG_A: (2, 3, 4, 2),
+               Family.RAT_B: (1, 2, 4, 4), Family.TRIG_BC: (1, 2, 3, 2)}
+
+
+class TestAtPoint:
+    """``InfDunkl(family, bindings)`` and ``commutator_on_basis(..., bindings)``
+    against the symbolic results substituted afterwards."""
+
+    @pytest.mark.parametrize("point", POINTS, ids=_point_id)
+    def test_apply_matches_the_substituted_symbolic_result(self, point):
+        family, bindings = point
+        rng = random.Random(str(point))
+        coefficients = _coefficients(bindings)
+        exponents = range(-2, 4) if family.laurent else range(4)
+        monomials = pmono_basis(2, 2) + [((0, 1),), ((0, 1), (2, 1))]
+        at_point, symbolic = InfDunkl(family, bindings), InfDunkl(family)
+        for r in (1, 2, 3):
+            f = LambdaXElem({(rng.choice(exponents), rng.choice(monomials)): rng.choice(coefficients)
+                             for _ in range(3)})
+            assert at_point.apply(f, r) == symbolic.apply(f, r).substitute(bindings)
+
+    @pytest.mark.parametrize("point", POINTS, ids=_point_id)
+    def test_integral_matches_the_substituted_symbolic_result(self, point):
+        # for trigonometric BC on the folded half
+        family, bindings = point
+        rng = random.Random(str(point))
+        coefficients = _coefficients(bindings)
+        monomials = pmono_basis(3, 3)
+        at_point, symbolic = InfDunkl(family, bindings), InfDunkl(family)
+        elements = [LambdaElem.monomial(m) for m in monomials[1:6]]
+        elements.append(LambdaElem({((0, 1),) + m: rng.choice(coefficients) for m in monomials[4:7]}))
+        for r in (1, 2):
+            for f in elements:
+                expected = symbolic.integral(r, f).substitute(bindings)
+                assert at_point.integral(r, f) == expected
+                assert integral_L(family, r, f, bindings) == expected
+
+    @pytest.mark.parametrize("workers", [None, "2"])
+    @pytest.mark.parametrize("point", POINTS, ids=_point_id)
+    def test_commutator_matches_the_substituted_residuals(self, monkeypatch, point, workers):
+        family, bindings = point
+        case = (family, *POINT_CASES[family])
+        if workers is None:
+            monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("DUNKLCMS_WORKERS", workers)
+        expected = [(m, res.substitute(bindings)) for m, res in commutator_on_basis(*case)]
+        assert commutator_on_basis(*case, bindings) == expected
+        # L^(r) + p1 no longer commutes with L^(s): nonzero residuals
+        real, r = InfDunkl.integral, case[1]
+
+        def shifted(self, t, f):
+            out = real(self, t, f)
+            return out + Pl(1) * f if t == r else out
+
+        monkeypatch.setattr(InfDunkl, "integral", shifted)
+        expected = [(m, res.substitute(bindings)) for m, res in commutator_on_basis(*case)]
+        assert commutator_on_basis(*case, bindings) == expected
+        assert sum(not res.is_zero() for _m, res in expected) > len(expected) // 2
+
+    def test_closed_form_at_a_point(self):
+        for family, bindings in POINTS:
+            op = closed_form_L2(family, 4)
+            for m in pmono_basis(4, 4)[1:8]:
+                f = LambdaElem.monomial(m)
+                assert op.substitute(bindings).apply(f) == op.apply(f).substitute(bindings)
+
+    @pytest.mark.parametrize("bindings", [
+        {"r": const(2)}, {"s": 1}, {"x": Rat(1, 2)},
+        {"k": 0.5}, {"k": "3/2"}, {"k": K}, {"k": k_power(-1)}, {"q": ONE + P}, {"p": None},
+    ])
+    def test_bad_binding_is_refused(self, bindings):
+        f = LambdaElem.p(2)
+        with pytest.raises(InvalidBinding):
+            InfDunkl(Family.TRIG_BC, bindings)
+        with pytest.raises(InvalidBinding):
+            integral_L(Family.RAT_A, 2, f, bindings)
+        with pytest.raises(InvalidBinding):
+            commutator_on_basis(Family.TRIG_A, 1, 2, 2, 2, bindings)
+        with pytest.raises(InvalidBinding):
+            closed_form_L2(Family.RAT_B, 2).substitute(bindings)
+
+    def test_int_rat_and_constant_bindings_agree(self):
+        f = LambdaElem.monomial(((1, 1), (2, 1)))
+        expected = integral_L(Family.TRIG_BC, 1, f).substitute({"k": const(-3), "p": const(Rat(1, 2))})
+        for k, p in ((-3, Rat(1, 2)), (const(-3), const(Rat(1, 2))), (Rat(-3), HALF)):
+            assert integral_L(Family.TRIG_BC, 1, f, {"k": k, "p": p}) == expected
