@@ -4,7 +4,8 @@
 
 Times the build of the trigonometric-BC integral I = e*L^4 e
 (``moser_integral``) and ``I.commutator(H)`` with the ungauged Hamiltonian
-H at n = m = 1, ``harness.REPEATS`` (7) times each, and records the minimum
+H at n = m = 1, and the build of the rational-B e*L^4 e at (n, m) = (2, 1),
+``harness.REPEATS`` (7) times each, and records the minimum
 and the median; the commutator's I and H are built once, outside its
 timing.  One extra run of each, not timed, counts the work: for the build,
 the calls of ``WeylOp._compose_into`` (``WeylOp._compose`` in versions that
@@ -43,6 +44,7 @@ import sys
 from harness import DEFAULT_SRC, environment, quiet_run, store, timed
 
 FAMILY, N, M, R = "TRIG_BC", 1, 1, 2
+RAT_B_BUILD = ("RAT_B", 2, 1, 2)  # e*L^4 e of the 6 x 6 rational-B matrix
 BIG_PARITY = (2, 1)
 LAX_CASES = [("TRIG_A", 2, 2), ("RAT_A", 3, 2)]
 COMMANDS = [
@@ -100,8 +102,10 @@ def measure(src: str) -> dict:
     from dunklcms.powersums import Family
     from dunklcms.weyl import WeylOp, hamiltonian, lax_check, moser_integral
 
-    def build():
-        return moser_integral(Family[FAMILY], ParityData(N, M), R)
+    def builder(family, n, m, r):
+        return lambda: moser_integral(Family[family], ParityData(n, m), r)
+
+    build = builder(FAMILY, N, M, R)
 
     def commutes(I, H):
         def check():
@@ -125,11 +129,16 @@ def measure(src: str) -> dict:
                 "MultiPoly.leading.calls": leading, **timed(check)}
 
     compose = "_compose_into" if hasattr(WeylOp, "_compose_into") else "_compose"
-    compositions, = counted(build, (WeylOp, compose, once))
+
+    def build_row(run) -> dict:
+        compositions, = counted(run, (WeylOp, compose, once))
+        return {"WeylOp.%s.calls" % compose: compositions, **timed(run)}
+
     result = environment(src, coeffs.Rat)
     big = ParityData(*BIG_PARITY)
     result["layers"] = {
-        "build": {"WeylOp.%s.calls" % compose: compositions, **timed(build)},
+        "build": build_row(build),
+        "build %s n=%d m=%d r=%d" % RAT_B_BUILD: build_row(builder(*RAT_B_BUILD)),
         "commutator": work(commutes(build(), hamiltonian(Family[FAMILY], ParityData(N, M), gauged=False))),
         "commutator %s n=%d m=%d r=1" % ((FAMILY,) + BIG_PARITY): work(commutes(
             moser_integral(Family[FAMILY], big, 1), hamiltonian(Family[FAMILY], big, gauged=False))),
@@ -155,8 +164,9 @@ def main(argv=None):
     result = measure(os.path.abspath(args.src))
     store(args.out, args.label, result,
           benchmark="operator layer: the build of e*L^4e and its WeylOp.commutator with H, %s n=%d m=%d;"
-                    " [e*L^2e, H] at n=%d m=%d; lax_check %s"
-                    % ((FAMILY, N, M) + BIG_PARITY + (", ".join("%s n=%d m=%d" % c for c in LAX_CASES),)),
+                    " the build of e*L^4e, %s n=%d m=%d; [e*L^2e, H] at n=%d m=%d; lax_check %s"
+                    % ((FAMILY, N, M) + RAT_B_BUILD[:3] + BIG_PARITY
+                       + (", ".join("%s n=%d m=%d" % c for c in LAX_CASES),)),
           commands=[" ".join(argv) for argv in COMMANDS])
     print(json.dumps({args.label: result["layers"], "commands": result["commands"],
                       "builds": result["builds"]}, indent=2))

@@ -52,6 +52,7 @@ from .coeffs import (
     _P_KEY,
     _Q_KEY,
     _canonical,
+    _check_den_k,
     _checked,
     _k_exponent,
     _lcd,
@@ -60,7 +61,7 @@ from .coeffs import (
     _raw,
     k_power,
 )
-from .dunkl_infinity import InfDunkl
+from .dunkl_infinity import InfDunkl, _add_product, _nonzero
 from .powersums import (
     Family,
     InexactDivision,
@@ -956,20 +957,26 @@ class Hom:
 
     def apply(self, f) -> MultiPoly:
         """The image of f: each term's coefficient times the image of its
-        x-power (which needs the distinguished index) and generator powers,
-        the terms summed once over their least common denominator."""
+        x-power (which needs the distinguished index) and generator powers.
+        The int numerators of each coefficient and its image, over the least
+        common denominators of the coefficients and of the images, are
+        multiplied into one accumulator over the product of the two
+        (``dunkl_infinity._add_product``), which is put in canonical form
+        once; a k-exponent that passes MAX_DEGREE there raises
+        ExponentOverflow."""
         if isinstance(f, LambdaElem):
             items = [((0, m), c) for m, c in f.terms.items()]
         else:
             items = f.terms.items()
-        images = [self._image(a, mono).ratio * c for (a, mono), c in items]
-        den_int, den_k = _lcd(images)
-        acc: dict = {}
-        get = acc.get
-        for ratio in images:
-            for e, v in _numerator(ratio, den_int, den_k).items():
-                acc[e] = get(e, 0) + v
-        return _mp(_layout(self.nvars), _canonical(_poly({e: v for e, v in acc.items() if v}), den_int, den_k))
+        pairs = [(c, self._image(a, mono).ratio) for (a, mono), c in items]
+        den1, k1 = _lcd(c for c, _ in pairs)
+        den2, k2 = _lcd(img for _, img in pairs)
+        den_k = _check_den_k(k1 + k2)
+        out: dict = {}
+        for c, img in pairs:
+            _add_product(out, None, _numerator(c, den1, k1).items(), _numerator(img, den2, k2).items())
+        num = _nonzero(out).get(None, {})
+        return _mp(_layout(self.nvars), _canonical(_poly(num), den1 * den2, den_k))
 
 
 # -- deformed operators (rational A) ------------------------------------------

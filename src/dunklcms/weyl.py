@@ -60,18 +60,22 @@ parts (H: a kinetic term or a pair potential each; M: one pair potential per
 off-diagonal entry, negated on the diagonal), and ``lax_check`` never sums
 them: it composes each entry of L with each part, so that a part meets only
 the derivatives that act on it and its factors stay out of the other parts'
-reductions.  An integral never forms the matrix L^r: ``OpMatrix.sandwich``
-carries the row e* L through v_j <- sum_l v_l . L_lj and sums it after each
-step, n^2 compositions per power, so one row iteration gives e* L^p e for
-every p up to the top power.
+reductions.  An integral never forms the matrix L^r: one row iteration
+(``_row_powers``) carries the row e* L through v_j <- sum_l v_l . S_lj and
+sums it after each step, so it gives e* L^p e for every p up to the top
+power.  An A family steps by S = L, n^2 compositions per power.  A B family
+folds its block form (``_row_steps``): with e* = (w, w) the row of the
+2N x 2N matrix is (u, -u) or (v, v), so the N-entry row u or v steps by
+A + B and A - B in turn, N^2 compositions per power where the full row
+takes 4 N^2, and e* L^p e is 0 for odd p and 2 sum_j v_j for even p.  G
+keeps the block form, so the gauged Hamiltonian folds the same way.
 A request is built once, at its parameter point: ``_at_point`` is the one
 place where bindings enter the Moser operators.  It substitutes H (or its
-parts), the entries of L or G (and the parts of M) and the row e* L or
-e* G, after the
-covector's scaling and before the first composition, so that every
-composition runs at the point.  The covector itself is never substituted:
-its weights k^-p(i) cancel only inside the row, which is what keeps k = 0
-inside the domain of the A families at (1, 1) and (2, 1).
+parts), the steps of L or G (and the parts of M) and the row e* L or
+e* G, after the covector's scaling and before the first composition, so
+that every composition runs at the point.  The covector itself is never
+substituted: its weights k^-p(i) cancel only inside the row, which is what
+keeps k = 0 inside the domain of the A families at (1, 1) and (2, 1).
 ``moser_integrals`` makes that build for ``moser-integrals`` and the
 e* L^2 e = lam H + c check (``integral_vs_hamiltonian``); ``lax_check``
 substitutes its L, H and M parts, and ``degenerate_k1_check`` its G and
@@ -227,7 +231,7 @@ class RatFun:
             for fac, e in den.items():
                 d = e - fden.get(fac, 0)
                 if d:
-                    num = num * fac ** d
+                    num = num * (fac if d == 1 else _fac_power(fac, d))
             total = num if total is None else total + num
         if total is None:
             return RatFun.zero(nvars)
@@ -303,6 +307,13 @@ class RatFun:
 
     def __repr__(self):
         return "RatFun(%s)" % self.text()
+
+
+@cache
+def _fac_power(fac: MultiPoly, d: int) -> MultiPoly:
+    """fac ** d, formed once per factor and exponent: ``RatFun.sum`` lifts
+    its groups by powers of the same few root factors."""
+    return fac ** d
 
 
 def _cancel(num: MultiPoly, f: MultiPoly, e: int):
@@ -554,27 +565,6 @@ class OpMatrix:
         return [WeylOp.sum(nvars, (L[l][j].scale(weights[l]) for l in range(self.rows)))
                 for j in range(self.cols)]
 
-    def sandwich(self, row, p: int) -> list:
-        """[e* self^q e for q = 1, ..., p], e = (1, ..., 1), from the row
-        ``row`` = e* self (see ``row``).
-
-        One row iteration: v_j <- sum_l v_l . self_lj, p - 1 times, which is
-        n^2 compositions per power instead of the n^3 of a matrix product,
-        and e* self^q e is the sum of the entries of v after step q - 1.
-        Each composition is reduced before the n of an entry are summed once:
-        the coefficients of v are large, and one accumulator over all n
-        compositions made more coefficient products, not fewer.
-        """
-        if p < 1:
-            raise ValueError("power %d is below 1" % p)
-        L, rows, cols = self.entries, range(self.rows), range(self.cols)
-        nvars = L[0][0].nvars
-        out = [WeylOp.sum(nvars, row)]
-        for _ in range(p - 1):
-            row = [WeylOp.sum(nvars, [row[l].compose(L[l][j]) for l in rows]) for j in cols]
-            out.append(WeylOp.sum(nvars, row))
-        return out
-
     def to_json(self) -> str:
         """Row-major JSON array of entry strings."""
         return json.dumps([op.text() for row in self.entries for op in row])
@@ -751,8 +741,7 @@ def hamiltonian(family: Family, parity: ParityData, gauged: bool = False) -> Wey
     if family.even_integrals and parity.m:
         raise UnsupportedFamily("gauged %s form is stated at m = 0 only"
                                 % ("rational B" if family is Family.RAT_B else "trig BC"))
-    G = moser_L_gauged(family, parity)
-    H = G.sandwich(G.row(estar_weights(family, parity)), 2)[-1]
+    H = _integral_powers(family, parity, moser_L_gauged(family, parity), 2)[-1]
     return H.scale(HALF) if family.even_integrals else H
 
 
@@ -862,35 +851,83 @@ def _at_point(bindings, *groups) -> tuple:
                  for g in groups)
 
 
-def estar_weights(family: Family, parity: ParityData):
-    """The left covector: k^{-p(i)}, duplicated across blocks for B/BC."""
-    w = [parity.k_inv_weight(i) for i in range(parity.size)]
-    if family.even_integrals:
-        w = w + w
-    return w
+def _row_steps(family: Family, M: OpMatrix) -> tuple:
+    """The matrices that the row iteration of e* M^q e steps by, and the
+    factor of the sum of each power's row, both taken in turn, for the
+    family's Moser matrix M (L, or G).
+
+    An A family steps by M every time, and e* M^q e is the sum of the row.
+    A B family's M is [[A, B], [-B, -A]], and G keeps that form, since its
+    row rule changes each half-row's diagonal entry by the same operator
+    with the sign of the half.  With e* = (w, w), e* M = (u, -u) for
+    u = w (A - B), and (u, -u) M = (v, v) for v = u (A + B): the row folds
+    to its first N entries and steps by A + B and A - B in turn, and
+    e* M^q e is 0 for odd q and 2 sum_j v_j for even q.
+    """
+    if not family.even_integrals:
+        return (M.entries,), (1,)
+    nm = M.rows // 2
+    top = M.entries[:nm]
+    minus = [[row[j] - row[nm + j] for j in range(nm)] for row in top]
+    plus = [[row[j] + row[nm + j] for j in range(nm)] for row in top]
+    return (minus, plus), (2, 0)
+
+
+def _row_powers(steps, factors, row, p: int) -> list:
+    """[e* M^q e for q = 1, ..., p] from the ``_row_steps`` of M and the
+    row ``row`` = e* steps[0].  The row of power q is v_j <- sum_l v_l . S_lj
+    of the row of power q - 1, with S = steps[(q - 1) mod their number]:
+    n^2 compositions per power on the n x n steps, where a matrix product
+    takes n^3.  e* M^q e is the sum of v times factors[q mod their number].
+    Each composition is reduced before the n of an entry are summed once:
+    the coefficients of v are large, and one accumulator over all n
+    compositions made more coefficient products, not fewer."""
+    if p < 1:
+        raise ValueError("power %d is below 1" % p)
+    nvars, idx = row[0].nvars, range(len(row))
+    out = []
+    for q in range(1, p + 1):
+        if q > 1:
+            S = steps[(q - 1) % len(steps)]
+            row = [WeylOp.sum(nvars, [row[l].compose(S[l][j]) for l in idx]) for j in idx]
+        c = factors[q % len(factors)]
+        total = WeylOp.sum(nvars, row) if c else WeylOp.zero(nvars)
+        out.append(total.scale(ParamRatio.const(c)) if c > 1 else total)
+    return out
+
+
+def _integral_powers(family: Family, parity: ParityData, M: OpMatrix, p: int, bindings: dict = None) -> list:
+    """[e* M^q e for q = 1, ..., p] for the family's Moser matrix M, by one
+    row iteration (``_row_powers``) over the steps of ``_row_steps``, at the
+    point ``bindings``: ``_at_point`` substitutes the steps and the first
+    row e* steps[0], whose covector entries are k^-p(i), after the
+    covector's scaling."""
+    steps, factors = _row_steps(family, M)
+    weights = [parity.k_inv_weight(i) for i in range(parity.size)]
+    steps, row = _at_point(bindings, steps, OpMatrix(steps[0]).row(weights))
+    return _row_powers(steps, factors, row, p)
 
 
 def moser_integral(family: Family, parity: ParityData, r: int) -> WeylOp:
     """The scalar integral e* L^r e (even power 2r for the B families): the
-    top power of one row iteration (``OpMatrix.sandwich``), symbolic."""
-    L = moser_L(family, parity)
-    return L.sandwich(L.row(estar_weights(family, parity)), 2 * r if family.even_integrals else r)[-1]
+    top power of one row iteration (``_integral_powers``), symbolic."""
+    return _integral_powers(family, parity, moser_L(family, parity), 2 * r if family.even_integrals else r)[-1]
 
 
 def moser_integrals(family: Family, parity: ParityData, r: int, bindings: dict = None) -> tuple:
     """H, the integrals 1, ..., r and the comparison of e* L^2 e with H, from
     one build of L, H and the row e* L at the point ``bindings``.
 
-    ``_at_point`` substitutes H, then L, then the row, before the first
-    composition.  One row iteration then gives e* L^p e for every p up to
-    the power of the r-th integral, and at least up to e* L^2 e, which is
+    ``_at_point`` substitutes H, then the steps of L and the row, before the
+    first composition.  One row iteration then gives e* L^p e for every p up
+    to the power of the r-th integral, and at least up to e* L^2 e, which is
     compared with lam H (``integral_hamiltonian_factor``).  Returns
     (H, [integral 1, ..., integral r], (lam, constant, residual)), the
     residual being e* L^2 e - lam H less its constant term.
     """
-    L = moser_L(family, parity)
-    H, E, row = _at_point(bindings, hamiltonian(family, parity), L.entries, L.row(estar_weights(family, parity)))
-    powers = OpMatrix(E).sandwich(row, 2 * r if family.even_integrals else max(2, r))
+    H, = _at_point(bindings, hamiltonian(family, parity))
+    powers = _integral_powers(family, parity, moser_L(family, parity),
+                              2 * r if family.even_integrals else max(2, r), bindings)
     factor = integral_hamiltonian_factor(family)
     diff = powers[1] - H.scale(factor)
     const = diff.constant_part()
@@ -1023,9 +1060,8 @@ def degenerate_k1_check(parity: ParityData, R: int) -> list:
         for (label, g, _), rhs in zip(images, row):
             lhs = deformed_integral(parity, r, g).substitute(one)
             results.append(DiagramResult.compared("recursion r=%d %s" % (r, label), lhs == rhs, lhs, rhs))
-    G = moser_L_gauged(Family.RAT_A, parity)
-    E, first = _at_point(one, G.entries, G.row(estar_weights(Family.RAT_A, parity)))
-    for r, (I, row) in enumerate(zip(OpMatrix(E).sandwich(first, R), refs), 1):
+    powers = _integral_powers(Family.RAT_A, parity, moser_L_gauged(Family.RAT_A, parity), R, one)
+    for r, (I, row) in enumerate(zip(powers, refs), 1):
         for (label, _, g1), rhs in zip(images, row):
             lhs = I.apply(g1)
             results.append(DiagramResult.compared("moser r=%d %s" % (r, label), lhs == RatFun(rhs), lhs, rhs))

@@ -27,10 +27,16 @@ one term and one derivation at a time:
 * ``apply_term_by_term``  every term of a ``LambdaDiffOp`` on its own, its
   derivatives taken from the argument
 
-The library forms e* L^r e through ``OpMatrix.sandwich`` and the Lax
-residuals from the parts of H and M; the matrix route here forms whole
-matrices instead:
+The library forms e* L^r e by one row iteration, which folds the block
+form of a B family's L to an N-entry row stepped by A + B and A - B in turn
+(``weyl._row_steps``), and the Lax residuals from the parts of H and M; the
+routes here carry the full row, or form whole matrices:
 
+* ``estar_weights``  the covector e* of the full matrix, k^-p(i) on both
+  halves for a B family
+* ``sandwich``   e* L^q e for q = 1, ..., p by the row e* L of all 2N
+  entries of a B family's L stepped by L itself, 4 N^2 compositions per
+  power
 * ``matmul``     the product of two ``OpMatrix`` values, each entry a sum of
   compositions
 * ``matsub``     their entrywise difference
@@ -256,6 +262,29 @@ def apply_term_by_term(op, f: LambdaElem) -> LambdaElem:
         for a in didx:
             g = derivation(g, a)
         out = out + LambdaElem.monomial(cmono, c) * g
+    return out
+
+
+def estar_weights(family: Family, parity):
+    """The left covector: k^{-p(i)}, duplicated across blocks for B/BC."""
+    w = [parity.k_inv_weight(i) for i in range(parity.size)]
+    if family.even_integrals:
+        w = w + w
+    return w
+
+
+def sandwich(L: OpMatrix, row, p: int) -> list:
+    """[e* L^q e for q = 1, ..., p], e = (1, ..., 1), from the row
+    ``row`` = e* L (``OpMatrix.row``) of all entries of L: v_j <- sum_l
+    v_l . L_lj, p - 1 times, and e* L^q e is the sum of the entries of v
+    after step q - 1."""
+    if p < 1:
+        raise ValueError("power %d is below 1" % p)
+    nvars, idx = L[0, 0].nvars, range(L.rows)
+    out = [WeylOp.sum(nvars, row)]
+    for _ in range(p - 1):
+        row = [WeylOp.sum(nvars, [row[l].compose(L[l, j]) for l in idx]) for j in idx]
+        out.append(WeylOp.sum(nvars, row))
     return out
 
 

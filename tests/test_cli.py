@@ -587,7 +587,7 @@ class TestMoserOneBuild:
 
     @pytest.mark.parametrize("family, n, m, r, compositions", [
         ("rat-a", 2, 1, 3, 21),  # 18 for the row iteration, 3 for H; 42 when each order was rebuilt
-        ("trig-bc", 1, 1, 1, 18),  # 16 and 2; 36
+        ("trig-bc", 1, 1, 1, 6),  # 4 for the folded row and 2; 18 by the full row, 36 rebuilt
     ])
     def test_one_build_per_request(self, capsys, monkeypatch, family, n, m, r, compositions):
         calls = {"compose": 0, "moser_L": 0, "_hamiltonian_parts": 0}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dunklcms import finite_cms
 from dunklcms.coeffs import (
+    MAX_DEGREE,
     ONE,
     ExponentOverflow,
     ParamRatio,
@@ -42,6 +43,7 @@ from dunklcms.finite_cms import (
     _finite_dunkl_power,
     standard_testset,
 )
+from dunklcms.dunkl_infinity import pmono_basis
 from dunklcms.powersums import Family, InexactDivision, LambdaElem, LambdaXElem
 from dunklcms.weyl import RatFun
 
@@ -858,6 +860,47 @@ class TestHoms:
     def test_deformed_bc_rejected(self):
         with pytest.raises(ValueError):
             Hom(Family.TRIG_BC, ParityData(1, 1))
+
+    @staticmethod
+    def termwise(hom, f):
+        """The image of f as the sum of each term's image scaled by its
+        coefficient, one ParamRatio product per coefficient of the image."""
+        out = MultiPoly.zero(hom.nvars)
+        for (a, mono), c in f.terms.items():
+            out = out + hom._image(a, mono).scale(c)
+        return out
+
+    @pytest.mark.parametrize("family, size", [(Family.RAT_A, (2, 1)), (Family.RAT_B, (1, 2)),
+                                              (Family.TRIG_A, (1, 1)), (Family.TRIG_BC, (2, 0))])
+    def test_apply_is_the_termwise_sum(self, family, size):
+        # coefficients with int and k denominators and a k numerator, whose
+        # products cancel k against the images' k^-p(j)
+        parity = ParityData(*size)
+        rng = random.Random(7)
+        coeffs = [const(3), ParamRatio.fraction(-5, 6), k_power(-2), k_power(3), K * P_ + Q_, k_power(-1) * Q_]
+        for i in (None, 0):
+            hom = Hom(family, parity, i)
+            for _ in range(6):
+                terms = {}
+                for mono in rng.sample(pmono_basis(3, 3), 4):
+                    terms[(rng.randrange(3) if i is not None else 0, mono)] = rng.choice(coeffs)
+                f = LambdaXElem(terms)
+                assert hom.apply(f) == self.termwise(hom, f)
+
+    def test_k_denominators_past_max_degree_raise(self):
+        # p1's image is over k, so k^-j p1 is over k^(j + 1), and k^-j + p1
+        # is brought over k^(j + 1) before its sum cancels: at j = MAX_DEGREE
+        # that exponent leaves its packed range, and apply raises rather
+        # than give a denominator outside it
+        hom = Hom(Family.RAT_A, ParityData(1, 1))
+        p1 = ((1, 1),)
+        for j in (MAX_DEGREE - 1, MAX_DEGREE):
+            for f in (LambdaElem({p1: k_power(-j)}), LambdaElem({(): k_power(-j), p1: ONE})):
+                if j < MAX_DEGREE:
+                    assert hom.apply(f) == self.termwise(hom, LambdaXElem.from_lambda(f))
+                else:
+                    with pytest.raises(ExponentOverflow):
+                        hom.apply(f)
 
     def test_every_image_is_frozen(self):
         # Both sides of every diagram go through the same substitution, so a

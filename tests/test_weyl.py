@@ -29,7 +29,6 @@ from dunklcms.weyl import (
     _moser_M_parts,
     commute_check,
     commute_checks,
-    estar_weights,
     hamiltonian,
     integral_vs_hamiltonian,
     lax_check,
@@ -40,7 +39,16 @@ from dunklcms.weyl import (
     moser_integrals,
 )
 
-from reference_ops import basis_commute_check, gauge_conjugate, matmul, matsub, psi0_logderivs, reflect
+from reference_ops import (
+    basis_commute_check,
+    estar_weights,
+    gauge_conjugate,
+    matmul,
+    matsub,
+    psi0_logderivs,
+    reflect,
+    sandwich,
+)
 
 K = symbol("k")
 
@@ -848,13 +856,18 @@ def matrix_power_total(L, weights, p):
 
 
 class TestCovectorIntegrals:
-    """e* L^p e as the row e* L carried through p - 1 compositions with L."""
+    """e* L^p e as the row e* L carried through p - 1 compositions with L,
+    folded to the N-entry row on A + B and A - B for the B families."""
 
     @pytest.mark.parametrize("family, parity, rmax", [
         (Family.RAT_A, ParityData(2, 1), 3),
         (Family.TRIG_A, ParityData(2, 2), 2),
         (Family.RAT_B, ParityData(1, 1), 2),
-        (Family.TRIG_BC, ParityData(1, 1), 1),
+        (Family.TRIG_BC, ParityData(1, 1), 2),
+        (Family.RAT_B, ParityData(2, 1), 2),
+        (Family.RAT_B, ParityData(1, 2), 1),
+        (Family.RAT_B, ParityData(2, 0), 2),
+        (Family.TRIG_BC, ParityData(2, 0), 1),
     ])
     def test_matches_the_matrix_power(self, family, parity, rmax):
         L, w = moser_L(family, parity), estar_weights(family, parity)
@@ -866,11 +879,13 @@ class TestCovectorIntegrals:
 
     @pytest.mark.parametrize("family, parity, r, compositions", [
         (Family.RAT_A, ParityData(2, 1), 3, 18),  # the matrix power took 54
-        (Family.RAT_B, ParityData(1, 1), 1, 16),  # 64
-        (Family.TRIG_BC, ParityData(1, 1), 2, 48),  # 192
+        (Family.RAT_B, ParityData(1, 1), 1, 4),  # 16 by the full row, 64 by the matrix power
+        (Family.TRIG_BC, ParityData(1, 1), 2, 12),  # 48; 192
+        (Family.RAT_B, ParityData(2, 1), 2, 27),  # 108; 648
     ])
     def test_compositions_stay_bounded(self, monkeypatch, family, parity, r, compositions):
-        # (p - 1) n^2 for the power p of the n x n matrix L
+        # (p - 1) n^2 for the power p of the n x n matrix L, and for the
+        # B families (p - 1) N^2 on the folded N-entry row (N = n + m)
         calls = []
         original = WeylOp._compose_into
 
@@ -882,10 +897,10 @@ class TestCovectorIntegrals:
         moser_integral(family, parity, r)
         assert len(calls) <= compositions
 
-    def test_power_below_one_raises(self):
-        L = moser_L(Family.RAT_A, ParityData(1, 1))
-        with pytest.raises(ValueError):
-            L.sandwich(L.row(estar_weights(Family.RAT_A, ParityData(1, 1))), 0)
+    @pytest.mark.parametrize("family", [Family.RAT_A, Family.RAT_B])
+    def test_power_below_one_raises(self, family):
+        with pytest.raises(ValueError, match="power 0 is below 1"):
+            moser_integral(family, ParityData(1, 1), 0)
 
     def test_apply_to_a_polynomial_and_to_its_rational_function(self):
         # one apply serves both: x0^2 x1 as a MultiPoly and as a RatFun give
@@ -897,6 +912,49 @@ class TestCovectorIntegrals:
         f = rf(MultiPoly.const(2, 1), [(V(2, 0), 1)])  # 1/x0
         d = WeylOp.partial(2, 0)
         assert d.compose(d).apply(f) == rf(MultiPoly.const(2, 2), [(V(2, 0), 3)])
+
+
+class TestFoldedRow:
+    """A B family's row iteration folds the block form [[A, B], [-B, -A]]:
+    the N-entry row steps by A + B and A - B in turn (``weyl._row_steps``),
+    against the full 2N-entry row of the tests (``reference_ops.sandwich``);
+    ``TestCovectorIntegrals`` compares it with the matrix power."""
+
+    @pytest.mark.parametrize("family", [Family.RAT_B, Family.TRIG_BC])
+    @pytest.mark.parametrize("size", [(2, 0), (1, 1), (2, 1)])
+    def test_the_gauged_matrix_keeps_the_block_form(self, family, size):
+        G = moser_L_gauged(family, ParityData(*size))
+        N = G.rows // 2
+        for i in range(N):
+            for j in range(N):
+                assert G[N + i, N + j] == -G[i, j], (i, j)
+                assert G[N + i, j] == -G[i, N + j], (i, j)
+
+    @pytest.mark.parametrize("family", [Family.RAT_B, Family.TRIG_BC])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_gauged_hamiltonian_is_half_the_full_row_total(self, family, N):
+        parity = ParityData(N, 0)
+        G = moser_L_gauged(family, parity)
+        full = sandwich(G, G.row(estar_weights(family, parity)), 2)
+        assert full[0].is_zero()
+        assert hamiltonian(family, parity, gauged=True) == full[1].scale(ParamRatio.fraction(1, 2))
+
+    @pytest.mark.parametrize("family, size", [(Family.RAT_B, (1, 1)), (Family.TRIG_BC, (2, 0))])
+    def test_a_fold_that_steps_by_a_minus_b_on_even_powers_fails(self, monkeypatch, family, size):
+        # the row (u, -u) of an odd power meets L as u (A + B); stepping it
+        # by A - B instead gives a different e* L^2 e and e* L^4 e
+        parity = ParityData(*size)
+        L = moser_L(family, parity)
+        right = sandwich(L, L.row(estar_weights(family, parity)), 4)
+        steps = weyl._row_steps
+
+        def wrong(fam, M):
+            (minus, _), factors = steps(fam, M)
+            return (minus, minus), factors
+
+        monkeypatch.setattr(weyl, "_row_steps", wrong)
+        for r in (1, 2):
+            assert moser_integral(family, parity, r) != right[2 * r - 1], r
 
 
 class TestOneBuild:
@@ -1053,7 +1111,7 @@ class TestGauge:
         par = ParityData(1, 1)
         I2 = moser_integral(Family.TRIG_A, par, 2)
         Lg = moser_L_gauged(Family.TRIG_A, par)
-        I2g = Lg.sandwich(Lg.row(estar_weights(Family.TRIG_A, par)), 2)[-1]
+        I2g = sandwich(Lg, Lg.row(estar_weights(Family.TRIG_A, par)), 2)[-1]
         w = psi0_logderivs(Family.TRIG_A, par)
         assert gauge_conjugate(I2, w) == I2g
 
@@ -1077,13 +1135,13 @@ class TestDegenerations:
         # the e* G^r e of degenerate_k1_check, r <= 3, against the reference
         # route: e* L^r e built at k = 1 and conjugated by the ground state
         parity, one = ParityData(*size), {"k": const(1)}
-        seen, sandwich = [], OpMatrix.sandwich
+        seen, powers = [], weyl._integral_powers
 
-        def spy(self, row, p):
-            seen.append(sandwich(self, row, p))
+        def spy(*args):
+            seen.append(powers(*args))
             return seen[-1]
 
-        monkeypatch.setattr(OpMatrix, "sandwich", spy)
+        monkeypatch.setattr(weyl, "_integral_powers", spy)
         assert all(res.ok for res in weyl.degenerate_k1_check(parity, 3))
         monkeypatch.undo()
         _, integrals, _ = moser_integrals(Family.RAT_A, parity, 3, one)
