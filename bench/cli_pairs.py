@@ -49,6 +49,10 @@ REQUESTS = [
       for f in ("trig-bc", "rat-b")],
     ["verify", "moser-integrals", "--family", "rat-a", "--n", "2", "--m", "1", "--r", "2",
      "--basis-deg", "4", "--mode", "sampled", "--seed", "1"],
+    # the Lax requests of the benchmark's moser workload and the sampled one of precheck
+    *[["verify", "lax", "--family", f, "--n", str(n), "--m", str(m)]
+      for f, n, m in (("rat-a", 2, 2), ("trig-a", 2, 2), ("trig-a", 3, 1))],
+    ["verify", "lax", "--family", "trig-a", "--n", "2", "--m", "2", "--mode", "sampled", "--seed", "1"],
     ["verify", "closed-form", "--family", "trig-bc", "--deg", "8"],
     # the sampled requests of the benchmark's precheck workload at seed 1
     ["verify", "commute-infinity", "--family", "trig-bc", "--r", "1", "--s", "3", "--deg", "4",
@@ -61,6 +65,7 @@ COUNTED = [("RatFun.diff", "weyl", "RatFun.diff"), ("RatFun.sum", "weyl", "RatFu
            ("WeylOp.apply", "weyl", "WeylOp.apply"), ("Hom.apply", "finite_cms", "Hom.apply"),
            ("MultiPoly.mul", "finite_cms", "MultiPoly.__mul__"),
            ("_finite_dunkl_power", "finite_cms", "_finite_dunkl_power"),
+           ("_lax_entry", "weyl", "_lax_entry"),
            *[("ordered_map", module, "ordered_map") for module in ("dunkl_infinity", "finite_cms", "weyl")]]
 
 

@@ -18,7 +18,9 @@ rational functions, and of ``weyl._is_linear_root_factor`` and
 their denominator factors.  The same time and work are recorded for the
 trigonometric-BC commutator [e*L^2 e, H] at (n, m) = (2, 1), its operands
 built outside the timing, and for ``lax_check`` of trigonometric A at
-(2, 2) and of rational A at (3, 2), which build L, M and H themselves.  The
+(2, 2) and at (3, 1) (the ``moser`` workload's) and of rational A at
+(3, 2), which build L, M and H themselves, with the calls of
+``weyl._lax_entry``, the entries whose residual is formed.  The
 requests ``verify moser-integrals --family trig-bc --n 1 --m 1 --r R`` for
 R = 1 (the README request) and R = 2 are timed as often.  For the
 requests ``verify moser-integrals --family F --n 2 --m 1 --r 3`` (F = rat-a
@@ -46,7 +48,7 @@ from harness import DEFAULT_SRC, environment, quiet_run, store, timed
 FAMILY, N, M, R = "TRIG_BC", 1, 1, 2
 RAT_B_BUILD = ("RAT_B", 2, 1, 2)  # e*L^4 e of the 6 x 6 rational-B matrix
 BIG_PARITY = (2, 1)
-LAX_CASES = [("TRIG_A", 2, 2), ("RAT_A", 3, 2)]
+LAX_CASES = [("TRIG_A", 2, 2), ("TRIG_A", 3, 1), ("RAT_A", 3, 2)]
 COMMANDS = [
     ["verify", "moser-integrals", "--family", "trig-bc", "--n", "1", "--m", "1", "--r", str(r),
      "--no-timing"]
@@ -119,14 +121,17 @@ def measure(src: str) -> dict:
                 raise SystemExit("the Lax identity fails")
         return check
 
-    def work(check) -> dict:
-        products, pairs, root_tests, shape_tests, leading = counted(
+    def work(check, *extra) -> dict:
+        """The work and time of ``check``, with the calls of each extra
+        (label, (owner, name, weight)) counter."""
+        products, pairs, root_tests, shape_tests, leading, *more = counted(
             check, (coeffs.ParamPoly, "__mul__", once), (coeffs.ParamPoly, "__mul__", term_pairs),
             (finite_cms, "_root_quotient", once), (weyl, "_is_linear_root_factor", once),
-            (finite_cms.MultiPoly, "leading", once))
+            (finite_cms.MultiPoly, "leading", once), *(counter for _, counter in extra))
         return {"ParamPoly.mul.calls": products, "ParamPoly.mul.term_pairs": pairs,
                 "_root_quotient.calls": root_tests, "_is_linear_root_factor.calls": shape_tests,
-                "MultiPoly.leading.calls": leading, **timed(check)}
+                "MultiPoly.leading.calls": leading, **dict(zip((label for label, _ in extra), more)),
+                **timed(check)}
 
     compose = "_compose_into" if hasattr(WeylOp, "_compose_into") else "_compose"
 
@@ -142,7 +147,9 @@ def measure(src: str) -> dict:
         "commutator": work(commutes(build(), hamiltonian(Family[FAMILY], ParityData(N, M), gauged=False))),
         "commutator %s n=%d m=%d r=1" % ((FAMILY,) + BIG_PARITY): work(commutes(
             moser_integral(Family[FAMILY], big, 1), hamiltonian(Family[FAMILY], big, gauged=False))),
-        **{"lax_check %s n=%d m=%d" % case: work(lax_holds(*case)) for case in LAX_CASES},
+        **{"lax_check %s n=%d m=%d" % case:
+           work(lax_holds(*case), ("_lax_entry.calls", (weyl, "_lax_entry", once)))
+           for case in LAX_CASES},
     }
     result["commands"] = {" ".join(argv): timed(lambda: quiet_run(cli.run, argv))
                           for argv in COMMANDS}

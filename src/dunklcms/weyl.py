@@ -60,7 +60,16 @@ parts (H: a kinetic term or a pair potential each; M: one pair potential per
 off-diagonal entry, negated on the diagonal), and ``lax_check`` never sums
 them: it composes each entry of L with each part, so that a part meets only
 the derivatives that act on it and its factors stay out of the other parts'
-reductions.  An integral never forms the matrix L^r: one row iteration
+reductions.  The operators have the symmetry S_n x S_m, the permutations
+inside each species, and so have the residuals: relabelled by a
+transposition t (``RatFun.act_swap``, ``WeylOp.act_swap``, a ring
+automorphism that keeps the reduced form), the residual of entry (i, j)
+is that of (t(i), t(j)), once t.L_ij = L_t(i)t(j), t.M_ij = M_t(i)t(j)
+and t.H = H.  ``lax_check`` checks this exactly, at the request's point,
+for the adjacent transpositions inside each species, and then forms one
+entry of each orbit, at most 6 of the (n + m)^2; an entry whose
+representative fails is formed itself, and if the check fails every entry
+is.  An integral never forms the matrix L^r: one row iteration
 (``_row_powers``) carries the row e* L through v_j <- sum_l v_l . S_lj and
 sums it after each step, so it gives e* L^p e for every p up to the top
 power.  An A family steps by S = L, n^2 compositions per power.  A B family
@@ -87,7 +96,9 @@ derivative memo.  The basis route of ``commute_checks`` checks [A, B] = 0
 for a list of operators A on the monomials up to a degree without forming a
 normal-ordered product: one pass over the monomials, in which B m is formed
 once per monomial m, B m and every A m share m's derivatives, every A meets
-those of B m, and each residual A(B m) - B(A m) is reduced once.
+those of B m, and each residual A(B m) - B(A m) is reduced once.  The
+pass takes one monomial of each orbit of the adjacent transpositions under
+which B and every A equal their relabelling, with the same fallback.
 ``degenerate_k1_check`` is the k = 1 degeneration of the deformed integrals
 of rational A to the undeformed CMS integrals, by the recursion of
 ``finite_cms`` and by the gauged Moser integrals e* G^r e, one row iteration
@@ -298,6 +309,24 @@ class RatFun:
         image; each is tested against the substituted numerator."""
         return _rf(self.num.substitute(bindings), dict(self.den), list(self.den))
 
+    # -- group actions ------------------------------------------------------
+
+    def act_swap(self, a: int, b: int) -> "RatFun":
+        """The relabelling x_a <-> x_b of numerator and factors.  It is a
+        ring automorphism, so the form stays reduced and nothing is tested;
+        a relabelled factor whose leading coefficient is -1, such as
+        x_b - x_a from x_a - x_b, is negated, and the numerator takes the
+        sign for an odd exponent."""
+        num, den = self.num.act_swap(a, b), {}
+        for f, e in self.den.items():
+            f = f.act_swap(a, b)
+            if f.leading()[1] != ONE:
+                f = -f
+                if e & 1:
+                    num = -num
+            den[f] = e
+        return _rf(num, den)
+
     # -- display --------------------------------------------------------------------
 
     def text(self) -> str:
@@ -502,7 +531,12 @@ class WeylOp:
                     for a, c in zip(ae, ce):
                         coeff *= comb(a, c)
                     key = tuple(c + b for c, b in zip(ce, be))
-                    out.setdefault(key, []).append((f * dg).scale(ParamRatio.const(coeff)))
+                    part = f * dg
+                    if coeff == -1:
+                        part = -part
+                    elif coeff != 1:
+                        part = part.scale(ParamRatio.const(coeff))
+                    out.setdefault(key, []).append(part)
 
     def apply(self, f, derivs: dict = None) -> RatFun:
         """self applied to a polynomial or a rational function: each term's
@@ -523,6 +557,16 @@ class WeylOp:
 
     def substitute(self, bindings: dict) -> "WeylOp":
         return WeylOp(self.nvars, {e: f.substitute(bindings) for e, f in self.terms.items()})
+
+    def act_swap(self, a: int, b: int) -> "WeylOp":
+        """The relabelling x_a <-> x_b: each coefficient relabelled, and the
+        orders of d_a and d_b exchanged in its derivative key."""
+        def key(e):
+            e = list(e)
+            e[a], e[b] = e[b], e[a]
+            return tuple(e)
+
+        return WeylOp(self.nvars, {key(e): f.act_swap(a, b) for e, f in self.terms.items()})
 
     def constant_part(self) -> RatFun:
         return self.terms.get((0,) * self.nvars, RatFun.zero(self.nvars))
@@ -826,8 +870,16 @@ def lax_check(family: Family, parity: ParityData, bindings: dict = None) -> LaxR
     one accumulator, so each coefficient is reduced once.  A derivative of
     L_ij that misses the variables of a part of H then gives no Leibniz
     part, and the factors of the other parts never enter its derivatives.
-    The n^2 entries are independent and distribute across workers
-    (``_parallel.ordered_map``), in row-major order.
+
+    The residuals are S_n x S_m-equivariant once L, M and H are: for each
+    adjacent transposition t inside a species, ``_lax_equivariant`` checks
+    t.L_ij = L_t(i)t(j), t.M_ij = M_t(i)t(j) and t.H = H exactly, at the
+    point, and then the residual of (t(i), t(j)) is t of that of (i, j).
+    So only the representatives of the orbits of the entries
+    (``_pair_representative``, at most 6) are formed, distributed across
+    workers (``_orbit_map``); an entry takes its representative's result
+    when that vanishes, and is formed itself when it does not.  If the
+    check fails, all n^2 entries are formed.
 
     With ``bindings``, L and the parts are taken at that parameter point
     (``_at_point``) before the compositions.
@@ -837,8 +889,74 @@ def lax_check(family: Family, parity: ParityData, bindings: dict = None) -> LaxR
     E, hs, ms = _at_point(bindings, moser_L(family, parity).entries,
                           _hamiltonian_parts(family, parity), _moser_M_parts(family, parity))
     nm = parity.size
+    swaps = [s for s in range(nm - 1) if parity.p(s) == parity.p(s + 1)]
+    if not all(_lax_equivariant(E, hs, ms, s) for s in swaps):
+        swaps = []
+    first = _run_starts(nm, swaps)
     entries = [(i, j) for i in range(nm) for j in range(nm)]
-    return LaxReport(family, parity, ordered_map(partial(_lax_entry, E, hs, ms), entries))
+    results = _orbit_map(partial(_lax_entry, E, hs, ms), entries,
+                         partial(_pair_representative, first), lambda r: r.ok)
+    return LaxReport(family, parity, [EntryResult(i, j, r.ok, r.residual)
+                                      for (i, j), r in zip(entries, results)])
+
+
+def _lax_equivariant(E, hs, ms, s: int) -> bool:
+    """Whether t = (s, s+1) maps L_ij to L_t(i)t(j), the parts of M_ij to
+    those of M_t(i)t(j) and the parts of H to themselves, each list of
+    parts as a multiset, for the entries E of L, the parts hs of H and the
+    parts ms of M; equal parts give equal sums, so t.M = M and t.H = H."""
+    idx = range(len(E))
+    t = list(idx)
+    t[s], t[s + 1] = s + 1, s
+    return (all(E[i][j].act_swap(s, s + 1) == E[t[i]][t[j]] and
+                _same_parts([m.act_swap(s, s + 1) for m in ms[i][j]], ms[t[i]][t[j]])
+                for i in idx for j in idx)
+            and _same_parts([h.act_swap(s, s + 1) for h in hs], hs))
+
+
+def _same_parts(xs: list, ys: list) -> bool:
+    """Whether the operators ``xs`` are those of ``ys`` in some order."""
+    rest = list(ys)
+    for x in xs:
+        if x not in rest:
+            return False
+        rest.remove(x)
+    return not rest
+
+
+def _run_starts(n: int, swaps) -> list:
+    """first[i], the first index of the run of i among 0, ..., n-1 that the
+    adjacent transpositions (s, s+1), s in ``swaps``, join: the group they
+    generate permutes each run and fixes the partition into runs."""
+    first = list(range(n))
+    for s in sorted(swaps):
+        first[s + 1] = first[s]
+    return first
+
+
+def _pair_representative(first: list, ij: tuple) -> tuple:
+    """The representative of the orbit of the entry (i, j) under the
+    permutations of the runs whose starts are ``first``: (a, a) on the
+    diagonal of the run starting at a, (a, a+1) off it, and (a, b) for
+    i and j in the runs starting at a and b."""
+    i, j = ij
+    a, b = first[i], first[j]
+    return (a, a if i == j else a + 1) if a == b else (a, b)
+
+
+def _orbit_map(fn, items: list, representative, vanishes) -> list:
+    """[fn(x) for x in ``items``] for a function fn that is equivariant
+    under a group whose orbits ``representative`` names, with fn(x)
+    vanishing iff fn(representative(x)) does: fn maps the representatives
+    first, across workers (``ordered_map``), and then the other items of
+    the orbits whose representative does not vanish, which take their own
+    results; every other item takes its representative's result."""
+    reps = list(dict.fromkeys(representative(x) for x in items))
+    out = dict(zip(reps, ordered_map(fn, reps)))
+    direct = [x for x in items if x not in out and not vanishes(out[representative(x)])]
+    if direct:
+        out.update(zip(direct, ordered_map(fn, direct)))
+    return [out[x] if x in out else out[representative(x)] for x in items]
 
 
 def _at_point(bindings, *groups) -> tuple:
@@ -982,8 +1100,8 @@ def _monomials(nvars: int, deg: int):
         yield from rec((), t, 0)
 
 
-def _residuals_on_monomial(As, B: WeylOp, negB: WeylOp, exps) -> tuple:
-    """(exps, [A(B m) - B(A m) for A in As]) on the monomial m = x^exps.
+def _residuals_on_monomial(As, B: WeylOp, negB: WeylOp, exps) -> list:
+    """[A(B m) - B(A m) for A in As] on the monomial m = x^exps.
 
     B m and every A m share the derivative memo of m, B m is formed once
     and its memo is shared by every A, and each residual is one
@@ -993,8 +1111,20 @@ def _residuals_on_monomial(As, B: WeylOp, negB: WeylOp, exps) -> tuple:
     mderivs: dict = {}
     Bderivs = {zero: B.apply(MultiPoly(B.nvars, {exps: ONE}), mderivs)}
     m = mderivs[zero]
-    return exps, [RatFun.sum(B.nvars, A._parts_on(Bderivs) + negB._parts_on({zero: A.apply(m, mderivs)}))
-                  for A in As]
+    return [RatFun.sum(B.nvars, A._parts_on(Bderivs) + negB._parts_on({zero: A.apply(m, mderivs)}))
+            for A in As]
+
+
+def _block_sorted(first: list, exps: tuple) -> tuple:
+    """exps with the exponents of each run, whose starts are ``first``
+    (``_run_starts``), sorted down: the representative of the orbit of the
+    monomial x^exps under the permutations of the runs."""
+    out = list(exps)
+    for a in set(first):
+        run = [i for i, f in enumerate(first) if f == a]
+        for i, e in zip(run, sorted((exps[i] for i in run), reverse=True)):
+            out[i] = e
+    return tuple(out)
 
 
 def commute_checks(As, B: WeylOp, mode: str = "symbolic", deg: int = 4) -> list:
@@ -1003,9 +1133,14 @@ def commute_checks(As, B: WeylOp, mode: str = "symbolic", deg: int = 4) -> list:
 
     The symbolic route forms each normal-ordered commutator A.commutator(B).
     The basis route never does: one pass over the monomials applies both
-    orders of every A to each monomial (``_residuals_on_monomial``), and the
-    monomials distribute across workers.  Any other ``mode``, and a
-    negative ``deg``, raise ValueError.
+    orders of every A to each monomial (``_residuals_on_monomial``).  It
+    first finds the adjacent transpositions t = (s, s+1) under which B and
+    every A equal their relabelling exactly; then the residuals on t m are
+    t of those on m, so the pass takes only the monomials whose exponents
+    do not increase along each run that those t join, across workers
+    (``_orbit_map``).  A monomial takes its representative's residuals
+    when they all vanish, and is applied itself otherwise.  Any other
+    ``mode``, and a negative ``deg``, raise ValueError.
     """
     if mode not in ("symbolic", "basis"):
         raise ValueError("commute_check mode %r is neither 'symbolic' nor 'basis'" % (mode,))
@@ -1017,10 +1152,15 @@ def commute_checks(As, B: WeylOp, mode: str = "symbolic", deg: int = 4) -> list:
     As = list(As)
     if not As:
         return []
-    outcomes = ordered_map(partial(_residuals_on_monomial, As, B, -B), _monomials(B.nvars, deg))
+    swaps = [s for s in range(B.nvars - 1)
+             if all(op.act_swap(s, s + 1) == op for op in [B] + As)]
+    monomials = list(_monomials(B.nvars, deg))
+    outcomes = _orbit_map(partial(_residuals_on_monomial, As, B, -B), monomials,
+                          partial(_block_sorted, _run_starts(B.nvars, swaps)),
+                          lambda res: all(r.is_zero() for r in res))
     reports = []
     for j in range(len(As)):
-        bad = [(str(exps), res[j].text()) for exps, res in outcomes if not res[j].is_zero()]
+        bad = [(str(exps), res[j].text()) for exps, res in zip(monomials, outcomes) if not res[j].is_zero()]
         reports.append(CommuteReport("basis(deg=%d)" % deg, not bad, bad))
     return reports
 

@@ -41,9 +41,18 @@ routes here carry the full row, or form whole matrices:
   compositions
 * ``matsub``     their entrywise difference
 
+``weyl.lax_check`` forms the residuals of the orbit representatives of the
+entries under S_n x S_m only, once L, M and H are checked equivariant; the
+route here forms every entry:
+
+* ``lax_check_all_entries``  the report from the n^2 residuals, each formed
+  by ``weyl._lax_entry``
+
 ``weyl.commute_checks`` checks a list of operators against B on the monomial
-basis in one pass, sharing derivatives and reducing each residual once; the
-route here checks one operator at a time, both orders applied separately:
+basis in one pass, sharing derivatives and reducing each residual once, and
+applies them only to one monomial of each orbit of the transpositions that
+leave them all invariant; the route here checks one operator at a time, on
+every monomial, both orders applied separately:
 
 * ``commutator_on_x_monomial``  A(B m) - B(A m) on one monomial m, by four
   applications and a subtraction
@@ -64,6 +73,7 @@ D_{0,N}^r f; the route here applies every operator:
 It is imported by the test modules only; pytest does not collect it.
 """
 
+from dunklcms import weyl
 from dunklcms.coeffs import ONE, Rat, k_power
 from dunklcms.dunkl_infinity import _delta_of_x_power
 from dunklcms.finite_cms import MultiPoly, _finite_dunkl_power
@@ -76,7 +86,16 @@ from dunklcms.powersums import (
     pmono_mul,
     pmono_text,
 )
-from dunklcms.weyl import CommuteReport, OpMatrix, RatFun, WeylOp, _monomials, _pair_factors, _pair_term
+from dunklcms.weyl import (
+    CommuteReport,
+    LaxReport,
+    OpMatrix,
+    RatFun,
+    WeylOp,
+    _monomials,
+    _pair_factors,
+    _pair_term,
+)
 
 
 def _check_family_domain(f: LambdaXElem, family: Family):
@@ -306,6 +325,17 @@ def matmul(a: OpMatrix, b: OpMatrix) -> OpMatrix:
             row.append(acc)
         out.append(row)
     return OpMatrix(out)
+
+
+def lax_check_all_entries(family: Family, parity, bindings=None) -> LaxReport:
+    """The report of [L, H] = [L, M] from the residual of every entry, in
+    row-major order; L, H and M are looked up on ``weyl`` at call time, so a
+    test that replaces one of them replaces it here too."""
+    E, hs, ms = weyl._at_point(bindings, weyl.moser_L(family, parity).entries,
+                               weyl._hamiltonian_parts(family, parity), weyl._moser_M_parts(family, parity))
+    nm = parity.size
+    return LaxReport(family, parity, [weyl._lax_entry(E, hs, ms, (i, j))
+                                      for i in range(nm) for j in range(nm)])
 
 
 def commutator_on_x_monomial(A, B, exps):

@@ -7,7 +7,16 @@ from itertools import product
 import pytest
 
 from dunklcms import cli, finite_cms, weyl
-from dunklcms.coeffs import ONE, ParamPoly, ParamRatio, UnsupportedDenominator, const, k_power, symbol
+from dunklcms.coeffs import (
+    ONE,
+    DenominatorVanishes,
+    ParamPoly,
+    ParamRatio,
+    UnsupportedDenominator,
+    const,
+    k_power,
+    symbol,
+)
 from dunklcms.finite_cms import (
     Hom,
     MultiPoly,
@@ -43,6 +52,7 @@ from reference_ops import (
     basis_commute_check,
     estar_weights,
     gauge_conjugate,
+    lax_check_all_entries,
     matmul,
     matsub,
     psi0_logderivs,
@@ -387,6 +397,85 @@ class TestStructuralEquality:
         assert equal >= 100 and unequal >= 100, (equal, unequal)
 
 
+def random_rat_fun_3(rng) -> RatFun:
+    """A random rational function in 3 variables over every root-factor
+    kind: x_i - x_j, x_i + x_j, x_i x_j - 1, x_i - 1 and x_i + 1, times a
+    trigonometric pair term (c/2) t / d of trig A or trig BC."""
+    n = 3
+    factors = [f(n, i, j) for f in (_fac_diff, _fac_sum, _fac_prod_minus_1)
+               for i in range(n) for j in range(n) if i != j]
+    factors += [_fac_shift(n, i, c) for i in range(n) for c in (-1, 1)]
+    num = MultiPoly(n, {
+        tuple(rng.randint(0, 2) for _ in range(n)): const(rng.randint(-3, 3)) * k_power(rng.randint(-1, 1))
+        for _ in range(rng.randint(1, 3))
+    })
+    r = RatFun(num, {f: rng.randint(1, 3) for f in rng.sample(factors, rng.randint(1, 4))})
+    i, j = rng.sample(range(n), 2)
+    family = rng.choice([Family.TRIG_A, Family.TRIG_BC])
+    d, t = weyl._pair_factors(family, n, i, j)[-1]
+    return r * weyl._pair_term(family, d, t, k_power(rng.randint(-1, 1)))
+
+
+SWAPS_3 = [(0, 1), (1, 2), (0, 2), (2, 0)]
+
+
+class TestRelabelling:
+    """``RatFun.act_swap`` and ``WeylOp.act_swap``, the relabellings by a
+    transposition on which the orbit routes of ``lax_check`` and of the
+    basis route of ``commute_checks`` rest."""
+
+    def test_matches_the_public_constructor(self, rng):
+        flipped = 0
+        for _ in range(40):
+            r = random_rat_fun_3(rng)
+            for a, b in SWAPS_3:
+                got = r.act_swap(a, b)
+                expected = RatFun(r.num.act_swap(a, b), {f.act_swap(a, b): e for f, e in r.den.items()})
+                assert got.num == expected.num and got.den == expected.den, (r, a, b)
+                assert got.text() == expected.text()
+                flipped += any(f.act_swap(a, b) not in got.den for f in r.den)
+        assert flipped >= 40  # factors such as x_a - x_b that change sign
+
+    def test_twice_is_the_identity(self, rng):
+        for _ in range(20):
+            r = random_rat_fun_3(rng)
+            for a, b in SWAPS_3:
+                assert r.act_swap(a, b).act_swap(a, b) == r
+                assert r.act_swap(a, b).act_swap(b, a) == r
+
+    def test_is_a_ring_automorphism(self, rng):
+        for _ in range(10):
+            f, g = random_rat_fun_3(rng), random_rat_fun_3(rng)
+            for a, b in SWAPS_3:
+                assert (f * g).act_swap(a, b) == f.act_swap(a, b) * g.act_swap(a, b)
+                assert (f + g).act_swap(a, b) == f.act_swap(a, b) + g.act_swap(a, b)
+                assert f.diff(a).act_swap(a, b) == f.act_swap(a, b).diff(b)
+
+    def test_weyl_op_permutes_the_derivative_keys(self, rng):
+        for _ in range(5):
+            keys = [tuple(rng.randint(0, 1) for _ in range(3)) for _ in range(3)]
+            op = WeylOp(3, {e: random_rat_fun_3(rng) for e in keys})
+            f, g = random_rat_fun_3(rng), WeylOp.mul_by(random_rat_fun_3(rng))
+            for a, b in SWAPS_3:
+                got = op.act_swap(a, b)
+                for e, c in op.terms.items():
+                    swapped = list(e)
+                    swapped[a], swapped[b] = e[b], e[a]
+                    assert got.terms[tuple(swapped)] == c.act_swap(a, b)
+                assert len(got.terms) == len(op.terms)
+                assert got.act_swap(a, b) == op
+                # the relabelled operator acts on the relabelled function
+                assert got.apply(f.act_swap(a, b)) == op.apply(f).act_swap(a, b)
+                assert got.compose(g.act_swap(a, b)) == op.compose(g).act_swap(a, b)
+
+    def test_the_hamiltonian_is_invariant_inside_each_species(self):
+        for family in (Family.RAT_A, Family.TRIG_A):
+            H = hamiltonian(family, ParityData(2, 1))
+            assert H.act_swap(0, 1) == H
+            assert H.act_swap(1, 2) != H
+            assert WeylOp.partial(3, 0).act_swap(0, 2) == WeylOp.partial(3, 2)
+
+
 class TestMoserMatrices:
     def test_rational_entries(self):
         par = ParityData(1, 1)
@@ -551,6 +640,117 @@ class TestLaxParts:
         got = [r.residual for r in rep.results]
         assert got == lax_residuals_by_matrices(family, parity)
         assert any(not r.ok for r in rep.results if r.i == 0)
+
+
+def count_lax_entries(monkeypatch) -> list:
+    """The entries (i, j) whose residual ``lax_check`` forms, in order."""
+    monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+    calls, original = [], weyl._lax_entry
+    monkeypatch.setattr(weyl, "_lax_entry", lambda E, hs, ms, ij: calls.append(ij) or original(E, hs, ms, ij))
+    return calls
+
+
+class TestLaxOrbits:
+    """``lax_check`` forms the residuals of the orbit representatives of the
+    entries under S_n x S_m only, after an exact equivariance check of L, M
+    and H; the reference route forms every entry
+    (``reference_ops.lax_check_all_entries``)."""
+
+    SIZES = [ParityData(n, m) for n in range(5) for m in range(5) if 1 <= n + m <= 4]
+
+    @pytest.mark.parametrize("family", [Family.RAT_A, Family.TRIG_A])
+    @pytest.mark.parametrize("point", ["symbolic", "sampled", "k=0"])
+    def test_matches_the_all_entries_route(self, monkeypatch, family, point):
+        monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+        refused = 0
+        for seed, parity in enumerate(self.SIZES):
+            bindings = {"symbolic": None, "sampled": cli._sample_bindings(family, seed),
+                        "k=0": {"k": const(0)}}[point]
+            try:
+                expected = lax_check_all_entries(family, parity, bindings)
+            except DenominatorVanishes:  # 1/k + 1 at k = 0 for m >= 2
+                expected = None
+            for workers in (None, "2"):
+                monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+                if workers:
+                    monkeypatch.setenv("DUNKLCMS_WORKERS", workers)
+                if expected is None:
+                    with pytest.raises(DenominatorVanishes):
+                        lax_check(family, parity, bindings)
+                    refused += 1
+                    continue
+                assert lax_check(family, parity, bindings) == expected, (parity, workers)
+                assert expected.ok
+        assert refused == (12 if point == "k=0" else 0)
+
+    @pytest.mark.parametrize("family, parity, entries", [
+        # 16, 16 and 25 entries, each formed, before
+        (Family.TRIG_A, ParityData(2, 2), [(0, 0), (0, 1), (0, 2), (2, 0), (2, 2), (2, 3)]),
+        (Family.TRIG_A, ParityData(3, 1), [(0, 0), (0, 1), (0, 3), (3, 0), (3, 3)]),
+        (Family.RAT_A, ParityData(3, 2), [(0, 0), (0, 1), (0, 3), (3, 0), (3, 3), (3, 4)]),
+    ])
+    def test_only_the_orbit_representatives_are_formed(self, monkeypatch, family, parity, entries):
+        # one entry of each orbit: the diagonal and the off-diagonal entries
+        # of each species and the entries from one species to the other
+        calls = count_lax_entries(monkeypatch)
+        assert lax_check(family, parity).ok
+        assert len(calls) <= 6
+        assert sorted(calls) == entries
+
+    @pytest.mark.parametrize("family", [Family.RAT_A, Family.TRIG_A])
+    def test_equivariance_holds_inside_the_species_only(self, family):
+        parity = ParityData(2, 2)
+        E, hs, ms = (moser_L(family, parity).entries, _hamiltonian_parts(family, parity),
+                     _moser_M_parts(family, parity))
+        assert [weyl._lax_equivariant(E, hs, ms, s) for s in range(3)] == [True, False, True]
+
+    @pytest.mark.parametrize("family, parity", [(Family.TRIG_A, ParityData(2, 2)),
+                                                (Family.RAT_A, ParityData(3, 1))])
+    def test_a_perturbed_l_entry_takes_every_entry(self, monkeypatch, family, parity):
+        # L_01 doubled: t = (0, 1) maps it to twice L_10, so no shortcut
+        original = weyl.moser_L
+
+        def perturbed(fam, par):
+            L = original(fam, par)
+            L.entries[0][1] = L.entries[0][1].scale(const(2))
+            return L
+
+        monkeypatch.setattr(weyl, "moser_L", perturbed)
+        expected = lax_check_all_entries(family, parity)
+        calls = count_lax_entries(monkeypatch)
+        rep = lax_check(family, parity)
+        assert rep == expected and not rep.ok
+        assert len(calls) == parity.size ** 2
+
+    @pytest.mark.parametrize("family", [Family.RAT_A, Family.TRIG_A])
+    @pytest.mark.parametrize("species", [(1, 1), (1, 0)])
+    def test_m_perturbed_on_one_orbit_fails_there(self, monkeypatch, family, species):
+        # M doubled on the orbit of the off-diagonal entries (i, j) of i in
+        # the species species[0] and j in species[1], with the diagonal
+        # kept: M stays equivariant, and the entries that meet the orbit
+        # fail while others hold, such as (1, 3) for the orbit (3, 1)
+        original = weyl._moser_M_parts
+
+        def doubled(fam, par):
+            table = original(fam, par)
+            for i in range(par.size):
+                for j in range(par.size):
+                    if i != j and (par.p(i), par.p(j)) == species:
+                        table[i][j] = table[i][j] * 2
+            return table
+
+        monkeypatch.setattr(weyl, "_moser_M_parts", doubled)
+        parity = ParityData(2, 2)
+        expected = lax_check_all_entries(family, parity)
+        calls = count_lax_entries(monkeypatch)
+        rep = lax_check(family, parity)
+        assert rep == expected
+        failing = {(r.i, r.j) for r in rep.counterexamples}
+        assert failing and len(failing) < parity.size ** 2
+        # the representatives, then every entry of a failing orbit but its
+        # representative, once each
+        assert len(calls) == len(set(calls)) < parity.size ** 2
+        assert failing <= set(calls)
 
 
 #: sha256 prefixes of the texts of H and of M (``OpMatrix.to_json``) as the
@@ -762,8 +962,9 @@ class TestIntegrals:
 
     def test_basis_request_takes_one_pass_over_the_monomials(self, capsys, monkeypatch):
         # both integrals in one map, each derivative of a monomial and of
-        # H m formed once; at two maps, one per integral, it took 1,296
-        # derivatives
+        # H m formed once, on one monomial of each orbit of x1 <-> x2; it
+        # took 756 derivatives on every monomial, 1,296 at two maps, one
+        # per integral
         monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
         calls, maps = [], []
         original, real_map = RatFun.diff, weyl.ordered_map
@@ -772,7 +973,7 @@ class TestIntegrals:
         code = cli.run(["verify", "moser-integrals", "--family", "rat-a", "--n", "2", "--m", "1",
                         "--r", "2", "--basis-deg", "4", "--mode", "sampled", "--seed", "1", "--no-timing"])
         assert code == 0, capsys.readouterr().out
-        assert len(calls) <= 756
+        assert len(calls) <= 477
         assert len(maps) == 1
 
     def test_trig_bc_commutes_on_laurent_monomials(self):
@@ -818,6 +1019,24 @@ class TestCommuteChecks:
         return [([moser_integral(Family.RAT_A, par, 1), x1], d1),
                 ([moser_integral(Family.RAT_B, par, 1), x1, d1], H)]
 
+    @staticmethod
+    def relabelled_cases():
+        """Operators invariant under relabellings, the last of each list
+        failing: H of (3, 0) is invariant under S_3 and x3 (d1 + d2) only
+        under the transposition of x1 and x2; H of (2, 1) and (x1 + x2) d3
+        only under that one; d1 d2 d3 and d1 + d2 + d3 under S_3, and
+        x3 d3 only under x1 <-> x2, its residual -d3 vanishing on x1 but
+        not on x3."""
+        d = [WeylOp.partial(3, i) for i in range(3)]
+        x3d = WeylOp(3, {(1, 0, 0): rf(V(3, 2)), (0, 1, 0): rf(V(3, 2))})
+        cases = []
+        for n, m, A in ((3, 0, x3d), (2, 1, WeylOp(3, {(0, 0, 1): rf(V(3, 0) + V(3, 1))}))):
+            par = ParityData(n, m)
+            cases.append(([moser_integral(Family.RAT_A, par, 2), A], hamiltonian(Family.RAT_A, par)))
+        cases.append(([d[0].compose(d[1]).compose(d[2]), WeylOp(3, {(0, 0, 1): rf(V(3, 2))})],
+                      d[0] + d[1] + d[2]))
+        return cases
+
     @pytest.mark.parametrize("workers", [None, "2"])
     @pytest.mark.parametrize("deg", [0, 2, 3])
     def test_reports_match_the_reference_route(self, monkeypatch, workers, deg):
@@ -829,6 +1048,35 @@ class TestCommuteChecks:
             assert reports == [basis_commute_check(A, B, deg) for A in As]
             assert reports[0].ok and not reports[-1].ok
             assert all(rep.ok != bool(rep.counterexamples) for rep in reports)
+
+    @pytest.mark.parametrize("workers", [None, "2"])
+    @pytest.mark.parametrize("deg", [0, 2, 3])
+    def test_relabelled_operators_match_the_reference_route(self, monkeypatch, workers, deg):
+        # the monomials of an orbit take their representative's residuals
+        # only under the transpositions that leave every operator invariant
+        monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+        if workers:
+            monkeypatch.setenv("DUNKLCMS_WORKERS", workers)
+        for As, B in self.relabelled_cases():
+            reports = commute_checks(As, B, "basis", deg)
+            assert reports == [basis_commute_check(A, B, deg) for A in As]
+            assert reports[0].ok and (deg == 0 or not reports[-1].ok)
+
+    def test_invariant_operators_take_one_monomial_of_each_orbit(self, monkeypatch):
+        # the 7 monomials of degree <= 3 with x1^a x2^b x3^c, a >= b >= c,
+        # of the 20, as long as every residual vanishes
+        monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+        par = ParityData(3, 0)
+        I, H = moser_integral(Family.RAT_A, par, 2), hamiltonian(Family.RAT_A, par)
+        calls, original = [], weyl._residuals_on_monomial
+        monkeypatch.setattr(weyl, "_residuals_on_monomial",
+                            lambda As, B, negB, exps: calls.append(exps) or original(As, B, negB, exps))
+        assert commute_checks([I], H, "basis", 3)[0].ok
+        assert sorted(calls) == sorted(e for e in weyl._monomials(3, 3) if e[0] >= e[1] >= e[2])
+        calls.clear()
+        x3 = WeylOp.mul_by(rf(V(3, 2)))
+        assert not commute_checks([I, x3], H, "basis", 3)[1].ok
+        assert len(calls) == len(set(calls)) < 20
 
     def test_symbolic_reports_are_those_of_each_operator(self):
         for As, B in self.cases():
