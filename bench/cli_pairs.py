@@ -35,7 +35,7 @@ import statistics
 import sys
 import time
 
-from harness import DEFAULT_SRC, environment, quiet_run, store
+from harness import DEFAULT_SRC, environment, finite_kernel, quiet_run, store
 
 REQUESTS = [
     ["verify", "deformed", "--n", "2", "--m", "2", "--r", "4"],
@@ -60,11 +60,12 @@ REQUESTS = [
     ["verify", "closed-form", "--family", "trig-bc", "--deg", "8", "--mode", "sampled", "--seed", "1"],
 ]
 SIDES = ("parent", "change")
-#: The calls counted per request: (label, module, attribute path).
+#: The calls counted per request: (label, module, attribute path), the path
+#: given as a function of the module where it depends on the version.
 COUNTED = [("RatFun.diff", "weyl", "RatFun.diff"), ("RatFun.sum", "weyl", "RatFun.sum"),
            ("WeylOp.apply", "weyl", "WeylOp.apply"), ("Hom.apply", "finite_cms", "Hom.apply"),
            ("MultiPoly.mul", "finite_cms", "MultiPoly.__mul__"),
-           ("_finite_dunkl_power", "finite_cms", "_finite_dunkl_power"),
+           ("finite_dunkl", "finite_cms", finite_kernel),
            ("_lax_entry", "weyl", "_lax_entry"),
            *[("ordered_map", module, "ordered_map") for module in ("dunkl_infinity", "finite_cms", "weyl")]]
 
@@ -103,8 +104,10 @@ def counts(package, argv) -> dict:
     totals = dict.fromkeys((label for label, _, _ in COUNTED), 0)
     patched = []  # (owner, name, the attribute it held)
     for label, module, path in COUNTED:
-        *owners, name = path.split(".")
         owner = getattr(package, module)
+        if callable(path):
+            path = path(owner)
+        *owners, name = path.split(".")
         for attr in owners:
             owner = getattr(owner, attr)
         raw = vars(owner)[name]

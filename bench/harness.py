@@ -4,7 +4,8 @@
 names the machine and the measured source, ``quiet_run`` runs a CLI command
 with its report discarded, and ``store`` merges one labelled result into a
 ``BENCH_*.json`` file, keeping the other labels, so one file can hold two
-versions of the code measured on the same machine.
+versions of the code measured on the same machine.  ``finite_kernel`` names
+the finite Dunkl kernel of the measured version.
 """
 
 from __future__ import annotations
@@ -22,6 +23,13 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_SRC = os.path.join(ROOT, "src")
 REPEATS = 7
+
+
+def finite_kernel(finite_cms) -> str:
+    """The name of the finite Dunkl kernel in the measured ``finite_cms``:
+    ``_finite_dunkl_power`` in a version that has that second entry point,
+    ``finite_dunkl`` otherwise.  Both count every kernel call."""
+    return "_finite_dunkl_power" if hasattr(finite_cms, "_finite_dunkl_power") else "finite_dunkl"
 
 
 def timed(fn) -> dict:

@@ -24,7 +24,6 @@ from .finite_cms import (
     MultiPoly,
     ParityData,
     deformed_integral,
-    deformed_partial_r,
     diagram_check,
     finite_dunkl,
     heckman_integral,
@@ -63,7 +62,6 @@ __all__ = [
     "commute_check",
     "commute_checks",
     "deformed_integral",
-    "deformed_partial_r",
     "diagram_check",
     "finite_dunkl",
     "hamiltonian",

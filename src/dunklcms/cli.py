@@ -17,8 +17,9 @@ seeded random rational parameter values, as a precheck; symbolic mode is the
 ground truth, and ``--seed`` without ``--mode sampled`` is an error.
 Sampled values and ``--param`` bindings go to the library checks, which
 compute at the point: ``closed-form`` and ``commute-infinity`` through
-``InfDunkl(family, bindings)`` (``integral_L``, ``commutator_on_basis``
-and ``LambdaDiffOp.substitute``), ``lax`` and ``moser-integrals`` through
+one ``InfDunkl(family, bindings)`` per request (its ``integral``, which
+``generate integral`` calls symbolically, ``commutator_on_basis`` and
+``LambdaDiffOp.substitute``), ``lax`` and ``moser-integrals`` through
 ``weyl``'s ``_at_point``; no handler substitutes a result.
 ``moser-integrals`` decides [e*L^re, H] = 0 on the symbolic commutator for
 every family; ``--basis-deg D`` checks it instead on the monomials of degree
@@ -45,12 +46,7 @@ import time
 from dataclasses import dataclass, field
 
 from .coeffs import SYMBOLS, Rat, const
-from .dunkl_infinity import (
-    closed_form_L2,
-    commutator_on_basis,
-    integral_L,
-    pmono_basis,
-)
+from .dunkl_infinity import InfDunkl, closed_form_L2, commutator_on_basis, pmono_basis
 from .finite_cms import (DIAGRAM_KINDS, DiagramResult, ParityData, deformed_check, diagram_check,
                          standard_testset)
 from .powersums import Family, LambdaElem, pmono_text
@@ -250,9 +246,10 @@ def _verify_closed_form(args, report):
     closed_form = closed_form_L2(family, max(args.deg, 1))
     if bindings:
         closed_form = closed_form.substitute(bindings)
+    op = InfDunkl(family, bindings)
     for m in pmono_basis(args.deg, args.deg):
         f = LambdaElem.monomial(m)
-        lhs, rhs = closed_form.apply(f), integral_L(family, r, f, bindings)
+        lhs, rhs = closed_form.apply(f), op.integral(r, f)
         report.observe_terms(rhs)
         # canonical coefficients: structural equality is equality of values
         report.record_results([DiagramResult.compared(pmono_text(m), lhs == rhs, lhs, rhs)])
@@ -362,8 +359,9 @@ def _generate_integral(args, report):
         r = args.r
     if args.r == 2:
         report.notes.append("closed form: %s" % closed_form_L2(family, args.deg).text())
+    op = InfDunkl(family)
     for m in pmono_basis(args.deg, args.deg):
-        val = integral_L(family, r, LambdaElem.monomial(m))
+        val = op.integral(r, LambdaElem.monomial(m))
         report.notes.append("%s -> %s" % (pmono_text(m), val.text()))
         report.checks += 1
 

@@ -76,9 +76,12 @@ output key, and a coefficient that cancels makes none.
 
 Sampled runs and runs with bound parameters compute at their point, in the
 same kernels.  ``InfDunkl(family, bindings)`` is the one place where
-bindings enter: it turns each stencil into an integer stencil at the point
-(``_stencil_at``) and scales the shared denominator to match, and
-``apply`` and ``integral`` substitute their argument first.
+bindings enter: it takes each stencil at the point (``_stencil`` with that
+point) and scales the shared denominator to match, and ``apply`` and
+``integral`` substitute their argument first, in the one packing step they
+share.  ``_stencil`` is the one stencil table, keyed by (family, point,
+sign, a, m): symbolic or at a point, unfolded or on either sign of the
+folded half.
 ``commutator_on_basis(..., bindings)`` builds its table with that operator,
 so its residuals are formed at the point, and ``LambdaDiffOp.substitute``
 puts a closed form at the point.  A binding that is not an exact rational
@@ -173,11 +176,12 @@ def _delta_of_x_power(a: int, family: Family):
     return out
 
 
-#: Stencils kept per function: more than the distinct keys of one request (a
-#: trig-BC commutator on pmono_basis(4, 4) meets 106, and 162 at a point; the
-#: sampled trig-BC closed-form check of degree 8 meets 187 at its point), few
+#: Stencils kept, of all kinds together: more than the distinct keys of one
+#: pass of a benchmark workload, so that a pass computes each key once (run
+#: serially, seeds 0-2: 1,232 on ``infinity``, 909 unfolded and 323 folded;
+#: 913 on ``precheck``, 267 unfolded, 323 folded and 323 at the point), few
 #: enough that a long run's memory does not grow with every key it has met.
-_STENCILS_KEPT = 256
+_STENCILS_KEPT = 2048
 
 
 def _lowered(m: PMono, pos: int) -> PMono:
@@ -187,12 +191,47 @@ def _lowered(m: PMono, pos: int) -> PMono:
 
 
 @lru_cache(maxsize=_STENCILS_KEPT)
-def _stencil(family: Family, a: int, m: PMono) -> tuple:
+def _stencil(family: Family, point, sign: int, a: int, m: PMono) -> tuple:
     """D(x^a m) as a tuple of (x exponent, p-monomial, n, shift), each entry
     standing for n * x^exponent * p-monomial times the parameter monomial
     with packed key ``shift`` (0, k, p or q); over 2 for the trigonometric
     families, so that every n is an integer.  Kept for later calls (see
-    ``_STENCILS_KEPT``), so callers must not change it."""
+    ``_STENCILS_KEPT``), so callers must not change it.
+
+    ``sign`` 0 gives the stencil itself.  ``sign`` +-1 gives the
+    trigonometric-BC stencil on the folded half (see ``InfDunkl``):
+    D((x^a + e x^-a) m) for a > 0, or D(m) for a = 0, where ``sign`` = -e is
+    the sign of the output.  Its entries at b < 0 move to -b times ``sign``;
+    those at b = 0 are doubled for sign +1 and dropped for sign -1; for
+    a = 0 only the entries at b > 0 are kept, the others being the mirror
+    images.  So the reflection terms of an s-invariant input, which (1 - s)
+    kills, cancel.  ``point`` None runs symbolically; a point of ``_point``
+    turns the symbolic stencil of ``sign`` into an integer one (see
+    ``InfDunkl``).  Folded and at a point, entries of equal keys are merged
+    and zero ones dropped."""
+    if point is not None or sign:
+        out: dict = {}
+        if point is None:
+            for b, mm, n, shift in _stencil(family, None, 0, a, m):
+                if b < 0:
+                    if not a:
+                        continue
+                    b, n = -b, sign * n
+                elif not b:
+                    if not a or sign < 0:
+                        continue
+                    n *= 2
+                out[(b, mm, shift)] = out.get((b, mm, shift), 0) + n
+        else:
+            scale, values = point[0], dict(point[1])
+            for b, mm, n, shift in _stencil(family, None, sign, a, m):
+                v = values.get(shift)
+                if v is None:
+                    n *= scale
+                else:
+                    n, shift = n * v, 0
+                out[(b, mm, shift)] = out.get((b, mm, shift), 0) + n
+        return tuple((b, mm, n, shift) for (b, mm, shift), n in out.items() if n)
     trig = family.trig
     two = 2 if trig else 1
     out = []
@@ -235,31 +274,6 @@ def _stencil(family: Family, a: int, m: PMono) -> tuple:
         for j in range(l + 1):
             out.append((2 * j - l, m, -2 * sign if j in (0, l) else -4 * sign, _Q_KEY))
     return tuple(out)
-
-
-@lru_cache(maxsize=_STENCILS_KEPT)
-def _folded_stencil(family: Family, sign: int, a: int, m: PMono) -> tuple:
-    """The trigonometric-BC stencil on the folded half (see ``InfDunkl``):
-    D((x^a + e x^-a) m) for a > 0, or D(m) for a = 0, where ``sign`` = -e is
-    the sign of the output, kept as ``_stencil`` is.  The terms of
-    ``_stencil`` at b < 0 move to -b times ``sign``; those at b = 0 are
-    doubled for sign +1 and dropped for sign -1.  For a = 0 only the terms
-    at b > 0 are kept, the others being the mirror images.  Entries with
-    equal keys are merged, so the reflection terms of an s-invariant input,
-    which (1 - s) kills, cancel here."""
-    out: dict = {}
-    for b, mm, n, shift in _stencil(family, a, m):
-        if b < 0:
-            if not a:
-                continue
-            b, n = -b, sign * n
-        elif not b:
-            if not a or sign < 0:
-                continue
-            n *= 2
-        key = (b, mm, shift)
-        out[key] = out.get(key, 0) + n
-    return tuple((b, mm, n, shift) for (b, mm, shift), n in out.items() if n)
 
 
 def _apply_packed(terms: dict, stencil) -> dict:
@@ -343,31 +357,16 @@ def _point(bindings: dict) -> tuple:
     return scale, tuple(sorted((shift, v.numerator * (scale // v.denominator)) for shift, v in values.items()))
 
 
-@lru_cache(maxsize=_STENCILS_KEPT)
-def _stencil_at(family: Family, point: tuple, sign: int, a: int, m: PMono) -> tuple:
-    """The stencil of x^a m at ``point`` (see ``InfDunkl``): of ``_stencil``
-    for sign 0, of ``_folded_stencil`` with ``sign`` otherwise, with entries
-    of equal keys merged and zero ones dropped; kept as ``_stencil`` is."""
-    scale, values = point[0], dict(point[1])
-    base = _folded_stencil(family, sign, a, m) if sign else _stencil(family, a, m)
-    out: dict = {}
-    for b, mm, n, shift in base:
-        v = values.get(shift)
-        if v is None:
-            n *= scale
-        else:
-            n, shift = n * v, 0
-        out[(b, mm, shift)] = out.get((b, mm, shift), 0) + n
-    return tuple((b, mm, n, shift) for (b, mm, shift), n in out.items() if n)
-
-
 class InfDunkl:
     """The family's Dunkl operator at infinity, symbolic or at a point.
 
-    ``apply`` runs D^r over packed integer numerators (see the module
-    docstring): each term x^a m goes through its stencil (``_stencil``), the
-    integer combination of terms x^a' m' times 1, k, p or q that D(x^a m) is,
-    with the two trigonometric-BC series in closed form.  A numerator that
+    ``apply`` and ``integral`` pack f once (``_packed``: at the point, then
+    int numerators over the least common denominator) and run D^r in one
+    kernel, ``_power``, over the packed numerators (see the module
+    docstring): each term x^a m goes through its stencil (``_stencil``, of
+    which ``_power`` only picks the signs), the integer combination of terms
+    x^a' m' times 1, k, p or q that D(x^a m) is, with the two
+    trigonometric-BC series in closed form.  A numerator that
     reaches a guard bit raises ExponentOverflow after the application that
     formed it.  The shared k-denominator sets one more limit, which the
     term-by-term route does not have: a coefficient c k^j next to one over
@@ -377,11 +376,11 @@ class InfDunkl:
     ``integral`` runs the same kernel.  For trigonometric BC it works on the
     folded half: D anticommutes with the inversion s: x -> 1/x (see the
     module docstring), so D^j m is s-invariant for even j and
-    s-anti-invariant for odd j.  An
-    entry {(a, m): c} with a > 0 stands for c (x^a + e x^-a) m, with e = +1
-    before the first application and alternating after each; one at a = 0
-    stands for c m.  The stencils fold accordingly (``_folded_stencil``), and
-    the guard checks and the doubled denominator stay as in ``apply``: each
+    s-anti-invariant for odd j.  An entry {(a, m): c} with a > 0 stands for
+    c (x^a + e x^-a) m, with e = +1 before the first application and
+    alternating after each; one at a = 0 stands for c m.  The stencils fold
+    accordingly (``_stencil`` with sign -1, +1, -1, ...), and the guard
+    checks and the doubled denominator stay as in ``apply``: each
     nonzero numerator of ``apply`` equals a folded one up to sign or a
     factor 2, so the guard bits see the same exponents and both routes raise
     ExponentOverflow at the same application.
@@ -389,8 +388,8 @@ class InfDunkl:
     ``InfDunkl(family, bindings)`` runs at the point ``bindings``, exact
     rational values of some or all of k, p and q (``_point``): ``apply`` and
     ``integral`` substitute f first, and each stencil entry n times the
-    parameter monomial ``shift`` becomes an integer entry (``_stencil_at``,
-    kept per point as the symbolic stencils are).
+    parameter monomial ``shift`` becomes an integer entry (``_stencil`` at
+    the point, kept in the same table as the symbolic stencils).
     With L the least common multiple of the bound values' denominators, a
     bound parameter's entry becomes n * value * L with shift 0, and any
     other entry n * L with its shift; each application multiplies the shared
@@ -405,22 +404,24 @@ class InfDunkl:
         self.bindings = bindings or None
         self._point = _point(bindings) if bindings else None
 
+    def _packed(self, f, key) -> tuple:
+        """(terms, den_int, den_k): f's coefficients, at the point when there
+        is one, as int numerators over their least common denominator
+        den_int * k^den_k, each under ``key`` of its monomial."""
+        if self.bindings:
+            f = f.substitute(self.bindings)
+        den_int, den_k = _lcd(f.terms.values())
+        return {key(m): _numerator(c, den_int, den_k) for m, c in f.terms.items()}, den_int, den_k
+
     def _power(self, terms: dict, den_int: int, r: int, folded: bool = False):
         """(D^r terms, its den_int) on packed numerators over den_int; on the
         folded half when ``folded``.  A negative r raises ValueError."""
         if r < 0:
             raise ValueError("negative order %d" % r)
-        fam = self.family
-        scale = 2 if fam.trig else 1
+        fam, point = self.family, self._point
+        scale = (2 if fam.trig else 1) * (point[0] if point else 1)
         # application j (from 0) of the folded half outputs the sign (-1)^(j+1)
-        if self._point:
-            scale *= self._point[0]
-            signs = (-1, 1) if folded else (0,)
-            stencils = tuple(partial(_stencil_at, fam, self._point, sign) for sign in signs)
-        elif folded:
-            stencils = (partial(_folded_stencil, fam, -1), partial(_folded_stencil, fam, 1))
-        else:
-            stencils = (partial(_stencil, fam),)
+        stencils = [partial(_stencil, fam, point, sign) for sign in ((-1, 1) if folded else (0,))]
         for j in range(r):
             terms = _apply_packed(terms, stencils[j % len(stencils)])
             den_int *= scale
@@ -428,13 +429,9 @@ class InfDunkl:
 
     def apply(self, f: LambdaXElem, r: int = 1) -> LambdaXElem:
         """D^r applied to f (at the point, f substituted first)."""
-        fam = self.family
-        if not fam.laurent and any(a < 0 for a, _ in f.terms):
+        if not self.family.laurent and any(a < 0 for a, _ in f.terms):
             raise UnsupportedFamily("Laurent element in a polynomial family")
-        if self.bindings:
-            f = f.substitute(self.bindings)
-        den_int, den_k = _lcd(f.terms.values())
-        terms = {key: _numerator(c, den_int, den_k) for key, c in f.terms.items()}
+        terms, den_int, den_k = self._packed(f, lambda key: key)
         terms, den_int = self._power(terms, den_int, r)
         return LambdaXElem(_canonical_all(terms, den_int, den_k))
 
@@ -452,10 +449,7 @@ class InfDunkl:
         """
         fam = self.family
         folded = fam is Family.TRIG_BC
-        if self.bindings:
-            f = f.substitute(self.bindings)
-        den_int, den_k = _lcd(f.terms.values())
-        terms = {(0, m): _numerator(c, den_int, den_k) for m, c in f.terms.items()}
+        terms, den_int, den_k = self._packed(f, lambda m: (0, m))
         terms, den_int = self._power(terms, den_int, 2 * r if fam.even_integrals else r, folded)
         out: dict = {}
         for (a, m), num in terms.items():
@@ -575,10 +569,6 @@ class LambdaDiffOp:
         return "LambdaDiffOp(%s)" % self.text()
 
 
-def _p(*pairs) -> PMono:
-    return pmono(*pairs)
-
-
 def closed_form_L2(family: Family, max_index: int) -> LambdaDiffOp:
     """The explicit second integral, truncated to derivation indices <= max_index.
 
@@ -597,52 +587,52 @@ def closed_form_L2(family: Family, max_index: int) -> LambdaDiffOp:
     if family is Family.RAT_A:
         for a in range(1, W + 1):
             for b in range(1, W + 1):
-                add(one, _p((a + b - 2, 1)), (a, b))
+                add(one, pmono((a + b - 2, 1)), (a, b))
         for a in range(0, W + 1):
             for b in range(0, W - a - 1):
-                add(-K, _p((a, 1), (b, 1)), (a + b + 2,))
+                add(-K, pmono((a, 1), (b, 1)), (a + b + 2,))
         for a in range(2, W + 1):
-            add((ONE + K).scale(a - 1), _p((a - 2, 1)), (a,))
+            add((ONE + K).scale(a - 1), pmono((a - 2, 1)), (a,))
     elif family is Family.TRIG_A:
         for a in range(1, W + 1):
             for b in range(1, W + 1):
-                add(one, _p((a + b, 1)), (a, b))
+                add(one, pmono((a + b, 1)), (a, b))
         for a in range(1, W + 1):
             for b in range(1, W - a + 1):
-                add(-K, _p((a, 1), (b, 1)), (a + b,))
+                add(-K, pmono((a, 1), (b, 1)), (a + b,))
         for a in range(1, W + 1):
-            add((ONE + K).scale(a), _p((a, 1)), (a,))
-            add(-K, _p((0, 1), (a, 1)), (a,))
+            add((ONE + K).scale(a), pmono((a, 1)), (a,))
+            add(-K, pmono((0, 1), (a, 1)), (a,))
     elif family is Family.RAT_B:
         # Leading coefficient 4 on ordered pairs: fixed against E . D^2, which
         # also matches the two-derivative helper identities for this family.
         for a in range(1, W + 1):
             for b in range(1, W + 1):
-                add(ParamRatio.const(4), _p((a + b - 1, 1)), (a, b))
+                add(ParamRatio.const(4), pmono((a + b - 1, 1)), (a, b))
         for a in range(0, W + 1):
             for b in range(0, W - a):
-                add(-K.scale(4), _p((a, 1), (b, 1)), (a + b + 1,))
+                add(-K.scale(4), pmono((a, 1), (b, 1)), (a + b + 1,))
         for a in range(0, W):
             coeff = K.scale(4 * (a + 1)) + ParamRatio.const(2 * (2 * a + 1)) - Q.scale(4)
-            add(coeff, _p((a, 1)), (a + 1,))
+            add(coeff, pmono((a, 1)), (a + 1,))
     elif family is Family.TRIG_BC:
         # Derived independently from E . D^2; indices p_{a-b}, p_{a-2j}, p_{a-j}
         # follow the absolute-value convention.
         two = ParamRatio.const(2)
         for a in range(1, W + 1):
             for b in range(1, W + 1):
-                add(two, _p((a + b, 1)), (a, b))
-                add(-two, _p((abs(a - b), 1)), (a, b))
+                add(two, pmono((a + b, 1)), (a, b))
+                add(-two, pmono((abs(a - b), 1)), (a, b))
         for a in range(1, W + 1):
             # 2(ak + a + k + h') p_a with h' = -k p_0 - p - 2q
-            add((K.scale(a + 1) + ParamRatio.const(a) - P - Q.scale(2)).scale(2), _p((a, 1)), (a,))
-            add(-K.scale(2), _p((0, 1), (a, 1)), (a,))
+            add((K.scale(a + 1) + ParamRatio.const(a) - P - Q.scale(2)).scale(2), pmono((a, 1)), (a,))
+            add(-K.scale(2), pmono((0, 1), (a, 1)), (a,))
             for j in range(1, 2 * a):
-                add(-P.scale(2), _p((abs(a - j), 1)), (a,))
+                add(-P.scale(2), pmono((abs(a - j), 1)), (a,))
         for a in range(2, W + 1):
             for j in range(1, a):
-                add(K.scale(2) - Q.scale(4), _p((abs(a - 2 * j), 1)), (a,))
-                add(-K.scale(2), _p((j, 1), (a - j, 1)), (a,))
+                add(K.scale(2) - Q.scale(4), pmono((abs(a - 2 * j), 1)), (a,))
+                add(-K.scale(2), pmono((j, 1), (a - j, 1)), (a,))
     else:  # pragma: no cover
         raise ValueError(family)
     return LambdaDiffOp(terms)

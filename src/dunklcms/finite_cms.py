@@ -10,11 +10,13 @@ power sums give the quantum integrals, and the commutative-diagram checks
 compare both routes term by term.  ``DIAGRAM_KINDS`` declares each diagram
 kind once, for the library and the command line alike.
 
-A power D_i^r of a finite operator runs in one kernel over the packed int
-numerator, as ``InfDunkl.apply`` does at infinity: each application adds the
-derivative (or Euler) term and every reflection series into one int dict
+The finite operator has one entry point, ``finite_dunkl(family, N, i, f, r)``,
+which runs the power D_i^r (r = 1 by default) in one kernel over the packed
+int numerator, as ``InfDunkl.apply`` does at infinity: each application adds
+the derivative (or Euler) term and every reflection series into one int dict
 over a shared denominator, each parameter k, p or q entering as a shift of
-the packed keys, and the power makes one canonical form, at its end.
+the packed keys, and the power makes one canonical form, at its end.  The
+diagrams and ``heckman_integral`` call it.
 
 Variables are indexed 0..N-1 internally.  Laurent exponents are allowed where
 the trigonometric BC family needs them.
@@ -753,19 +755,24 @@ def _dunkl_parts(family: Family, N: int, i: int) -> tuple:
             ([("invert2", i, None)], -2, _Q_KEY))
 
 
-def _finite_dunkl_power(family: Family, N: int, i: int, f: MultiPoly, r: int) -> MultiPoly:
-    """D_{i,N}^r applied to f, in one kernel over f's packed numerator.
+def finite_dunkl(family: Family, N: int, i: int, f: MultiPoly, r: int = 1) -> MultiPoly:
+    """D_{i,N}^r applied to f, for the family's finite Dunkl (or
+    Dunkl-Heckman) operator D_{i,N}, in one kernel over f's packed numerator.
 
-    Each application adds the derivative term and every reflection series
-    (``_divided_differences``) into one int dict over the shared denominator
-    den_int * k^den_k, with each parameter k, p or q entering as a shift of
-    the packed keys; the half of the trigonometric families doubles den_int
-    once per application.  Then the common power of k is shifted out while
-    den_k > 0, so the k-exponents are those of the canonical form, and
-    ``_degree_checked`` tests the keys: a step whose result leaves the
-    exponent ranges raises ``ExponentOverflow`` at that step.  The
-    canonical form is made once, at the end.  A negative r raises
-    ValueError.
+    The reflection terms are divided differences (f - w f) / d, summed in
+    closed form from the packed terms (``_divided_differences``); for the
+    trigonometric families each carries its numerator (x_i + x_j,
+    x_i x_j + 1, x_i + 1 or x_i^2 + 1).  No image w f, no polynomial
+    division and no product of polynomials is formed.  Each application adds
+    the derivative (or Euler) term and every reflection series into one int
+    dict over the shared denominator den_int * k^den_k, with each parameter
+    k, p or q entering as a shift of the packed keys; the half of the
+    trigonometric families doubles den_int once per application.  Then the
+    common power of k is shifted out while den_k > 0, so the k-exponents are
+    those of the canonical form, and ``_degree_checked`` tests the keys: a
+    step whose result leaves the exponent ranges raises ``ExponentOverflow``
+    at that step.  The canonical form is made once, at the end.  The index i
+    must lie in 0..N-1, and a negative r raises ValueError.
     """
     if f.nvars != N:
         raise ValueError("variable count mismatch")
@@ -804,20 +811,6 @@ def _finite_dunkl_power(family: Family, N: int, i: int, f: MultiPoly, r: int) ->
     return _mp(lay, _canonical(_poly(terms), den_int, den_k))
 
 
-def finite_dunkl(family: Family, N: int, i: int, f: MultiPoly) -> MultiPoly:
-    """The family's finite Dunkl (or Dunkl-Heckman) operator D_{i,N} applied to f.
-
-    The reflection terms are divided differences (f - w f) / d, summed in
-    closed form from f's packed terms by the kernel of
-    ``_finite_dunkl_power``, of which this is the case r = 1; for the
-    trigonometric families each carries its numerator (x_i + x_j,
-    x_i x_j + 1, x_i + 1 or x_i^2 + 1).  No image w f, no polynomial division
-    and no product of polynomials is formed.  The index i must lie in
-    0..N-1, and ValueError says so otherwise.
-    """
-    return _finite_dunkl_power(family, N, i, f, 1)
-
-
 def is_invariant(family: Family, f: MultiPoly) -> bool:
     """Whether the family's group fixes f: each swap of neighbouring
     variables, then the flip (rational B) or the inversion (trigonometric
@@ -836,16 +829,16 @@ def heckman_integral(family: Family, N: int, r: int, f: MultiPoly) -> MultiPoly:
 
     The finite operators are S_N-equivariant, s D_{0,N} s = D_{i,N} for the
     transposition s = s_{0i}, so on an invariant f the term D_{i,N}^r f is
-    s applied to g = D_{0,N}^r f: one call of the kernel
-    ``_finite_dunkl_power`` forms g, and the sum is g plus its images under
-    s_{01}, ..., s_{0,N-1}.  Invariance of input and output is asserted;
-    the output check fails when g is not symmetric in x_1..x_{N-1}, and for
-    the B families it also tests the flip or the inversion.
+    s applied to g = D_{0,N}^r f: one call of ``finite_dunkl`` forms g, and
+    the sum is g plus its images under s_{01}, ..., s_{0,N-1}.  Invariance
+    of input and output is asserted; the output check fails when g is not
+    symmetric in x_1..x_{N-1}, and for the B families it also tests the
+    flip or the inversion.
     """
     if not is_invariant(family, f):
         raise NotInvariant("input is not invariant under the family's group")
     power = 2 * r if family.even_integrals else r
-    g = _finite_dunkl_power(family, N, 0, f, power)
+    g = finite_dunkl(family, N, 0, f, power)
     out = g
     for i in range(1, N):
         out = out + g.act_swap(0, i)
@@ -1016,10 +1009,6 @@ def deformed_partials(parity: ParityData, r: int, f: MultiPoly) -> list:
     return level
 
 
-def deformed_partial_r(parity: ParityData, i: int, r: int, f: MultiPoly) -> MultiPoly:
-    return deformed_partials(parity, r, f)[i]
-
-
 def deformed_integral(parity: ParityData, r: int, f: MultiPoly) -> MultiPoly:
     """Sum over i of k^{-p(i)} d_i^(r) f, the r-th deformed quantum integral.
 
@@ -1090,7 +1079,7 @@ def _diagram_one(kind: str, r: int, op: InfDunkl, hom: Hom, labeled) -> DiagramR
         f = f.to_lambda()
     if kind == "dcomm":
         lhs = hom.apply(op.apply(f, r))
-        rhs = _finite_dunkl_power(family, parity.size, i, hom.apply(f), r)
+        rhs = finite_dunkl(family, parity.size, i, hom.apply(f), r)
     elif kind == "heckdiag":
         lhs = hom.apply(op.integral(r, f))
         rhs = heckman_integral(family, parity.size, r, hom.apply(f))
@@ -1100,7 +1089,7 @@ def _diagram_one(kind: str, r: int, op: InfDunkl, hom: Hom, labeled) -> DiagramR
             rhs = rhs.scale(ParamRatio.const(2))
     elif kind == "propcomm":
         lhs = hom.apply(op.apply(LambdaXElem.from_lambda(f), r))
-        rhs = deformed_partial_r(parity, i, r, hom.apply(f))
+        rhs = deformed_partials(parity, r, hom.apply(f))[i]
     else:  # intrat
         lhs = hom.apply(op.integral(r, f))
         rhs = deformed_integral(parity, r, hom.apply(f))

@@ -76,7 +76,7 @@ It is imported by the test modules only; pytest does not collect it.
 from dunklcms import weyl
 from dunklcms.coeffs import ONE, Rat, k_power
 from dunklcms.dunkl_infinity import _delta_of_x_power
-from dunklcms.finite_cms import MultiPoly, _finite_dunkl_power
+from dunklcms.finite_cms import MultiPoly, finite_dunkl
 from dunklcms.powersums import (
     Family,
     InexactDivision,
@@ -401,5 +401,5 @@ def heckman_integral_direct(family: Family, N: int, r: int, f: MultiPoly) -> Mul
     power = 2 * r if family.even_integrals else r
     out = MultiPoly.zero(N)
     for i in range(N):
-        out = out + _finite_dunkl_power(family, N, i, f, power)
+        out = out + finite_dunkl(family, N, i, f, power)
     return out

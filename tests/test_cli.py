@@ -161,14 +161,14 @@ class TestSampledFailures:
         assert at_point.text() != forced.text()
 
     def test_bound_closed_form_reports_both_sides_at_point(self, capsys, monkeypatch):
-        real = cli.integral_L
+        real = InfDunkl.integral
         extra = LambdaElem.p(0).scale(K)
 
-        def broken(family, r, f, bindings=None):
-            out = real(family, r, f, bindings)
-            return out + _at(extra, bindings) if f == LambdaElem.p(2) else out
+        def broken(op, r, f):
+            out = real(op, r, f)
+            return out + _at(extra, op.bindings) if f == LambdaElem.p(2) else out
 
-        monkeypatch.setattr(cli, "integral_L", broken)
+        monkeypatch.setattr(InfDunkl, "integral", broken)
         code, out = run_cli(
             capsys, "verify", "closed-form", "--family", "rat-a", "--deg", "3",
             "--param", "k=3/2", "--format", "json", "--no-timing",
@@ -179,25 +179,25 @@ class TestSampledFailures:
         assert code == 1 and payload["checks"] == 7
         assert payload["counterexamples"] == [{
             "input": "p2",
-            "lhs": real(Family.RAT_A, 2, f).substitute(bindings).text(),
-            "rhs": broken(Family.RAT_A, 2, f).substitute(bindings).text(),
+            "lhs": real(InfDunkl(Family.RAT_A), 2, f).substitute(bindings).text(),
+            "rhs": broken(InfDunkl(Family.RAT_A), 2, f).substitute(bindings).text(),
         }]
 
 
 class TestClosedFormVerdicts:
     """``verify closed-form`` compares the canonical sides; with bindings both
-    sides are computed at the point.  ``cli.integral_L`` is perturbed on p2
-    by ``extra``, at the point it is asked for."""
+    sides are computed at the point.  ``InfDunkl.integral`` is perturbed on
+    p2 by ``extra``, at the point of its operator."""
 
     @staticmethod
     def _perturbed(monkeypatch, extra):
-        real = cli.integral_L
+        real = InfDunkl.integral
 
-        def broken(family, r, f, bindings=None):
-            out = real(family, r, f, bindings)
-            return out + _at(extra, bindings) if f == LambdaElem.p(2) else out
+        def broken(op, r, f):
+            out = real(op, r, f)
+            return out + _at(extra, op.bindings) if f == LambdaElem.p(2) else out
 
-        monkeypatch.setattr(cli, "integral_L", broken)
+        monkeypatch.setattr(InfDunkl, "integral", broken)
 
     def _falsified(self, capsys, *argv):
         code, out = run_cli(capsys, "verify", "closed-form", "--deg", "3", *argv,
@@ -678,7 +678,7 @@ class TestFiniteDiagramWork:
         monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
         calls = {"kernel": 0, "products": 0}
         inside = [False]
-        kernel, mul, apply = finite_cms._finite_dunkl_power, MultiPoly.__mul__, Hom.apply
+        kernel, mul, apply = finite_cms.finite_dunkl, MultiPoly.__mul__, Hom.apply
 
         def counting_kernel(*args):
             calls["kernel"] += 1
@@ -695,7 +695,7 @@ class TestFiniteDiagramWork:
             finally:
                 inside[0] = False
 
-        monkeypatch.setattr(finite_cms, "_finite_dunkl_power", counting_kernel)
+        monkeypatch.setattr(finite_cms, "finite_dunkl", counting_kernel)
         monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
         monkeypatch.setattr(Hom, "apply", inside_apply)
         code, out = run_cli(capsys, "verify", "diagram", "--family", "trig-bc", *argv, "--no-timing")
@@ -706,13 +706,13 @@ class TestFiniteDiagramWork:
     def test_symmetric_change_of_the_first_power_is_falsified(self, capsys, monkeypatch, family):
         # a D_0 off by an invariant term keeps the orbit sum invariant, so the
         # output check passes it; the comparison with infinity must not
-        real = finite_cms._finite_dunkl_power
+        real = finite_cms.finite_dunkl
 
         def perturbed(family, N, i, f, r):
             out = real(family, N, i, f, r)
             return out + MultiPoly.const(N, K) if i == 0 else out
 
-        monkeypatch.setattr(finite_cms, "_finite_dunkl_power", perturbed)
+        monkeypatch.setattr(finite_cms, "finite_dunkl", perturbed)
         code, out = run_cli(capsys, "verify", "diagram", "--family", family, "--kind", "heckdiag",
                             "--N", "3", "--r", "1", "--format", "json", "--no-timing")
         payload = json.loads(out)

@@ -17,11 +17,15 @@ are checked against the symbolic results substituted afterwards.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from dunklcms import dunkl_infinity
 from dunklcms.coeffs import (
+    _K_KEY,
+    _P_KEY,
+    _Q_KEY,
     HALF,
     MAX_DEGREE,
     ZERO,
@@ -36,6 +40,8 @@ from dunklcms.dunkl_infinity import (
     InfDunkl,
     InvalidBinding,
     LambdaDiffOp,
+    _point,
+    _stencil,
     _table_difference,
     apply_closed_form_L2,
     closed_form_L2,
@@ -783,6 +789,90 @@ def _coefficients(bindings: dict) -> list:
 #: the commutator of each family at a point: (r, s, deg, pwindow)
 POINT_CASES = {Family.RAT_A: (2, 3, 4, 4), Family.TRIG_A: (2, 3, 4, 2),
                Family.RAT_B: (1, 2, 4, 4), Family.TRIG_BC: (1, 2, 3, 2)}
+
+
+def _merged(entries) -> dict:
+    """{(x exponent, p-monomial, shift): n} of stencil entries, equal keys
+    summed and zero sums dropped."""
+    out: dict = {}
+    for b, mm, n, shift in entries:
+        out[(b, mm, shift)] = out.get((b, mm, shift), 0) + n
+    return {key: n for key, n in out.items() if n}
+
+
+def _stencil_recomputed(family: Family, bindings, sign: int, a: int, m) -> dict:
+    """The stencil of x^a m recomputed from the symbolic one: folded for
+    sign +-1, each entry whose shift is bound taken at the point times L (L
+    the lcm of the bound values' denominators, which every other entry is
+    multiplied by), then merged (``_merged``)."""
+    values = {shift: Fraction(bindings[name]) for name, shift in (("k", _K_KEY), ("p", _P_KEY), ("q", _Q_KEY))
+              if name in bindings}
+    scale = math.lcm(*(v.denominator for v in values.values())) if values else 1
+    out = []
+    for b, mm, n, shift in _stencil(family, None, 0, a, m):
+        if sign and b < 0:
+            if not a:
+                continue
+            b, n = -b, sign * n
+        elif sign and not b:
+            if not a or sign < 0:
+                continue
+            n *= 2
+        if shift in values:
+            n, shift = int(n * values[shift] * scale), 0
+        elif values:
+            n *= scale
+        out.append((b, mm, n, shift))
+    return _merged(out)
+
+
+class TestStencil:
+    """``_stencil(family, point, sign, a, m)``, the one stencil table:
+    unfolded or on either sign of the folded half, symbolic or at a point."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_every_branch_matches_the_recomputation(self, family):
+        trig_bc = family is Family.TRIG_BC
+        signs = (0, -1, 1) if trig_bc else (0,)
+        bindings = {name: Rat(v.num.terms[0], v.den_int)
+                    for name, v in _sampled_point(family, 5).items()}
+        seen = 0
+        for point, given in ((None, {}), (_point(bindings), bindings)):
+            for sign in signs:
+                for a in range(-3, 4) if trig_bc else range(5):
+                    for m in pmono_basis(3, 3):
+                        got = _stencil(family, point, sign, a, m)
+                        assert _merged(got) == _stencil_recomputed(family, given, sign, a, m), \
+                            (point, sign, a, m)
+                        # merged already: no repeated key, no zero entry
+                        assert len(got) == len(_merged(got)), (point, sign, a, m)
+                        seen += bool(got)
+        assert seen > 0
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_folded_half_is_the_image_of_the_folded_input(self, sign):
+        # D((x^a + e x^-a) m) with e = -sign, at b > 0 (and b = 0 for a > 0),
+        # is the stencil of x^a m plus e times that of x^-a m; D(m) for a = 0
+        for a in range(4):
+            for m in pmono_basis(3, 3):
+                whole = _merged(_stencil(Family.TRIG_BC, None, 0, a, m))
+                if a:
+                    for key, n in _merged(_stencil(Family.TRIG_BC, None, 0, -a, m)).items():
+                        whole[key] = whole.get(key, 0) - sign * n
+                expected = {key: n for key, n in whole.items() if n and (key[0] > 0 or a and not key[0])}
+                assert _merged(_stencil(Family.TRIG_BC, None, sign, a, m)) == expected, (a, m)
+
+    def test_each_key_is_computed_once_per_run(self, monkeypatch):
+        # a symbolic commutator run, then one at a point: every key that the
+        # two meet, unfolded, folded and at the point, fits in the table
+        monkeypatch.delenv("DUNKLCMS_WORKERS", raising=False)
+        _stencil.cache_clear()
+        commutator_on_basis(Family.TRIG_BC, 1, 3, 4, 4)
+        symbolic = _stencil.cache_info().currsize
+        commutator_on_basis(Family.TRIG_BC, 1, 3, 4, 4, _sampled_point(Family.TRIG_BC, 0))
+        info = _stencil.cache_info()
+        assert info.currsize > symbolic > 0
+        assert info.misses == info.currsize, info
 
 
 class TestAtPoint:

@@ -29,7 +29,7 @@ from dunklcms.finite_cms import (
     NotInvariant,
     ParityData,
     deformed_integral,
-    deformed_partial_r,
+    deformed_partials,
     diagram_check,
     finite_dunkl,
     heckman_integral,
@@ -40,7 +40,6 @@ from dunklcms.finite_cms import (
     _fac_sum,
     _degree_checked,
     _divided_differences,
-    _finite_dunkl_power,
     standard_testset,
 )
 from dunklcms.dunkl_infinity import pmono_basis
@@ -559,7 +558,7 @@ class TestFiniteDunkl:
                 with pytest.raises(ValueError):
                     finite_dunkl(family, 3, i, f)
                 with pytest.raises(ValueError):
-                    _finite_dunkl_power(family, 3, i, f, 2)
+                    finite_dunkl(family, 3, i, f, 2)
 
     def test_trig_bc_noncommuting_at_two_variables(self):
         f = V(2, 0, -2) * V(2, 1, -2)
@@ -680,7 +679,7 @@ class TestDividedDifferences:
         g = f
         for r in range(1, 4):
             g = finite_dunkl_by_division(family, 3, i, g)
-            assert _finite_dunkl_power(family, 3, i, f, r) == g
+            assert finite_dunkl(family, 3, i, f, r) == g
 
     @pytest.mark.parametrize("family", list(Family))
     def test_finite_dunkl_does_no_division(self, monkeypatch, family):
@@ -702,7 +701,7 @@ class TestDividedDifferences:
         monkeypatch.setattr(finite_cms, "_canonical", lambda *a: seen.append("canonical") or canonical(*a))
         for i in range(3):
             assert not finite_dunkl(family, 3, i, f).is_zero()
-            assert not _finite_dunkl_power(family, 3, i, f, 3).is_zero()
+            assert not finite_dunkl(family, 3, i, f, 3).is_zero()
         assert seen == ["canonical"] * 6
 
     @pytest.mark.parametrize("family, i, fails_at", [
@@ -722,10 +721,10 @@ class TestDividedDifferences:
                 with pytest.raises(ExponentOverflow):
                     finite_dunkl_by_division(family, 2, i, g)
                 with pytest.raises(ExponentOverflow):
-                    _finite_dunkl_power(family, 2, i, f, r)
+                    finite_dunkl(family, 2, i, f, r)
                 return
             g = finite_dunkl_by_division(family, 2, i, g)
-            assert _finite_dunkl_power(family, 2, i, f, r) == g
+            assert finite_dunkl(family, 2, i, f, r) == g
         assert fails_at is None
 
     def test_exponent_overflow_at_the_lowest_exponent(self):
@@ -811,21 +810,21 @@ class TestHeckman:
             assert all(f.act_swap(0, i) != f for i in range(1, N))
             for i in range(N):
                 for r in (1, 2, 3):
-                    direct = _finite_dunkl_power(family, N, i, f, r)
-                    assert direct == _finite_dunkl_power(family, N, 0, f.act_swap(0, i), r).act_swap(0, i), \
+                    direct = finite_dunkl(family, N, i, f, r)
+                    assert direct == finite_dunkl(family, N, 0, f.act_swap(0, i), r).act_swap(0, i), \
                         (N, i, r)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_asymmetric_first_power_is_refused(self, family, monkeypatch):
         # a D_0 that breaks the symmetry in x_1..x_{N-1} gives an orbit sum
         # that is not invariant: the output check must catch it
-        real = finite_cms._finite_dunkl_power
+        real = finite_cms.finite_dunkl
 
         def perturbed(family, N, i, f, r):
             out = real(family, N, i, f, r)
             return out + V(N, 1).scale(K) if i == 0 else out
 
-        monkeypatch.setattr(finite_cms, "_finite_dunkl_power", perturbed)
+        monkeypatch.setattr(finite_cms, "finite_dunkl", perturbed)
         f = Hom(family, ParityData(3, 0)).apply(LambdaElem.p(2))
         with pytest.raises(NotInvariant):
             heckman_integral(family, 3, 1, f)
@@ -968,22 +967,22 @@ class TestDeformedRecursion:
     def test_base_case_species_zero(self):
         par = ParityData(1, 1)
         f = V(2, 0) + V(2, 1).scale(symbol("k", -1))
-        assert deformed_partial_r(par, 0, 1, f) == C(2, 1)
+        assert deformed_partials(par, 1, f)[0] == C(2, 1)
 
     def test_base_case_species_one(self):
         par = ParityData(1, 1)
         f = V(2, 0) + V(2, 1).scale(symbol("k", -1))
-        assert deformed_partial_r(par, 1, 1, f) == C(2, 1)
+        assert deformed_partials(par, 1, f)[1] == C(2, 1)
 
     def test_second_order_kills_deformed_p1(self):
         par = ParityData(1, 1)
         f = V(2, 0) + V(2, 1).scale(symbol("k", -1))
-        assert deformed_partial_r(par, 0, 2, f).is_zero()
+        assert deformed_partials(par, 2, f)[0].is_zero()
 
     def test_misuse_raises_inexact_division(self):
         par = ParityData(1, 1)
         with pytest.raises(InexactDivision):
-            deformed_partial_r(par, 0, 2, V(2, 0, 2))  # x1^2 is not deformed-symmetric
+            deformed_partials(par, 2, V(2, 0, 2))[0]  # x1^2 is not deformed-symmetric
 
     def test_second_integral_value_through_reduction(self):
         # the deformed second integral on the deformed p2 equals the reduction
@@ -1007,7 +1006,7 @@ class TestDeformedRecursion:
             finite_cms.deformed_partials(par, -1, V(2, 0) + V(2, 1))
         for family in Family:
             with pytest.raises(ValueError):
-                _finite_dunkl_power(family, 2, 0, V(2, 0) + V(2, 1), -1)
+                finite_dunkl(family, 2, 0, V(2, 0) + V(2, 1), -1)
 
     def test_first_integral_kills_constants(self):
         par = ParityData(2, 1)

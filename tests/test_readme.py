@@ -44,3 +44,15 @@ def test_quick_tour_claims_hold():
             assert comment in ("", "True") and value is True, lines[stmt.end_lineno - 1]
         claims.append(lines[stmt.end_lineno - 1])
     assert len(claims) == 4, claims
+
+
+def test_public_names_resolve():
+    # ``from dunklcms import *`` binds every name of ``__all__``, and each
+    # is an attribute of the package
+    import dunklcms
+
+    namespace: dict = {}
+    exec("from dunklcms import *", namespace)
+    assert dunklcms.__all__ and len(set(dunklcms.__all__)) == len(dunklcms.__all__)
+    for name in dunklcms.__all__:
+        assert namespace[name] is getattr(dunklcms, name), name
